@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use conv_bench::{env_f64, BenchInputs};
 use conv_workloads::tensor3_fibered;
-use sparse_conv::convert::{AnyMatrix, AnyTensor, FormatId};
+use sparse_conv::convert::{AnyTensor, FormatId};
 use sparse_conv::select::{auto_select, ORDER3_MODE_ORDERS};
 use sparse_conv::source::SourceMatrix;
 use sparse_conv::spec::FormatSpec;
@@ -31,7 +31,7 @@ fn inputs() -> BenchInputs {
 
 fn bench_execution_paths(c: &mut Criterion) {
     let inputs = inputs();
-    let coo_any = AnyMatrix::Coo(inputs.coo.clone());
+    let coo_any = AnyTensor::Coo(inputs.coo.clone());
     let csr_spec = FormatSpec::stock(FormatId::Csr).expect("CSR has a stock spec");
 
     let mut group = c.benchmark_group("execution_paths/coo_to_csr");

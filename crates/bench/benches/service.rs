@@ -12,7 +12,7 @@ use std::time::Duration;
 use conv_bench::{env_f64, env_usize, BenchInputs};
 use conv_runtime::{ConversionService, ServiceConfig, WorkerPool};
 use conv_workloads::generators::tensor3_uniform;
-use sparse_conv::convert::{AnyMatrix, FormatId};
+use sparse_conv::convert::{AnyTensor, FormatId};
 use sparse_formats::{CooTensor, SortStrategy};
 
 fn thread_counts() -> Vec<usize> {
@@ -34,9 +34,9 @@ fn heaviest_inputs() -> BenchInputs {
 
 fn bench_parallel_kernels(c: &mut Criterion) {
     let inputs = heaviest_inputs();
-    let coo = AnyMatrix::Coo(inputs.coo.clone());
-    let csr = AnyMatrix::Csr(inputs.csr.clone());
-    let cases: [(&str, &AnyMatrix, FormatId); 3] = [
+    let coo = AnyTensor::Coo(inputs.coo.clone());
+    let csr = AnyTensor::Csr(inputs.csr.clone());
+    let cases: [(&str, &AnyTensor, FormatId); 3] = [
         ("coo_to_csr", &coo, FormatId::Csr),
         ("csr_to_csc", &csr, FormatId::Csc),
         (
@@ -71,9 +71,9 @@ fn bench_parallel_kernels(c: &mut Criterion) {
 
 fn bench_batch_throughput(c: &mut Criterion) {
     let inputs = heaviest_inputs();
-    let coo = AnyMatrix::Coo(inputs.coo.clone());
-    let csr = AnyMatrix::Csr(inputs.csr.clone());
-    let jobs: Vec<(AnyMatrix, FormatId)> = vec![
+    let coo = AnyTensor::Coo(inputs.coo.clone());
+    let csr = AnyTensor::Csr(inputs.csr.clone());
+    let jobs: Vec<(AnyTensor, FormatId)> = vec![
         (coo.clone(), FormatId::Csr),
         (csr.clone(), FormatId::Csc),
         (coo.clone(), FormatId::Jad),
@@ -153,7 +153,10 @@ fn bench_sort_strategies(c: &mut Criterion) {
     for (name, strategy) in strategies {
         for t in [1, threads] {
             group.bench_function(BenchmarkId::new(name, t), |b| {
-                b.iter(|| conv_runtime::kernels::coo_to_csf_with(&coo, t, strategy).nnz());
+                b.iter(|| {
+                    sparse_conv::kernels::coo_to_csf_ordered_with(&coo, &[0, 1, 2], t, strategy)
+                        .nnz()
+                });
             });
             if threads == 1 {
                 break;

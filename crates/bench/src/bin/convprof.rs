@@ -32,7 +32,7 @@ use conv_bench::{env_f64, env_usize};
 use conv_runtime::{ConversionService, RoutingPolicy, ServiceConfig, WorkerPool};
 use conv_workloads::{irregular, tensor3_uniform};
 use obs::{validate_json, ConversionReport, PhaseReport};
-use sparse_conv::convert::AnyMatrix;
+use sparse_conv::convert::AnyTensor;
 use sparse_conv::Format;
 use sparse_formats::{CooMatrix, CooTensor};
 use sparse_tensor::SparseTriples;
@@ -57,23 +57,15 @@ fn parse_args() -> Options {
     let mut smoke = false;
     let mut validate = false;
     let mut json_out = None;
-    let mut routing = RoutingPolicy::CostModel;
     let mut formats: Vec<Format> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let (routing, args) = conv_bench::routing_from_cli(std::env::args().skip(1));
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--validate" => validate = true,
             "--json-out" => match args.next() {
                 Some(path) => json_out = Some(path),
-                None => usage(),
-            },
-            "--route" => match args.next().map(|p| p.parse()) {
-                Some(Ok(p)) => routing = p,
-                Some(Err(e)) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
                 None => usage(),
             },
             "--help" | "-h" => usage(),
@@ -193,9 +185,9 @@ fn main() {
     );
 
     let base = if order == 3 {
-        AnyMatrix::Coo3(CooTensor::from_triples(&triples))
+        AnyTensor::Coo3(CooTensor::from_triples(&triples))
     } else {
-        AnyMatrix::Coo(CooMatrix::from_triples(&triples))
+        AnyTensor::Coo(CooMatrix::from_triples(&triples))
     };
     // Materialise the source instance with the sequential engine, so the
     // profiled conversion starts from the requested format.

@@ -30,31 +30,10 @@
 //! * `BENCH_JSON` — output path (default `BENCH_conversions.json`).
 
 use conv_bench::{env_f64, env_usize, render_bench_json, suite, BenchInputs, BenchRecord};
-use conv_runtime::{ConversionService, RoutingPolicy, ServiceConfig, WorkerPool};
-use sparse_conv::convert::{evaluated_formats, AnyMatrix, FormatId};
+use conv_runtime::{ConversionService, ServiceConfig, WorkerPool};
+use sparse_conv::convert::{evaluated_formats, AnyTensor, FormatId};
 use sparse_conv::Format;
 use sparse_tensor::MatrixStats;
-
-/// Splits the CLI into a routing policy (`--route=...`) and the remaining
-/// positional arguments.
-fn routing_from_cli(args: Vec<String>) -> (RoutingPolicy, Vec<String>) {
-    let mut routing = RoutingPolicy::CostModel;
-    let mut rest = Vec::new();
-    for arg in args {
-        if let Some(policy) = arg.strip_prefix("--route=") {
-            match policy.parse() {
-                Ok(p) => routing = p,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            rest.push(arg);
-        }
-    }
-    (routing, rest)
-}
 
 /// The rows benchmarked by default: one banded stencil, one FEM-like blocked
 /// matrix, one irregular matrix (same picks as the criterion benches).
@@ -110,7 +89,7 @@ fn main() {
     let threads = env_usize("BENCH_THREADS", WorkerPool::machine_sized().threads());
     let json_path =
         std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_conversions.json".to_string());
-    let (routing, args) = routing_from_cli(std::env::args().skip(1).collect());
+    let (routing, args) = conv_bench::routing_from_cli(std::env::args().skip(1));
     let targets = target_formats_from_cli(args);
 
     println!("Table 2 reproduction (synthetic stand-ins at scale {scale})");
@@ -169,8 +148,8 @@ fn main() {
     let mut records: Vec<BenchRecord> = Vec::new();
     for (inputs, stats) in &measured {
         let sources = [
-            AnyMatrix::Coo(inputs.coo.clone()),
-            AnyMatrix::Csr(inputs.csr.clone()),
+            AnyTensor::Coo(inputs.coo.clone()),
+            AnyTensor::Csr(inputs.csr.clone()),
         ];
         for &threads in &thread_counts {
             // Calibration stays off so the route is a deterministic function

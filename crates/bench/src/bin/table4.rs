@@ -25,9 +25,9 @@
 //! * `BENCH_JSON` — output path (default `BENCH_conversions.json`).
 
 use conv_bench::{env_f64, env_usize, merge_bench_json, render_bench_json, BenchRecord};
-use conv_runtime::{ConversionService, RoutingPolicy, ServiceConfig, WorkerPool};
+use conv_runtime::{ConversionService, ServiceConfig, WorkerPool};
 use conv_workloads::{tensor3_fibered, tensor3_uniform};
-use sparse_conv::convert::{AnyMatrix, FormatId};
+use sparse_conv::convert::{AnyTensor, FormatId};
 use sparse_conv::Format;
 use sparse_formats::CooTensor;
 use sparse_tensor::SparseTriples;
@@ -60,27 +60,6 @@ fn tensors(scale: f64) -> Vec<(&'static str, SparseTriples)> {
     ]
 }
 
-/// Splits the CLI into a routing policy (`--route=...`) and the remaining
-/// positional arguments.
-fn routing_from_cli(args: Vec<String>) -> (RoutingPolicy, Vec<String>) {
-    let mut routing = RoutingPolicy::CostModel;
-    let mut rest = Vec::new();
-    for arg in args {
-        if let Some(policy) = arg.strip_prefix("--route=") {
-            match policy.parse() {
-                Ok(p) => routing = p,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            rest.push(arg);
-        }
-    }
-    (routing, rest)
-}
-
 fn target_formats_from_cli(args: Vec<String>) -> Vec<Format> {
     if args.is_empty() {
         return vec![Format::csf(), Format::coo3()];
@@ -109,7 +88,7 @@ fn main() {
     let threads = env_usize("BENCH_THREADS", WorkerPool::machine_sized().threads());
     let json_path =
         std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_conversions.json".to_string());
-    let (routing, args) = routing_from_cli(std::env::args().skip(1).collect());
+    let (routing, args) = conv_bench::routing_from_cli(std::env::args().skip(1));
     let targets = target_formats_from_cli(args);
 
     // Always measure the 1- and 2-thread points plus the configured pool, so
@@ -128,7 +107,7 @@ fn main() {
     );
     let mut records: Vec<BenchRecord> = Vec::new();
     for (name, triples) in tensors(scale) {
-        let coo3 = AnyMatrix::Coo3(CooTensor::from_triples(&triples));
+        let coo3 = AnyTensor::Coo3(CooTensor::from_triples(&triples));
         println!(
             "  {:<10} {} dims, {} nnz",
             name,
@@ -149,7 +128,7 @@ fn main() {
             for target in &targets {
                 // CSF targets are fed from COO3; COO3 (and custom) targets
                 // from the packed CSF (resp. COO3) source.
-                let sources: Vec<&AnyMatrix> = match target.id() {
+                let sources: Vec<&AnyTensor> = match target.id() {
                     Some(FormatId::Csf) => vec![&coo3],
                     Some(_) => vec![&csf],
                     None => vec![&coo3],

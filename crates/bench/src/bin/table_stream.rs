@@ -23,13 +23,13 @@ use conv_bench::{env_f64, env_usize, merge_bench_json, render_bench_json, BenchR
 use conv_runtime::{ConversionService, ServiceConfig, StreamOptions, WorkerPool};
 use conv_stream::{entry_bytes, CooBlockStream, MemoryBudget};
 use conv_workloads::{irregular, tensor3_uniform};
-use sparse_conv::convert::{AnyMatrix, FormatId};
+use sparse_conv::convert::{AnyTensor, FormatId};
 use sparse_conv::Format;
 use sparse_formats::{CooMatrix, CooTensor};
 
 struct Input {
     name: &'static str,
-    source: AnyMatrix,
+    source: AnyTensor,
     target: FormatId,
     block_nnz: usize,
 }
@@ -48,23 +48,23 @@ fn inputs(scale: f64) -> Vec<Input> {
     vec![
         Input {
             name: "irregular2d",
-            source: AnyMatrix::Coo(CooMatrix::from_triples(&matrix)),
+            source: AnyTensor::Coo(CooMatrix::from_triples(&matrix)),
             target: FormatId::Csr,
             block_nnz: 1 << 12,
         },
         Input {
             name: "uniform3d",
-            source: AnyMatrix::Coo3(CooTensor::from_triples(&tensor)),
+            source: AnyTensor::Coo3(CooTensor::from_triples(&tensor)),
             target: FormatId::Csf,
             block_nnz: 1 << 12,
         },
     ]
 }
 
-fn stream_of(src: &AnyMatrix, block_nnz: usize) -> CooBlockStream {
+fn stream_of(src: &AnyTensor, block_nnz: usize) -> CooBlockStream {
     match src {
-        AnyMatrix::Coo(m) => CooBlockStream::from_matrix(m, block_nnz),
-        AnyMatrix::Coo3(t) => CooBlockStream::new(t.clone(), block_nnz),
+        AnyTensor::Coo(m) => CooBlockStream::from_matrix(m, block_nnz),
+        AnyTensor::Coo3(t) => CooBlockStream::new(t.clone(), block_nnz),
         _ => unreachable!("streaming benchmarks start from COO sources"),
     }
 }

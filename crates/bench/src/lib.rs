@@ -3,6 +3,7 @@
 
 use std::time::{Duration, Instant};
 
+use conv_runtime::RoutingPolicy;
 use conv_workloads::{table2, MatrixSpec};
 use sparse_conv::convert::FormatId;
 use sparse_conv::engine;
@@ -240,6 +241,38 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// Splits a binary's CLI arguments into the routing policy (`--route=POLICY`
+/// or `--route POLICY`, one of `auto|direct|multi-hop`; the cost model when
+/// absent) and the remaining arguments, in order. A missing or unknown
+/// policy prints the accepted list and exits with status 2.
+pub fn routing_from_cli(args: impl IntoIterator<Item = String>) -> (RoutingPolicy, Vec<String>) {
+    let mut routing = RoutingPolicy::CostModel;
+    let mut rest = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let policy = match arg.strip_prefix("--route") {
+            Some("") => args.next().unwrap_or_default(),
+            Some(value) if value.starts_with('=') => value[1..].to_string(),
+            _ => {
+                rest.push(arg);
+                continue;
+            }
+        };
+        routing = match policy.as_str() {
+            "auto" => RoutingPolicy::CostModel,
+            "direct" => RoutingPolicy::Direct,
+            "multi-hop" => RoutingPolicy::MultiHop,
+            other => {
+                eprintln!(
+                    "error: unknown routing policy '{other}' (expected auto|direct|multi-hop)"
+                );
+                std::process::exit(2);
+            }
+        };
+    }
+    (routing, rest)
 }
 
 /// The Table 2 suite, optionally limited to the first `limit` rows.

@@ -27,7 +27,7 @@ use conv_ir::{Expr, Function, Stmt};
 use coord_remap::{BinOp as RBinOp, IndexExpr};
 use sparse_formats::{CooMatrix, CooTensor, CscMatrix, CsfTensor, CsrMatrix, DiaMatrix, EllMatrix};
 
-use crate::convert::{AnyMatrix, FormatId};
+use crate::convert::{AnyTensor, FormatId};
 use crate::error::ConvertError;
 use crate::format::Format;
 use crate::spec::FormatSpec;
@@ -428,7 +428,7 @@ fn gen_to_ell(source: FormatId) -> Result<Vec<Stmt>, ConvertError> {
     body.push(comment("assembly: scatter into K slices (calloc'd output)"));
     body.push(alloc_int("B_crd", mul(var("K"), var("N")), true));
     body.push(alloc_float("B_vals", mul(var("K"), var("N")), true));
-    if source.iterates_rows_in_order() {
+    if crate::kernel_table::stock_facts(source).rows_in_order {
         // Scalar counter reset per row: re-emit the row loop directly.
         body.push(for_(
             "i",
@@ -654,7 +654,7 @@ fn gen_to_coo3(source: FormatId) -> Result<Vec<Stmt>, ConvertError> {
 ///
 /// Returns an error when the pair is unsupported, the source container does
 /// not match `source`, or the generated code fails to execute.
-pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertError> {
+pub fn execute(src: &AnyTensor, target: FormatId) -> Result<AnyTensor, ConvertError> {
     let source = src.format().id().ok_or_else(|| {
         ConvertError::Unsupported(format!(
             "code generation covers stock format pairs; {} is a registry \
@@ -665,7 +665,7 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
     let function = generate(source, target)?;
     let mut interp = Interpreter::new();
     let shape = src.shape();
-    if matches!(src, AnyMatrix::Coo3(_) | AnyMatrix::Csf(_)) && shape.order() != 3 {
+    if matches!(src, AnyTensor::Coo3(_) | AnyTensor::Csf(_)) && shape.order() != 3 {
         return Err(ConvertError::Unsupported(format!(
             "code generation supports order-3 tensor sources only, got order {}",
             shape.order()
@@ -678,7 +678,7 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
     }
     interp.insert_int("nnz", src.nnz() as i64);
     match src {
-        AnyMatrix::Coo(m) => {
+        AnyTensor::Coo(m) => {
             interp.insert_buffer(
                 "A1_crd",
                 Buffer::Ints(m.row_indices().iter().map(|&x| x as i64).collect()),
@@ -689,7 +689,7 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
             );
             interp.insert_buffer("A_vals", Buffer::Floats(m.values().to_vec()));
         }
-        AnyMatrix::Csr(m) => {
+        AnyTensor::Csr(m) => {
             interp.insert_buffer(
                 "A_pos",
                 Buffer::Ints(m.pos().iter().map(|&x| x as i64).collect()),
@@ -700,7 +700,7 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
             );
             interp.insert_buffer("A_vals", Buffer::Floats(m.values().to_vec()));
         }
-        AnyMatrix::Csc(m) => {
+        AnyTensor::Csc(m) => {
             interp.insert_buffer(
                 "A_pos",
                 Buffer::Ints(m.pos().iter().map(|&x| x as i64).collect()),
@@ -711,7 +711,7 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
             );
             interp.insert_buffer("A_vals", Buffer::Floats(m.values().to_vec()));
         }
-        AnyMatrix::Coo3(t) => {
+        AnyTensor::Coo3(t) => {
             for (d, name) in ["A1_crd", "A2_crd", "A3_crd"].into_iter().enumerate() {
                 interp.insert_buffer(
                     name,
@@ -720,7 +720,7 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
             }
             interp.insert_buffer("A_vals", Buffer::Floats(t.values().to_vec()));
         }
-        AnyMatrix::Csf(t) => {
+        AnyTensor::Csf(t) => {
             interp.insert_int("R1", t.num_fibers(0) as i64);
             interp.insert_buffer(
                 "A1_crd",
@@ -772,21 +772,21 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
             .to_vec()
     };
     Ok(match target {
-        FormatId::Csr => AnyMatrix::Csr(CsrMatrix::from_parts(
+        FormatId::Csr => AnyTensor::Csr(CsrMatrix::from_parts(
             rows,
             cols,
             ints(&interp, "B_pos"),
             ints(&interp, "B_crd"),
             floats(&interp, "B_vals"),
         )?),
-        FormatId::Csc => AnyMatrix::Csc(CscMatrix::from_parts(
+        FormatId::Csc => AnyTensor::Csc(CscMatrix::from_parts(
             rows,
             cols,
             ints(&interp, "B_pos"),
             ints(&interp, "B_crd"),
             floats(&interp, "B_vals"),
         )?),
-        FormatId::Coo => AnyMatrix::Coo(CooMatrix::from_parts(
+        FormatId::Coo => AnyTensor::Coo(CooMatrix::from_parts(
             rows,
             cols,
             ints(&interp, "B1_crd"),
@@ -797,7 +797,7 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
             let k = interp.int("K").expect("generated scalar K") as usize;
             let perm_full = interp.buffer("B_perm").expect("generated buffer").as_ints();
             let offsets: Vec<i64> = perm_full[..k].to_vec();
-            AnyMatrix::Dia(DiaMatrix::from_parts(
+            AnyTensor::Dia(DiaMatrix::from_parts(
                 rows,
                 cols,
                 offsets,
@@ -806,7 +806,7 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
         }
         FormatId::Ell => {
             let k = interp.int("K").expect("generated scalar K") as usize;
-            AnyMatrix::Ell(EllMatrix::from_parts(
+            AnyTensor::Ell(EllMatrix::from_parts(
                 rows,
                 cols,
                 k,
@@ -818,7 +818,7 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
             let q1 = interp.int("q1").expect("generated scalar q1") as usize;
             let q2 = interp.int("q2").expect("generated scalar q2") as usize;
             let nnz = src.nnz();
-            AnyMatrix::Csf(CsfTensor::from_parts(
+            AnyTensor::Csf(CsfTensor::from_parts(
                 shape,
                 vec![
                     ints(&interp, "B1_crd")[..q1].to_vec(),
@@ -832,7 +832,7 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
                 floats(&interp, "B_vals")[..nnz].to_vec(),
             )?)
         }
-        FormatId::Coo3 => AnyMatrix::Coo3(CooTensor::from_parts(
+        FormatId::Coo3 => AnyTensor::Coo3(CooTensor::from_parts(
             shape,
             vec![
                 ints(&interp, "B1_crd"),
@@ -860,7 +860,7 @@ pub fn execute(src: &AnyMatrix, target: FormatId) -> Result<AnyMatrix, ConvertEr
 /// Returns [`ConvertError::Unsupported`] for registry targets that are not
 /// mode-ordered CSF, for non-COO3 sources of mode-ordered targets, and for
 /// duplicate coordinates (which the dynamic driver also rejects).
-pub fn execute_format(src: &AnyMatrix, target: &Format) -> Result<AnyMatrix, ConvertError> {
+pub fn execute_format(src: &AnyTensor, target: &Format) -> Result<AnyTensor, ConvertError> {
     if let Some(id) = target.id() {
         return execute(src, id);
     }
@@ -873,7 +873,7 @@ pub fn execute_format(src: &AnyMatrix, target: &Format) -> Result<AnyMatrix, Con
              is a general registry format (use the dynamic driver)"
         )));
     };
-    let AnyMatrix::Coo3(t) = src else {
+    let AnyTensor::Coo3(t) = src else {
         return Err(ConvertError::Unsupported(format!(
             "code generation supports COO3 sources for mode-ordered CSF targets, got {}",
             src.format()
@@ -934,7 +934,7 @@ pub fn execute_format(src: &AnyMatrix, target: &Format) -> Result<AnyMatrix, Con
             .as_floats()[..nnz]
             .to_vec(),
     )?;
-    Ok(AnyMatrix::Custom(Box::new(crate::mode::custom_from_csf(
+    Ok(AnyTensor::Custom(Box::new(crate::mode::custom_from_csf(
         spec, &order, &csf,
     )?)))
 }
@@ -1004,7 +1004,7 @@ mod tests {
     fn generated_code_matches_engine_for_all_supported_pairs() {
         let t = figure1_matrix();
         for (source, target) in supported_pairs() {
-            let src = AnyMatrix::from_triples(&t, source).unwrap();
+            let src = AnyTensor::from_triples(&t, source).unwrap();
             let generated = execute(&src, target).unwrap();
             let engine_result = convert(&src, target).unwrap();
             assert_eq!(
@@ -1023,7 +1023,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
             state % bound
         });
-        let src = AnyMatrix::Coo(coo);
+        let src = AnyTensor::Coo(coo);
         for target in [FormatId::Csr, FormatId::Dia, FormatId::Ell, FormatId::Csc] {
             let generated = execute(&src, target).unwrap();
             assert!(generated.to_triples().same_values(&t), "target {target}");
@@ -1034,7 +1034,7 @@ mod tests {
     fn generated_tensor_code_matches_engine() {
         let t = sparse_tensor::example::example3_tensor();
         for (source, target) in supported_tensor_pairs() {
-            let src = AnyMatrix::from_triples(&t, source).unwrap();
+            let src = AnyTensor::from_triples(&t, source).unwrap();
             let generated = execute(&src, target).unwrap();
             let engine_result = convert(&src, target).unwrap();
             assert_eq!(
@@ -1053,11 +1053,11 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
             state % bound
         });
-        let src = AnyMatrix::Coo3(coo.clone());
+        let src = AnyTensor::Coo3(coo.clone());
         let generated = execute(&src, FormatId::Csf).unwrap();
         // The counting-sort lowering must match the engine's stable sort on
         // the same (shuffled) input, bit for bit.
-        assert_eq!(generated, AnyMatrix::Csf(crate::engine::to_csf(&coo)));
+        assert_eq!(generated, AnyTensor::Csf(crate::engine::to_csf(&coo)));
         assert!(generated.to_triples().same_values(&t));
     }
 
@@ -1077,7 +1077,7 @@ mod tests {
         assert!(generate(FormatId::Csf, FormatId::Csf).is_err());
         // An order-2 CSF container cannot drive the order-3 generated code.
         let m = figure1_matrix();
-        let dcsr = convert(&AnyMatrix::Coo(CooMatrix::from_triples(&m)), FormatId::Csf).unwrap();
+        let dcsr = convert(&AnyTensor::Coo(CooMatrix::from_triples(&m)), FormatId::Csf).unwrap();
         assert!(execute(&dcsr, FormatId::Coo3).is_err());
     }
 
@@ -1086,7 +1086,7 @@ mod tests {
         assert!(generate(FormatId::Dia, FormatId::Csr).is_err());
         assert!(generate(FormatId::Csr, FormatId::Jad).is_err());
         let t = figure1_matrix();
-        let dia = AnyMatrix::from_triples(&t, FormatId::Dia).unwrap();
+        let dia = AnyTensor::from_triples(&t, FormatId::Dia).unwrap();
         assert!(execute(&dia, FormatId::Csr).is_err());
     }
 

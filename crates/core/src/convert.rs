@@ -8,12 +8,12 @@ use sparse_formats::{
 };
 use sparse_tensor::{Shape, SparseTriples};
 
-use crate::engine;
 use crate::error::ConvertError;
 use crate::format::Format;
-use crate::generic::{self, CustomTensor};
+use crate::generic::CustomTensor;
+use crate::kernel_table::{self, KernelRow};
 use crate::plan::ConversionPlan;
-use crate::source::{MatrixAsTensor, SourceMatrix};
+use crate::source::SourceMatrix;
 use crate::spec::FormatSpec;
 
 /// Identifies a *stock* storage format.
@@ -57,26 +57,11 @@ pub enum FormatId {
 }
 
 impl FormatId {
-    /// True when the format's storage groups nonzeros by row and iterates
-    /// rows in ascending order (the property [`SourceMatrix::rows_in_order`]
-    /// reports for every stock container of this format). The planner uses
-    /// it to choose scalar counters and sequenced edge insertion.
-    pub fn iterates_rows_in_order(self) -> bool {
-        matches!(self, FormatId::Csr | FormatId::Skyline | FormatId::Csf)
-    }
-
-    /// True when per-row nonzero counts can be read off the format's
-    /// structure (a row `pos` array) without touching nonzeros — the
-    /// optimised `count` query of Section 5.2.
-    pub fn counts_from_structure(self) -> bool {
-        matches!(self, FormatId::Csr | FormatId::Skyline | FormatId::Csf)
-    }
-
     /// Order of the format's *stock specification*: 3 for the tensor
     /// formats, 2 for every matrix format. Note that `Csf` *containers* are
     /// rank-N — converting a matrix to [`FormatId::Csf`] yields an order-2
     /// fiber tree (DCSR) — so rank checks against a concrete value must use
-    /// [`AnyMatrix::order`], not this method.
+    /// [`AnyTensor::order`], not this method.
     pub fn order(self) -> usize {
         match self {
             FormatId::Coo3 | FormatId::Csf => 3,
@@ -168,9 +153,6 @@ impl std::str::FromStr for FormatId {
 /// variants hold the rank-`N` tensor containers; the `Custom` variant holds
 /// a tensor assembled for a user-defined (registry) format, which is a valid
 /// conversion *source* like every other variant.
-///
-/// The name `AnyMatrix` predates the rank-N generalisation and is kept as an
-/// alias for source compatibility.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnyTensor {
     /// COO storage.
@@ -200,61 +182,72 @@ pub enum AnyTensor {
     Custom(Box<CustomTensor>),
 }
 
-/// The historical (matrix-era) name for [`AnyTensor`].
-pub type AnyMatrix = AnyTensor;
-
 /// Applies a closure to the contained matrix as a [`SourceMatrix`]. The
 /// rank-`N` tensor and custom variants must be dispatched by the caller
 /// *before* reaching this macro; they have no [`SourceMatrix`] view.
 macro_rules! with_source {
     ($matrix:expr, $binding:ident => $body:expr) => {
         match $matrix {
-            AnyMatrix::Coo($binding) => $body,
-            AnyMatrix::Csr($binding) => $body,
-            AnyMatrix::Csc($binding) => $body,
-            AnyMatrix::Dia($binding) => $body,
-            AnyMatrix::Ell($binding) => $body,
-            AnyMatrix::Bcsr($binding) => $body,
-            AnyMatrix::Skyline($binding) => $body,
-            AnyMatrix::Jad($binding) => $body,
-            AnyMatrix::Dok($binding) => $body,
-            AnyMatrix::Coo3(_) | AnyMatrix::Csf(_) | AnyMatrix::Custom(_) => {
+            AnyTensor::Coo($binding) => $body,
+            AnyTensor::Csr($binding) => $body,
+            AnyTensor::Csc($binding) => $body,
+            AnyTensor::Dia($binding) => $body,
+            AnyTensor::Ell($binding) => $body,
+            AnyTensor::Bcsr($binding) => $body,
+            AnyTensor::Skyline($binding) => $body,
+            AnyTensor::Jad($binding) => $body,
+            AnyTensor::Dok($binding) => $body,
+            AnyTensor::Coo3(_) | AnyTensor::Csf(_) | AnyTensor::Custom(_) => {
                 unreachable!("tensor and custom variants are dispatched before with_source!")
             }
         }
     };
 }
+pub(crate) use with_source;
 
-impl AnyMatrix {
+impl AnyTensor {
+    /// The stock identifier of the container this tensor is stored in
+    /// (`None` for custom tensors) — unlike [`AnyTensor::format`] it never
+    /// touches the registry, so dispatch can match on it for free.
+    pub fn stock_id(&self) -> Option<FormatId> {
+        Some(match self {
+            AnyTensor::Coo(_) => FormatId::Coo,
+            AnyTensor::Csr(_) => FormatId::Csr,
+            AnyTensor::Csc(_) => FormatId::Csc,
+            AnyTensor::Dia(_) => FormatId::Dia,
+            AnyTensor::Ell(_) => FormatId::Ell,
+            AnyTensor::Bcsr(m) => {
+                let (block_rows, block_cols) = m.block_shape();
+                FormatId::Bcsr {
+                    block_rows,
+                    block_cols,
+                }
+            }
+            AnyTensor::Skyline(_) => FormatId::Skyline,
+            AnyTensor::Jad(_) => FormatId::Jad,
+            AnyTensor::Dok(_) => FormatId::Dok,
+            AnyTensor::Coo3(_) => FormatId::Coo3,
+            AnyTensor::Csf(_) => FormatId::Csf,
+            AnyTensor::Custom(_) => return None,
+        })
+    }
+
     /// The format this tensor is stored in, as a registry [`Format`] handle
     /// (compare with a [`FormatId`] directly — `Format` implements
     /// `PartialEq<FormatId>`).
     pub fn format(&self) -> Format {
         match self {
-            AnyMatrix::Coo(_) => Format::coo(),
-            AnyMatrix::Csr(_) => Format::csr(),
-            AnyMatrix::Csc(_) => Format::csc(),
-            AnyMatrix::Dia(_) => Format::dia(),
-            AnyMatrix::Ell(_) => Format::ell(),
-            AnyMatrix::Bcsr(m) => {
-                let (block_rows, block_cols) = m.block_shape();
-                Format::bcsr(block_rows, block_cols)
-            }
-            AnyMatrix::Skyline(_) => Format::skyline(),
-            AnyMatrix::Jad(_) => Format::jad(),
-            AnyMatrix::Dok(_) => Format::dok(),
-            AnyMatrix::Coo3(_) => Format::coo3(),
-            AnyMatrix::Csf(_) => Format::csf(),
-            AnyMatrix::Custom(t) => Format::intern_spec(&t.spec),
+            AnyTensor::Custom(t) => Format::intern_spec(&t.spec),
+            stock => Format::stock(stock.stock_id().expect("non-custom tensors are stock")),
         }
     }
 
     /// The canonical shape of the stored tensor.
     pub fn shape(&self) -> Shape {
         match self {
-            AnyMatrix::Coo3(t) => t.shape().clone(),
-            AnyMatrix::Csf(t) => t.shape().clone(),
-            AnyMatrix::Custom(t) => t.shape().clone(),
+            AnyTensor::Coo3(t) => t.shape().clone(),
+            AnyTensor::Csf(t) => t.shape().clone(),
+            AnyTensor::Custom(t) => t.shape().clone(),
             m => Shape::matrix(
                 with_source!(m, s => SourceMatrix::rows(s)),
                 with_source!(m, s => SourceMatrix::cols(s)),
@@ -265,9 +258,9 @@ impl AnyMatrix {
     /// The tensor's order (number of dimensions).
     pub fn order(&self) -> usize {
         match self {
-            AnyMatrix::Coo3(t) => t.order(),
-            AnyMatrix::Csf(t) => t.order(),
-            AnyMatrix::Custom(t) => t.order(),
+            AnyTensor::Coo3(t) => t.order(),
+            AnyTensor::Csf(t) => t.order(),
+            AnyTensor::Custom(t) => t.order(),
             _ => 2,
         }
     }
@@ -275,9 +268,9 @@ impl AnyMatrix {
     /// Number of rows (the extent of the first dimension).
     pub fn rows(&self) -> usize {
         match self {
-            AnyMatrix::Coo3(t) => t.shape().dim(0),
-            AnyMatrix::Csf(t) => t.shape().dim(0),
-            AnyMatrix::Custom(t) => t.shape().dim(0),
+            AnyTensor::Coo3(t) => t.shape().dim(0),
+            AnyTensor::Csf(t) => t.shape().dim(0),
+            AnyTensor::Custom(t) => t.shape().dim(0),
             m => with_source!(m, s => SourceMatrix::rows(s)),
         }
     }
@@ -293,9 +286,9 @@ impl AnyMatrix {
             }
         };
         match self {
-            AnyMatrix::Coo3(t) => tensor_cols(t.shape()),
-            AnyMatrix::Csf(t) => tensor_cols(t.shape()),
-            AnyMatrix::Custom(t) => tensor_cols(t.shape()),
+            AnyTensor::Coo3(t) => tensor_cols(t.shape()),
+            AnyTensor::Csf(t) => tensor_cols(t.shape()),
+            AnyTensor::Custom(t) => tensor_cols(t.shape()),
             m => with_source!(m, s => SourceMatrix::cols(s)),
         }
     }
@@ -303,9 +296,9 @@ impl AnyMatrix {
     /// Number of stored nonzeros.
     pub fn nnz(&self) -> usize {
         match self {
-            AnyMatrix::Coo3(t) => t.nnz(),
-            AnyMatrix::Csf(t) => t.nnz(),
-            AnyMatrix::Custom(t) => t.nnz(),
+            AnyTensor::Coo3(t) => t.nnz(),
+            AnyTensor::Csf(t) => t.nnz(),
+            AnyTensor::Custom(t) => t.nnz(),
             m => with_source!(m, s => SourceMatrix::nnz(s)),
         }
     }
@@ -317,11 +310,11 @@ impl AnyMatrix {
     /// attribute cost models should scale read work by.
     pub fn stored_entries(&self) -> usize {
         match self {
-            AnyMatrix::Dia(m) => m.values().len(),
-            AnyMatrix::Ell(m) => m.values().len(),
-            AnyMatrix::Bcsr(m) => m.values().len(),
-            AnyMatrix::Skyline(m) => m.values().len(),
-            AnyMatrix::Custom(t) => t.vals.len(),
+            AnyTensor::Dia(m) => m.values().len(),
+            AnyTensor::Ell(m) => m.values().len(),
+            AnyTensor::Bcsr(m) => m.values().len(),
+            AnyTensor::Skyline(m) => m.values().len(),
+            AnyTensor::Custom(t) => t.vals.len(),
             other => other.nnz(),
         }
     }
@@ -334,12 +327,11 @@ impl AnyMatrix {
     /// shuffled one does not. Padded and column-major formats report false.
     pub fn iterates_rows_in_order(&self) -> bool {
         match self {
-            AnyMatrix::Coo(m) => m.row_indices().windows(2).all(|w| w[0] <= w[1]),
-            AnyMatrix::Coo3(t) => t.crd(0).windows(2).all(|w| w[0] <= w[1]),
+            AnyTensor::Coo(m) => m.row_indices().windows(2).all(|w| w[0] <= w[1]),
+            AnyTensor::Coo3(t) => t.crd(0).windows(2).all(|w| w[0] <= w[1]),
             m => m
-                .format()
-                .id()
-                .is_some_and(FormatId::iterates_rows_in_order),
+                .stock_id()
+                .is_some_and(|id| kernel_table::stock_facts(id).rows_in_order),
         }
     }
 
@@ -352,9 +344,9 @@ impl AnyMatrix {
     /// only); every other variant is infallible.
     pub fn try_to_triples(&self) -> Result<SparseTriples, ConvertError> {
         match self {
-            AnyMatrix::Coo3(t) => Ok(t.to_triples()),
-            AnyMatrix::Csf(t) => Ok(t.to_triples()),
-            AnyMatrix::Custom(t) => t.to_triples(),
+            AnyTensor::Coo3(t) => Ok(t.to_triples()),
+            AnyTensor::Csf(t) => Ok(t.to_triples()),
+            AnyTensor::Custom(t) => t.to_triples(),
             m => {
                 let mut t = SparseTriples::with_capacity(self.shape(), self.nnz());
                 with_source!(m, s => s.for_each(|i, j, v| {
@@ -389,9 +381,9 @@ impl AnyMatrix {
         format: F,
     ) -> Result<Self, ConvertError> {
         let source = if t.order() == 2 {
-            AnyMatrix::Coo(CooMatrix::from_triples(t))
+            AnyTensor::Coo(CooMatrix::from_triples(t))
         } else {
-            AnyMatrix::Coo3(CooTensor::from_triples(t))
+            AnyTensor::Coo3(CooTensor::from_triples(t))
         };
         convert(&source, format)
     }
@@ -402,11 +394,12 @@ impl AnyMatrix {
 /// to a [`Format`]: a stock [`FormatId`], a `&Format` handle (stock preset
 /// or builder-made), or an owned `Format`.
 ///
-/// Stock-to-stock pairs run on the monomorphised engine kernels; registry
-/// (custom) targets run on the spec-driven dynamic driver; custom *sources*
-/// are lowered through their level read-back and re-dispatched, so
-/// custom↔stock and custom↔custom conversions round-trip like any other
-/// pair.
+/// This is [`convert_with`] at one thread: the routine comes from the
+/// [kernel table](crate::kernel_table) — stock pairs run on the
+/// monomorphised engine kernels; registry (custom) targets run on the
+/// spec-driven dynamic driver; custom *sources* are lowered through their
+/// level read-back and re-dispatched, so custom↔stock and custom↔custom
+/// conversions round-trip like any other pair.
 ///
 /// # Errors
 ///
@@ -416,115 +409,35 @@ impl AnyMatrix {
 /// coordinate-hierarchy specification (DOK is supported only as a conversion
 /// source), or [`ConvertError::UnsupportedSpec`] when a custom source's
 /// remapping cannot be inverted.
-pub fn convert<F: Into<Format>>(src: &AnyMatrix, target: F) -> Result<AnyMatrix, ConvertError> {
-    convert_to(src, &target.into())
+pub fn convert<F: Into<Format>>(src: &AnyTensor, target: F) -> Result<AnyTensor, ConvertError> {
+    convert_with(src, target, 1).map(|(tensor, _)| tensor)
 }
 
-fn convert_to(src: &AnyMatrix, target: &Format) -> Result<AnyMatrix, ConvertError> {
-    // Custom sources lower to a canonical container through their level
-    // read-back, then re-dispatch; this is what makes a builder-made format
-    // a valid conversion *source*.
-    if let AnyMatrix::Custom(t) = src {
-        let triples = t.to_triples()?;
-        let lowered = if triples.order() == 2 {
-            AnyMatrix::Coo(CooMatrix::from_triples(&triples))
-        } else {
-            AnyMatrix::Coo3(CooTensor::from_triples(&triples))
-        };
-        return convert_to(&lowered, target);
-    }
-    let Some(id) = target.id() else {
-        // A registry (custom) target: assemble through the dynamic
-        // spec-driven driver — except mode-ordered CSF targets, where the
-        // engine's sort-then-pack kernel reproduces the driver's output
-        // byte for byte (the driver's stable sort of remapped tuples and
-        // the engine's stable lexicographic sort of permuted columns order
-        // the nonzeros identically).
-        let spec = target
-            .spec()
-            .expect("non-stock formats always carry a spec");
-        if let Some(order) = crate::mode::mode_order_of(spec) {
-            if order.len() == src.order() {
-                let csf = match src {
-                    AnyMatrix::Coo3(t) => Some(engine::to_csf_ordered(t, &order)),
-                    AnyMatrix::Csf(t) => Some(engine::to_csf_ordered(t, &order)),
-                    m if order.len() == 2 => Some(
-                        with_source!(m, s => engine::to_csf_ordered(&MatrixAsTensor::new(s), &order)),
-                    ),
-                    _ => None,
-                };
-                if let Some(csf) = csf {
-                    let custom = crate::mode::custom_from_csf(spec, &order, &csf)?;
-                    return Ok(AnyMatrix::Custom(Box::new(custom)));
-                }
-            }
-        }
-        return Ok(AnyMatrix::Custom(Box::new(generic::convert_with_spec(
-            src, spec,
-        )?)));
+/// [`convert`] on up to `threads` worker threads, also returning the
+/// [`KernelRow`] that ran. The output is byte-identical at every thread
+/// count; rows without a partitioned kernel (`!row.parallel`) ignore
+/// `threads`.
+///
+/// # Errors
+///
+/// Exactly as [`convert`].
+pub fn convert_with<F: Into<Format>>(
+    src: &AnyTensor,
+    target: F,
+    threads: usize,
+) -> Result<(AnyTensor, &'static KernelRow), ConvertError> {
+    let target = target.into();
+    let Some(row) = kernel_table::lookup(src, &target) else {
+        return Err(match target.id() {
+            Some(id) if target.spec().is_none() => ConvertError::UnsupportedTarget(id),
+            _ => ConvertError::Unsupported(format!(
+                "{target} targets cannot represent an order-{} {} source",
+                src.order(),
+                src.format()
+            )),
+        });
     };
-    if matches!(id, FormatId::Dok) {
-        return Err(ConvertError::UnsupportedTarget(id));
-    }
-    // Rank-N tensor sources convert among the tensor formats through the
-    // rank-generic kernels; matrix targets cannot represent order-3
-    // sources, but an *order-2* tensor container (e.g. the DCSR an order-2
-    // matrix packs into CSF as) lowers through canonical triples, so
-    // matrix -> CSF -> matrix round-trips. COO3 targets are strictly
-    // order-3, matching the matrix-source rule below.
-    if let AnyMatrix::Coo3(_) | AnyMatrix::Csf(_) = src {
-        if src.order() == 2 && !matches!(id, FormatId::Coo3 | FormatId::Csf) {
-            let lowered = AnyMatrix::Coo(CooMatrix::from_triples(&src.to_triples()));
-            return convert_to(&lowered, target);
-        }
-        if id == FormatId::Coo3 && src.order() != 3 {
-            return Err(ConvertError::Unsupported(format!(
-                "COO3 targets require an order-3 source, got order-{} {}",
-                src.order(),
-                src.format()
-            )));
-        }
-        return match (src, id) {
-            (AnyMatrix::Coo3(t), FormatId::Coo3) => Ok(AnyMatrix::Coo3(engine::tensor_to_coo(t))),
-            (AnyMatrix::Coo3(t), FormatId::Csf) => Ok(AnyMatrix::Csf(engine::to_csf(t))),
-            (AnyMatrix::Csf(t), FormatId::Coo3) => Ok(AnyMatrix::Coo3(engine::tensor_to_coo(t))),
-            (AnyMatrix::Csf(t), FormatId::Csf) => Ok(AnyMatrix::Csf(engine::to_csf(t))),
-            _ => Err(ConvertError::Unsupported(format!(
-                "{id} targets cannot represent an order-{} {} source",
-                src.order(),
-                src.format()
-            ))),
-        };
-    }
-    Ok(match id {
-        FormatId::Coo => AnyMatrix::Coo(with_source!(src, m => engine::to_coo(m))),
-        FormatId::Csr => AnyMatrix::Csr(with_source!(src, m => engine::to_csr(m))),
-        // CSR sources take the blocked write-combining transpose (identical
-        // output, cache-resident scatter for wide matrices).
-        FormatId::Csc => AnyMatrix::Csc(match src {
-            AnyMatrix::Csr(m) => engine::csr_to_csc_blocked(m),
-            _ => with_source!(src, m => engine::to_csc(m)),
-        }),
-        FormatId::Dia => AnyMatrix::Dia(with_source!(src, m => engine::to_dia(m))?),
-        FormatId::Ell => AnyMatrix::Ell(with_source!(src, m => engine::to_ell(m))),
-        FormatId::Bcsr {
-            block_rows,
-            block_cols,
-        } => AnyMatrix::Bcsr(with_source!(src, m => engine::to_bcsr(m, block_rows, block_cols))),
-        FormatId::Skyline => AnyMatrix::Skyline(with_source!(src, m => engine::to_skyline(m))?),
-        FormatId::Jad => AnyMatrix::Jad(with_source!(src, m => engine::to_jad(m))),
-        // An order-2 source packs into CSF as DCSR through the adapter.
-        FormatId::Csf => {
-            AnyMatrix::Csf(with_source!(src, m => engine::to_csf(&MatrixAsTensor::new(m))))
-        }
-        FormatId::Coo3 => {
-            return Err(ConvertError::Unsupported(format!(
-                "COO3 targets require an order-3 source, got order-2 {}",
-                src.format()
-            )))
-        }
-        FormatId::Dok => unreachable!("rejected above"),
-    })
+    Ok(((row.run)(src, &target, threads)?, row))
 }
 
 /// Builds the conversion plan that [`convert`] follows for the given source
@@ -535,19 +448,19 @@ fn convert_to(src: &AnyMatrix, target: &Format) -> Result<AnyMatrix, ConvertErro
 /// Returns an error for targets without a coordinate-hierarchy specification
 /// (DOK).
 pub fn plan_for<F: Into<Format>>(
-    src: &AnyMatrix,
+    src: &AnyTensor,
     target: F,
 ) -> Result<ConversionPlan, ConvertError> {
     let rows_in_order = match src {
         // CSF's fiber-tree walk visits roots in ascending order; COO makes no
         // ordering promise.
-        AnyMatrix::Coo3(_) => false,
-        AnyMatrix::Csf(_) => true,
-        AnyMatrix::Custom(t) => t.spec.iterates_rows_in_order(),
+        AnyTensor::Coo3(_) => false,
+        AnyTensor::Csf(_) => true,
+        AnyTensor::Custom(t) => t.spec.iterates_rows_in_order(),
         m => with_source!(m, s => s.rows_in_order()),
     };
     let counts_from_structure = match src {
-        AnyMatrix::Custom(t) => t.spec.counts_from_structure(),
+        AnyTensor::Custom(t) => t.spec.counts_from_structure(),
         _ => src
             .format()
             .spec()
@@ -653,11 +566,11 @@ mod tests {
     fn every_pair_of_evaluated_formats_roundtrips() {
         let t = figure1_matrix();
         // Every target format plus DOK (a valid *source* built directly).
-        let mut sources: Vec<AnyMatrix> = all_targets()
+        let mut sources: Vec<AnyTensor> = all_targets()
             .into_iter()
-            .map(|f| AnyMatrix::from_triples(&t, f).unwrap())
+            .map(|f| AnyTensor::from_triples(&t, f).unwrap())
             .collect();
-        sources.push(AnyMatrix::Dok(DokMatrix::from_triples(&t)));
+        sources.push(AnyTensor::Dok(DokMatrix::from_triples(&t)));
         for src in &sources {
             for dst in all_targets() {
                 let converted = convert(src, dst).unwrap();
@@ -675,12 +588,12 @@ mod tests {
     #[test]
     fn dok_target_is_rejected_without_aborting() {
         let t = figure1_matrix();
-        let m = AnyMatrix::from_triples(&t, FormatId::Coo).unwrap();
+        let m = AnyTensor::from_triples(&t, FormatId::Coo).unwrap();
         assert_eq!(
             convert(&m, FormatId::Dok),
             Err(ConvertError::UnsupportedTarget(FormatId::Dok))
         );
-        assert!(AnyMatrix::from_triples(&t, FormatId::Dok).is_err());
+        assert!(AnyTensor::from_triples(&t, FormatId::Dok).is_err());
     }
 
     #[test]
@@ -711,7 +624,7 @@ mod tests {
     #[test]
     fn format_metadata_accessors() {
         let t = figure1_matrix();
-        let m = AnyMatrix::from_triples(&t, FormatId::Csr).unwrap();
+        let m = AnyTensor::from_triples(&t, FormatId::Csr).unwrap();
         assert_eq!(m.format(), FormatId::Csr);
         assert_eq!(m.rows(), 4);
         assert_eq!(m.cols(), 6);
@@ -731,7 +644,7 @@ mod tests {
     #[test]
     fn order_3_sources_convert_between_tensor_formats() {
         let t = sparse_tensor::example::example3_tensor();
-        let coo3 = AnyMatrix::from_triples(&t, FormatId::Coo3).unwrap();
+        let coo3 = AnyTensor::from_triples(&t, FormatId::Coo3).unwrap();
         assert_eq!(coo3.format(), FormatId::Coo3);
         assert_eq!(coo3.order(), 3);
         assert_eq!(coo3.shape().dims(), &[3, 4, 5]);
@@ -749,7 +662,7 @@ mod tests {
     #[test]
     fn rank_mismatches_are_rejected_with_errors() {
         let t3 = sparse_tensor::example::example3_tensor();
-        let coo3 = AnyMatrix::from_triples(&t3, FormatId::Coo3).unwrap();
+        let coo3 = AnyTensor::from_triples(&t3, FormatId::Coo3).unwrap();
         // Tensor source, matrix target.
         assert!(matches!(
             convert(&coo3, FormatId::Csr),
@@ -760,7 +673,7 @@ mod tests {
             Err(ConvertError::UnsupportedTarget(FormatId::Dok))
         ));
         // Matrix source, COO3 target.
-        let m = AnyMatrix::from_triples(&figure1_matrix(), FormatId::Coo).unwrap();
+        let m = AnyTensor::from_triples(&figure1_matrix(), FormatId::Coo).unwrap();
         assert!(matches!(
             convert(&m, FormatId::Coo3),
             Err(ConvertError::Unsupported(_))
@@ -796,7 +709,7 @@ mod tests {
         assert_eq!(plan.target, "CSF");
         assert_eq!(plan.counters, crate::plan::CounterStrategy::NotNeeded);
         let t = sparse_tensor::example::example3_tensor();
-        let coo3 = AnyMatrix::from_triples(&t, FormatId::Coo3).unwrap();
+        let coo3 = AnyTensor::from_triples(&t, FormatId::Coo3).unwrap();
         assert_eq!(plan_for(&coo3, FormatId::Csf).unwrap(), plan);
         let csf = convert(&coo3, FormatId::Csf).unwrap();
         assert_eq!(
@@ -811,7 +724,7 @@ mod tests {
     #[test]
     fn skyline_target_requires_square_input() {
         let t = figure1_matrix();
-        let m = AnyMatrix::from_triples(&t, FormatId::Coo).unwrap();
+        let m = AnyTensor::from_triples(&t, FormatId::Coo).unwrap();
         assert!(matches!(
             convert(&m, FormatId::Skyline),
             Err(ConvertError::Unsupported(_))
@@ -821,8 +734,8 @@ mod tests {
     #[test]
     fn plans_are_available_for_every_benchmarked_pair() {
         let t = figure1_matrix();
-        let coo = AnyMatrix::from_triples(&t, FormatId::Coo).unwrap();
-        let csr = AnyMatrix::from_triples(&t, FormatId::Csr).unwrap();
+        let coo = AnyTensor::from_triples(&t, FormatId::Coo).unwrap();
+        let csr = AnyTensor::from_triples(&t, FormatId::Csr).unwrap();
         let plan = plan_for(&coo, FormatId::Csr).unwrap();
         assert_eq!(plan.counters, crate::plan::CounterStrategy::NotNeeded);
         let plan = plan_for(&csr, FormatId::Ell).unwrap();
@@ -836,7 +749,7 @@ mod tests {
     fn instance_free_planning_agrees_with_instance_planning() {
         let t = figure1_matrix();
         for src in [FormatId::Coo, FormatId::Csr, FormatId::Csc] {
-            let m = AnyMatrix::from_triples(&t, src).unwrap();
+            let m = AnyTensor::from_triples(&t, src).unwrap();
             for dst in all_targets() {
                 assert_eq!(
                     plan_for_pair(src, dst).unwrap(),

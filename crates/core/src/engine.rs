@@ -109,33 +109,70 @@ pub fn to_csc<S: SourceMatrix>(src: &S) -> CscMatrix {
         .expect("assembled CSC structure is valid")
 }
 
-/// Tile width (in columns) of the blocked CSR→CSC transpose: the per-tile
-/// cursor window plus the output region it scatters into stay cache-resident
-/// (a 4096-column tile is 32 KiB of cursors).
-const TRANSPOSE_TILE: usize = 1 << 12;
+/// Tile width (in columns) of the blocked CSR→CSC transpose, sequential and
+/// per parallel chunk alike: the per-tile cursor window plus the output
+/// region it scatters into stay cache-resident (a 4096-column tile is 32 KiB
+/// of cursors).
+pub(crate) const TRANSPOSE_TILE: usize = 1 << 12;
 
 /// Below this many nonzeros the naive transpose's working set already fits
 /// in cache and the extra bucketing pass of the blocked transpose would only
 /// add traffic.
 const TRANSPOSE_MIN_NNZ: usize = 1 << 15;
 
+/// The blocked write-combining scatter shared by [`csr_to_csc_blocked`] and
+/// the per-chunk scatter of the parallel transpose
+/// ([`kernels::csr_to_csc`](crate::kernels::csr_to_csc)): the nonzeros of
+/// CSR rows `rows` are appended, in source order, into per-tile buffers
+/// (`tile_pos` is the prefix-summed histogram of those nonzeros over
+/// `TRANSPOSE_TILE`-wide column tiles), then drained tile-major through
+/// `cursor`, handing every `(destination, row, value)` to `write`. Both
+/// passes are stable and a column never straddles tiles, so each column's
+/// cursor advances in exactly the order the direct row-major scatter would
+/// advance it.
+pub(crate) fn blocked_transpose_scatter(
+    csr: &CsrMatrix,
+    rows: std::ops::Range<usize>,
+    tile_pos: &[usize],
+    cursor: &mut [usize],
+    mut write: impl FnMut(usize, usize, Value),
+) {
+    let (src_pos, src_crd, src_vals) = (csr.pos(), csr.crd(), csr.values());
+    let entries = src_pos[rows.end] - src_pos[rows.start];
+    let mut tile_cursor = tile_pos.to_vec();
+    let mut brow = vec![0usize; entries];
+    let mut bcol = vec![0usize; entries];
+    let mut bval = vec![0.0 as Value; entries];
+    for i in rows {
+        for p in src_pos[i]..src_pos[i + 1] {
+            let j = src_crd[p];
+            let t = j / TRANSPOSE_TILE;
+            let slot = tile_cursor[t];
+            tile_cursor[t] += 1;
+            brow[slot] = i;
+            bcol[slot] = j;
+            bval[slot] = src_vals[p];
+        }
+    }
+    for b in 0..entries {
+        let j = bcol[b];
+        let dst = cursor[j];
+        cursor[j] += 1;
+        write(dst, brow[b], bval[b]);
+    }
+}
+
 /// Blocked, write-combining CSR→CSC transpose, bit-identical to
 /// [`to_csc`] on the same input.
 ///
 /// The naive transpose scatters every nonzero straight through a
 /// `cols`-wide cursor array, so for matrices wider than the cache each write
-/// lands on a cold line. This variant adds one cheap bucketing pass:
-///
-/// 1. *bucket* — nonzeros are appended, in source (row-major) order, into
-///    per-tile buffers of `TRANSPOSE_TILE` columns each (a handful of
-///    sequential write streams),
-/// 2. *scatter* — each tile then scatters only its own entries, so the
-///    cursor slice and the output window both fit in cache.
-///
-/// Both passes are stable, so each column still receives its rows in
-/// source order — exactly the permutation the naive scatter produces. Small
-/// or narrow inputs (below `TRANSPOSE_MIN_NNZ`, or at most one tile wide)
-/// take the naive path directly.
+/// lands on a cold line. This variant adds one cheap bucketing pass
+/// (`blocked_transpose_scatter`): nonzeros are bucketed by column tile, then
+/// each tile scatters only its own entries, so the cursor slice and the
+/// output window both fit in cache. Small or narrow inputs (below
+/// `TRANSPOSE_MIN_NNZ`, or at most one tile wide) take the naive path
+/// directly.
 pub fn csr_to_csc_blocked(csr: &CsrMatrix) -> CscMatrix {
     let rows = csr.rows();
     let cols = csr.cols();
@@ -143,9 +180,6 @@ pub fn csr_to_csc_blocked(csr: &CsrMatrix) -> CscMatrix {
     if nnz < TRANSPOSE_MIN_NNZ || cols <= TRANSPOSE_TILE {
         return to_csc(csr);
     }
-    let src_pos = csr.pos();
-    let src_crd = csr.crd();
-    let src_vals = csr.values();
     let tiles = cols.div_ceil(TRANSPOSE_TILE);
 
     // Analysis: the column histogram and the tile histogram in one scan.
@@ -154,7 +188,7 @@ pub fn csr_to_csc_blocked(csr: &CsrMatrix) -> CscMatrix {
         span.add_items(cols as u64);
         let mut pos = vec![0usize; cols + 1];
         let mut tile_pos = vec![0usize; tiles + 1];
-        for &j in src_crd {
+        for &j in csr.crd() {
             pos[j + 1] += 1;
             tile_pos[j / TRANSPOSE_TILE + 1] += 1;
         }
@@ -170,36 +204,13 @@ pub fn csr_to_csc_blocked(csr: &CsrMatrix) -> CscMatrix {
     let span = Span::enter("engine.scatter");
     span.add_items(nnz as u64);
     span.add_bytes((nnz * (size_of::<usize>() + size_of::<Value>())) as u64);
-    // Bucket pass: tile-major (row, col, value) buffers, source order within
-    // each tile.
-    let mut tile_cursor = tile_pos.clone();
-    let mut brow = vec![0usize; nnz];
-    let mut bcol = vec![0usize; nnz];
-    let mut bval = vec![0.0 as Value; nnz];
-    for i in 0..rows {
-        for p in src_pos[i]..src_pos[i + 1] {
-            let j = src_crd[p];
-            let t = j / TRANSPOSE_TILE;
-            let dst = tile_cursor[t];
-            tile_cursor[t] += 1;
-            brow[dst] = i;
-            bcol[dst] = j;
-            bval[dst] = src_vals[p];
-        }
-    }
-    // Scatter pass: one cache-resident tile at a time.
     let mut cursor = pos.clone();
     let mut crd = vec![0usize; nnz];
     let mut vals = vec![0.0 as Value; nnz];
-    for t in 0..tiles {
-        for p in tile_pos[t]..tile_pos[t + 1] {
-            let j = bcol[p];
-            let dst = cursor[j];
-            cursor[j] += 1;
-            crd[dst] = brow[p];
-            vals[dst] = bval[p];
-        }
-    }
+    blocked_transpose_scatter(csr, 0..rows, &tile_pos, &mut cursor, |dst, i, v| {
+        crd[dst] = i;
+        vals[dst] = v;
+    });
     drop(span);
     CscMatrix::from_parts(rows, cols, pos, crd, vals).expect("assembled CSC structure is valid")
 }
@@ -225,41 +236,32 @@ pub fn tensor_to_coo<S: SourceTensor>(src: &S) -> CooTensor {
 /// sort of [`radix::sort_perm`]; skipped when the source already iterates
 /// in order, e.g. CSF itself) followed by a single packing pass that opens
 /// a fresh fiber at the first level whose coordinate changes. Works at any
-/// order — order-2 sources yield DCSR.
+/// order — order-2 sources yield DCSR. This is [`to_csf_ordered`] at the
+/// identity mode order.
 pub fn to_csf<S: SourceTensor>(src: &S) -> CsfTensor {
-    let shape = src.shape().clone();
-    let order = shape.order();
-    let nnz = src.nnz();
-    let mut columns: Vec<Vec<usize>> = vec![Vec::with_capacity(nnz); order];
-    let mut vals: Vec<Value> = Vec::with_capacity(nnz);
-    {
-        let span = Span::enter("engine.gather");
-        span.add_items(nnz as u64);
-        src.for_each_coord(|coord, v| {
-            for (d, &c) in coord.iter().enumerate() {
-                columns[d].push(c as usize);
-            }
-            vals.push(v);
-        });
+    let identity: Vec<usize> = (0..src.shape().order()).collect();
+    to_csf_ordered(src, &identity)
+}
+
+/// Panics unless `mode_order` is a permutation of `0..order`.
+pub(crate) fn assert_mode_order(mode_order: &[usize], order: usize) {
+    assert_eq!(mode_order.len(), order, "one mode per dimension");
+    let mut seen = vec![false; order];
+    for &m in mode_order {
+        assert!(
+            m < order && !seen[m],
+            "mode order {mode_order:?} is not a permutation of 0..{order}"
+        );
+        seen[m] = true;
     }
-    let perm: Vec<usize> = if src.coords_in_order() {
-        (0..nnz).collect()
-    } else {
-        let span = Span::enter("engine.sort");
-        span.add_items(nnz as u64);
-        radix::sort_perm(&columns)
-    };
-    let span = Span::enter("engine.pack");
-    span.add_items(nnz as u64);
-    span.add_bytes((nnz * (order * size_of::<usize>() + size_of::<Value>())) as u64);
-    pack_sorted(shape, |d, p| columns[d][perm[p]], |p| vals[perm[p]], nnz)
 }
 
 /// Converts any tensor source to CSF along a *mode order*: storage level `d`
 /// of the fiber tree holds canonical mode `mode_order[d]`, so `&[2, 0, 1]`
-/// packs an `(i,j,k)` tensor with mode `k` outermost. This is [`to_csf`]
-/// with the coordinate columns (and the shape) permuted before the
-/// sort-then-pack recipe; the identity order reproduces [`to_csf`] exactly.
+/// packs an `(i,j,k)` tensor with mode `k` outermost: the coordinate columns
+/// (and the shape) are permuted before the sort-then-pack recipe, and the
+/// sort is skipped when the order is the identity and the source already
+/// iterates in order.
 ///
 /// The sort is the shared stable lexicographic order ([`radix::sort_perm`],
 /// the packed-key radix sort equivalent of
@@ -274,15 +276,7 @@ pub fn to_csf<S: SourceTensor>(src: &S) -> CsfTensor {
 pub fn to_csf_ordered<S: SourceTensor>(src: &S, mode_order: &[usize]) -> CsfTensor {
     let canonical = src.shape().clone();
     let order = canonical.order();
-    assert_eq!(mode_order.len(), order, "one mode per dimension");
-    let mut seen = vec![false; order];
-    for &m in mode_order {
-        assert!(
-            m < order && !seen[m],
-            "mode order {mode_order:?} is not a permutation of 0..{order}"
-        );
-        seen[m] = true;
-    }
+    assert_mode_order(mode_order, order);
     let shape = sparse_tensor::Shape::new(mode_order.iter().map(|&m| canonical.dim(m)).collect());
     let nnz = src.nnz();
     let mut columns: Vec<Vec<usize>> = vec![Vec::with_capacity(nnz); order];

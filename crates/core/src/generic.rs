@@ -19,7 +19,7 @@ use level_formats::{
 use sparse_tensor::{DimBounds, Shape, Value};
 use std::collections::HashMap;
 
-use crate::convert::AnyMatrix;
+use crate::convert::AnyTensor;
 use crate::error::ConvertError;
 use crate::spec::FormatSpec;
 
@@ -385,7 +385,7 @@ pub fn make_assembler(kind: LevelKind, bounds: DimBounds) -> AnyLevel {
 /// level composition requires edge insertion under a non-full ancestor that
 /// is not an ordered chain of dense/compressed levels (the one grouping the
 /// dynamic driver can reconstruct by sorting, as in CSF).
-pub fn convert_with_spec(src: &AnyMatrix, spec: &FormatSpec) -> Result<CustomTensor, ConvertError> {
+pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTensor, ConvertError> {
     spec.validate()?;
     let triples = src.try_to_triples()?;
     let shape = src.shape();
@@ -654,14 +654,14 @@ fn enumerate_full_positions(bounds: &[DimBounds]) -> Vec<(usize, Vec<i64>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::{AnyMatrix, FormatId};
+    use crate::convert::{AnyTensor, FormatId};
     use crate::engine;
     use sparse_formats::{CooMatrix, CsrMatrix, DiaMatrix, EllMatrix};
     use sparse_tensor::example::figure1_matrix;
     use sparse_tensor::SparseTriples;
 
-    fn coo_src() -> AnyMatrix {
-        AnyMatrix::Coo(CooMatrix::from_triples(&figure1_matrix()))
+    fn coo_src() -> AnyTensor {
+        AnyTensor::Coo(CooMatrix::from_triples(&figure1_matrix()))
     }
 
     #[test]
@@ -764,7 +764,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let src = AnyMatrix::Csr(CsrMatrix::from_triples(&lower));
+        let src = AnyTensor::Csr(CsrMatrix::from_triples(&lower));
         let custom =
             convert_with_spec(&src, &FormatSpec::stock(FormatId::Skyline).unwrap()).unwrap();
         match &custom.levels[1] {
@@ -783,7 +783,7 @@ mod tests {
         // re-establish the fiber grouping by sorting, exactly like the
         // engine's sort-then-pack kernel.
         let t = sparse_tensor::example::example3_tensor();
-        let src = AnyMatrix::Coo3(sparse_formats::CooTensor::from_triples(&t));
+        let src = AnyTensor::Coo3(sparse_formats::CooTensor::from_triples(&t));
         let spec = FormatSpec::stock(FormatId::Csf).unwrap();
         let custom = convert_with_spec(&src, &spec).unwrap();
         let reference = engine::to_csf(&sparse_formats::CooTensor::from_triples(&t));
@@ -814,7 +814,7 @@ mod tests {
     #[test]
     fn dynamic_coo3_preserves_source_order() {
         let t = sparse_tensor::example::example3_tensor();
-        let src = AnyMatrix::Coo3(sparse_formats::CooTensor::from_triples(&t));
+        let src = AnyTensor::Coo3(sparse_formats::CooTensor::from_triples(&t));
         let spec = FormatSpec::stock(FormatId::Coo3).unwrap();
         let custom = convert_with_spec(&src, &spec).unwrap();
         // COO3 has no compressed level under a non-full ancestor, so the
@@ -833,7 +833,7 @@ mod tests {
         coo.push(&[1, 1, 0], 3.0);
         let spec = FormatSpec::stock(FormatId::Csf).unwrap();
         assert!(matches!(
-            convert_with_spec(&AnyMatrix::Coo3(coo), &spec),
+            convert_with_spec(&AnyTensor::Coo3(coo), &spec),
             Err(ConvertError::Unsupported(_))
         ));
     }
@@ -846,7 +846,7 @@ mod tests {
             Err(ConvertError::Unsupported(_))
         ));
         let t = sparse_tensor::example::example3_tensor();
-        let src = AnyMatrix::Coo3(sparse_formats::CooTensor::from_triples(&t));
+        let src = AnyTensor::Coo3(sparse_formats::CooTensor::from_triples(&t));
         assert!(matches!(
             convert_with_spec(&src, &FormatSpec::stock(FormatId::Csr).unwrap()),
             Err(ConvertError::Unsupported(_))
@@ -855,12 +855,12 @@ mod tests {
 
     #[test]
     fn dynamic_path_accepts_structured_sources() {
-        let dia = AnyMatrix::Dia(DiaMatrix::from_triples(&figure1_matrix()));
+        let dia = AnyTensor::Dia(DiaMatrix::from_triples(&figure1_matrix()));
         let spec = FormatSpec::stock(FormatId::Csr).unwrap();
         let custom = convert_with_spec(&dia, &spec).unwrap();
         let reference = engine::to_csr(&DiaMatrix::from_triples(&figure1_matrix()));
         assert_eq!(custom.vals, reference.values());
-        let ell = AnyMatrix::Ell(EllMatrix::from_triples(&figure1_matrix()));
+        let ell = AnyTensor::Ell(EllMatrix::from_triples(&figure1_matrix()));
         let custom = convert_with_spec(&ell, &FormatSpec::stock(FormatId::Csc).unwrap()).unwrap();
         let reference = engine::to_csc(&EllMatrix::from_triples(&figure1_matrix()));
         assert_eq!(custom.vals, reference.values());

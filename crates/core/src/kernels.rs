@@ -1,7 +1,7 @@
 //! Row-range–partitioned parallel conversion kernels.
 //!
 //! Each kernel is the parallel counterpart of one hot-path routine in
-//! `sparse_conv::engine`, restructured around the observation that both the
+//! [`engine`], restructured around the observation that both the
 //! analysis and the assembly phase of a conversion decompose over contiguous
 //! ranges of the outer storage level (Chou et al. 2018's coordinate
 //! hierarchies make this safe to state generically: a parent's children
@@ -18,28 +18,25 @@
 //!
 //! Because the per-range cursors encode exactly the positions the sequential
 //! kernel would have used, the output is **bit-identical** to the sequential
-//! engine for any thread count — the property the runtime's tests enforce.
+//! engine for any thread count — the property `tests/kernel_table.rs`
+//! enforces for every row of the [kernel table](crate::kernel_table). At
+//! `threads <= 1` every kernel *is* the sequential engine routine.
 //!
 //! Workers are plain `std::thread::scope` threads; no work stealing, no
 //! channels. The scatter phase writes disjoint index sets of the shared
 //! output buffers through the private `SharedSlice` wrapper.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 
 use obs::Span;
-use sparse_conv::engine;
 use sparse_formats::csf::pack_sorted;
 use sparse_formats::radix::{self, SortStrategy};
 use sparse_formats::{BcsrMatrix, CooMatrix, CooTensor, CscMatrix, CsfTensor, CsrMatrix};
-use sparse_tensor::Value;
+use sparse_tensor::{Shape, Value};
 
-use crate::partition::{balanced_chunks_by_pos, even_chunks, merge_histograms_tree, outer_extent};
-
-/// Tile width (in columns) for the blocked transpose scatter: with ~4 KiB
-/// tiles the per-tile cursor slice and the output window it points into stay
-/// cache-resident while a chunk drains. Matches the engine's sequential
-/// blocked transpose.
-const TRANSPOSE_TILE: usize = 1 << 12;
+use crate::engine::{self, TRANSPOSE_TILE};
+use crate::partition::{balanced_chunks_by_pos, even_chunks, merge_histograms_tree};
 
 /// Per-chunk nonzero count below which the direct scatter beats the blocked
 /// one (the bucket pass has to pay for itself).
@@ -85,6 +82,46 @@ impl<'a, T> SharedSlice<'a, T> {
     }
 }
 
+/// The analysis and merge phases every histogram-scatter kernel shares: one
+/// worker per chunk counts the parent coordinates `keys(chunk)` yields into a
+/// `parents`-long histogram (`select [i] -> count(j)`), and the per-chunk
+/// histograms merge into the global `pos` array plus one scatter-cursor
+/// array per chunk.
+fn histogram_cursors<'a>(
+    chunks: &[Range<usize>],
+    parents: usize,
+    threads: usize,
+    keys: impl Fn(&Range<usize>) -> &'a [usize] + Sync,
+) -> (Vec<usize>, Vec<Vec<usize>>) {
+    let analysis = Span::enter("kernel.analysis");
+    let parent = analysis.handle();
+    let keys = &keys;
+    let hists: Vec<Vec<usize>> = std::thread::scope(|s| {
+        let handles: Vec<_> = chunks
+            .iter()
+            .map(|r| {
+                s.spawn(move || {
+                    let span = Span::enter_under("chunk_histogram", parent);
+                    let chunk_keys = keys(r);
+                    span.add_items(chunk_keys.len() as u64);
+                    let mut hist = vec![0usize; parents];
+                    for &i in chunk_keys {
+                        hist[i] += 1;
+                    }
+                    hist
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("histogram worker panicked"))
+            .collect()
+    });
+    drop(analysis);
+    let _merge = Span::enter("kernel.merge");
+    merge_histograms_tree(&hists, parents, threads)
+}
+
 /// Parallel COO→CSR: per-chunk row histograms, prefix-sum merge, partitioned
 /// scatter. Bit-identical to [`engine::to_csr`] on the same input.
 pub fn coo_to_csr(coo: &CooMatrix, threads: usize) -> CsrMatrix {
@@ -97,32 +134,7 @@ pub fn coo_to_csr(coo: &CooMatrix, threads: usize) -> CsrMatrix {
     let col_idx = coo.col_indices();
     let values = coo.values();
     let chunks = even_chunks(nnz, threads);
-
-    // Analysis: select [i] -> count(j) as nir, one histogram per chunk.
-    let analysis = Span::enter("kernel.analysis");
-    let parent = analysis.handle();
-    let hists: Vec<Vec<usize>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|r| {
-                let r = r.clone();
-                s.spawn(move || {
-                    let span = Span::enter_under("chunk_histogram", parent);
-                    span.add_items(r.len() as u64);
-                    let mut hist = vec![0usize; rows];
-                    for &i in &row_idx[r] {
-                        hist[i] += 1;
-                    }
-                    hist
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    drop(analysis);
-    let merge = Span::enter("kernel.merge");
-    let (pos, cursors) = merge_histograms_tree(&hists, rows, threads);
-    drop(merge);
+    let (pos, cursors) = histogram_cursors(&chunks, rows, threads, |r| &row_idx[r.clone()]);
 
     // Assembly: each worker scatters its chunk through its own cursors; the
     // cursor construction partitions the output index space.
@@ -164,11 +176,10 @@ pub fn coo_to_csr(coo: &CooMatrix, threads: usize) -> CsrMatrix {
 
 /// Parallel CSR→CSC transpose: chunks of whole rows (nnz-balanced via the
 /// source `pos` array), per-chunk column histograms, prefix-sum merge,
-/// partitioned scatter. Wide chunks scatter through the blocked
-/// write-combining form (bucket the chunk's entries tile-by-tile, then drain
-/// tile-major so the cursor slice and output window stay cache-resident),
-/// which consumes each column's cursor in exactly the order the direct loop
-/// would — so the kernel stays bit-identical to [`engine::to_csc`].
+/// partitioned scatter. Wide chunks scatter through the engine's blocked
+/// write-combining form (`engine::blocked_transpose_scatter`), which
+/// consumes each column's cursor in exactly the order the direct loop would
+/// — so the kernel stays bit-identical to [`engine::to_csc`].
 pub fn csr_to_csc(csr: &CsrMatrix, threads: usize) -> CscMatrix {
     let cols = csr.cols();
     let nnz = csr.nnz();
@@ -179,31 +190,9 @@ pub fn csr_to_csc(csr: &CsrMatrix, threads: usize) -> CscMatrix {
     let src_crd = csr.crd();
     let src_vals = csr.values();
     let chunks = balanced_chunks_by_pos(src_pos, threads);
-
-    let analysis = Span::enter("kernel.analysis");
-    let parent = analysis.handle();
-    let hists: Vec<Vec<usize>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|r| {
-                let r = r.clone();
-                s.spawn(move || {
-                    let span = Span::enter_under("chunk_histogram", parent);
-                    span.add_items((src_pos[r.end] - src_pos[r.start]) as u64);
-                    let mut hist = vec![0usize; cols];
-                    for &j in &src_crd[src_pos[r.start]..src_pos[r.end]] {
-                        hist[j] += 1;
-                    }
-                    hist
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let (pos, cursors) = histogram_cursors(&chunks, cols, threads, |r| {
+        &src_crd[src_pos[r.start]..src_pos[r.end]]
     });
-    drop(analysis);
-    let merge = Span::enter("kernel.merge");
-    let (pos, cursors) = merge_histograms_tree(&hists, cols, threads);
-    drop(merge);
 
     let scatter = Span::enter("kernel.scatter");
     scatter.add_items(nnz as u64);
@@ -220,61 +209,30 @@ pub fn csr_to_csc(csr: &CsrMatrix, threads: usize) -> CscMatrix {
                 let vals_out = &vals_out;
                 s.spawn(move || {
                     let span = Span::enter_under("chunk_scatter", parent);
-                    let chunk_lo = src_pos[r.start];
-                    let chunk_hi = src_pos[r.end];
-                    let chunk_nnz = chunk_hi - chunk_lo;
-                    span.add_items(chunk_nnz as u64);
-                    if cols > TRANSPOSE_TILE && chunk_nnz >= CHUNK_TILE_MIN_NNZ {
-                        // Blocked write-combining scatter: bucket the chunk's
-                        // entries by column tile (stable), then drain
-                        // tile-major. Within a tile the entries keep row
-                        // order and a column never straddles tiles, so each
-                        // cursor advances in the same order as the direct
-                        // loop below.
+                    let chunk_crd = &src_crd[src_pos[r.start]..src_pos[r.end]];
+                    span.add_items(chunk_crd.len() as u64);
+                    // SAFETY (both arms): cursor ranges partition the output.
+                    let write = |dst, i, v| unsafe {
+                        crd_out.write(dst, i);
+                        vals_out.write(dst, v);
+                    };
+                    if cols > TRANSPOSE_TILE && chunk_crd.len() >= CHUNK_TILE_MIN_NNZ {
                         let tiles = cols.div_ceil(TRANSPOSE_TILE);
                         let mut tile_pos = vec![0usize; tiles + 1];
-                        for &j in &src_crd[chunk_lo..chunk_hi] {
+                        for &j in chunk_crd {
                             tile_pos[j / TRANSPOSE_TILE + 1] += 1;
                         }
                         for t in 0..tiles {
                             tile_pos[t + 1] += tile_pos[t];
                         }
-                        let mut tile_cursor = tile_pos;
-                        let mut brow = vec![0usize; chunk_nnz];
-                        let mut bcol = vec![0usize; chunk_nnz];
-                        let mut bval = vec![0.0 as Value; chunk_nnz];
-                        for i in r {
-                            for p in src_pos[i]..src_pos[i + 1] {
-                                let j = src_crd[p];
-                                let t = j / TRANSPOSE_TILE;
-                                let slot = tile_cursor[t];
-                                tile_cursor[t] += 1;
-                                brow[slot] = i;
-                                bcol[slot] = j;
-                                bval[slot] = src_vals[p];
-                            }
-                        }
-                        for b in 0..chunk_nnz {
-                            let j = bcol[b];
-                            let dst = cursor[j];
-                            cursor[j] += 1;
-                            // SAFETY: cursor ranges partition the output.
-                            unsafe {
-                                crd_out.write(dst, brow[b]);
-                                vals_out.write(dst, bval[b]);
-                            }
-                        }
+                        engine::blocked_transpose_scatter(csr, r, &tile_pos, &mut cursor, write);
                     } else {
                         for i in r {
                             for p in src_pos[i]..src_pos[i + 1] {
                                 let j = src_crd[p];
                                 let dst = cursor[j];
                                 cursor[j] += 1;
-                                // SAFETY: cursor ranges partition the output.
-                                unsafe {
-                                    crd_out.write(dst, i);
-                                    vals_out.write(dst, src_vals[p]);
-                                }
+                                write(dst, i, src_vals[p]);
                             }
                         }
                     }
@@ -421,77 +379,79 @@ pub fn csr_to_bcsr(
 
 /// Parallel COO→CSF, partitioned by *root fibers* (distinct outer
 /// coordinates): the tensor counterpart of [`coo_to_csr`], and the paper's
-/// sort-then-pack conversion restaged for threads.
+/// sort-then-pack conversion restaged for threads. This is
+/// [`coo_to_csf_ordered`] at the identity mode order; bit-identical to
+/// [`engine::to_csf`] at any thread count.
+pub fn coo_to_csf(coo: &CooTensor, threads: usize) -> CsfTensor {
+    let identity: Vec<usize> = (0..coo.order()).collect();
+    coo_to_csf_ordered(coo, &identity, threads)
+}
+
+/// Parallel COO→CSF along an arbitrary mode order (storage level `d` holds
+/// canonical mode `mode_order[d]`), partitioned by the *storage* root:
 ///
 /// 1. *partitioned analysis* — per-chunk histograms over the root
-///    coordinate (the outer dimension of the canonical shape),
+///    coordinate (canonical mode `mode_order[0]`),
 /// 2. *prefix-sum merge + partitioned scatter* — a stable bucket sort that
 ///    groups nonzeros by root while preserving source order inside each
 ///    root (the cursors encode exactly the sequential positions),
 /// 3. *root-fiber-partitioned sort + pack* — the roots are carved into
 ///    nnz-balanced chunks; every worker stably sorts its contiguous span by
-///    full coordinate and packs its own fibers; the per-chunk CSF arrays
-///    concatenate exactly because chunk boundaries coincide with root-fiber
-///    boundaries.
+///    the full *permuted* coordinate tuple and packs its own fibers; the
+///    per-chunk CSF arrays concatenate exactly because chunk boundaries
+///    coincide with root-fiber boundaries.
 ///
-/// A stable bucket sort by the outer coordinate followed by a stable sort of
+/// A stable bucket sort by the storage root followed by a stable sort of
 /// each bucket span is the same permutation as one global stable
-/// lexicographic sort, so the output is **bit-identical** to
-/// [`engine::to_csf`] at any thread count. The span sorts go through the
-/// packed-key LSD radix kernel ([`radix::sort_index_span`]); use
-/// [`coo_to_csf_with`] to pin a different [`SortStrategy`] (ablation and
-/// equivalence tests).
-pub fn coo_to_csf(coo: &CooTensor, threads: usize) -> CsfTensor {
-    coo_to_csf_with(coo, threads, SortStrategy::Radix)
+/// lexicographic sort of the permuted tuples, so the output is
+/// **bit-identical** to [`engine::to_csf_ordered`] at any thread count —
+/// which is what runs at `threads <= 1`. The span sorts go through the
+/// packed-key LSD radix kernel ([`radix::sort_index_span`]).
+///
+/// # Panics
+///
+/// Panics if `mode_order` is not a permutation of `0..coo.order()`.
+pub fn coo_to_csf_ordered(coo: &CooTensor, mode_order: &[usize], threads: usize) -> CsfTensor {
+    if threads <= 1 {
+        return engine::to_csf_ordered(coo, mode_order);
+    }
+    coo_to_csf_ordered_with(coo, mode_order, threads, SortStrategy::Radix)
 }
 
-/// [`coo_to_csf`] with the span-sort strategy pinned. All strategies are
-/// stable, so the output is identical for every choice; only the sort phase
-/// timing differs (the `sort_strategies` bench group measures exactly this).
-pub fn coo_to_csf_with(coo: &CooTensor, threads: usize, strategy: SortStrategy) -> CsfTensor {
+/// The partitioned body of [`coo_to_csf_ordered`] with the span-sort
+/// strategy pinned, run at *every* thread count (one chunk at
+/// `threads <= 1`) so strategy ablations compare sort algorithms over
+/// identical plumbing. All strategies are stable, so the output is the same
+/// for every choice; only the sort phase timing differs (the
+/// `sort_strategies` bench group measures exactly this).
+///
+/// # Panics
+///
+/// Panics if `mode_order` is not a permutation of `0..coo.order()`.
+pub fn coo_to_csf_ordered_with(
+    coo: &CooTensor,
+    mode_order: &[usize],
+    threads: usize,
+    strategy: SortStrategy,
+) -> CsfTensor {
     let nnz = coo.nnz();
     let order = coo.order();
     if nnz == 0 || order < 2 {
-        return engine::to_csf(coo);
+        return engine::to_csf_ordered(coo, mode_order);
     }
-    if threads <= 1 {
-        return match strategy {
-            SortStrategy::Radix => engine::to_csf(coo),
-            _ => sequential_csf(coo, None, strategy),
-        };
-    }
-    let shape = coo.shape();
-    let roots = outer_extent(shape);
-    let root_crd = coo.crd(0);
+    engine::assert_mode_order(mode_order, order);
+    let threads = threads.max(1);
+    // Storage dimension d holds canonical mode mode_order[d]; the root
+    // partitioner keys on the storage-outermost mode.
+    let packed_shape = Shape::new(mode_order.iter().map(|&m| coo.shape().dim(m)).collect());
+    let roots = packed_shape.dim(0);
+    let root_crd = coo.crd(mode_order[0]);
 
-    // Analysis: per-chunk root histograms over even nonzero chunks.
+    // Analysis + merge: per-chunk root histograms over even nonzero chunks.
     let chunks = even_chunks(nnz, threads);
-    let analysis = Span::enter("kernel.analysis");
-    let parent = analysis.handle();
-    let hists: Vec<Vec<usize>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|r| {
-                let r = r.clone();
-                s.spawn(move || {
-                    let span = Span::enter_under("chunk_histogram", parent);
-                    span.add_items(r.len() as u64);
-                    let mut hist = vec![0usize; roots];
-                    for &i in &root_crd[r] {
-                        hist[i] += 1;
-                    }
-                    hist
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    drop(analysis);
-    let merge = Span::enter("kernel.merge");
-    let (root_pos, cursors) = merge_histograms_tree(&hists, roots, threads);
-    drop(merge);
+    let (root_pos, cursors) = histogram_cursors(&chunks, roots, threads, |r| &root_crd[r.clone()]);
 
-    // Stable bucket sort by root: scatter the source permutation.
+    // Stable bucket sort by storage root: scatter the source permutation.
     let bucket = Span::enter("kernel.bucket_scatter");
     bucket.add_items(nnz as u64);
     let parent = bucket.handle();
@@ -532,188 +492,10 @@ pub fn coo_to_csf_with(coo: &CooTensor, threads: usize, strategy: SortStrategy) 
         }
     }
 
-    // Sort each span stably by full coordinate, then pack it into partial
-    // CSF arrays. The span is already grouped by ascending root with source
-    // order inside each root, so the stable span sort completes the global
-    // stable lexicographic order.
-    let columns: Vec<&[usize]> = (0..order).map(|d| coo.crd(d)).collect();
-    let sort_pack = Span::enter("kernel.sort_pack");
-    sort_pack.add_items(nnz as u64);
-    let parent = sort_pack.handle();
-    let partials: Vec<CsfTensor> = std::thread::scope(|s| {
-        let handles: Vec<_> = spans
-            .into_iter()
-            .map(|span| {
-                let columns = &columns;
-                let vals = coo.values();
-                let shape = shape.clone();
-                s.spawn(move || {
-                    let worker = Span::enter_under("chunk_sort_pack", parent);
-                    worker.add_items(span.len() as u64);
-                    {
-                        let sort = Span::enter("kernel.radix_sort");
-                        sort.add_items(span.len() as u64);
-                        radix::sort_index_span_with(columns, span, strategy);
-                    }
-                    pack_sorted(
-                        shape,
-                        |d, p| columns[d][span[p]],
-                        |p| vals[span[p]],
-                        span.len(),
-                    )
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    drop(sort_pack);
-
-    // Stitch: chunk boundaries are root-fiber boundaries, so the per-chunk
-    // level arrays concatenate with offset fix-ups on the pos arrays.
-    let stitch = Span::enter("kernel.stitch");
-    stitch.add_items(partials.len() as u64);
-    let mut crd: Vec<Vec<usize>> = vec![Vec::new(); order];
-    let mut pos: Vec<Vec<usize>> = vec![vec![0usize]; order - 1];
-    let mut vals: Vec<Value> = Vec::with_capacity(nnz);
-    for part in &partials {
-        for (l, level_crd) in crd.iter_mut().enumerate() {
-            level_crd.extend_from_slice(part.crd(l));
-        }
-        for (l, level_pos) in pos.iter_mut().enumerate() {
-            let offset = *level_pos.last().expect("pos arrays start with 0");
-            level_pos.extend(part.pos(l)[1..].iter().map(|&p| p + offset));
-        }
-        vals.extend_from_slice(part.values());
-    }
-    drop(stitch);
-    CsfTensor::from_parts(shape.clone(), crd, pos, vals).expect("assembled CSF structure is valid")
-}
-
-/// Parallel COO→CSF along an arbitrary mode order: [`coo_to_csf`] with the
-/// root-fiber partitioner keyed on canonical mode `mode_order[0]` (the
-/// storage-outermost dimension) and the span sort comparing the *permuted*
-/// coordinate tuples. Bit-identical to
-/// [`engine::to_csf_ordered`] at any thread count, for the same reason the
-/// canonical kernel matches [`engine::to_csf`]: a stable bucket sort by the
-/// storage root followed by stable span sorts is one global stable
-/// lexicographic sort of the permuted tuples.
-///
-/// # Panics
-///
-/// Panics if `mode_order` is not a permutation of `0..coo.order()`.
-pub fn coo_to_csf_ordered(coo: &CooTensor, mode_order: &[usize], threads: usize) -> CsfTensor {
-    coo_to_csf_ordered_with(coo, mode_order, threads, SortStrategy::Radix)
-}
-
-/// [`coo_to_csf_ordered`] with the span-sort strategy pinned; see
-/// [`coo_to_csf_with`].
-///
-/// # Panics
-///
-/// Panics if `mode_order` is not a permutation of `0..coo.order()`.
-pub fn coo_to_csf_ordered_with(
-    coo: &CooTensor,
-    mode_order: &[usize],
-    threads: usize,
-    strategy: SortStrategy,
-) -> CsfTensor {
-    let nnz = coo.nnz();
-    let order = coo.order();
-    assert_eq!(mode_order.len(), order, "one mode per dimension");
-    let mut seen = vec![false; order];
-    for &m in mode_order {
-        assert!(
-            m < order && !seen[m],
-            "mode order {mode_order:?} is not a permutation of 0..{order}"
-        );
-        seen[m] = true;
-    }
-    if nnz == 0 || order < 2 {
-        return engine::to_csf_ordered(coo, mode_order);
-    }
-    if threads <= 1 {
-        return match strategy {
-            SortStrategy::Radix => engine::to_csf_ordered(coo, mode_order),
-            _ => sequential_csf(coo, Some(mode_order), strategy),
-        };
-    }
-    let shape = coo.shape();
-    // Storage dimension d holds canonical mode mode_order[d]; the root
-    // partitioner keys on the storage-outermost mode.
-    let packed_shape =
-        sparse_tensor::Shape::new(mode_order.iter().map(|&m| shape.dim(m)).collect());
-    let roots = packed_shape.dim(0);
-    let root_crd = coo.crd(mode_order[0]);
-
-    // Analysis: per-chunk root histograms over even nonzero chunks.
-    let chunks = even_chunks(nnz, threads);
-    let analysis = Span::enter("kernel.analysis");
-    let parent = analysis.handle();
-    let hists: Vec<Vec<usize>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|r| {
-                let r = r.clone();
-                s.spawn(move || {
-                    let span = Span::enter_under("chunk_histogram", parent);
-                    span.add_items(r.len() as u64);
-                    let mut hist = vec![0usize; roots];
-                    for &i in &root_crd[r] {
-                        hist[i] += 1;
-                    }
-                    hist
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    drop(analysis);
-    let merge = Span::enter("kernel.merge");
-    let (root_pos, cursors) = merge_histograms_tree(&hists, roots, threads);
-    drop(merge);
-
-    // Stable bucket sort by storage root: scatter the source permutation.
-    let bucket = Span::enter("kernel.bucket_scatter");
-    bucket.add_items(nnz as u64);
-    let parent = bucket.handle();
-    let mut perm = vec![0usize; nnz];
-    {
-        let perm_out = SharedSlice::new(&mut perm);
-        std::thread::scope(|s| {
-            for (r, mut cursor) in chunks.iter().cloned().zip(cursors) {
-                let perm_out = &perm_out;
-                s.spawn(move || {
-                    let span = Span::enter_under("chunk_scatter", parent);
-                    span.add_items(r.len() as u64);
-                    for p in r {
-                        let dst = cursor[root_crd[p]];
-                        cursor[root_crd[p]] += 1;
-                        // SAFETY: cursor ranges partition the output.
-                        unsafe { perm_out.write(dst, p) };
-                    }
-                });
-            }
-        });
-    }
-    drop(bucket);
-
-    // Root-fiber chunks over the merged root pos array, spans split at
-    // whole-root boundaries (as in the canonical kernel).
-    let root_chunks = balanced_chunks_by_pos(&root_pos, threads);
-    let mut spans: Vec<&mut [usize]> = Vec::with_capacity(root_chunks.len());
-    {
-        let mut rest: &mut [usize] = &mut perm;
-        let mut consumed = 0usize;
-        for rc in &root_chunks {
-            let hi = root_pos[rc.end];
-            let (span, tail) = rest.split_at_mut(hi - consumed);
-            spans.push(span);
-            rest = tail;
-            consumed = hi;
-        }
-    }
-
-    // Sort each span stably by the *permuted* coordinate tuple, then pack.
+    // Sort each span stably by the *permuted* coordinate tuple, then pack it
+    // into partial CSF arrays. The span is already grouped by ascending root
+    // with source order inside each root, so the stable span sort completes
+    // the global stable lexicographic order.
     let columns: Vec<&[usize]> = mode_order.iter().map(|&m| coo.crd(m)).collect();
     let sort_pack = Span::enter("kernel.sort_pack");
     sort_pack.add_items(nnz as u64);
@@ -742,11 +524,15 @@ pub fn coo_to_csf_ordered_with(
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sort-pack worker panicked"))
+            .collect()
     });
     drop(sort_pack);
 
-    // Stitch the per-chunk level arrays, as in the canonical kernel.
+    // Stitch: chunk boundaries are root-fiber boundaries, so the per-chunk
+    // level arrays concatenate with offset fix-ups on the pos arrays.
     let stitch = Span::enter("kernel.stitch");
     stitch.add_items(partials.len() as u64);
     let mut crd: Vec<Vec<usize>> = vec![Vec::new(); order];
@@ -764,37 +550,6 @@ pub fn coo_to_csf_ordered_with(
     }
     drop(stitch);
     CsfTensor::from_parts(packed_shape, crd, pos, vals).expect("assembled CSF structure is valid")
-}
-
-/// Sequential sort-then-pack with the sort strategy pinned: a single stable
-/// index sort over the (optionally permuted) coordinate columns followed by
-/// one pack. Backs the `threads <= 1` paths of [`coo_to_csf_with`] /
-/// [`coo_to_csf_ordered_with`] for non-default strategies, so strategy
-/// ablations compare sort algorithms rather than surrounding plumbing.
-fn sequential_csf(
-    coo: &CooTensor,
-    mode_order: Option<&[usize]>,
-    strategy: SortStrategy,
-) -> CsfTensor {
-    let nnz = coo.nnz();
-    let order = coo.order();
-    let (columns, shape): (Vec<&[usize]>, sparse_tensor::Shape) = match mode_order {
-        Some(mo) => (
-            mo.iter().map(|&m| coo.crd(m)).collect(),
-            sparse_tensor::Shape::new(mo.iter().map(|&m| coo.shape().dim(m)).collect()),
-        ),
-        None => (
-            (0..order).map(|d| coo.crd(d)).collect(),
-            coo.shape().clone(),
-        ),
-    };
-    let sort = Span::enter("engine.sort");
-    sort.add_items(nnz as u64);
-    let mut perm: Vec<usize> = (0..nnz).collect();
-    radix::sort_index_span_with(&columns, &mut perm, strategy);
-    drop(sort);
-    let vals = coo.values();
-    pack_sorted(shape, |d, p| columns[d][perm[p]], |p| vals[perm[p]], nnz)
 }
 
 #[cfg(test)]
@@ -920,7 +675,7 @@ mod tests {
         for strategy in strategies {
             for threads in [1, 2, 4] {
                 assert_eq!(
-                    coo_to_csf_with(&coo, threads, strategy),
+                    coo_to_csf_ordered_with(&coo, &[0, 1, 2], threads, strategy),
                     reference,
                     "{strategy:?} at {threads} threads"
                 );

@@ -14,6 +14,11 @@
 //! * [`engine`] — monomorphised conversion kernels, the runtime analogue of
 //!   the specialised C code taco emits (Figure 6); this is the path the
 //!   benchmarks measure.
+//! * [`kernels`] — outer-range–partitioned parallel versions of the hot
+//!   engine routines (built on [`partition`]), bit-identical to them.
+//! * [`kernel_table`] — the one table naming every conversion routine
+//!   (which pairs it serves, whether it is parallel) and every per-format
+//!   fact the planner, the service and the streaming path read.
 //! * [`codegen`] — lowers a conversion plan to executable [`conv_ir`]
 //!   routines and C-like listings structurally comparable to Figure 6.
 //! * [`generic`] — a fully dynamic converter driven by [`FormatSpec`]s and
@@ -22,7 +27,7 @@
 //!   handles interned in the [`FormatRegistry`], with [`Format::builder`]
 //!   for user-defined formats.
 //! * [`convert`](mod@convert) — the public entry points ([`convert`](convert::convert),
-//!   [`AnyTensor`]).
+//!   [`convert_with`], [`AnyTensor`]), dispatching through the kernel table.
 //!
 //! # Quickstart
 //!
@@ -60,13 +65,16 @@ pub mod engine;
 pub mod error;
 pub mod format;
 pub mod generic;
+pub mod kernel_table;
+pub mod kernels;
 pub mod mode;
+pub mod partition;
 pub mod plan;
 pub mod select;
 pub mod source;
 pub mod spec;
 
-pub use convert::{convert, plan_for_formats, AnyMatrix, AnyTensor, FormatId};
+pub use convert::{convert, convert_with, plan_for_formats, AnyTensor, FormatId};
 pub use error::ConvertError;
 pub use format::{Format, FormatBuilder, FormatRegistry, ParseFormatError};
 pub use plan::ConversionPlan;
@@ -80,7 +88,7 @@ pub use spec::FormatSpec;
 /// use sparse_conv::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::convert::{convert, plan_for, plan_for_formats, AnyMatrix, AnyTensor, FormatId};
+    pub use crate::convert::{convert, plan_for, plan_for_formats, AnyTensor, FormatId};
     pub use crate::error::ConvertError;
     pub use crate::format::{Format, FormatBuilder, FormatRegistry};
     pub use crate::select::{auto_select, TensorProfile};

@@ -5,10 +5,9 @@
 //! tensor root coordinates, block rows, or raw nonzero indices) can be
 //! analysed and assembled independently of every other range. The helpers
 //! here carve the outer dimension into such ranges, shared by the matrix
-//! kernels (rows) and the tensor kernels (root fibers): [`outer_extent`]
-//! reads the partitioned space off the canonical [`Shape`] instead of
-//! per-kernel `rows`/`cols` plumbing, [`even_chunks`] splits a raw index
-//! space into equally sized pieces, and [`balanced_chunks_by_pos`] splits a
+//! kernels (rows) and the tensor kernels (root fibers): [`even_chunks`]
+//! splits a raw index space into equally sized pieces, and
+//! [`balanced_chunks_by_pos`] splits a
 //! compressed level's parents so every piece owns roughly the same number
 //! of *children* (nonzeros), which is what actually balances work for
 //! skewed inputs. [`merge_histograms`] is the prefix-sum merge every
@@ -16,8 +15,6 @@
 //! `pos` array plus per-chunk scatter cursors.
 
 use std::ops::Range;
-
-use sparse_tensor::Shape;
 
 /// Splits `0..n` into at most `parts` contiguous, non-empty ranges of nearly
 /// equal length (the first `n % parts` ranges are one element longer).
@@ -44,15 +41,6 @@ pub fn even_chunks(n: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// The extent of the outer storage level of a tensor with the given
-/// canonical shape: its first dimension. Kernels read the partitioned space
-/// off the [`Shape`] instead of plumbing separate `rows` / `cols` (or
-/// per-dimension) scalars; its histogram sizes and root-range partitions
-/// ([`balanced_chunks_by_pos`] over the merged root `pos`) follow from it.
-pub fn outer_extent(shape: &Shape) -> usize {
-    shape.dim(0)
-}
-
 /// Merges per-chunk histograms over the outer level into the global
 /// prefix-sum `pos` array plus one scatter-cursor array per chunk: chunk
 /// `c`'s cursor for parent `i` starts after all of `i`'s entries owned by
@@ -60,8 +48,8 @@ pub fn outer_extent(shape: &Shape) -> usize {
 /// have used — the property that makes histogram-scatter kernels
 /// bit-identical to their sequential counterparts.
 ///
-/// `parents` is the outer extent (see [`outer_extent`]); every histogram
-/// must have that length.
+/// `parents` is the extent of the outer level; every histogram must have
+/// that length.
 pub fn merge_histograms(hists: &[Vec<usize>], parents: usize) -> (Vec<usize>, Vec<Vec<usize>>) {
     let mut pos = vec![0usize; parents + 1];
     for i in 0..parents {
@@ -272,12 +260,6 @@ mod tests {
         let chunks = balanced_chunks_by_pos(&pos, 3);
         covers(&chunks, 6);
         assert_eq!(chunks, vec![0..3, 3..5, 5..6]);
-    }
-
-    #[test]
-    fn outer_extent_reads_the_first_dimension() {
-        assert_eq!(outer_extent(&Shape::matrix(10, 99)), 10);
-        assert_eq!(outer_extent(&Shape::tensor3(7, 2, 2)), 7);
     }
 
     #[test]

@@ -39,12 +39,6 @@ pub trait SourceMatrix {
         false
     }
 
-    /// True when the format stores only structural nonzeros (no padding), the
-    /// precondition of the `simplify-width-count` rewrite.
-    fn stores_only_nonzeros(&self) -> bool {
-        true
-    }
-
     /// Per-row nonzero counts. The default makes a counting pass; formats
     /// with a row `pos` array answer it by differencing (the optimised query
     /// of Section 5.2).
@@ -263,10 +257,6 @@ impl SourceMatrix for DiaMatrix {
             }
         }
     }
-
-    fn stores_only_nonzeros(&self) -> bool {
-        false
-    }
 }
 
 impl SourceMatrix for EllMatrix {
@@ -294,10 +284,6 @@ impl SourceMatrix for EllMatrix {
                 }
             }
         }
-    }
-
-    fn stores_only_nonzeros(&self) -> bool {
-        false
     }
 }
 
@@ -338,10 +324,6 @@ impl SourceMatrix for BcsrMatrix {
     fn rows_in_order(&self) -> bool {
         false
     }
-
-    fn stores_only_nonzeros(&self) -> bool {
-        false
-    }
 }
 
 impl SourceMatrix for SkylineMatrix {
@@ -373,10 +355,6 @@ impl SourceMatrix for SkylineMatrix {
 
     fn rows_in_order(&self) -> bool {
         true
-    }
-
-    fn stores_only_nonzeros(&self) -> bool {
-        false
     }
 }
 
@@ -468,12 +446,6 @@ mod tests {
         assert!(SourceMatrix::rows_in_order(&CsrMatrix::from_triples(&t)));
         assert!(!SourceMatrix::rows_in_order(&CooMatrix::from_triples(&t)));
         assert!(!SourceMatrix::rows_in_order(&CscMatrix::from_triples(&t)));
-        assert!(SourceMatrix::stores_only_nonzeros(
-            &CsrMatrix::from_triples(&t)
-        ));
-        assert!(!SourceMatrix::stores_only_nonzeros(
-            &DiaMatrix::from_triples(&t)
-        ));
     }
 
     #[test]

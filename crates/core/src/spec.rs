@@ -193,11 +193,10 @@ impl FormatSpec {
     /// True when the format's storage groups nonzeros by the outermost
     /// canonical dimension and iterates it in ascending order — derived from
     /// the specification alone: the remapping must be the identity and every
-    /// level an ordered, unique chain kind (dense, compressed, banded). This
-    /// is the spec-level counterpart of
-    /// [`FormatId::iterates_rows_in_order`](crate::convert::FormatId::iterates_rows_in_order)
-    /// and agrees with it on every stock format; the planner consults it for
-    /// registry (custom) formats.
+    /// level an ordered, unique chain kind (dense, compressed, banded). On
+    /// every stock format this agrees with the `rows_in_order` column of
+    /// [`kernel_table::stock_facts`](crate::kernel_table::stock_facts); the
+    /// planner consults it for registry (custom) formats.
     pub fn iterates_rows_in_order(&self) -> bool {
         self.remapping.is_identity()
             && self.levels.iter().all(|k| {
@@ -343,23 +342,15 @@ impl FormatSpec {
 mod tests {
     use super::*;
 
+    /// Every stock format with a specification (all but DOK).
+    fn stock_targets() -> impl Iterator<Item = FormatId> {
+        let ids = crate::kernel_table::STOCK_IDS.into_iter();
+        ids.filter(|id| *id != FormatId::Dok)
+    }
+
     #[test]
     fn stock_specs_are_consistent() {
-        for id in [
-            FormatId::Coo,
-            FormatId::Csr,
-            FormatId::Csc,
-            FormatId::Dia,
-            FormatId::Ell,
-            FormatId::Bcsr {
-                block_rows: 2,
-                block_cols: 2,
-            },
-            FormatId::Skyline,
-            FormatId::Jad,
-            FormatId::Coo3,
-            FormatId::Csf,
-        ] {
+        for id in stock_targets() {
             let spec = FormatSpec::stock(id).unwrap();
             assert_eq!(
                 spec.levels.len(),
@@ -437,32 +428,11 @@ mod tests {
 
     #[test]
     fn spec_derived_planner_properties_agree_with_format_ids() {
-        for id in [
-            FormatId::Coo,
-            FormatId::Csr,
-            FormatId::Csc,
-            FormatId::Dia,
-            FormatId::Ell,
-            FormatId::Bcsr {
-                block_rows: 2,
-                block_cols: 2,
-            },
-            FormatId::Skyline,
-            FormatId::Jad,
-            FormatId::Coo3,
-            FormatId::Csf,
-        ] {
+        for id in stock_targets() {
             let spec = FormatSpec::stock(id).unwrap();
-            assert_eq!(
-                spec.iterates_rows_in_order(),
-                id.iterates_rows_in_order(),
-                "{id}"
-            );
-            assert_eq!(
-                spec.counts_from_structure(),
-                id.counts_from_structure(),
-                "{id}"
-            );
+            let in_order = crate::kernel_table::stock_facts(id).rows_in_order;
+            assert_eq!(spec.iterates_rows_in_order(), in_order, "{id}");
+            assert_eq!(spec.counts_from_structure(), in_order, "{id}");
             assert!(spec.validate().is_ok(), "{id}");
         }
     }

@@ -15,9 +15,11 @@
 //! entry (a CSC scatter is cheap, a BCSR block analysis with its per-block
 //! sort/dedup and binary-search scatter is not), and `penalty` charges
 //! block-analysis targets extra when the feeding source does not iterate
-//! rows in order (measured: shuffled COO→BCSR pays ~1.3–1.8× over the same
-//! kernel fed row-major). Parallel-kernel edges get a modest credit when
-//! the pool is wide enough and the input large enough to engage them.
+//! rows in order. Weights, penalties and padding come from the target's
+//! [`sparse_conv::kernel_table::FormatFacts`] row; edges whose
+//! [`sparse_conv::kernel_table::KernelRow`] is flagged `parallel` get a
+//! modest credit when the request will engage the pool
+//! ([`PlannerConfig::parallel`]).
 //!
 //! [`CostModel`] layers measured reality on top: every observation stores
 //! the ratio `measured_ns / predicted_ns` per directed edge (bounded EWMA),
@@ -30,7 +32,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use sparse_conv::convert::{AnyMatrix, FormatId};
+use sparse_conv::convert::AnyTensor;
+use sparse_conv::kernel_table::{self, Padding};
 use sparse_conv::Format;
 
 use crate::graph::PlannerConfig;
@@ -46,9 +49,6 @@ pub(crate) const HOP_SETUP: f64 = 256.0;
 /// deliberately modest so routing decisions stay stable across thread
 /// counts.
 const PARALLEL_CREDIT: f64 = 0.75;
-/// Extra weight on block-analysis (BCSR) assembly fed by a source that does
-/// not iterate rows in order.
-const BCSR_UNSORTED_PENALTY: f64 = 1.8;
 /// Calibrated multiplier band around the static estimate.
 const MULTIPLIER_MIN: f64 = 0.25;
 const MULTIPLIER_MAX: f64 = 4.0;
@@ -82,7 +82,7 @@ pub struct TensorAttrs {
 
 impl TensorAttrs {
     /// The attribute queries for a concrete source instance.
-    pub fn from_matrix(src: &AnyMatrix) -> TensorAttrs {
+    pub fn from_matrix(src: &AnyTensor) -> TensorAttrs {
         TensorAttrs {
             order: src.order(),
             nnz: src.nnz(),
@@ -112,55 +112,6 @@ impl TensorAttrs {
     }
 }
 
-/// Per-entry assembly weight of a target format, relative to a plain
-/// coordinate write.
-fn kernel_weight(target: &Format) -> f64 {
-    match target.id() {
-        Some(FormatId::Coo) | Some(FormatId::Coo3) => 1.0,
-        Some(FormatId::Csr) => 1.2,
-        Some(FormatId::Csc) => 1.4,
-        Some(FormatId::Ell) => 1.5,
-        Some(FormatId::Jad) => 2.5,
-        Some(FormatId::Dia) => 6.0,
-        Some(FormatId::Bcsr { .. }) => 6.0,
-        Some(FormatId::Skyline) => 4.0,
-        Some(FormatId::Csf) => 2.5,
-        Some(FormatId::Dok) => f64::INFINITY,
-        // Registry formats run the generic driver: interpreted assembly,
-        // plus a sort when the spec needs prefix grouping.
-        None => match target.spec() {
-            Some(spec) if sparse_conv::generic::needs_prefix_grouping(&spec.levels) => 3.5,
-            _ => 2.5,
-        },
-    }
-}
-
-/// Whether the runtime has a partitioned parallel kernel for this pair.
-fn is_parallel_pair(src: &Format, dst: &Format) -> bool {
-    matches!(
-        (src.id(), dst.id()),
-        (Some(FormatId::Coo), Some(FormatId::Csr))
-            | (Some(FormatId::Csr), Some(FormatId::Csc))
-            | (Some(FormatId::Csr), Some(FormatId::Bcsr { .. }))
-            | (Some(FormatId::Coo3), Some(FormatId::Csf))
-    ) || (src.id() == Some(FormatId::Coo3)
-        && dst.id().is_none()
-        && dst.mode_order().is_some_and(|o| o.len() == 3))
-}
-
-/// Estimated entries the target materialises.
-fn write_entries(dst: &Format, attrs: &TensorAttrs) -> f64 {
-    match dst.id() {
-        // ELL pads every row to the maximum row length; use it when a stats
-        // pass has provided it, the nonzero count otherwise.
-        Some(FormatId::Ell) => attrs
-            .max_nnz_per_row
-            .map(|k| (k * attrs.rows).max(attrs.nnz))
-            .unwrap_or(attrs.nnz) as f64,
-        _ => attrs.nnz as f64,
-    }
-}
-
 /// The static cost, in entry units, of converting along the edge
 /// `src → dst`, fed by `entries_in` stored entries whose iteration order is
 /// row-major iff `feeds_rows_in_order`. `passes` is the symbolic plan's
@@ -174,13 +125,20 @@ pub fn static_edge_units(
     attrs: &TensorAttrs,
     cfg: &PlannerConfig,
 ) -> f64 {
+    let facts = kernel_table::facts(dst);
     let read = (passes * entries_in) as f64;
-    let mut weight = kernel_weight(dst);
-    if matches!(dst.id(), Some(FormatId::Bcsr { .. })) && !feeds_rows_in_order {
-        weight *= BCSR_UNSORTED_PENALTY;
+    let mut weight = facts.assembly_weight;
+    if !feeds_rows_in_order {
+        weight *= facts.unsorted_feed_penalty;
     }
-    let mut work = read + weight * write_entries(dst, attrs);
-    if cfg.threads > 1 && attrs.nnz >= cfg.parallel_nnz_threshold && is_parallel_pair(src, dst) {
+    // Row-padded targets materialise rows × the longest row when a stats
+    // pass has provided it; everything else (and the fallback) writes nnz.
+    let writes = match (facts.padding, attrs.max_nnz_per_row) {
+        (Padding::ToLongestRow, Some(k)) => (k * attrs.rows).max(attrs.nnz),
+        _ => attrs.nnz,
+    };
+    let mut work = read + weight * writes as f64;
+    if cfg.parallel && kernel_table::lookup_formats(src, dst).is_some_and(|row| row.parallel) {
         work *= PARALLEL_CREDIT;
     }
     work + HOP_SETUP
@@ -302,22 +260,24 @@ mod tests {
             sparse_conv::auto_select(&AnyTensor::Coo(coo.clone()))
         );
 
-        let attrs = TensorAttrs::from_matrix(&sparse_conv::convert::AnyMatrix::Coo(coo))
-            .with_profile(&profile);
+        let bare = TensorAttrs::from_matrix(&AnyTensor::Coo(coo));
+        let attrs = bare.clone().with_profile(&profile);
         assert_eq!(attrs.max_nnz_per_row, Some(6));
         // The refined row maximum tightens the ELL write estimate: 6-wide
         // padding over 8 rows stores 48 slots, not nnz = 6.
-        assert_eq!(write_entries(&Format::ell(), &attrs), 48.0);
+        let cfg = PlannerConfig::default();
+        let units = |a: &TensorAttrs| {
+            static_edge_units(&Format::coo(), &Format::ell(), 2, a.nnz, true, a, &cfg)
+        };
+        let ell_weight = kernel_table::facts(&Format::ell()).assembly_weight;
+        assert_eq!(units(&attrs) - units(&bare), ell_weight * (48.0 - 6.0));
     }
 
     #[test]
     fn unsorted_sources_pay_extra_on_block_targets() {
         let cfg = PlannerConfig::default();
         let coo = Format::coo();
-        let bcsr = Format::stock(FormatId::Bcsr {
-            block_rows: 4,
-            block_cols: 4,
-        });
+        let bcsr = Format::bcsr(4, 4);
         let a = attrs(10_000);
         let shuffled = static_edge_units(&coo, &bcsr, 2, a.nnz, false, &a, &cfg);
         let ordered = static_edge_units(&coo, &bcsr, 2, a.nnz, true, &a, &cfg);
@@ -355,7 +315,7 @@ mod tests {
     fn multipliers_stay_bounded() {
         let model = CostModel::new();
         let (coo, csr) = (Format::coo(), Format::csr());
-        let (dia, ell) = (Format::stock(FormatId::Dia), Format::stock(FormatId::Ell));
+        let (dia, ell) = (Format::dia(), Format::ell());
         for _ in 0..64 {
             model.observe_units(&coo, &csr, 1000.0, 1); // absurdly fast
             model.observe_units(&dia, &ell, 1000.0, u64::MAX / 1024); // absurdly slow

@@ -11,7 +11,9 @@
 //!
 //! A route is only useful if it produces *bytes identical* to the direct
 //! conversion, so intermediates are filtered by the target's sensitivity to
-//! the source's iteration order:
+//! the source's iteration order (both sides are
+//! [`FormatFacts`](sparse_conv::kernel_table::FormatFacts) columns —
+//! `sensitivity` and `way_point`):
 //!
 //! | target                                | sensitive to            | admissible intermediates |
 //! |---------------------------------------|-------------------------|--------------------------|
@@ -31,8 +33,7 @@
 //! # Search
 //!
 //! The per-request subgraph is tiny — the source, the target, and at most
-//! [`PlannerConfig::max_intermediates`] stock way-points of the same order —
-//! so the shortest-path search enumerates every admissible path in cost
+//! `MAX_INTERMEDIATES` stock way-points of the same order — so the shortest-path search enumerates every admissible path in cost
 //! order (Dijkstra degenerates to exhaustive enumeration on a graph this
 //! small) with a deterministic tie-break: cheaper first, then fewer hops,
 //! then lexicographic by fingerprint.
@@ -40,38 +41,30 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use sparse_conv::convert::FormatId;
+use sparse_conv::kernel_table;
 use sparse_conv::Format;
 
 use crate::cost::{static_edge_units, CostModel, TensorAttrs};
 
+/// Maximum way-points between source and target (2 allows three-hop routes
+/// such as `DIA → COO → CSR → BCSR`).
+const MAX_INTERMEDIATES: usize = 2;
+const _: () = assert!(
+    MAX_INTERMEDIATES == 2,
+    "plan_route enumerates the one- and two-way-point chains explicitly"
+);
+
 /// Knobs of a route search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlannerConfig {
-    /// Worker threads the executing service would use (engages the
-    /// parallel-kernel credit).
-    pub threads: usize,
-    /// Minimum nonzeros before parallel kernels engage (mirrors the
-    /// service's threshold).
-    pub parallel_nnz_threshold: usize,
-    /// Maximum way-points between source and target (2 allows three-hop
-    /// routes such as `DIA → COO → CSR → BCSR`).
-    pub max_intermediates: usize,
+    /// Whether the executing service will run this request's hops on its
+    /// parallel kernels (pool wider than one thread, input above its
+    /// threshold, not a batch job); engages the parallel-kernel credit.
+    pub parallel: bool,
     /// Drop the direct path whenever an admissible multi-hop route exists
     /// (the `--route=multi-hop` ablation); falls back to direct when no
     /// chain is admissible.
     pub exclude_direct: bool,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            threads: 1,
-            parallel_nnz_threshold: 1 << 14,
-            max_intermediates: 2,
-            exclude_direct: false,
-        }
-    }
 }
 
 /// A planned conversion route: the full node path (source first, target
@@ -98,56 +91,6 @@ impl RoutePlan {
     /// The path as display names (what reports record).
     pub fn names(&self) -> Vec<String> {
         self.path.iter().map(|f| f.to_string()).collect()
-    }
-}
-
-/// How a target's stored bytes depend on the order its nonzeros arrive in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Sensitivity {
-    /// Assembly canonicalises (sorts or scatters by coordinate): any
-    /// admissible intermediate is safe.
-    Insensitive,
-    /// Only the relative order of nonzeros *within a row* matters.
-    RowOrder,
-    /// Only the relative order of nonzeros *within a column* matters.
-    ColumnOrder,
-    /// The full iteration order is stored verbatim.
-    Full,
-}
-
-fn sensitivity(target: &Format) -> Sensitivity {
-    match target.id() {
-        Some(FormatId::Coo) | Some(FormatId::Coo3) | Some(FormatId::Dok) => Sensitivity::Full,
-        Some(FormatId::Csr) | Some(FormatId::Ell) | Some(FormatId::Jad) => Sensitivity::RowOrder,
-        Some(FormatId::Csc) => Sensitivity::ColumnOrder,
-        Some(FormatId::Dia)
-        | Some(FormatId::Bcsr { .. })
-        | Some(FormatId::Skyline)
-        | Some(FormatId::Csf) => Sensitivity::Insensitive,
-        None => match target.spec() {
-            // The generic driver re-establishes fiber grouping by sorting
-            // for these specs, so the input order cannot leak into bytes.
-            Some(spec) if sparse_conv::generic::needs_prefix_grouping(&spec.levels) => {
-                Sensitivity::Insensitive
-            }
-            // Full-rooted custom chains keep the source iteration order:
-            // be conservative (replay-only intermediates).
-            _ => Sensitivity::Full,
-        },
-    }
-}
-
-/// Whether `mid` may appear as a way-point on a route into a target with
-/// the given sensitivity.
-fn intermediate_admissible(mid: &Format, sens: Sensitivity) -> bool {
-    match mid.id() {
-        // A COO hop replays its source's iteration exactly.
-        Some(FormatId::Coo) | Some(FormatId::Coo3) => true,
-        // A CSR hop stably groups by row: within-row order survives.
-        Some(FormatId::Csr) => matches!(sens, Sensitivity::Insensitive | Sensitivity::RowOrder),
-        // A CSF hop sorts lexicographically.
-        Some(FormatId::Csf) => matches!(sens, Sensitivity::Insensitive),
-        _ => false,
     }
 }
 
@@ -183,14 +126,13 @@ impl FormatGraph {
     /// when the pair cannot be planned (no edge in the graph).
     fn passes(&self, src: &Format, dst: &Format) -> Option<usize> {
         let key = (src.fingerprint(), dst.fingerprint());
-        let replay_target = matches!(dst.id(), Some(FormatId::Coo) | Some(FormatId::Coo3));
         *self.passes.lock().unwrap().entry(key).or_insert_with(|| {
             sparse_conv::plan_for_formats(src, dst).ok().map(|p| {
                 // The engine lowers coordinate targets to a single
                 // replay pass (`to_coo` pushes as it scans); the
                 // symbolic plan's count-then-fill structure
                 // overestimates them.
-                if replay_target {
+                if kernel_table::facts(dst).replays() {
                     p.input_passes.min(1)
                 } else {
                     p.input_passes
@@ -264,21 +206,16 @@ impl FormatGraph {
             // Whatever the hop produced: intermediates are unpadded stock
             // containers storing exactly the nonzeros.
             entries = attrs.nnz;
-            in_order = match pair[1].id() {
-                Some(FormatId::Csr) | Some(FormatId::Skyline) | Some(FormatId::Csf) => true,
-                // A COO hop replays its input, preserving whatever order
-                // fed it.
-                Some(FormatId::Coo) | Some(FormatId::Coo3) => in_order,
-                _ => false,
-            };
+            // A replaying hop (COO) preserves whatever order fed it.
+            let produced = kernel_table::facts(&pair[1]);
+            in_order = produced.rows_in_order || (produced.replays() && in_order);
         }
         Some(total)
     }
 
     /// Plans the cheapest admissible route from `source` to `target` for a
     /// tensor described by `attrs`. Returns `None` when the graph has no
-    /// path at all (the caller should fall back to its legacy router, which
-    /// will surface the planning error).
+    /// path at all (the pair cannot be planned).
     pub fn plan_route(
         &self,
         source: &Format,
@@ -297,33 +234,20 @@ impl FormatGraph {
         if attrs.nnz == 0 || source.fingerprint() == target.fingerprint() {
             return direct;
         }
-        let pool: Vec<Format> = match attrs.order {
-            2 => vec![Format::coo(), Format::csr()],
-            3 => vec![Format::coo3(), Format::csf()],
-            _ => Vec::new(),
-        };
-        let sens = sensitivity(target);
-        let mids: Vec<Format> = pool
-            .into_iter()
+        let sens = kernel_table::facts(target).sensitivity;
+        let mids: Vec<Format> = kernel_table::way_points(attrs.order)
             .filter(|f| {
                 f.fingerprint() != source.fingerprint()
                     && f.fingerprint() != target.fingerprint()
-                    && intermediate_admissible(f, sens)
+                    && kernel_table::facts(f).admissible_before(sens)
             })
             .collect();
+        // Every chain of one or two distinct way-points.
         let mut candidates: Vec<Vec<Format>> = Vec::new();
-        if cfg.max_intermediates >= 1 {
-            for a in &mids {
-                candidates.push(vec![source.clone(), a.clone(), target.clone()]);
-            }
-        }
-        if cfg.max_intermediates >= 2 {
-            for a in &mids {
-                for b in &mids {
-                    if a.fingerprint() != b.fingerprint() {
-                        candidates.push(vec![source.clone(), a.clone(), b.clone(), target.clone()]);
-                    }
-                }
+        for a in &mids {
+            candidates.push(vec![source.clone(), a.clone(), target.clone()]);
+            for b in mids.iter().filter(|b| *b != a) {
+                candidates.push(vec![source.clone(), a.clone(), b.clone(), target.clone()]);
             }
         }
         let mut routed: Vec<RoutePlan> = candidates
@@ -397,7 +321,7 @@ impl FormatGraph {
                 rows: 0,
                 cols: 0,
                 // Structural only: a bench row's COO source is shuffled.
-                rows_in_order: src.id().is_some_and(FormatId::iterates_rows_in_order),
+                rows_in_order: kernel_table::facts(&src).rows_in_order,
                 max_nnz_per_row: None,
             };
             self.observe(
@@ -440,10 +364,7 @@ mod tests {
     use crate::cost::NS_PER_UNIT;
 
     fn bcsr4() -> Format {
-        Format::stock(FormatId::Bcsr {
-            block_rows: 4,
-            block_cols: 4,
-        })
+        Format::bcsr(4, 4)
     }
 
     fn shuffled(nnz: usize) -> TensorAttrs {
@@ -488,7 +409,7 @@ mod tests {
     fn padded_sources_route_via_coo_and_compose_three_hops() {
         let g = FormatGraph::new();
         let cfg = PlannerConfig::default();
-        let dia = Format::stock(FormatId::Dia);
+        let dia = Format::dia();
         let padded = TensorAttrs {
             order: 2,
             nnz: 95,
@@ -498,9 +419,7 @@ mod tests {
             rows_in_order: false,
             max_nnz_per_row: None,
         };
-        let plan = g
-            .plan_route(&dia, &Format::stock(FormatId::Ell), &padded, &cfg)
-            .unwrap();
+        let plan = g.plan_route(&dia, &Format::ell(), &padded, &cfg).unwrap();
         assert_eq!(names(&plan), ["DIA", "COO", "ELL"]);
         // A padded source *and* a block-analysis target compose: shed the
         // padding first, then feed the block analysis row-major.
@@ -544,12 +463,7 @@ mod tests {
         let cfg = PlannerConfig::default();
         // DOK has no coordinate-hierarchy spec: no edge can reach it.
         assert!(g
-            .plan_route(
-                &Format::coo(),
-                &Format::stock(FormatId::Dok),
-                &shuffled(1000),
-                &cfg
-            )
+            .plan_route(&Format::coo(), &Format::dok(), &shuffled(1000), &cfg)
             .is_none());
     }
 

@@ -10,18 +10,16 @@
 //!   spec fingerprints) so planning happens once per pair, not once per
 //!   call — for registry (user-defined) formats exactly like the stock
 //!   presets;
-//! * [`kernels`] are outer-range–partitioned parallel versions of the hot
-//!   conversion paths (COO→CSR via per-chunk histograms merged by prefix
-//!   sum, CSR→CSC transpose, CSR→BCSR, and the root-fiber-partitioned
-//!   order-3 COO3→CSF sort-and-pack), built on scoped `std::thread`s and
-//!   **bit-identical** to the sequential engine;
 //! * [`service::ConversionService`] is the batch front end: it routes each
 //!   request over `conv-planner`'s format graph (direct, via-COO, or a
 //!   cost-model-chosen multi-hop chain such as shuffled
 //!   `COO → CSR → BCSR`, with measured hop durations calibrating the edge
-//!   costs online), picks parallel or sequential execution, and schedules
-//!   independent conversions across a [`pool::WorkerPool`]; the original
-//!   two-way router survives as [`service::RoutingPolicy::Legacy`];
+//!   costs online), runs every hop through
+//!   [`sparse_conv::kernel_table`] — on the partitioned parallel kernels
+//!   of `sparse_conv::kernels` when the row is flagged `parallel` and the
+//!   input is large enough, sequentially otherwise, **bit-identical**
+//!   either way — and schedules independent conversions across a
+//!   [`pool::WorkerPool`];
 //! * [`streaming`] is the out-of-core path:
 //!   [`ConversionService::convert_stream`](service::ConversionService::convert_stream)
 //!   pipelines `conv-stream` coordinate blocks through the pool into an
@@ -33,12 +31,12 @@
 //!
 //! ```
 //! use conv_runtime::{ConversionService, ServiceConfig};
-//! use sparse_conv::convert::{AnyMatrix, FormatId};
+//! use sparse_conv::convert::{AnyTensor, FormatId};
 //! use sparse_formats::CooMatrix;
 //! use sparse_tensor::example::figure1_matrix;
 //!
 //! let service = ConversionService::new(ServiceConfig::with_threads(4));
-//! let coo = AnyMatrix::Coo(CooMatrix::from_triples(&figure1_matrix()));
+//! let coo = AnyTensor::Coo(CooMatrix::from_triples(&figure1_matrix()));
 //!
 //! // Single conversions reuse cached plans...
 //! let csr = service.convert(&coo, FormatId::Csr)?;
@@ -59,8 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod kernels;
-pub mod partition;
 pub mod pool;
 pub mod service;
 pub mod streaming;

@@ -3,22 +3,21 @@
 //! [`ConversionService`] is the front door of the runtime. Every conversion
 //! goes through three stages:
 //!
-//! 1. **plan** — the [`PlanCache`] returns the pair's [`ConversionPlan`],
+//! 1. **plan** — the [`PlanCache`] returns the pair's [`ConversionPlan`](sparse_conv::ConversionPlan),
 //!    building it at most once per `(source, target, spec fingerprint)`;
 //! 2. **route** — `conv-planner`'s [`FormatGraph`] plans a shortest path
 //!    over the format graph: directly, *via COO* (profitable when a padded
 //!    source such as DIA or ELL would be re-scanned by a multi-pass plan),
 //!    or along a longer cost-model-chosen chain such as shuffled
 //!    `COO → CSR → BCSR`, where the row-major intermediate feeds BCSR's
-//!    block analysis cheaper than the direct kernel. Measured hop durations
-//!    flow back into the graph's edge costs (online calibration); the
-//!    original two-way router remains as [`RoutingPolicy::Legacy`] and as
-//!    the fallback when the graph has no path;
-//! 3. **execute** — hot pairs (COO→CSR, CSR→CSC, CSR→BCSR, and the tensor
-//!    pair COO3→CSF) run on the outer-range–partitioned parallel kernels
-//!    when the input is large enough to pay for thread startup; everything
-//!    else falls back to the sequential `sparse_conv` engine. Both paths
-//!    produce bit-identical output.
+//!    block analysis cheaper than the direct kernel. Every multi-node route
+//!    runs hop by hop through the same loop, and measured hop durations
+//!    flow back into the graph's edge costs (online calibration);
+//! 3. **execute** — each hop dispatches through
+//!    [`sparse_conv::kernel_table`]: rows flagged `parallel` (COO→CSR,
+//!    CSR→CSC, CSR→BCSR, COO3→CSF and `CSF@perm`) run partitioned across
+//!    the pool when the input is large enough to pay for thread startup;
+//!    everything else runs sequentially. Both produce bit-identical output.
 //!
 //! [`ConversionService::convert_batch`] schedules many independent
 //! conversions across a [`WorkerPool`]; batched jobs execute sequentially
@@ -32,13 +31,13 @@ use std::time::Instant;
 use conv_planner::{FormatGraph, PlannerConfig, TensorAttrs};
 use conv_stream::{ExternalSorter, MemTracker, SorterConfig, StreamStats, TensorStream};
 use obs::{Collector, ConversionReport, Registry, Span};
-use sparse_conv::convert::{AnyMatrix, FormatId};
-use sparse_conv::{engine, ConversionPlan, ConvertError, Format};
+use sparse_conv::convert::AnyTensor;
+use sparse_conv::kernel_table::{self, Padding};
+use sparse_conv::{ConvertError, Format};
 
 use crate::cache::PlanCache;
-use crate::kernels;
 use crate::pool::WorkerPool;
-use crate::streaming::{self, StreamConversion, StreamOptions, StreamTarget};
+use crate::streaming::{self, StreamConversion, StreamOptions};
 
 /// Tuning knobs of a [`ConversionService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,36 +83,13 @@ impl Default for ServiceConfig {
 pub enum RoutingPolicy {
     /// Plan the cheapest admissible route over the format graph
     /// (`conv-planner`): direct, via COO, or a longer multi-hop chain.
-    /// Falls back to [`RoutingPolicy::Legacy`] when the graph has no path.
     #[default]
     CostModel,
-    /// The original two-way router: direct, or via COO for padded
-    /// multi-pass sources (kept as an escape hatch and for A/B runs).
-    Legacy,
     /// Always convert directly (ablation baseline).
     Direct,
-    /// Force the via-COO detour whenever the source is padded (ablation).
-    ViaCoo,
     /// Force the cheapest *multi-hop* route whenever one is admissible;
     /// direct only when no chain exists (ablation).
     MultiHop,
-}
-
-impl std::str::FromStr for RoutingPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" | "cost-model" => Ok(RoutingPolicy::CostModel),
-            "legacy" => Ok(RoutingPolicy::Legacy),
-            "direct" => Ok(RoutingPolicy::Direct),
-            "via-coo" => Ok(RoutingPolicy::ViaCoo),
-            "multi-hop" => Ok(RoutingPolicy::MultiHop),
-            other => Err(format!(
-                "unknown routing policy '{other}' (expected auto|legacy|direct|via-coo|multi-hop)"
-            )),
-        }
-    }
 }
 
 /// How the service decided to execute a conversion.
@@ -122,7 +98,8 @@ pub enum Route {
     /// Run the (source → target) routine directly.
     Direct,
     /// Convert to COO first, then (COO → target): cheaper when the source
-    /// stores many padding zeros that a multi-pass plan would re-scan.
+    /// stores many padding zeros that a multi-pass plan would re-scan. The
+    /// label of a planned `[padded source, COO, target]` path.
     ViaCoo,
     /// Convert along the full format path (source first, target last,
     /// `len() >= 3`), chosen by the planner's cost model.
@@ -258,16 +235,6 @@ impl ConversionService {
         &self.graph
     }
 
-    /// The planner configuration derived from this service's settings.
-    fn planner_config(&self, exclude_direct: bool) -> PlannerConfig {
-        PlannerConfig {
-            threads: self.config.threads,
-            parallel_nnz_threshold: self.config.parallel_nnz_threshold,
-            exclude_direct,
-            ..PlannerConfig::default()
-        }
-    }
-
     /// Builds (and caches) the plans for every pair in `pairs`, so a later
     /// traffic burst pays no planning cost. Pairs are anything resolving to
     /// [`Format`] handles — stock identifiers or registry (custom) formats.
@@ -296,9 +263,9 @@ impl ConversionService {
     /// coordinate-hierarchy specification (DOK).
     pub fn convert<F: Into<Format>>(
         &self,
-        src: &AnyMatrix,
+        src: &AnyTensor,
         target: F,
-    ) -> Result<AnyMatrix, ConvertError> {
+    ) -> Result<AnyTensor, ConvertError> {
         self.convert_reported(src, &target.into(), true)
             .map(|(tensor, _)| tensor)
     }
@@ -317,9 +284,9 @@ impl ConversionService {
     /// Exactly as [`ConversionService::convert`].
     pub fn convert_traced<F: Into<Format>>(
         &self,
-        src: &AnyMatrix,
+        src: &AnyTensor,
         target: F,
-    ) -> Result<(AnyMatrix, ConversionReport), ConvertError> {
+    ) -> Result<(AnyTensor, ConversionReport), ConvertError> {
         self.convert_reported(src, &target.into(), true)
     }
 
@@ -339,19 +306,19 @@ impl ConversionService {
     /// Propagates planning errors.
     pub fn route_for<F: Into<Format>>(
         &self,
-        src: &AnyMatrix,
+        src: &AnyTensor,
         target: F,
     ) -> Result<Route, ConvertError> {
         let target = target.into();
-        let plan = self.cache.plan(src.format(), &target)?;
-        self.decide_route(src, &target, &plan)
+        self.cache.plan(src.format(), &target)?;
+        Ok(self.decide_route(src, &target, self.parallel_worthwhile(src.nnz(), true)))
     }
 
     /// Converts a batch of independent jobs across the worker pool,
     /// returning one result per job in submission order. Planning is shared
     /// through the cache; each job executes sequentially inside its worker
     /// (the batch is the parallel axis).
-    pub fn convert_batch<F>(&self, jobs: &[(AnyMatrix, F)]) -> Vec<Result<AnyMatrix, ConvertError>>
+    pub fn convert_batch<F>(&self, jobs: &[(AnyTensor, F)]) -> Vec<Result<AnyTensor, ConvertError>>
     where
         F: Clone + Into<Format> + Sync,
     {
@@ -441,8 +408,7 @@ impl ConversionService {
         info: &mut ExecTrace,
     ) -> Result<StreamConversion, ConvertError> {
         let shape = stream.shape().clone();
-        let plan = streaming::classify(target, shape.order());
-        if plan == StreamTarget::Materialize {
+        let Some(plan) = streaming::classify(target, shape.order()) else {
             self.counters.materialized.fetch_add(1, Ordering::Relaxed);
             let mut stats = StreamStats {
                 in_memory: true,
@@ -453,18 +419,14 @@ impl ConversionService {
             // routing/kernels; its spans nest under this stream's trace.
             let tensor = self.convert_inner(&src, target, true, info)?;
             return Ok(StreamConversion { tensor, stats });
-        }
-        self.counters.conversions.fetch_add(1, Ordering::Relaxed);
-        let key = match &plan {
-            StreamTarget::Csr => vec![0],
-            StreamTarget::Csf { mode_order, .. } => mode_order.clone(),
-            StreamTarget::Materialize => unreachable!("handled above"),
         };
+        self.counters.conversions.fetch_add(1, Ordering::Relaxed);
         let cfg = SorterConfig {
             budget: opts.budget,
             spill_dir: opts.spill_dir.clone(),
         };
-        let mut sorter = ExternalSorter::new(shape.clone(), key, cfg, MemTracker::new())?;
+        let mut sorter =
+            ExternalSorter::new(shape.clone(), plan.sort_key(), cfg, MemTracker::new())?;
         streaming::pump(
             stream,
             &mut sorter,
@@ -472,23 +434,7 @@ impl ConversionService {
             self.config.threads,
             opts.channel_blocks,
         )?;
-        let (tensor, stats) = match plan {
-            StreamTarget::Csr => {
-                let (csr, stats) = streaming::assemble_csr(&shape, sorter)?;
-                (AnyMatrix::Csr(csr), stats)
-            }
-            StreamTarget::Csf { mode_order, custom } => {
-                let (csf, stats) = streaming::assemble_csf(&shape, &mode_order, sorter)?;
-                if custom {
-                    let spec = target.spec().expect("mode order implies a spec");
-                    let wrapped = sparse_conv::mode::custom_from_csf(spec, &mode_order, &csf)?;
-                    (AnyMatrix::Custom(Box::new(wrapped)), stats)
-                } else {
-                    (AnyMatrix::Csf(csf), stats)
-                }
-            }
-            StreamTarget::Materialize => unreachable!("handled above"),
-        };
+        let (tensor, stats) = plan.assemble(&shape, target, sorter)?;
         self.counters
             .stream_spilled_runs
             .fetch_add(stats.spilled_runs, Ordering::Relaxed);
@@ -548,10 +494,10 @@ impl ConversionService {
     /// [`ConversionService::last_report`].
     fn convert_reported(
         &self,
-        src: &AnyMatrix,
+        src: &AnyTensor,
         target: &Format,
         allow_parallel: bool,
-    ) -> Result<(AnyMatrix, ConversionReport), ConvertError> {
+    ) -> Result<(AnyTensor, ConversionReport), ConvertError> {
         let root = Span::enter_traced("convert");
         let trace_id = root.handle().trace_id();
         let mut info = ExecTrace::default();
@@ -592,262 +538,149 @@ impl ConversionService {
 
     fn convert_inner(
         &self,
-        src: &AnyMatrix,
+        src: &AnyTensor,
         target: &Format,
         allow_parallel: bool,
         info: &mut ExecTrace,
-    ) -> Result<AnyMatrix, ConvertError> {
+    ) -> Result<AnyTensor, ConvertError> {
         let span = Span::enter("service.plan");
-        let (plan, cache_hit) = self.cache.plan_entry(src.format(), target)?;
+        // Surfaces planning errors (e.g. a DOK target) before routing.
+        let (_plan, cache_hit) = self.cache.plan_entry(src.format(), target)?;
         drop(span);
         info.plan_cache_hit = cache_hit;
         self.counters.conversions.fetch_add(1, Ordering::Relaxed);
+        // Decided once per request: every hop of a route holds the same
+        // nonzeros, and the planner must price what will actually run.
+        let parallel = self.parallel_worthwhile(src.nnz(), allow_parallel);
         let span = Span::enter("service.route");
-        let route = self.decide_route(src, target, &plan)?;
+        let route = self.decide_route(src, target, parallel);
         drop(span);
-        match route {
+        let path = match route {
             Route::Direct => {
                 info.route = "direct";
-                self.execute(src, target, allow_parallel, info)
+                return self.execute(src, target, parallel, info);
             }
             Route::ViaCoo => {
                 info.route = "via-coo";
-                info.path = vec![
-                    src.format().to_string(),
-                    "COO".to_string(),
-                    target.to_string(),
-                ];
                 self.counters.via_coo.fetch_add(1, Ordering::Relaxed);
-                let span = Span::enter("service.via_coo");
-                let coo = AnyMatrix::Coo(match src {
-                    AnyMatrix::Dia(m) => engine::to_coo(m),
-                    AnyMatrix::Ell(m) => engine::to_coo(m),
-                    AnyMatrix::Bcsr(m) => engine::to_coo(m),
-                    AnyMatrix::Skyline(m) => engine::to_coo(m),
-                    // Unpadded sources never choose ViaCoo; keep the match
-                    // total anyway.
-                    _ => {
-                        drop(span);
-                        info.route = "direct";
-                        info.path.clear();
-                        return self.execute(src, target, allow_parallel, info);
-                    }
-                });
-                span.add_items(coo.nnz() as u64);
-                drop(span);
-                self.execute(&coo, target, allow_parallel, info)
+                vec![src.format(), Format::coo(), target.clone()]
             }
             Route::MultiHop(path) => {
                 info.route = "multi-hop";
-                info.path = path.iter().map(|f| f.to_string()).collect();
                 self.counters.multi_hop.fetch_add(1, Ordering::Relaxed);
-                let mut current = self.run_hop(src, &path[1], allow_parallel, info)?;
-                for hop_target in &path[2..] {
-                    current = self.run_hop(&current, hop_target, allow_parallel, info)?;
-                }
-                Ok(current)
+                path
             }
+        };
+        info.path = path.iter().map(|f| f.to_string()).collect();
+        let mut current = self.run_hop(src, &path[1], parallel, info)?;
+        for hop_target in &path[2..] {
+            current = self.run_hop(&current, hop_target, parallel, info)?;
         }
+        Ok(current)
     }
 
-    /// One hop of a multi-hop route: cached planning, a timed execution
+    /// One hop of a multi-node route: cached planning, a timed execution
     /// span, and (when enabled) an online-calibration observation for the
     /// hop's edge.
     fn run_hop(
         &self,
-        hop_src: &AnyMatrix,
+        hop_src: &AnyTensor,
         hop_target: &Format,
-        allow_parallel: bool,
+        parallel: bool,
         info: &mut ExecTrace,
-    ) -> Result<AnyMatrix, ConvertError> {
+    ) -> Result<AnyTensor, ConvertError> {
         let (_plan, _hit) = self.cache.plan_entry(hop_src.format(), hop_target)?;
         let span = Span::enter("service.hop");
         span.add_items(hop_src.nnz() as u64);
         let started = Instant::now();
-        let out = self.execute(hop_src, hop_target, allow_parallel, info)?;
+        let out = self.execute(hop_src, hop_target, parallel, info)?;
         let elapsed_ns = started.elapsed().as_nanos() as u64;
         drop(span);
         if self.config.online_calibration {
             let attrs = TensorAttrs::from_matrix(hop_src);
+            let cfg = PlannerConfig {
+                parallel,
+                exclude_direct: false,
+            };
             self.graph.observe(
                 &hop_src.format(),
                 hop_target,
                 attrs.stored_entries,
                 attrs.rows_in_order,
                 &attrs,
-                &self.planner_config(false),
+                &cfg,
                 elapsed_ns,
             );
         }
         Ok(out)
     }
 
-    /// Whether the source stores padding zeros a multi-pass plan re-scans.
-    fn is_padded(src: &AnyMatrix) -> bool {
-        matches!(
-            src,
-            AnyMatrix::Dia(_) | AnyMatrix::Ell(_) | AnyMatrix::Bcsr(_) | AnyMatrix::Skyline(_)
-        )
-    }
-
-    /// Routes a request according to the configured [`RoutingPolicy`].
-    fn decide_route(
-        &self,
-        src: &AnyMatrix,
-        target: &Format,
-        plan: &ConversionPlan,
-    ) -> Result<Route, ConvertError> {
-        match self.config.routing {
-            RoutingPolicy::CostModel => self.planned_route(src, target, plan, false),
-            RoutingPolicy::MultiHop => self.planned_route(src, target, plan, true),
-            RoutingPolicy::Legacy => self.choose_route(src, target, plan),
-            RoutingPolicy::Direct => Ok(Route::Direct),
-            RoutingPolicy::ViaCoo => Ok(
-                if Self::is_padded(src) && target.id() != Some(FormatId::Coo) && src.nnz() > 0 {
-                    Route::ViaCoo
-                } else {
-                    Route::Direct
-                },
-            ),
-        }
-    }
-
-    /// Cost-model routing over the format graph; falls back to the legacy
-    /// router when the graph has no path for the pair.
-    fn planned_route(
-        &self,
-        src: &AnyMatrix,
-        target: &Format,
-        plan: &ConversionPlan,
-        force_hops: bool,
-    ) -> Result<Route, ConvertError> {
+    /// Routes a request according to the configured [`RoutingPolicy`];
+    /// `parallel` says whether its hops will run on the pool.
+    fn decide_route(&self, src: &AnyTensor, target: &Format, parallel: bool) -> Route {
+        let exclude_direct = match self.config.routing {
+            RoutingPolicy::Direct => return Route::Direct,
+            RoutingPolicy::CostModel => false,
+            RoutingPolicy::MultiHop => true,
+        };
         let attrs = TensorAttrs::from_matrix(src);
-        let cfg = self.planner_config(force_hops);
-        match self.graph.plan_route(&src.format(), target, &attrs, &cfg) {
-            None => self.choose_route(src, target, plan),
-            Some(route) if route.is_direct() => Ok(Route::Direct),
-            Some(route) => {
-                // A padded source hopping once through COO is exactly the
-                // legacy via-COO shortcut; keep reporting (and executing)
-                // it as such.
+        let cfg = PlannerConfig {
+            parallel,
+            exclude_direct,
+        };
+        let source = src.format();
+        match self.graph.plan_route(&source, target, &attrs, &cfg) {
+            // The plan-cache lookup ahead of routing has already surfaced
+            // any planning error; a pair the graph cannot price converts
+            // directly.
+            None => Route::Direct,
+            Some(route) if route.is_direct() => Route::Direct,
+            // A padded source hopping once through COO is the classic
+            // via-COO shortcut; keep reporting it as such.
+            Some(route)
                 if route.path.len() == 3
-                    && route.path[1].id() == Some(FormatId::Coo)
-                    && Self::is_padded(src)
-                {
-                    Ok(Route::ViaCoo)
-                } else {
-                    Ok(Route::MultiHop(route.path))
-                }
+                    && route.path[1] == Format::coo()
+                    && kernel_table::facts(&source).padding != Padding::None =>
+            {
+                Route::ViaCoo
             }
+            Some(route) => Route::MultiHop(route.path),
         }
-    }
-
-    /// The original two-way router: direct, or via COO for padded
-    /// multi-pass sources.
-    fn choose_route(
-        &self,
-        src: &AnyMatrix,
-        target: &Format,
-        plan: &ConversionPlan,
-    ) -> Result<Route, ConvertError> {
-        let stored = src.stored_entries();
-        let nnz = src.nnz();
-        if stored <= nnz || target.id() == Some(FormatId::Coo) || nnz == 0 {
-            return Ok(Route::Direct);
-        }
-        // Every pass of the direct plan re-scans the padded storage; the
-        // via-COO route scans it once, materialises nnz triples, then runs
-        // the (COO → target) plan over unpadded data.
-        let direct_cost = plan.input_passes * stored;
-        let coo_plan = self.cache.plan(FormatId::Coo, target)?;
-        let via_cost = stored + nnz + coo_plan.input_passes * nnz;
-        Ok(if via_cost < direct_cost {
-            Route::ViaCoo
-        } else {
-            Route::Direct
-        })
     }
 
     fn parallel_worthwhile(&self, nnz: usize, allow_parallel: bool) -> bool {
         allow_parallel && self.config.threads > 1 && nnz >= self.config.parallel_nnz_threshold
     }
 
+    /// Runs one conversion through the kernel table, on the pool when
+    /// `parallel` and the row that serves the pair is partitioned.
     fn execute(
         &self,
-        src: &AnyMatrix,
+        src: &AnyTensor,
         target: &Format,
-        allow_parallel: bool,
+        parallel: bool,
         info: &mut ExecTrace,
-    ) -> Result<AnyMatrix, ConvertError> {
-        let threads = self.config.threads;
+    ) -> Result<AnyTensor, ConvertError> {
         let span = Span::enter("service.execute");
         span.add_items(src.nnz() as u64);
-        if self.parallel_worthwhile(src.nnz(), allow_parallel) {
-            match (src, target.id()) {
-                (AnyMatrix::Coo(m), Some(FormatId::Csr)) => {
-                    info.parallel_kernel = true;
-                    self.counters
-                        .parallel_kernels
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(AnyMatrix::Csr(kernels::coo_to_csr(m, threads)));
-                }
-                (AnyMatrix::Csr(m), Some(FormatId::Csc)) => {
-                    info.parallel_kernel = true;
-                    self.counters
-                        .parallel_kernels
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(AnyMatrix::Csc(kernels::csr_to_csc(m, threads)));
-                }
-                (
-                    AnyMatrix::Csr(m),
-                    Some(FormatId::Bcsr {
-                        block_rows,
-                        block_cols,
-                    }),
-                ) => {
-                    info.parallel_kernel = true;
-                    self.counters
-                        .parallel_kernels
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(AnyMatrix::Bcsr(kernels::csr_to_bcsr(
-                        m, block_rows, block_cols, threads,
-                    )));
-                }
-                (AnyMatrix::Coo3(t), Some(FormatId::Csf)) => {
-                    info.parallel_kernel = true;
-                    self.counters
-                        .parallel_kernels
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(AnyMatrix::Csf(kernels::coo_to_csf(t, threads)));
-                }
-                // Mode-ordered CSF targets (registry formats named `CSF@...`)
-                // run the same root-partitioned kernel, sorted along the
-                // target's mode order.
-                (AnyMatrix::Coo3(t), None) => {
-                    if let Some(order) = target.mode_order() {
-                        if order.len() == 3 {
-                            let spec = target.spec().expect("mode order implies a spec");
-                            let csf = kernels::coo_to_csf_ordered(t, &order, threads);
-                            let custom = sparse_conv::mode::custom_from_csf(spec, &order, &csf)?;
-                            info.parallel_kernel = true;
-                            self.counters
-                                .parallel_kernels
-                                .fetch_add(1, Ordering::Relaxed);
-                            return Ok(AnyMatrix::Custom(Box::new(custom)));
-                        }
-                    }
-                }
-                _ => {}
-            }
+        let threads = if parallel { self.config.threads } else { 1 };
+        let result = sparse_conv::convert_with(src, target, threads);
+        if parallel && matches!(&result, Ok((_, row)) if row.parallel) {
+            info.parallel_kernel = true;
+            self.counters
+                .parallel_kernels
+                .fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.counters.sequential.fetch_add(1, Ordering::Relaxed);
         }
-        self.counters.sequential.fetch_add(1, Ordering::Relaxed);
-        sparse_conv::convert(src, target)
+        result.map(|(tensor, _)| tensor)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparse_conv::convert::FormatId;
     use sparse_formats::{CooMatrix, CsrMatrix, DiaMatrix};
     use sparse_tensor::example::figure1_matrix;
     use sparse_tensor::SparseTriples;
@@ -863,7 +696,7 @@ mod tests {
     #[test]
     fn service_output_matches_the_sequential_engine() {
         let t = figure1_matrix();
-        let coo = AnyMatrix::Coo(CooMatrix::from_triples(&t));
+        let coo = AnyTensor::Coo(CooMatrix::from_triples(&t));
         let svc = service(4);
         for target in [
             FormatId::Csr,
@@ -884,7 +717,7 @@ mod tests {
     #[test]
     fn planning_happens_once_per_pair() {
         let t = figure1_matrix();
-        let coo = AnyMatrix::Coo(CooMatrix::from_triples(&t));
+        let coo = AnyTensor::Coo(CooMatrix::from_triples(&t));
         let svc = service(2);
         for _ in 0..5 {
             svc.convert(&coo, FormatId::Csr).unwrap();
@@ -898,8 +731,8 @@ mod tests {
     #[test]
     fn batch_results_keep_submission_order_and_surface_errors() {
         let t = figure1_matrix();
-        let coo = AnyMatrix::Coo(CooMatrix::from_triples(&t));
-        let csr = AnyMatrix::Csr(CsrMatrix::from_triples(&t));
+        let coo = AnyTensor::Coo(CooMatrix::from_triples(&t));
+        let csr = AnyTensor::Csr(CsrMatrix::from_triples(&t));
         let jobs = vec![
             (coo.clone(), FormatId::Csr),
             (csr.clone(), FormatId::Csc),
@@ -930,12 +763,12 @@ mod tests {
         let mut entries: Vec<(usize, usize, f64)> = (0..64).map(|i| (i, i, 1.0)).collect();
         entries.extend((1..32).map(|j| (0usize, j, 2.0)));
         let t = SparseTriples::from_matrix_entries(64, 64, entries).unwrap();
-        let dia = AnyMatrix::Dia(DiaMatrix::from_triples(&t));
+        let dia = AnyTensor::Dia(DiaMatrix::from_triples(&t));
         let svc = service(1);
         assert_eq!(svc.route_for(&dia, FormatId::Ell).unwrap(), Route::ViaCoo);
         // COO targets and unpadded sources stay direct.
         assert_eq!(svc.route_for(&dia, FormatId::Coo).unwrap(), Route::Direct);
-        let csr = AnyMatrix::Csr(CsrMatrix::from_triples(&t));
+        let csr = AnyTensor::Csr(CsrMatrix::from_triples(&t));
         assert_eq!(svc.route_for(&csr, FormatId::Ell).unwrap(), Route::Direct);
         // The routed conversion still produces the engine's exact output.
         let got = svc.convert(&dia, FormatId::Ell).unwrap();
@@ -945,9 +778,46 @@ mod tests {
     }
 
     #[test]
+    fn batch_jobs_are_priced_like_single_thread_requests() {
+        // Batch jobs execute sequentially inside their worker, so a wide
+        // service must route them exactly like a one-thread service would —
+        // without the parallel credit an interactive request earns.
+        let (wide, narrow) = (service(4), service(1));
+        let nnz = 50_000;
+        let config = |parallel| PlannerConfig {
+            parallel,
+            exclude_direct: false,
+        };
+        let batch = config(wide.parallel_worthwhile(nnz, false));
+        let single = config(narrow.parallel_worthwhile(nnz, true));
+        let interactive = config(wide.parallel_worthwhile(nnz, true));
+        let attrs = TensorAttrs {
+            order: 2,
+            nnz,
+            stored_entries: nnz,
+            rows: 1000,
+            cols: 1000,
+            rows_in_order: false,
+            max_nnz_per_row: None,
+        };
+        let mut credited = 0;
+        for source in kernel_table::STOCK_IDS.map(Format::stock) {
+            for target in kernel_table::STOCK_IDS.map(Format::stock) {
+                let price = |svc: &ConversionService, cfg: &PlannerConfig| {
+                    svc.format_graph()
+                        .edge_units(&source, &target, nnz, false, &attrs, cfg)
+                };
+                assert_eq!(price(&wide, &batch), price(&narrow, &single));
+                credited += usize::from(price(&wide, &interactive) < price(&wide, &batch));
+            }
+        }
+        assert!(credited > 0, "interactive requests do earn the credit");
+    }
+
+    #[test]
     fn tensor_conversions_run_on_the_parallel_kernel() {
         let t = sparse_tensor::example::example3_tensor();
-        let coo3 = AnyMatrix::Coo3(sparse_formats::CooTensor::from_triples(&t));
+        let coo3 = AnyTensor::Coo3(sparse_formats::CooTensor::from_triples(&t));
         let svc = service(4);
         let got = svc.convert(&coo3, FormatId::Csf).unwrap();
         let want = sparse_conv::convert(&coo3, FormatId::Csf).unwrap();
@@ -964,7 +834,7 @@ mod tests {
     #[test]
     fn mode_ordered_targets_run_on_the_parallel_kernel() {
         let t = sparse_tensor::example::example3_tensor();
-        let coo3 = AnyMatrix::Coo3(sparse_formats::CooTensor::from_triples(&t));
+        let coo3 = AnyTensor::Coo3(sparse_formats::CooTensor::from_triples(&t));
         let svc = service(4);
         for order in sparse_conv::select::ORDER3_MODE_ORDERS {
             let target: Format = sparse_conv::mode::csf_ordered_name(&order).parse().unwrap();
@@ -992,7 +862,7 @@ mod tests {
     #[test]
     fn small_inputs_do_not_spawn_threads() {
         let t = figure1_matrix();
-        let coo = AnyMatrix::Coo(CooMatrix::from_triples(&t));
+        let coo = AnyTensor::Coo(CooMatrix::from_triples(&t));
         let svc = ConversionService::new(ServiceConfig {
             threads: 4,
             parallel_nnz_threshold: 1_000_000,

@@ -3,9 +3,10 @@
 //! [`ConversionService::convert_stream`](crate::ConversionService::convert_stream)
 //! orchestrates three pieces that live here:
 //!
-//! * [`classify`](self) — decides whether a target has a streamed packer
-//!   (CSR, CSF, and mode-ordered `CSF@...` registry formats) or must fall
-//!   back to materialising the input;
+//! * [`classify`](self) — reads the target's streamed sort key off
+//!   [`sparse_conv::kernel_table`] (CSR, CSF, and mode-ordered `CSF@...`
+//!   registry formats have one) and falls back to materialising the input
+//!   for targets without;
 //! * [`pump`](self) — the producer/consumer pipeline: a producer thread pulls
 //!   [`CoordBlock`]s from the source and sends them through a *bounded*
 //!   channel (the bound is the backpressure: a slow sorter stalls the
@@ -24,7 +25,8 @@ use conv_stream::{
     CooSink, CoordBlock, ExternalSorter, MemoryBudget, StreamStats, TensorSink, TensorStream,
 };
 use obs::Span;
-use sparse_conv::convert::{AnyMatrix, FormatId};
+use sparse_conv::convert::AnyTensor;
+use sparse_conv::kernel_table::{self, StreamKey};
 use sparse_conv::{ConvertError, Format};
 use sparse_formats::{CooMatrix, CsfBuilder, CsfTensor, CsrMatrix};
 use sparse_tensor::Shape;
@@ -59,43 +61,73 @@ impl StreamOptions {
 #[derive(Debug)]
 pub struct StreamConversion {
     /// The conversion result, byte-identical to the in-memory path.
-    pub tensor: AnyMatrix,
+    pub tensor: AnyTensor,
     /// What the pipeline did to produce it.
     pub stats: StreamStats,
 }
 
-/// How a target is reached from a stream.
+/// How a target is packed from a sorted stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum StreamTarget {
     /// Streamed CSR: sort by row, count/prefix/fill.
     Csr,
-    /// Streamed CSF along a mode order (the identity for stock CSF);
-    /// `custom` marks registry `CSF@...` targets that wrap into a
-    /// [`CustomTensor`](sparse_conv::generic::CustomTensor).
-    Csf {
-        mode_order: Vec<usize>,
-        custom: bool,
-    },
-    /// No streamed packer: materialise to COO, then convert in memory.
-    Materialize,
+    /// Streamed CSF along this mode order (the identity for stock CSF;
+    /// registry `CSF@...` targets wrap the result into a
+    /// [`CustomTensor`](sparse_conv::generic::CustomTensor)).
+    Csf(Vec<usize>),
 }
 
-/// Classifies a target for an order-`order` stream.
-pub(crate) fn classify(target: &Format, order: usize) -> StreamTarget {
-    match target.id() {
-        Some(FormatId::Csr) if order == 2 => StreamTarget::Csr,
-        Some(FormatId::Csf) => StreamTarget::Csf {
-            mode_order: (0..order).collect(),
-            custom: false,
-        },
-        None => match target.mode_order() {
-            Some(mode_order) if mode_order.len() == order => StreamTarget::Csf {
-                mode_order,
-                custom: true,
-            },
-            _ => StreamTarget::Materialize,
-        },
-        _ => StreamTarget::Materialize,
+/// Classifies a target for an order-`order` stream from its [`StreamKey`]
+/// fact; `None` means no streamed packer (materialise, then convert in
+/// memory).
+pub(crate) fn classify(target: &Format, order: usize) -> Option<StreamTarget> {
+    match kernel_table::facts(target).stream_key? {
+        StreamKey::Rows => (order == 2).then_some(StreamTarget::Csr),
+        StreamKey::Modes => {
+            // Stock CSF packs along the identity order at any rank; a
+            // registry `CSF@perm` fixes both the order and the rank.
+            let mode_order = match target.id() {
+                Some(_) => (0..order).collect(),
+                None => target
+                    .mode_order()
+                    .expect("a modes key implies a mode order"),
+            };
+            (mode_order.len() == order).then_some(StreamTarget::Csf(mode_order))
+        }
+    }
+}
+
+impl StreamTarget {
+    /// The dimensions the external sort keys on.
+    pub(crate) fn sort_key(&self) -> Vec<usize> {
+        match self {
+            StreamTarget::Csr => vec![0],
+            StreamTarget::Csf(mode_order) => mode_order.clone(),
+        }
+    }
+
+    /// Drains the sorter into the target's container.
+    pub(crate) fn assemble(
+        self,
+        shape: &Shape,
+        target: &Format,
+        sorter: ExternalSorter,
+    ) -> Result<(AnyTensor, StreamStats), ConvertError> {
+        match self {
+            StreamTarget::Csr => {
+                let (csr, stats) = assemble_csr(shape, sorter)?;
+                Ok((AnyTensor::Csr(csr), stats))
+            }
+            StreamTarget::Csf(mode_order) => {
+                let (csf, stats) = assemble_csf(shape, &mode_order, sorter)?;
+                if target.id().is_some() {
+                    return Ok((AnyTensor::Csf(csf), stats));
+                }
+                let spec = target.spec().expect("registry formats carry a spec");
+                let wrapped = sparse_conv::mode::custom_from_csf(spec, &mode_order, &csf)?;
+                Ok((AnyTensor::Custom(Box::new(wrapped)), stats))
+            }
+        }
     }
 }
 
@@ -174,7 +206,7 @@ pub(crate) fn pump<S: TensorStream + Send>(
 /// (and within a row in arrival order, because the sort key is the row
 /// alone), so one counting pass plus a prefix sum reproduces
 /// `engine::to_csr`'s output exactly.
-pub(crate) fn assemble_csr(
+fn assemble_csr(
     shape: &Shape,
     sorter: ExternalSorter,
 ) -> Result<(CsrMatrix, StreamStats), ConvertError> {
@@ -205,7 +237,7 @@ pub(crate) fn assemble_csr(
 /// so entries arrive exactly as the engine's stable lexicographic sort of
 /// the permuted tuples would emit them, and the shared [`CsfBuilder`] packs
 /// them identically.
-pub(crate) fn assemble_csf(
+fn assemble_csf(
     shape: &Shape,
     mode_order: &[usize],
     sorter: ExternalSorter,
@@ -230,7 +262,7 @@ pub(crate) fn assemble_csf(
 pub(crate) fn materialize<S: TensorStream>(
     stream: &mut S,
     stats: &mut StreamStats,
-) -> Result<AnyMatrix, ConvertError> {
+) -> Result<AnyTensor, ConvertError> {
     let span = Span::enter("stream.materialize");
     let mut sink = CooSink::new(stream.shape().clone());
     while let Some(block) = stream.next_block()? {
@@ -245,43 +277,35 @@ pub(crate) fn materialize<S: TensorStream>(
         for p in 0..tensor.nnz() {
             m.push(tensor.crd(0)[p], tensor.crd(1)[p], tensor.values()[p]);
         }
-        AnyMatrix::Coo(m)
+        AnyTensor::Coo(m)
     } else {
-        AnyMatrix::Coo3(tensor)
+        AnyTensor::Coo3(tensor)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparse_conv::convert::FormatId;
 
     #[test]
     fn classification_covers_the_streamed_targets() {
-        assert_eq!(classify(&Format::from(FormatId::Csr), 2), StreamTarget::Csr);
-        // CSR needs an order-2 stream; an order-3 stream materialises.
         assert_eq!(
-            classify(&Format::from(FormatId::Csr), 3),
-            StreamTarget::Materialize
+            classify(&Format::from(FormatId::Csr), 2),
+            Some(StreamTarget::Csr)
         );
+        // CSR needs an order-2 stream; an order-3 stream materialises.
+        assert_eq!(classify(&Format::from(FormatId::Csr), 3), None);
         assert_eq!(
             classify(&Format::from(FormatId::Csf), 3),
-            StreamTarget::Csf {
-                mode_order: vec![0, 1, 2],
-                custom: false
-            }
+            Some(StreamTarget::Csf(vec![0, 1, 2]))
         );
         let permuted: Format = "CSF@2,0,1".parse().unwrap();
         assert_eq!(
             classify(&permuted, 3),
-            StreamTarget::Csf {
-                mode_order: vec![2, 0, 1],
-                custom: true
-            }
+            Some(StreamTarget::Csf(vec![2, 0, 1]))
         );
-        assert_eq!(classify(&permuted, 2), StreamTarget::Materialize);
-        assert_eq!(
-            classify(&Format::from(FormatId::Ell), 2),
-            StreamTarget::Materialize
-        );
+        assert_eq!(classify(&permuted, 2), None);
+        assert_eq!(classify(&Format::from(FormatId::Ell), 2), None);
     }
 }

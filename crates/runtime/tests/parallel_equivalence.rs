@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 
-use conv_runtime::{kernels, ConversionService, PlanCache, ServiceConfig};
-use sparse_conv::convert::{AnyMatrix, FormatId};
-use sparse_conv::engine;
+use conv_runtime::{ConversionService, PlanCache, ServiceConfig};
+use sparse_conv::convert::{AnyTensor, FormatId};
+use sparse_conv::{engine, kernels};
 use sparse_formats::{CooMatrix, CooTensor, CsrMatrix};
 use sparse_tensor::{Shape, SparseTriples};
 
@@ -143,7 +143,7 @@ proptest! {
     /// sorted triples.
     #[test]
     fn service_tensor_conversions_match_sequential_convert((t, seed) in arb_tensor3()) {
-        let coo3 = AnyMatrix::Coo3(shuffled_coo3(&t, seed));
+        let coo3 = AnyTensor::Coo3(shuffled_coo3(&t, seed));
         for threads in THREAD_POOLS {
             let service = ConversionService::new(ServiceConfig {
                 threads,
@@ -163,7 +163,7 @@ proptest! {
     /// sequential `sparse_conv::convert` returns, at every pool width.
     #[test]
     fn service_conversions_match_sequential_convert((t, seed) in arb_matrix()) {
-        let coo = AnyMatrix::Coo(shuffled_coo(&t, seed));
+        let coo = AnyTensor::Coo(shuffled_coo(&t, seed));
         for threads in THREAD_POOLS {
             let service = ConversionService::new(ServiceConfig {
                 threads,

@@ -11,7 +11,7 @@
 //!
 //! Run with `cargo run --release --example multi_hop`.
 
-use taco_conversion_repro::conv::convert::{convert, AnyMatrix};
+use taco_conversion_repro::conv::convert::{convert, AnyTensor};
 use taco_conversion_repro::conv::{Format, TensorProfile};
 use taco_conversion_repro::formats::CooMatrix;
 use taco_conversion_repro::planner::{PlannerConfig, TensorAttrs};
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (coord, value) in entries {
         shuffled.push(coord, value)?;
     }
-    let src = AnyMatrix::Coo(CooMatrix::from_triples(&shuffled));
+    let src = AnyTensor::Coo(CooMatrix::from_triples(&shuffled));
     let target: Format = "BCSR4x4".parse()?;
 
     let service = ConversionService::new(ServiceConfig::with_threads(2));
@@ -57,8 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         profile.max_nnz_per_row.unwrap_or(0)
     );
     let attrs = TensorAttrs::from_matrix(&src).with_profile(&profile);
+    // 40k nonzeros on a two-thread service engage the parallel kernels.
     let cfg = PlannerConfig {
-        threads: 2,
+        parallel: true,
         ..PlannerConfig::default()
     };
     if let Some(plan) = service

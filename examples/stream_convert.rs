@@ -6,7 +6,7 @@
 //! writes its own input files to a temp directory, so it needs no external
 //! data.
 
-use taco_conversion_repro::conv::convert::{AnyMatrix, FormatId};
+use taco_conversion_repro::conv::convert::{AnyTensor, FormatId};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::obs::PhaseReport;
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         print_phases(&report.phases, 1);
     }
     // The streamed result is byte-identical to the in-memory conversion.
-    let in_memory = service.convert(&AnyMatrix::Coo(matrix), FormatId::Csr)?;
+    let in_memory = service.convert(&AnyTensor::Coo(matrix), FormatId::Csr)?;
     assert_eq!(result.tensor, in_memory);
     println!("  byte-identical to the in-memory conversion");
 
@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     );
     assert!(result.stats.peak_tracked_bytes < budget.bytes);
-    let in_memory = service.convert(&AnyMatrix::Coo3(tensor), FormatId::Csf)?;
+    let in_memory = service.convert(&AnyTensor::Coo3(tensor), FormatId::Csf)?;
     assert_eq!(result.tensor, in_memory);
     println!("  byte-identical to the in-memory conversion");
 

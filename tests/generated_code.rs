@@ -4,7 +4,7 @@
 
 use taco_conversion_repro::conv::codegen;
 use taco_conversion_repro::conv::convert::plan_for;
-use taco_conversion_repro::conv::convert::{convert, AnyMatrix, FormatId};
+use taco_conversion_repro::conv::convert::{convert, AnyTensor, FormatId};
 use taco_conversion_repro::conv::plan::CounterStrategy;
 use taco_conversion_repro::formats::{CooMatrix, CscMatrix, CsrMatrix};
 use taco_conversion_repro::workloads::table2;
@@ -28,9 +28,9 @@ fn small_suite() -> Vec<(String, sparse_tensor::SparseTriples)> {
 fn generated_ir_agrees_with_engine_on_workload_matrices() {
     for (name, triples) in small_suite() {
         let sources = [
-            AnyMatrix::Coo(CooMatrix::from_triples(&triples)),
-            AnyMatrix::Csr(CsrMatrix::from_triples(&triples)),
-            AnyMatrix::Csc(CscMatrix::from_triples(&triples)),
+            AnyTensor::Coo(CooMatrix::from_triples(&triples)),
+            AnyTensor::Csr(CsrMatrix::from_triples(&triples)),
+            AnyTensor::Csc(CscMatrix::from_triples(&triples)),
         ];
         for src in &sources {
             for (s, t) in codegen::supported_pairs() {
@@ -58,8 +58,8 @@ fn listings_exist_for_all_supported_pairs() {
 #[test]
 fn plans_match_the_papers_code_generation_decisions() {
     let triples = table2()[1].generate(0.003);
-    let coo = AnyMatrix::Coo(CooMatrix::from_triples(&triples));
-    let csr = AnyMatrix::Csr(CsrMatrix::from_triples(&triples));
+    let coo = AnyTensor::Coo(CooMatrix::from_triples(&triples));
+    let csr = AnyTensor::Csr(CsrMatrix::from_triples(&triples));
 
     // CSR -> ELL uses the scalar-counter optimisation; COO -> ELL cannot.
     assert_eq!(

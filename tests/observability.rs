@@ -5,7 +5,7 @@
 
 #![cfg(feature = "conv-obs")]
 
-use taco_conversion_repro::conv::convert::{AnyMatrix, FormatId};
+use taco_conversion_repro::conv::convert::{AnyTensor, FormatId};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::obs::{validate_json, PhaseReport, Registry};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
@@ -20,9 +20,9 @@ fn service(threads: usize) -> ConversionService {
     })
 }
 
-fn matrix_source() -> AnyMatrix {
+fn matrix_source() -> AnyTensor {
     let t = irregular(256, 256, 20_000, 256, 7).expect("valid generator parameters");
-    AnyMatrix::Coo(CooMatrix::from_triples(&t))
+    AnyTensor::Coo(CooMatrix::from_triples(&t))
 }
 
 #[test]

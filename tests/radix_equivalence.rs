@@ -16,11 +16,11 @@
 use proptest::prelude::*;
 
 use taco_conversion_repro::conv::engine;
+use taco_conversion_repro::conv::kernels;
 use taco_conversion_repro::conv::select::ORDER3_MODE_ORDERS;
 use taco_conversion_repro::formats::csf::lex_sort_perm;
 use taco_conversion_repro::formats::radix::{self, SortPath, SortStrategy};
 use taco_conversion_repro::formats::{CooTensor, CsrMatrix};
-use taco_conversion_repro::runtime::kernels;
 use taco_conversion_repro::tensor::{Shape, SparseTriples};
 
 /// Random coordinate columns with per-dimension bit widths drawn so the

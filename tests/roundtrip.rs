@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use taco_conversion_repro::conv::convert::{convert, AnyMatrix, FormatId};
+use taco_conversion_repro::conv::convert::{convert, AnyTensor, FormatId};
 use taco_conversion_repro::conv::engine;
 use taco_conversion_repro::conv::prelude::{Format, LevelKind};
 use taco_conversion_repro::formats::{baselines, CooMatrix, CsrMatrix, DokMatrix};
@@ -27,13 +27,13 @@ fn all_targets() -> Vec<FormatId> {
 
 /// Every matrix in every target format, plus DOK (a source-only format built
 /// through its reference constructor; `convert` rejects it as a target).
-fn all_sources(t: &SparseTriples) -> Vec<AnyMatrix> {
-    let coo = AnyMatrix::Coo(CooMatrix::from_triples(t));
-    let mut sources: Vec<AnyMatrix> = all_targets()
+fn all_sources(t: &SparseTriples) -> Vec<AnyTensor> {
+    let coo = AnyTensor::Coo(CooMatrix::from_triples(t));
+    let mut sources: Vec<AnyTensor> = all_targets()
         .into_iter()
         .map(|f| convert(&coo, f).expect("source conversion"))
         .collect();
-    sources.push(AnyMatrix::Dok(DokMatrix::from_triples(t)));
+    sources.push(AnyTensor::Dok(DokMatrix::from_triples(t)));
     sources
 }
 
@@ -115,16 +115,16 @@ proptest! {
         for converted in all_sources(&t) {
             let format = converted.format();
             let fingerprint = match &converted {
-                AnyMatrix::Coo(m) => engine::spmv_fingerprint(m),
-                AnyMatrix::Csr(m) => engine::spmv_fingerprint(m),
-                AnyMatrix::Csc(m) => engine::spmv_fingerprint(m),
-                AnyMatrix::Dia(m) => engine::spmv_fingerprint(m),
-                AnyMatrix::Ell(m) => engine::spmv_fingerprint(m),
-                AnyMatrix::Bcsr(m) => engine::spmv_fingerprint(m),
-                AnyMatrix::Skyline(m) => engine::spmv_fingerprint(m),
-                AnyMatrix::Jad(m) => engine::spmv_fingerprint(m),
-                AnyMatrix::Dok(m) => engine::spmv_fingerprint(m),
-                AnyMatrix::Coo3(_) | AnyMatrix::Csf(_) | AnyMatrix::Custom(_) => {
+                AnyTensor::Coo(m) => engine::spmv_fingerprint(m),
+                AnyTensor::Csr(m) => engine::spmv_fingerprint(m),
+                AnyTensor::Csc(m) => engine::spmv_fingerprint(m),
+                AnyTensor::Dia(m) => engine::spmv_fingerprint(m),
+                AnyTensor::Ell(m) => engine::spmv_fingerprint(m),
+                AnyTensor::Bcsr(m) => engine::spmv_fingerprint(m),
+                AnyTensor::Skyline(m) => engine::spmv_fingerprint(m),
+                AnyTensor::Jad(m) => engine::spmv_fingerprint(m),
+                AnyTensor::Dok(m) => engine::spmv_fingerprint(m),
+                AnyTensor::Coo3(_) | AnyTensor::Csf(_) | AnyTensor::Custom(_) => {
                     unreachable!("all_sources builds order-2 stock containers only")
                 }
             };
@@ -188,7 +188,7 @@ proptest! {
             prop_assert!(back.to_triples().same_values(&t), "round-trip lost values");
             // Bit-identical to converting the lex-sorted input directly (the
             // custom read-back walks its compressed levels in sorted order).
-            let sorted = AnyMatrix::Coo(CooMatrix::from_triples(&t.sorted()));
+            let sorted = AnyTensor::Coo(CooMatrix::from_triples(&t.sorted()));
             let direct = convert(&sorted, FormatId::Csr).expect("direct conversion");
             prop_assert_eq!(back, direct);
         }
@@ -204,7 +204,7 @@ proptest! {
             ])
             .build()
             .expect("blocked composition validates");
-        let packed = convert(&AnyMatrix::Coo(CooMatrix::from_triples(&t)), &dcsr)
+        let packed = convert(&AnyTensor::Coo(CooMatrix::from_triples(&t)), &dcsr)
             .expect("stock -> custom");
         let reblocked = convert(&packed, &blocked).expect("custom -> custom");
         prop_assert!(reblocked.to_triples().same_values(&t));
@@ -214,7 +214,7 @@ proptest! {
     #[test]
     fn statistics_are_invariant_under_conversion(t in arb_matrix()) {
         let reference = MatrixStats::compute(&t);
-        let coo = AnyMatrix::Coo(CooMatrix::from_triples(&t));
+        let coo = AnyTensor::Coo(CooMatrix::from_triples(&t));
         for format in [FormatId::Csr, FormatId::Dia, FormatId::Ell, FormatId::Jad] {
             let converted = convert(&coo, format).expect("conversion");
             let stats = MatrixStats::compute(&converted.to_triples());

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use taco_conversion_repro::conv::convert::{convert, AnyMatrix};
+use taco_conversion_repro::conv::convert::{convert, AnyTensor};
 use taco_conversion_repro::conv::prelude::LevelKind;
 use taco_conversion_repro::conv::Format;
 use taco_conversion_repro::formats::CooMatrix;
@@ -33,13 +33,13 @@ fn service(threads: usize, routing: RoutingPolicy) -> ConversionService {
 
 /// Converts through a service under the given policy and requires the result
 /// to be bit-identical to the sequential direct engine.
-fn assert_route_equivalent(src: &AnyMatrix, target: &Format) {
+fn assert_route_equivalent(src: &AnyTensor, target: &Format) {
     let expected = convert(src, target).expect("direct conversion");
     for threads in THREADS {
         for routing in [
             RoutingPolicy::CostModel,
             RoutingPolicy::MultiHop,
-            RoutingPolicy::Legacy,
+            RoutingPolicy::Direct,
         ] {
             let got = service(threads, routing)
                 .convert(src, target.clone())
@@ -69,7 +69,7 @@ fn custom_dcsr(name: &str) -> Format {
 /// COO → BCSR conversions the cost model routes through CSR. The generator
 /// emits row-major triples, so the entry order is broken deterministically
 /// before packing.
-fn shuffled_irregular() -> AnyMatrix {
+fn shuffled_irregular() -> AnyTensor {
     let triples = irregular(256, 256, 12_000, 96, 7).expect("irregular parameters are valid");
     let mut entries: Vec<(Vec<i64>, f64)> = triples
         .iter()
@@ -84,7 +84,7 @@ fn shuffled_irregular() -> AnyMatrix {
     for (coord, value) in entries {
         shuffled.push(coord, value).unwrap();
     }
-    AnyMatrix::Coo(CooMatrix::from_triples(&shuffled))
+    AnyTensor::Coo(CooMatrix::from_triples(&shuffled))
 }
 
 proptest! {
@@ -122,7 +122,7 @@ proptest! {
         for (k, &(i, j)) in coords.iter().enumerate() {
             t.push(vec![i, j], 1.0 + k as f64).unwrap();
         }
-        let src = AnyMatrix::Coo(CooMatrix::from_triples(&t));
+        let src = AnyTensor::Coo(CooMatrix::from_triples(&t));
         assert_route_equivalent(&src, &target);
     }
 }
@@ -132,7 +132,7 @@ proptest! {
 #[test]
 fn ordered_sources_take_the_direct_route() {
     let triples = banded(64, 64, &[-1, 0, 1], 3).expect("banded parameters are valid");
-    let src = AnyMatrix::Coo(CooMatrix::from_triples(&triples));
+    let src = AnyTensor::Coo(CooMatrix::from_triples(&triples));
     let svc = service(1, RoutingPolicy::CostModel);
     let route = svc.route_for(&src, Format::csr()).expect("plans");
     assert_eq!(route, Route::Direct);
@@ -162,7 +162,7 @@ fn shuffled_coo_to_bcsr_chains_through_csr_and_matches() {
 #[test]
 fn padded_sources_compose_three_hops_and_match() {
     let triples = irregular(160, 160, 4_000, 60, 11).expect("irregular parameters are valid");
-    let coo = AnyMatrix::Coo(CooMatrix::from_triples(&triples));
+    let coo = AnyTensor::Coo(CooMatrix::from_triples(&triples));
     let dia = convert(&coo, Format::dia()).expect("DIA stores any matrix");
     let target: Format = "BCSR4x4".parse().expect("stock target parses");
     let svc = service(1, RoutingPolicy::CostModel);
@@ -198,11 +198,12 @@ fn custom_sources_chain_through_stock_intermediates() {
 /// (the order-2 intermediate pool is exactly {COO, CSR}, and both ends of
 /// CSR → COO sit in it), the service degrades to the direct edge instead of
 /// failing. The fully-unplannable case (planner returns no route at all,
-/// e.g. a DOK target) is covered by `conv-planner`'s own unit tests.
+/// e.g. a DOK target) is covered by `conv-planner`'s own unit tests, and
+/// surfaces as the plan cache's error before routing starts.
 #[test]
-fn no_path_falls_back_to_the_legacy_router() {
+fn no_path_falls_back_to_the_direct_route() {
     let triples = banded(32, 32, &[0, 2], 5).expect("banded parameters are valid");
-    let coo = AnyMatrix::Coo(CooMatrix::from_triples(&triples));
+    let coo = AnyTensor::Coo(CooMatrix::from_triples(&triples));
     let csr = convert(&coo, Format::csr()).expect("CSR stores any matrix");
     let svc = service(1, RoutingPolicy::MultiHop);
     let route = svc.route_for(&csr, Format::coo()).expect("plans");

@@ -3,20 +3,20 @@
 //! sequential engine at every pool width, planning is amortised across a
 //! batch, and routing never changes results.
 
-use taco_conversion_repro::conv::convert::{convert, AnyMatrix, FormatId};
+use taco_conversion_repro::conv::convert::{convert, AnyTensor, FormatId};
 use taco_conversion_repro::formats::{CooMatrix, CsrMatrix};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig};
 use taco_conversion_repro::workloads::table2;
 
-fn workload_inputs() -> Vec<AnyMatrix> {
+fn workload_inputs() -> Vec<AnyTensor> {
     table2()
         .iter()
         .filter(|s| ["jnlbrng1", "cant", "scircuit"].contains(&s.name))
         .flat_map(|s| {
             let t = s.generate(0.01);
             [
-                AnyMatrix::Coo(CooMatrix::from_triples(&t)),
-                AnyMatrix::Csr(CsrMatrix::from_triples(&t)),
+                AnyTensor::Coo(CooMatrix::from_triples(&t)),
+                AnyTensor::Csr(CsrMatrix::from_triples(&t)),
             ]
         })
         .collect()
@@ -36,12 +36,12 @@ fn batched_service_conversions_match_the_sequential_engine() {
             block_cols: 4,
         },
     ];
-    let jobs: Vec<(AnyMatrix, FormatId)> = sources
+    let jobs: Vec<(AnyTensor, FormatId)> = sources
         .iter()
         .flat_map(|s| targets.iter().map(move |&t| (s.clone(), t)))
         .collect();
 
-    let expected: Vec<AnyMatrix> = jobs
+    let expected: Vec<AnyTensor> = jobs
         .iter()
         .map(|(src, target)| convert(src, *target).expect("sequential conversion"))
         .collect();

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use taco_conversion_repro::conv::convert::{convert, AnyMatrix, FormatId};
+use taco_conversion_repro::conv::convert::{convert, AnyTensor, FormatId};
 use taco_conversion_repro::conv::generic::convert_with_spec;
 use taco_conversion_repro::conv::prelude::LevelKind;
 use taco_conversion_repro::conv::select::ORDER3_MODE_ORDERS;
@@ -64,9 +64,9 @@ fn check_fuzz_case(t: &SparseTriples, order: &[usize], kinds: &[LevelKind]) {
         }
     };
     let src = if t.order() == 2 {
-        AnyMatrix::Coo(CooMatrix::from_triples(t))
+        AnyTensor::Coo(CooMatrix::from_triples(t))
     } else {
-        AnyMatrix::Coo3(CooTensor::from_triples(t))
+        AnyTensor::Coo3(CooTensor::from_triples(t))
     };
     let packed = match convert(&src, &format) {
         Ok(packed) => packed,
@@ -216,7 +216,7 @@ proptest! {
     /// driver, and the generated counting-sort routine.
     #[test]
     fn mode_ordered_csf_paths_are_bit_identical((t, seed) in arb_tensor3()) {
-        let coo3 = AnyMatrix::Coo3(shuffled_coo3(&t, seed));
+        let coo3 = AnyTensor::Coo3(shuffled_coo3(&t, seed));
         for order in ORDER3_MODE_ORDERS {
             let spec = ordered_csf_spec(&order);
             let format = Format::from_spec(spec.clone()).expect("ordered CSF spec validates");
@@ -224,7 +224,7 @@ proptest! {
             let via_generic = convert_with_spec(&coo3, &spec).expect("generic path");
             let via_codegen = codegen::execute_format(&coo3, &format).expect("codegen path");
             match (&via_engine, &via_codegen) {
-                (AnyMatrix::Custom(a), AnyMatrix::Custom(b)) => {
+                (AnyTensor::Custom(a), AnyTensor::Custom(b)) => {
                     prop_assert_eq!(&**a, &via_generic, "engine != generic for CSF@{:?}", order);
                     prop_assert_eq!(&**b, &via_generic, "codegen != generic for CSF@{:?}", order);
                 }
@@ -238,7 +238,7 @@ proptest! {
     /// bit-identical at 1, 2, and 4 runtime threads.
     #[test]
     fn mode_orders_roundtrip_at_every_thread_count((t, seed) in arb_tensor3()) {
-        let coo3 = AnyMatrix::Coo3(shuffled_coo3(&t, seed));
+        let coo3 = AnyTensor::Coo3(shuffled_coo3(&t, seed));
         for order in ORDER3_MODE_ORDERS {
             let format = Format::csf_ordered(&order).expect("permutation");
             let mut packed_by_threads = Vec::new();
@@ -307,7 +307,7 @@ fn hashed_levels_compose_in_rank3_specs() {
         .levels([LevelKind::Hashed, LevelKind::Hashed, LevelKind::Hashed])
         .build()
         .expect("hashed chains validate");
-    let src = AnyMatrix::Coo3(CooTensor::from_triples(&t));
+    let src = AnyTensor::Coo3(CooTensor::from_triples(&t));
     let packed = convert(&src, &format).expect("COO3 -> hashed");
     assert_eq!(packed.nnz(), t.nnz());
     assert!(packed.to_triples().same_values(&t));
@@ -336,7 +336,7 @@ fn banded_levels_compose_in_rank3_specs() {
         ])
         .build()
         .expect("banded under a compressed chain validates");
-    let src = AnyMatrix::Coo3(CooTensor::from_triples(&t));
+    let src = AnyTensor::Coo3(CooTensor::from_triples(&t));
     let packed = convert(&src, &format).expect("COO3 -> banded fiber tree");
     assert_eq!(packed.nnz(), 5, "above-profile entries are dropped");
     let mut expected = SparseTriples::new(Shape::tensor3(4, 4, 4));
@@ -383,14 +383,14 @@ fn auto_select_distinguishes_workload_classes() {
     let uniform = tensor3_uniform([30, 30, 30], 1000, 7).expect("uniform generator");
     let fibered = tensor3_fibered([16, 32, 64], 4, 8, 7).expect("fibered generator");
     let band = banded(64, 64, &[0, 1, -1], 5).expect("banded generator");
-    let u = taco_conversion_repro::conv::auto_select(&AnyMatrix::Coo3(CooTensor::from_triples(
+    let u = taco_conversion_repro::conv::auto_select(&AnyTensor::Coo3(CooTensor::from_triples(
         &uniform,
     )));
-    let f = taco_conversion_repro::conv::auto_select(&AnyMatrix::Coo3(CooTensor::from_triples(
+    let f = taco_conversion_repro::conv::auto_select(&AnyTensor::Coo3(CooTensor::from_triples(
         &fibered,
     )));
     let b =
-        taco_conversion_repro::conv::auto_select(&AnyMatrix::Coo(CooMatrix::from_triples(&band)));
+        taco_conversion_repro::conv::auto_select(&AnyTensor::Coo(CooMatrix::from_triples(&band)));
     assert_eq!(u, Format::coo3(), "uniform scatter keeps coordinates");
     assert_eq!(f, Format::csf(), "fiber structure pays for the CSF tree");
     assert_eq!(b, Format::dia(), "banded structure pays for DIA");

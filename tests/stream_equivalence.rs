@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use taco_conversion_repro::conv::convert::{AnyMatrix, FormatId};
+use taco_conversion_repro::conv::convert::{AnyTensor, FormatId};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
 use taco_conversion_repro::stream::{CooBlockStream, MemoryBudget};
@@ -93,7 +93,7 @@ proptest! {
     fn streamed_csr_is_byte_identical(m in arb_matrix()) {
         let svc = service();
         let want = svc
-            .convert(&AnyMatrix::Coo(m.clone()), FormatId::Csr)
+            .convert(&AnyTensor::Coo(m.clone()), FormatId::Csr)
             .expect("in-memory COO→CSR");
         for chunk in CHUNKS {
             for budget in budgets() {
@@ -119,7 +119,7 @@ proptest! {
     fn streamed_csf_is_byte_identical(t in arb_tensor3()) {
         let svc = service();
         let want = svc
-            .convert(&AnyMatrix::Coo3(t.clone()), FormatId::Csf)
+            .convert(&AnyTensor::Coo3(t.clone()), FormatId::Csf)
             .expect("in-memory COO3→CSF");
         for chunk in CHUNKS {
             for budget in budgets() {
@@ -141,7 +141,7 @@ proptest! {
         for order_name in ["CSF@2,0,1", "CSF@1,2,0"] {
             let target: taco_conversion_repro::conv::Format = order_name.parse().unwrap();
             let want = svc
-                .convert(&AnyMatrix::Coo3(t.clone()), target.clone())
+                .convert(&AnyTensor::Coo3(t.clone()), target.clone())
                 .expect("in-memory COO3→CSF@perm");
             for chunk in [1usize, 7, 1 << 20] {
                 let stream = CooBlockStream::new(t.clone(), chunk);
@@ -169,7 +169,7 @@ fn budgets_control_spill_counts() {
     }
     let svc = service();
     let want = svc
-        .convert(&AnyMatrix::Coo(m.clone()), FormatId::Csr)
+        .convert(&AnyTensor::Coo(m.clone()), FormatId::Csr)
         .unwrap();
     // (budget bytes, expected spilled runs): 100 entries * 24 B in 5-entry
     // blocks of 120 B each. 1 MiB holds everything; 2 KiB (threshold 1536)
@@ -226,7 +226,7 @@ fn oversized_inputs_convert_under_budget() {
     }
     assert!(1400 * 24 >= 4 * budget.bytes, "input is ≥ 4× the budget");
     let want = svc
-        .convert(&AnyMatrix::Coo(m.clone()), FormatId::Csr)
+        .convert(&AnyTensor::Coo(m.clone()), FormatId::Csr)
         .unwrap();
     let got = svc
         .convert_stream(CooBlockStream::from_matrix(&m, 10), FormatId::Csr, &opts)
@@ -247,7 +247,7 @@ fn oversized_inputs_convert_under_budget() {
     }
     assert!(1100 * 32 >= 4 * budget.bytes, "input is ≥ 4× the budget");
     let want = svc
-        .convert(&AnyMatrix::Coo3(t.clone()), FormatId::Csf)
+        .convert(&AnyTensor::Coo3(t.clone()), FormatId::Csf)
         .unwrap();
     let got = svc
         .convert_stream(CooBlockStream::new(t.clone(), 8), FormatId::Csf, &opts)
@@ -273,7 +273,7 @@ fn unstreamed_targets_materialize_and_match() {
     }
     let svc = service();
     let want = svc
-        .convert(&AnyMatrix::Coo(m.clone()), FormatId::Ell)
+        .convert(&AnyTensor::Coo(m.clone()), FormatId::Ell)
         .unwrap();
     let got = svc
         .convert_stream(

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use taco_conversion_repro::conv::codegen;
-use taco_conversion_repro::conv::convert::{convert, AnyMatrix, FormatId};
+use taco_conversion_repro::conv::convert::{convert, AnyTensor, FormatId};
 use taco_conversion_repro::conv::engine;
 use taco_conversion_repro::conv::generic::{convert_with_spec, LevelOutput};
 use taco_conversion_repro::conv::FormatSpec;
@@ -54,7 +54,7 @@ proptest! {
     /// pack walks the fiber tree lexicographically).
     #[test]
     fn coo3_csf_roundtrip_preserves_sorted_triples((t, seed) in arb_tensor3()) {
-        let coo3 = AnyMatrix::Coo3(shuffled_coo3(&t, seed));
+        let coo3 = AnyTensor::Coo3(shuffled_coo3(&t, seed));
         let csf = convert(&coo3, FormatId::Csf).expect("COO3 -> CSF");
         prop_assert_eq!(csf.format(), FormatId::Csf);
         prop_assert!(csf.to_triples().same_values(&t), "CSF lost values");
@@ -72,7 +72,7 @@ proptest! {
         let coo = shuffled_coo3(&t, seed);
         let reference = CsfTensor::from_triples(&coo.to_triples());
         prop_assert_eq!(&engine::to_csf(&coo), &reference);
-        prop_assert_eq!(&taco_conversion_repro::runtime::kernels::coo_to_csf(&coo, 3), &reference);
+        prop_assert_eq!(&taco_conversion_repro::conv::kernels::coo_to_csf(&coo, 3), &reference);
     }
 
     /// The generic (spec-driven) path assembles exactly the engine's CSF
@@ -82,7 +82,7 @@ proptest! {
         let coo = shuffled_coo3(&t, seed);
         let reference = engine::to_csf(&coo);
         let spec = FormatSpec::stock(FormatId::Csf).expect("stock CSF spec");
-        let custom = convert_with_spec(&AnyMatrix::Coo3(coo), &spec).expect("generic CSF");
+        let custom = convert_with_spec(&AnyTensor::Coo3(coo), &spec).expect("generic CSF");
         let expected = [
             (reference.crd(0).to_vec(), vec![0, reference.num_fibers(0)]),
             (reference.crd(1).to_vec(), reference.pos(0).to_vec()),
@@ -118,7 +118,7 @@ proptest! {
             ])
             .build()
             .expect("mode-reversed CSF validates");
-        let coo3 = AnyMatrix::Coo3(shuffled_coo3(&t, seed));
+        let coo3 = AnyTensor::Coo3(shuffled_coo3(&t, seed));
         let packed = convert(&coo3, &reversed).expect("COO3 -> custom");
         prop_assert_eq!(packed.format(), reversed);
         prop_assert_eq!(packed.order(), 3);
@@ -136,7 +136,7 @@ proptest! {
     /// generated CSF→COO3 unpacking loop.
     #[test]
     fn generated_tensor_code_agrees_with_engine((t, seed) in arb_tensor3()) {
-        let coo3 = AnyMatrix::Coo3(shuffled_coo3(&t, seed));
+        let coo3 = AnyTensor::Coo3(shuffled_coo3(&t, seed));
         let generated = codegen::execute(&coo3, FormatId::Csf).expect("generated COO3 -> CSF");
         let engine_result = convert(&coo3, FormatId::Csf).expect("engine COO3 -> CSF");
         prop_assert_eq!(&generated, &engine_result);
