@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
 use conv_bench::{env_f64, BenchInputs};
-use conv_workloads::tensor3_fibered;
+use conv_workloads::{table2, tensor3_fibered};
 use sparse_conv::convert::{AnyTensor, FormatId};
 use sparse_conv::select::{auto_select, ORDER3_MODE_ORDERS};
 use sparse_conv::source::SourceMatrix;
@@ -22,7 +22,7 @@ use sparse_formats::CooTensor;
 
 fn inputs() -> BenchInputs {
     let scale = env_f64("BENCH_SCALE", 0.02);
-    let spec = conv_bench::suite(None)
+    let spec = table2()
         .into_iter()
         .find(|s| s.name == "denormal")
         .expect("denormal is part of the Table 2 suite");

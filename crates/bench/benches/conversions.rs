@@ -10,12 +10,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use conv_bench::{env_f64, BenchInputs, Conversion, Impl};
+use conv_workloads::table2;
 
 fn representative_inputs() -> Vec<BenchInputs> {
     let scale = env_f64("BENCH_SCALE", 0.02);
     // One banded stencil, one FEM-like blocked matrix, one irregular matrix.
     let picks = ["jnlbrng1", "cant", "scircuit"];
-    conv_bench::suite(None)
+    table2()
         .into_iter()
         .filter(|s| picks.contains(&s.name))
         .map(|s| BenchInputs::build(&s, scale))

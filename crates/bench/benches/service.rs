@@ -16,10 +16,8 @@ use sparse_conv::convert::{AnyTensor, FormatId};
 use sparse_formats::{CooTensor, SortStrategy};
 
 fn thread_counts() -> Vec<usize> {
-    let max = env_usize(
-        "BENCH_THREADS",
-        WorkerPool::machine_sized().threads().max(4),
-    );
+    let default = WorkerPool::machine_sized().threads().max(4);
+    let max = env_usize("BENCH_THREADS", default, 1);
     if max > 1 {
         vec![1, max]
     } else {
@@ -124,9 +122,10 @@ fn bench_batch_throughput(c: &mut Criterion) {
 fn bench_sort_strategies(c: &mut Criterion) {
     // Ablation for the packed-key radix path: the COO3→CSF kernel with the
     // span-sort strategy pinned to radix / comparison / counting, at one
-    // thread and at the pool width. The input mirrors table4's uniform3d
-    // (unstructured, so the sort dominates the conversion).
-    let scale = env_f64("TENSOR_SCALE", 0.1);
+    // thread and at the pool width. The input is a uniform-random tensor
+    // (unstructured, so the sort dominates the conversion) at five times
+    // `BENCH_SCALE`: 26^3 cells and 2000 nonzeros at the default.
+    let scale = 5.0 * env_f64("BENCH_SCALE", 0.02);
     let s = |n: usize| ((n as f64 * scale).round() as usize).max(2);
     let dims = [s(256), s(256), s(256)];
     let nnz = ((200_000_f64 * scale * scale).round().max(16.0) as usize).min(dims.iter().product());

@@ -20,13 +20,13 @@
 //!   schema (required keys, non-negative durations, phase sum ≤ total) and
 //!   exit nonzero on violation,
 //! * `--json-out PATH` — additionally write the JSON report to `PATH`,
-//! * `--route POLICY` — routing policy
-//!   (`auto|legacy|direct|via-coo|multi-hop`, default `auto`); the planned
-//!   path is printed in the report header.
+//! * `--route POLICY` — routing policy (`auto|direct|multi-hop`, default
+//!   `auto`); the planned path is printed in the report header.
 //!
 //! Environment variables: `PROF_SCALE` (workload size relative to the
 //! default, default 1.0), `PROF_THREADS` (service pool width, default: the
-//! machine), `PROF_SEED` (workload seed, default 42).
+//! machine), `PROF_SEED` (workload seed, default 42). A malformed value, or a
+//! zero scale or thread count, is an error (exit status 2).
 
 use conv_bench::{env_f64, env_usize};
 use conv_runtime::{ConversionService, RoutingPolicy, ServiceConfig, WorkerPool};
@@ -171,8 +171,8 @@ fn main() {
     } else {
         env_f64("PROF_SCALE", 1.0)
     };
-    let threads = env_usize("PROF_THREADS", WorkerPool::machine_sized().threads());
-    let seed = env_usize("PROF_SEED", 42) as u64;
+    let threads = env_usize("PROF_THREADS", WorkerPool::machine_sized().threads(), 1);
+    let seed = env_usize("PROF_SEED", 42, 0) as u64;
 
     let order = opts.source.order().max(opts.target.order());
     let triples = workload(order, scale, seed);

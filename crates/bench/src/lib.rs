@@ -1,13 +1,10 @@
-//! Shared harness code for the Table 2 / Table 3 reproduction binaries and
-//! the criterion benchmarks.
-
-use std::time::{Duration, Instant};
+//! Shared code for `convprof`, the criterion benchmarks and the
+//! cross-implementation agreement test: the Table 3 conversion/implementation
+//! matrix, its inputs, and the environment/CLI readers.
 
 use conv_runtime::RoutingPolicy;
 use conv_workloads::{table2, MatrixSpec};
-use sparse_conv::convert::FormatId;
 use sparse_conv::engine;
-use sparse_conv::Format;
 use sparse_formats::baselines::{mkl, sparskit, taco_noext};
 use sparse_formats::{CooMatrix, CscMatrix, CsrMatrix};
 use sparse_tensor::SparseTriples;
@@ -85,19 +82,6 @@ impl Conversion {
             Conversion::CscDia,
             Conversion::CscEll,
         ]
-    }
-
-    /// The (source, target) format pair this conversion stands for.
-    pub fn formats(self) -> (FormatId, FormatId) {
-        match self {
-            Conversion::CooCsr => (FormatId::Coo, FormatId::Csr),
-            Conversion::CooDia => (FormatId::Coo, FormatId::Dia),
-            Conversion::CsrCsc => (FormatId::Csr, FormatId::Csc),
-            Conversion::CsrDia => (FormatId::Csr, FormatId::Dia),
-            Conversion::CsrEll => (FormatId::Csr, FormatId::Ell),
-            Conversion::CscDia => (FormatId::Csc, FormatId::Dia),
-            Conversion::CscEll => (FormatId::Csc, FormatId::Ell),
-        }
     }
 
     /// The Table 3 column label.
@@ -213,34 +197,59 @@ pub fn run_conversion(inputs: &BenchInputs, conversion: Conversion, implementati
     }
 }
 
-/// Median wall-clock time of `reps` runs of `f`.
-pub fn median_time<F: FnMut() -> usize>(reps: usize, mut f: F) -> Duration {
-    let mut times: Vec<Duration> = Vec::with_capacity(reps);
-    let mut sink = 0usize;
-    for _ in 0..reps {
-        let start = Instant::now();
-        sink = sink.wrapping_add(f());
-        times.push(start.elapsed());
-    }
-    std::hint::black_box(sink);
-    times.sort();
-    times[times.len() / 2]
+/// An environment variable's raw value, `None` when unset.
+type RawSetting = Option<std::ffi::OsString>;
+
+/// Parses one environment setting: `default` when unset, the parsed value
+/// when it satisfies `valid`, otherwise an error naming the variable (a
+/// silently ignored typo would measure something other than what was asked).
+fn parse_setting<T: std::str::FromStr>(
+    name: &str,
+    raw: RawSetting,
+    default: T,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let Some(raw) = raw else {
+        return Ok(default);
+    };
+    raw.to_str()
+        .and_then(|text| text.parse().ok())
+        .filter(valid)
+        .ok_or_else(|| format!("{name}={raw:?}: expected {expected}"))
 }
 
-/// Reads an environment variable as `f64`, with a default.
+fn scale_setting(name: &str, raw: RawSetting, default: f64) -> Result<f64, String> {
+    parse_setting(name, raw, default, "a positive number", |v| {
+        *v > 0.0 && v.is_finite()
+    })
+}
+
+fn count_setting(name: &str, raw: RawSetting, default: usize, min: usize) -> Result<usize, String> {
+    let expected = format!("an integer >= {min}");
+    parse_setting(name, raw, default, &expected, |v| *v >= min)
+}
+
+fn or_exit<T>(setting: Result<T, String>) -> T {
+    setting.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Reads an environment variable as a positive finite `f64` (a scale
+/// factor), with a default when unset. A malformed or non-positive value
+/// prints an error naming the variable and exits with status 2.
 pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    or_exit(scale_setting(name, std::env::var_os(name), default))
 }
 
-/// Reads an environment variable as `usize`, with a default.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Reads an environment variable as a `usize` no smaller than `min` (1 for
+/// thread counts, 0 for seeds), with a default when unset. A malformed or
+/// too-small value prints an error naming the variable and exits with
+/// status 2.
+pub fn env_usize(name: &str, default: usize, min: usize) -> usize {
+    or_exit(count_setting(name, std::env::var_os(name), default, min))
 }
 
 /// Splits a binary's CLI arguments into the routing policy (`--route=POLICY`
@@ -275,15 +284,6 @@ pub fn routing_from_cli(args: impl IntoIterator<Item = String>) -> (RoutingPolic
     (routing, rest)
 }
 
-/// The Table 2 suite, optionally limited to the first `limit` rows.
-pub fn suite(limit: Option<usize>) -> Vec<MatrixSpec> {
-    let all = table2();
-    match limit {
-        Some(n) => all.into_iter().take(n).collect(),
-        None => all,
-    }
-}
-
 /// The Table 2 row with the most nonzeros (the throughput benchmarks use
 /// it as the paper-faithful "heaviest input").
 pub fn largest_spec() -> MatrixSpec {
@@ -291,225 +291,6 @@ pub fn largest_spec() -> MatrixSpec {
         .into_iter()
         .max_by_key(|s| s.nnz)
         .expect("Table 2 is non-empty")
-}
-
-/// One machine-readable benchmark measurement: a conversion pair on one
-/// input at one pool width.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Input (Table 2 matrix or synthetic tensor) name.
-    pub matrix: String,
-    /// Source format (its registry display form).
-    pub source: String,
-    /// Hex spec fingerprint of the source format (empty for DOK, which has
-    /// no spec). Identifies the exact specification measured, so rows for
-    /// registry (custom) formats stay unambiguous next to the name.
-    pub source_fingerprint: String,
-    /// Target format (its registry display form).
-    pub target: String,
-    /// Hex spec fingerprint of the target format.
-    pub target_fingerprint: String,
-    /// Worker threads used.
-    pub threads: usize,
-    /// The input scale this row was measured at. Carried per entry because
-    /// several binaries (`table2`, `table4`) append to one document under
-    /// different scale settings.
-    pub scale: f64,
-    /// Nonzeros in the measured input (0 for rows imported from documents
-    /// that predate the field).
-    pub nnz: u64,
-    /// Median wall-clock nanoseconds over the run's repetitions.
-    pub median_ns: u128,
-    /// Conversion throughput in millions of nonzeros per second, derived
-    /// from `nnz` and `median_ns` (0 when either is unknown). Informational:
-    /// the regression gate keys on `median_ns` only.
-    pub throughput_mnnz_s: f64,
-    /// Route the service took for this row (`"direct"`, `"via-coo"`,
-    /// `"multi-hop"`, `"stream"`; empty for rows measured outside the
-    /// service or imported from documents that predate the field).
-    /// Informational: the regression gate keys on `median_ns` only.
-    pub route: String,
-}
-
-impl BenchRecord {
-    /// A record for a measured pair, with names and spec fingerprints taken
-    /// from the format handles and the throughput derived from `nnz` and the
-    /// median.
-    pub fn for_pair(
-        matrix: &str,
-        source: &Format,
-        target: &Format,
-        nnz: u64,
-        threads: usize,
-        scale: f64,
-        median_ns: u128,
-    ) -> Self {
-        let fp = |f: &Format| {
-            if f.spec().is_some() {
-                format!("{:016x}", f.fingerprint())
-            } else {
-                String::new()
-            }
-        };
-        BenchRecord {
-            matrix: matrix.to_string(),
-            source: source.to_string(),
-            source_fingerprint: fp(source),
-            target: target.to_string(),
-            target_fingerprint: fp(target),
-            threads,
-            scale,
-            nnz,
-            median_ns,
-            throughput_mnnz_s: throughput_mnnz_s(nnz, median_ns),
-            route: String::new(),
-        }
-    }
-
-    /// Sets the route the service reported for this row.
-    #[must_use]
-    pub fn with_route(mut self, route: &str) -> Self {
-        self.route = route.to_string();
-        self
-    }
-}
-
-/// Millions of nonzeros per second for `nnz` entries converted in
-/// `median_ns` nanoseconds (0 when either is unknown/zero).
-pub fn throughput_mnnz_s(nnz: u64, median_ns: u128) -> f64 {
-    if nnz == 0 || median_ns == 0 {
-        return 0.0;
-    }
-    nnz as f64 * 1000.0 / median_ns as f64
-}
-
-fn render_record(r: &BenchRecord) -> String {
-    format!(
-        "    {{\"matrix\": \"{}\", \"source\": \"{}\", \"source_fp\": \"{}\", \
-         \"target\": \"{}\", \"target_fp\": \"{}\", \
-         \"threads\": {}, \"scale\": {}, \"nnz\": {}, \"median_ns\": {}, \
-         \"throughput_mnnz_s\": {:.3}, \"route\": \"{}\"}}",
-        r.matrix,
-        r.source,
-        r.source_fingerprint,
-        r.target,
-        r.target_fingerprint,
-        r.threads,
-        r.scale,
-        r.nnz,
-        r.median_ns,
-        r.throughput_mnnz_s,
-        r.route,
-    )
-}
-
-/// Serialises benchmark records as the `BENCH_conversions.json` document the
-/// CI perf-trajectory tooling consumes. Hand-rolled (no serde in this
-/// offline workspace); every emitted value is a number or a string without
-/// escapes, so the encoding stays trivially valid JSON. The top-level
-/// `scale` describes the run that *created* the document; each entry
-/// additionally carries its own `scale` (see [`BenchRecord::scale`]).
-pub fn render_bench_json(scale: f64, reps: usize, records: &[BenchRecord]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str("  \"entries\": [\n");
-    for (n, r) in records.iter().enumerate() {
-        out.push_str(&render_record(r));
-        out.push_str(if n + 1 == records.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Appends records to an existing `BENCH_conversions.json` document produced
-/// by [`render_bench_json`], so several bench binaries (`table2` for matrix
-/// pairs, `table4` for tensor pairs) can contribute entries to one
-/// perf-trajectory artifact. Returns `None` when the document does not end
-/// with the expected `]` / `}` lines (in which case callers should fall back
-/// to [`render_bench_json`]).
-pub fn merge_bench_json(existing: &str, records: &[BenchRecord]) -> Option<String> {
-    let lines: Vec<&str> = existing.lines().collect();
-    if lines.len() < 2 || lines[lines.len() - 2].trim() != "]" || lines[lines.len() - 1] != "}" {
-        return None;
-    }
-    let mut out: Vec<String> = lines[..lines.len() - 2]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    if !records.is_empty() {
-        if let Some(last) = out.last_mut() {
-            // The previous last entry needs a separating comma.
-            if last.trim_start().starts_with('{') && !last.ends_with(',') {
-                last.push(',');
-            }
-        }
-        for (n, r) in records.iter().enumerate() {
-            let mut line = render_record(r);
-            if n + 1 != records.len() {
-                line.push(',');
-            }
-            out.push(line);
-        }
-    }
-    out.push("  ]".to_string());
-    out.push("}".to_string());
-    Some(out.join("\n") + "\n")
-}
-
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\": \"");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn json_num_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\": ");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..]
-        .find([',', '}'])
-        .map_or(line.len(), |e| e + start);
-    Some(line[start..end].trim())
-}
-
-/// Parses a `BENCH_conversions.json` document produced by
-/// [`render_bench_json`] (and appended to by [`merge_bench_json`]) back into
-/// records — the line-based inverse the `bench_check` regression gate uses.
-/// Lines that do not look like entries are skipped.
-pub fn parse_bench_json(text: &str) -> Vec<BenchRecord> {
-    text.lines()
-        .filter_map(|line| {
-            let matrix = json_str_field(line, "matrix")?;
-            Some(BenchRecord {
-                matrix,
-                source: json_str_field(line, "source")?,
-                source_fingerprint: json_str_field(line, "source_fp").unwrap_or_default(),
-                target: json_str_field(line, "target")?,
-                target_fingerprint: json_str_field(line, "target_fp").unwrap_or_default(),
-                threads: json_num_field(line, "threads")?.parse().ok()?,
-                scale: json_num_field(line, "scale")?.parse().ok()?,
-                // Documents written before the throughput fields existed
-                // parse with zeros, so the gate's key space is unchanged.
-                nnz: json_num_field(line, "nnz")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0),
-                median_ns: json_num_field(line, "median_ns")?.parse().ok()?,
-                throughput_mnnz_s: json_num_field(line, "throughput_mnnz_s")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0.0),
-                route: json_str_field(line, "route").unwrap_or_default(),
-            })
-        })
-        .collect()
-}
-
-/// Geometric mean of a slice (NaN when empty).
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return f64::NAN;
-    }
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
 #[cfg(test)]
@@ -553,111 +334,25 @@ mod tests {
     }
 
     #[test]
-    fn median_time_and_geomean_helpers() {
-        let d = median_time(3, || 1usize);
-        assert!(d.as_nanos() > 0);
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!(geomean(&[]).is_nan());
-        assert_eq!(env_usize("THIS_VARIABLE_DOES_NOT_EXIST", 7), 7);
-        assert_eq!(env_f64("THIS_VARIABLE_DOES_NOT_EXIST", 0.5), 0.5);
+    fn env_settings_default_when_unset_and_reject_garbage() {
+        let scale = |raw: Option<&str>| scale_setting("S", raw.map(Into::into), 0.5);
+        assert_eq!(scale(None), Ok(0.5));
+        assert_eq!(scale(Some("0.25")), Ok(0.25));
+        for bad in ["", "abc", "0", "-1", "NaN", "inf", "0.1x"] {
+            let err = scale(Some(bad)).unwrap_err();
+            assert!(err.contains("S=") && err.contains(bad), "{err}");
+        }
+        let count = |raw: Option<&str>, min| count_setting("N", raw.map(Into::into), 7, min);
+        assert_eq!(count(None, 1), Ok(7));
+        assert_eq!(count(Some("3"), 1), Ok(3));
+        assert!(count(Some("0"), 1).is_err(), "zero threads");
+        assert_eq!(count(Some("0"), 0), Ok(0), "a zero seed is valid");
+        assert!(count(Some("four"), 0).unwrap_err().contains("N="));
+        assert!(count(Some("-2"), 0).is_err());
     }
 
     #[test]
-    fn suite_limit() {
-        assert_eq!(suite(Some(3)).len(), 3);
-        assert_eq!(suite(None).len(), 21);
+    fn largest_spec_is_the_heaviest_row() {
         assert_eq!(largest_spec().name, "pwtk");
-    }
-
-    #[test]
-    fn bench_json_parses_back_to_its_records() {
-        let records = vec![
-            BenchRecord::for_pair("cant", &Format::coo(), &Format::csr(), 2000, 1, 0.05, 12345)
-                .with_route("multi-hop"),
-            BenchRecord::for_pair("pwtk", &Format::csr(), &Format::csc(), 500, 4, 0.05, 6789),
-        ];
-        let json = render_bench_json(0.05, 3, &records);
-        let parsed = parse_bench_json(&json);
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].matrix, "cant");
-        assert_eq!(parsed[0].median_ns, 12345);
-        assert_eq!(parsed[0].nnz, 2000);
-        assert_eq!(parsed[0].route, "multi-hop");
-        assert_eq!(parsed[1].route, "");
-        assert!((parsed[0].throughput_mnnz_s - 2000.0 * 1000.0 / 12345.0).abs() < 1e-3);
-        assert_eq!(parsed[1].threads, 4);
-        assert_eq!(parsed[1].source, "CSR");
-        assert_eq!(parsed[1].scale, 0.05);
-        assert!(parse_bench_json("not json at all").is_empty());
-        // Rows from documents that predate the throughput fields still parse.
-        let legacy = "    {\"matrix\": \"cant\", \"source\": \"COO\", \"source_fp\": \"\", \
-                      \"target\": \"CSR\", \"target_fp\": \"\", \
-                      \"threads\": 1, \"scale\": 0.05, \"median_ns\": 42}";
-        let parsed = parse_bench_json(legacy);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].nnz, 0);
-        assert_eq!(parsed[0].throughput_mnnz_s, 0.0);
-        assert_eq!(parsed[0].median_ns, 42);
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let records = vec![
-            BenchRecord::for_pair("cant", &Format::coo(), &Format::csr(), 2000, 1, 0.05, 12345),
-            BenchRecord::for_pair("cant", &Format::coo(), &Format::csr(), 2000, 4, 0.05, 6789),
-        ];
-        let json = render_bench_json(0.05, 3, &records);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches("\"median_ns\"").count(), 2);
-        assert_eq!(json.matches("\"throughput_mnnz_s\"").count(), 2);
-        assert!(json.contains("\"nnz\": 2000"));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"scale\": 0.05"));
-        // Every row records the spec fingerprints next to the names.
-        assert_eq!(json.matches("\"source_fp\"").count(), 2);
-        let expected_fp = format!("{:016x}", Format::csr().fingerprint());
-        assert!(json.contains(&expected_fp), "{json}");
-        // No trailing comma before the closing bracket.
-        assert!(!json.contains(",\n  ]"));
-    }
-
-    #[test]
-    fn merge_appends_entries_to_an_existing_document() {
-        let first = vec![BenchRecord::for_pair(
-            "cant",
-            &Format::coo(),
-            &Format::csr(),
-            2000,
-            1,
-            0.02,
-            12345,
-        )];
-        let second = vec![BenchRecord::for_pair(
-            "uniform3d",
-            &Format::coo3(),
-            &Format::csf(),
-            5000,
-            4,
-            0.1,
-            999,
-        )];
-        let base = render_bench_json(0.05, 3, &first);
-        let merged = merge_bench_json(&base, &second).unwrap();
-        assert_eq!(merged.matches("\"median_ns\"").count(), 2);
-        assert!(merged.contains("\"target\": \"CSF\""));
-        assert!(!merged.contains(",\n  ]"));
-        assert!(merged.trim_end().ends_with('}'));
-        // The first entry gained its separating comma exactly once (entry
-        // lines end with the route field).
-        assert_eq!(merged.matches("\"route\": \"\"},").count(), 1);
-        // Merging into an empty entry list also works.
-        let empty = render_bench_json(0.05, 3, &[]);
-        let merged = merge_bench_json(&empty, &second).unwrap();
-        assert_eq!(merged.matches("\"median_ns\"").count(), 1);
-        // Merging zero records is the identity on the entries.
-        let same = merge_bench_json(&base, &[]).unwrap();
-        assert_eq!(same.matches("\"median_ns\"").count(), 1);
-        // Garbage documents are rejected.
-        assert!(merge_bench_json("not json", &second).is_none());
     }
 }

@@ -128,9 +128,18 @@ impl DiaMatrix {
         &self.vals
     }
 
-    /// Number of structurally nonzero entries (non-padding, nonzero values).
+    /// Number of structurally nonzero entries (non-padding, nonzero values),
+    /// counted in place: the strip slots of diagonal `k` whose column
+    /// `i + k` lies inside the matrix are rows `max(0, -k) .. min(rows, cols - k)`.
     pub fn nnz(&self) -> usize {
-        self.to_triples().nnz()
+        let mut count = 0;
+        for (d, &k) in self.offsets.iter().enumerate() {
+            let hi = (self.cols as i64 - k).clamp(0, self.rows as i64) as usize;
+            let lo = ((-k).max(0) as usize).min(hi);
+            let strip = &self.vals[d * self.rows..][lo..hi];
+            count += strip.iter().filter(|&&v| v != 0.0).count();
+        }
+        count
     }
 
     /// The value at `(i, j)`, or zero when the diagonal is not stored.
@@ -195,6 +204,48 @@ mod tests {
         let ok = DiaMatrix::from_parts(2, 2, vec![0, 1], vec![1.0, 2.0, 3.0, 0.0]).unwrap();
         assert_eq!(ok.num_diagonals(), 2);
         assert_eq!(ok.get(0, 1), 3.0);
+    }
+
+    #[test]
+    fn nnz_counts_in_place_and_skips_out_of_range_strip_slots() {
+        // 3x5: offsets -2 and 4 each leave two of their three strip slots
+        // outside the matrix; poison those slots, which `to_triples` skips.
+        let t = SparseTriples::from_matrix_entries(
+            3,
+            5,
+            vec![
+                (2, 0, 1.0),
+                (0, 0, 2.0),
+                (1, 1, 3.0),
+                (0, 4, 4.0),
+                (1, 3, 5.0),
+            ],
+        )
+        .unwrap();
+        let dia = DiaMatrix::from_triples(&t);
+        assert_eq!(dia.offsets(), &[-2, 0, 2, 4]);
+        let mut vals = dia.values().to_vec();
+        for slot in [0, 1, 10, 11] {
+            assert_eq!(vals[slot], 0.0, "slot {slot} is out-of-range padding");
+            vals[slot] = 9.0;
+        }
+        let poisoned = DiaMatrix::from_parts(3, 5, dia.offsets().to_vec(), vals).unwrap();
+        for m in [&dia, &poisoned] {
+            assert_eq!(m.nnz(), 5);
+            assert_eq!(m.nnz(), m.to_triples().nnz());
+        }
+        // Tall shape: cols - k clamps below rows, -k above zero.
+        let tall = SparseTriples::from_matrix_entries(5, 2, vec![(4, 0, 1.0), (0, 1, 2.0)]);
+        let tall = DiaMatrix::from_triples(&tall.unwrap());
+        assert_eq!(tall.nnz(), tall.to_triples().nnz());
+        assert_eq!(tall.nnz(), 2);
+        // Empty and single-diagonal shapes.
+        let empty =
+            DiaMatrix::from_triples(&SparseTriples::from_matrix_entries(4, 4, vec![]).unwrap());
+        assert_eq!((empty.num_diagonals(), empty.nnz()), (0, 0));
+        let single = DiaMatrix::from_parts(3, 3, vec![1], vec![7.0, 0.0, 8.0]).unwrap();
+        assert_eq!(single.nnz(), 1, "row 2 of offset +1 is column 3: padding");
+        assert_eq!(single.nnz(), single.to_triples().nnz());
     }
 
     #[test]

@@ -282,80 +282,6 @@ impl FormatGraph {
             (None, c) => c,
         }
     }
-
-    /// Seeds the cost model from a `BENCH_conversions.json` document:
-    /// single-thread rows measured on a *direct* route become calibration
-    /// observations for their edge. Returns the number of rows applied.
-    /// Rows naming unregistered custom formats, multi-thread rows, and rows
-    /// measured over multi-hop or streamed routes are skipped.
-    pub fn seed_from_bench_json(&self, json: &str) -> usize {
-        let cfg = PlannerConfig::default();
-        let mut applied = 0;
-        for line in json.lines() {
-            if !line.contains("\"median_ns\"") {
-                continue;
-            }
-            let Some(src) = json_str(line, "source").and_then(|s| s.parse::<Format>().ok()) else {
-                continue;
-            };
-            let Some(dst) = json_str(line, "target").and_then(|s| s.parse::<Format>().ok()) else {
-                continue;
-            };
-            if json_num(line, "threads").unwrap_or(1.0) as usize != 1 {
-                continue;
-            }
-            if let Some(route) = json_str(line, "route") {
-                if route != "direct" {
-                    continue;
-                }
-            }
-            let nnz = json_num(line, "nnz").unwrap_or(0.0) as usize;
-            let median_ns = json_num(line, "median_ns").unwrap_or(0.0) as u64;
-            if nnz == 0 || median_ns == 0 {
-                continue;
-            }
-            let attrs = TensorAttrs {
-                order: src.order().max(dst.order()),
-                nnz,
-                stored_entries: nnz,
-                rows: 0,
-                cols: 0,
-                // Structural only: a bench row's COO source is shuffled.
-                rows_in_order: kernel_table::facts(&src).rows_in_order,
-                max_nnz_per_row: None,
-            };
-            self.observe(
-                &src,
-                &dst,
-                nnz,
-                attrs.rows_in_order,
-                &attrs,
-                &cfg,
-                median_ns,
-            );
-            applied += 1;
-        }
-        applied
-    }
-}
-
-/// Extracts `"key": "value"` from a single JSON object line.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_string())
-}
-
-/// Extracts `"key": number` from a single JSON object line.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -502,31 +428,5 @@ mod tests {
             "slow COO→CSR edge should lose its slot, got {:?}",
             names(&after)
         );
-    }
-
-    #[test]
-    fn bench_json_rows_seed_the_model() {
-        let g = FormatGraph::new();
-        let json = concat!(
-            r#"{"matrix": "m", "source": "COO", "source_fp": "0", "target": "CSR", "#,
-            r#""target_fp": "1", "threads": 1, "scale": 0.02, "nnz": 20000, "#,
-            r#""median_ns": 160000, "throughput_mnnz_s": 125.0, "route": "direct"},"#,
-            "\n",
-            r#"{"matrix": "m", "source": "CSR", "source_fp": "1", "target": "CSC", "#,
-            r#""target_fp": "2", "threads": 1, "scale": 0.02, "nnz": 20000, "#,
-            r#""median_ns": 190000, "throughput_mnnz_s": 105.0, "route": "direct"},"#,
-            "\n",
-            // Skipped: multi-thread, multi-hop route, unknown custom name.
-            r#"{"matrix": "m", "source": "COO", "target": "CSR", "threads": 4, "#,
-            r#""nnz": 20000, "median_ns": 90000},"#,
-            "\n",
-            r#"{"matrix": "m", "source": "COO", "target": "BCSR4x4", "threads": 1, "#,
-            r#""nnz": 20000, "median_ns": 1300000, "route": "multi-hop"},"#,
-            "\n",
-            r#"{"matrix": "m", "source": "NO-SUCH-FORMAT", "target": "CSR", "threads": 1, "#,
-            r#""nnz": 20000, "median_ns": 90000}"#,
-        );
-        assert_eq!(g.seed_from_bench_json(json), 2);
-        assert_eq!(g.cost_model().observed_edges(), 2);
     }
 }

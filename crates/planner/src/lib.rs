@@ -10,16 +10,14 @@
 //! and a padded DIA→BCSR request composes both tricks into a three-hop
 //! `DIA → COO → CSR → BCSR` route.
 //!
-//! Edge weights come from three sources, layered:
+//! Edge weights come from two layers:
 //!
 //! 1. **static per-kernel cost functions** ([`cost::static_edge_units`])
 //!    over the request's [`TensorAttrs`] — pass counts from the symbolic
 //!    [`ConversionPlan`](sparse_conv::ConversionPlan), padded storage sizes,
 //!    per-kernel write weights, and an out-of-order penalty for the
-//!    block-analysis kernels;
-//! 2. **seeded calibration** ([`FormatGraph::seed_from_bench_json`]) from a
-//!    committed `BENCH_conversions.json` snapshot; and
-//! 3. **online refinement** ([`FormatGraph::observe`]) from per-hop
+//!    block-analysis kernels; and
+//! 2. **online refinement** ([`FormatGraph::observe`]) from per-hop
 //!    durations the service measures while executing routes, folded into a
 //!    bounded, thread-safe EWMA per directed edge.
 //!

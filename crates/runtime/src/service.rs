@@ -228,9 +228,8 @@ impl ConversionService {
         &self.cache
     }
 
-    /// The route planner's format graph — seed it from a committed bench
-    /// snapshot ([`FormatGraph::seed_from_bench_json`]) or inspect its
-    /// calibration state.
+    /// The route planner's format graph: plan a route by hand or inspect
+    /// the online calibration state.
     pub fn format_graph(&self) -> &FormatGraph {
         &self.graph
     }
@@ -579,9 +578,10 @@ impl ConversionService {
         Ok(current)
     }
 
-    /// One hop of a multi-node route: cached planning, a timed execution
-    /// span, and (when enabled) an online-calibration observation for the
-    /// hop's edge.
+    /// One hop of a multi-node route: a timed execution span and (when
+    /// enabled) an online-calibration observation for the hop's edge. Hops
+    /// take no plan-cache entry: the planner only proposes edges it could
+    /// plan, and `convert_with` resolves the hop's routine itself.
     fn run_hop(
         &self,
         hop_src: &AnyTensor,
@@ -589,7 +589,6 @@ impl ConversionService {
         parallel: bool,
         info: &mut ExecTrace,
     ) -> Result<AnyTensor, ConvertError> {
-        let (_plan, _hit) = self.cache.plan_entry(hop_src.format(), hop_target)?;
         let span = Span::enter("service.hop");
         span.add_items(hop_src.nnz() as u64);
         let started = Instant::now();

@@ -12,8 +12,8 @@
 //!
 //! The crate also synthesises order-3 tensors ([`tensor3_uniform`],
 //! [`tensor3_fibered`]) standing in for the third-order inputs of the
-//! paper's tensor-conversion evaluation (COO→CSF); the `table4` binary in
-//! `conv-bench` benchmarks them.
+//! paper's tensor-conversion evaluation (COO→CSF); `bench_e2e`'s
+//! `convert_large` workload measures them.
 //!
 //! For real-dataset-shaped inputs, [`io`] streams Matrix Market `.mtx`
 //! matrices ([`MtxStream`]) and FROSTT `.tns` tensors ([`TnsStream`]) from

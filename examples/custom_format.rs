@@ -59,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         back.nnz()
     );
 
-    // The registered name parses back to the same format, so CLI tools (the
-    // table2/table4 bench binaries) can select it like any stock name.
+    // The registered name parses back to the same format, so CLI tools
+    // (`convprof`) can select it like any stock name.
     let reparsed: Format = "DCSR".parse()?;
     assert_eq!(reparsed, dcsr);
 

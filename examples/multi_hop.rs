@@ -4,10 +4,9 @@
 //! A shuffled COO matrix heading for a blocked format is the planner's
 //! flagship case: BCSR's block analysis is much cheaper when fed row-major
 //! input, so the cost model routes `COO → CSR → BCSR4x4` — two cheap hops —
-//! below the one expensive direct kernel. The example seeds the cost model
-//! from the committed benchmark document (the same calibration the service
-//! applies online), prints the planned path and its per-hop spans, and
-//! cross-checks the chained result against the direct engine.
+//! below the one expensive direct kernel. The example prints the path the
+//! static cost model plans and cross-checks the chained result against the
+//! direct engine.
 //!
 //! Run with `cargo run --release --example multi_hop`.
 
@@ -41,13 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target: Format = "BCSR4x4".parse()?;
 
     let service = ConversionService::new(ServiceConfig::with_threads(2));
-
-    // Seed the cost model from the committed benchmark rows: single-thread
-    // direct measurements become calibration observations for their edges.
-    let seeded = service
-        .format_graph()
-        .seed_from_bench_json(include_str!("../BENCH_conversions.json"));
-    println!("seeded the cost model from {seeded} committed benchmark rows");
 
     // One stats pass serves both the format selector and the planner.
     let profile = TensorProfile::compute(&src);

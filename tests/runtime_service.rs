@@ -88,6 +88,44 @@ fn single_conversions_amortise_planning_across_calls() {
 }
 
 #[test]
+fn multi_hop_requests_cache_one_plan_and_hit_it_on_repeat() {
+    use taco_conversion_repro::conv::Format;
+    use taco_conversion_repro::workloads::generators::irregular;
+
+    // `irregular` emits row-major triples; destroy the order so the planner
+    // prefers COO -> CSR -> BCSR4x4 over the direct block analysis.
+    let triples = irregular(256, 256, 12_000, 96, 7).expect("irregular parameters are valid");
+    let mut coo = CooMatrix::from_triples(&triples);
+    let mut state = 0x9e3779b97f4a7c15u64;
+    coo.shuffle_with(|bound| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state as usize) % bound
+    });
+    let src = AnyTensor::Coo(coo);
+    let target = Format::bcsr(4, 4);
+
+    let service = ConversionService::new(ServiceConfig::with_threads(1));
+    let (first, report) = service.convert_traced(&src, &target).expect("conversion");
+    assert_eq!(report.route, "multi-hop");
+    assert_eq!(report.path, ["COO", "CSR", "BCSR4x4"]);
+    assert!(!report.plan_cache_hit);
+    // Only the request's own pair is planned; the hops take no cache entry.
+    let stats = service.stats();
+    assert_eq!(
+        (stats.cached_plans, stats.plan_misses, stats.plan_hits),
+        (1, 1, 0)
+    );
+
+    let (second, report) = service.convert_traced(&src, &target).expect("conversion");
+    assert!(report.plan_cache_hit);
+    assert_eq!(service.stats().cached_plans, 1);
+    assert_eq!(first, second);
+    assert_eq!(first, convert(&src, &target).expect("direct conversion"));
+}
+
+#[test]
 fn service_rejects_dok_targets_like_the_engine() {
     let service = ConversionService::default();
     let src = workload_inputs().remove(0);
