@@ -13,15 +13,14 @@ use std::time::Duration;
 
 use conv_bench::{env_f64, BenchInputs};
 use conv_workloads::{table2, tensor3_fibered};
-use sparse_conv::convert::{AnyTensor, FormatId};
 use sparse_conv::select::{auto_select, ORDER3_MODE_ORDERS};
 use sparse_conv::source::SourceMatrix;
-use sparse_conv::spec::FormatSpec;
 use sparse_conv::{codegen, engine, generic};
+use sparse_conv::{AnyTensor, Format};
 use sparse_formats::CooTensor;
 
 fn inputs() -> BenchInputs {
-    let scale = env_f64("BENCH_SCALE", 0.02);
+    let scale = env_f64("BENCH_SCALE", 0.02, 1.0);
     let spec = table2()
         .into_iter()
         .find(|s| s.name == "denormal")
@@ -32,7 +31,8 @@ fn inputs() -> BenchInputs {
 fn bench_execution_paths(c: &mut Criterion) {
     let inputs = inputs();
     let coo_any = AnyTensor::Coo(inputs.coo.clone());
-    let csr_spec = FormatSpec::stock(FormatId::Csr).expect("CSR has a stock spec");
+    let csr = Format::csr();
+    let csr_spec = csr.spec().expect("CSR has a stock spec");
 
     let mut group = c.benchmark_group("execution_paths/coo_to_csr");
     group
@@ -44,14 +44,14 @@ fn bench_execution_paths(c: &mut Criterion) {
     });
     group.bench_function("dynamic spec-driven", |b| {
         b.iter(|| {
-            generic::convert_with_spec(&coo_any, &csr_spec)
+            generic::convert_with_spec(&coo_any, csr_spec)
                 .unwrap()
                 .vals
                 .len()
         })
     });
     group.bench_function("generated IR + interpreter", |b| {
-        b.iter(|| codegen::execute(&coo_any, FormatId::Csr).unwrap().nnz())
+        b.iter(|| codegen::execute_format(&coo_any, &csr).unwrap().nnz())
     });
     group.finish();
 }
@@ -92,7 +92,7 @@ fn bench_mode_orders(c: &mut Criterion) {
     // A fibered tensor is exactly the workload where the mode order matters:
     // rooting the fiber tree along the skewed mode collapses the interior
     // fiber count, so the six sort-then-pack times diverge.
-    let scale = env_f64("BENCH_SCALE", 0.02);
+    let scale = env_f64("BENCH_SCALE", 0.02, 1.0);
     let dims = [
         (64.0 * (scale * 50.0).max(0.2)) as usize + 2,
         64,

@@ -13,7 +13,7 @@ use conv_bench::{env_f64, BenchInputs, Conversion, Impl};
 use conv_workloads::table2;
 
 fn representative_inputs() -> Vec<BenchInputs> {
-    let scale = env_f64("BENCH_SCALE", 0.02);
+    let scale = env_f64("BENCH_SCALE", 0.02, 1.0);
     // One banded stencil, one FEM-like blocked matrix, one irregular matrix.
     let picks = ["jnlbrng1", "cant", "scircuit"];
     table2()

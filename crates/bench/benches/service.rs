@@ -12,7 +12,7 @@ use std::time::Duration;
 use conv_bench::{env_f64, env_usize, BenchInputs};
 use conv_runtime::{ConversionService, ServiceConfig, WorkerPool};
 use conv_workloads::generators::tensor3_uniform;
-use sparse_conv::convert::{AnyTensor, FormatId};
+use sparse_conv::{AnyTensor, Format};
 use sparse_formats::{CooTensor, SortStrategy};
 
 fn thread_counts() -> Vec<usize> {
@@ -26,7 +26,7 @@ fn thread_counts() -> Vec<usize> {
 }
 
 fn heaviest_inputs() -> BenchInputs {
-    let scale = env_f64("BENCH_SCALE", 0.02);
+    let scale = env_f64("BENCH_SCALE", 0.02, 1.0);
     BenchInputs::build(&conv_bench::largest_spec(), scale)
 }
 
@@ -34,17 +34,10 @@ fn bench_parallel_kernels(c: &mut Criterion) {
     let inputs = heaviest_inputs();
     let coo = AnyTensor::Coo(inputs.coo.clone());
     let csr = AnyTensor::Csr(inputs.csr.clone());
-    let cases: [(&str, &AnyTensor, FormatId); 3] = [
-        ("coo_to_csr", &coo, FormatId::Csr),
-        ("csr_to_csc", &csr, FormatId::Csc),
-        (
-            "csr_to_bcsr",
-            &csr,
-            FormatId::Bcsr {
-                block_rows: 4,
-                block_cols: 4,
-            },
-        ),
+    let cases: [(&str, &AnyTensor, Format); 3] = [
+        ("coo_to_csr", &coo, Format::csr()),
+        ("csr_to_csc", &csr, Format::csc()),
+        ("csr_to_bcsr", &csr, Format::bcsr(4, 4)),
     ];
     for (name, src, target) in cases {
         let mut group = c.benchmark_group(format!("service/{name}"));
@@ -58,9 +51,9 @@ fn bench_parallel_kernels(c: &mut Criterion) {
                 parallel_nnz_threshold: 0,
                 ..ServiceConfig::default()
             });
-            service.convert(src, target).expect("warm-up conversion");
+            service.convert(src, &target).expect("warm-up conversion");
             group.bench_function(BenchmarkId::new("threads", threads), |b| {
-                b.iter(|| service.convert(src, target).expect("conversion").nnz());
+                b.iter(|| service.convert(src, &target).expect("conversion").nnz());
             });
         }
         group.finish();
@@ -71,19 +64,13 @@ fn bench_batch_throughput(c: &mut Criterion) {
     let inputs = heaviest_inputs();
     let coo = AnyTensor::Coo(inputs.coo.clone());
     let csr = AnyTensor::Csr(inputs.csr.clone());
-    let jobs: Vec<(AnyTensor, FormatId)> = vec![
-        (coo.clone(), FormatId::Csr),
-        (csr.clone(), FormatId::Csc),
-        (coo.clone(), FormatId::Jad),
-        (
-            csr.clone(),
-            FormatId::Bcsr {
-                block_rows: 4,
-                block_cols: 4,
-            },
-        ),
-        (coo, FormatId::Csc),
-        (csr, FormatId::Coo),
+    let jobs: Vec<(AnyTensor, Format)> = vec![
+        (coo.clone(), Format::csr()),
+        (csr.clone(), Format::csc()),
+        (coo.clone(), Format::jad()),
+        (csr.clone(), Format::bcsr(4, 4)),
+        (coo, Format::csc()),
+        (csr, Format::coo()),
     ];
     let mut group = c.benchmark_group("service/convert_batch");
     group
@@ -125,7 +112,7 @@ fn bench_sort_strategies(c: &mut Criterion) {
     // thread and at the pool width. The input is a uniform-random tensor
     // (unstructured, so the sort dominates the conversion) at five times
     // `BENCH_SCALE`: 26^3 cells and 2000 nonzeros at the default.
-    let scale = 5.0 * env_f64("BENCH_SCALE", 0.02);
+    let scale = 5.0 * env_f64("BENCH_SCALE", 0.02, 1.0);
     let s = |n: usize| ((n as f64 * scale).round() as usize).max(2);
     let dims = [s(256), s(256), s(256)];
     let nnz = ((200_000_f64 * scale * scale).round().max(16.0) as usize).min(dims.iter().product());

@@ -169,7 +169,7 @@ fn main() {
     let scale = if opts.smoke {
         0.05
     } else {
-        env_f64("PROF_SCALE", 1.0)
+        env_f64("PROF_SCALE", 1.0, f64::INFINITY)
     };
     let threads = env_usize("PROF_THREADS", WorkerPool::machine_sized().threads(), 1);
     let seed = env_usize("PROF_SEED", 42, 0) as u64;

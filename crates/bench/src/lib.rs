@@ -219,9 +219,14 @@ fn parse_setting<T: std::str::FromStr>(
         .ok_or_else(|| format!("{name}={raw:?}: expected {expected}"))
 }
 
-fn scale_setting(name: &str, raw: RawSetting, default: f64) -> Result<f64, String> {
-    parse_setting(name, raw, default, "a positive number", |v| {
-        *v > 0.0 && v.is_finite()
+fn scale_setting(name: &str, raw: RawSetting, default: f64, max: f64) -> Result<f64, String> {
+    let expected = if max.is_finite() {
+        format!("a number in (0, {max}]")
+    } else {
+        "a positive number".to_string()
+    };
+    parse_setting(name, raw, default, &expected, |v| {
+        *v > 0.0 && *v <= max && v.is_finite()
     })
 }
 
@@ -237,11 +242,13 @@ fn or_exit<T>(setting: Result<T, String>) -> T {
     })
 }
 
-/// Reads an environment variable as a positive finite `f64` (a scale
-/// factor), with a default when unset. A malformed or non-positive value
-/// prints an error naming the variable and exits with status 2.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    or_exit(scale_setting(name, std::env::var_os(name), default))
+/// Reads an environment variable as a finite `f64` in `(0, max]` (a scale
+/// factor: `max` is 1 for `BENCH_SCALE`, which scales the Table 2 suite
+/// down, and infinite for `PROF_SCALE`), with a default when unset. A
+/// malformed or out-of-range value prints an error naming the variable and
+/// exits with status 2.
+pub fn env_f64(name: &str, default: f64, max: f64) -> f64 {
+    or_exit(scale_setting(name, std::env::var_os(name), default, max))
 }
 
 /// Reads an environment variable as a `usize` no smaller than `min` (1 for
@@ -335,13 +342,20 @@ mod tests {
 
     #[test]
     fn env_settings_default_when_unset_and_reject_garbage() {
-        let scale = |raw: Option<&str>| scale_setting("S", raw.map(Into::into), 0.5);
+        let scale_to = |raw: Option<&str>, max| scale_setting("S", raw.map(Into::into), 0.5, max);
+        let scale = |raw| scale_to(raw, f64::INFINITY);
         assert_eq!(scale(None), Ok(0.5));
         assert_eq!(scale(Some("0.25")), Ok(0.25));
         for bad in ["", "abc", "0", "-1", "NaN", "inf", "0.1x"] {
             let err = scale(Some(bad)).unwrap_err();
             assert!(err.contains("S=") && err.contains(bad), "{err}");
         }
+        // A bounded scale (BENCH_SCALE, which `conv_workloads` asserts is in
+        // (0, 1]) rejects what an unbounded one (PROF_SCALE) accepts.
+        assert_eq!(scale(Some("1.5")), Ok(1.5));
+        assert_eq!(scale_to(Some("1"), 1.0), Ok(1.0));
+        let err = scale_to(Some("1.5"), 1.0).unwrap_err();
+        assert_eq!(err, "S=\"1.5\": expected a number in (0, 1]");
         let count = |raw: Option<&str>, min| count_setting("N", raw.map(Into::into), 7, min);
         assert_eq!(count(None, 1), Ok(7));
         assert_eq!(count(Some("3"), 1), Ok(3));

@@ -1,56 +1,266 @@
 //! Conversion code generation (the compiler path).
 //!
 //! This module plays the role of taco's code generator in the reproduction:
-//! given a source and a target format, it emits an imperative [`conv_ir`]
+//! given a source and a target [`Format`], it emits an imperative [`conv_ir`]
 //! routine implementing the conversion, structured exactly like the listings
 //! of Figure 6 — a fused coordinate-remapping + analysis phase, one-shot
 //! allocation from the analysis results, and a fused remapping + assembly
-//! phase. The remapped coordinate expressions are lowered from the target's
-//! [`FormatSpec`] remapping (they are not hard-coded per pair), and counters
-//! are realised as scalars or arrays according to the conversion plan
-//! (Section 4.2).
+//! phase. Both sides are read off the formats' specifications: the source
+//! loops and the parameter list from the source's level chain (a coordinate
+//! list, a dense level over a compressed one under a row- or column-major
+//! remapping, or a chain of compressed fibres), the assembly from the
+//! target's (those three, plus DIA- and ELL-shaped chains, whose remapped
+//! coordinate expressions are lowered from the target's remapping). Counters
+//! are realised as scalars or arrays according to the source's iteration
+//! order (Section 4.2). A builder-made format with one of those chains
+//! generates like the stock format it resembles; a mode-ordered `CSF@perm`
+//! target is just another [`Format`].
 //!
 //! Generated routines can be pretty printed ([`listing`]) for comparison with
 //! Figure 6 and executed against real inputs through the IR interpreter
-//! ([`execute`]), which the tests use to check the generated code against the
-//! engine kernels bit for bit.
+//! ([`execute_format`]), which the tests use to check the generated code
+//! against the engine kernels bit for bit.
 //!
 //! Buffer naming conventions: the source is `A` (`A_pos`, `A_crd`, `A_vals`,
-//! or `A1_crd`/`A2_crd` for COO), the output is `B`, and scalar inputs are
-//! `N` (rows), `M` (columns), and `nnz`.
+//! or `A1_crd`/`A2_crd`/`A2_pos` per level for coordinate lists and fibre
+//! chains), the output is `B`, and scalar inputs are `N`, `M`, `L` (the
+//! extents of canonical modes `i`, `j`, `k`), `R1` (root fibres) and `nnz`.
 
 use conv_ir::build::*;
 use conv_ir::interp::{Buffer, Interpreter};
 use conv_ir::printer::print_function;
 use conv_ir::simplify::simplify_function;
 use conv_ir::{Expr, Function, Stmt};
-use coord_remap::{BinOp as RBinOp, IndexExpr};
+use coord_remap::{BinOp as RBinOp, DstIndex, IndexExpr, Remapping};
+use level_formats::LevelKind;
 use sparse_formats::{CooMatrix, CooTensor, CscMatrix, CsfTensor, CsrMatrix, DiaMatrix, EllMatrix};
+use sparse_tensor::Shape;
 
-use crate::convert::{AnyTensor, FormatId};
+use crate::convert::AnyTensor;
 use crate::error::ConvertError;
 use crate::format::Format;
+use crate::mode;
 use crate::spec::FormatSpec;
+use crate::stock::STOCK;
+
+/// The IR variable holding each canonical mode's coordinate.
+const SYM: [&str; 3] = ["i", "j", "k"];
+/// The scalar input holding each canonical mode's extent.
+const EXTENT: [&str; 3] = ["N", "M", "L"];
+
+/// The level chains the generator has loops (sources) or assembly (targets)
+/// for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Chain {
+    /// A compressed non-unique root over singletons, one position per
+    /// nonzero (COO, COO3).
+    Coordinates,
+    /// A dense root over a compressed leaf (CSR, CSC).
+    DenseCompressed,
+    /// Every level compressed: a fibre tree (CSF, `CSF@perm`).
+    Fibers,
+    /// `(f(i,j), i, j)` under squeezed, dense and singleton levels (DIA).
+    /// Target only.
+    Diagonals,
+    /// `(#i, i, j)` under sliced, dense and singleton levels (ELL). Target
+    /// only.
+    Slices,
+}
+
+/// A format as the generator reads it.
+struct Layout<'a> {
+    format: &'a Format,
+    spec: &'a FormatSpec,
+    chain: Chain,
+    /// The canonical mode each level of a coordinate list, dense-compressed
+    /// pair or fibre chain stores, outer to inner (empty for the other two).
+    modes: Vec<usize>,
+}
+
+/// The leading index of a remapping `(e, i, j)` that keeps the row and the
+/// column as its two inner dimensions.
+fn leading_index(remapping: &Remapping) -> Option<&DstIndex> {
+    let ([i, j], [lead, row, col]) = (remapping.src.as_slice(), remapping.dst.as_slice()) else {
+        return None;
+    };
+    let kept = |dst: &DstIndex, v: &str| *dst == DstIndex::simple(IndexExpr::var(v));
+    (kept(row, i) && kept(col, j)).then_some(lead)
+}
+
+/// True when `lead` is the per-row counter `#i`, written bare or let-bound
+/// (`k=#i in k`).
+fn counts_within_rows(lead: &DstIndex, row: &str) -> bool {
+    let counter = IndexExpr::Counter(vec![row.to_string()]);
+    match (lead.lets.as_slice(), &lead.expr) {
+        ([], expr) => *expr == counter,
+        ([(name, bound)], IndexExpr::LetVar(used)) => name == used && *bound == counter,
+        _ => false,
+    }
+}
+
+impl<'a> Layout<'a> {
+    fn of(format: &'a Format) -> Result<Self, ConvertError> {
+        use LevelKind::{Compressed, CompressedNonUnique, Dense, Singleton, Sliced, Squeezed};
+        let unsupported = |why: &str| {
+            Err(ConvertError::Unsupported(format!(
+                "code generation does not support {format}: {why}"
+            )))
+        };
+        let Some(spec) = format.spec() else {
+            return unsupported("it has no level specification");
+        };
+        if spec.source_order() > SYM.len() {
+            return unsupported("only orders up to 3 have named index variables");
+        }
+        let permutation = mode::permutation_of(&spec.remapping);
+        let lead = leading_index(&spec.remapping);
+        let chain = match (spec.levels.as_slice(), &permutation) {
+            ([CompressedNonUnique, rest @ ..], Some(_)) if rest.iter().all(|k| *k == Singleton) => {
+                Chain::Coordinates
+            }
+            ([Dense, Compressed], Some(_)) => Chain::DenseCompressed,
+            (levels, Some(_)) if levels.iter().all(|k| *k == Compressed) => Chain::Fibers,
+            ([Squeezed, Dense, Singleton], None) if lead.is_some_and(|l| l.lets.is_empty()) => {
+                Chain::Diagonals
+            }
+            ([Sliced, Dense, Singleton], None)
+                if lead.is_some_and(|l| counts_within_rows(l, &spec.remapping.src[0])) =>
+            {
+                Chain::Slices
+            }
+            _ => return unsupported("no lowering for its remapping and level chain"),
+        };
+        Ok(Layout {
+            format,
+            spec,
+            chain,
+            modes: permutation.unwrap_or_default(),
+        })
+    }
+
+    /// The format's name as a C identifier: lowercased, the commas of a
+    /// `CSF@2,0,1` mode list dropped, anything else that is not alphanumeric
+    /// an underscore.
+    fn ident(&self) -> String {
+        let name = self.format.name().to_lowercase();
+        let kept = name.chars().filter(|c| *c != ',');
+        kept.map(|c| if c.is_alphanumeric() { c } else { '_' })
+            .collect()
+    }
+
+    /// The parameters of a routine reading this format: the level arrays,
+    /// the values, the extents, the root fibre count of a fibre chain, and
+    /// the nonzero count.
+    fn params(&self) -> Vec<String> {
+        let order = self.modes.len();
+        let mut params = match self.chain {
+            Chain::Coordinates => (1..=order).map(|d| format!("A{d}_crd")).collect(),
+            Chain::Fibers => {
+                let deeper = (2..=order).flat_map(|d| [format!("A{d}_pos"), format!("A{d}_crd")]);
+                [vec!["A1_crd".to_string()], deeper.collect()].concat()
+            }
+            _ => vec!["A_pos".to_string(), "A_crd".to_string()],
+        };
+        params.push("A_vals".to_string());
+        params.extend(EXTENT[..order].iter().map(|e| e.to_string()));
+        if self.chain == Chain::Fibers {
+            params.push("R1".to_string());
+        }
+        params.push("nnz".to_string());
+        params
+    }
+
+    /// Wraps `body` in loops iterating this (source) format. Inside, the IR
+    /// variables [`SYM`] hold the nonzero's canonical coordinates and
+    /// [`source_value`] reads its value. `row_prologue` runs once per
+    /// outermost coordinate, before that coordinate's nonzeros; only formats
+    /// that [iterate rows in order](FormatSpec::iterates_rows_in_order) have
+    /// such a place.
+    fn loops(&self, row_prologue: Vec<Stmt>, body: Vec<Stmt>) -> Vec<Stmt> {
+        let sym = |d: usize| SYM[self.modes[d]];
+        match self.chain {
+            Chain::Coordinates => {
+                debug_assert!(row_prologue.is_empty(), "coordinate lists have no row loop");
+                let coords = (0..self.modes.len())
+                    .map(|d| decl(sym(d), load(&format!("A{}_crd", d + 1), var("p"))));
+                vec![for_(
+                    "p",
+                    int(0),
+                    var("nnz"),
+                    [coords.collect(), body].concat(),
+                )]
+            }
+            Chain::DenseCompressed => {
+                let inner = for_(
+                    "p",
+                    load("A_pos", var(sym(0))),
+                    load("A_pos", add(var(sym(0)), int(1))),
+                    [vec![decl(sym(1), load("A_crd", var("p")))], body].concat(),
+                );
+                vec![for_(
+                    sym(0),
+                    int(0),
+                    var(EXTENT[self.modes[0]]),
+                    [row_prologue, vec![inner]].concat(),
+                )]
+            }
+            Chain::Fibers => {
+                // Level `d` is walked by `r`, then `s`; the leaf level by `p`,
+                // which also indexes the values.
+                let last = self.modes.len() - 1;
+                let walker = |d: usize| if d == last { "p" } else { ["r", "s"][d] };
+                let mut nest = body;
+                for d in (0..=last).rev() {
+                    let crd = decl(sym(d), load(&format!("A{}_crd", d + 1), var(walker(d))));
+                    let (lo, hi, prologue) = if d == 0 {
+                        (int(0), var("R1"), row_prologue.clone())
+                    } else {
+                        let (pos, parent) = (format!("A{}_pos", d + 1), walker(d - 1));
+                        let end = load(&pos, add(var(parent), int(1)));
+                        (load(&pos, var(parent)), end, vec![])
+                    };
+                    let inside = [vec![crd], prologue, nest].concat();
+                    nest = vec![for_(walker(d), lo, hi, inside)];
+                }
+                nest
+            }
+            Chain::Diagonals | Chain::Slices => {
+                unreachable!("generate rejects {:?} sources", self.chain)
+            }
+        }
+    }
+}
+
+/// The expression reading the current nonzero's value inside the source loops.
+fn source_value() -> Expr {
+    load("A_vals", var("p"))
+}
 
 /// Lowers a coordinate-remapping index expression to an IR expression, given
-/// the IR variable names bound to the source index variables. Counters are
-/// handled by the caller (they become scalar or array counters in the
-/// generated code), so this lowering rejects them.
-fn lower_index_expr(expr: &IndexExpr, src_vars: &[(String, &str)]) -> Expr {
-    match expr {
+/// the IR variable names bound to the remapping's source index variables.
+///
+/// # Errors
+///
+/// Returns [`ConvertError::UnsupportedSpec`] for a variable the remapping
+/// does not bind and for a counter (counters become scalar or array counters
+/// in the assembly a target's chain selects; none takes one here).
+fn lower_index_expr(expr: &IndexExpr, src_vars: &[(&str, &str)]) -> Result<Expr, ConvertError> {
+    let reject = |reason: String| Err(ConvertError::UnsupportedSpec { reason });
+    Ok(match expr {
         IndexExpr::Const(c) => int(*c),
-        IndexExpr::Var(name) => {
-            let (_, ir_name) = src_vars
-                .iter()
-                .find(|(v, _)| v == name)
-                .unwrap_or_else(|| panic!("unbound remapping variable `{name}`"));
-            var(ir_name)
-        }
+        IndexExpr::Var(name) => match src_vars.iter().find(|(v, _)| v == name) {
+            Some((_, ir_name)) => var(ir_name),
+            None => return reject(format!("unbound remapping variable `{name}`")),
+        },
         IndexExpr::LetVar(name) | IndexExpr::Param(name) => var(name),
-        IndexExpr::Counter(_) => panic!("counters are lowered by the assembly generator"),
+        IndexExpr::Counter(_) => {
+            return reject(format!(
+                "the counter `{expr}` cannot be lowered as a coordinate expression"
+            ))
+        }
         IndexExpr::Binary(op, l, r) => {
-            let l = lower_index_expr(l, src_vars);
-            let r = lower_index_expr(r, src_vars);
+            let l = lower_index_expr(l, src_vars)?;
+            let r = lower_index_expr(r, src_vars)?;
             let op = match op {
                 RBinOp::Add => conv_ir::IrBinOp::Add,
                 RBinOp::Sub => conv_ir::IrBinOp::Sub,
@@ -65,99 +275,7 @@ fn lower_index_expr(expr: &IndexExpr, src_vars: &[(String, &str)]) -> Expr {
             };
             Expr::binary(op, l, r)
         }
-    }
-}
-
-/// Wraps `body` (which may reference the IR variables `i`, `j` — and `k` for
-/// order-3 sources — plus the value expression returned alongside) in loops
-/// iterating the source format.
-fn source_loops(source: FormatId, body: Vec<Stmt>) -> Result<Vec<Stmt>, ConvertError> {
-    match source {
-        FormatId::Coo3 => Ok(vec![for_(
-            "p",
-            int(0),
-            var("nnz"),
-            [
-                vec![
-                    decl("i", load("A1_crd", var("p"))),
-                    decl("j", load("A2_crd", var("p"))),
-                    decl("k", load("A3_crd", var("p"))),
-                ],
-                body,
-            ]
-            .concat(),
-        )]),
-        FormatId::Csf => Ok(vec![for_(
-            "r",
-            int(0),
-            var("R1"),
-            vec![
-                decl("i", load("A1_crd", var("r"))),
-                for_(
-                    "s",
-                    load("A2_pos", var("r")),
-                    load("A2_pos", add(var("r"), int(1))),
-                    vec![
-                        decl("j", load("A2_crd", var("s"))),
-                        for_(
-                            "p",
-                            load("A3_pos", var("s")),
-                            load("A3_pos", add(var("s"), int(1))),
-                            [vec![decl("k", load("A3_crd", var("p")))], body].concat(),
-                        ),
-                    ],
-                ),
-            ],
-        )]),
-        FormatId::Coo => Ok(vec![for_(
-            "p",
-            int(0),
-            var("nnz"),
-            [
-                vec![
-                    decl("i", load("A1_crd", var("p"))),
-                    decl("j", load("A2_crd", var("p"))),
-                ],
-                body,
-            ]
-            .concat(),
-        )]),
-        FormatId::Csr => Ok(vec![for_(
-            "i",
-            int(0),
-            var("N"),
-            vec![for_(
-                "p",
-                load("A_pos", var("i")),
-                load("A_pos", add(var("i"), int(1))),
-                [vec![decl("j", load("A_crd", var("p")))], body].concat(),
-            )],
-        )]),
-        FormatId::Csc => Ok(vec![for_(
-            "j",
-            int(0),
-            var("M"),
-            vec![for_(
-                "p",
-                load("A_pos", var("j")),
-                load("A_pos", add(var("j"), int(1))),
-                [vec![decl("i", load("A_crd", var("p")))], body].concat(),
-            )],
-        )]),
-        other => Err(ConvertError::Unsupported(format!(
-            "code generation does not support {other} sources yet"
-        ))),
-    }
-}
-
-/// The expression reading the current nonzero's value inside the source loops.
-fn source_value(source: FormatId) -> Expr {
-    match source {
-        FormatId::Coo | FormatId::Csr | FormatId::Csc | FormatId::Coo3 | FormatId::Csf => {
-            load("A_vals", var("p"))
-        }
-        _ => unreachable!("guarded by source_loops"),
-    }
+    })
 }
 
 /// Generates a conversion routine from `source` to `target`.
@@ -165,56 +283,32 @@ fn source_value(source: FormatId) -> Expr {
 /// # Errors
 ///
 /// Returns [`ConvertError::Unsupported`] for combinations the generator does
-/// not cover (supported sources: COO, CSR, CSC; targets: COO, CSR, CSC, DIA,
-/// ELL).
-pub fn generate(source: FormatId, target: FormatId) -> Result<Function, ConvertError> {
-    let name = format!(
-        "convert_{}_to_{}",
-        source.to_string().to_lowercase(),
-        target.to_string().to_lowercase()
-    );
-    let params: Vec<String> = match source {
-        FormatId::Coo => vec!["A1_crd", "A2_crd", "A_vals", "N", "M", "nnz"],
-        FormatId::Csr | FormatId::Csc => vec!["A_pos", "A_crd", "A_vals", "N", "M", "nnz"],
-        FormatId::Coo3 => vec!["A1_crd", "A2_crd", "A3_crd", "A_vals", "N", "M", "L", "nnz"],
-        FormatId::Csf => vec![
-            "A1_crd", "A2_pos", "A2_crd", "A3_pos", "A3_crd", "A_vals", "N", "M", "L", "R1", "nnz",
-        ],
-        other => {
-            return Err(ConvertError::Unsupported(format!(
-                "code generation does not support {other} sources yet"
-            )))
-        }
+/// not cover (sources: coordinate lists, dense-compressed pairs and fibre
+/// chains of order up to 3; targets: those, plus DIA- and ELL-shaped chains,
+/// a fibre chain only from an order-3 coordinate list; both sides of one
+/// order), and [`ConvertError::UnsupportedSpec`] when a builder-made target's
+/// remapping cannot be lowered.
+pub fn generate(source: &Format, target: &Format) -> Result<Function, ConvertError> {
+    let (src, dst) = (Layout::of(source)?, Layout::of(target)?);
+    if matches!(src.chain, Chain::Diagonals | Chain::Slices) {
+        return Err(ConvertError::Unsupported(format!(
+            "code generation does not support {source} sources yet"
+        )));
     }
-    .into_iter()
-    .map(str::to_string)
-    .collect();
-    // Order-3 sources convert among the tensor formats; matrix targets
-    // cannot represent them (and vice versa).
-    let tensor_source = matches!(source, FormatId::Coo3 | FormatId::Csf);
-    let tensor_target = matches!(target, FormatId::Coo3 | FormatId::Csf);
-    if tensor_source != tensor_target {
+    if source.order() != target.order() {
         return Err(ConvertError::Unsupported(format!(
             "code generation cannot mix the order of {source} sources and {target} targets"
         )));
     }
-
-    let target_spec = FormatSpec::stock(target)?;
-    let body = match target {
-        FormatId::Csr => gen_to_compressed(source, "i", "N")?,
-        FormatId::Csc => gen_to_compressed(source, "j", "M")?,
-        FormatId::Coo => gen_to_coo(source)?,
-        FormatId::Dia => gen_to_dia(source, &target_spec)?,
-        FormatId::Ell => gen_to_ell(source)?,
-        FormatId::Csf => gen_to_csf(source)?,
-        FormatId::Coo3 => gen_to_coo3(source)?,
-        other => {
-            return Err(ConvertError::Unsupported(format!(
-                "code generation does not support {other} targets yet"
-            )))
-        }
+    let body = match dst.chain {
+        Chain::Coordinates => gen_to_coordinates(&src, &dst),
+        Chain::DenseCompressed => gen_to_compressed(&src, &dst),
+        Chain::Diagonals => gen_to_dia(&src, &dst)?,
+        Chain::Slices => gen_to_ell(&src),
+        Chain::Fibers => gen_to_fibers(&src, &dst)?,
     };
-    Ok(simplify_function(&Function::new(&name, params, body)))
+    let name = format!("convert_{}_to_{}", src.ident(), dst.ident());
+    Ok(simplify_function(&Function::new(&name, src.params(), body)))
 }
 
 /// Pretty prints the generated routine for a pair as a C-like listing.
@@ -222,76 +316,18 @@ pub fn generate(source: FormatId, target: FormatId) -> Result<Function, ConvertE
 /// # Errors
 ///
 /// Propagates [`generate`] errors.
-pub fn listing(source: FormatId, target: FormatId) -> Result<String, ConvertError> {
+pub fn listing(source: &Format, target: &Format) -> Result<String, ConvertError> {
     Ok(print_function(&generate(source, target)?))
-}
-
-/// Generates the COO3 → mode-ordered CSF conversion routine (the identity
-/// order is [`generate`]'s stock COO3 → CSF listing, under a different
-/// function name).
-///
-/// # Errors
-///
-/// Returns [`ConvertError::Unsupported`] when `mode_order` is not a
-/// permutation of `0..3` or the source is not COO3.
-pub fn generate_csf_ordered(
-    source: FormatId,
-    mode_order: &[usize; 3],
-) -> Result<Function, ConvertError> {
-    let mut seen = [false; 3];
-    for &m in mode_order {
-        if m >= 3 || seen[m] {
-            return Err(ConvertError::Unsupported(format!(
-                "mode order {mode_order:?} is not a permutation of 0..3"
-            )));
-        }
-        seen[m] = true;
-    }
-    if source != FormatId::Coo3 {
-        return Err(ConvertError::Unsupported(format!(
-            "code generation does not support {source} sources for CSF targets yet"
-        )));
-    }
-    let name = format!(
-        "convert_{}_to_csf_{}{}{}",
-        source.to_string().to_lowercase(),
-        mode_order[0],
-        mode_order[1],
-        mode_order[2]
-    );
-    let params: Vec<String> = ["A1_crd", "A2_crd", "A3_crd", "A_vals", "N", "M", "L", "nnz"]
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    let body = gen_to_csf_ordered(source, mode_order)?;
-    Ok(simplify_function(&Function::new(&name, params, body)))
-}
-
-/// Pretty prints the mode-ordered COO3 → CSF routine as a C-like listing.
-///
-/// # Errors
-///
-/// Propagates [`generate_csf_ordered`] errors.
-pub fn listing_csf_ordered(
-    source: FormatId,
-    mode_order: &[usize; 3],
-) -> Result<String, ConvertError> {
-    Ok(print_function(&generate_csf_ordered(source, mode_order)?))
 }
 
 /// CSR/CSC-style target: count children per outer coordinate, prefix-sum into
 /// `B_pos`, then scatter (Figure 6c generalised to any supported source).
-fn gen_to_compressed(
-    source: FormatId,
-    outer_var: &str,
-    outer_extent: &str,
-) -> Result<Vec<Stmt>, ConvertError> {
+fn gen_to_compressed(src: &Layout, dst: &Layout) -> Vec<Stmt> {
+    let (outer_var, inner_var) = (SYM[dst.modes[0]], SYM[dst.modes[1]]);
+    let outer_extent = EXTENT[dst.modes[0]];
     let mut body = vec![comment("analysis: count nonzeros per output group")];
     body.push(alloc_int("count", var(outer_extent), true));
-    body.extend(source_loops(
-        source,
-        vec![store_add("count", var(outer_var), int(1))],
-    )?);
+    body.extend(src.loops(vec![], vec![store_add("count", var(outer_var), int(1))]));
     body.push(comment(
         "assembly: sequenced edge insertion (pos) then coordinate insertion",
     ));
@@ -309,9 +345,8 @@ fn gen_to_compressed(
     body.push(alloc_int("B_crd", var("nnz"), false));
     body.push(alloc_float("B_vals", var("nnz"), false));
     body.push(alloc_int("cursor", var(outer_extent), true));
-    let inner_var = if outer_var == "i" { "j" } else { "i" };
-    body.extend(source_loops(
-        source,
+    body.extend(src.loops(
+        vec![],
         vec![
             decl(
                 "pB",
@@ -322,38 +357,42 @@ fn gen_to_compressed(
             ),
             store_add("cursor", var(outer_var), int(1)),
             store("B_crd", var("pB"), var(inner_var)),
-            store("B_vals", var("pB"), source_value(source)),
+            store("B_vals", var("pB"), source_value()),
         ],
-    )?);
-    Ok(body)
+    ));
+    body
 }
 
-/// COO target: append coordinates and values in source order.
-fn gen_to_coo(source: FormatId) -> Result<Vec<Stmt>, ConvertError> {
-    let mut body = vec![
-        comment("assembly: append nonzeros in source order"),
-        alloc_int("B1_crd", var("nnz"), false),
-        alloc_int("B2_crd", var("nnz"), false),
-        alloc_float("B_vals", var("nnz"), false),
-        decl("q", int(0)),
-    ];
-    body.extend(source_loops(
-        source,
-        vec![
-            store("B1_crd", var("q"), var("i")),
-            store("B2_crd", var("q"), var("j")),
-            store("B_vals", var("q"), source_value(source)),
-            assign("q", add(var("q"), int(1))),
-        ],
-    )?);
-    Ok(body)
+/// Coordinate-list target (COO, COO3): append coordinates and values in
+/// source order.
+fn gen_to_coordinates(src: &Layout, dst: &Layout) -> Vec<Stmt> {
+    let crd = |d: usize| format!("B{}_crd", d + 1);
+    let levels = 0..dst.modes.len();
+    let mut body = vec![comment("assembly: append nonzeros in source order")];
+    body.extend(
+        levels
+            .clone()
+            .map(|d| alloc_int(&crd(d), var("nnz"), false)),
+    );
+    body.push(alloc_float("B_vals", var("nnz"), false));
+    body.push(decl("q", int(0)));
+    let mut append: Vec<Stmt> = levels
+        .map(|d| store(&crd(d), var("q"), var(SYM[dst.modes[d]])))
+        .collect();
+    append.push(store("B_vals", var("q"), source_value()));
+    append.push(assign("q", add(var("q"), int(1))));
+    body.extend(src.loops(vec![], append));
+    body
 }
 
-/// DIA target (Figure 6a): the offset expression is lowered from the target
-/// spec's remapping `(i,j) -> (j-i,i,j)` rather than hard-coded.
-fn gen_to_dia(source: FormatId, spec: &FormatSpec) -> Result<Vec<Stmt>, ConvertError> {
-    let src_vars = vec![("i".to_string(), "i"), ("j".to_string(), "j")];
-    let offset_expr = lower_index_expr(&spec.remapping.dst[0].expr, &src_vars);
+/// DIA-shaped target (Figure 6a): the offset expression is lowered from the
+/// target spec's remapping `(i,j) -> (j-i,i,j)` rather than hard-coded. The
+/// offset window is DIA's, `-(N-1) ..= M-1`; a builder-made remapping that
+/// leaves it fails in the interpreter with an out-of-bounds store.
+fn gen_to_dia(src: &Layout, dst: &Layout) -> Result<Vec<Stmt>, ConvertError> {
+    let remapping = &dst.spec.remapping;
+    let src_vars: Vec<(&str, &str)> = remapping.src.iter().map(String::as_str).zip(SYM).collect();
+    let offset_expr = lower_index_expr(&remapping.dst[0].expr, &src_vars)?;
     let ndiag = sub(add(var("N"), var("M")), int(1));
     let shift = sub(var("N"), int(1));
 
@@ -361,13 +400,13 @@ fn gen_to_dia(source: FormatId, spec: &FormatSpec) -> Result<Vec<Stmt>, ConvertE
         "fused remapping + analysis: mark nonzero diagonals",
     )];
     body.push(alloc_int("nz", ndiag.clone(), true));
-    body.extend(source_loops(
-        source,
+    body.extend(src.loops(
+        vec![],
         vec![
             decl("k", offset_expr.clone()),
             store("nz", add(var("k"), shift.clone()), int(1)),
         ],
-    )?);
+    ));
     body.push(comment(
         "assembly: collect offsets (perm), build rperm, scatter values",
     ));
@@ -397,27 +436,25 @@ fn gen_to_dia(source: FormatId, spec: &FormatSpec) -> Result<Vec<Stmt>, ConvertE
         )],
     ));
     body.push(alloc_float("B_vals", mul(var("K"), var("N")), true));
-    body.extend(source_loops(
-        source,
+    body.extend(src.loops(
+        vec![],
         vec![
             decl("k", offset_expr),
             decl("pB1", load("rperm", add(var("k"), shift))),
             decl("pB2", add(mul(var("pB1"), var("N")), var("i"))),
-            store("B_vals", var("pB2"), source_value(source)),
+            store("B_vals", var("pB2"), source_value()),
         ],
-    )?);
+    ));
     Ok(body)
 }
 
-/// ELL target (Figure 6b): the `#i` counter is a scalar for row-ordered
-/// sources and a counter array otherwise (Section 4.2).
-fn gen_to_ell(source: FormatId) -> Result<Vec<Stmt>, ConvertError> {
+/// ELL-shaped target (Figure 6b): the `#i` counter is a scalar reset per row
+/// for sources that iterate rows in order and a counter array otherwise
+/// (Section 4.2).
+fn gen_to_ell(src: &Layout) -> Vec<Stmt> {
     let mut body = vec![comment("analysis: maximum number of nonzeros in any row")];
     body.push(alloc_int("count", var("N"), true));
-    body.extend(source_loops(
-        source,
-        vec![store_add("count", var("i"), int(1))],
-    )?);
+    body.extend(src.loops(vec![], vec![store_add("count", var("i"), int(1))]));
     body.push(decl("K", int(0)));
     body.push(for_(
         "r",
@@ -428,42 +465,24 @@ fn gen_to_ell(source: FormatId) -> Result<Vec<Stmt>, ConvertError> {
     body.push(comment("assembly: scatter into K slices (calloc'd output)"));
     body.push(alloc_int("B_crd", mul(var("K"), var("N")), true));
     body.push(alloc_float("B_vals", mul(var("K"), var("N")), true));
-    if crate::kernel_table::stock_facts(source).rows_in_order {
-        // Scalar counter reset per row: re-emit the row loop directly.
-        body.push(for_(
-            "i",
-            int(0),
-            var("N"),
-            vec![
-                decl("c", int(0)),
-                for_(
-                    "p",
-                    load("A_pos", var("i")),
-                    load("A_pos", add(var("i"), int(1))),
-                    vec![
-                        decl("j", load("A_crd", var("p"))),
-                        decl("pB", add(mul(var("c"), var("N")), var("i"))),
-                        assign("c", add(var("c"), int(1))),
-                        store("B_crd", var("pB"), var("j")),
-                        store("B_vals", var("pB"), load("A_vals", var("p"))),
-                    ],
-                ),
-            ],
-        ));
+    let slot = decl("pB", add(mul(var("c"), var("N")), var("i")));
+    let scatter = [
+        store("B_crd", var("pB"), var("j")),
+        store("B_vals", var("pB"), source_value()),
+    ];
+    if src.spec.iterates_rows_in_order() {
+        let count = vec![slot, assign("c", add(var("c"), int(1)))];
+        body.extend(src.loops(vec![decl("c", int(0))], [count, scatter.to_vec()].concat()));
     } else {
         body.push(alloc_int("counter", var("N"), true));
-        body.extend(source_loops(
-            source,
-            vec![
-                decl("c", load("counter", var("i"))),
-                store_add("counter", var("i"), int(1)),
-                decl("pB", add(mul(var("c"), var("N")), var("i"))),
-                store("B_crd", var("pB"), var("j")),
-                store("B_vals", var("pB"), source_value(source)),
-            ],
-        )?);
+        let count = vec![
+            decl("c", load("counter", var("i"))),
+            store_add("counter", var("i"), int(1)),
+            slot,
+        ];
+        body.extend(src.loops(vec![], [count, scatter.to_vec()].concat()));
     }
-    Ok(body)
+    body
 }
 
 /// One stable counting-sort pass over the working arrays, keyed by
@@ -524,52 +543,48 @@ fn counting_sort_pass(
     body
 }
 
-/// COO3 → CSF: the paper's tensor sort-then-pack conversion, lowered to the
-/// IR. The lexicographic sort is realised as three stable counting-sort
-/// passes (least-significant dimension first), which is bit-identical to the
-/// engine's stable comparison sort; the pack pass then opens a fresh fiber
-/// at the first level whose coordinate changes.
-fn gen_to_csf(source: FormatId) -> Result<Vec<Stmt>, ConvertError> {
-    gen_to_csf_ordered(source, &[0, 1, 2])
-}
-
-/// COO3 → CSF along an arbitrary mode order: the same three-pass stable LSD
-/// counting sort, keyed innermost-storage-dimension first on the *canonical*
-/// buffers holding each storage dimension's mode, then the unchanged pack
-/// pass over the storage-ordered arrays. The identity order reproduces
-/// [`gen_to_csf`]'s canonical listing.
-fn gen_to_csf_ordered(source: FormatId, order: &[usize; 3]) -> Result<Vec<Stmt>, ConvertError> {
-    if source != FormatId::Coo3 {
+/// Fibre-chain target (CSF, `CSF@perm`) from an order-3 coordinate list: the
+/// paper's tensor sort-then-pack conversion, lowered to the IR. The
+/// lexicographic sort along the target's mode order is realised as three
+/// stable counting-sort passes, keyed innermost-storage-dimension first on
+/// the *canonical* buffers holding each storage dimension's mode, which is
+/// bit-identical to the engine's stable comparison sort; the pack pass over
+/// the storage-ordered arrays then opens a fresh fiber at the first level
+/// whose coordinate changes.
+fn gen_to_fibers(src: &Layout, dst: &Layout) -> Result<Vec<Stmt>, ConvertError> {
+    let (Chain::Coordinates, [0, 1, 2], &[outer, middle, inner]) =
+        (src.chain, src.modes.as_slice(), dst.modes.as_slice())
+    else {
         return Err(ConvertError::Unsupported(format!(
-            "code generation does not support {source} sources for CSF targets yet"
+            "code generation packs fibre trees from order-3 coordinate lists only, not {} \
+             into {}",
+            src.format, dst.format
         )));
-    }
+    };
     // Canonical mode `m` lives in source buffer `A{m+1}_crd` (and the
     // working arrays suffixed with its index variable) with extent N/M/L.
-    const SYM: [&str; 3] = ["i", "j", "k"];
-    const EXTENT: [&str; 3] = ["N", "M", "L"];
     let mut body = vec![comment(&format!(
         "sort: LSD radix over ({}, {}, {}) = stable lexicographic order",
-        SYM[order[2]], SYM[order[1]], SYM[order[0]],
+        SYM[inner], SYM[middle], SYM[outer],
     ))];
     body.extend(counting_sort_pass(
         1,
-        &format!("A{}_crd", order[2] + 1),
-        EXTENT[order[2]],
+        &format!("A{}_crd", inner + 1),
+        EXTENT[inner],
         ["A1_crd", "A2_crd", "A3_crd", "A_vals"],
         ["t1_i", "t1_j", "t1_k", "t1_v"],
     ));
     body.extend(counting_sort_pass(
         2,
-        &format!("t1_{}", SYM[order[1]]),
-        EXTENT[order[1]],
+        &format!("t1_{}", SYM[middle]),
+        EXTENT[middle],
         ["t1_i", "t1_j", "t1_k", "t1_v"],
         ["t2_i", "t2_j", "t2_k", "t2_v"],
     ));
     body.extend(counting_sort_pass(
         3,
-        &format!("t2_{}", SYM[order[0]]),
-        EXTENT[order[0]],
+        &format!("t2_{}", SYM[outer]),
+        EXTENT[outer],
         ["t2_i", "t2_j", "t2_k", "t2_v"],
         ["s_i", "s_j", "s_k", "s_v"],
     ));
@@ -591,8 +606,8 @@ fn gen_to_csf_ordered(source: FormatId, order: &[usize; 3]) -> Result<Vec<Stmt>,
         int(0),
         var("nnz"),
         vec![
-            decl("i", load(&format!("s_{}", SYM[order[0]]), var("p"))),
-            decl("j", load(&format!("s_{}", SYM[order[1]]), var("p"))),
+            decl("i", load(&format!("s_{}", SYM[outer]), var("p"))),
+            decl("j", load(&format!("s_{}", SYM[middle]), var("p"))),
             if_(
                 ne(var("i"), var("prev_i")),
                 vec![
@@ -614,7 +629,7 @@ fn gen_to_csf_ordered(source: FormatId, order: &[usize; 3]) -> Result<Vec<Stmt>,
             store(
                 "B3_crd",
                 var("p"),
-                load(&format!("s_{}", SYM[order[2]]), var("p")),
+                load(&format!("s_{}", SYM[inner]), var("p")),
             ),
             store("B_vals", var("p"), load("s_v", var("p"))),
             store("B3_pos", var("q2"), add(var("p"), int(1))),
@@ -623,351 +638,248 @@ fn gen_to_csf_ordered(source: FormatId, order: &[usize; 3]) -> Result<Vec<Stmt>,
     Ok(body)
 }
 
-/// CSF / COO3 → COO3: append coordinates and values in source order (the
-/// order-3 analogue of [`gen_to_coo`]).
-fn gen_to_coo3(source: FormatId) -> Result<Vec<Stmt>, ConvertError> {
-    let mut body = vec![
-        comment("assembly: append nonzeros in source order"),
-        alloc_int("B1_crd", var("nnz"), false),
-        alloc_int("B2_crd", var("nnz"), false),
-        alloc_int("B3_crd", var("nnz"), false),
-        alloc_float("B_vals", var("nnz"), false),
-        decl("q", int(0)),
-    ];
-    body.extend(source_loops(
-        source,
-        vec![
-            store("B1_crd", var("q"), var("i")),
-            store("B2_crd", var("q"), var("j")),
-            store("B3_crd", var("q"), var("k")),
-            store("B_vals", var("q"), source_value(source)),
-            assign("q", add(var("q"), int(1))),
-        ],
-    )?);
-    Ok(body)
-}
-
-/// Executes a generated routine on an actual matrix and reconstructs the
-/// target container from the output buffers.
-///
-/// # Errors
-///
-/// Returns an error when the pair is unsupported, the source container does
-/// not match `source`, or the generated code fails to execute.
-pub fn execute(src: &AnyTensor, target: FormatId) -> Result<AnyTensor, ConvertError> {
-    let source = src.format().id().ok_or_else(|| {
-        ConvertError::Unsupported(format!(
-            "code generation covers stock format pairs; {} is a registry \
-             format (use the dynamic driver)",
-            src.format()
-        ))
-    })?;
-    let function = generate(source, target)?;
-    let mut interp = Interpreter::new();
-    let shape = src.shape();
-    if matches!(src, AnyTensor::Coo3(_) | AnyTensor::Csf(_)) && shape.order() != 3 {
+/// Binds a source container's arrays, extents and nonzero count to the
+/// parameters [`Layout::params`] names for its format.
+fn bind_source(interp: &mut Interpreter, src: &AnyTensor) -> Result<(), ConvertError> {
+    fn put(interp: &mut Interpreter, name: &str, data: &[usize]) {
+        let ints = data.iter().map(|&x| x as i64).collect();
+        interp.insert_buffer(name, Buffer::Ints(ints));
+    }
+    let (shape, format) = (src.shape(), src.format());
+    // The rank-N containers hold tensors of any order; a routine is
+    // generated for the order of the format's specification.
+    if shape.order() != format.order() {
         return Err(ConvertError::Unsupported(format!(
-            "code generation supports order-3 tensor sources only, got order {}",
+            "code generation reads {format} at order {}, got an order-{} container",
+            format.order(),
             shape.order()
         )));
     }
-    interp.insert_int("N", shape.dim(0) as i64);
-    interp.insert_int("M", shape.dim(1) as i64);
-    if shape.order() > 2 {
-        interp.insert_int("L", shape.dim(2) as i64);
+    for (extent, &dim) in EXTENT.iter().zip(shape.dims()) {
+        interp.insert_int(extent, dim as i64);
     }
     interp.insert_int("nnz", src.nnz() as i64);
-    match src {
+    let values = match src {
         AnyTensor::Coo(m) => {
-            interp.insert_buffer(
-                "A1_crd",
-                Buffer::Ints(m.row_indices().iter().map(|&x| x as i64).collect()),
-            );
-            interp.insert_buffer(
-                "A2_crd",
-                Buffer::Ints(m.col_indices().iter().map(|&x| x as i64).collect()),
-            );
-            interp.insert_buffer("A_vals", Buffer::Floats(m.values().to_vec()));
+            put(interp, "A1_crd", m.row_indices());
+            put(interp, "A2_crd", m.col_indices());
+            m.values()
         }
         AnyTensor::Csr(m) => {
-            interp.insert_buffer(
-                "A_pos",
-                Buffer::Ints(m.pos().iter().map(|&x| x as i64).collect()),
-            );
-            interp.insert_buffer(
-                "A_crd",
-                Buffer::Ints(m.crd().iter().map(|&x| x as i64).collect()),
-            );
-            interp.insert_buffer("A_vals", Buffer::Floats(m.values().to_vec()));
+            put(interp, "A_pos", m.pos());
+            put(interp, "A_crd", m.crd());
+            m.values()
         }
         AnyTensor::Csc(m) => {
-            interp.insert_buffer(
-                "A_pos",
-                Buffer::Ints(m.pos().iter().map(|&x| x as i64).collect()),
-            );
-            interp.insert_buffer(
-                "A_crd",
-                Buffer::Ints(m.crd().iter().map(|&x| x as i64).collect()),
-            );
-            interp.insert_buffer("A_vals", Buffer::Floats(m.values().to_vec()));
+            put(interp, "A_pos", m.pos());
+            put(interp, "A_crd", m.crd());
+            m.values()
         }
         AnyTensor::Coo3(t) => {
-            for (d, name) in ["A1_crd", "A2_crd", "A3_crd"].into_iter().enumerate() {
-                interp.insert_buffer(
-                    name,
-                    Buffer::Ints(t.crd(d).iter().map(|&x| x as i64).collect()),
-                );
+            for d in 0..t.order() {
+                put(interp, &format!("A{}_crd", d + 1), t.crd(d));
             }
-            interp.insert_buffer("A_vals", Buffer::Floats(t.values().to_vec()));
+            t.values()
         }
         AnyTensor::Csf(t) => {
             interp.insert_int("R1", t.num_fibers(0) as i64);
-            interp.insert_buffer(
-                "A1_crd",
-                Buffer::Ints(t.crd(0).iter().map(|&x| x as i64).collect()),
-            );
-            interp.insert_buffer(
-                "A2_pos",
-                Buffer::Ints(t.pos(0).iter().map(|&x| x as i64).collect()),
-            );
-            interp.insert_buffer(
-                "A2_crd",
-                Buffer::Ints(t.crd(1).iter().map(|&x| x as i64).collect()),
-            );
-            interp.insert_buffer(
-                "A3_pos",
-                Buffer::Ints(t.pos(1).iter().map(|&x| x as i64).collect()),
-            );
-            interp.insert_buffer(
-                "A3_crd",
-                Buffer::Ints(t.crd(2).iter().map(|&x| x as i64).collect()),
-            );
-            interp.insert_buffer("A_vals", Buffer::Floats(t.values().to_vec()));
+            put(interp, "A1_crd", t.crd(0));
+            for d in 1..t.order() {
+                put(interp, &format!("A{}_pos", d + 1), t.pos(d - 1));
+                put(interp, &format!("A{}_crd", d + 1), t.crd(d));
+            }
+            t.values()
         }
         other => {
             return Err(ConvertError::Unsupported(format!(
-                "code generation does not support {} sources yet",
+                "code generation cannot read {} containers yet",
                 other.format()
             )))
         }
-    }
-    interp.run(&function)?;
+    };
+    interp.insert_buffer("A_vals", Buffer::Floats(values.to_vec()));
+    Ok(())
+}
 
-    let rows = src.rows();
-    let cols = src.cols();
-    let ints = |interp: &Interpreter, name: &str| -> Vec<usize> {
-        interp
-            .buffer(name)
-            .expect("generated buffer")
-            .as_ints()
-            .iter()
-            .map(|&x| x as usize)
-            .collect()
+/// What a finished routine left behind, read by name.
+struct Outputs<'a> {
+    interp: &'a Interpreter,
+    target: &'a Format,
+}
+
+impl Outputs<'_> {
+    fn missing(&self, what: &str, name: &str) -> ConvertError {
+        ConvertError::UnsupportedSpec {
+            reason: format!(
+                "the routine generated for {} defines no {what} `{name}`",
+                self.target
+            ),
+        }
+    }
+
+    fn raw_ints(&self, name: &str) -> Result<&[i64], ConvertError> {
+        match self.interp.buffer(name) {
+            Some(Buffer::Ints(ints)) => Ok(ints),
+            _ => Err(self.missing("integer buffer", name)),
+        }
+    }
+
+    /// The first `len` entries (all of a shorter buffer).
+    fn ints(&self, name: &str, len: usize) -> Result<Vec<usize>, ConvertError> {
+        let ints = self.raw_ints(name)?.iter().take(len);
+        Ok(ints.map(|&x| x as usize).collect())
+    }
+
+    fn floats(&self, name: &str, len: usize) -> Result<Vec<f64>, ConvertError> {
+        match self.interp.buffer(name) {
+            Some(Buffer::Floats(floats)) => Ok(floats.iter().take(len).copied().collect()),
+            _ => Err(self.missing("value buffer", name)),
+        }
+    }
+
+    fn scalar(&self, name: &str) -> Result<usize, ConvertError> {
+        let value = self.interp.int(name);
+        value
+            .map(|v| v as usize)
+            .ok_or_else(|| self.missing("scalar", name))
+    }
+}
+
+/// Rebuilds the target's container from the output buffers the assembly of
+/// its chain writes.
+fn unpack_target(
+    interp: &Interpreter,
+    src: &AnyTensor,
+    target: &Layout,
+) -> Result<AnyTensor, ConvertError> {
+    const ALL: usize = usize::MAX;
+    let out = Outputs {
+        interp,
+        target: target.format,
     };
-    let floats = |interp: &Interpreter, name: &str| -> Vec<f64> {
-        interp
-            .buffer(name)
-            .expect("generated buffer")
-            .as_floats()
-            .to_vec()
+    let (rows, cols, nnz, shape) = (src.rows(), src.cols(), src.nnz(), src.shape());
+    let compressed = || -> Result<_, ConvertError> {
+        Ok((
+            out.ints("B_pos", ALL)?,
+            out.ints("B_crd", ALL)?,
+            out.floats("B_vals", ALL)?,
+        ))
     };
-    Ok(match target {
-        FormatId::Csr => AnyTensor::Csr(CsrMatrix::from_parts(
+    let tensor = match (target.chain, target.modes.as_slice()) {
+        (Chain::DenseCompressed, [0, 1]) => {
+            let (pos, crd, vals) = compressed()?;
+            AnyTensor::Csr(CsrMatrix::from_parts(rows, cols, pos, crd, vals)?)
+        }
+        (Chain::DenseCompressed, _) => {
+            let (pos, crd, vals) = compressed()?;
+            AnyTensor::Csc(CscMatrix::from_parts(rows, cols, pos, crd, vals)?)
+        }
+        (Chain::Coordinates, [_, _]) => AnyTensor::Coo(CooMatrix::from_parts(
             rows,
             cols,
-            ints(&interp, "B_pos"),
-            ints(&interp, "B_crd"),
-            floats(&interp, "B_vals"),
+            out.ints("B1_crd", ALL)?,
+            out.ints("B2_crd", ALL)?,
+            out.floats("B_vals", ALL)?,
         )?),
-        FormatId::Csc => AnyTensor::Csc(CscMatrix::from_parts(
-            rows,
-            cols,
-            ints(&interp, "B_pos"),
-            ints(&interp, "B_crd"),
-            floats(&interp, "B_vals"),
-        )?),
-        FormatId::Coo => AnyTensor::Coo(CooMatrix::from_parts(
-            rows,
-            cols,
-            ints(&interp, "B1_crd"),
-            ints(&interp, "B2_crd"),
-            floats(&interp, "B_vals"),
-        )?),
-        FormatId::Dia => {
-            let k = interp.int("K").expect("generated scalar K") as usize;
-            let perm_full = interp.buffer("B_perm").expect("generated buffer").as_ints();
-            let offsets: Vec<i64> = perm_full[..k].to_vec();
+        (Chain::Coordinates, modes) => {
+            let crd = (1..=modes.len()).map(|d| out.ints(&format!("B{d}_crd"), ALL));
+            let crd = crd.collect::<Result<_, _>>()?;
+            AnyTensor::Coo3(CooTensor::from_parts(
+                shape,
+                crd,
+                out.floats("B_vals", ALL)?,
+            )?)
+        }
+        (Chain::Diagonals, _) => {
+            let offsets = out.raw_ints("B_perm")?.iter().take(out.scalar("K")?);
             AnyTensor::Dia(DiaMatrix::from_parts(
                 rows,
                 cols,
-                offsets,
-                floats(&interp, "B_vals"),
+                offsets.copied().collect(),
+                out.floats("B_vals", ALL)?,
             )?)
         }
-        FormatId::Ell => {
-            let k = interp.int("K").expect("generated scalar K") as usize;
-            AnyTensor::Ell(EllMatrix::from_parts(
-                rows,
-                cols,
-                k,
-                ints(&interp, "B_crd"),
-                floats(&interp, "B_vals"),
-            )?)
-        }
-        FormatId::Csf => {
-            let q1 = interp.int("q1").expect("generated scalar q1") as usize;
-            let q2 = interp.int("q2").expect("generated scalar q2") as usize;
-            let nnz = src.nnz();
-            AnyTensor::Csf(CsfTensor::from_parts(
-                shape,
-                vec![
-                    ints(&interp, "B1_crd")[..q1].to_vec(),
-                    ints(&interp, "B2_crd")[..q2].to_vec(),
-                    ints(&interp, "B3_crd")[..nnz].to_vec(),
-                ],
-                vec![
-                    ints(&interp, "B2_pos")[..q1 + 1].to_vec(),
-                    ints(&interp, "B3_pos")[..q2 + 1].to_vec(),
-                ],
-                floats(&interp, "B_vals")[..nnz].to_vec(),
-            )?)
-        }
-        FormatId::Coo3 => AnyTensor::Coo3(CooTensor::from_parts(
-            shape,
-            vec![
-                ints(&interp, "B1_crd"),
-                ints(&interp, "B2_crd"),
-                ints(&interp, "B3_crd"),
-            ],
-            floats(&interp, "B_vals"),
+        (Chain::Slices, _) => AnyTensor::Ell(EllMatrix::from_parts(
+            rows,
+            cols,
+            out.scalar("K")?,
+            out.ints("B_crd", ALL)?,
+            out.floats("B_vals", ALL)?,
         )?),
-        other => {
-            return Err(ConvertError::Unsupported(format!(
-                "code generation does not support {other} targets yet"
-            )))
+        (Chain::Fibers, modes) => {
+            let (q1, q2) = (out.scalar("q1")?, out.scalar("q2")?);
+            let csf = CsfTensor::from_parts(
+                Shape::new(modes.iter().map(|&m| shape.dim(m)).collect()),
+                vec![
+                    out.ints("B1_crd", q1)?,
+                    out.ints("B2_crd", q2)?,
+                    out.ints("B3_crd", nnz)?,
+                ],
+                vec![out.ints("B2_pos", q1 + 1)?, out.ints("B3_pos", q2 + 1)?],
+                out.floats("B_vals", nnz)?,
+            )?;
+            if *target.format == Format::csf() {
+                AnyTensor::Csf(csf)
+            } else {
+                // Wrapped exactly as the dynamic driver assembles a
+                // mode-ordered target, so the paths stay byte-comparable.
+                let custom = mode::custom_from_csf(target.spec, modes, &csf)?;
+                AnyTensor::Custom(Box::new(custom))
+            }
         }
-    })
+    };
+    // The chains above are the stock containers'; a builder-made format
+    // that merely shares one has no container of its own to unpack into.
+    if tensor.format() != *target.format {
+        return Err(ConvertError::Unsupported(format!(
+            "code generation has no container for {}; its routine assembles a {} (use the \
+             dynamic driver)",
+            target.format,
+            tensor.format()
+        )));
+    }
+    Ok(tensor)
 }
 
-/// Executes a generated routine for any [`Format`] target: stock targets
-/// dispatch through [`execute`]; mode-ordered CSF registry targets run the
-/// counting-sort lowering and wrap the packed fiber tree exactly as the
+/// Generates the routine from `src`'s format to `target`, executes it on
+/// `src` through the IR interpreter, and rebuilds the target's container
+/// from the output buffers. Stock targets come back in their stock
+/// container; a mode-ordered `CSF@perm` target is wrapped exactly as the
 /// dynamic driver assembles it, so all three execution paths stay
 /// byte-comparable.
 ///
 /// # Errors
 ///
-/// Returns [`ConvertError::Unsupported`] for registry targets that are not
-/// mode-ordered CSF, for non-COO3 sources of mode-ordered targets, and for
-/// duplicate coordinates (which the dynamic driver also rejects).
+/// Propagates [`generate`] errors; returns [`ConvertError::Unsupported`] for
+/// sources that are not a COO, CSR, CSC, COO3 or CSF container at their
+/// format's own order, for builder-made targets without a container, and for
+/// duplicate coordinates under a `CSF@perm` target (which the dynamic driver
+/// also rejects); [`ConvertError::Interp`] when the generated code fails to
+/// execute.
 pub fn execute_format(src: &AnyTensor, target: &Format) -> Result<AnyTensor, ConvertError> {
-    if let Some(id) = target.id() {
-        return execute(src, id);
-    }
-    let spec = target
-        .spec()
-        .expect("non-stock formats always carry a spec");
-    let Some(order) = crate::mode::mode_order_of(spec) else {
-        return Err(ConvertError::Unsupported(format!(
-            "code generation covers stock formats and mode-ordered CSF; {target} \
-             is a general registry format (use the dynamic driver)"
-        )));
-    };
-    let AnyTensor::Coo3(t) = src else {
-        return Err(ConvertError::Unsupported(format!(
-            "code generation supports COO3 sources for mode-ordered CSF targets, got {}",
-            src.format()
-        )));
-    };
-    if t.order() != 3 || order.len() != 3 {
-        return Err(ConvertError::Unsupported(format!(
-            "mode-ordered code generation is order-3 only (source order {}, \
-             {} storage levels)",
-            t.order(),
-            order.len()
-        )));
-    }
-    let mode_order = [order[0], order[1], order[2]];
-    let function = generate_csf_ordered(FormatId::Coo3, &mode_order)?;
+    let function = generate(&src.format(), target)?;
     let mut interp = Interpreter::new();
-    let shape = t.shape();
-    interp.insert_int("N", shape.dim(0) as i64);
-    interp.insert_int("M", shape.dim(1) as i64);
-    interp.insert_int("L", shape.dim(2) as i64);
-    interp.insert_int("nnz", t.nnz() as i64);
-    for (d, name) in ["A1_crd", "A2_crd", "A3_crd"].into_iter().enumerate() {
-        interp.insert_buffer(
-            name,
-            Buffer::Ints(t.crd(d).iter().map(|&x| x as i64).collect()),
-        );
-    }
-    interp.insert_buffer("A_vals", Buffer::Floats(t.values().to_vec()));
+    bind_source(&mut interp, src)?;
     interp.run(&function)?;
-    let ints = |name: &str| -> Vec<usize> {
-        interp
-            .buffer(name)
-            .expect("generated buffer")
-            .as_ints()
-            .iter()
-            .map(|&x| x as usize)
-            .collect()
-    };
-    let q1 = interp.int("q1").expect("generated scalar q1") as usize;
-    let q2 = interp.int("q2").expect("generated scalar q2") as usize;
-    let nnz = t.nnz();
-    let packed_shape =
-        sparse_tensor::Shape::new(mode_order.iter().map(|&m| shape.dim(m)).collect());
-    let csf = CsfTensor::from_parts(
-        packed_shape,
-        vec![
-            ints("B1_crd")[..q1].to_vec(),
-            ints("B2_crd")[..q2].to_vec(),
-            ints("B3_crd")[..nnz].to_vec(),
-        ],
-        vec![
-            ints("B2_pos")[..q1 + 1].to_vec(),
-            ints("B3_pos")[..q2 + 1].to_vec(),
-        ],
-        interp
-            .buffer("B_vals")
-            .expect("generated buffer")
-            .as_floats()[..nnz]
-            .to_vec(),
-    )?;
-    Ok(AnyTensor::Custom(Box::new(crate::mode::custom_from_csf(
-        spec, &order, &csf,
-    )?)))
+    unpack_target(&interp, src, &Layout::of(target)?)
 }
 
-/// The (source, target) pairs the code generator covers, including the seven
-/// pairs evaluated in Table 3.
-pub fn supported_pairs() -> Vec<(FormatId, FormatId)> {
-    let sources = [FormatId::Coo, FormatId::Csr, FormatId::Csc];
-    let targets = [
-        FormatId::Coo,
-        FormatId::Csr,
-        FormatId::Csc,
-        FormatId::Dia,
-        FormatId::Ell,
-    ];
-    let mut out = Vec::new();
-    for s in sources {
-        for t in targets {
-            if s != t {
-                out.push((s, t));
+/// The stock (source, target) pairs the code generator covers — every pair
+/// of distinct [stock-table](crate::stock::STOCK) formats [`generate`]
+/// accepts: the seven pairs evaluated in Table 3 among the matrix ones, and
+/// the paper's order-3 sorting/packing conversions. COO3 also converts to
+/// every `CSF@perm`.
+pub fn supported_pairs() -> Vec<(Format, Format)> {
+    let stock: Vec<Format> = STOCK.iter().map(|row| row.format()).collect();
+    let mut pairs = Vec::new();
+    for source in &stock {
+        for target in &stock {
+            if source != target && generate(source, target).is_ok() {
+                pairs.push((source.clone(), target.clone()));
             }
         }
     }
-    out
-}
-
-/// The order-3 (source, target) pairs the code generator covers (the
-/// paper's tensor sorting/packing conversions).
-pub fn supported_tensor_pairs() -> Vec<(FormatId, FormatId)> {
-    vec![
-        (FormatId::Coo3, FormatId::Csf),
-        (FormatId::Csf, FormatId::Coo3),
-    ]
+    pairs
 }
 
 #[cfg(test)]
@@ -979,39 +891,46 @@ mod tests {
 
     #[test]
     fn generated_listings_have_figure6_structure() {
-        let csr_dia = listing(FormatId::Csr, FormatId::Dia).unwrap();
+        let csr_dia = listing(&Format::csr(), &Format::dia()).unwrap();
         assert!(csr_dia.contains("convert_csr_to_dia"));
         // The DIA offset expression comes from the remapping (j - i).
         assert!(csr_dia.contains("(j - i)"), "listing:\n{csr_dia}");
         assert!(csr_dia.contains("calloc"));
         assert!(csr_dia.contains("rperm"));
 
-        let csr_ell = listing(FormatId::Csr, FormatId::Ell).unwrap();
+        let csr_ell = listing(&Format::csr(), &Format::ell()).unwrap();
         assert!(csr_ell.contains("max(K, count[r])"));
         // Scalar counter for the row-ordered CSR source.
         assert!(csr_ell.contains("int c = 0;"), "listing:\n{csr_ell}");
 
-        let coo_ell = listing(FormatId::Coo, FormatId::Ell).unwrap();
+        let coo_ell = listing(&Format::coo(), &Format::ell()).unwrap();
         // Counter array for the unordered COO source.
         assert!(coo_ell.contains("counter"), "listing:\n{coo_ell}");
 
-        let coo_csr = listing(FormatId::Coo, FormatId::Csr).unwrap();
+        let coo_csr = listing(&Format::coo(), &Format::csr()).unwrap();
         assert!(coo_csr.contains("B_pos"));
         assert!(coo_csr.contains("count"));
     }
 
-    #[test]
-    fn generated_code_matches_engine_for_all_supported_pairs() {
-        let t = figure1_matrix();
-        for (source, target) in supported_pairs() {
-            let src = AnyTensor::from_triples(&t, source).unwrap();
-            let generated = execute(&src, target).unwrap();
+    /// Runs every supported pair of the given order on `t`.
+    fn check_supported_pairs(t: &sparse_tensor::SparseTriples) {
+        let pairs = supported_pairs();
+        let of_order = pairs.iter().filter(|(s, _)| s.order() == t.order());
+        assert!(of_order.clone().count() > 0);
+        for (source, target) in of_order {
+            let src = AnyTensor::from_triples(t, source).unwrap();
+            let generated = execute_format(&src, target).unwrap();
             let engine_result = convert(&src, target).unwrap();
             assert_eq!(
                 generated, engine_result,
                 "generated code disagrees with the engine for {source} -> {target}"
             );
         }
+    }
+
+    #[test]
+    fn generated_code_matches_engine_for_all_supported_pairs() {
+        check_supported_pairs(&figure1_matrix());
     }
 
     #[test]
@@ -1024,24 +943,15 @@ mod tests {
             state % bound
         });
         let src = AnyTensor::Coo(coo);
-        for target in [FormatId::Csr, FormatId::Dia, FormatId::Ell, FormatId::Csc] {
-            let generated = execute(&src, target).unwrap();
+        for target in [Format::csr(), Format::dia(), Format::ell(), Format::csc()] {
+            let generated = execute_format(&src, &target).unwrap();
             assert!(generated.to_triples().same_values(&t), "target {target}");
         }
     }
 
     #[test]
     fn generated_tensor_code_matches_engine() {
-        let t = sparse_tensor::example::example3_tensor();
-        for (source, target) in supported_tensor_pairs() {
-            let src = AnyTensor::from_triples(&t, source).unwrap();
-            let generated = execute(&src, target).unwrap();
-            let engine_result = convert(&src, target).unwrap();
-            assert_eq!(
-                generated, engine_result,
-                "generated code disagrees with the engine for {source} -> {target}"
-            );
-        }
+        check_supported_pairs(&sparse_tensor::example::example3_tensor());
     }
 
     #[test]
@@ -1054,7 +964,7 @@ mod tests {
             state % bound
         });
         let src = AnyTensor::Coo3(coo.clone());
-        let generated = execute(&src, FormatId::Csf).unwrap();
+        let generated = execute_format(&src, &Format::csf()).unwrap();
         // The counting-sort lowering must match the engine's stable sort on
         // the same (shuffled) input, bit for bit.
         assert_eq!(generated, AnyTensor::Csf(crate::engine::to_csf(&coo)));
@@ -1063,7 +973,7 @@ mod tests {
 
     #[test]
     fn tensor_listings_have_sort_and_pack_phases() {
-        let listing = listing(FormatId::Coo3, FormatId::Csf).unwrap();
+        let listing = listing(&Format::coo3(), &Format::csf()).unwrap();
         assert!(listing.contains("convert_coo3_to_csf"));
         assert!(listing.contains("stable counting sort"), "{listing}");
         assert!(listing.contains("B2_pos"), "{listing}");
@@ -1072,29 +982,55 @@ mod tests {
 
     #[test]
     fn mixed_order_pairs_are_rejected() {
-        assert!(generate(FormatId::Coo3, FormatId::Csr).is_err());
-        assert!(generate(FormatId::Csr, FormatId::Csf).is_err());
-        assert!(generate(FormatId::Csf, FormatId::Csf).is_err());
+        assert!(generate(&Format::coo3(), &Format::csr()).is_err());
+        assert!(generate(&Format::csr(), &Format::csf()).is_err());
+        assert!(generate(&Format::csf(), &Format::csf()).is_err());
         // An order-2 CSF container cannot drive the order-3 generated code.
         let m = figure1_matrix();
-        let dcsr = convert(&AnyTensor::Coo(CooMatrix::from_triples(&m)), FormatId::Csf).unwrap();
-        assert!(execute(&dcsr, FormatId::Coo3).is_err());
+        let dcsr = convert(&AnyTensor::Coo(CooMatrix::from_triples(&m)), Format::csf()).unwrap();
+        assert!(execute_format(&dcsr, &Format::coo3()).is_err());
     }
 
     #[test]
     fn unsupported_pairs_are_reported() {
-        assert!(generate(FormatId::Dia, FormatId::Csr).is_err());
-        assert!(generate(FormatId::Csr, FormatId::Jad).is_err());
+        assert!(generate(&Format::dia(), &Format::csr()).is_err());
+        assert!(generate(&Format::csr(), &Format::jad()).is_err());
+        assert!(generate(&Format::dok(), &Format::csr()).is_err());
+        assert!(generate(&Format::csr(), &Format::dok()).is_err());
         let t = figure1_matrix();
-        let dia = AnyTensor::from_triples(&t, FormatId::Dia).unwrap();
-        assert!(execute(&dia, FormatId::Csr).is_err());
+        let dia = AnyTensor::from_triples(&t, Format::dia()).unwrap();
+        assert!(execute_format(&dia, &Format::csr()).is_err());
     }
 
     #[test]
     fn statement_counts_are_reasonable() {
         // The generated CSR->DIA routine should be in the same ballpark as
         // Figure 6a (28 lines), not an order of magnitude larger.
-        let f = generate(FormatId::Csr, FormatId::Dia).unwrap();
+        let f = generate(&Format::csr(), &Format::dia()).unwrap();
         assert!(f.statement_count() < 60, "got {}", f.statement_count());
+    }
+
+    /// The unpacker is chosen by the same chain as the assembly, so no
+    /// `Format` reaches it with a buffer missing; should the two ever drift
+    /// apart, that is an error naming the buffer, not a panic.
+    #[test]
+    fn unpacking_a_routine_that_omits_a_buffer_or_scalar_is_an_error() {
+        let src = AnyTensor::Coo(CooMatrix::from_triples(&figure1_matrix()));
+        // Run the COO -> COO routine, then unpack as if it had assembled...
+        let mut interp = Interpreter::new();
+        bind_source(&mut interp, &src).unwrap();
+        interp
+            .run(&generate(&Format::coo(), &Format::coo()).unwrap())
+            .unwrap();
+        for (target, name) in [
+            (Format::csr(), "`B_pos`"), // ...a compressed level,
+            (Format::ell(), "`K`"),     // ...and an analysed slice count.
+        ] {
+            let got = unpack_target(&interp, &src, &Layout::of(&target).unwrap());
+            let Err(ConvertError::UnsupportedSpec { reason }) = got else {
+                panic!("{target}: {got:?}");
+            };
+            assert!(reason.contains(name), "{reason}");
+        }
     }
 }

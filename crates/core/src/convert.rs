@@ -1,7 +1,5 @@
 //! Public conversion entry points.
 
-use std::fmt;
-
 use sparse_formats::{
     BcsrMatrix, CooMatrix, CooTensor, CscMatrix, CsfTensor, CsrMatrix, DiaMatrix, DokMatrix,
     EllMatrix, JadMatrix, SkylineMatrix,
@@ -15,138 +13,7 @@ use crate::kernel_table::{self, KernelRow};
 use crate::plan::ConversionPlan;
 use crate::source::SourceMatrix;
 use crate::spec::FormatSpec;
-
-/// Identifies a *stock* storage format.
-///
-/// Transitional: `FormatId` predates the spec-first API and survives as a
-/// thin set of identifiers over the stock [`FormatRegistry`](crate::format::FormatRegistry)
-/// presets — every variant resolves to one registry entry
-/// ([`Format::stock`]), and everywhere a [`Format`] is accepted a `FormatId`
-/// still works (`impl From<FormatId> for Format`). New code should hold
-/// [`Format`] handles, which also cover user-defined formats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FormatId {
-    /// Coordinate format.
-    Coo,
-    /// Compressed sparse row.
-    Csr,
-    /// Compressed sparse column.
-    Csc,
-    /// Diagonal format.
-    Dia,
-    /// ELLPACK format.
-    Ell,
-    /// Blocked CSR with the given block shape.
-    Bcsr {
-        /// Rows per block.
-        block_rows: usize,
-        /// Columns per block.
-        block_cols: usize,
-    },
-    /// Skyline (lower-triangle profile) format.
-    Skyline,
-    /// Jagged diagonal format.
-    Jad,
-    /// Dictionary of keys.
-    Dok,
-    /// Order-3 coordinate format (rank-N [`CooTensor`] container).
-    Coo3,
-    /// Compressed sparse fiber (rank-N [`CsfTensor`] container; order 2 is
-    /// DCSR).
-    Csf,
-}
-
-impl FormatId {
-    /// Order of the format's *stock specification*: 3 for the tensor
-    /// formats, 2 for every matrix format. Note that `Csf` *containers* are
-    /// rank-N — converting a matrix to [`FormatId::Csf`] yields an order-2
-    /// fiber tree (DCSR) — so rank checks against a concrete value must use
-    /// [`AnyTensor::order`], not this method.
-    pub fn order(self) -> usize {
-        match self {
-            FormatId::Coo3 | FormatId::Csf => 3,
-            _ => 2,
-        }
-    }
-}
-
-impl fmt::Display for FormatId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FormatId::Coo => write!(f, "COO"),
-            FormatId::Csr => write!(f, "CSR"),
-            FormatId::Csc => write!(f, "CSC"),
-            FormatId::Dia => write!(f, "DIA"),
-            FormatId::Ell => write!(f, "ELL"),
-            FormatId::Bcsr {
-                block_rows,
-                block_cols,
-            } => {
-                write!(f, "BCSR{block_rows}x{block_cols}")
-            }
-            FormatId::Skyline => write!(f, "SKY"),
-            FormatId::Jad => write!(f, "JAD"),
-            FormatId::Dok => write!(f, "DOK"),
-            FormatId::Coo3 => write!(f, "COO3"),
-            FormatId::Csf => write!(f, "CSF"),
-        }
-    }
-}
-
-/// Error returned when a format name does not parse as a [`FormatId`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseFormatIdError(String);
-
-impl fmt::Display for ParseFormatIdError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown format `{}` (expected COO, CSR, CSC, DIA, ELL, SKY, JAD, \
-             DOK, COO3, CSF, or BCSR<rows>x<cols> such as BCSR2x2)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseFormatIdError {}
-
-impl std::str::FromStr for FormatId {
-    type Err = ParseFormatIdError;
-
-    /// Parses the names the `Display` impl emits (case-insensitive), so every
-    /// variant round-trips through its `Display` form — including block
-    /// shapes: `"BCSR2x3"` parses to `FormatId::Bcsr { block_rows: 2,
-    /// block_cols: 3 }`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || ParseFormatIdError(s.to_string());
-        let upper = s.trim().to_ascii_uppercase();
-        if let Some(blocks) = upper.strip_prefix("BCSR") {
-            let (rows, cols) = blocks.split_once('X').ok_or_else(err)?;
-            let block_rows: usize = rows.parse().map_err(|_| err())?;
-            let block_cols: usize = cols.parse().map_err(|_| err())?;
-            if block_rows == 0 || block_cols == 0 {
-                return Err(err());
-            }
-            return Ok(FormatId::Bcsr {
-                block_rows,
-                block_cols,
-            });
-        }
-        match upper.as_str() {
-            "COO3" => Ok(FormatId::Coo3),
-            "CSF" => Ok(FormatId::Csf),
-            "COO" => Ok(FormatId::Coo),
-            "CSR" => Ok(FormatId::Csr),
-            "CSC" => Ok(FormatId::Csc),
-            "DIA" => Ok(FormatId::Dia),
-            "ELL" => Ok(FormatId::Ell),
-            "SKY" | "SKYLINE" => Ok(FormatId::Skyline),
-            "JAD" => Ok(FormatId::Jad),
-            "DOK" => Ok(FormatId::Dok),
-            _ => Err(err()),
-        }
-    }
-}
+use crate::stock::FormatId;
 
 /// A tensor in any supported format — the unified value type of the public
 /// API. Matrix formats hold order-2 containers; the `Coo3` and `Csf`
@@ -206,10 +73,11 @@ macro_rules! with_source {
 pub(crate) use with_source;
 
 impl AnyTensor {
-    /// The stock identifier of the container this tensor is stored in
-    /// (`None` for custom tensors) — unlike [`AnyTensor::format`] it never
-    /// touches the registry, so dispatch can match on it for free.
-    pub fn stock_id(&self) -> Option<FormatId> {
+    /// The stock tag of the container this tensor is stored in (`None` for
+    /// custom tensors): the container → [stock row](crate::stock::STOCK)
+    /// map. Unlike [`AnyTensor::format`] it never touches the registry, so
+    /// dispatch can match on it for free.
+    pub(crate) fn tag(&self) -> Option<FormatId> {
         Some(match self {
             AnyTensor::Coo(_) => FormatId::Coo,
             AnyTensor::Csr(_) => FormatId::Csr,
@@ -232,13 +100,11 @@ impl AnyTensor {
         })
     }
 
-    /// The format this tensor is stored in, as a registry [`Format`] handle
-    /// (compare with a [`FormatId`] directly — `Format` implements
-    /// `PartialEq<FormatId>`).
+    /// The format this tensor is stored in, as a registry [`Format`] handle.
     pub fn format(&self) -> Format {
         match self {
             AnyTensor::Custom(t) => Format::intern_spec(&t.spec),
-            stock => Format::stock(stock.stock_id().expect("non-custom tensors are stock")),
+            stock => Format::stock(stock.tag().expect("non-custom tensors are stock")),
         }
     }
 
@@ -329,9 +195,7 @@ impl AnyTensor {
         match self {
             AnyTensor::Coo(m) => m.row_indices().windows(2).all(|w| w[0] <= w[1]),
             AnyTensor::Coo3(t) => t.crd(0).windows(2).all(|w| w[0] <= w[1]),
-            m => m
-                .stock_id()
-                .is_some_and(|id| kernel_table::stock_facts(id).rows_in_order),
+            m => m.tag().is_some_and(|tag| tag.row().facts.rows_in_order),
         }
     }
 
@@ -390,9 +254,8 @@ impl AnyTensor {
 }
 
 /// Converts a tensor to the requested target format — the single public
-/// entry point of the conversion stack. The target is anything that resolves
-/// to a [`Format`]: a stock [`FormatId`], a `&Format` handle (stock preset
-/// or builder-made), or an owned `Format`.
+/// entry point of the conversion stack. The target is a [`Format`] handle,
+/// owned or borrowed, stock preset or builder-made.
 ///
 /// This is [`convert_with`] at one thread: the routine comes from the
 /// [kernel table](crate::kernel_table) — stock pairs run on the
@@ -428,9 +291,9 @@ pub fn convert_with<F: Into<Format>>(
 ) -> Result<(AnyTensor, &'static KernelRow), ConvertError> {
     let target = target.into();
     let Some(row) = kernel_table::lookup(src, &target) else {
-        return Err(match target.id() {
-            Some(id) if target.spec().is_none() => ConvertError::UnsupportedTarget(id),
-            _ => ConvertError::Unsupported(format!(
+        return Err(match target.spec() {
+            None => ConvertError::UnsupportedTarget(target),
+            Some(_) => ConvertError::Unsupported(format!(
                 "{target} targets cannot represent an order-{} {} source",
                 src.order(),
                 src.format()
@@ -492,16 +355,6 @@ pub fn plan_for_formats(source: &Format, target: &Format) -> Result<ConversionPl
     plan_with_props(source, target, rows_in_order, counts_from_structure)
 }
 
-/// [`plan_for_formats`] over stock identifiers (transitional convenience).
-///
-/// # Errors
-///
-/// Returns an error for targets without a coordinate-hierarchy specification
-/// (DOK).
-pub fn plan_for_pair(source: FormatId, target: FormatId) -> Result<ConversionPlan, ConvertError> {
-    plan_for_formats(&source.into(), &target.into())
-}
-
 fn plan_with_props(
     source: &Format,
     target: &Format,
@@ -509,37 +362,18 @@ fn plan_with_props(
     counts_from_structure: bool,
 ) -> Result<ConversionPlan, ConvertError> {
     let Some(target_spec) = target.spec() else {
-        return Err(ConvertError::UnsupportedTarget(FormatId::Dok));
+        return Err(ConvertError::UnsupportedTarget(target.clone()));
     };
     // DOK sources are planned through the COO spec (they have no coordinate
     // hierarchy of their own).
-    let source_spec = match source.spec() {
-        Some(spec) => spec.clone(),
-        None => FormatSpec::stock(FormatId::Coo)?,
-    };
+    let coo = Format::coo();
+    let source_spec = source.spec().or(coo.spec()).expect("COO carries a spec");
     Ok(ConversionPlan::new(
-        &source_spec,
+        source_spec,
         target_spec,
         rows_in_order,
         counts_from_structure,
     ))
-}
-
-/// All format identifiers evaluated in Section 7 (the benchmark set).
-pub fn evaluated_formats() -> Vec<FormatId> {
-    vec![
-        FormatId::Coo,
-        FormatId::Csr,
-        FormatId::Csc,
-        FormatId::Dia,
-        FormatId::Ell,
-    ]
-}
-
-/// The rank-N tensor format identifiers (Section 7's third-order
-/// conversions).
-pub fn tensor_formats() -> Vec<FormatId> {
-    vec![FormatId::Coo3, FormatId::Csf]
 }
 
 #[cfg(test)]
@@ -547,18 +381,15 @@ mod tests {
     use super::*;
     use sparse_tensor::example::figure1_matrix;
 
-    fn all_targets() -> Vec<FormatId> {
+    fn all_targets() -> Vec<Format> {
         vec![
-            FormatId::Coo,
-            FormatId::Csr,
-            FormatId::Csc,
-            FormatId::Dia,
-            FormatId::Ell,
-            FormatId::Bcsr {
-                block_rows: 2,
-                block_cols: 2,
-            },
-            FormatId::Jad,
+            Format::coo(),
+            Format::csr(),
+            Format::csc(),
+            Format::dia(),
+            Format::ell(),
+            Format::bcsr(2, 2),
+            Format::jad(),
         ]
     }
 
@@ -573,7 +404,7 @@ mod tests {
         sources.push(AnyTensor::Dok(DokMatrix::from_triples(&t)));
         for src in &sources {
             for dst in all_targets() {
-                let converted = convert(src, dst).unwrap();
+                let converted = convert(src, &dst).unwrap();
                 assert_eq!(converted.format(), dst);
                 assert!(
                     converted.to_triples().same_values(&t),
@@ -588,145 +419,110 @@ mod tests {
     #[test]
     fn dok_target_is_rejected_without_aborting() {
         let t = figure1_matrix();
-        let m = AnyTensor::from_triples(&t, FormatId::Coo).unwrap();
+        let m = AnyTensor::from_triples(&t, Format::coo()).unwrap();
         assert_eq!(
-            convert(&m, FormatId::Dok),
-            Err(ConvertError::UnsupportedTarget(FormatId::Dok))
+            convert(&m, Format::dok()),
+            Err(ConvertError::UnsupportedTarget(Format::dok()))
         );
-        assert!(AnyTensor::from_triples(&t, FormatId::Dok).is_err());
-    }
-
-    #[test]
-    fn format_ids_round_trip_through_display_and_from_str() {
-        let mut ids = all_targets();
-        ids.push(FormatId::Skyline);
-        ids.push(FormatId::Dok);
-        ids.push(FormatId::Coo3);
-        ids.push(FormatId::Csf);
-        ids.push(FormatId::Bcsr {
-            block_rows: 16,
-            block_cols: 3,
-        });
-        for id in ids {
-            let rendered = id.to_string();
-            assert_eq!(rendered.parse::<FormatId>().unwrap(), id, "{rendered}");
-            // CLI input is case-insensitive.
-            assert_eq!(rendered.to_lowercase().parse::<FormatId>().unwrap(), id);
-        }
-        assert!("BCSRxx2".parse::<FormatId>().is_err());
-        assert!("BCSR0x2".parse::<FormatId>().is_err());
-        assert!("HICOO".parse::<FormatId>().is_err());
-        assert!("".parse::<FormatId>().is_err());
-        let msg = "HICOO".parse::<FormatId>().unwrap_err().to_string();
-        assert!(msg.contains("HICOO"), "{msg}");
+        assert!(AnyTensor::from_triples(&t, Format::dok()).is_err());
     }
 
     #[test]
     fn format_metadata_accessors() {
         let t = figure1_matrix();
-        let m = AnyTensor::from_triples(&t, FormatId::Csr).unwrap();
-        assert_eq!(m.format(), FormatId::Csr);
+        let m = AnyTensor::from_triples(&t, Format::csr()).unwrap();
+        assert_eq!(m.format(), Format::csr());
+        assert_eq!(m.tag(), Some(FormatId::Csr));
         assert_eq!(m.rows(), 4);
         assert_eq!(m.cols(), 6);
         assert_eq!(m.nnz(), 9);
-        assert_eq!(
-            FormatId::Bcsr {
-                block_rows: 2,
-                block_cols: 3
-            }
-            .to_string(),
-            "BCSR2x3"
-        );
-        assert_eq!(FormatId::Dia.to_string(), "DIA");
-        assert_eq!(evaluated_formats().len(), 5);
     }
 
     #[test]
     fn order_3_sources_convert_between_tensor_formats() {
         let t = sparse_tensor::example::example3_tensor();
-        let coo3 = AnyTensor::from_triples(&t, FormatId::Coo3).unwrap();
-        assert_eq!(coo3.format(), FormatId::Coo3);
+        let coo3 = AnyTensor::from_triples(&t, Format::coo3()).unwrap();
+        assert_eq!(coo3.format(), Format::coo3());
         assert_eq!(coo3.order(), 3);
         assert_eq!(coo3.shape().dims(), &[3, 4, 5]);
         assert_eq!(coo3.nnz(), 8);
-        let csf = convert(&coo3, FormatId::Csf).unwrap();
-        assert_eq!(csf.format(), FormatId::Csf);
+        let csf = convert(&coo3, Format::csf()).unwrap();
+        assert_eq!(csf.format(), Format::csf());
         assert!(csf.to_triples().same_values(&t));
-        let back = convert(&csf, FormatId::Coo3).unwrap();
+        let back = convert(&csf, Format::coo3()).unwrap();
         assert!(back.to_triples().same_values(&t));
         // Identity conversions work on both tensor formats.
-        assert!(convert(&coo3, FormatId::Coo3).is_ok());
-        assert!(convert(&csf, FormatId::Csf).is_ok());
+        assert!(convert(&coo3, Format::coo3()).is_ok());
+        assert!(convert(&csf, Format::csf()).is_ok());
     }
 
     #[test]
     fn rank_mismatches_are_rejected_with_errors() {
         let t3 = sparse_tensor::example::example3_tensor();
-        let coo3 = AnyTensor::from_triples(&t3, FormatId::Coo3).unwrap();
+        let coo3 = AnyTensor::from_triples(&t3, Format::coo3()).unwrap();
         // Tensor source, matrix target.
         assert!(matches!(
-            convert(&coo3, FormatId::Csr),
+            convert(&coo3, Format::csr()),
             Err(ConvertError::Unsupported(_))
         ));
         assert!(matches!(
-            convert(&coo3, FormatId::Dok),
-            Err(ConvertError::UnsupportedTarget(FormatId::Dok))
+            convert(&coo3, Format::dok()),
+            Err(ConvertError::UnsupportedTarget(_))
         ));
         // Matrix source, COO3 target.
-        let m = AnyTensor::from_triples(&figure1_matrix(), FormatId::Coo).unwrap();
+        let m = AnyTensor::from_triples(&figure1_matrix(), Format::coo()).unwrap();
         assert!(matches!(
-            convert(&m, FormatId::Coo3),
+            convert(&m, Format::coo3()),
             Err(ConvertError::Unsupported(_))
         ));
         // Matrix source, CSF target: supported (order-2 CSF is DCSR).
-        let dcsr = convert(&m, FormatId::Csf).unwrap();
-        assert_eq!(dcsr.format(), FormatId::Csf);
+        let dcsr = convert(&m, Format::csf()).unwrap();
+        assert_eq!(dcsr.format(), Format::csf());
         assert_eq!(dcsr.order(), 2);
         assert!(dcsr.to_triples().same_values(&figure1_matrix()));
         // An order-2 CSF is a valid *source* for matrix targets too: the
         // matrix -> CSF -> matrix round-trip closes through triples.
-        let back = convert(&dcsr, FormatId::Csr).unwrap();
-        assert_eq!(back.format(), FormatId::Csr);
+        let back = convert(&dcsr, Format::csr()).unwrap();
+        assert_eq!(back.format(), Format::csr());
         assert!(back.to_triples().same_values(&figure1_matrix()));
-        assert!(convert(&dcsr, FormatId::Ell).is_ok());
-        assert!(matches!(
-            convert(&dcsr, FormatId::Dok),
-            Err(ConvertError::UnsupportedTarget(FormatId::Dok))
-        ));
+        assert!(convert(&dcsr, Format::ell()).is_ok());
+        assert_eq!(
+            convert(&dcsr, Format::dok()),
+            Err(ConvertError::UnsupportedTarget(Format::dok()))
+        );
         // An order-2 CSF cannot masquerade as COO3 either — the COO3 target
         // is strictly order-3 regardless of the source container.
         assert!(matches!(
-            convert(&dcsr, FormatId::Coo3),
+            convert(&dcsr, Format::coo3()),
             Err(ConvertError::Unsupported(_))
         ));
-        assert!(convert(&dcsr, FormatId::Csf).is_ok());
+        assert!(convert(&dcsr, Format::csf()).is_ok());
     }
 
     #[test]
     fn tensor_pairs_have_plans() {
-        let plan = plan_for_pair(FormatId::Coo3, FormatId::Csf).unwrap();
+        let plan = plan_for_formats(&Format::coo3(), &Format::csf()).unwrap();
         assert_eq!(plan.source, "COO3");
         assert_eq!(plan.target, "CSF");
         assert_eq!(plan.counters, crate::plan::CounterStrategy::NotNeeded);
         let t = sparse_tensor::example::example3_tensor();
-        let coo3 = AnyTensor::from_triples(&t, FormatId::Coo3).unwrap();
-        assert_eq!(plan_for(&coo3, FormatId::Csf).unwrap(), plan);
-        let csf = convert(&coo3, FormatId::Csf).unwrap();
+        let coo3 = AnyTensor::from_triples(&t, Format::coo3()).unwrap();
+        assert_eq!(plan_for(&coo3, Format::csf()).unwrap(), plan);
+        let csf = convert(&coo3, Format::csf()).unwrap();
         assert_eq!(
-            plan_for(&csf, FormatId::Coo3).unwrap(),
-            plan_for_pair(FormatId::Csf, FormatId::Coo3).unwrap()
+            plan_for(&csf, Format::coo3()).unwrap(),
+            plan_for_formats(&Format::csf(), &Format::coo3()).unwrap()
         );
-        assert_eq!(tensor_formats().len(), 2);
-        assert_eq!(FormatId::Csf.order(), 3);
-        assert_eq!(FormatId::Csr.order(), 2);
+        assert_eq!(Format::csf().order(), 3);
+        assert_eq!(Format::csr().order(), 2);
     }
 
     #[test]
     fn skyline_target_requires_square_input() {
         let t = figure1_matrix();
-        let m = AnyTensor::from_triples(&t, FormatId::Coo).unwrap();
+        let m = AnyTensor::from_triples(&t, Format::coo()).unwrap();
         assert!(matches!(
-            convert(&m, FormatId::Skyline),
+            convert(&m, Format::skyline()),
             Err(ConvertError::Unsupported(_))
         ));
     }
@@ -734,33 +530,33 @@ mod tests {
     #[test]
     fn plans_are_available_for_every_benchmarked_pair() {
         let t = figure1_matrix();
-        let coo = AnyTensor::from_triples(&t, FormatId::Coo).unwrap();
-        let csr = AnyTensor::from_triples(&t, FormatId::Csr).unwrap();
-        let plan = plan_for(&coo, FormatId::Csr).unwrap();
+        let coo = AnyTensor::from_triples(&t, Format::coo()).unwrap();
+        let csr = AnyTensor::from_triples(&t, Format::csr()).unwrap();
+        let plan = plan_for(&coo, Format::csr()).unwrap();
         assert_eq!(plan.counters, crate::plan::CounterStrategy::NotNeeded);
-        let plan = plan_for(&csr, FormatId::Ell).unwrap();
+        let plan = plan_for(&csr, Format::ell()).unwrap();
         assert_eq!(plan.counters, crate::plan::CounterStrategy::Scalar);
-        let plan = plan_for(&coo, FormatId::Ell).unwrap();
+        let plan = plan_for(&coo, Format::ell()).unwrap();
         assert_eq!(plan.counters, crate::plan::CounterStrategy::Array);
-        assert!(plan_for(&coo, FormatId::Dok).is_err());
+        assert!(plan_for(&coo, Format::dok()).is_err());
     }
 
     #[test]
     fn instance_free_planning_agrees_with_instance_planning() {
         let t = figure1_matrix();
-        for src in [FormatId::Coo, FormatId::Csr, FormatId::Csc] {
-            let m = AnyTensor::from_triples(&t, src).unwrap();
+        for src in [Format::coo(), Format::csr(), Format::csc()] {
+            let m = AnyTensor::from_triples(&t, &src).unwrap();
             for dst in all_targets() {
                 assert_eq!(
-                    plan_for_pair(src, dst).unwrap(),
-                    plan_for(&m, dst).unwrap(),
+                    plan_for_formats(&src, &dst).unwrap(),
+                    plan_for(&m, &dst).unwrap(),
                     "{src} -> {dst}"
                 );
             }
         }
         assert_eq!(
-            plan_for_pair(FormatId::Csr, FormatId::Dok),
-            Err(ConvertError::UnsupportedTarget(FormatId::Dok))
+            plan_for_formats(&Format::csr(), &Format::dok()),
+            Err(ConvertError::UnsupportedTarget(Format::dok()))
         );
     }
 }

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::convert::FormatId;
+use crate::format::Format;
 
 /// Errors raised while planning or executing a conversion.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,7 +14,7 @@ pub enum ConvertError {
     /// The requested format is not available as a conversion target (DOK is
     /// not described by a coordinate hierarchy; it is supported only as a
     /// conversion *source*).
-    UnsupportedTarget(FormatId),
+    UnsupportedTarget(Format),
     /// The format specification itself is rejected: its level composition or
     /// remapping cannot be assembled by the dynamic driver (e.g. a banded
     /// level at the root, or edge insertion under a non-chainable ancestor).
@@ -48,10 +48,10 @@ impl fmt::Display for ConvertError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConvertError::Unsupported(msg) => write!(f, "unsupported conversion: {msg}"),
-            ConvertError::UnsupportedTarget(id) => {
+            ConvertError::UnsupportedTarget(format) => {
                 write!(
                     f,
-                    "{id} has no coordinate-hierarchy specification and cannot \
+                    "{format} has no coordinate-hierarchy specification and cannot \
                      be a conversion target (it is supported only as a source)"
                 )
             }
@@ -119,7 +119,7 @@ mod tests {
         assert!(ConvertError::Unsupported("skyline needs square".into())
             .to_string()
             .contains("skyline"));
-        assert!(ConvertError::UnsupportedTarget(FormatId::Dok)
+        assert!(ConvertError::UnsupportedTarget(Format::dok())
             .to_string()
             .contains("DOK"));
         assert!(ConvertError::UnsupportedSpec {

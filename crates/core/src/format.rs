@@ -5,22 +5,20 @@
 //! composition (Section 3). [`Format`] makes that the unit of identity for
 //! the whole public API: a cheap, cloneable handle to an interned
 //! [`FormatSpec`] whose equality is the spec *fingerprint* — not membership
-//! in a closed enum. Stock formats are presets in the global
+//! in a closed enum. `Format` is the one way to name a format. Stock formats
+//! are the rows of the [stock table](crate::stock), preset in the global
 //! [`FormatRegistry`] (`Format::csr()`, `Format::csf()`, ...); user formats
 //! are built with [`Format::builder`] and become first-class citizens of the
 //! same registry: they convert in both directions, parse back from their
 //! registered name or spec string ([`std::str::FromStr`]), and key plan
 //! caches exactly like the stock set.
 //!
-//! [`FormatId`] remains as a transitional identifier for the stock presets
-//! (every `FormatId` resolves to one registry entry); new code should hold
-//! `Format` handles instead.
-//!
 //! # Spec strings
 //!
-//! [`FromStr`](std::str::FromStr) accepts, in order: a stock name
-//! (`"CSR"`, `"BCSR2x2"`), a registered custom format's name, or a full
-//! four-field spec string `NAME:REMAP:DIMS:LEVELS`:
+//! [`FromStr`](std::str::FromStr) accepts, in order: a stock name or alias
+//! from the stock table (`"CSR"`, `"skyline"`, `"BCSR2x2"`), a registered
+//! custom format's name, or a full four-field spec string
+//! `NAME:REMAP:DIMS:LEVELS`:
 //!
 //! ```text
 //! DCSR:(i,j)->(i,j):i,j:compressed,compressed
@@ -39,18 +37,18 @@ use std::sync::{Arc, Mutex, OnceLock};
 use coord_remap::Remapping;
 use level_formats::LevelKind;
 
-use crate::convert::FormatId;
 use crate::error::ConvertError;
 use crate::spec::FormatSpec;
+use crate::stock::{self, FormatId, StockFormat, STOCK};
 
-/// Fingerprint of the DOK pseudo-entry. DOK has no coordinate-hierarchy
-/// specification (it is a conversion source only), but it still needs a
-/// stable registry identity so `AnyTensor::format()` is total.
-fn dok_fingerprint() -> u64 {
+/// Fingerprint of a stock entry without a coordinate-hierarchy specification
+/// (DOK, a conversion source only): it still needs a stable registry
+/// identity so `AnyTensor::format()` is total.
+fn source_only_fingerprint(name: &str) -> u64 {
     // FNV-1a over a tag no rendered spec can produce (spec fingerprints
     // separate fields with 0xff, and this tag is hashed as a single run).
     let mut h = 0xcbf29ce484222325u64;
-    for b in "__dok_source_only__".bytes() {
+    for b in format!("__{}_source_only__", name.to_ascii_lowercase()).bytes() {
         h = (h ^ b as u64).wrapping_mul(0x100000001b3);
     }
     h
@@ -60,11 +58,11 @@ fn dok_fingerprint() -> u64 {
 struct FormatInner {
     /// Registry name (unique; `Display` form).
     name: String,
-    /// The stock identifier, when this entry is a stock preset. A
+    /// The stock tag and its table row, when this entry is a stock preset. A
     /// `OnceLock` so a custom-interned entry can be *upgraded* in place when
     /// the same spec later arrives through a stock constructor (the upgrade
     /// is visible through every outstanding handle of the entry).
-    id: OnceLock<FormatId>,
+    stock: OnceLock<(FormatId, &'static StockFormat)>,
     /// The interned specification; `None` only for DOK.
     spec: Option<FormatSpec>,
     /// The spec fingerprint (identity).
@@ -85,45 +83,18 @@ pub struct Format {
 }
 
 impl Format {
-    /// The handle for a stock format identifier.
-    ///
-    /// The non-parametric presets are memoised process-wide, so this is an
-    /// `Arc` clone on the hot path (`AnyTensor::format()` calls it per
-    /// conversion); only parametric BCSR shapes go through the registry
-    /// lock.
-    pub fn stock(id: FormatId) -> Format {
-        let index = match id {
-            FormatId::Coo => 0,
-            FormatId::Csr => 1,
-            FormatId::Csc => 2,
-            FormatId::Dia => 3,
-            FormatId::Ell => 4,
-            FormatId::Skyline => 5,
-            FormatId::Jad => 6,
-            FormatId::Dok => 7,
-            FormatId::Coo3 => 8,
-            FormatId::Csf => 9,
-            FormatId::Bcsr { .. } => return FormatRegistry::global().stock(id),
-        };
-        static PRESETS: OnceLock<Vec<Format>> = OnceLock::new();
-        PRESETS.get_or_init(|| {
-            [
-                FormatId::Coo,
-                FormatId::Csr,
-                FormatId::Csc,
-                FormatId::Dia,
-                FormatId::Ell,
-                FormatId::Skyline,
-                FormatId::Jad,
-                FormatId::Dok,
-                FormatId::Coo3,
-                FormatId::Csf,
-            ]
-            .into_iter()
-            .map(|id| FormatRegistry::global().stock(id))
-            .collect()
-        })[index]
-            .clone()
+    /// The handle of a stock tag. Each row's own preset is memoised in the
+    /// registry, so this is an `Arc` clone on the hot path
+    /// (`AnyTensor::format()` calls it per conversion); only BCSR shapes
+    /// other than the row's sample go through the registry lock.
+    pub(crate) fn stock(tag: FormatId) -> Format {
+        let registry = FormatRegistry::global();
+        let index = tag.row_index();
+        if STOCK[index].tag == tag {
+            registry.presets[index].clone()
+        } else {
+            registry.stock(tag)
+        }
     }
 
     /// Coordinate format.
@@ -242,7 +213,7 @@ impl Format {
     /// [`FormatSpec::validate`].
     pub fn from_spec(spec: FormatSpec) -> Result<Format, ConvertError> {
         spec.validate()?;
-        Ok(FormatRegistry::global().intern(spec, None))
+        Ok(FormatRegistry::global().intern(spec))
     }
 
     /// Interns a specification that is already known to assemble (e.g. the
@@ -253,7 +224,7 @@ impl Format {
         if let Some(existing) = registry.get_by_fingerprint(spec.fingerprint()) {
             return existing;
         }
-        registry.intern(spec.clone(), None)
+        registry.intern(spec.clone())
     }
 
     /// The registered (display) name.
@@ -261,9 +232,15 @@ impl Format {
         &self.inner.name
     }
 
-    /// The stock identifier, when this format is a stock preset.
-    pub fn id(&self) -> Option<FormatId> {
-        self.inner.id.get().copied()
+    /// The format's row in the [stock table](crate::stock), when it is a
+    /// stock preset; `None` for builder-made formats.
+    pub fn id(&self) -> Option<&'static StockFormat> {
+        self.inner.stock.get().map(|(_, row)| *row)
+    }
+
+    /// The stock tag, when this format is a stock preset.
+    pub(crate) fn tag(&self) -> Option<FormatId> {
+        self.inner.stock.get().map(|(tag, _)| *tag)
     }
 
     /// The format's specification; `None` only for DOK, which has no
@@ -295,7 +272,7 @@ impl fmt::Debug for Format {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Format")
             .field("name", &self.inner.name)
-            .field("id", &self.id())
+            .field("id", &self.tag())
             .field("fingerprint", &self.inner.fingerprint)
             .finish()
     }
@@ -318,24 +295,6 @@ impl Eq for Format {}
 impl Hash for Format {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.inner.fingerprint.hash(state);
-    }
-}
-
-impl PartialEq<FormatId> for Format {
-    fn eq(&self, other: &FormatId) -> bool {
-        self.inner.fingerprint == Format::stock(*other).fingerprint()
-    }
-}
-
-impl PartialEq<Format> for FormatId {
-    fn eq(&self, other: &Format) -> bool {
-        other == self
-    }
-}
-
-impl From<FormatId> for Format {
-    fn from(id: FormatId) -> Format {
-        Format::stock(id)
     }
 }
 
@@ -371,8 +330,8 @@ impl std::str::FromStr for Format {
     /// spec string (which interns the format); see the module docs.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim();
-        if let Ok(id) = s.parse::<FormatId>() {
-            return Ok(Format::stock(id));
+        if let Some(tag) = stock::parse(s) {
+            return Ok(Format::stock(tag));
         }
         // The `CSF@...` spelling is reserved: it resolves through
         // `csf_ordered` (collapsing the identity order to stock CSF) even
@@ -548,10 +507,12 @@ struct RegistryInner {
 /// by spec fingerprint, and each entry gets a stable unique name (the spec's
 /// own name, suffixed with a fingerprint prefix on collision) so
 /// `Display`/`FromStr` round-trip for custom formats exactly like stock
-/// ones. The stock presets are registered eagerly under their `FormatId`
-/// display names.
+/// ones. The [stock table](crate::stock)'s rows are registered eagerly under
+/// their table names.
 pub struct FormatRegistry {
     inner: Mutex<RegistryInner>,
+    /// The handle of each [`STOCK`] row, in table order.
+    presets: Vec<Format>,
 }
 
 impl FormatRegistry {
@@ -559,101 +520,80 @@ impl FormatRegistry {
     pub fn global() -> &'static FormatRegistry {
         static REGISTRY: OnceLock<FormatRegistry> = OnceLock::new();
         REGISTRY.get_or_init(|| {
-            let registry = FormatRegistry {
+            let mut registry = FormatRegistry {
                 inner: Mutex::new(RegistryInner {
                     by_fingerprint: HashMap::new(),
                     by_name: HashMap::new(),
                 }),
+                presets: Vec::new(),
             };
-            // Register the non-parametric stock presets eagerly so builder
-            // specs that happen to equal one resolve to the stock entry (and
-            // its engine fast path) from the start. BCSR's block shapes are
-            // unbounded and intern lazily.
-            for id in [
-                FormatId::Coo,
-                FormatId::Csr,
-                FormatId::Csc,
-                FormatId::Dia,
-                FormatId::Ell,
-                FormatId::Skyline,
-                FormatId::Jad,
-                FormatId::Dok,
-                FormatId::Coo3,
-                FormatId::Csf,
-            ] {
-                registry.stock(id);
-            }
+            // Register every stock row eagerly so builder specs that happen
+            // to equal one resolve to the stock entry (and its engine fast
+            // path) from the start. BCSR's other block shapes are unbounded
+            // and intern lazily.
+            registry.presets = STOCK.iter().map(|row| registry.stock(row.tag)).collect();
             registry
         })
     }
 
-    /// The handle of a stock preset, registering it on first use.
-    pub fn stock(&self, id: FormatId) -> Format {
-        if matches!(id, FormatId::Dok) {
-            let mut inner = self.inner.lock().unwrap();
-            return Self::entry(&mut inner, dok_fingerprint(), None, Some(id), "DOK");
-        }
-        let spec = FormatSpec::stock(id).expect("every non-DOK stock id has a spec");
+    /// The handle of a stock tag, registering it on first use.
+    fn stock(&self, tag: FormatId) -> Format {
+        let (name, spec) = (tag.name(), tag.spec());
+        let fingerprint = spec
+            .as_ref()
+            .map_or_else(|| source_only_fingerprint(&name), FormatSpec::fingerprint);
         let mut inner = self.inner.lock().unwrap();
-        Self::entry(
-            &mut inner,
-            spec.fingerprint(),
-            Some(spec),
-            Some(id),
-            &id.to_string(),
-        )
+        Self::entry(&mut inner, fingerprint, spec, Some(tag), &name)
     }
 
     /// Interns a specification, returning the existing handle when an equal
-    /// spec (same fingerprint) is already registered. `id` tags stock
-    /// presets; an already-registered custom entry is upgraded in place when
-    /// the same spec later arrives through a stock constructor.
-    fn intern(&self, spec: FormatSpec, id: Option<FormatId>) -> Format {
+    /// spec (same fingerprint) is already registered.
+    fn intern(&self, spec: FormatSpec) -> Format {
         let fingerprint = spec.fingerprint();
         let name = spec.name.clone();
         let mut inner = self.inner.lock().unwrap();
-        Self::entry(&mut inner, fingerprint, Some(spec), id, &name)
+        Self::entry(&mut inner, fingerprint, Some(spec), None, &name)
     }
 
     fn entry(
         inner: &mut RegistryInner,
         fingerprint: u64,
         spec: Option<FormatSpec>,
-        id: Option<FormatId>,
+        tag: Option<FormatId>,
         preferred_name: &str,
     ) -> Format {
-        if let Some(existing) = inner.by_fingerprint.get(&fingerprint) {
-            // Upgrade: when the same spec arrives through a stock
-            // constructor after being interned as a custom format, attach
-            // the id in place — every outstanding handle of the entry sees
-            // it (the name stays as first published).
-            if let Some(id) = id {
-                let _ = existing.inner.id.set(id);
+        let format = match inner.by_fingerprint.get(&fingerprint) {
+            Some(existing) => existing.clone(),
+            None => {
+                // Pick a stable unique name: the preferred name, or — when
+                // another fingerprint already claimed it — the name suffixed
+                // with this fingerprint's leading hex digits.
+                let name = match inner.by_name.get(preferred_name) {
+                    Some(&fp) if fp != fingerprint => {
+                        format!("{preferred_name}#{:08x}", (fingerprint >> 32) as u32)
+                    }
+                    _ => preferred_name.to_string(),
+                };
+                let format = Format {
+                    inner: Arc::new(FormatInner {
+                        name: name.clone(),
+                        stock: OnceLock::new(),
+                        spec,
+                        fingerprint,
+                    }),
+                };
+                inner.by_fingerprint.insert(fingerprint, format.clone());
+                inner.by_name.insert(name, fingerprint);
+                format
             }
-            return existing.clone();
-        }
-        // Pick a stable unique name: the preferred name, or — when another
-        // fingerprint already claimed it — the name suffixed with this
-        // fingerprint's leading hex digits.
-        let name = match inner.by_name.get(preferred_name) {
-            None => preferred_name.to_string(),
-            Some(&fp) if fp == fingerprint => preferred_name.to_string(),
-            Some(_) => format!("{preferred_name}#{:08x}", (fingerprint >> 32) as u32),
         };
-        let stock_id = OnceLock::new();
-        if let Some(id) = id {
-            let _ = stock_id.set(id);
+        // Also the upgrade: when the same spec arrives through a stock
+        // constructor after being interned as a custom format, the tag is
+        // attached in place — every outstanding handle of the entry sees it
+        // (the name stays as first published).
+        if let Some(tag) = tag {
+            let _ = format.inner.stock.set((tag, tag.row()));
         }
-        let format = Format {
-            inner: Arc::new(FormatInner {
-                name: name.clone(),
-                id: stock_id,
-                spec,
-                fingerprint,
-            }),
-        };
-        inner.by_fingerprint.insert(fingerprint, format.clone());
-        inner.by_name.insert(name, fingerprint);
         format
     }
 
@@ -708,19 +648,15 @@ mod tests {
 
     #[test]
     fn stock_handles_compare_to_their_ids() {
-        assert_eq!(Format::csr(), FormatId::Csr);
-        assert_eq!(FormatId::Csr, Format::csr());
-        assert_ne!(Format::csr(), FormatId::Csc);
-        assert_eq!(
-            Format::bcsr(2, 3),
-            FormatId::Bcsr {
-                block_rows: 2,
-                block_cols: 3
-            }
-        );
+        assert_eq!(Format::csr(), Format::stock(FormatId::Csr));
+        assert_ne!(Format::csr(), Format::csc());
+        assert_eq!(Format::csr().id().unwrap().name, "CSR");
+        // Every block shape is a BCSR-row format of its own.
+        assert_eq!(Format::bcsr(2, 3).id().unwrap().name, "BCSR");
+        assert_ne!(Format::bcsr(2, 3), Format::bcsr(2, 2));
+        assert!(Format::bcsr(2, 2).same_entry(&Format::bcsr(2, 2)));
         assert_eq!(Format::csr().to_string(), "CSR");
         assert_eq!(Format::bcsr(2, 3).to_string(), "BCSR2x3");
-        assert_eq!(Format::csr().id(), Some(FormatId::Csr));
         assert_eq!(Format::csr().order(), 2);
         assert_eq!(Format::csf().order(), 3);
         assert!(Format::csr().spec().is_some());
@@ -729,31 +665,11 @@ mod tests {
     #[test]
     fn dok_has_a_handle_but_no_spec() {
         let dok = Format::dok();
-        assert_eq!(dok.id(), Some(FormatId::Dok));
+        assert_eq!(dok.tag(), Some(FormatId::Dok));
         assert!(dok.spec().is_none());
         assert_eq!(dok.to_string(), "DOK");
         assert_eq!("DOK".parse::<Format>().unwrap(), dok);
         assert_ne!(dok, Format::coo());
-    }
-
-    #[test]
-    fn stock_names_parse_back_to_the_same_handle() {
-        for (name, format) in [
-            ("COO", Format::coo()),
-            ("csr", Format::csr()),
-            ("CSC", Format::csc()),
-            ("DIA", Format::dia()),
-            ("ELL", Format::ell()),
-            ("BCSR4x2", Format::bcsr(4, 2)),
-            ("SKY", Format::skyline()),
-            ("JAD", Format::jad()),
-            ("COO3", Format::coo3()),
-            ("CSF", Format::csf()),
-        ] {
-            let parsed: Format = name.parse().unwrap();
-            assert_eq!(parsed, format, "{name}");
-            assert!(parsed.same_entry(&format), "{name}");
-        }
     }
 
     #[test]
@@ -789,7 +705,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(rebuilt.same_entry(&Format::csr()));
-        assert_eq!(rebuilt.id(), Some(FormatId::Csr));
+        assert_eq!(rebuilt.tag(), Some(FormatId::Csr));
     }
 
     #[test]

@@ -654,8 +654,9 @@ fn enumerate_full_positions(bounds: &[DimBounds]) -> Vec<(usize, Vec<i64>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::{AnyTensor, FormatId};
+    use crate::convert::AnyTensor;
     use crate::engine;
+    use crate::format::Format;
     use sparse_formats::{CooMatrix, CsrMatrix, DiaMatrix, EllMatrix};
     use sparse_tensor::example::figure1_matrix;
     use sparse_tensor::SparseTriples;
@@ -664,9 +665,13 @@ mod tests {
         AnyTensor::Coo(CooMatrix::from_triples(&figure1_matrix()))
     }
 
+    fn stock(format: Format) -> FormatSpec {
+        format.spec().expect("not DOK").clone()
+    }
+
     #[test]
     fn dynamic_csr_matches_engine_csr() {
-        let spec = FormatSpec::stock(FormatId::Csr).unwrap();
+        let spec = stock(Format::csr());
         let custom = convert_with_spec(&coo_src(), &spec).unwrap();
         let reference = engine::to_csr(&CooMatrix::from_triples(&figure1_matrix()));
         match &custom.levels[1] {
@@ -682,7 +687,7 @@ mod tests {
 
     #[test]
     fn dynamic_dia_matches_engine_dia() {
-        let spec = FormatSpec::stock(FormatId::Dia).unwrap();
+        let spec = stock(Format::dia());
         let custom = convert_with_spec(&coo_src(), &spec).unwrap();
         let reference = engine::to_dia(&CooMatrix::from_triples(&figure1_matrix())).unwrap();
         match &custom.levels[0] {
@@ -694,7 +699,7 @@ mod tests {
 
     #[test]
     fn dynamic_ell_matches_engine_ell() {
-        let spec = FormatSpec::stock(FormatId::Ell).unwrap();
+        let spec = stock(Format::ell());
         let custom = convert_with_spec(&coo_src(), &spec).unwrap();
         let reference = engine::to_ell(&CooMatrix::from_triples(&figure1_matrix()));
         match &custom.levels[0] {
@@ -713,7 +718,7 @@ mod tests {
 
     #[test]
     fn dynamic_coo_target_keeps_duplicless_row_entries() {
-        let spec = FormatSpec::stock(FormatId::Coo).unwrap();
+        let spec = stock(Format::coo());
         let custom = convert_with_spec(&coo_src(), &spec).unwrap();
         match (&custom.levels[0], &custom.levels[1]) {
             (LevelOutput::Compressed { pos, crd }, LevelOutput::Singleton { crd: cols }) => {
@@ -765,8 +770,7 @@ mod tests {
         )
         .unwrap();
         let src = AnyTensor::Csr(CsrMatrix::from_triples(&lower));
-        let custom =
-            convert_with_spec(&src, &FormatSpec::stock(FormatId::Skyline).unwrap()).unwrap();
+        let custom = convert_with_spec(&src, &stock(Format::skyline())).unwrap();
         match &custom.levels[1] {
             LevelOutput::Banded { pos, first } => {
                 assert_eq!(pos, &[0, 1, 2, 5, 7]);
@@ -784,7 +788,7 @@ mod tests {
         // engine's sort-then-pack kernel.
         let t = sparse_tensor::example::example3_tensor();
         let src = AnyTensor::Coo3(sparse_formats::CooTensor::from_triples(&t));
-        let spec = FormatSpec::stock(FormatId::Csf).unwrap();
+        let spec = stock(Format::csf());
         let custom = convert_with_spec(&src, &spec).unwrap();
         let reference = engine::to_csf(&sparse_formats::CooTensor::from_triples(&t));
         // Level l's `pos` array groups level l's coordinates under their
@@ -815,7 +819,7 @@ mod tests {
     fn dynamic_coo3_preserves_source_order() {
         let t = sparse_tensor::example::example3_tensor();
         let src = AnyTensor::Coo3(sparse_formats::CooTensor::from_triples(&t));
-        let spec = FormatSpec::stock(FormatId::Coo3).unwrap();
+        let spec = stock(Format::coo3());
         let custom = convert_with_spec(&src, &spec).unwrap();
         // COO3 has no compressed level under a non-full ancestor, so the
         // source order survives: the values come out exactly as stored.
@@ -831,7 +835,7 @@ mod tests {
         let mut coo = sparse_formats::CooTensor::new(sparse_tensor::Shape::tensor3(2, 2, 2));
         coo.push(&[1, 1, 0], 2.0);
         coo.push(&[1, 1, 0], 3.0);
-        let spec = FormatSpec::stock(FormatId::Csf).unwrap();
+        let spec = stock(Format::csf());
         assert!(matches!(
             convert_with_spec(&AnyTensor::Coo3(coo), &spec),
             Err(ConvertError::Unsupported(_))
@@ -840,7 +844,7 @@ mod tests {
 
     #[test]
     fn order_mismatches_are_rejected() {
-        let spec = FormatSpec::stock(FormatId::Csf).unwrap();
+        let spec = stock(Format::csf());
         assert!(matches!(
             convert_with_spec(&coo_src(), &spec),
             Err(ConvertError::Unsupported(_))
@@ -848,7 +852,7 @@ mod tests {
         let t = sparse_tensor::example::example3_tensor();
         let src = AnyTensor::Coo3(sparse_formats::CooTensor::from_triples(&t));
         assert!(matches!(
-            convert_with_spec(&src, &FormatSpec::stock(FormatId::Csr).unwrap()),
+            convert_with_spec(&src, &stock(Format::csr())),
             Err(ConvertError::Unsupported(_))
         ));
     }
@@ -856,12 +860,12 @@ mod tests {
     #[test]
     fn dynamic_path_accepts_structured_sources() {
         let dia = AnyTensor::Dia(DiaMatrix::from_triples(&figure1_matrix()));
-        let spec = FormatSpec::stock(FormatId::Csr).unwrap();
+        let spec = stock(Format::csr());
         let custom = convert_with_spec(&dia, &spec).unwrap();
         let reference = engine::to_csr(&DiaMatrix::from_triples(&figure1_matrix()));
         assert_eq!(custom.vals, reference.values());
         let ell = AnyTensor::Ell(EllMatrix::from_triples(&figure1_matrix()));
-        let custom = convert_with_spec(&ell, &FormatSpec::stock(FormatId::Csc).unwrap()).unwrap();
+        let custom = convert_with_spec(&ell, &stock(Format::csc())).unwrap();
         let reference = engine::to_csc(&EllMatrix::from_triples(&figure1_matrix()));
         assert_eq!(custom.vals, reference.values());
     }

@@ -9,10 +9,11 @@
 //! matched top to bottom and the first match wins, so a specialised kernel
 //! sits above the general routine it shadows.
 //!
-//! [`stock_facts`] holds one [`FormatFacts`] row per stock format — what the
-//! planner's cost model and admissibility filter, the service's via-COO
-//! label and the streaming classifier need to know about a format
-//! ([`facts`] derives the same row for registry formats from their spec).
+//! [`facts`] answers with a format's [`FormatFacts`] — what the planner's cost
+//! model and admissibility filter, the service's via-COO label and the
+//! streaming classifier need to know about it: the row of the
+//! [stock table](crate::stock::STOCK) for a stock format, a row derived from
+//! the spec for a registry format.
 //!
 //! Adding a kernel is one row in [`KERNELS`] (plus the function it names,
 //! when the routine does not fit the row); `tests/kernel_table.rs` iterates
@@ -21,10 +22,11 @@
 
 use sparse_formats::CsfTensor;
 
-use crate::convert::{with_source, AnyTensor, FormatId};
+use crate::convert::{with_source, AnyTensor};
 use crate::error::ConvertError;
 use crate::format::Format;
 use crate::source::MatrixAsTensor;
+use crate::stock::{FormatId, STOCK};
 use crate::{engine, generic, kernels, mode};
 
 /// The signature every conversion routine is called through: the source,
@@ -33,7 +35,7 @@ pub type KernelFn = fn(&AnyTensor, &Format, usize) -> Result<AnyTensor, ConvertE
 
 /// Which formats one side (source or target) of a [`KernelRow`] serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pattern {
+pub(crate) enum Pattern {
     /// Exactly this (non-parametric) stock format.
     Is(FormatId),
     /// BCSR with any block shape.
@@ -74,9 +76,9 @@ pub struct KernelRow {
     /// Stable row name (what tests and reports print).
     pub name: &'static str,
     /// Sources the routine serves.
-    pub source: Pattern,
+    pub(crate) source: Pattern,
     /// Targets the routine serves.
-    pub target: Pattern,
+    pub(crate) target: Pattern,
     /// True when `run` partitions across threads at `threads > 1`; every
     /// routine is byte-identical at every thread count either way.
     pub parallel: bool,
@@ -152,7 +154,7 @@ pub static KERNELS: &[KernelRow] = &[
 fn find(id: Option<FormatId>, order: usize, target: &Format) -> Option<&'static KernelRow> {
     // DOK has no coordinate hierarchy: a conversion source only.
     target.spec()?;
-    let target_id = target.id();
+    let target_id = target.tag();
     let ordered_csf = target_id.is_none() && target.mode_order().is_some_and(|o| o.len() == order);
     KERNELS
         .iter()
@@ -162,13 +164,13 @@ fn find(id: Option<FormatId>, order: usize, target: &Format) -> Option<&'static 
 /// The row that converts `src` to `target`, or `None` when no routine can
 /// (DOK targets, rank mismatches between stock containers).
 pub fn lookup(src: &AnyTensor, target: &Format) -> Option<&'static KernelRow> {
-    find(src.stock_id(), src.order(), target)
+    find(src.tag(), src.order(), target)
 }
 
 /// [`lookup`] for a format *pair* (what the planner prices): the row a
 /// source stored as `source`, at that format's specification order, runs.
 pub fn lookup_formats(source: &Format, target: &Format) -> Option<&'static KernelRow> {
-    find(source.id(), source.order(), target)
+    find(source.tag(), source.order(), target)
 }
 
 /// How a target's stored bytes depend on the order its nonzeros arrive in;
@@ -247,74 +249,14 @@ impl FormatFacts {
     }
 }
 
-/// One representative of every stock format (BCSR at 2×2; its facts do not
-/// depend on the block shape), for consumers that enumerate the table.
-pub const STOCK_IDS: [FormatId; 11] = [
-    FormatId::Coo,
-    FormatId::Csr,
-    FormatId::Csc,
-    FormatId::Dia,
-    FormatId::Ell,
-    FormatId::Bcsr {
-        block_rows: 2,
-        block_cols: 2,
-    },
-    FormatId::Skyline,
-    FormatId::Jad,
-    FormatId::Dok,
-    FormatId::Coo3,
-    FormatId::Csf,
-];
-
-/// The facts row of a stock format.
-pub const fn stock_facts(id: FormatId) -> FormatFacts {
-    use Padding::{Structural, ToLongestRow};
-    use Sensitivity::{ColumnOrder, Full, Insensitive, RowOrder};
-    const fn f(
-        assembly_weight: f64,
-        unsorted_feed_penalty: f64,
-        sensitivity: Sensitivity,
-        way_point: Option<Sensitivity>,
-        padding: Padding,
-        rows_in_order: bool,
-        stream_key: Option<StreamKey>,
-    ) -> FormatFacts {
-        FormatFacts {
-            assembly_weight,
-            unsorted_feed_penalty,
-            sensitivity,
-            way_point,
-            padding,
-            rows_in_order,
-            stream_key,
-        }
-    }
-    const NO: Padding = Padding::None;
-    #[rustfmt::skip]
-    let facts = match id {
-        //                          weight penalty sensitivity  way-point          padding       rows   stream key
-        FormatId::Coo            => f(1.0, 1.0, Full,        Some(Full),        NO,           false, None),
-        FormatId::Coo3           => f(1.0, 1.0, Full,        Some(Full),        NO,           false, None),
-        FormatId::Csr            => f(1.2, 1.0, RowOrder,    Some(RowOrder),    NO,           true,  Some(StreamKey::Rows)),
-        FormatId::Csc            => f(1.4, 1.0, ColumnOrder, None,              NO,           false, None),
-        FormatId::Ell            => f(1.5, 1.0, RowOrder,    None,              ToLongestRow, false, None),
-        FormatId::Jad            => f(2.5, 1.0, RowOrder,    None,              NO,           false, None),
-        FormatId::Dia            => f(6.0, 1.0, Insensitive, None,              Structural,   false, None),
-        FormatId::Bcsr { .. }    => f(6.0, 1.8, Insensitive, None,              Structural,   false, None),
-        FormatId::Skyline        => f(4.0, 1.0, Insensitive, None,              Structural,   true,  None),
-        FormatId::Csf            => f(2.5, 1.0, Insensitive, Some(Insensitive), NO,           true,  Some(StreamKey::Modes)),
-        FormatId::Dok            => f(f64::INFINITY, 1.0, Full, None,           NO,           false, None),
-    };
-    facts
-}
-
-/// The facts row of any format handle. A registry format's row derives from
-/// its specification: the generic driver sorts exactly when the level chain
+/// The facts row of any format handle: a stock format's is its
+/// [stock table](crate::stock::STOCK) row's. A registry format's row derives
+/// from its specification: the generic driver sorts exactly when the level chain
 /// needs prefix grouping (heavier assembly, but the input order cannot leak
 /// into the bytes), and `CSF@perm` formats stream like CSF.
 pub fn facts(format: &Format) -> FormatFacts {
-    if let Some(id) = format.id() {
-        return stock_facts(id);
+    if let Some(row) = format.id() {
+        return row.facts;
     }
     let spec = format.spec().expect("registry formats carry a spec");
     let sorts = generic::needs_prefix_grouping(&spec.levels);
@@ -335,10 +277,11 @@ pub fn facts(format: &Format) -> FormatFacts {
 
 /// The stock formats of the given order that may serve as route way-points.
 pub fn way_points(order: usize) -> impl Iterator<Item = Format> {
-    STOCK_IDS
-        .into_iter()
-        .filter(move |id| id.order() == order && stock_facts(*id).way_point.is_some())
-        .map(Format::stock)
+    STOCK
+        .iter()
+        .filter(|row| row.facts.way_point.is_some())
+        .map(|row| row.format())
+        .filter(move |format| format.order() == order)
 }
 
 // ---- the routines too long for their row ----
@@ -369,13 +312,10 @@ macro_rules! with_tensor {
 use with_tensor;
 
 fn block_shape(target: &Format) -> (usize, usize) {
-    match target.id() {
-        Some(FormatId::Bcsr {
-            block_rows,
-            block_cols,
-        }) => (block_rows, block_cols),
-        _ => unreachable!("row matched a BCSR target"),
-    }
+    target
+        .tag()
+        .and_then(FormatId::block_shape)
+        .expect("row matched a BCSR target")
 }
 
 fn csr_to_bcsr(src: &AnyTensor, target: &Format, threads: usize) -> KernelResult {

@@ -24,8 +24,10 @@
 //! * [`generic`] — a fully dynamic converter driven by [`FormatSpec`]s and
 //!   trait objects, used for user-defined custom formats.
 //! * [`format`](mod@format) — the spec-first public surface: [`Format`]
-//!   handles interned in the [`FormatRegistry`], with [`Format::builder`]
-//!   for user-defined formats.
+//!   handles — the one way to name a format — interned in the
+//!   [`FormatRegistry`], with [`Format::builder`] for user-defined formats.
+//! * [`stock`] — the one table declaring every built-in format (name,
+//!   aliases, specification, facts).
 //! * [`convert`](mod@convert) — the public entry points ([`convert`](convert::convert),
 //!   [`convert_with`], [`AnyTensor`]), dispatching through the kernel table.
 //!
@@ -73,8 +75,9 @@ pub mod plan;
 pub mod select;
 pub mod source;
 pub mod spec;
+pub mod stock;
 
-pub use convert::{convert, convert_with, plan_for_formats, AnyTensor, FormatId};
+pub use convert::{convert, convert_with, plan_for_formats, AnyTensor};
 pub use error::ConvertError;
 pub use format::{Format, FormatBuilder, FormatRegistry, ParseFormatError};
 pub use plan::ConversionPlan;
@@ -88,7 +91,7 @@ pub use spec::FormatSpec;
 /// use sparse_conv::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::convert::{convert, plan_for, plan_for_formats, AnyTensor, FormatId};
+    pub use crate::convert::{convert, plan_for, plan_for_formats, AnyTensor};
     pub use crate::error::ConvertError;
     pub use crate::format::{Format, FormatBuilder, FormatRegistry};
     pub use crate::select::{auto_select, TensorProfile};

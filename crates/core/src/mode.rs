@@ -8,13 +8,15 @@
 //! that lets the monomorphised engine, the code generator, and the parallel
 //! runtime serve the same targets bit-identically:
 //!
-//! * [`mode_order_of`] recognises a spec as a pure mode permutation,
+//! * [`permutation_of`] recognises a remapping as a pure mode permutation
+//!   (which the code generator also reads a source's level order from) and
+//!   [`mode_order_of`] a spec as mode-ordered CSF,
 //! * [`custom_from_csf`] wraps an engine-built [`CsfTensor`] into the exact
 //!   [`CustomTensor`] the generic driver would assemble, and
 //! * [`csf_ordered_name`] / [`parse_csf_ordered_name`] implement the
 //!   `CSF@2,0,1` naming round-trip used by `Format::from_str`.
 
-use coord_remap::{BoundsEnv, IndexExpr};
+use coord_remap::{BoundsEnv, IndexExpr, Remapping};
 use sparse_formats::CsfTensor;
 
 use crate::error::ConvertError;
@@ -22,16 +24,11 @@ use crate::generic::{CustomTensor, LevelOutput};
 use crate::spec::FormatSpec;
 use level_formats::LevelKind;
 
-/// Recognises a spec describing mode-ordered CSF: every level compressed and
-/// the remapping a pure permutation of the source variables (each destination
-/// index a bare source variable, each variable used exactly once). Returns
-/// the mode order — storage level `d` holds canonical mode `order[d]` — or
-/// `None` for any other spec.
-pub fn mode_order_of(spec: &FormatSpec) -> Option<Vec<usize>> {
-    if spec.levels.is_empty() || spec.levels.iter().any(|k| *k != LevelKind::Compressed) {
-        return None;
-    }
-    let remapping = &spec.remapping;
+/// Recognises a remapping that is a pure permutation of its source variables
+/// (each destination index a bare source variable, each variable used exactly
+/// once). Returns the mode order — storage level `d` holds canonical mode
+/// `order[d]` — or `None` for any other remapping.
+pub fn permutation_of(remapping: &Remapping) -> Option<Vec<usize>> {
     if remapping.dst.len() != remapping.src.len() {
         return None;
     }
@@ -52,6 +49,16 @@ pub fn mode_order_of(spec: &FormatSpec) -> Option<Vec<usize>> {
         order.push(m);
     }
     Some(order)
+}
+
+/// Recognises a spec describing mode-ordered CSF: every level compressed and
+/// the remapping a [pure permutation](permutation_of). Returns the mode
+/// order, or `None` for any other spec.
+pub fn mode_order_of(spec: &FormatSpec) -> Option<Vec<usize>> {
+    if spec.levels.is_empty() || spec.levels.iter().any(|k| *k != LevelKind::Compressed) {
+        return None;
+    }
+    permutation_of(&spec.remapping)
 }
 
 /// The registry name of the CSF format with the given mode order, e.g.
@@ -149,12 +156,12 @@ pub fn custom_from_csf(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::FormatId;
+    use crate::format::Format;
 
     #[test]
     fn stock_csf_spec_is_the_identity_order() {
-        let spec = FormatSpec::stock(FormatId::Csf).unwrap();
-        assert_eq!(mode_order_of(&spec), Some(vec![0, 1, 2]));
+        let csf = Format::csf();
+        assert_eq!(mode_order_of(csf.spec().unwrap()), Some(vec![0, 1, 2]));
     }
 
     #[test]
@@ -171,11 +178,11 @@ mod tests {
     #[test]
     fn non_permutation_specs_are_not_mode_ordered() {
         // CSR: dense root, and only two of the stock specs' levels compressed.
-        let csr = FormatSpec::stock(FormatId::Csr).unwrap();
-        assert_eq!(mode_order_of(&csr), None);
+        let csr = Format::csr();
+        assert_eq!(mode_order_of(csr.spec().unwrap()), None);
         // DIA's remapping computes j-i: not a bare variable.
-        let dia = FormatSpec::stock(FormatId::Dia).unwrap();
-        assert_eq!(mode_order_of(&dia), None);
+        let dia = Format::dia();
+        assert_eq!(mode_order_of(dia.spec().unwrap()), None);
     }
 
     #[test]

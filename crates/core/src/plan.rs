@@ -181,17 +181,12 @@ impl fmt::Display for ConversionPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert::FormatId;
+    use crate::format::Format;
 
-    fn plan(
-        src: FormatId,
-        dst: FormatId,
-        in_order: bool,
-        structural_counts: bool,
-    ) -> ConversionPlan {
+    fn plan(src: Format, dst: Format, in_order: bool, structural_counts: bool) -> ConversionPlan {
         ConversionPlan::new(
-            &FormatSpec::stock(src).unwrap(),
-            &FormatSpec::stock(dst).unwrap(),
+            src.spec().unwrap(),
+            dst.spec().unwrap(),
             in_order,
             structural_counts,
         )
@@ -199,7 +194,7 @@ mod tests {
 
     #[test]
     fn csr_to_ell_uses_scalar_counters() {
-        let p = plan(FormatId::Csr, FormatId::Ell, true, true);
+        let p = plan(Format::csr(), Format::ell(), true, true);
         assert_eq!(p.counters, CounterStrategy::Scalar);
         assert_eq!(p.edge_insertion, EdgeInsertionMode::NotNeeded);
         assert!(p.single_pass_assembly);
@@ -208,14 +203,14 @@ mod tests {
 
     #[test]
     fn coo_to_ell_needs_a_counter_array() {
-        let p = plan(FormatId::Coo, FormatId::Ell, false, false);
+        let p = plan(Format::coo(), Format::ell(), false, false);
         assert_eq!(p.counters, CounterStrategy::Array);
         assert_eq!(p.input_passes, 2);
     }
 
     #[test]
     fn coo_to_csr_uses_sequenced_edges_and_histogram() {
-        let p = plan(FormatId::Coo, FormatId::Csr, false, false);
+        let p = plan(Format::coo(), Format::csr(), false, false);
         assert_eq!(p.counters, CounterStrategy::NotNeeded);
         assert_eq!(p.edge_insertion, EdgeInsertionMode::Sequenced);
         assert!(!p.queries_from_structure);
@@ -227,18 +222,18 @@ mod tests {
     fn csr_to_csc_answers_counts_from_structure_only_when_counts_are_cheap() {
         // CSR -> CSC needs column counts, which are not derivable from the
         // row-oriented pos array, so the caller passes `false`.
-        let p = plan(FormatId::Csr, FormatId::Csc, true, false);
+        let p = plan(Format::csr(), Format::csc(), true, false);
         assert!(!p.queries_from_structure);
         assert_eq!(p.input_passes, 2);
         // CSR -> CSR (identity) could read row counts straight off pos.
-        let p = plan(FormatId::Csr, FormatId::Csr, true, true);
+        let p = plan(Format::csr(), Format::csr(), true, true);
         assert!(p.queries_from_structure);
         assert_eq!(p.input_passes, 1);
     }
 
     #[test]
     fn dia_target_is_single_pass_after_analysis() {
-        let p = plan(FormatId::Csr, FormatId::Dia, true, true);
+        let p = plan(Format::csr(), Format::dia(), true, true);
         assert_eq!(p.edge_insertion, EdgeInsertionMode::NotNeeded);
         assert!(p.single_pass_assembly);
         assert_eq!(p.queries, vec!["select [k] -> id() as nz".to_string()]);

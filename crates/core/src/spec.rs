@@ -8,10 +8,9 @@
 //! convert both *to* and *from* every other supported format.
 
 use attr_query::AttrQuery;
-use coord_remap::{stock, Remapping};
+use coord_remap::Remapping;
 use level_formats::LevelKind;
 
-use crate::convert::FormatId;
 use crate::error::ConvertError;
 
 /// The specification of one tensor format.
@@ -194,9 +193,9 @@ impl FormatSpec {
     /// canonical dimension and iterates it in ascending order — derived from
     /// the specification alone: the remapping must be the identity and every
     /// level an ordered, unique chain kind (dense, compressed, banded). On
-    /// every stock format this agrees with the `rows_in_order` column of
-    /// [`kernel_table::stock_facts`](crate::kernel_table::stock_facts); the
-    /// planner consults it for registry (custom) formats.
+    /// every stock format this agrees with the `rows_in_order` column of the
+    /// [stock table](crate::stock::STOCK); the planner consults it for
+    /// registry (custom) formats.
     pub fn iterates_rows_in_order(&self) -> bool {
         self.remapping.is_identity()
             && self.levels.iter().all(|k| {
@@ -240,151 +239,40 @@ impl FormatSpec {
         }
         h
     }
-
-    /// The stock specification of a built-in format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConvertError::UnsupportedTarget`] for [`FormatId::Dok`],
-    /// which is not described by a coordinate hierarchy (it is supported only
-    /// as a conversion *source*).
-    pub fn stock(id: FormatId) -> Result<FormatSpec, ConvertError> {
-        Ok(match id {
-            FormatId::Coo => FormatSpec::new(
-                "COO",
-                stock::row_major_matrix(),
-                vec!["i", "j"],
-                vec![LevelKind::CompressedNonUnique, LevelKind::Singleton],
-            ),
-            FormatId::Csr => FormatSpec::new(
-                "CSR",
-                stock::row_major_matrix(),
-                vec!["i", "j"],
-                vec![LevelKind::Dense, LevelKind::Compressed],
-            ),
-            FormatId::Csc => FormatSpec::new(
-                "CSC",
-                stock::column_major_matrix(),
-                vec!["j", "i"],
-                vec![LevelKind::Dense, LevelKind::Compressed],
-            ),
-            FormatId::Dia => FormatSpec::new(
-                "DIA",
-                stock::dia(),
-                vec!["k", "i", "j"],
-                vec![LevelKind::Squeezed, LevelKind::Dense, LevelKind::Singleton],
-            ),
-            FormatId::Ell => FormatSpec::new(
-                "ELL",
-                stock::ell(),
-                vec!["k", "i", "j"],
-                vec![LevelKind::Sliced, LevelKind::Dense, LevelKind::Singleton],
-            ),
-            FormatId::Bcsr {
-                block_rows,
-                block_cols,
-            } => FormatSpec::new(
-                // The block shape is part of the name (and so of the
-                // fingerprint and registry name): BCSR2x2 and BCSR4x4 are
-                // different formats.
-                &format!("BCSR{block_rows}x{block_cols}"),
-                stock::bcsr_with_blocks(block_rows, block_cols),
-                vec!["bi", "bj", "li", "lj"],
-                vec![
-                    LevelKind::Dense,
-                    LevelKind::Compressed,
-                    LevelKind::Dense,
-                    LevelKind::Dense,
-                ],
-            ),
-            FormatId::Skyline => FormatSpec::new(
-                "SKY",
-                stock::row_major_matrix(),
-                vec!["i", "j"],
-                vec![LevelKind::Dense, LevelKind::Banded],
-            ),
-            FormatId::Jad => FormatSpec::new(
-                "JAD",
-                stock::jad(),
-                vec!["k", "i", "j"],
-                vec![
-                    LevelKind::Sliced,
-                    LevelKind::Compressed,
-                    LevelKind::Singleton,
-                ],
-            ),
-            FormatId::Coo3 => FormatSpec::new(
-                "COO3",
-                Remapping::identity(3),
-                vec!["i", "j", "k"],
-                vec![
-                    LevelKind::CompressedNonUnique,
-                    LevelKind::Singleton,
-                    LevelKind::Singleton,
-                ],
-            ),
-            FormatId::Csf => FormatSpec::new(
-                "CSF",
-                Remapping::identity(3),
-                vec!["i", "j", "k"],
-                vec![
-                    LevelKind::Compressed,
-                    LevelKind::Compressed,
-                    LevelKind::Compressed,
-                ],
-            ),
-            FormatId::Dok => return Err(ConvertError::UnsupportedTarget(id)),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::Format;
 
-    /// Every stock format with a specification (all but DOK).
-    fn stock_targets() -> impl Iterator<Item = FormatId> {
-        let ids = crate::kernel_table::STOCK_IDS.into_iter();
-        ids.filter(|id| *id != FormatId::Dok)
-    }
-
-    #[test]
-    fn stock_specs_are_consistent() {
-        for id in stock_targets() {
-            let spec = FormatSpec::stock(id).unwrap();
-            assert_eq!(
-                spec.levels.len(),
-                spec.remapping.dest_order(),
-                "{}",
-                spec.name
-            );
-            assert_eq!(spec.dim_names.len(), spec.levels.len());
-        }
+    fn stock(format: Format) -> FormatSpec {
+        format.spec().expect("not DOK").clone()
     }
 
     #[test]
     fn structured_formats_are_detected() {
-        assert!(!FormatSpec::stock(FormatId::Csr).unwrap().is_structured());
-        assert!(!FormatSpec::stock(FormatId::Csc).unwrap().is_structured());
-        assert!(FormatSpec::stock(FormatId::Dia).unwrap().is_structured());
-        assert!(FormatSpec::stock(FormatId::Ell).unwrap().is_structured());
-        assert!(FormatSpec::stock(FormatId::Ell).unwrap().uses_counters());
-        assert!(!FormatSpec::stock(FormatId::Dia).unwrap().uses_counters());
+        assert!(!stock(Format::csr()).is_structured());
+        assert!(!stock(Format::csc()).is_structured());
+        assert!(stock(Format::dia()).is_structured());
+        assert!(stock(Format::ell()).is_structured());
+        assert!(stock(Format::ell()).uses_counters());
+        assert!(!stock(Format::dia()).uses_counters());
     }
 
     #[test]
     fn required_queries_follow_level_formats() {
-        let csr = FormatSpec::stock(FormatId::Csr).unwrap();
+        let csr = stock(Format::csr());
         let queries = csr.required_queries();
         assert_eq!(queries.len(), 1);
         assert_eq!(queries[0].to_string(), "select [i] -> count(j) as nir");
 
-        let dia = FormatSpec::stock(FormatId::Dia).unwrap();
+        let dia = stock(Format::dia());
         let queries = dia.required_queries();
         assert_eq!(queries.len(), 1);
         assert_eq!(queries[0].to_string(), "select [k] -> id() as nz");
 
-        let ell = FormatSpec::stock(FormatId::Ell).unwrap();
+        let ell = stock(Format::ell());
         let queries = ell.required_queries();
         assert_eq!(queries.len(), 1);
         assert_eq!(queries[0].to_string(), "select [] -> max(k) as max_crd");
@@ -392,7 +280,7 @@ mod tests {
 
     #[test]
     fn csf_spec_is_an_order_3_compressed_chain() {
-        let csf = FormatSpec::stock(FormatId::Csf).unwrap();
+        let csf = stock(Format::csf());
         assert_eq!(csf.source_order(), 3);
         assert!(!csf.is_structured());
         assert!(!csf.uses_counters());
@@ -409,7 +297,7 @@ mod tests {
                 "select [i,j] -> count(k) as nir",
             ]
         );
-        let coo3 = FormatSpec::stock(FormatId::Coo3).unwrap();
+        let coo3 = stock(Format::coo3());
         assert_eq!(coo3.source_order(), 3);
         assert_eq!(coo3.required_queries().len(), 1);
         assert_eq!(
@@ -420,21 +308,7 @@ mod tests {
 
     #[test]
     fn dok_has_no_stock_spec() {
-        assert_eq!(
-            FormatSpec::stock(FormatId::Dok),
-            Err(ConvertError::UnsupportedTarget(FormatId::Dok))
-        );
-    }
-
-    #[test]
-    fn spec_derived_planner_properties_agree_with_format_ids() {
-        for id in stock_targets() {
-            let spec = FormatSpec::stock(id).unwrap();
-            let in_order = crate::kernel_table::stock_facts(id).rows_in_order;
-            assert_eq!(spec.iterates_rows_in_order(), in_order, "{id}");
-            assert_eq!(spec.counts_from_structure(), in_order, "{id}");
-            assert!(spec.validate().is_ok(), "{id}");
-        }
+        assert!(Format::dok().spec().is_none());
     }
 
     #[test]
@@ -494,26 +368,13 @@ mod tests {
 
     #[test]
     fn fingerprints_distinguish_specs() {
-        let csr = FormatSpec::stock(FormatId::Csr).unwrap();
-        let csc = FormatSpec::stock(FormatId::Csc).unwrap();
-        assert_eq!(
-            csr.fingerprint(),
-            FormatSpec::stock(FormatId::Csr).unwrap().fingerprint()
-        );
+        let csr = stock(Format::csr());
+        let csc = stock(Format::csc());
+        assert_eq!(csr.fingerprint(), stock(Format::csr()).fingerprint());
         assert_ne!(csr.fingerprint(), csc.fingerprint());
         assert_ne!(
-            FormatSpec::stock(FormatId::Bcsr {
-                block_rows: 2,
-                block_cols: 2
-            })
-            .unwrap()
-            .fingerprint(),
-            FormatSpec::stock(FormatId::Bcsr {
-                block_rows: 2,
-                block_cols: 4
-            })
-            .unwrap()
-            .fingerprint()
+            stock(Format::bcsr(2, 2)).fingerprint(),
+            stock(Format::bcsr(2, 4)).fingerprint()
         );
     }
 }

@@ -173,7 +173,6 @@ impl std::fmt::Debug for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparse_conv::convert::FormatId;
     use sparse_conv::prelude::LevelKind;
     use std::sync::atomic::AtomicUsize;
 
@@ -185,11 +184,11 @@ mod tests {
             counter.fetch_add(1, Ordering::SeqCst);
             plan_for_formats(s, t)
         }));
-        let first = cache.plan(FormatId::Coo, FormatId::Csr).unwrap();
+        let first = cache.plan(Format::coo(), Format::csr()).unwrap();
         assert_eq!(built.load(Ordering::SeqCst), 1);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
-        let second = cache.plan(FormatId::Coo, FormatId::Csr).unwrap();
+        let second = cache.plan(Format::coo(), Format::csr()).unwrap();
         assert_eq!(built.load(Ordering::SeqCst), 1, "no re-planning");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(*first, *second);
@@ -203,9 +202,9 @@ mod tests {
     #[test]
     fn plan_entry_reports_per_call_hits_and_counters_reset() {
         let cache = PlanCache::new();
-        let (_, hit) = cache.plan_entry(FormatId::Coo, FormatId::Csr).unwrap();
+        let (_, hit) = cache.plan_entry(Format::coo(), Format::csr()).unwrap();
         assert!(!hit, "first request builds the plan");
-        let (_, hit) = cache.plan_entry(FormatId::Coo, FormatId::Csr).unwrap();
+        let (_, hit) = cache.plan_entry(Format::coo(), Format::csr()).unwrap();
         assert!(hit, "second request is a cache hit");
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         cache.reset_counters();
@@ -216,26 +215,10 @@ mod tests {
     #[test]
     fn distinct_pairs_get_distinct_entries() {
         let cache = PlanCache::new();
-        cache.plan(FormatId::Coo, FormatId::Csr).unwrap();
-        cache.plan(FormatId::Csr, FormatId::Csc).unwrap();
-        cache
-            .plan(
-                FormatId::Csr,
-                FormatId::Bcsr {
-                    block_rows: 2,
-                    block_cols: 2,
-                },
-            )
-            .unwrap();
-        cache
-            .plan(
-                FormatId::Csr,
-                FormatId::Bcsr {
-                    block_rows: 4,
-                    block_cols: 4,
-                },
-            )
-            .unwrap();
+        cache.plan(Format::coo(), Format::csr()).unwrap();
+        cache.plan(Format::csr(), Format::csc()).unwrap();
+        cache.plan(Format::csr(), Format::bcsr(2, 2)).unwrap();
+        cache.plan(Format::csr(), Format::bcsr(4, 4)).unwrap();
         assert_eq!(cache.len(), 4);
         assert!(!cache.is_empty());
         cache.clear();
@@ -253,14 +236,14 @@ mod tests {
             .levels([LevelKind::Compressed, LevelKind::Compressed])
             .build()
             .unwrap();
-        let plan = cache.plan(FormatId::Coo, &custom).unwrap();
+        let plan = cache.plan(Format::coo(), &custom).unwrap();
         assert_eq!(plan.target, "CACHE-TEST-DCSR");
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         // Second request for the same custom target: a hit.
-        cache.plan(FormatId::Coo, &custom).unwrap();
+        cache.plan(Format::coo(), &custom).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Custom sources plan too.
-        let back = cache.plan(&custom, FormatId::Csr).unwrap();
+        let back = cache.plan(&custom, Format::csr()).unwrap();
         assert_eq!(back.source, "CACHE-TEST-DCSR");
         assert_eq!(cache.len(), 2);
     }
@@ -268,12 +251,12 @@ mod tests {
     #[test]
     fn dok_sources_are_planned_as_coo_and_dok_targets_fail() {
         let cache = PlanCache::new();
-        let dok = cache.plan(FormatId::Dok, FormatId::Csr).unwrap();
+        let dok = cache.plan(Format::dok(), Format::csr()).unwrap();
         assert_eq!(dok.source, "COO");
-        assert!(matches!(
-            cache.plan(FormatId::Csr, FormatId::Dok),
-            Err(ConvertError::UnsupportedTarget(FormatId::Dok))
-        ));
+        assert_eq!(
+            cache.plan(Format::csr(), Format::dok()),
+            Err(ConvertError::UnsupportedTarget(Format::dok()))
+        );
         // Failed plans are not cached and do not count as hits.
         assert_eq!(cache.len(), 1);
     }
@@ -286,7 +269,7 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 s.spawn(move || {
                     for _ in 0..8 {
-                        cache.plan(FormatId::Coo, FormatId::Csr).unwrap();
+                        cache.plan(Format::coo(), Format::csr()).unwrap();
                     }
                 });
             }

@@ -31,7 +31,7 @@
 //!
 //! ```
 //! use conv_runtime::{ConversionService, ServiceConfig};
-//! use sparse_conv::convert::{AnyTensor, FormatId};
+//! use sparse_conv::{AnyTensor, Format};
 //! use sparse_formats::CooMatrix;
 //! use sparse_tensor::example::figure1_matrix;
 //!
@@ -39,17 +39,17 @@
 //! let coo = AnyTensor::Coo(CooMatrix::from_triples(&figure1_matrix()));
 //!
 //! // Single conversions reuse cached plans...
-//! let csr = service.convert(&coo, FormatId::Csr)?;
-//! assert_eq!(csr.format(), FormatId::Csr);
+//! let csr = service.convert(&coo, Format::csr())?;
+//! assert_eq!(csr.format(), Format::csr());
 //!
 //! // ...and batches spread independent jobs across the worker pool.
-//! let jobs = vec![(coo.clone(), FormatId::Csc), (csr, FormatId::Ell)];
+//! let jobs = vec![(coo.clone(), Format::csc()), (csr, Format::ell())];
 //! let results = service.convert_batch(&jobs);
 //! assert!(results.iter().all(|r| r.is_ok()));
 //!
 //! // After the warm-up above, re-converting the same pair plans nothing.
 //! let before = service.stats().plan_misses;
-//! service.convert(&coo, FormatId::Csr)?;
+//! service.convert(&coo, Format::csr())?;
 //! assert_eq!(service.stats().plan_misses, before);
 //! # Ok::<(), sparse_conv::ConvertError>(())
 //! ```

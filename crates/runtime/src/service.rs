@@ -679,7 +679,7 @@ impl ConversionService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparse_conv::convert::FormatId;
+    use sparse_conv::stock::STOCK;
     use sparse_formats::{CooMatrix, CsrMatrix, DiaMatrix};
     use sparse_tensor::example::figure1_matrix;
     use sparse_tensor::SparseTriples;
@@ -698,14 +698,14 @@ mod tests {
         let coo = AnyTensor::Coo(CooMatrix::from_triples(&t));
         let svc = service(4);
         for target in [
-            FormatId::Csr,
-            FormatId::Csc,
-            FormatId::Dia,
-            FormatId::Ell,
-            FormatId::Jad,
+            Format::csr(),
+            Format::csc(),
+            Format::dia(),
+            Format::ell(),
+            Format::jad(),
         ] {
-            let got = svc.convert(&coo, target).unwrap();
-            let want = sparse_conv::convert(&coo, target).unwrap();
+            let got = svc.convert(&coo, &target).unwrap();
+            let want = sparse_conv::convert(&coo, &target).unwrap();
             assert_eq!(got, want, "{target}");
         }
         let stats = svc.stats();
@@ -719,7 +719,7 @@ mod tests {
         let coo = AnyTensor::Coo(CooMatrix::from_triples(&t));
         let svc = service(2);
         for _ in 0..5 {
-            svc.convert(&coo, FormatId::Csr).unwrap();
+            svc.convert(&coo, Format::csr()).unwrap();
         }
         let stats = svc.stats();
         assert_eq!(stats.plan_misses, 1);
@@ -733,23 +733,23 @@ mod tests {
         let coo = AnyTensor::Coo(CooMatrix::from_triples(&t));
         let csr = AnyTensor::Csr(CsrMatrix::from_triples(&t));
         let jobs = vec![
-            (coo.clone(), FormatId::Csr),
-            (csr.clone(), FormatId::Csc),
-            (coo.clone(), FormatId::Skyline), // rectangular: must fail
-            (csr.clone(), FormatId::Dok),     // unsupported target
-            (coo.clone(), FormatId::Ell),
+            (coo.clone(), Format::csr()),
+            (csr.clone(), Format::csc()),
+            (coo.clone(), Format::skyline()), // rectangular: must fail
+            (csr.clone(), Format::dok()),     // unsupported target
+            (coo.clone(), Format::ell()),
         ];
         let svc = service(3);
         let results = svc.convert_batch(&jobs);
         assert_eq!(results.len(), 5);
-        assert_eq!(results[0].as_ref().unwrap().format(), FormatId::Csr);
-        assert_eq!(results[1].as_ref().unwrap().format(), FormatId::Csc);
+        assert_eq!(results[0].as_ref().unwrap().format(), Format::csr());
+        assert_eq!(results[1].as_ref().unwrap().format(), Format::csc());
         assert!(matches!(results[2], Err(ConvertError::Unsupported(_))));
-        assert!(matches!(
+        assert_eq!(
             results[3],
-            Err(ConvertError::UnsupportedTarget(FormatId::Dok))
-        ));
-        assert_eq!(results[4].as_ref().unwrap().format(), FormatId::Ell);
+            Err(ConvertError::UnsupportedTarget(Format::dok()))
+        );
+        assert_eq!(results[4].as_ref().unwrap().format(), Format::ell());
         assert_eq!(svc.stats().batch_jobs, 5);
     }
 
@@ -764,14 +764,14 @@ mod tests {
         let t = SparseTriples::from_matrix_entries(64, 64, entries).unwrap();
         let dia = AnyTensor::Dia(DiaMatrix::from_triples(&t));
         let svc = service(1);
-        assert_eq!(svc.route_for(&dia, FormatId::Ell).unwrap(), Route::ViaCoo);
+        assert_eq!(svc.route_for(&dia, Format::ell()).unwrap(), Route::ViaCoo);
         // COO targets and unpadded sources stay direct.
-        assert_eq!(svc.route_for(&dia, FormatId::Coo).unwrap(), Route::Direct);
+        assert_eq!(svc.route_for(&dia, Format::coo()).unwrap(), Route::Direct);
         let csr = AnyTensor::Csr(CsrMatrix::from_triples(&t));
-        assert_eq!(svc.route_for(&csr, FormatId::Ell).unwrap(), Route::Direct);
+        assert_eq!(svc.route_for(&csr, Format::ell()).unwrap(), Route::Direct);
         // The routed conversion still produces the engine's exact output.
-        let got = svc.convert(&dia, FormatId::Ell).unwrap();
-        let want = sparse_conv::convert(&dia, FormatId::Ell).unwrap();
+        let got = svc.convert(&dia, Format::ell()).unwrap();
+        let want = sparse_conv::convert(&dia, Format::ell()).unwrap();
         assert_eq!(got, want);
         assert_eq!(svc.stats().via_coo, 1);
     }
@@ -800,11 +800,12 @@ mod tests {
             max_nnz_per_row: None,
         };
         let mut credited = 0;
-        for source in kernel_table::STOCK_IDS.map(Format::stock) {
-            for target in kernel_table::STOCK_IDS.map(Format::stock) {
+        let stock: Vec<Format> = STOCK.iter().map(|row| row.format()).collect();
+        for source in &stock {
+            for target in &stock {
                 let price = |svc: &ConversionService, cfg: &PlannerConfig| {
                     svc.format_graph()
-                        .edge_units(&source, &target, nnz, false, &attrs, cfg)
+                        .edge_units(source, target, nnz, false, &attrs, cfg)
                 };
                 assert_eq!(price(&wide, &batch), price(&narrow, &single));
                 credited += usize::from(price(&wide, &interactive) < price(&wide, &batch));
@@ -818,16 +819,16 @@ mod tests {
         let t = sparse_tensor::example::example3_tensor();
         let coo3 = AnyTensor::Coo3(sparse_formats::CooTensor::from_triples(&t));
         let svc = service(4);
-        let got = svc.convert(&coo3, FormatId::Csf).unwrap();
-        let want = sparse_conv::convert(&coo3, FormatId::Csf).unwrap();
+        let got = svc.convert(&coo3, Format::csf()).unwrap();
+        let want = sparse_conv::convert(&coo3, Format::csf()).unwrap();
         assert_eq!(got, want);
         assert_eq!(svc.stats().parallel_kernels, 1);
         // CSF → COO3 goes through the sequential engine.
-        let back = svc.convert(&got, FormatId::Coo3).unwrap();
+        let back = svc.convert(&got, Format::coo3()).unwrap();
         assert!(back.to_triples().same_values(&t));
         assert_eq!(svc.stats().sequential, 1);
         // Rank mismatches surface as errors, not panics.
-        assert!(svc.convert(&coo3, FormatId::Csr).is_err());
+        assert!(svc.convert(&coo3, Format::csr()).is_err());
     }
 
     #[test]
@@ -850,12 +851,12 @@ mod tests {
     fn warm_up_builds_every_plan_in_advance() {
         let svc = service(2);
         svc.warm_up(&[
-            (FormatId::Coo, FormatId::Csr),
-            (FormatId::Csr, FormatId::Csc),
+            (Format::coo(), Format::csr()),
+            (Format::csr(), Format::csc()),
         ])
         .unwrap();
         assert_eq!(svc.stats().cached_plans, 2);
-        assert!(svc.warm_up(&[(FormatId::Csr, FormatId::Dok)]).is_err());
+        assert!(svc.warm_up(&[(Format::csr(), Format::dok())]).is_err());
     }
 
     #[test]
@@ -867,7 +868,7 @@ mod tests {
             parallel_nnz_threshold: 1_000_000,
             ..ServiceConfig::default()
         });
-        svc.convert(&coo, FormatId::Csr).unwrap();
+        svc.convert(&coo, Format::csr()).unwrap();
         let stats = svc.stats();
         assert_eq!(stats.parallel_kernels, 0);
         assert_eq!(stats.sequential, 1);

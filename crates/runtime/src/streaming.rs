@@ -286,18 +286,14 @@ pub(crate) fn materialize<S: TensorStream>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparse_conv::convert::FormatId;
 
     #[test]
     fn classification_covers_the_streamed_targets() {
-        assert_eq!(
-            classify(&Format::from(FormatId::Csr), 2),
-            Some(StreamTarget::Csr)
-        );
+        assert_eq!(classify(&Format::csr(), 2), Some(StreamTarget::Csr));
         // CSR needs an order-2 stream; an order-3 stream materialises.
-        assert_eq!(classify(&Format::from(FormatId::Csr), 3), None);
+        assert_eq!(classify(&Format::csr(), 3), None);
         assert_eq!(
-            classify(&Format::from(FormatId::Csf), 3),
+            classify(&Format::csf(), 3),
             Some(StreamTarget::Csf(vec![0, 1, 2]))
         );
         let permuted: Format = "CSF@2,0,1".parse().unwrap();
@@ -306,6 +302,6 @@ mod tests {
             Some(StreamTarget::Csf(vec![2, 0, 1]))
         );
         assert_eq!(classify(&permuted, 2), None);
-        assert_eq!(classify(&Format::from(FormatId::Ell), 2), None);
+        assert_eq!(classify(&Format::ell(), 2), None);
     }
 }

@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 
 use conv_runtime::{ConversionService, PlanCache, ServiceConfig};
-use sparse_conv::convert::{AnyTensor, FormatId};
-use sparse_conv::{engine, kernels};
+use sparse_conv::{engine, kernels, AnyTensor, Format};
 use sparse_formats::{CooMatrix, CooTensor, CsrMatrix};
 use sparse_tensor::{Shape, SparseTriples};
 
@@ -150,10 +149,10 @@ proptest! {
                 parallel_nnz_threshold: 0,
                 ..ServiceConfig::default()
             });
-            let got = service.convert(&coo3, FormatId::Csf).expect("conversion");
-            let want = sparse_conv::convert(&coo3, FormatId::Csf).expect("conversion");
+            let got = service.convert(&coo3, Format::csf()).expect("conversion");
+            let want = sparse_conv::convert(&coo3, Format::csf()).expect("conversion");
             prop_assert_eq!(&got, &want, "COO3→CSF at {} threads", threads);
-            let back = service.convert(&got, FormatId::Coo3).expect("conversion");
+            let back = service.convert(&got, Format::coo3()).expect("conversion");
             prop_assert!(back.to_triples().same_values(&t));
             prop_assert!(back.to_triples().is_sorted(), "CSF iterates in sorted order");
         }
@@ -171,15 +170,15 @@ proptest! {
                 ..ServiceConfig::default()
             });
             for target in [
-                FormatId::Csr,
-                FormatId::Csc,
-                FormatId::Dia,
-                FormatId::Ell,
-                FormatId::Jad,
-                FormatId::Bcsr { block_rows: 2, block_cols: 2 },
+                Format::csr(),
+                Format::csc(),
+                Format::dia(),
+                Format::ell(),
+                Format::jad(),
+                Format::bcsr(2, 2),
             ] {
-                let got = service.convert(&coo, target).expect("conversion");
-                let want = sparse_conv::convert(&coo, target).expect("conversion");
+                let got = service.convert(&coo, &target).expect("conversion");
+                let want = sparse_conv::convert(&coo, &target).expect("conversion");
                 prop_assert_eq!(got, want, "{} at {} threads", target, threads);
             }
         }
@@ -195,17 +194,17 @@ fn plan_cache_never_replans_a_warm_pair() {
         sparse_conv::convert::plan_for_formats(s, t)
     }));
     let pairs = [
-        (FormatId::Coo, FormatId::Csr),
-        (FormatId::Csr, FormatId::Csc),
-        (FormatId::Csc, FormatId::Dia),
+        (Format::coo(), Format::csr()),
+        (Format::csr(), Format::csc()),
+        (Format::csc(), Format::dia()),
     ];
-    for (s, t) in pairs {
+    for (s, t) in &pairs {
         cache.plan(s, t).unwrap();
     }
     let built_after_warmup = planned.load(std::sync::atomic::Ordering::SeqCst);
     assert_eq!(built_after_warmup, pairs.len());
     for _ in 0..10 {
-        for (s, t) in pairs {
+        for (s, t) in &pairs {
             cache.plan(s, t).unwrap();
         }
     }

@@ -6,7 +6,7 @@
 //! writes its own input files to a temp directory, so it needs no external
 //! data.
 
-use taco_conversion_repro::conv::convert::{AnyTensor, FormatId};
+use taco_conversion_repro::conv::{AnyTensor, Format};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::obs::PhaseReport;
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Small blocks keep the in-flight working set (producer + channel +
     // one worker group) inside the budget's headroom quarter.
     let stream = MtxStream::open(&mtx_path, 8)?;
-    let result = service.convert_stream(stream, FormatId::Csr, &opts)?;
+    let result = service.convert_stream(stream, Format::csr(), &opts)?;
     println!(
         "{} -> CSR: {} nnz via {} blocks, {} spill runs ({} KiB), peak working set {} B (budget {} B){}",
         mtx_path.display(),
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         print_phases(&report.phases, 1);
     }
     // The streamed result is byte-identical to the in-memory conversion.
-    let in_memory = service.convert(&AnyTensor::Coo(matrix), FormatId::Csr)?;
+    let in_memory = service.convert(&AnyTensor::Coo(matrix), Format::csr())?;
     assert_eq!(result.tensor, in_memory);
     println!("  byte-identical to the in-memory conversion");
 
@@ -100,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         nnz
     );
     let stream = TnsStream::open(&tns_path, shape, 8)?;
-    let result = service.convert_stream(stream, FormatId::Csf, &opts)?;
+    let result = service.convert_stream(stream, Format::csf(), &opts)?;
     println!(
         "  {} nnz packed, {} spill runs, peak working set {} B{}",
         result.tensor.nnz(),
@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     );
     assert!(result.stats.peak_tracked_bytes < budget.bytes);
-    let in_memory = service.convert(&AnyTensor::Coo3(tensor), FormatId::Csf)?;
+    let in_memory = service.convert(&AnyTensor::Coo3(tensor), Format::csf())?;
     assert_eq!(result.tensor, in_memory);
     println!("  byte-identical to the in-memory conversion");
 

@@ -1,9 +1,7 @@
 //! End-to-end tests over the Table 2 stand-in matrices: every cell of the
 //! Table 3 reproduction computes the same result regardless of which
 //! implementation produces it, and the specification languages round-trip.
-
-use taco_conversion_repro::conv::convert::FormatId;
-use taco_conversion_repro::conv::spec::FormatSpec;
+use taco_conversion_repro::conv::stock::STOCK;
 use taco_conversion_repro::query::parse_query;
 use taco_conversion_repro::remap::{parse_remapping, EvalContext};
 use taco_conversion_repro::tensor::MatrixStats;
@@ -67,16 +65,9 @@ fn synthetic_suite_matches_paper_statistics_for_banded_matrices() {
 
 #[test]
 fn specification_languages_cover_all_stock_formats() {
-    for id in [
-        FormatId::Coo,
-        FormatId::Csr,
-        FormatId::Csc,
-        FormatId::Dia,
-        FormatId::Ell,
-        FormatId::Skyline,
-        FormatId::Jad,
-    ] {
-        let spec = FormatSpec::stock(id).expect("stock spec");
+    for id in STOCK.iter().map(|row| row.format()) {
+        // DOK is a conversion source only: it has nothing to specify.
+        let Some(spec) = id.spec() else { continue };
         // Remapping text round-trips through the parser.
         let reparsed = parse_remapping(&spec.remapping.to_string()).expect("remapping parses");
         assert_eq!(reparsed, spec.remapping, "{id}");

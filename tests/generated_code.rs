@@ -4,9 +4,12 @@
 
 use taco_conversion_repro::conv::codegen;
 use taco_conversion_repro::conv::convert::plan_for;
-use taco_conversion_repro::conv::convert::{convert, AnyTensor, FormatId};
 use taco_conversion_repro::conv::plan::CounterStrategy;
+use taco_conversion_repro::conv::prelude::LevelKind;
+use taco_conversion_repro::conv::{convert, AnyTensor, ConvertError, Format};
 use taco_conversion_repro::formats::{CooMatrix, CscMatrix, CsrMatrix};
+use taco_conversion_repro::remap::{BinOp, DstIndex, IndexExpr, Remapping};
+use taco_conversion_repro::tensor::example::example3_tensor;
 use taco_conversion_repro::workloads::table2;
 
 fn small_suite() -> Vec<(String, sparse_tensor::SparseTriples)> {
@@ -37,8 +40,8 @@ fn generated_ir_agrees_with_engine_on_workload_matrices() {
                 if s != src.format() {
                     continue;
                 }
-                let generated = codegen::execute(src, t).expect("generated code runs");
-                let engine = convert(src, t).expect("engine conversion");
+                let generated = codegen::execute_format(src, &t).expect("generated code runs");
+                let engine = convert(src, &t).expect("engine conversion");
                 assert_eq!(generated, engine, "{name}: {s} -> {t} disagrees");
             }
         }
@@ -48,7 +51,7 @@ fn generated_ir_agrees_with_engine_on_workload_matrices() {
 #[test]
 fn listings_exist_for_all_supported_pairs() {
     for (s, t) in codegen::supported_pairs() {
-        let listing = codegen::listing(s, t).expect("listing");
+        let listing = codegen::listing(&s, &t).expect("listing");
         assert!(listing.contains("void convert_"), "{s} -> {t}");
         // Every routine ends by storing values into the output.
         assert!(listing.contains("B_vals"), "{s} -> {t}:\n{listing}");
@@ -63,19 +66,149 @@ fn plans_match_the_papers_code_generation_decisions() {
 
     // CSR -> ELL uses the scalar-counter optimisation; COO -> ELL cannot.
     assert_eq!(
-        plan_for(&csr, FormatId::Ell).unwrap().counters,
+        plan_for(&csr, Format::ell()).unwrap().counters,
         CounterStrategy::Scalar
     );
     assert_eq!(
-        plan_for(&coo, FormatId::Ell).unwrap().counters,
+        plan_for(&coo, Format::ell()).unwrap().counters,
         CounterStrategy::Array
     );
     // DIA and ELL targets assemble in a single pass (no edge insertion); CSR
     // targets need the two-phase pos/crd construction.
-    assert!(plan_for(&coo, FormatId::Dia).unwrap().single_pass_assembly);
-    assert!(!plan_for(&coo, FormatId::Csr).unwrap().single_pass_assembly);
+    assert!(plan_for(&coo, Format::dia()).unwrap().single_pass_assembly);
+    assert!(!plan_for(&coo, Format::csr()).unwrap().single_pass_assembly);
     // The generated listing for a CSR source must not materialise a CSR
     // temporary for DIA targets (the paper's key advantage over libraries).
-    let listing = codegen::listing(FormatId::Coo, FormatId::Dia).unwrap();
+    let listing = codegen::listing(&Format::coo(), &Format::dia()).unwrap();
     assert!(!listing.contains("temp"), "{listing}");
+}
+
+/// FNV-1a over a listing's bytes.
+fn fnv1a(text: &str) -> u64 {
+    let eat = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
+    text.bytes().fold(0xcbf29ce484222325, eat)
+}
+
+/// The listing of every pair the generator covered when it was keyed on the
+/// closed format enum — the 14 stock pairs, in `supported_pairs` order, then
+/// COO3 into the six `CSF@perm` orders — as a hash of the bytes it printed
+/// then. Keying it on `Format` specifications must not change what is
+/// generated. (`CSF@0,1,2` is the stock CSF handle, so its routine carries
+/// the stock name; the enum-keyed generator printed the same body as
+/// `convert_coo3_to_csf_012` when asked for that order by number.)
+const PINNED_LISTINGS: [(&str, &str, u64); 20] = [
+    ("COO", "CSR", 0x35888fdc372fbac4),
+    ("COO", "CSC", 0xaf421b3f739310b8),
+    ("COO", "DIA", 0xf82f95c162e28b86),
+    ("COO", "ELL", 0xf5f02ac42541f5e4),
+    ("CSR", "COO", 0x54173c3162a16f0f),
+    ("CSR", "CSC", 0xbfd510e8a7de4dd9),
+    ("CSR", "DIA", 0x9218d3fcb3e7ab55),
+    ("CSR", "ELL", 0xa142521f0054451e),
+    ("CSC", "COO", 0x91d10e8d40bfd7d3),
+    ("CSC", "CSR", 0x4946c4c14bbf009c),
+    ("CSC", "DIA", 0x6e1554380b8fb13a),
+    ("CSC", "ELL", 0x559a6940a88602e4),
+    ("COO3", "CSF", 0x2f43ae72dcbb3299),
+    ("CSF", "COO3", 0x20938eab0d106cad),
+    ("COO3", "CSF@0,1,2", 0x2f43ae72dcbb3299),
+    ("COO3", "CSF@0,2,1", 0x26f188e9af55b589),
+    ("COO3", "CSF@1,0,2", 0x2fb60a1b109293cd),
+    ("COO3", "CSF@1,2,0", 0x71d80da078a17a81),
+    ("COO3", "CSF@2,0,1", 0xa072b8e0f23fb7b9),
+    ("COO3", "CSF@2,1,0", 0x74ade7aa7d2de325),
+];
+
+#[test]
+fn listings_and_outputs_are_unchanged_by_the_rekey_on_format() {
+    let stock: Vec<(String, String)> = codegen::supported_pairs()
+        .iter()
+        .map(|(s, t)| (s.to_string(), t.to_string()))
+        .collect();
+    let pinned = PINNED_LISTINGS.map(|(s, t, _)| (s.to_string(), t.to_string()));
+    assert_eq!(stock, pinned[..14], "the stock pairs, in order");
+
+    let matrix = table2()[1].generate(0.003);
+    let tensor = example3_tensor();
+    for (source, target, hash) in PINNED_LISTINGS {
+        let (source, target): (Format, Format) = (source.parse().unwrap(), target.parse().unwrap());
+        let listing = codegen::listing(&source, &target).expect("listing");
+        assert_eq!(fnv1a(&listing), hash, "{source} -> {target}:\n{listing}");
+        let triples = if source.order() == 2 {
+            &matrix
+        } else {
+            &tensor
+        };
+        let src = AnyTensor::from_triples(triples, &source).expect("source container");
+        let generated = codegen::execute_format(&src, &target).expect("generated code runs");
+        let engine = convert(&src, &target).expect("engine conversion");
+        assert_eq!(generated, engine, "{source} -> {target} disagrees");
+    }
+}
+
+/// A DIA-shaped builder format whose leading remapped coordinate is `lead`.
+fn diagonal_like(name: &str, lead: IndexExpr) -> Format {
+    let kept = |v: &str| DstIndex::simple(IndexExpr::var(v));
+    let remapping = Remapping::new(
+        vec!["i".to_string(), "j".to_string()],
+        vec![DstIndex::simple(lead), kept("i"), kept("j")],
+    );
+    Format::builder(name)
+        .remapping(remapping)
+        .dims(["k", "i", "j"])
+        .levels([LevelKind::Squeezed, LevelKind::Dense, LevelKind::Singleton])
+        .build()
+        .expect("the composition validates")
+}
+
+#[test]
+fn unbound_remapping_variables_and_counters_are_errors_not_panics() {
+    // `z - i` names a variable the source does not bind.
+    let offset = IndexExpr::binary(BinOp::Sub, IndexExpr::var("z"), IndexExpr::var("i"));
+    let unbound = diagonal_like("GEN-TEST-UNBOUND", offset);
+    // `#i` is a counter where the diagonal assembly lowers a coordinate
+    // expression.
+    let counter = diagonal_like("GEN-TEST-COUNTER", IndexExpr::Counter(vec!["i".into()]));
+    let src = AnyTensor::Coo(CooMatrix::from_triples(&table2()[1].generate(0.003)));
+    for (target, what) in [(unbound, "`z`"), (counter, "#i")] {
+        for result in [
+            codegen::listing(&Format::coo(), &target).map(drop),
+            codegen::execute_format(&src, &target).map(drop),
+        ] {
+            let Err(ConvertError::UnsupportedSpec { reason }) = result else {
+                panic!("{target}: {result:?}");
+            };
+            assert!(reason.contains(what), "{reason}");
+        }
+    }
+}
+
+#[test]
+fn builder_formats_generate_by_shape_but_only_stock_containers_unpack() {
+    // A CSR-shaped builder format: the generator reads its level chain and
+    // emits the CSR routine under the format's own name...
+    let my_csr: Format = "GEN-TEST-MYCSR:(r,c)->(r,c):r,c:dense,compressed"
+        .parse()
+        .unwrap();
+    let listing = codegen::listing(&Format::coo(), &my_csr).unwrap();
+    assert!(
+        listing.contains("void convert_coo_to_gen_test_mycsr("),
+        "{listing}"
+    );
+    let stock = codegen::listing(&Format::coo(), &Format::csr()).unwrap();
+    assert_eq!(
+        listing.split_once('(').unwrap().1,
+        stock.split_once('(').unwrap().1
+    );
+    // ...and it is a source like CSR...
+    assert!(codegen::listing(&my_csr, &Format::ell())
+        .unwrap()
+        .contains("int c = 0;"));
+    // ...but there is no container of that format to unpack the output
+    // into: the dynamic driver assembles such targets.
+    let src = AnyTensor::Coo(CooMatrix::from_triples(&table2()[1].generate(0.003)));
+    assert!(matches!(
+        codegen::execute_format(&src, &my_csr),
+        Err(ConvertError::Unsupported(_))
+    ));
 }

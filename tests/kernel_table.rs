@@ -1,24 +1,28 @@
-//! The kernel table answers to one test that *iterates* it, so a new row
-//! cannot forget to enrol:
+//! The kernel table and the stock-format table each answer to one test that
+//! *iterates* them, so a new row cannot forget to enrol:
 //!
-//! (a) every row's routine is byte-identical at 1/2/4 threads and its output
-//!     reads back to the source's triples;
+//! (a) every kernel row's routine is byte-identical at 1/2/4 threads and its
+//!     output reads back to the source's triples;
 //! (b) every consumer agrees with the table's flags — the service reports a
 //!     parallel kernel exactly for rows flagged `parallel`, `convert_stream`
 //!     materialises exactly the targets without a streamed sort key, and the
-//!     planner grants its parallel credit to exactly the flagged rows.
+//!     planner grants its parallel credit to exactly the flagged rows;
+//! (c) every stock row's name, aliases, spec, facts, container and pinned
+//!     fingerprint agree with the `Format` handle everything else names it by.
 //!
-//! Inputs are derived from the rows' own patterns: each pattern expands to
-//! sample sources/targets, and a sample counts for a row only when
-//! [`kernel_table::lookup`] actually resolves it to that row (a general row
-//! is shadowed by the specialised rows above it). Every row must be hit.
+//! Kernel inputs are derived from the stock table: a container of every
+//! stock format (plus the order-2 CSF and custom tensors) against every
+//! stock, blocked, mode-ordered and custom target, each pair counted for the
+//! row [`kernel_table::lookup`] resolves it to (a general row is shadowed by
+//! the specialised rows above it). Every row must be hit.
 
 use proptest::prelude::*;
 
-use taco_conversion_repro::conv::convert::{convert, convert_with, AnyTensor, FormatId};
-use taco_conversion_repro::conv::kernel_table::{self, KernelRow, Pattern, KERNELS, STOCK_IDS};
+use taco_conversion_repro::conv::convert::{convert, convert_with, AnyTensor};
+use taco_conversion_repro::conv::kernel_table::{self, KernelRow, KERNELS};
 use taco_conversion_repro::conv::prelude::LevelKind;
-use taco_conversion_repro::conv::Format;
+use taco_conversion_repro::conv::stock::STOCK;
+use taco_conversion_repro::conv::{Format, FormatRegistry};
 use taco_conversion_repro::formats::DokMatrix;
 use taco_conversion_repro::planner::{static_edge_units, PlannerConfig, TensorAttrs};
 use taco_conversion_repro::remap::stock::mode_permutation;
@@ -78,64 +82,61 @@ fn custom_format(order: usize) -> Format {
         .expect("sample registry spec is valid")
 }
 
-fn stock_source(id: FormatId, seed: u64) -> AnyTensor {
-    let t = triples(id.order(), seed);
-    match id {
-        FormatId::Dok => AnyTensor::Dok(DokMatrix::from_triples(&t)),
-        id => AnyTensor::from_triples(&t, id).expect("stock containers hold the sample"),
+/// A container of a stock format. DOK, a conversion source only, is built
+/// directly.
+fn stock_source(format: &Format, seed: u64) -> AnyTensor {
+    let t = triples(format.order(), seed);
+    match format.spec() {
+        None => AnyTensor::Dok(DokMatrix::from_triples(&t)),
+        Some(_) => AnyTensor::from_triples(&t, format).expect("stock containers hold the sample"),
     }
 }
 
-/// Sample sources a pattern covers.
-fn sources(pattern: Pattern, seed: u64) -> Vec<AnyTensor> {
-    let stock = |keep: &dyn Fn(FormatId) -> bool| -> Vec<AnyTensor> {
-        STOCK_IDS
-            .into_iter()
-            .filter(|id| keep(*id))
-            .map(|id| stock_source(id, seed))
-            .collect()
-    };
-    // The DCSR an order-2 matrix packs into: a rank-N container at order 2.
-    let dcsr = convert(&stock_source(FormatId::Coo, seed), Format::csf()).unwrap();
-    let custom =
-        |id: FormatId| convert(&stock_source(id, seed), custom_format(id.order())).unwrap();
-    match pattern {
-        Pattern::Is(id) => vec![stock_source(id, seed)],
-        Pattern::Bcsr => stock(&|id| matches!(id, FormatId::Bcsr { .. })),
-        Pattern::Matrix => stock(&|id| id.order() == 2),
-        Pattern::Tensor => [stock(&|id| id.order() == 3), vec![dcsr]].concat(),
-        Pattern::Registry => vec![custom(FormatId::Coo), custom(FormatId::Coo3)],
-        Pattern::Any => [stock(&|_| true), vec![dcsr, custom(FormatId::Coo)]].concat(),
-        Pattern::OrderedCsf => unreachable!("a target-only pattern"),
-    }
-}
-
-/// Sample targets a pattern covers, for a source of the given order.
-fn targets(pattern: Pattern, order: usize) -> Vec<Format> {
+/// Sample targets for a source of the given order: every stock format, a
+/// second block shape, a mode-ordered CSF and a generic-driver format.
+fn targets(order: usize) -> Vec<Format> {
     let reversed: Vec<usize> = (0..order).rev().collect();
-    match pattern {
-        Pattern::Is(id) => vec![Format::stock(id)],
-        Pattern::Bcsr => vec![Format::bcsr(2, 2), Format::bcsr(3, 2)],
-        Pattern::Matrix => vec![Format::csr(), Format::ell(), Format::bcsr(2, 3)],
-        Pattern::Tensor => vec![Format::coo3(), Format::csf()],
-        Pattern::OrderedCsf => vec![Format::csf_ordered(&reversed).unwrap()],
-        Pattern::Registry => vec![custom_format(order)],
-        Pattern::Any if order == 2 => vec![Format::csc(), custom_format(2)],
-        Pattern::Any => vec![Format::csf(), custom_format(order)],
-    }
+    let mut targets: Vec<Format> = STOCK.iter().map(|row| row.format()).collect();
+    targets.push(Format::bcsr(3, 2));
+    targets.push(Format::csf_ordered(&reversed).unwrap());
+    targets.push(custom_format(order));
+    targets
 }
 
-/// Every (source, target) sample that the table resolves to `row`.
-fn samples(row: &'static KernelRow, seed: u64) -> Vec<(AnyTensor, Format)> {
+/// Every sample (source, target) pair, with the row the table resolves it
+/// to. Sources: a container of every stock format, the DCSR an order-2
+/// matrix packs into (a rank-N container at order 2), and a custom tensor of
+/// either order.
+fn samples(seed: u64) -> Vec<(AnyTensor, Format, &'static KernelRow)> {
+    let mut sources: Vec<AnyTensor> = STOCK
+        .iter()
+        .map(|row| stock_source(&row.format(), seed))
+        .collect();
+    sources.push(convert(&stock_source(&Format::coo(), seed), Format::csf()).unwrap());
+    for coordinates in [Format::coo(), Format::coo3()] {
+        let custom = custom_format(coordinates.order());
+        sources.push(convert(&stock_source(&coordinates, seed), custom).unwrap());
+    }
     let mut out = Vec::new();
-    for src in sources(row.source, seed) {
-        for target in targets(row.target, src.order()) {
-            if kernel_table::lookup(&src, &target).is_some_and(|hit| std::ptr::eq(hit, row)) {
-                out.push((src.clone(), target));
+    for src in &sources {
+        for target in targets(src.order()) {
+            if let Some(row) = kernel_table::lookup(src, &target) {
+                out.push((src.clone(), target, row));
             }
         }
     }
     out
+}
+
+/// The samples the table resolves to `row`.
+fn samples_of<'a>(
+    samples: &'a [(AnyTensor, Format, &'static KernelRow)],
+    row: &'static KernelRow,
+) -> impl Iterator<Item = (&'a AnyTensor, &'a Format)> {
+    let hits = samples
+        .iter()
+        .filter(move |(_, _, hit)| std::ptr::eq(*hit, row));
+    hits.map(|(src, target, _)| (src, target))
 }
 
 fn service(routing: RoutingPolicy) -> ConversionService {
@@ -155,12 +156,13 @@ proptest! {
     /// they read back to the source's nonzeros.
     #[test]
     fn every_row_is_thread_invariant_and_round_trips(seed in 0u64..1 << 32) {
+        let samples = samples(seed);
         for row in KERNELS {
             let mut converted = 0;
-            for (src, target) in samples(row, seed) {
+            for (src, target) in samples_of(&samples, row) {
                 // Shape constraints (COO3 needs order 3, matrix targets
                 // order 2) surface as errors from the routine itself.
-                let Ok(reference) = (row.run)(&src, &target, 1) else { continue };
+                let Ok(reference) = (row.run)(src, target, 1) else { continue };
                 converted += 1;
                 prop_assert_eq!(reference.format(), target.clone(), "row {}", row.name);
                 prop_assert!(
@@ -168,7 +170,7 @@ proptest! {
                     "row {}: {} -> {target} lost values", row.name, src.format()
                 );
                 for threads in [2, 4] {
-                    let (got, ran) = convert_with(&src, &target, threads).unwrap();
+                    let (got, ran) = convert_with(src, target, threads).unwrap();
                     prop_assert!(std::ptr::eq(ran, row), "dispatch ran {}", ran.name);
                     prop_assert_eq!(&got, &reference, "row {} at {threads} threads", row.name);
                 }
@@ -186,9 +188,10 @@ fn consumers_agree_with_the_parallel_flag() {
         parallel,
         exclude_direct: false,
     };
+    let samples = samples(1);
     for row in KERNELS {
-        for (src, target) in samples(row, 1) {
-            let Ok((_, report)) = svc.convert_traced(&src, target.clone()) else {
+        for (src, target) in samples_of(&samples, row) {
+            let Ok((_, report)) = svc.convert_traced(src, target) else {
                 continue;
             };
             assert_eq!(
@@ -203,10 +206,10 @@ fn consumers_agree_with_the_parallel_flag() {
             if src.order() != src.format().order() {
                 continue;
             }
-            let attrs = TensorAttrs::from_matrix(&src);
+            let attrs = TensorAttrs::from_matrix(src);
             let units = |parallel| {
                 let (from, cfg) = (src.format(), config(parallel));
-                static_edge_units(&from, &target, 1, attrs.nnz, true, &attrs, &cfg)
+                static_edge_units(&from, target, 1, attrs.nnz, true, &attrs, &cfg)
             };
             assert_eq!(
                 units(true) < units(false),
@@ -225,12 +228,8 @@ fn consumers_agree_with_the_parallel_flag() {
 fn streams_materialise_exactly_the_targets_without_a_sort_key() {
     for order in [2, 3] {
         let t = triples(order, 3);
-        let reversed: Vec<usize> = (0..order).rev().collect();
-        let mut candidates: Vec<Format> = STOCK_IDS.map(Format::stock).to_vec();
-        candidates.push(Format::csf_ordered(&reversed).unwrap());
-        candidates.push(custom_format(order));
         let mut streamed = 0;
-        for target in candidates {
+        for target in targets(order) {
             let svc = service(RoutingPolicy::CostModel);
             let stream = CooBlockStream::from_triples(&t, 16);
             let Ok(conv) = svc.convert_stream(stream, target.clone(), &StreamOptions::default())
@@ -244,5 +243,87 @@ fn streams_materialise_exactly_the_targets_without_a_sort_key() {
             streamed += usize::from(keyed);
         }
         assert!(streamed >= 2, "order {order}: CSF and CSF@perm stream");
+    }
+}
+
+/// Fingerprints (spec fingerprints; DOK's source-only registry identity) as
+/// they were before the stock table existed, when ten separate lists spelled
+/// the stock set out. `PlanCache` keys and registry names rest on them.
+const PINNED_FINGERPRINTS: [(&str, u64); 13] = [
+    ("COO", 0x07a6e2b45934f603),
+    ("CSR", 0x6b2f471592a1793b),
+    ("CSC", 0x9e6f2a42514f1f12),
+    ("DIA", 0x3156ce94eccbdef2),
+    ("ELL", 0x7ad93ace46d94995),
+    ("BCSR2x2", 0xd7c3c7d0ca42dbcb),
+    ("SKY", 0xb54de3f8b9c641dd),
+    ("JAD", 0x6ada24dda274d42b),
+    ("DOK", 0x573d6791fc1511be),
+    ("COO3", 0x8b43f6ecca8313ce),
+    ("CSF", 0xdad4048323b83b97),
+    // Further shapes of the parametric row.
+    ("BCSR2x3", 0x1358cf9ab957f3b2),
+    ("BCSR4x4", 0xb50bc7b3f015b60b),
+];
+
+/// (c) Every stock row agrees with the handle that names it.
+#[test]
+fn stock_rows_agree_with_their_format_handles() {
+    for row in &STOCK {
+        let format = row.format();
+        let name = format.to_string();
+        assert!(name.starts_with(row.name), "{name}");
+        assert!(std::ptr::eq(format.id().expect("a stock preset"), row));
+        // The name and every alias parse to the handle, in any case, and the
+        // handle displays the name; the registry files it under that name.
+        for spelling in [name.as_str()].iter().chain(row.aliases) {
+            for spelling in [spelling.to_uppercase(), spelling.to_lowercase()] {
+                let parsed: Format = spelling.parse().expect("a stock spelling");
+                assert!(parsed.same_entry(&format), "{spelling}");
+                assert_eq!(parsed.to_string(), name);
+            }
+        }
+        let registered = FormatRegistry::global()
+            .get(&name)
+            .expect("registered eagerly");
+        assert!(registered.same_entry(&format), "{name}");
+        // The facts consumers read are the row's; where a spec exists, the
+        // facts agree with what the spec itself says about iteration order.
+        assert_eq!(kernel_table::facts(&format), row.facts, "{name}");
+        match format.spec() {
+            Some(spec) => {
+                spec.validate().expect("stock specs assemble");
+                assert_eq!(spec.name, name);
+                assert_eq!(spec.fingerprint(), format.fingerprint(), "{name}");
+                let in_order = row.facts.rows_in_order;
+                assert_eq!(spec.iterates_rows_in_order(), in_order, "{name}");
+                assert_eq!(spec.counts_from_structure(), in_order, "{name}");
+            }
+            None => assert!(
+                row.facts.assembly_weight.is_infinite(),
+                "{name}: never a target"
+            ),
+        }
+        // A container of the format names the same handle.
+        let container = stock_source(&format, 1);
+        assert!(container.format().same_entry(&format), "{name}");
+        assert!(
+            PINNED_FINGERPRINTS
+                .iter()
+                .any(|(pinned, _)| *pinned == name),
+            "{name} has no pinned fingerprint"
+        );
+    }
+    for (name, fingerprint) in PINNED_FINGERPRINTS {
+        let format: Format = name.parse().expect("a stock name");
+        assert_eq!(format.to_string(), name);
+        assert_eq!(format.fingerprint(), fingerprint, "{name} moved");
+    }
+    let (blocked, skyline) = (Format::bcsr(2, 3), Format::skyline());
+    assert!("bcsr2X3".parse::<Format>().unwrap().same_entry(&blocked));
+    assert!("Skyline".parse::<Format>().unwrap().same_entry(&skyline));
+    for bad in ["BCSRxx2", "BCSR0x2", "BCSR2", "HICOO", ""] {
+        let err = bad.parse::<Format>().expect_err(bad);
+        assert!(err.to_string().contains(bad), "{err}");
     }
 }

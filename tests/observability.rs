@@ -5,7 +5,7 @@
 
 #![cfg(feature = "conv-obs")]
 
-use taco_conversion_repro::conv::convert::{AnyTensor, FormatId};
+use taco_conversion_repro::conv::{AnyTensor, Format};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::obs::{validate_json, PhaseReport, Registry};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
@@ -29,15 +29,15 @@ fn matrix_source() -> AnyTensor {
 fn traced_conversions_report_route_cache_and_phases() {
     let svc = service(1);
     let src = matrix_source();
-    let (out, first) = svc.convert_traced(&src, FormatId::Csr).unwrap();
-    assert_eq!(out.format(), FormatId::Csr);
+    let (out, first) = svc.convert_traced(&src, Format::csr()).unwrap();
+    assert_eq!(out.format(), Format::csr());
     assert_eq!(first.source, "COO");
     assert_eq!(first.target, "CSR");
     assert_eq!(first.route, "direct");
     assert!(!first.plan_cache_hit, "first conversion builds the plan");
     assert!(first.in_memory && !first.streamed);
 
-    let (_, second) = svc.convert_traced(&src, FormatId::Csr).unwrap();
+    let (_, second) = svc.convert_traced(&src, Format::csr()).unwrap();
     assert!(
         second.plan_cache_hit,
         "second conversion hits the plan cache"
@@ -74,7 +74,7 @@ fn parallel_kernel_spans_nest_under_the_kernel_phases() {
     let threads = 4;
     let svc = service(threads);
     let src = matrix_source();
-    let (_, report) = svc.convert_traced(&src, FormatId::Csr).unwrap();
+    let (_, report) = svc.convert_traced(&src, Format::csr()).unwrap();
     assert!(report.parallel_kernel, "threshold 0 forces the kernel");
     assert_eq!(report.threads, threads);
     let execute = report.phase("service.execute").expect("execute phase");
@@ -110,7 +110,7 @@ fn streamed_conversions_report_spills_and_mirror_the_registry() {
         spill_dir: Some(dir.clone()),
     };
     let stream = CooBlockStream::new(CooTensor::from_triples(&t), 64);
-    let result = svc.convert_stream(stream, FormatId::Csf, &opts).unwrap();
+    let result = svc.convert_stream(stream, Format::csf(), &opts).unwrap();
     assert!(result.stats.spilled_runs > 0, "the budget forces spills");
 
     let report = svc.last_report().expect("stream stored a report");
@@ -137,7 +137,7 @@ fn streamed_conversions_report_spills_and_mirror_the_registry() {
 fn reset_stats_isolates_measurement_from_warm_up() {
     let svc = service(1);
     let src = matrix_source();
-    svc.convert(&src, FormatId::Csr).unwrap();
+    svc.convert(&src, Format::csr()).unwrap();
     assert_eq!(svc.stats().conversions, 1);
     assert_eq!(svc.stats().plan_misses, 1);
     svc.reset_stats();
@@ -146,7 +146,7 @@ fn reset_stats_isolates_measurement_from_warm_up() {
     assert_eq!((stats.plan_hits, stats.plan_misses), (0, 0));
     assert_eq!(stats.cached_plans, 1, "reset keeps the cached plans");
     // The next conversion is a plan hit against the preserved cache.
-    let (_, report) = svc.convert_traced(&src, FormatId::Csr).unwrap();
+    let (_, report) = svc.convert_traced(&src, Format::csr()).unwrap();
     assert!(report.plan_cache_hit);
     assert_eq!(svc.stats().conversions, 1);
 }

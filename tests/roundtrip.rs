@@ -4,24 +4,21 @@
 
 use proptest::prelude::*;
 
-use taco_conversion_repro::conv::convert::{convert, AnyTensor, FormatId};
+use taco_conversion_repro::conv::convert::{convert, AnyTensor};
 use taco_conversion_repro::conv::engine;
 use taco_conversion_repro::conv::prelude::{Format, LevelKind};
 use taco_conversion_repro::formats::{baselines, CooMatrix, CsrMatrix, DokMatrix};
 use taco_conversion_repro::tensor::{MatrixStats, SparseTriples};
 
-fn all_targets() -> Vec<FormatId> {
+fn all_targets() -> Vec<Format> {
     vec![
-        FormatId::Coo,
-        FormatId::Csr,
-        FormatId::Csc,
-        FormatId::Dia,
-        FormatId::Ell,
-        FormatId::Bcsr {
-            block_rows: 2,
-            block_cols: 3,
-        },
-        FormatId::Jad,
+        Format::coo(),
+        Format::csr(),
+        Format::csc(),
+        Format::dia(),
+        Format::ell(),
+        Format::bcsr(2, 3),
+        Format::jad(),
     ]
 }
 
@@ -67,7 +64,7 @@ proptest! {
         for src in all_sources(&t) {
             prop_assert!(src.to_triples().same_values(&t), "building {} lost values", src.format());
             for dst_format in all_targets() {
-                let dst = convert(&src, dst_format).expect("target conversion");
+                let dst = convert(&src, &dst_format).expect("target conversion");
                 prop_assert!(
                     dst.to_triples().same_values(&t),
                     "{} -> {} lost values",
@@ -75,7 +72,7 @@ proptest! {
                     dst_format
                 );
             }
-            prop_assert!(convert(&src, FormatId::Dok).is_err(), "DOK target must be rejected");
+            prop_assert!(convert(&src, Format::dok()).is_err(), "DOK target must be rejected");
         }
     }
 
@@ -162,7 +159,7 @@ proptest! {
         let stock = Format::bcsr(br, bc);
         prop_assert_eq!(&a, &stock);
         prop_assert!(a.same_entry(&stock));
-        prop_assert_eq!(a.id(), Some(FormatId::Bcsr { block_rows: br, block_cols: bc }));
+        prop_assert_eq!(a.id().map(|row| row.name), Some("BCSR"));
     }
 
     /// Custom-format round-trip: stock → custom → stock preserves the
@@ -184,12 +181,12 @@ proptest! {
                 "{} -> custom lost values",
                 src.format()
             );
-            let back = convert(&packed, FormatId::Csr).expect("custom -> stock");
+            let back = convert(&packed, Format::csr()).expect("custom -> stock");
             prop_assert!(back.to_triples().same_values(&t), "round-trip lost values");
             // Bit-identical to converting the lex-sorted input directly (the
             // custom read-back walks its compressed levels in sorted order).
             let sorted = AnyTensor::Coo(CooMatrix::from_triples(&t.sorted()));
-            let direct = convert(&sorted, FormatId::Csr).expect("direct conversion");
+            let direct = convert(&sorted, Format::csr()).expect("direct conversion");
             prop_assert_eq!(back, direct);
         }
         // Custom -> custom round-trips too (through the read-back lowering).
@@ -215,7 +212,7 @@ proptest! {
     fn statistics_are_invariant_under_conversion(t in arb_matrix()) {
         let reference = MatrixStats::compute(&t);
         let coo = AnyTensor::Coo(CooMatrix::from_triples(&t));
-        for format in [FormatId::Csr, FormatId::Dia, FormatId::Ell, FormatId::Jad] {
+        for format in [Format::csr(), Format::dia(), Format::ell(), Format::jad()] {
             let converted = convert(&coo, format).expect("conversion");
             let stats = MatrixStats::compute(&converted.to_triples());
             prop_assert_eq!(stats.nnz, reference.nnz);

@@ -3,7 +3,7 @@
 //! sequential engine at every pool width, planning is amortised across a
 //! batch, and routing never changes results.
 
-use taco_conversion_repro::conv::convert::{convert, AnyTensor, FormatId};
+use taco_conversion_repro::conv::{convert, AnyTensor, Format};
 use taco_conversion_repro::formats::{CooMatrix, CsrMatrix};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig};
 use taco_conversion_repro::workloads::table2;
@@ -26,24 +26,21 @@ fn workload_inputs() -> Vec<AnyTensor> {
 fn batched_service_conversions_match_the_sequential_engine() {
     let sources = workload_inputs();
     let targets = [
-        FormatId::Coo,
-        FormatId::Csr,
-        FormatId::Csc,
-        FormatId::Ell,
-        FormatId::Jad,
-        FormatId::Bcsr {
-            block_rows: 4,
-            block_cols: 4,
-        },
+        Format::coo(),
+        Format::csr(),
+        Format::csc(),
+        Format::ell(),
+        Format::jad(),
+        Format::bcsr(4, 4),
     ];
-    let jobs: Vec<(AnyTensor, FormatId)> = sources
+    let jobs: Vec<(AnyTensor, Format)> = sources
         .iter()
-        .flat_map(|s| targets.iter().map(move |&t| (s.clone(), t)))
+        .flat_map(|s| targets.iter().map(move |t| (s.clone(), t.clone())))
         .collect();
 
     let expected: Vec<AnyTensor> = jobs
         .iter()
-        .map(|(src, target)| convert(src, *target).expect("sequential conversion"))
+        .map(|(src, target)| convert(src, target).expect("sequential conversion"))
         .collect();
 
     for threads in [1, 4] {
@@ -79,7 +76,7 @@ fn single_conversions_amortise_planning_across_calls() {
     let service = ConversionService::new(ServiceConfig::with_threads(2));
     let sources = workload_inputs();
     for src in &sources {
-        service.convert(src, FormatId::Csc).expect("conversion");
+        service.convert(src, Format::csc()).expect("conversion");
     }
     let stats = service.stats();
     // Two distinct source formats -> two plans, regardless of matrix count.
@@ -129,8 +126,8 @@ fn multi_hop_requests_cache_one_plan_and_hit_it_on_repeat() {
 fn service_rejects_dok_targets_like_the_engine() {
     let service = ConversionService::default();
     let src = workload_inputs().remove(0);
-    assert!(service.convert(&src, FormatId::Dok).is_err());
-    assert!(convert(&src, FormatId::Dok).is_err());
+    assert!(service.convert(&src, Format::dok()).is_err());
+    assert!(convert(&src, Format::dok()).is_err());
 }
 
 #[test]
@@ -170,7 +167,7 @@ fn custom_formats_get_plan_caching_and_round_trip_through_the_service() {
     // Custom format as *source*: the service converts back out, and the
     // round-trip preserves the matrix.
     let back = service
-        .convert(&packed, FormatId::Csr)
+        .convert(&packed, Format::csr())
         .expect("custom -> stock");
     assert!(back.to_triples().same_values(&reference));
     let stats = service.stats();

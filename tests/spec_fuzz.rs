@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use taco_conversion_repro::conv::convert::{convert, AnyTensor, FormatId};
+use taco_conversion_repro::conv::convert::{convert, AnyTensor};
 use taco_conversion_repro::conv::generic::convert_with_spec;
 use taco_conversion_repro::conv::prelude::LevelKind;
 use taco_conversion_repro::conv::select::ORDER3_MODE_ORDERS;
@@ -244,7 +244,7 @@ proptest! {
             let mut packed_by_threads = Vec::new();
             for (threads, svc) in services() {
                 let packed = svc.convert(&coo3, format.clone()).expect("pack");
-                let back = svc.convert(&packed, FormatId::Coo3).expect("unpack");
+                let back = svc.convert(&packed, Format::coo3()).expect("unpack");
                 let triples = back.to_triples();
                 prop_assert!(
                     triples.same_values(&t),

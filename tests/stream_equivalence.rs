@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use taco_conversion_repro::conv::convert::{AnyTensor, FormatId};
+use taco_conversion_repro::conv::{AnyTensor, Format};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
 use taco_conversion_repro::stream::{CooBlockStream, MemoryBudget};
@@ -93,13 +93,13 @@ proptest! {
     fn streamed_csr_is_byte_identical(m in arb_matrix()) {
         let svc = service();
         let want = svc
-            .convert(&AnyTensor::Coo(m.clone()), FormatId::Csr)
+            .convert(&AnyTensor::Coo(m.clone()), Format::csr())
             .expect("in-memory COO→CSR");
         for chunk in CHUNKS {
             for budget in budgets() {
                 let stream = CooBlockStream::from_matrix(&m, chunk);
                 let got = svc
-                    .convert_stream(stream, FormatId::Csr, &StreamOptions::with_budget(budget))
+                    .convert_stream(stream, Format::csr(), &StreamOptions::with_budget(budget))
                     .expect("streamed COO→CSR");
                 prop_assert_eq!(&got.tensor, &want, "chunk={} budget={}", chunk, budget.bytes);
                 prop_assert_eq!(got.stats.entries, m.nnz() as u64);
@@ -119,13 +119,13 @@ proptest! {
     fn streamed_csf_is_byte_identical(t in arb_tensor3()) {
         let svc = service();
         let want = svc
-            .convert(&AnyTensor::Coo3(t.clone()), FormatId::Csf)
+            .convert(&AnyTensor::Coo3(t.clone()), Format::csf())
             .expect("in-memory COO3→CSF");
         for chunk in CHUNKS {
             for budget in budgets() {
                 let stream = CooBlockStream::new(t.clone(), chunk);
                 let got = svc
-                    .convert_stream(stream, FormatId::Csf, &StreamOptions::with_budget(budget))
+                    .convert_stream(stream, Format::csf(), &StreamOptions::with_budget(budget))
                     .expect("streamed COO3→CSF");
                 prop_assert_eq!(&got.tensor, &want, "chunk={} budget={}", chunk, budget.bytes);
             }
@@ -169,7 +169,7 @@ fn budgets_control_spill_counts() {
     }
     let svc = service();
     let want = svc
-        .convert(&AnyTensor::Coo(m.clone()), FormatId::Csr)
+        .convert(&AnyTensor::Coo(m.clone()), Format::csr())
         .unwrap();
     // (budget bytes, expected spilled runs): 100 entries * 24 B in 5-entry
     // blocks of 120 B each. 1 MiB holds everything; 2 KiB (threshold 1536)
@@ -184,7 +184,7 @@ fn budgets_control_spill_counts() {
         let got = svc
             .convert_stream(
                 CooBlockStream::from_matrix(&m, 5),
-                FormatId::Csr,
+                Format::csr(),
                 &StreamOptions::with_budget(budget),
             )
             .unwrap();
@@ -226,10 +226,10 @@ fn oversized_inputs_convert_under_budget() {
     }
     assert!(1400 * 24 >= 4 * budget.bytes, "input is ≥ 4× the budget");
     let want = svc
-        .convert(&AnyTensor::Coo(m.clone()), FormatId::Csr)
+        .convert(&AnyTensor::Coo(m.clone()), Format::csr())
         .unwrap();
     let got = svc
-        .convert_stream(CooBlockStream::from_matrix(&m, 10), FormatId::Csr, &opts)
+        .convert_stream(CooBlockStream::from_matrix(&m, 10), Format::csr(), &opts)
         .unwrap();
     assert_eq!(got.tensor, want);
     assert!(got.stats.spilled_runs > 0, "the budget forced spills");
@@ -247,10 +247,10 @@ fn oversized_inputs_convert_under_budget() {
     }
     assert!(1100 * 32 >= 4 * budget.bytes, "input is ≥ 4× the budget");
     let want = svc
-        .convert(&AnyTensor::Coo3(t.clone()), FormatId::Csf)
+        .convert(&AnyTensor::Coo3(t.clone()), Format::csf())
         .unwrap();
     let got = svc
-        .convert_stream(CooBlockStream::new(t.clone(), 8), FormatId::Csf, &opts)
+        .convert_stream(CooBlockStream::new(t.clone(), 8), Format::csf(), &opts)
         .unwrap();
     assert_eq!(got.tensor, want);
     assert!(got.stats.spilled_runs > 0);
@@ -273,12 +273,12 @@ fn unstreamed_targets_materialize_and_match() {
     }
     let svc = service();
     let want = svc
-        .convert(&AnyTensor::Coo(m.clone()), FormatId::Ell)
+        .convert(&AnyTensor::Coo(m.clone()), Format::ell())
         .unwrap();
     let got = svc
         .convert_stream(
             CooBlockStream::from_matrix(&m, 4),
-            FormatId::Ell,
+            Format::ell(),
             &StreamOptions::default(),
         )
         .unwrap();

@@ -6,10 +6,10 @@
 use proptest::prelude::*;
 
 use taco_conversion_repro::conv::codegen;
-use taco_conversion_repro::conv::convert::{convert, AnyTensor, FormatId};
+use taco_conversion_repro::conv::convert::{convert, AnyTensor};
 use taco_conversion_repro::conv::engine;
 use taco_conversion_repro::conv::generic::{convert_with_spec, LevelOutput};
-use taco_conversion_repro::conv::FormatSpec;
+use taco_conversion_repro::conv::prelude::{Format, LevelKind};
 use taco_conversion_repro::formats::{CooTensor, CsfTensor};
 use taco_conversion_repro::tensor::{Shape, SparseTriples};
 
@@ -55,10 +55,10 @@ proptest! {
     #[test]
     fn coo3_csf_roundtrip_preserves_sorted_triples((t, seed) in arb_tensor3()) {
         let coo3 = AnyTensor::Coo3(shuffled_coo3(&t, seed));
-        let csf = convert(&coo3, FormatId::Csf).expect("COO3 -> CSF");
-        prop_assert_eq!(csf.format(), FormatId::Csf);
+        let csf = convert(&coo3, Format::csf()).expect("COO3 -> CSF");
+        prop_assert_eq!(csf.format(), Format::csf());
         prop_assert!(csf.to_triples().same_values(&t), "CSF lost values");
-        let back = convert(&csf, FormatId::Coo3).expect("CSF -> COO3");
+        let back = convert(&csf, Format::coo3()).expect("CSF -> COO3");
         let triples = back.to_triples();
         prop_assert!(triples.is_sorted(), "CSF emits fiber-tree order");
         prop_assert!(triples.same_values(&t), "round-trip lost values");
@@ -81,8 +81,9 @@ proptest! {
     fn generic_csf_agrees_with_engine((t, seed) in arb_tensor3()) {
         let coo = shuffled_coo3(&t, seed);
         let reference = engine::to_csf(&coo);
-        let spec = FormatSpec::stock(FormatId::Csf).expect("stock CSF spec");
-        let custom = convert_with_spec(&AnyTensor::Coo3(coo), &spec).expect("generic CSF");
+        let csf = Format::csf();
+        let spec = csf.spec().expect("stock CSF spec");
+        let custom = convert_with_spec(&AnyTensor::Coo3(coo), spec).expect("generic CSF");
         let expected = [
             (reference.crd(0).to_vec(), vec![0, reference.num_fibers(0)]),
             (reference.crd(1).to_vec(), reference.pos(0).to_vec()),
@@ -107,7 +108,6 @@ proptest! {
     /// through the inverted remapping.
     #[test]
     fn custom_order3_format_roundtrips((t, seed) in arb_tensor3()) {
-        use taco_conversion_repro::conv::prelude::{Format, LevelKind};
         let reversed = Format::builder("TENSOR-RT-KJI")
             .remap_str("(i,j,k) -> (k,j,i)").expect("remapping parses")
             .dims(["k", "j", "i"])
@@ -123,10 +123,10 @@ proptest! {
         prop_assert_eq!(packed.format(), reversed);
         prop_assert_eq!(packed.order(), 3);
         prop_assert!(packed.to_triples().same_values(&t), "custom pack lost values");
-        let csf = convert(&packed, FormatId::Csf).expect("custom -> CSF");
+        let csf = convert(&packed, Format::csf()).expect("custom -> CSF");
         prop_assert_eq!(
             &csf,
-            &convert(&coo3, FormatId::Csf).expect("direct COO3 -> CSF"),
+            &convert(&coo3, Format::csf()).expect("direct COO3 -> CSF"),
             "custom round-trip must rebuild the exact fiber tree"
         );
     }
@@ -137,10 +137,10 @@ proptest! {
     #[test]
     fn generated_tensor_code_agrees_with_engine((t, seed) in arb_tensor3()) {
         let coo3 = AnyTensor::Coo3(shuffled_coo3(&t, seed));
-        let generated = codegen::execute(&coo3, FormatId::Csf).expect("generated COO3 -> CSF");
-        let engine_result = convert(&coo3, FormatId::Csf).expect("engine COO3 -> CSF");
+        let generated = codegen::execute_format(&coo3, &Format::csf()).expect("generated COO3 -> CSF");
+        let engine_result = convert(&coo3, Format::csf()).expect("engine COO3 -> CSF");
         prop_assert_eq!(&generated, &engine_result);
-        let unpacked = codegen::execute(&generated, FormatId::Coo3).expect("generated CSF -> COO3");
-        prop_assert_eq!(&unpacked, &convert(&engine_result, FormatId::Coo3).expect("engine"));
+        let unpacked = codegen::execute_format(&generated, &Format::coo3()).expect("generated CSF -> COO3");
+        prop_assert_eq!(&unpacked, &convert(&engine_result, Format::coo3()).expect("engine"));
     }
 }
