@@ -40,7 +40,7 @@ fn bench_execution_paths(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(600));
     group.bench_function("engine (monomorphised)", |b| {
-        b.iter(|| engine::to_csr(&inputs.coo).nnz())
+        b.iter(|| engine::to_csr(&inputs.coo, 1).unwrap().nnz())
     });
     group.bench_function("dynamic spec-driven", |b| {
         b.iter(|| {

@@ -141,6 +141,7 @@ fn bench_sort_strategies(c: &mut Criterion) {
             group.bench_function(BenchmarkId::new(name, t), |b| {
                 b.iter(|| {
                     sparse_conv::kernels::coo_to_csf_ordered_with(&coo, &[0, 1, 2], t, strategy)
+                        .expect("no worker panics")
                         .nnz()
                 });
             });

@@ -154,7 +154,9 @@ impl Impl {
 /// [`Impl::supports`]).
 pub fn run_conversion(inputs: &BenchInputs, conversion: Conversion, implementation: Impl) -> usize {
     match (conversion, implementation) {
-        (Conversion::CooCsr, Impl::Generated) => engine::to_csr(&inputs.coo).nnz(),
+        (Conversion::CooCsr, Impl::Generated) => engine::to_csr(&inputs.coo, 1)
+            .expect("one chunk runs inline")
+            .nnz(),
         (Conversion::CooCsr, Impl::Sparskit) => sparskit::coo_to_csr(&inputs.coo).nnz(),
         (Conversion::CooCsr, Impl::Mkl) => mkl::coo_to_csr(&inputs.coo).nnz(),
         (Conversion::CooCsr, Impl::TacoNoExt) => taco_noext::coo_to_csr(&inputs.coo).nnz(),
@@ -165,7 +167,9 @@ pub fn run_conversion(inputs: &BenchInputs, conversion: Conversion, implementati
         (Conversion::CooDia, Impl::Sparskit) => sparskit::coo_to_dia(&inputs.coo).num_diagonals(),
         (Conversion::CooDia, Impl::Mkl) => mkl::coo_to_dia(&inputs.coo).num_diagonals(),
 
-        (Conversion::CsrCsc, Impl::Generated) => engine::to_csc(&inputs.csr).nnz(),
+        (Conversion::CsrCsc, Impl::Generated) => engine::to_csc(&inputs.csr, 1)
+            .expect("one chunk runs inline")
+            .nnz(),
         (Conversion::CsrCsc, Impl::Sparskit) => sparskit::csr_to_csc(&inputs.csr).nnz(),
         (Conversion::CsrCsc, Impl::Mkl) => mkl::csr_to_csc(&inputs.csr).nnz(),
 

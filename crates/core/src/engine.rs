@@ -13,6 +13,16 @@
 //!    `pos` array), and
 //! 3. *assembly* sizes the output in one shot from the query results and
 //!    scatters nonzeros directly into place — never through a CSR temporary.
+//!
+//! There is one routine per target, and parallelism is a schedule on it, not
+//! a second routine: [`to_csr`] and [`to_csc`] (one body, `to_compressed`)
+//! take a thread count, ask the source for that many chunks
+//! ([`SourceMatrix::chunks`]) and run analysis → merge → assembly over them
+//! through [`two_phase`]. One chunk is the sequential routine, on the calling
+//! thread; `T` chunks produce the same bytes. The kernel table passes the
+//! service's thread count on the rows flagged `parallel` and 1 elsewhere.
+
+use std::ops::Range;
 
 use obs::Span;
 use sparse_formats::csf::pack_sorted;
@@ -24,7 +34,9 @@ use sparse_formats::{
 use sparse_tensor::Value;
 
 use crate::error::ConvertError;
+use crate::partition::{merge_histograms_tree, two_phase, SharedSlice};
 use crate::source::{SourceMatrix, SourceTensor};
+use crate::tunables::{TILE_SCATTER_MIN_NNZ, TRANSPOSE_TILE};
 
 /// Converts any source to COO, preserving the source's iteration order.
 pub fn to_coo<S: SourceMatrix>(src: &S) -> CooMatrix {
@@ -40,179 +52,188 @@ pub fn to_coo<S: SourceMatrix>(src: &S) -> CooMatrix {
         .expect("source coordinates are in bounds")
 }
 
-/// Converts any source to CSR (generalises Figure 6c): a row-count analysis
-/// pass (answered from the source structure when possible), sequenced edge
-/// insertion building `pos`, and a coordinate-insertion pass scattering
-/// `crd` / `vals`.
-pub fn to_csr<S: SourceMatrix>(src: &S) -> CsrMatrix {
-    let rows = src.rows();
-    let nnz = src.nnz();
-    // Analysis: select [i] -> count(j) as nir.
-    let pos = {
-        let span = Span::enter("engine.analysis");
-        span.add_items(rows as u64);
-        let counts = src.row_counts();
-        // Sequenced edge insertion over the dense row level.
-        let mut pos = vec![0usize; rows + 1];
-        for i in 0..rows {
-            pos[i + 1] = pos[i] + counts[i];
-        }
-        pos
-    };
-    // Coordinate insertion (yield_pos + insert_coord), using pos as cursors
-    // and restoring it afterwards, exactly like lines 12-25 of Figure 6c.
-    let span = Span::enter("engine.scatter");
-    span.add_items(nnz as u64);
-    span.add_bytes((nnz * (size_of::<usize>() + size_of::<Value>())) as u64);
-    let mut cursor = pos.clone();
-    let mut crd = vec![0usize; nnz];
-    let mut vals = vec![0.0; nnz];
-    src.for_each(|i, j, v| {
-        let p = cursor[i];
-        cursor[i] += 1;
-        crd[p] = j;
-        vals[p] = v;
-    });
-    drop(span);
-    CsrMatrix::from_parts(rows, src.cols(), pos, crd, vals)
-        .expect("assembled CSR structure is valid")
+/// Converts any source to CSR (generalises Figure 6c) on up to `threads`
+/// chunks of the source: a row-count analysis (answered from the source
+/// structure when possible), edge insertion building `pos`, and a
+/// coordinate-insertion pass scattering `crd` / `vals`. The output is
+/// bit-identical at every thread count.
+///
+/// # Errors
+///
+/// Returns [`ConvertError::WorkerPanicked`] when a worker thread panicked.
+pub fn to_csr<S: SourceMatrix + Sync>(src: &S, threads: usize) -> Result<CsrMatrix, ConvertError> {
+    let (pos, crd, vals) = to_compressed(
+        src,
+        src.rows(),
+        S::row_counts,
+        |i, j| (i, j),
+        false,
+        threads,
+    )?;
+    Ok(
+        CsrMatrix::from_parts(src.rows(), src.cols(), pos, crd, vals)
+            .expect("assembled CSR structure is valid"),
+    )
 }
 
-/// Converts any source to CSC (the column-major dual of [`to_csr`]).
-pub fn to_csc<S: SourceMatrix>(src: &S) -> CscMatrix {
-    let cols = src.cols();
-    let nnz = src.nnz();
-    let pos = {
-        let span = Span::enter("engine.analysis");
-        span.add_items(cols as u64);
-        let counts = src.col_counts();
-        let mut pos = vec![0usize; cols + 1];
-        for j in 0..cols {
-            pos[j + 1] = pos[j] + counts[j];
-        }
-        pos
-    };
-    let span = Span::enter("engine.scatter");
-    span.add_items(nnz as u64);
-    span.add_bytes((nnz * (size_of::<usize>() + size_of::<Value>())) as u64);
-    let mut cursor = pos.clone();
-    let mut crd = vec![0usize; nnz];
-    let mut vals = vec![0.0; nnz];
-    src.for_each(|i, j, v| {
-        let p = cursor[j];
-        cursor[j] += 1;
-        crd[p] = i;
-        vals[p] = v;
-    });
-    drop(span);
-    CscMatrix::from_parts(src.rows(), cols, pos, crd, vals)
-        .expect("assembled CSC structure is valid")
+/// Converts any source to CSC: [`to_csr`] with the roles of the two
+/// coordinates swapped. A source that iterates row by row (CSR) is certain
+/// to scatter across columns, so its large, wide chunks take the blocked
+/// scatter.
+///
+/// # Errors
+///
+/// Returns [`ConvertError::WorkerPanicked`] when a worker thread panicked.
+pub fn to_csc<S: SourceMatrix + Sync>(src: &S, threads: usize) -> Result<CscMatrix, ConvertError> {
+    let transposes = src.rows_in_order();
+    let (pos, crd, vals) = to_compressed(
+        src,
+        src.cols(),
+        S::col_counts,
+        |i, j| (j, i),
+        transposes,
+        threads,
+    )?;
+    Ok(
+        CscMatrix::from_parts(src.rows(), src.cols(), pos, crd, vals)
+            .expect("assembled CSC structure is valid"),
+    )
 }
 
-/// Tile width (in columns) of the blocked CSR→CSC transpose, sequential and
-/// per parallel chunk alike: the per-tile cursor window plus the output
-/// region it scatters into stay cache-resident (a 4096-column tile is 32 KiB
-/// of cursors).
-pub(crate) const TRANSPOSE_TILE: usize = 1 << 12;
+/// The `pos`, `crd` and `vals` arrays of a dense level over a compressed one.
+type Compressed = (Vec<usize>, Vec<usize>, Vec<Value>);
 
-/// Below this many nonzeros the naive transpose's working set already fits
-/// in cache and the extra bucketing pass of the blocked transpose would only
-/// add traffic.
-const TRANSPOSE_MIN_NNZ: usize = 1 << 15;
+/// The one routine behind [`to_csr`] and [`to_csc`]: assembles a dense
+/// level of `parents` over a compressed level, where `key` splits a
+/// nonzero's `(row, column)` into `(parent, child)`. It is the histogram
+/// instance of [`two_phase`] over the source's own chunks:
+///
+/// 1. *analysis* — `select [parent] -> count(child)` per chunk. One chunk is
+///    the whole source, so the source answers (`counts`: `pos` differencing
+///    where the structure has it, Section 5.2); several count their own
+///    nonzeros.
+/// 2. *merge* — unsequenced edge insertion: the prefix sum of the summed
+///    histograms is `pos`, and each chunk's cursors start after the entries
+///    of the chunks before it — the positions one sequential pass would use.
+/// 3. *assembly* — every chunk scatters its nonzeros through its cursors
+///    (`yield_pos` + `insert_coord`, lines 12-25 of Figure 6c).
+///
+/// `transposes` says the source iterates grouped by the *child* coordinate,
+/// i.e. every chunk scatters across the whole parent range. Such a chunk
+/// takes the blocked write-combining scatter when the parent level is wider
+/// than one tile and the chunk is large enough to pay for the bucketing pass;
+/// any other source may already arrive in parent order, where the direct
+/// scatter writes sequentially. Both strategies consume each parent's cursor
+/// in source order, so the choice never shows in the output.
+fn to_compressed<S: SourceMatrix + Sync>(
+    src: &S,
+    parents: usize,
+    counts: impl Fn(&S) -> Vec<usize> + Sync,
+    key: impl Fn(usize, usize) -> (usize, usize) + Sync,
+    transposes: bool,
+    threads: usize,
+) -> Result<Compressed, ConvertError> {
+    let nnz = src.nnz();
+    let chunks = src.chunks(threads.max(1));
+    let whole = chunks.len() == 1;
+    let mut crd = vec![0usize; nnz];
+    let mut vals = vec![0.0 as Value; nnz];
+    let pos = {
+        let crd_out = SharedSlice::new(&mut crd);
+        let vals_out = SharedSlice::new(&mut vals);
+        // Analysis: the chunk's histogram, and its sums over scatter tiles
+        // (what the blocked strategy buckets by; their total is the chunk's
+        // nonzero count).
+        let analyse = |chunk: Range<usize>, span: &Span| {
+            let hist = if whole {
+                counts(src)
+            } else {
+                let mut hist = vec![0usize; parents];
+                src.for_each_in(chunk, |i, j, _| hist[key(i, j).0] += 1);
+                hist
+            };
+            let tiles: Vec<usize> = hist
+                .chunks(TRANSPOSE_TILE)
+                .map(|tile| tile.iter().sum())
+                .collect();
+            span.add_items(tiles.iter().sum::<usize>() as u64);
+            (hist, tiles)
+        };
+        let merge = |found: Vec<(Vec<usize>, Vec<usize>)>| {
+            let (hists, tiles): (Vec<_>, Vec<_>) = found.into_iter().unzip();
+            let (pos, cursors) = merge_histograms_tree(hists, parents)?;
+            Ok((pos, cursors.into_iter().zip(tiles).collect()))
+        };
+        let assemble = |_: &Vec<usize>,
+                        chunk: Range<usize>,
+                        (mut cursor, tiles): (Vec<usize>, Vec<usize>),
+                        span: &Span| {
+            let entries: usize = tiles.iter().sum();
+            span.add_items(entries as u64);
+            span.add_bytes((entries * (size_of::<usize>() + size_of::<Value>())) as u64);
+            // SAFETY (both strategies): `dst` comes from this chunk's cursor
+            // range, disjoint from every other chunk's by construction.
+            let write = |dst, child, v| unsafe {
+                crd_out.write(dst, child);
+                vals_out.write(dst, v);
+            };
+            if transposes && tiles.len() > 1 && entries >= TILE_SCATTER_MIN_NNZ {
+                blocked_scatter(src, chunk, &key, &tiles, &mut cursor, write);
+            } else {
+                src.for_each_in(chunk, |i, j, v| {
+                    let (parent, child) = key(i, j);
+                    let dst = cursor[parent];
+                    cursor[parent] += 1;
+                    write(dst, child, v);
+                });
+            }
+        };
+        two_phase(&chunks, "chunk_histogram", analyse, merge, assemble)?
+    };
+    Ok((pos, crd, vals))
+}
 
-/// The blocked write-combining scatter shared by [`csr_to_csc_blocked`] and
-/// the per-chunk scatter of the parallel transpose
-/// ([`kernels::csr_to_csc`](crate::kernels::csr_to_csc)): the nonzeros of
-/// CSR rows `rows` are appended, in source order, into per-tile buffers
-/// (`tile_pos` is the prefix-summed histogram of those nonzeros over
-/// `TRANSPOSE_TILE`-wide column tiles), then drained tile-major through
-/// `cursor`, handing every `(destination, row, value)` to `write`. Both
-/// passes are stable and a column never straddles tiles, so each column's
-/// cursor advances in exactly the order the direct row-major scatter would
-/// advance it.
-pub(crate) fn blocked_transpose_scatter(
-    csr: &CsrMatrix,
-    rows: std::ops::Range<usize>,
-    tile_pos: &[usize],
+/// The blocked write-combining scatter of one chunk. The direct scatter
+/// sends every nonzero straight through a `parents`-wide cursor array, so
+/// for levels wider than the cache each write lands on a cold line. This one
+/// adds a cheap bucketing pass: the chunk's nonzeros are appended, in source
+/// order, into per-tile buffers (`tiles`: the chunk's nonzero count per
+/// `TRANSPOSE_TILE` parents, from its histogram), then drained tile by
+/// tile through `cursor`, so the cursor window and the output region of one
+/// tile both stay cache-resident. Both passes are stable and a parent never
+/// straddles tiles, so each parent's cursor advances in exactly the order
+/// the direct scatter would advance it.
+fn blocked_scatter<S: SourceMatrix>(
+    src: &S,
+    chunk: Range<usize>,
+    key: impl Fn(usize, usize) -> (usize, usize),
+    tiles: &[usize],
     cursor: &mut [usize],
     mut write: impl FnMut(usize, usize, Value),
 ) {
-    let (src_pos, src_crd, src_vals) = (csr.pos(), csr.crd(), csr.values());
-    let entries = src_pos[rows.end] - src_pos[rows.start];
-    let mut tile_cursor = tile_pos.to_vec();
-    let mut brow = vec![0usize; entries];
-    let mut bcol = vec![0usize; entries];
+    let mut entries = 0usize;
+    let mut tile_cursor = Vec::with_capacity(tiles.len());
+    for count in tiles {
+        tile_cursor.push(entries);
+        entries += count;
+    }
+    let mut bparent = vec![0usize; entries];
+    let mut bchild = vec![0usize; entries];
     let mut bval = vec![0.0 as Value; entries];
-    for i in rows {
-        for p in src_pos[i]..src_pos[i + 1] {
-            let j = src_crd[p];
-            let t = j / TRANSPOSE_TILE;
-            let slot = tile_cursor[t];
-            tile_cursor[t] += 1;
-            brow[slot] = i;
-            bcol[slot] = j;
-            bval[slot] = src_vals[p];
-        }
-    }
-    for b in 0..entries {
-        let j = bcol[b];
-        let dst = cursor[j];
-        cursor[j] += 1;
-        write(dst, brow[b], bval[b]);
-    }
-}
-
-/// Blocked, write-combining CSR→CSC transpose, bit-identical to
-/// [`to_csc`] on the same input.
-///
-/// The naive transpose scatters every nonzero straight through a
-/// `cols`-wide cursor array, so for matrices wider than the cache each write
-/// lands on a cold line. This variant adds one cheap bucketing pass
-/// (`blocked_transpose_scatter`): nonzeros are bucketed by column tile, then
-/// each tile scatters only its own entries, so the cursor slice and the
-/// output window both fit in cache. Small or narrow inputs (below
-/// `TRANSPOSE_MIN_NNZ`, or at most one tile wide) take the naive path
-/// directly.
-pub fn csr_to_csc_blocked(csr: &CsrMatrix) -> CscMatrix {
-    let rows = csr.rows();
-    let cols = csr.cols();
-    let nnz = csr.nnz();
-    if nnz < TRANSPOSE_MIN_NNZ || cols <= TRANSPOSE_TILE {
-        return to_csc(csr);
-    }
-    let tiles = cols.div_ceil(TRANSPOSE_TILE);
-
-    // Analysis: the column histogram and the tile histogram in one scan.
-    let (pos, tile_pos) = {
-        let span = Span::enter("engine.analysis");
-        span.add_items(cols as u64);
-        let mut pos = vec![0usize; cols + 1];
-        let mut tile_pos = vec![0usize; tiles + 1];
-        for &j in csr.crd() {
-            pos[j + 1] += 1;
-            tile_pos[j / TRANSPOSE_TILE + 1] += 1;
-        }
-        for j in 0..cols {
-            pos[j + 1] += pos[j];
-        }
-        for t in 0..tiles {
-            tile_pos[t + 1] += tile_pos[t];
-        }
-        (pos, tile_pos)
-    };
-
-    let span = Span::enter("engine.scatter");
-    span.add_items(nnz as u64);
-    span.add_bytes((nnz * (size_of::<usize>() + size_of::<Value>())) as u64);
-    let mut cursor = pos.clone();
-    let mut crd = vec![0usize; nnz];
-    let mut vals = vec![0.0 as Value; nnz];
-    blocked_transpose_scatter(csr, 0..rows, &tile_pos, &mut cursor, |dst, i, v| {
-        crd[dst] = i;
-        vals[dst] = v;
+    src.for_each_in(chunk, |i, j, v| {
+        let (parent, child) = key(i, j);
+        let slot = &mut tile_cursor[parent / TRANSPOSE_TILE];
+        bparent[*slot] = parent;
+        bchild[*slot] = child;
+        bval[*slot] = v;
+        *slot += 1;
     });
-    drop(span);
-    CscMatrix::from_parts(rows, cols, pos, crd, vals).expect("assembled CSC structure is valid")
+    for b in 0..entries {
+        let parent = bparent[b];
+        let dst = cursor[parent];
+        cursor[parent] += 1;
+        write(dst, bchild[b], bval[b]);
+    }
 }
 
 /// Converts any tensor source to rank-`N` COO, preserving the source's
@@ -534,15 +555,24 @@ mod tests {
     fn csr_from_every_source_matches_reference() {
         let t = example();
         let reference = CsrMatrix::from_triples(&t);
-        assert_eq!(to_csr(&CooMatrix::from_triples(&t)).pos(), reference.pos());
-        assert_eq!(to_csr(&CooMatrix::from_triples(&t)).crd(), reference.crd());
-        assert!(to_csr(&CscMatrix::from_triples(&t))
+        assert_eq!(
+            to_csr(&CooMatrix::from_triples(&t), 1).unwrap().pos(),
+            reference.pos()
+        );
+        assert_eq!(
+            to_csr(&CooMatrix::from_triples(&t), 1).unwrap().crd(),
+            reference.crd()
+        );
+        assert!(to_csr(&CscMatrix::from_triples(&t), 1)
+            .unwrap()
             .to_triples()
             .same_values(&t));
-        assert!(to_csr(&DiaMatrix::from_triples(&t))
+        assert!(to_csr(&DiaMatrix::from_triples(&t), 1)
+            .unwrap()
             .to_triples()
             .same_values(&t));
-        assert!(to_csr(&EllMatrix::from_triples(&t))
+        assert!(to_csr(&EllMatrix::from_triples(&t), 1)
+            .unwrap()
             .to_triples()
             .same_values(&t));
     }
@@ -582,10 +612,12 @@ mod tests {
     #[test]
     fn csc_and_coo_targets_preserve_values() {
         let t = example();
-        assert!(to_csc(&CsrMatrix::from_triples(&t))
+        assert!(to_csc(&CsrMatrix::from_triples(&t), 1)
+            .unwrap()
             .to_triples()
             .same_values(&t));
-        assert!(to_csc(&CooMatrix::from_triples(&t))
+        assert!(to_csc(&CooMatrix::from_triples(&t), 1)
+            .unwrap()
             .to_triples()
             .same_values(&t));
         assert!(to_coo(&CsrMatrix::from_triples(&t))
@@ -629,40 +661,70 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state % bound
         });
-        assert!(to_csr(&coo).to_triples().same_values(&t));
+        assert!(to_csr(&coo, 1).unwrap().to_triples().same_values(&t));
         assert!(to_dia(&coo).unwrap().to_triples().same_values(&t));
         assert!(to_ell(&coo).to_triples().same_values(&t));
-        assert!(to_csc(&coo).to_triples().same_values(&t));
+        assert!(to_csc(&coo, 1).unwrap().to_triples().same_values(&t));
     }
 
     #[test]
     fn blocked_transpose_is_bit_identical_to_the_naive_scatter() {
-        // Wide and dense enough to cross both blocked-path cutoffs: several
-        // column tiles and > TRANSPOSE_MIN_NNZ nonzeros.
+        // Several column tiles wide. A COO source is never known to
+        // transpose, so it always takes the direct scatter and, replaying
+        // the CSR's order, is the reference. At the threshold one chunk
+        // takes the blocked scatter and two take the direct one; at three
+        // times the threshold all of 1, 2 and 3 chunks are blocked.
         let rows = 64;
         let cols = 3 * TRANSPOSE_TILE + 17;
-        let mut entries = Vec::new();
-        let mut state = 0x1234_5678_9abc_def0u64;
-        for i in 0..rows {
-            for _ in 0..(TRANSPOSE_MIN_NNZ / rows + 2) {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let j = (state as usize) % cols;
-                entries.push((i, j, (i + j) as f64));
+        for nnz in [TILE_SCATTER_MIN_NNZ, 3 * TILE_SCATTER_MIN_NNZ] {
+            let mut entries = Vec::new();
+            let mut state = 0x1234_5678_9abc_def0u64;
+            for i in 0..rows {
+                for _ in 0..(nnz / rows + 2) {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let j = (state as usize) % cols;
+                    entries.push((i, j, (i + j) as f64));
+                }
+            }
+            let t = SparseTriples::from_matrix_entries(rows, cols, entries).unwrap();
+            let csr = CsrMatrix::from_triples(&t);
+            assert!(csr.nnz() >= nnz, "input crosses the cutoff");
+            let direct = to_csc(&to_coo(&csr), 1).unwrap();
+            for threads in [1, 2, 3] {
+                assert_eq!(to_csc(&csr, threads).unwrap(), direct, "{threads} chunks");
             }
         }
-        let t = SparseTriples::from_matrix_entries(rows, cols, entries).unwrap();
+    }
+
+    #[test]
+    fn chunked_routines_are_bit_identical_at_every_thread_count() {
+        // More threads than rows, and than nonzeros per row.
+        let t = example();
+        let mut coo = CooMatrix::from_triples(&t);
+        let mut state = 7usize;
+        coo.shuffle_with(|bound| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state % bound
+        });
         let csr = CsrMatrix::from_triples(&t);
-        assert!(csr.nnz() >= TRANSPOSE_MIN_NNZ, "input crosses the cutoff");
-        let naive = to_csc(&csr);
-        let blocked = csr_to_csc_blocked(&csr);
-        assert_eq!(blocked.pos(), naive.pos());
-        assert_eq!(blocked.crd(), naive.crd());
-        assert_eq!(blocked.values(), naive.values());
-        // Small inputs route through the naive scatter unchanged.
-        let small = CsrMatrix::from_triples(&example());
-        assert_eq!(csr_to_csc_blocked(&small), to_csc(&small));
+        for threads in [2, 3, 4, 9, 16] {
+            assert_eq!(
+                to_csr(&coo, threads).unwrap(),
+                to_csr(&coo, 1).unwrap(),
+                "COO->CSR at {threads} threads"
+            );
+            assert_eq!(
+                to_csc(&csr, threads).unwrap(),
+                to_csc(&csr, 1).unwrap(),
+                "CSR->CSC at {threads} threads"
+            );
+        }
+        // The one-chunk output is the reference constructor's.
+        assert_eq!(to_csc(&csr, 1).unwrap(), CscMatrix::from_triples(&t));
     }
 
     #[test]
@@ -672,7 +734,7 @@ mod tests {
         let expected = spmv_fingerprint(&csr);
         assert_eq!(spmv_fingerprint(&to_dia(&csr).unwrap()), expected);
         assert_eq!(spmv_fingerprint(&to_ell(&csr)), expected);
-        assert_eq!(spmv_fingerprint(&to_csc(&csr)), expected);
+        assert_eq!(spmv_fingerprint(&to_csc(&csr, 1).unwrap()), expected);
         assert_eq!(spmv_fingerprint(&to_bcsr(&csr, 2, 2)), expected);
         assert_eq!(spmv_fingerprint(&to_jad(&csr)), expected);
     }
@@ -708,7 +770,7 @@ mod tests {
     fn empty_matrices_convert_cleanly() {
         let t = SparseTriples::new(sparse_tensor::Shape::matrix(5, 4));
         let coo = CooMatrix::from_triples(&t);
-        assert_eq!(to_csr(&coo).nnz(), 0);
+        assert_eq!(to_csr(&coo, 1).unwrap().nnz(), 0);
         assert_eq!(to_dia(&coo).unwrap().num_diagonals(), 0);
         assert_eq!(to_ell(&coo).slices(), 0);
         assert_eq!(to_jad(&coo).num_jagged_diagonals(), 0);

@@ -42,6 +42,14 @@ pub enum ConvertError {
     Query(attr_query::QueryError),
     /// Generated IR failed to execute.
     Interp(conv_ir::interp::InterpError),
+    /// A worker thread panicked while running its share of a phase. The
+    /// conversion is abandoned; the caller, its service and every other
+    /// worker carry on.
+    WorkerPanicked {
+        /// The span name of the phase whose worker died (`kernel.scatter`,
+        /// `pool.run`, `stream.producer`, …).
+        phase: &'static str,
+    },
 }
 
 impl fmt::Display for ConvertError {
@@ -66,6 +74,9 @@ impl fmt::Display for ConvertError {
             ConvertError::Remap(e) => write!(f, "remapping error: {e}"),
             ConvertError::Query(e) => write!(f, "attribute query error: {e}"),
             ConvertError::Interp(e) => write!(f, "generated code failed: {e}"),
+            ConvertError::WorkerPanicked { phase } => {
+                write!(f, "a worker thread panicked during {phase}")
+            }
         }
     }
 }
@@ -135,5 +146,10 @@ mod tests {
         }
         .to_string()
         .contains("line 7"));
+        assert!(ConvertError::WorkerPanicked {
+            phase: "kernel.scatter"
+        }
+        .to_string()
+        .contains("kernel.scatter"));
     }
 }

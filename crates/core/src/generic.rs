@@ -673,7 +673,7 @@ mod tests {
     fn dynamic_csr_matches_engine_csr() {
         let spec = stock(Format::csr());
         let custom = convert_with_spec(&coo_src(), &spec).unwrap();
-        let reference = engine::to_csr(&CooMatrix::from_triples(&figure1_matrix()));
+        let reference = engine::to_csr(&CooMatrix::from_triples(&figure1_matrix()), 1).unwrap();
         match &custom.levels[1] {
             LevelOutput::Compressed { pos, crd } => {
                 assert_eq!(pos, reference.pos());
@@ -862,11 +862,11 @@ mod tests {
         let dia = AnyTensor::Dia(DiaMatrix::from_triples(&figure1_matrix()));
         let spec = stock(Format::csr());
         let custom = convert_with_spec(&dia, &spec).unwrap();
-        let reference = engine::to_csr(&DiaMatrix::from_triples(&figure1_matrix()));
+        let reference = engine::to_csr(&DiaMatrix::from_triples(&figure1_matrix()), 1).unwrap();
         assert_eq!(custom.vals, reference.values());
         let ell = AnyTensor::Ell(EllMatrix::from_triples(&figure1_matrix()));
         let custom = convert_with_spec(&ell, &stock(Format::csc())).unwrap();
-        let reference = engine::to_csc(&EllMatrix::from_triples(&figure1_matrix()));
+        let reference = engine::to_csc(&EllMatrix::from_triples(&figure1_matrix()), 1).unwrap();
         assert_eq!(custom.vals, reference.values());
     }
 }

@@ -112,14 +112,14 @@ use Pattern::{Any, Bcsr, Is, Matrix, OrderedCsf, Registry, Tensor};
 pub static KERNELS: &[KernelRow] = &[
     // Registry-format sources lower through their level read-back.
     row("custom-lower", Registry, Any, false, lower_and_redispatch),
-    // Partitioned parallel kernels (the sequential engine at one thread).
+    // Pairs whose source cuts into chunks: the routine gets the threads.
     row("coo-csr", Is(Coo), Is(Csr), true,
-        |src, _, threads| Ok(AnyTensor::Csr(kernels::coo_to_csr(source_as!(src, Coo), threads)))),
+        |src, _, threads| Ok(AnyTensor::Csr(engine::to_csr(source_as!(src, Coo), threads)?))),
     row("csr-csc", Is(Csr), Is(Csc), true,
-        |src, _, threads| Ok(AnyTensor::Csc(kernels::csr_to_csc(source_as!(src, Csr), threads)))),
+        |src, _, threads| Ok(AnyTensor::Csc(engine::to_csc(source_as!(src, Csr), threads)?))),
     row("csr-bcsr", Is(Csr), Bcsr, true, csr_to_bcsr),
     row("coo3-csf", Is(Coo3), Is(Csf), true,
-        |src, _, threads| Ok(AnyTensor::Csf(kernels::coo_to_csf(source_as!(src, Coo3), threads)))),
+        |src, _, threads| Ok(AnyTensor::Csf(kernels::coo_to_csf(source_as!(src, Coo3), threads)?))),
     row("coo3-csf-ordered", Is(Coo3), OrderedCsf, true, coo3_to_csf_ordered),
     // Rank-N containers on the rank-generic engine routines.
     row("tensor-coo3", Tensor, Is(Coo3), false, tensor_to_coo3),
@@ -127,13 +127,13 @@ pub static KERNELS: &[KernelRow] = &[
         |src, _, _| Ok(AnyTensor::Csf(with_tensor!(src, t => engine::to_csf(t))))),
     row("tensor-csf-ordered", Tensor, OrderedCsf, false, tensor_to_csf_ordered),
     row("tensor-lower", Tensor, Matrix, false, lower_order2_tensor),
-    // Matrix containers on the monomorphised engine.
+    // Matrix containers on the monomorphised engine, at one chunk.
     row("matrix-coo", Matrix, Is(Coo), false,
         |src, _, _| Ok(AnyTensor::Coo(with_source!(src, m => engine::to_coo(m))))),
     row("matrix-csr", Matrix, Is(Csr), false,
-        |src, _, _| Ok(AnyTensor::Csr(with_source!(src, m => engine::to_csr(m))))),
+        |src, _, _| Ok(AnyTensor::Csr(with_source!(src, m => engine::to_csr(m, 1))?))),
     row("matrix-csc", Matrix, Is(Csc), false,
-        |src, _, _| Ok(AnyTensor::Csc(with_source!(src, m => engine::to_csc(m))))),
+        |src, _, _| Ok(AnyTensor::Csc(with_source!(src, m => engine::to_csc(m, 1))?))),
     row("matrix-dia", Matrix, Is(Dia), false,
         |src, _, _| Ok(AnyTensor::Dia(with_source!(src, m => engine::to_dia(m))?))),
     row("matrix-ell", Matrix, Is(Ell), false,
@@ -323,7 +323,7 @@ fn csr_to_bcsr(src: &AnyTensor, target: &Format, threads: usize) -> KernelResult
     let csr = source_as!(src, Csr);
     Ok(AnyTensor::Bcsr(kernels::csr_to_bcsr(
         csr, block_rows, block_cols, threads,
-    )))
+    )?))
 }
 
 fn matrix_to_bcsr(src: &AnyTensor, target: &Format, _: usize) -> KernelResult {
@@ -351,7 +351,7 @@ fn wrap_ordered(target: &Format, order: &[usize], csf: &CsfTensor) -> KernelResu
 
 fn coo3_to_csf_ordered(src: &AnyTensor, target: &Format, threads: usize) -> KernelResult {
     let order = mode_order(target);
-    let csf = kernels::coo_to_csf_ordered(source_as!(src, Coo3), &order, threads);
+    let csf = kernels::coo_to_csf_ordered(source_as!(src, Coo3), &order, threads)?;
     wrap_ordered(target, &order, &csf)
 }
 

@@ -13,9 +13,12 @@
 //!   scalar vs. array counters (Sections 3, 4.2, 6.2).
 //! * [`engine`] — monomorphised conversion kernels, the runtime analogue of
 //!   the specialised C code taco emits (Figure 6); this is the path the
-//!   benchmarks measure.
-//! * [`kernels`] — outer-range–partitioned parallel versions of the hot
-//!   engine routines (built on [`partition`]), bit-identical to them.
+//!   benchmarks measure. One routine per target, run over a schedule.
+//! * [`partition`] — the schedule: the one fork-join, the analyse → merge →
+//!   assemble skeleton every chunked routine runs in, and the chunk helpers.
+//! * [`kernels`] — the one bespoke kernel (radix-sorted COO→CSF), on the same
+//!   primitives.
+//! * [`tunables`] — the kernels' measured thresholds, in one place.
 //! * [`kernel_table`] — the one table naming every conversion routine
 //!   (which pairs it serves, whether it is parallel) and every per-format
 //!   fact the planner, the service and the streaming path read.
@@ -76,6 +79,7 @@ pub mod select;
 pub mod source;
 pub mod spec;
 pub mod stock;
+pub mod tunables;
 
 pub use convert::{convert, convert_with, plan_for_formats, AnyTensor};
 pub use error::ConvertError;

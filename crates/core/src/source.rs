@@ -3,15 +3,22 @@
 //! Chou et al. (2018) describe iteration over coordinate hierarchies through
 //! level functions; the engine captures the consequences of those level
 //! functions that matter for conversion as a small trait: a way to visit
-//! every nonzero with its canonical coordinates, plus the properties the
-//! planner consults (are nonzeros grouped by row and visited in row order?
-//! can per-row counts be read off the structure without touching nonzeros?).
+//! every nonzero with its canonical coordinates, the source-side half of a
+//! schedule (how the source cuts into chunks that iterate independently:
+//! [`SourceMatrix::chunks`] and [`SourceMatrix::for_each_in`]), plus the
+//! properties the planner consults (are nonzeros grouped by row and visited
+//! in row order? can per-row counts be read off the structure without
+//! touching nonzeros?).
+
+use std::ops::Range;
 
 use sparse_formats::{
     BcsrMatrix, CooMatrix, CooTensor, CscMatrix, CsfTensor, CsrMatrix, DiaMatrix, DokMatrix,
     EllMatrix, JadMatrix, SkylineMatrix,
 };
 use sparse_tensor::{Shape, Value};
+
+use crate::partition::{balanced_chunks_by_pos, even_chunks};
 
 /// A matrix the conversion engine can read.
 ///
@@ -31,6 +38,24 @@ pub trait SourceMatrix {
 
     /// Visits every nonzero in storage order.
     fn for_each<F: FnMut(usize, usize, Value)>(&self, f: F);
+
+    /// Cuts the source into at most `parts` chunks for
+    /// [`SourceMatrix::for_each_in`]: visiting the chunks in order visits
+    /// every nonzero once, in storage order. What a chunk's range counts is
+    /// the source's own business (nonzero positions for COO, where a row may
+    /// straddle chunks; whole rows for CSR).
+    ///
+    /// The default is one chunk, the whole source; a source that overrides
+    /// this overrides `for_each_in` with it.
+    fn chunks(&self, _parts: usize) -> Vec<Range<usize>> {
+        even_chunks(self.rows(), 1)
+    }
+
+    /// Visits the nonzeros of one chunk from [`SourceMatrix::chunks`] in
+    /// storage order.
+    fn for_each_in<F: FnMut(usize, usize, Value)>(&self, _chunk: Range<usize>, f: F) {
+        self.for_each(f);
+    }
 
     /// True when nonzeros are grouped by row and rows are visited in
     /// ascending order (lets the planner use scalar counters and sequenced
@@ -157,8 +182,20 @@ impl SourceMatrix for CooMatrix {
         CooMatrix::nnz(self)
     }
 
-    fn for_each<F: FnMut(usize, usize, Value)>(&self, mut f: F) {
-        for (i, j, v) in self.iter() {
+    fn for_each<F: FnMut(usize, usize, Value)>(&self, f: F) {
+        self.for_each_in(0..CooMatrix::nnz(self), f);
+    }
+
+    /// Even ranges of nonzero positions.
+    fn chunks(&self, parts: usize) -> Vec<Range<usize>> {
+        even_chunks(CooMatrix::nnz(self), parts)
+    }
+
+    fn for_each_in<F: FnMut(usize, usize, Value)>(&self, chunk: Range<usize>, mut f: F) {
+        let rows = &self.row_indices()[chunk.clone()];
+        let cols = &self.col_indices()[chunk.clone()];
+        let vals = &self.values()[chunk];
+        for ((&i, &j), &v) in rows.iter().zip(cols).zip(vals) {
             f(i, j, v);
         }
     }
@@ -177,11 +214,21 @@ impl SourceMatrix for CsrMatrix {
         CsrMatrix::nnz(self)
     }
 
-    fn for_each<F: FnMut(usize, usize, Value)>(&self, mut f: F) {
+    fn for_each<F: FnMut(usize, usize, Value)>(&self, f: F) {
+        self.for_each_in(0..CsrMatrix::rows(self), f);
+    }
+
+    /// Ranges of whole rows, balanced by the nonzeros they hold (read off
+    /// `pos`).
+    fn chunks(&self, parts: usize) -> Vec<Range<usize>> {
+        balanced_chunks_by_pos(self.pos(), parts)
+    }
+
+    fn for_each_in<F: FnMut(usize, usize, Value)>(&self, chunk: Range<usize>, mut f: F) {
         let pos = self.pos();
         let crd = self.crd();
         let vals = self.values();
-        for i in 0..CsrMatrix::rows(self) {
+        for i in chunk {
             for p in pos[i]..pos[i + 1] {
                 f(i, crd[p], vals[p]);
             }
@@ -195,6 +242,15 @@ impl SourceMatrix for CsrMatrix {
     fn row_counts(&self) -> Vec<usize> {
         // The optimised `count(j)` query: pos[i+1] - pos[i], no nonzero pass.
         self.pos().windows(2).map(|w| w[1] - w[0]).collect()
+    }
+
+    fn col_counts(&self) -> Vec<usize> {
+        // One flat pass over `crd`: the row structure does not matter.
+        let mut counts = vec![0usize; CsrMatrix::cols(self)];
+        for &j in self.crd() {
+            counts[j] += 1;
+        }
+        counts
     }
 }
 

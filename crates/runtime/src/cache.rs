@@ -263,17 +263,14 @@ mod tests {
 
     #[test]
     fn cache_is_shareable_across_threads() {
-        let cache = Arc::new(PlanCache::new());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let cache = Arc::clone(&cache);
-                s.spawn(move || {
-                    for _ in 0..8 {
-                        cache.plan(Format::coo(), Format::csr()).unwrap();
-                    }
-                });
+        // Four workers of the stack's one fan-out share the cache by reference.
+        let cache = PlanCache::new();
+        sparse_conv::partition::fork_join("test.plan", "test.worker", vec![(); 4], |(), _| {
+            for _ in 0..8 {
+                cache.plan(Format::coo(), Format::csr()).unwrap();
             }
-        });
+        })
+        .unwrap();
         assert_eq!(cache.hits() + cache.misses(), 32);
         assert_eq!(cache.len(), 1);
     }

@@ -15,9 +15,10 @@
 //!    flow back into the graph's edge costs (online calibration);
 //! 3. **execute** — each hop dispatches through
 //!    [`sparse_conv::kernel_table`]: rows flagged `parallel` (COO→CSR,
-//!    CSR→CSC, CSR→BCSR, COO3→CSF and `CSF@perm`) run partitioned across
-//!    the pool when the input is large enough to pay for thread startup;
-//!    everything else runs sequentially. Both produce bit-identical output.
+//!    CSR→CSC, CSR→BCSR, COO3→CSF and `CSF@perm`) get the service's thread
+//!    count when the input is large enough to pay for thread startup, and
+//!    run their one routine over that many chunks; everything else runs at
+//!    one chunk. The output is bit-identical either way.
 //!
 //! [`ConversionService::convert_batch`] schedules many independent
 //! conversions across a [`WorkerPool`]; batched jobs execute sequentially
@@ -33,6 +34,7 @@ use conv_stream::{ExternalSorter, MemTracker, SorterConfig, StreamStats, TensorS
 use obs::{Collector, ConversionReport, Registry, Span};
 use sparse_conv::convert::AnyTensor;
 use sparse_conv::kernel_table::{self, Padding};
+use sparse_conv::tunables::PARALLEL_NNZ_THRESHOLD;
 use sparse_conv::{ConvertError, Format};
 
 use crate::cache::PlanCache;
@@ -71,7 +73,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             threads: WorkerPool::machine_sized().threads(),
-            parallel_nnz_threshold: 1 << 14,
+            parallel_nnz_threshold: PARALLEL_NNZ_THRESHOLD,
             routing: RoutingPolicy::CostModel,
             online_calibration: true,
         }
@@ -316,7 +318,9 @@ impl ConversionService {
     /// Converts a batch of independent jobs across the worker pool,
     /// returning one result per job in submission order. Planning is shared
     /// through the cache; each job executes sequentially inside its worker
-    /// (the batch is the parallel axis).
+    /// (the batch is the parallel axis). A job that panics reports
+    /// [`ConvertError::WorkerPanicked`]; the other jobs, and the service,
+    /// carry on.
     pub fn convert_batch<F>(&self, jobs: &[(AnyTensor, F)]) -> Vec<Result<AnyTensor, ConvertError>>
     where
         F: Clone + Into<Format> + Sync,
@@ -328,11 +332,13 @@ impl ConversionService {
         for (src, target) in jobs {
             let _ = self.cache.plan(src.format(), target.clone());
         }
-        self.pool.run(jobs.len(), |i| {
+        let results = self.pool.run(jobs.len(), |i| {
             let (src, target) = &jobs[i];
             self.convert_reported(src, &target.clone().into(), false)
                 .map(|(tensor, _)| tensor)
-        })
+        });
+        // A job whose worker died reports that; the rest report themselves.
+        results.into_iter().map(|job| job.and_then(|r| r)).collect()
     }
 
     /// Converts a [`TensorStream`] without ever materialising the input,

@@ -135,6 +135,8 @@ impl StreamTarget {
 /// a bounded channel; the calling thread drains it in groups of up to
 /// `threads` blocks, pre-sorts each group on the pool, and pushes the runs
 /// into the sorter in arrival order (which later merges use to break ties).
+/// The producer is a pipeline stage, not a fan-out, so it is the one thread
+/// the runtime starts outside `sparse_conv::partition::fork_join`.
 pub(crate) fn pump<S: TensorStream + Send>(
     stream: &mut S,
     sorter: &mut ExternalSorter,
@@ -182,11 +184,10 @@ pub(crate) fn pump<S: TensorStream + Send>(
                 }
                 let presort = Span::enter("stream.presort");
                 presort.add_items(group.iter().map(|b| b.nnz() as u64).sum());
-                let runs: Vec<MemRun> = if threads > 1 && group.len() > 1 {
-                    pool.run(group.len(), |i| MemRun::from_block(&group[i], &key))
-                } else {
-                    group.iter().map(|b| MemRun::from_block(b, &key)).collect()
-                };
+                let runs: Vec<MemRun> = pool
+                    .run(group.len(), |i| MemRun::from_block(&group[i], &key))
+                    .into_iter()
+                    .collect::<Result<_, _>>()?;
                 drop(presort);
                 for (block, run) in group.iter().zip(runs) {
                     tracker.sub(block.approx_bytes());
@@ -194,8 +195,11 @@ pub(crate) fn pump<S: TensorStream + Send>(
                 }
             }
         })();
-        let produced = producer.join().expect("stream producer panicked");
-        produced?;
+        // A panicking source drops `tx` as it unwinds, which ends the
+        // consumer loop above; the panic itself becomes the error.
+        producer.join().map_err(|_| ConvertError::WorkerPanicked {
+            phase: "stream.producer",
+        })??;
         consumed
     })?;
     drop(pump_span);

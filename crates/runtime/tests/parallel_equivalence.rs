@@ -1,12 +1,14 @@
-//! Property tests: every parallel kernel produces output byte-equal to the
-//! sequential engine, across random matrices and 1/2/4-thread pools, and the
-//! plan cache never re-plans a warm pair.
+//! Property tests: every chunked routine produces, at 1/2/4 threads, output
+//! byte-equal to an oracle written without it (a stable grouping of the
+//! source's iteration order, or the container's reference constructor),
+//! across random matrices; the service matches the one-thread `convert` at
+//! every pool width; and the plan cache never re-plans a warm pair.
 
 use proptest::prelude::*;
 
 use conv_runtime::{ConversionService, PlanCache, ServiceConfig};
 use sparse_conv::{engine, kernels, AnyTensor, Format};
-use sparse_formats::{CooMatrix, CooTensor, CsrMatrix};
+use sparse_formats::{BcsrMatrix, CooMatrix, CooTensor, CsfTensor, CsrMatrix};
 use sparse_tensor::{Shape, SparseTriples};
 
 const THREAD_POOLS: [usize; 3] = [1, 2, 4];
@@ -78,67 +80,93 @@ fn shuffled_coo(t: &SparseTriples, seed: u64) -> CooMatrix {
     coo
 }
 
+/// The compressed arrays (`pos`, `crd`, `vals`) a count / prefix-sum / fill
+/// pass builds from `(parent, child, value)` entries: grouped by parent,
+/// iteration order kept inside each group.
+fn stably_grouped(
+    entries: &[(usize, usize, f64)],
+    parents: usize,
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    order.sort_by_key(|&p| entries[p].0);
+    let mut pos = vec![0usize; parents + 1];
+    for &(parent, _, _) in entries {
+        pos[parent + 1] += 1;
+    }
+    for i in 0..parents {
+        pos[i + 1] += pos[i];
+    }
+    let crd = order.iter().map(|&p| entries[p].1).collect();
+    let vals = order.iter().map(|&p| entries[p].2).collect();
+    (pos, crd, vals)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// COO→CSR: the partitioned histogram + prefix-sum-merge kernel matches
-    /// the sequential engine bit for bit at every pool width.
+    /// COO→CSR: histogram, prefix-sum merge and scatter over 1, 2 and 4
+    /// chunks of the nonzeros all group the source stably by row.
     #[test]
     fn parallel_coo_to_csr_is_byte_equal((t, seed) in arb_matrix()) {
         let coo = shuffled_coo(&t, seed);
-        let reference = engine::to_csr(&coo);
+        let entries: Vec<_> = coo.iter().collect();
+        let (pos, crd, vals) = stably_grouped(&entries, coo.rows());
         for threads in THREAD_POOLS {
-            let parallel = kernels::coo_to_csr(&coo, threads);
-            prop_assert_eq!(parallel.pos(), reference.pos(), "pos, {} threads", threads);
-            prop_assert_eq!(parallel.crd(), reference.crd(), "crd, {} threads", threads);
-            prop_assert_eq!(parallel.values(), reference.values(), "vals, {} threads", threads);
+            let csr = engine::to_csr(&coo, threads).expect("no worker panics");
+            prop_assert_eq!(csr.pos(), &pos[..], "pos, {} threads", threads);
+            prop_assert_eq!(csr.crd(), &crd[..], "crd, {} threads", threads);
+            prop_assert_eq!(csr.values(), &vals[..], "vals, {} threads", threads);
         }
     }
 
-    /// CSR→CSC: the partitioned transpose matches the sequential engine.
+    /// CSR→CSC: the transpose over 1, 2 and 4 chunks of whole rows groups
+    /// the row-major iteration stably by column.
     #[test]
     fn parallel_csr_to_csc_is_byte_equal((t, _) in arb_matrix()) {
         let csr = CsrMatrix::from_triples(&t);
-        let reference = engine::to_csc(&csr);
+        let entries: Vec<_> = engine::to_coo(&csr).iter().map(|(i, j, v)| (j, i, v)).collect();
+        let (pos, crd, vals) = stably_grouped(&entries, csr.cols());
         for threads in THREAD_POOLS {
-            let parallel = kernels::csr_to_csc(&csr, threads);
-            prop_assert_eq!(parallel.pos(), reference.pos(), "pos, {} threads", threads);
-            prop_assert_eq!(parallel.crd(), reference.crd(), "crd, {} threads", threads);
-            prop_assert_eq!(parallel.values(), reference.values(), "vals, {} threads", threads);
+            let csc = engine::to_csc(&csr, threads).expect("no worker panics");
+            prop_assert_eq!(csc.pos(), &pos[..], "pos, {} threads", threads);
+            prop_assert_eq!(csc.crd(), &crd[..], "crd, {} threads", threads);
+            prop_assert_eq!(csc.values(), &vals[..], "vals, {} threads", threads);
         }
     }
 
-    /// CSR→BCSR: block discovery and dense-block scatter match the engine
-    /// for a spread of block shapes.
+    /// CSR→BCSR: block discovery and dense-block scatter over chunks of
+    /// whole block rows match the reference constructor for a spread of
+    /// block shapes.
     #[test]
     fn parallel_csr_to_bcsr_is_byte_equal(
         ((t, _), block_rows, block_cols) in (arb_matrix(), 1usize..5, 1usize..5)
     ) {
         let csr = CsrMatrix::from_triples(&t);
-        let reference = engine::to_bcsr(&csr, block_rows, block_cols);
+        let reference = BcsrMatrix::from_triples(&t, block_rows, block_cols);
         for threads in THREAD_POOLS {
-            let parallel = kernels::csr_to_bcsr(&csr, block_rows, block_cols, threads);
-            prop_assert_eq!(parallel.pos(), reference.pos(), "pos, {} threads", threads);
-            prop_assert_eq!(parallel.crd(), reference.crd(), "crd, {} threads", threads);
-            prop_assert_eq!(parallel.values(), reference.values(), "vals, {} threads", threads);
+            let bcsr = kernels::csr_to_bcsr(&csr, block_rows, block_cols, threads)
+                .expect("no worker panics");
+            prop_assert_eq!(&bcsr, &reference, "{} threads", threads);
         }
     }
 
     /// COO3→CSF: the root-fiber-partitioned sort-and-pack kernel matches the
-    /// sequential engine bit for bit at every pool width.
+    /// reference constructor and the engine's sort-then-pack routine bit for
+    /// bit at every pool width.
     #[test]
     fn parallel_coo3_to_csf_is_byte_equal((t, seed) in arb_tensor3()) {
         let coo = shuffled_coo3(&t, seed);
-        let reference = engine::to_csf(&coo);
+        let reference = CsfTensor::from_triples(&t);
+        prop_assert_eq!(&engine::to_csf(&coo), &reference);
         for threads in THREAD_POOLS {
-            let parallel = kernels::coo_to_csf(&coo, threads);
-            prop_assert_eq!(&parallel, &reference, "{} threads", threads);
+            let csf = kernels::coo_to_csf(&coo, threads).expect("no worker panics");
+            prop_assert_eq!(&csf, &reference, "{} threads", threads);
         }
         prop_assert!(reference.to_triples().same_values(&t));
     }
 
-    /// The service's tensor route (parallel kernel included) matches the
-    /// sequential `sparse_conv::convert`, and CSF→COO3 round-trips to the
+    /// The service's tensor route (chunked kernel included) matches the
+    /// one-thread `sparse_conv::convert`, and CSF→COO3 round-trips to the
     /// sorted triples.
     #[test]
     fn service_tensor_conversions_match_sequential_convert((t, seed) in arb_tensor3()) {

@@ -24,7 +24,7 @@ fn main() {
 
     // Convert once with the generated routines.
     let start = Instant::now();
-    let csr = engine::to_csr(&coo);
+    let csr = engine::to_csr(&coo, 1).expect("CSR conversion");
     let csr_conv = start.elapsed();
     let start = Instant::now();
     let dia = engine::to_dia(&coo).expect("DIA conversion");

@@ -1,8 +1,9 @@
 //! The kernel table and the stock-format table each answer to one test that
 //! *iterates* them, so a new row cannot forget to enrol:
 //!
-//! (a) every kernel row's routine is byte-identical at 1/2/4 threads and its
-//!     output reads back to the source's triples;
+//! (a) every kernel row's routine is byte-identical at every thread count
+//!     (1/2/4; 1/2/3/4/9 and a set of degenerate inputs for the rows that
+//!     run over chunks) and its output reads back to the source's triples;
 //! (b) every consumer agrees with the table's flags — the service reports a
 //!     parallel kernel exactly for rows flagged `parallel`, `convert_stream`
 //!     materialises exactly the targets without a streamed sort key, and the
@@ -22,6 +23,7 @@ use taco_conversion_repro::conv::convert::{convert, convert_with, AnyTensor};
 use taco_conversion_repro::conv::kernel_table::{self, KernelRow, KERNELS};
 use taco_conversion_repro::conv::prelude::LevelKind;
 use taco_conversion_repro::conv::stock::STOCK;
+use taco_conversion_repro::conv::tunables::{TILE_SCATTER_MIN_NNZ, TRANSPOSE_TILE};
 use taco_conversion_repro::conv::{Format, FormatRegistry};
 use taco_conversion_repro::formats::DokMatrix;
 use taco_conversion_repro::planner::{static_edge_units, PlannerConfig, TensorAttrs};
@@ -139,6 +141,59 @@ fn samples_of<'a>(
     hits.map(|(src, target, _)| (src, target))
 }
 
+/// Inputs at the edges of a schedule, for the rows that run over chunks:
+/// nothing to cut, nothing to balance, fewer nonzeros than threads, and —
+/// for matrices — sources several scatter tiles wide whose nonzero counts
+/// sit just below, just above and at three times the blocked-scatter
+/// threshold, so both assembly strategies run at one chunk and at many.
+fn degenerate_triples(order: usize) -> Vec<SparseTriples> {
+    let shape = |rows: usize, cols: usize| {
+        if order == 2 {
+            Shape::matrix(rows, cols)
+        } else {
+            Shape::tensor3(rows, cols, 3)
+        }
+    };
+    let coord = |i: usize, j: usize| {
+        let mut c = vec![i as i64, j as i64];
+        c.resize(order, (i + j) as i64 % 3);
+        c
+    };
+    let mut out = Vec::new();
+    let mut filled = |rows: usize, cols: usize, entries: &[(usize, usize)]| {
+        let mut t = SparseTriples::new(shape(rows, cols));
+        for (k, &(i, j)) in entries.iter().enumerate() {
+            t.push(coord(i, j), 1.0 + k as f64).unwrap();
+        }
+        out.push(t);
+    };
+    // Empty.
+    filled(5, 4, &[]);
+    // One row.
+    filled(1, 9, &[(0, 7), (0, 2), (0, 5)]);
+    // Every nonzero in one row: all but one balanced chunk is empty.
+    filled(6, 8, &[(4, 3), (4, 0), (4, 7), (4, 1), (4, 6)]);
+    // Fewer nonzeros than threads.
+    filled(7, 7, &[(6, 1), (2, 5)]);
+    if order == 2 {
+        let rows = 64;
+        let cols = 4 * TRANSPOSE_TILE;
+        for nnz in [
+            TILE_SCATTER_MIN_NNZ - rows,
+            TILE_SCATTER_MIN_NNZ + rows,
+            3 * TILE_SCATTER_MIN_NNZ + rows,
+        ] {
+            let per_row = nnz / rows;
+            let stride = cols / per_row;
+            let entries: Vec<(usize, usize)> = (0..rows)
+                .flat_map(|i| (0..per_row).map(move |k| (i, (k * stride + i * 7) % cols)))
+                .collect();
+            filled(rows, cols, &entries);
+        }
+    }
+    out
+}
+
 fn service(routing: RoutingPolicy) -> ConversionService {
     ConversionService::new(ServiceConfig {
         threads: 4,
@@ -146,6 +201,46 @@ fn service(routing: RoutingPolicy) -> ConversionService {
         routing,
         online_calibration: false,
     })
+}
+
+/// Thread counts a row is compared at against its one-thread output: rows
+/// that run over chunks also get an odd count and one past any chunk count
+/// the samples can fill.
+fn thread_counts(row: &KernelRow) -> &'static [usize] {
+    if row.parallel {
+        &[2, 3, 4, 9]
+    } else {
+        &[2, 4]
+    }
+}
+
+/// Runs `row` on every input it accepts: the one-thread output has the
+/// target's format and reads back to the source's nonzeros, and every other
+/// thread count dispatches to the same row and produces the same bytes.
+/// Returns how many inputs the row converted.
+fn check_row(row: &'static KernelRow, inputs: &[(AnyTensor, Format)]) -> usize {
+    let mut converted = 0;
+    for (src, target) in inputs {
+        // Shape constraints (COO3 needs order 3, matrix targets order 2)
+        // surface as errors from the routine itself.
+        let Ok(reference) = (row.run)(src, target, 1) else {
+            continue;
+        };
+        converted += 1;
+        assert_eq!(reference.format(), target.clone(), "row {}", row.name);
+        assert!(
+            reference.to_triples().same_values(&src.to_triples()),
+            "row {}: {} -> {target} lost values",
+            row.name,
+            src.format()
+        );
+        for &threads in thread_counts(row) {
+            let (got, ran) = convert_with(src, target, threads).unwrap();
+            assert!(std::ptr::eq(ran, row), "dispatch ran {}", ran.name);
+            assert_eq!(got, reference, "row {} at {threads} threads", row.name);
+        }
+    }
+    converted
 }
 
 proptest! {
@@ -158,25 +253,37 @@ proptest! {
     fn every_row_is_thread_invariant_and_round_trips(seed in 0u64..1 << 32) {
         let samples = samples(seed);
         for row in KERNELS {
-            let mut converted = 0;
-            for (src, target) in samples_of(&samples, row) {
-                // Shape constraints (COO3 needs order 3, matrix targets
-                // order 2) surface as errors from the routine itself.
-                let Ok(reference) = (row.run)(src, target, 1) else { continue };
-                converted += 1;
-                prop_assert_eq!(reference.format(), target.clone(), "row {}", row.name);
-                prop_assert!(
-                    reference.to_triples().same_values(&src.to_triples()),
-                    "row {}: {} -> {target} lost values", row.name, src.format()
-                );
-                for threads in [2, 4] {
-                    let (got, ran) = convert_with(src, target, threads).unwrap();
-                    prop_assert!(std::ptr::eq(ran, row), "dispatch ran {}", ran.name);
-                    prop_assert_eq!(&got, &reference, "row {} at {threads} threads", row.name);
-                }
-            }
+            let inputs: Vec<(AnyTensor, Format)> = samples_of(&samples, row)
+                .map(|(src, target)| (src.clone(), target.clone()))
+                .collect();
+            let converted = check_row(row, &inputs);
             prop_assert!(converted > 0, "no sample exercises row {}", row.name);
         }
+    }
+}
+
+/// (a), at the edges of a schedule: every row that runs over chunks, on the
+/// degenerate inputs, against each target the samples give it.
+#[test]
+fn chunked_rows_are_thread_invariant_on_degenerate_inputs() {
+    let samples = samples(1);
+    for row in KERNELS.iter().filter(|row| row.parallel) {
+        // A row that runs over chunks serves one source format.
+        let (source, _) = samples_of(&samples, row).next().expect("row has samples");
+        let source = source.format();
+        let mut targets: Vec<Format> = Vec::new();
+        for (_, target) in samples_of(&samples, row) {
+            if !targets.contains(target) {
+                targets.push(target.clone());
+            }
+        }
+        let mut inputs = Vec::new();
+        for t in degenerate_triples(source.order()) {
+            let src = AnyTensor::from_triples(&t, &source).unwrap();
+            inputs.extend(targets.iter().map(|target| (src.clone(), target.clone())));
+        }
+        let converted = check_row(row, &inputs);
+        assert_eq!(converted, inputs.len(), "row {} refused an input", row.name);
     }
 }
 

@@ -5,9 +5,9 @@
 
 #![cfg(feature = "conv-obs")]
 
-use taco_conversion_repro::conv::{AnyTensor, Format};
+use taco_conversion_repro::conv::{convert_with, AnyTensor, Format};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
-use taco_conversion_repro::obs::{validate_json, PhaseReport, Registry};
+use taco_conversion_repro::obs::{validate_json, Collector, PhaseReport, Registry, Span};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
 use taco_conversion_repro::stream::{CooBlockStream, MemoryBudget};
 use taco_conversion_repro::workloads::{irregular, tensor3_uniform};
@@ -149,4 +149,39 @@ fn reset_stats_isolates_measurement_from_warm_up() {
     let (_, report) = svc.convert_traced(&src, Format::csr()).unwrap();
     assert!(report.plan_cache_hit);
     assert_eq!(svc.stats().conversions, 1);
+}
+
+/// The inline path really is inline: a one-chunk run opens the same
+/// `chunk_*` worker spans as a four-chunk one, but every one of them on the
+/// thread that asked for the conversion.
+#[test]
+fn one_chunk_runs_record_their_chunk_spans_on_the_calling_thread() {
+    let src = matrix_source();
+    let chunk_threads = |threads: usize| {
+        let root = Span::enter_traced("test.convert");
+        let trace = root.handle().trace_id();
+        convert_with(&src, Format::csr(), threads).unwrap();
+        drop(root);
+        let records = Collector::global().take_trace(trace);
+        let caller = records
+            .iter()
+            .find(|r| r.name == "test.convert")
+            .expect("the root recorded itself")
+            .thread;
+        let chunks: Vec<u64> = records
+            .iter()
+            .filter(|r| r.name.starts_with("chunk_"))
+            .map(|r| r.thread)
+            .collect();
+        (caller, chunks)
+    };
+    let (caller, chunks) = chunk_threads(1);
+    assert_eq!(
+        chunks,
+        vec![caller; 2],
+        "one histogram, one scatter, inline"
+    );
+    let (caller, chunks) = chunk_threads(4);
+    assert_eq!(chunks.len(), 8);
+    assert!(chunks.iter().all(|&thread| thread != caller));
 }

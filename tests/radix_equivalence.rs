@@ -9,9 +9,10 @@
 //!   sweep across the u64 / u128 / comparison-fallback boundaries,
 //! * the COO3→CSF kernels — every sort strategy, all six mode orderings,
 //!   at 1 / 2 / 4 threads, against the sequential engine,
-//! * CSR→CSC — the parallel kernel (whose wide chunks take the blocked
-//!   write-combining scatter) against the naive sequential transpose, on
-//!   an input large and wide enough to cross both blocking cutoffs.
+//! * CSR→CSC — the transpose's blocked write-combining scatter (what a
+//!   large chunk of a wide CSR source takes) against its direct scatter, at
+//!   one chunk and at many, on an input large and wide enough to cross the
+//!   blocking cutoffs.
 
 use proptest::prelude::*;
 
@@ -141,7 +142,8 @@ proptest! {
             let reference = engine::to_csf_ordered(&coo, &order);
             for strategy in strategies {
                 for threads in [1, 2, 4] {
-                    let got = kernels::coo_to_csf_ordered_with(&coo, &order, threads, strategy);
+                    let got = kernels::coo_to_csf_ordered_with(&coo, &order, threads, strategy)
+                        .expect("no worker panics");
                     prop_assert_eq!(
                         &got, &reference,
                         "{:?} with {:?} at {} threads", order, strategy, threads
@@ -152,15 +154,19 @@ proptest! {
         // The canonical kernel too (it shares the radix span sorts).
         let reference = engine::to_csf(&coo);
         for threads in [1, 2, 4] {
-            prop_assert_eq!(&kernels::coo_to_csf(&coo, threads), &reference);
+            let got = kernels::coo_to_csf(&coo, threads).expect("no worker panics");
+            prop_assert_eq!(&got, &reference);
         }
     }
 }
 
-/// The blocked transpose paths — sequential and the parallel kernel's
-/// per-chunk write-combining scatter — are bit-identical to the naive
-/// sequential transpose on an input wide and dense enough to cross the
-/// tile cutoffs (cols > 4096, ≥ 2^14 nonzeros per chunk).
+/// Both scatter strategies of the one transpose routine — the direct one and
+/// the blocked write-combining one a large chunk of a wide CSR source takes —
+/// are bit-identical, at one chunk and at many, on an input wide and dense
+/// enough to cross the tile cutoffs (cols > 4096; ≥ 2^15 nonzeros per chunk
+/// at one and two chunks, fewer from three up).
+/// A COO source is never known to transpose, so it always scatters directly
+/// and, replaying the CSR's order, is the reference.
 #[test]
 fn blocked_transpose_paths_match_the_naive_transpose() {
     let rows = 256;
@@ -183,15 +189,11 @@ fn blocked_transpose_paths_match_the_naive_transpose() {
         csr.nnz() >= 1 << 16,
         "input must cross the blocking cutoffs"
     );
-    let naive = engine::to_csc(&csr);
-    let blocked = engine::csr_to_csc_blocked(&csr);
-    assert_eq!(blocked.pos(), naive.pos());
-    assert_eq!(blocked.crd(), naive.crd());
-    assert_eq!(blocked.values(), naive.values());
-    for threads in [1, 2, 4] {
-        let parallel = kernels::csr_to_csc(&csr, threads);
-        assert_eq!(parallel.pos(), naive.pos(), "{threads} threads");
-        assert_eq!(parallel.crd(), naive.crd(), "{threads} threads");
-        assert_eq!(parallel.values(), naive.values(), "{threads} threads");
+    let direct = engine::to_csc(&engine::to_coo(&csr), 1).expect("one chunk runs inline");
+    for threads in [1, 2, 3, 4, 9] {
+        let blocked = engine::to_csc(&csr, threads).expect("no worker panics");
+        assert_eq!(blocked.pos(), direct.pos(), "{threads} threads");
+        assert_eq!(blocked.crd(), direct.crd(), "{threads} threads");
+        assert_eq!(blocked.values(), direct.values(), "{threads} threads");
     }
 }

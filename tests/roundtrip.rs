@@ -82,7 +82,7 @@ proptest! {
         let coo = CooMatrix::from_triples(&t);
         let csr = CsrMatrix::from_triples(&t);
 
-        let ours = engine::to_csr(&coo);
+        let ours = engine::to_csr(&coo, 1).unwrap();
         let skit = baselines::sparskit::coo_to_csr(&coo);
         prop_assert_eq!(ours.pos(), skit.pos());
         prop_assert!(ours.to_triples().same_values(&skit.to_triples()));
@@ -99,7 +99,7 @@ proptest! {
         prop_assert_eq!(ours.slices(), skit.slices());
         prop_assert_eq!(ours.values(), skit.values());
 
-        let ours = engine::to_csc(&csr);
+        let ours = engine::to_csc(&csr, 1).unwrap();
         let mkl = baselines::mkl::csr_to_csc(&csr);
         prop_assert!(ours.to_triples().same_values(&mkl.to_triples()));
     }

@@ -10,10 +10,10 @@
 
 use proptest::prelude::*;
 
-use taco_conversion_repro::conv::{AnyTensor, Format};
+use taco_conversion_repro::conv::{AnyTensor, ConvertError, Format};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
-use taco_conversion_repro::stream::{CooBlockStream, MemoryBudget};
+use taco_conversion_repro::stream::{CooBlockStream, CoordBlock, MemoryBudget, TensorStream};
 use taco_conversion_repro::tensor::Shape;
 
 fn service() -> ConversionService {
@@ -286,4 +286,59 @@ fn unstreamed_targets_materialize_and_match() {
     assert!(got.stats.in_memory);
     assert_eq!(got.stats.entries, 30);
     assert_eq!(svc.stats().materialized, 1);
+}
+
+/// A source that panics mid-stream costs that conversion a typed error, not
+/// the process: the producer thread's panic is reported as
+/// `WorkerPanicked`, and the same service converts the next request.
+#[test]
+fn a_panicking_source_is_a_typed_error_and_the_service_keeps_serving() {
+    /// Yields two blocks of a real stream, then panics.
+    struct Exploding {
+        inner: CooBlockStream,
+        served: usize,
+    }
+    impl TensorStream for Exploding {
+        fn shape(&self) -> &Shape {
+            self.inner.shape()
+        }
+        fn next_block(&mut self) -> Result<Option<CoordBlock>, ConvertError> {
+            if self.served == 2 {
+                panic!("the source dies mid-stream (expected by this test)");
+            }
+            self.served += 1;
+            self.inner.next_block()
+        }
+    }
+
+    let mut m = CooMatrix::new(10, 10);
+    for p in 0..30usize {
+        m.push((p * 3) % 10, (p * 7) % 10, p as f64);
+    }
+    let svc = service();
+    let exploding = Exploding {
+        inner: CooBlockStream::from_matrix(&m, 4),
+        served: 0,
+    };
+    let err = svc
+        .convert_stream(exploding, Format::csr(), &StreamOptions::default())
+        .unwrap_err();
+    assert_eq!(
+        err,
+        ConvertError::WorkerPanicked {
+            phase: "stream.producer"
+        }
+    );
+    let csr = svc
+        .convert(&AnyTensor::Coo(m.clone()), Format::csr())
+        .unwrap();
+    assert!(csr.to_triples().same_values(&m.to_triples()));
+    let streamed = svc
+        .convert_stream(
+            CooBlockStream::from_matrix(&m, 4),
+            Format::csr(),
+            &StreamOptions::default(),
+        )
+        .unwrap();
+    assert_eq!(streamed.tensor, csr);
 }

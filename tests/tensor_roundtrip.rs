@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use taco_conversion_repro::conv::codegen;
-use taco_conversion_repro::conv::convert::{convert, AnyTensor};
+use taco_conversion_repro::conv::convert::{convert, convert_with, AnyTensor};
 use taco_conversion_repro::conv::engine;
 use taco_conversion_repro::conv::generic::{convert_with_spec, LevelOutput};
 use taco_conversion_repro::conv::prelude::{Format, LevelKind};
@@ -65,14 +65,15 @@ proptest! {
         prop_assert_eq!(triples, t.sorted(), "round-trip equals the sorted input");
     }
 
-    /// The CSF container's reference constructor, the engine kernel, and the
-    /// parallel runtime kernel all build the same fiber tree.
+    /// The CSF container's reference constructor, the engine routine, and the
+    /// root-partitioned kernel at three chunks all build the same fiber tree.
     #[test]
     fn csf_constructions_agree((t, seed) in arb_tensor3()) {
         let coo = shuffled_coo3(&t, seed);
         let reference = CsfTensor::from_triples(&coo.to_triples());
         prop_assert_eq!(&engine::to_csf(&coo), &reference);
-        prop_assert_eq!(&taco_conversion_repro::conv::kernels::coo_to_csf(&coo, 3), &reference);
+        let (chunked, _) = convert_with(&AnyTensor::Coo3(coo), Format::csf(), 3).expect("COO3 -> CSF");
+        prop_assert_eq!(&chunked, &AnyTensor::Csf(reference));
     }
 
     /// The generic (spec-driven) path assembles exactly the engine's CSF
