@@ -17,9 +17,12 @@
 //! target is just another [`Format`].
 //!
 //! Generated routines can be pretty printed ([`listing`]) for comparison with
-//! Figure 6 and executed against real inputs through the IR interpreter
-//! ([`execute_format`]), which the tests use to check the generated code
-//! against the engine kernels bit for bit.
+//! Figure 6 and executed against real inputs ([`execute_format`]): the
+//! interpreter resolves a routine once to typed slots and closures, then runs
+//! it with every access checked. The engine kernels stay the reference the
+//! tests check the generated code against, bit for bit. `execute_format`
+//! records its phases as the spans `codegen.generate`, `codegen.bind`,
+//! `ir.run` and `codegen.unpack`.
 //!
 //! Buffer naming conventions: the source is `A` (`A_pos`, `A_crd`, `A_vals`,
 //! or `A1_crd`/`A2_crd`/`A2_pos` per level for coordinate lists and fibre
@@ -33,6 +36,7 @@ use conv_ir::simplify::simplify_function;
 use conv_ir::{Expr, Function, Stmt};
 use coord_remap::{BinOp as RBinOp, DstIndex, IndexExpr, Remapping};
 use level_formats::LevelKind;
+use obs::Span;
 use sparse_formats::{CooMatrix, CooTensor, CscMatrix, CsfTensor, CsrMatrix, DiaMatrix, EllMatrix};
 use sparse_tensor::Shape;
 
@@ -857,10 +861,21 @@ fn unpack_target(
 /// also rejects); [`ConvertError::Interp`] when the generated code fails to
 /// execute.
 pub fn execute_format(src: &AnyTensor, target: &Format) -> Result<AnyTensor, ConvertError> {
-    let function = generate(&src.format(), target)?;
+    let function = {
+        let _span = Span::enter("codegen.generate");
+        generate(&src.format(), target)?
+    };
     let mut interp = Interpreter::new();
-    bind_source(&mut interp, src)?;
-    interp.run(&function)?;
+    {
+        let _span = Span::enter("codegen.bind");
+        bind_source(&mut interp, src)?;
+    }
+    {
+        let span = Span::enter("ir.run");
+        span.add_items(src.nnz() as u64);
+        interp.run(&function)?;
+    }
+    let _span = Span::enter("codegen.unpack");
     unpack_target(&interp, src, &Layout::of(target)?)
 }
 

@@ -341,7 +341,8 @@ pub fn to_dia<S: SourceMatrix>(src: &S) -> Result<DiaMatrix, ConvertError> {
     let rows = src.rows();
     let cols = src.cols();
     let shift = rows as i64 - 1;
-    let ndiag_max = rows + cols - 1;
+    // A 0×0 matrix has no diagonals (and `rows + cols - 1` would underflow).
+    let ndiag_max = (rows + cols).saturating_sub(1);
 
     // Analysis: select [k] -> id() as nz over the remapped tensor.
     let mut nz = vec![false; ndiag_max];

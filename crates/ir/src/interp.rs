@@ -1,15 +1,28 @@
-//! A tree-walking interpreter for the conversion IR.
+//! The executor for the conversion IR.
 //!
-//! The interpreter executes generated conversion routines against named
-//! buffers, so their results can be checked against hand-written reference
-//! conversions. It is deliberately simple (no JIT); the performance path of
-//! the reproduction is the monomorphised engine in `sparse-conv`.
+//! [`Interpreter::run`] resolves a routine once, then runs it. Each name it
+//! defines gets a `u32` slot in one of four typed tables (int and float
+//! scalars, int and float buffers), typed from the bound inputs and every
+//! definition before any use, so statement order does not matter; a name
+//! defined at two types is an [`InterpError::TypeError`]. Expressions become
+//! closures at their static type (an int operand of a float operation
+//! converted explicitly), statements closures over the tables; constants and
+//! variables are read inline, so `buf[var]`, `var ± const` and the store
+//! `B_crd[pB] = j` are one closure each. The tables are the environment:
+//! names are looked up when bound or resolved, never in a loop.
+//!
+//! Every access stays checked: bounds on every load and store, a defined bit
+//! per scalar slot (an unassigned read is an [`InterpError::UndefinedVariable`]
+//! when it runs, not before), missing buffers, division by zero, runaway
+//! `while` loops and negative or unrepresentable allocation sizes.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
-use crate::expr::{Expr, IrBinOp};
+use crate::expr::{CmpOp, Expr, IrBinOp};
+use crate::printer::print_expr;
 use crate::stmt::{BufferKind, Function, Stmt};
 
 /// A runtime value: a 64-bit integer or a double.
@@ -68,57 +81,20 @@ impl Buffer {
         self.len() == 0
     }
 
-    /// The buffer as an integer slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer holds floats.
-    pub fn as_ints(&self) -> &[i64] {
+    /// The buffer as an integer slice, or `None` if it holds floats.
+    pub fn as_ints(&self) -> Option<&[i64]> {
         match self {
-            Buffer::Ints(v) => v,
-            Buffer::Floats(_) => panic!("buffer holds floats, not ints"),
+            Buffer::Ints(v) => Some(v),
+            Buffer::Floats(_) => None,
         }
     }
 
-    /// The buffer as a float slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer holds integers.
-    pub fn as_floats(&self) -> &[f64] {
+    /// The buffer as a float slice, or `None` if it holds integers.
+    pub fn as_floats(&self) -> Option<&[f64]> {
         match self {
-            Buffer::Floats(v) => v,
-            Buffer::Ints(_) => panic!("buffer holds ints, not floats"),
+            Buffer::Floats(v) => Some(v),
+            Buffer::Ints(_) => None,
         }
-    }
-
-    fn get(&self, index: i64, buffer: &str) -> Result<Scalar, InterpError> {
-        if index < 0 || index as usize >= self.len() {
-            return Err(InterpError::OutOfBounds {
-                buffer: buffer.to_string(),
-                index,
-                len: self.len(),
-            });
-        }
-        Ok(match self {
-            Buffer::Ints(v) => Scalar::Int(v[index as usize]),
-            Buffer::Floats(v) => Scalar::Float(v[index as usize]),
-        })
-    }
-
-    fn set(&mut self, index: i64, value: Scalar, buffer: &str) -> Result<(), InterpError> {
-        if index < 0 || index as usize >= self.len() {
-            return Err(InterpError::OutOfBounds {
-                buffer: buffer.to_string(),
-                index,
-                len: self.len(),
-            });
-        }
-        match self {
-            Buffer::Ints(v) => v[index as usize] = value.as_int()?,
-            Buffer::Floats(v) => v[index as usize] = value.as_float(),
-        }
-        Ok(())
     }
 }
 
@@ -138,7 +114,7 @@ pub enum InterpError {
         /// Buffer length.
         len: usize,
     },
-    /// An operation was applied to a value of the wrong type.
+    /// A value, or a name's definitions, had the wrong type.
     TypeError(String),
     /// Division or remainder by zero.
     DivisionByZero,
@@ -147,6 +123,9 @@ pub enum InterpError {
     IterationLimit,
     /// An allocation size was negative.
     NegativeAllocation(i64),
+    /// An allocation of this many elements could not be made: its size in
+    /// bytes overflows, or the allocator refused it.
+    AllocationFailed(i64),
 }
 
 impl fmt::Display for InterpError {
@@ -164,18 +143,20 @@ impl fmt::Display for InterpError {
             InterpError::DivisionByZero => write!(f, "division by zero"),
             InterpError::IterationLimit => write!(f, "iteration limit exceeded"),
             InterpError::NegativeAllocation(size) => write!(f, "negative allocation size {size}"),
+            InterpError::AllocationFailed(size) => write!(f, "cannot allocate {size} elements"),
         }
     }
 }
 
 impl Error for InterpError {}
 
-/// The execution environment plus the execution engine.
+/// The execution environment (slot-indexed typed tables) plus the engine.
 #[derive(Debug, Default, Clone)]
 pub struct Interpreter {
-    buffers: HashMap<String, Buffer>,
-    scalars: HashMap<String, Scalar>,
-    /// Maximum total number of while-loop iterations (safety net).
+    /// Every name's slot: scalars' at [`SCALAR`], buffers' at [`BUFFER`].
+    names: [HashMap<String, Slot>; 2],
+    frame: Frame,
+    /// Maximum number of iterations of one `while` loop (safety net).
     while_budget: u64,
 }
 
@@ -183,287 +164,555 @@ impl Interpreter {
     /// Creates an interpreter with an empty environment.
     pub fn new() -> Self {
         Interpreter {
-            buffers: HashMap::new(),
-            scalars: HashMap::new(),
             while_budget: 1 << 32,
+            ..Interpreter::default()
         }
     }
 
     /// Inserts (or replaces) a named buffer.
     pub fn insert_buffer(&mut self, name: &str, buffer: Buffer) {
-        self.buffers.insert(name.to_string(), buffer);
+        let ty = match buffer {
+            Buffer::Ints(_) => Ty::Int,
+            Buffer::Floats(_) => Ty::Float,
+        };
+        let slot = self.slot(BUFFER, name, ty);
+        let slot = slot.unwrap_or_else(|_| self.add(BUFFER, name, ty));
+        self.frame.buffers[slot.index as usize] = Some(buffer);
     }
 
     /// Inserts (or replaces) a named integer scalar.
     pub fn insert_int(&mut self, name: &str, value: i64) {
-        self.scalars.insert(name.to_string(), Scalar::Int(value));
+        let slot = self.slot(SCALAR, name, Ty::Int);
+        let slot = slot.unwrap_or_else(|_| self.add(SCALAR, name, Ty::Int));
+        self.frame.ints[slot.index as usize] = Some(value);
     }
 
     /// Looks up a buffer by name.
     pub fn buffer(&self, name: &str) -> Option<&Buffer> {
-        self.buffers.get(name)
+        let slot = self.names[BUFFER].get(name)?;
+        self.frame.buffers[slot.index as usize].as_ref()
     }
 
     /// Looks up an integer scalar by name.
     pub fn int(&self, name: &str) -> Option<i64> {
-        match self.scalars.get(name) {
-            Some(Scalar::Int(v)) => Some(*v),
-            _ => None,
-        }
+        let slot = self.names[SCALAR].get(name).filter(|s| s.ty == Ty::Int)?;
+        self.frame.ints[slot.index as usize]
     }
 
     /// Runs a function against the current environment.
     ///
     /// # Errors
     ///
-    /// Returns the first runtime error encountered.
+    /// Returns an [`InterpError::TypeError`], before running anything, for a
+    /// name defined at two types (a name keeps the type an earlier run or
+    /// insertion gave it) or an operation its operands' types do not support;
+    /// otherwise the first runtime error encountered.
     pub fn run(&mut self, function: &Function) -> Result<(), InterpError> {
-        self.exec_block(&function.body)
-    }
-
-    fn exec_block(&mut self, stmts: &[Stmt]) -> Result<(), InterpError> {
-        for s in stmts {
-            self.exec(s)?;
-        }
-        Ok(())
-    }
-
-    fn exec(&mut self, stmt: &Stmt) -> Result<(), InterpError> {
-        match stmt {
-            Stmt::DeclScalar { name, init } | Stmt::Assign { name, value: init } => {
-                let v = self.eval(init)?;
-                self.scalars.insert(name.clone(), v);
-                Ok(())
-            }
-            Stmt::Alloc {
-                name,
-                kind,
-                size,
-                zero_init: _,
-            } => {
-                let size = self.eval(size)?.as_int()?;
-                if size < 0 {
-                    return Err(InterpError::NegativeAllocation(size));
-                }
-                let buffer = match kind {
-                    BufferKind::Int => Buffer::Ints(vec![0; size as usize]),
-                    BufferKind::Float => Buffer::Floats(vec![0.0; size as usize]),
-                };
-                self.buffers.insert(name.clone(), buffer);
-                Ok(())
-            }
-            Stmt::Store {
-                buffer,
-                index,
-                value,
-            } => {
-                let idx = self.eval(index)?.as_int()?;
-                let val = self.eval(value)?;
-                self.buffer_mut(buffer)?.set(idx, val, buffer)
-            }
-            Stmt::StoreAdd {
-                buffer,
-                index,
-                value,
-            } => {
-                let idx = self.eval(index)?.as_int()?;
-                let add = self.eval(value)?;
-                let current = self.buffer_ref(buffer)?.get(idx, buffer)?;
-                let next = match (current, add) {
-                    (Scalar::Int(a), Scalar::Int(b)) => Scalar::Int(a + b),
-                    (a, b) => Scalar::Float(a.as_float() + b.as_float()),
-                };
-                self.buffer_mut(buffer)?.set(idx, next, buffer)
-            }
-            Stmt::StoreMax {
-                buffer,
-                index,
-                value,
-            } => {
-                let idx = self.eval(index)?.as_int()?;
-                let candidate = self.eval(value)?;
-                let current = self.buffer_ref(buffer)?.get(idx, buffer)?;
-                let next = match (current, candidate) {
-                    (Scalar::Int(a), Scalar::Int(b)) => Scalar::Int(a.max(b)),
-                    (a, b) => Scalar::Float(a.as_float().max(b.as_float())),
-                };
-                self.buffer_mut(buffer)?.set(idx, next, buffer)
-            }
-            Stmt::StoreOr {
-                buffer,
-                index,
-                value,
-            } => {
-                let idx = self.eval(index)?.as_int()?;
-                let bit = self.eval(value)?.as_int()?;
-                let current = self.buffer_ref(buffer)?.get(idx, buffer)?.as_int()?;
-                self.buffer_mut(buffer)?
-                    .set(idx, Scalar::Int(current | bit), buffer)
-            }
-            Stmt::For { var, lo, hi, body } => {
-                let lo = self.eval(lo)?.as_int()?;
-                let hi = self.eval(hi)?.as_int()?;
-                for i in lo..hi {
-                    self.scalars.insert(var.clone(), Scalar::Int(i));
-                    self.exec_block(body)?;
-                }
-                Ok(())
-            }
-            Stmt::While { cond, body } => {
-                let mut budget = self.while_budget;
-                while self.eval(cond)?.as_int()? != 0 {
-                    if budget == 0 {
-                        return Err(InterpError::IterationLimit);
-                    }
-                    budget -= 1;
-                    self.exec_block(body)?;
-                }
-                Ok(())
-            }
-            Stmt::If {
-                cond,
-                then,
-                otherwise,
-            } => {
-                if self.eval(cond)?.as_int()? != 0 {
-                    self.exec_block(then)
-                } else {
-                    self.exec_block(otherwise)
-                }
-            }
-            Stmt::Comment(_) => Ok(()),
-        }
-    }
-
-    fn buffer_ref(&self, name: &str) -> Result<&Buffer, InterpError> {
-        self.buffers
-            .get(name)
-            .ok_or_else(|| InterpError::UndefinedBuffer(name.to_string()))
-    }
-
-    fn buffer_mut(&mut self, name: &str) -> Result<&mut Buffer, InterpError> {
-        self.buffers
-            .get_mut(name)
-            .ok_or_else(|| InterpError::UndefinedBuffer(name.to_string()))
+        let body = self.resolve(&function.body)?;
+        run_block(&body, &mut self.frame).map_err(|fault| *fault)
     }
 
     /// Evaluates an expression in the current environment.
     ///
     /// # Errors
     ///
-    /// Returns the first runtime error encountered.
+    /// Returns the first type or runtime error encountered.
     pub fn eval(&self, expr: &Expr) -> Result<Scalar, InterpError> {
-        match expr {
-            Expr::Int(v) => Ok(Scalar::Int(*v)),
-            Expr::Float(v) => Ok(Scalar::Float(*v)),
-            Expr::Var(name) => self
-                .scalars
-                .get(name)
-                .copied()
-                .ok_or_else(|| InterpError::UndefinedVariable(name.clone())),
-            Expr::Load { buffer, index } => {
-                let idx = self.eval(index)?.as_int()?;
-                self.buffer_ref(buffer)?.get(idx, buffer)
-            }
-            Expr::Binary(op, lhs, rhs) => {
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
-                apply_binary(*op, l, r)
-            }
-            Expr::Cmp(op, lhs, rhs) => {
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
-                let result = match (l, r) {
-                    (Scalar::Int(a), Scalar::Int(b)) => op.apply_int(a, b),
-                    (a, b) => {
-                        let (a, b) = (a.as_float(), b.as_float());
-                        match op {
-                            crate::expr::CmpOp::Eq => a == b,
-                            crate::expr::CmpOp::Ne => a != b,
-                            crate::expr::CmpOp::Lt => a < b,
-                            crate::expr::CmpOp::Le => a <= b,
-                            crate::expr::CmpOp::Gt => a > b,
-                            crate::expr::CmpOp::Ge => a >= b,
-                        }
+        let value = match self.lower(expr)? {
+            Lowered::Int(v) => v.get(&self.frame).map(Scalar::Int),
+            Lowered::Float(v) => v.get(&self.frame).map(Scalar::Float),
+        };
+        value.map_err(|fault| *fault)
+    }
+
+    /// Gives `name` a fresh (undefined) slot of its kind and type.
+    fn add(&mut self, kind: usize, name: &str, ty: Ty) -> Slot {
+        let frame = &mut self.frame;
+        let index = match (kind, ty) {
+            (SCALAR, Ty::Int) => push(&mut frame.ints),
+            (SCALAR, Ty::Float) => push(&mut frame.floats),
+            _ => push(&mut frame.buffers),
+        };
+        let (key, name) = (name.to_string(), name.into());
+        let slot = Slot { ty, index, name };
+        // A buffer given a slot of another type frees the one it had.
+        if let (BUFFER, Some(old)) = (kind, self.names[kind].insert(key, slot.clone())) {
+            frame.buffers[old.index as usize] = None;
+        }
+        slot
+    }
+
+    /// `name`'s slot, made if missing; a type error if it has a type other than `ty`.
+    fn slot(&mut self, kind: usize, name: &str, ty: Ty) -> Lowering<Slot> {
+        match self.names[kind].get(name) {
+            Some(slot) if slot.ty != ty => Err(InterpError::TypeError(format!(
+                "{} `{name}` is defined as both {:?} and {ty:?}",
+                ["scalar", "buffer"][kind],
+                slot.ty
+            ))),
+            Some(slot) => Ok(slot.clone()),
+            None => Ok(self.add(kind, name, ty)),
+        }
+    }
+
+    /// `name`'s slot or, for a name nothing defines, the int slot 0 never set.
+    fn find(&self, kind: usize, name: &str) -> Slot {
+        let slot = self.names[kind].get(name).cloned();
+        let (ty, index, name) = (Ty::Int, 0, name.into());
+        slot.unwrap_or(Slot { ty, index, name })
+    }
+
+    /// Types what `body` defines, in passes until one types nothing new, and
+    /// what is left as int (it reads only ints and names nothing defines).
+    fn resolve(&mut self, body: &[Stmt]) -> Lowering<Vec<Exec>> {
+        let typed = |this: &Self| this.names[SCALAR].len() + this.names[BUFFER].len();
+        let mut before = usize::MAX;
+        while typed(self) != before {
+            before = typed(self);
+            self.define(body, None)?;
+        }
+        self.define(body, Some(Ty::Int))?;
+        self.block(body)
+    }
+
+    /// Gives every definition in `stmts` whose type is known, or `default`s, its slot.
+    fn define(&mut self, stmts: &[Stmt], default: Option<Ty>) -> Lowering<()> {
+        for stmt in stmts {
+            match stmt {
+                Stmt::DeclScalar { name, init: value } | Stmt::Assign { name, value } => {
+                    if let Some(ty) = self.infer(value).or(default) {
+                        self.slot(SCALAR, name, ty)?;
                     }
-                };
-                Ok(Scalar::Int(result as i64))
+                }
+                Stmt::Alloc { name, kind, .. } => _ = self.slot(BUFFER, name, *kind)?,
+                Stmt::For { var, body, .. } => {
+                    self.slot(SCALAR, var, Ty::Int)?;
+                    self.define(body, default)?;
+                }
+                Stmt::While { body, .. } => self.define(body, default)?,
+                Stmt::If {
+                    then, otherwise, ..
+                } => self
+                    .define(then, default)
+                    .and_then(|()| self.define(otherwise, default))?,
+                _ => {}
             }
-            Expr::Not(e) => Ok(Scalar::Int((self.eval(e)?.as_int()? == 0) as i64)),
-            Expr::Min(l, r) => {
-                let (l, r) = (self.eval(l)?, self.eval(r)?);
-                Ok(match (l, r) {
-                    (Scalar::Int(a), Scalar::Int(b)) => Scalar::Int(a.min(b)),
-                    (a, b) => Scalar::Float(a.as_float().min(b.as_float())),
-                })
+        }
+        Ok(())
+    }
+
+    /// The static type of `e`, `None` while a name it reads is untyped.
+    fn infer(&self, e: &Expr) -> Option<Ty> {
+        let join = |l: &Expr, r: &Expr| match (self.infer(l), self.infer(r)) {
+            (Some(Ty::Float), _) | (_, Some(Ty::Float)) => Some(Ty::Float),
+            (l, r) => l.and(r),
+        };
+        let [scalars, buffers] = &self.names;
+        match e {
+            Expr::Int(_) | Expr::Cmp(..) | Expr::Not(_) => Some(Ty::Int),
+            Expr::Float(_) => Some(Ty::Float),
+            Expr::Var(name) => scalars.get(name).map(|slot| slot.ty),
+            Expr::Load { buffer, .. } => buffers.get(buffer).map(|slot| slot.ty),
+            Expr::Binary(_, l, r) | Expr::Min(l, r) | Expr::Max(l, r) => join(l, r),
+            Expr::Select {
+                then, otherwise, ..
+            } => join(then, otherwise),
+        }
+    }
+
+    /// Lowers `e` at its static type.
+    fn lower(&self, e: &Expr) -> Lowering<Lowered> {
+        use Lowered::{Float, Int};
+        Ok(match e {
+            Expr::Int(v) => Int(Operand::Const(*v)),
+            Expr::Float(v) => Float(Operand::Const(*v)),
+            Expr::Var(name) => match self.find(SCALAR, name) {
+                slot if slot.ty == Ty::Int => Int(Operand::Var(slot)),
+                slot => Float(Operand::Var(slot)),
+            },
+            Expr::Load { buffer, index } => {
+                let (slot, index) = (self.find(BUFFER, buffer), self.int_of(index)?);
+                match slot.ty {
+                    Ty::Int => Int(computed(move |f| element(f, &slot, index.get(f)?))),
+                    Ty::Float => Float(computed(move |f| element(f, &slot, index.get(f)?))),
+                }
             }
-            Expr::Max(l, r) => {
-                let (l, r) = (self.eval(l)?, self.eval(r)?);
-                Ok(match (l, r) {
-                    (Scalar::Int(a), Scalar::Int(b)) => Scalar::Int(a.max(b)),
-                    (a, b) => Scalar::Float(a.as_float().max(b.as_float())),
-                })
-            }
+            Expr::Binary(op, l, r) => match (self.lower(l)?, self.lower(r)?) {
+                (Int(l), Int(r)) => Int(int_binary(*op, l, r)),
+                (l, r) => Float(float_binary(*op, l.float(), r.float())?),
+            },
+            Expr::Cmp(op, l, r) => Int(match (self.lower(l)?, self.lower(r)?) {
+                (Int(l), Int(r)) => compare(*op, l, r),
+                (l, r) => compare(*op, l.float(), r.float()),
+            }),
+            Expr::Not(operand) => Int(compare(CmpOp::Eq, self.int_of(operand)?, Operand::Const(0))),
+            Expr::Min(l, r) => match (self.lower(l)?, self.lower(r)?) {
+                (Int(l), Int(r)) => Int(lift(l, r, i64::min)),
+                (l, r) => Float(lift(l.float(), r.float(), f64::min)),
+            },
+            Expr::Max(l, r) => match (self.lower(l)?, self.lower(r)?) {
+                (Int(l), Int(r)) => Int(lift(l, r, i64::max)),
+                (l, r) => Float(lift(l.float(), r.float(), f64::max)),
+            },
             Expr::Select {
                 cond,
                 then,
                 otherwise,
             } => {
-                if self.eval(cond)?.as_int()? != 0 {
-                    self.eval(then)
-                } else {
-                    self.eval(otherwise)
+                let cond = self.int_of(cond)?;
+                match (self.lower(then)?, self.lower(otherwise)?) {
+                    (Int(t), Int(o)) => Int(select(cond, t, o)),
+                    (t, o) => Float(select(cond, t.float(), o.float())),
                 }
             }
+        })
+    }
+
+    /// Lowers `e`, which must be an int.
+    fn int_of(&self, e: &Expr) -> Lowering<Operand<i64>> {
+        let Lowered::Int(v) = self.lower(e)? else {
+            let message = format!("expected an int, got `{}`", print_expr(e));
+            return Err(InterpError::TypeError(message));
+        };
+        Ok(v)
+    }
+
+    fn block(&self, stmts: &[Stmt]) -> Lowering<Vec<Exec>> {
+        stmts.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    fn stmt(&self, stmt: &Stmt) -> Lowering<Exec> {
+        Ok(match stmt {
+            Stmt::DeclScalar { name, init: value } | Stmt::Assign { name, value } => {
+                match self.find(SCALAR, name) {
+                    slot if slot.ty == Ty::Int => set(slot, self.int_of(value)?),
+                    slot => set(slot, self.lower(value)?.float()),
+                }
+            }
+            Stmt::Alloc {
+                name, kind, size, ..
+            } => {
+                let (slot, size) = (self.find(BUFFER, name), self.int_of(size)?);
+                match kind {
+                    Ty::Int => alloc(slot, size, Buffer::Ints),
+                    Ty::Float => alloc(slot, size, Buffer::Floats),
+                }
+            }
+            Stmt::Store {
+                buffer,
+                index,
+                value,
+            } => self.update(buffer, index, value, |_, v| v, Some(|_, v| v))?,
+            Stmt::StoreAdd {
+                buffer,
+                index,
+                value,
+            } => self.update(buffer, index, value, i64::wrapping_add, Some(|a, b| a + b))?,
+            Stmt::StoreMax {
+                buffer,
+                index,
+                value,
+            } => self.update(buffer, index, value, i64::max, Some(f64::max))?,
+            Stmt::StoreOr {
+                buffer,
+                index,
+                value,
+            } => self.update(buffer, index, value, |a, b| a | b, None::<fn(_, _) -> _>)?,
+            Stmt::For { var, lo, hi, body } => {
+                let var = self.find(SCALAR, var).index as usize;
+                let (lo, hi, body) = (self.int_of(lo)?, self.int_of(hi)?, self.block(body)?);
+                exec(move |f| {
+                    (lo.get(f)?..hi.get(f)?).try_for_each(|i| {
+                        f.ints[var] = Some(i);
+                        run_block(&body, f)
+                    })
+                })
+            }
+            Stmt::While { cond, body } => {
+                let (cond, body) = (self.int_of(cond)?, self.block(body)?);
+                let budget = self.while_budget;
+                exec(move |f| {
+                    let mut left = budget;
+                    while cond.get(f)? != 0 {
+                        left = left.checked_sub(1).ok_or(InterpError::IterationLimit)?;
+                        run_block(&body, f)?;
+                    }
+                    Ok(())
+                })
+            }
+            Stmt::If {
+                cond,
+                then,
+                otherwise,
+            } => {
+                let cond = self.int_of(cond)?;
+                let (then, otherwise) = (self.block(then)?, self.block(otherwise)?);
+                exec(move |f| match cond.get(f)? {
+                    0 => run_block(&otherwise, f),
+                    _ => run_block(&then, f),
+                })
+            }
+            Stmt::Comment(_) => exec(|_| Ok(())),
+        })
+    }
+
+    /// A store into `buffer` that combines its element with the value as
+    /// `int` or `float` does (`None`: the store is not defined on floats).
+    fn update(
+        &self,
+        buffer: &str,
+        index: &Expr,
+        value: &Expr,
+        int: impl Fn(i64, i64) -> i64 + 'static,
+        float: Option<impl Fn(f64, f64) -> f64 + 'static>,
+    ) -> Lowering<Exec> {
+        let (slot, index) = (self.find(BUFFER, buffer), self.int_of(index)?);
+        Ok(match (slot.ty, float) {
+            (Ty::Int, _) => store_into(slot, index, self.int_of(value)?, int),
+            (Ty::Float, Some(float)) => store_into(slot, index, self.lower(value)?.float(), float),
+            (Ty::Float, None) => Err(InterpError::TypeError(format!("`{buffer}` holds floats")))?,
+        })
+    }
+}
+
+/// The static type of a scalar, a buffer's elements or an expression.
+type Ty = BufferKind;
+/// A runtime result; its error is boxed to keep it two words wide.
+type Res<T> = Result<T, Box<InterpError>>;
+/// A resolve-time outcome.
+type Lowering<T> = Result<T, InterpError>;
+/// A lowered expression and statement.
+type Eval<T> = Box<dyn Fn(&Frame) -> Res<T>>;
+type Exec = Box<dyn Fn(&mut Frame) -> Res<()>>;
+
+/// The name spaces: scalars and buffers do not share names.
+const SCALAR: usize = 0;
+const BUFFER: usize = 1;
+
+/// A name's slot in the table of its kind and type (far fewer than 2^32 fit in memory).
+#[derive(Debug, Clone)]
+struct Slot {
+    ty: Ty,
+    index: u32,
+    name: Arc<str>,
+}
+
+/// The typed tables; a slot is `None` (its defined bit) until it is set, and
+/// slot 0 of the int and buffer tables never is: names nothing defines read it.
+#[derive(Debug, Clone)]
+struct Frame {
+    ints: Vec<Option<i64>>,
+    floats: Vec<Option<f64>>,
+    buffers: Vec<Option<Buffer>>,
+}
+
+impl Default for Frame {
+    fn default() -> Self {
+        let (ints, floats, buffers) = (vec![None], Vec::new(), vec![None]);
+        Frame {
+            ints,
+            floats,
+            buffers,
         }
     }
 }
 
-fn apply_binary(op: IrBinOp, lhs: Scalar, rhs: Scalar) -> Result<Scalar, InterpError> {
-    match (lhs, rhs) {
-        (Scalar::Int(a), Scalar::Int(b)) => {
-            let v = match op {
-                IrBinOp::Add => a.wrapping_add(b),
-                IrBinOp::Sub => a.wrapping_sub(b),
-                IrBinOp::Mul => a.wrapping_mul(b),
-                IrBinOp::Div => {
-                    if b == 0 {
-                        return Err(InterpError::DivisionByZero);
-                    }
-                    a / b
+fn push<T>(table: &mut Vec<Option<T>>) -> u32 {
+    table.push(None);
+    (table.len() - 1) as u32
+}
+
+/// An element type: its scalar table, and its view of a buffer.
+trait Elem: Copy + Default + PartialOrd + 'static {
+    fn vars(frame: &Frame) -> &[Option<Self>];
+    fn vars_mut(frame: &mut Frame) -> &mut [Option<Self>];
+    fn data(buffer: &Buffer) -> Option<&[Self]>;
+    fn data_mut(buffer: &mut Buffer) -> Option<&mut [Self]>;
+}
+
+macro_rules! elem {
+    ($t:ty, $vars:ident, $variant:ident, $view:ident) => {
+        impl Elem for $t {
+            fn vars(frame: &Frame) -> &[Option<$t>] {
+                &frame.$vars
+            }
+            fn vars_mut(frame: &mut Frame) -> &mut [Option<$t>] {
+                &mut frame.$vars
+            }
+            fn data(buffer: &Buffer) -> Option<&[$t]> {
+                buffer.$view()
+            }
+            fn data_mut(buffer: &mut Buffer) -> Option<&mut [$t]> {
+                match buffer {
+                    Buffer::$variant(data) => Some(data),
+                    _ => None,
                 }
-                IrBinOp::Rem => {
-                    if b == 0 {
-                        return Err(InterpError::DivisionByZero);
-                    }
-                    a % b
-                }
-                IrBinOp::Shl => a << (b & 63),
-                IrBinOp::Shr => a >> (b & 63),
-                IrBinOp::BitAnd => a & b,
-                IrBinOp::BitOr => a | b,
-                IrBinOp::BitXor => a ^ b,
-                IrBinOp::LogicalAnd => ((a != 0) && (b != 0)) as i64,
-                IrBinOp::LogicalOr => ((a != 0) || (b != 0)) as i64,
-            };
-            Ok(Scalar::Int(v))
+            }
         }
-        (a, b) => {
-            let (a, b) = (a.as_float(), b.as_float());
-            let v = match op {
-                IrBinOp::Add => a + b,
-                IrBinOp::Sub => a - b,
-                IrBinOp::Mul => a * b,
-                IrBinOp::Div => a / b,
-                other => {
-                    return Err(InterpError::TypeError(format!(
-                        "operator {other} is not defined on floats"
-                    )))
-                }
-            };
-            Ok(Scalar::Float(v))
+    };
+}
+
+elem!(i64, ints, Ints, as_ints);
+elem!(f64, floats, Floats, as_floats);
+
+/// An operand as the closure using it reads it: a constant or a variable
+/// inline, anything else through its own closure.
+enum Operand<T> {
+    Const(T),
+    Var(Slot),
+    Eval(Eval<T>),
+}
+
+impl<T: Elem> Operand<T> {
+    #[inline(always)]
+    fn get(&self, frame: &Frame) -> Res<T> {
+        match self {
+            Operand::Const(v) => Ok(*v),
+            Operand::Var(slot) => T::vars(frame)[slot.index as usize]
+                .ok_or_else(|| InterpError::UndefinedVariable(slot.name.to_string()).into()),
+            Operand::Eval(e) => e(frame),
         }
     }
+}
+
+/// A lowered expression at its static type.
+enum Lowered {
+    Int(Operand<i64>),
+    Float(Operand<f64>),
+}
+
+impl Lowered {
+    /// The expression as a float, converting an int.
+    fn float(self) -> Operand<f64> {
+        match self {
+            Lowered::Float(v) => v,
+            Lowered::Int(v) => computed(move |f| Ok(v.get(f)? as f64)),
+        }
+    }
+}
+
+fn computed<T>(e: impl Fn(&Frame) -> Res<T> + 'static) -> Operand<T> {
+    Operand::Eval(Box::new(e))
+}
+
+fn exec(s: impl Fn(&mut Frame) -> Res<()> + 'static) -> Exec {
+    Box::new(s)
+}
+
+fn run_block(body: &[Exec], frame: &mut Frame) -> Res<()> {
+    body.iter().try_for_each(|stmt| stmt(frame))
+}
+
+/// `op(l, r)` as one closure.
+fn lift<T: Elem, U>(l: Operand<T>, r: Operand<T>, op: impl Fn(T, T) -> U + 'static) -> Operand<U> {
+    computed(move |f| Ok(op(l.get(f)?, r.get(f)?)))
+}
+
+fn int_binary(op: IrBinOp, l: Operand<i64>, r: Operand<i64>) -> Operand<i64> {
+    let checked = |l: Operand<i64>, r: Operand<i64>, div: fn(i64, i64) -> i64| {
+        computed(move |f| match (l.get(f)?, r.get(f)?) {
+            (_, 0) => Err(InterpError::DivisionByZero.into()),
+            (a, b) => Ok(div(a, b)),
+        })
+    };
+    match op {
+        IrBinOp::Add => lift(l, r, i64::wrapping_add),
+        IrBinOp::Sub => lift(l, r, i64::wrapping_sub),
+        IrBinOp::Mul => lift(l, r, i64::wrapping_mul),
+        IrBinOp::Div => checked(l, r, i64::wrapping_div),
+        IrBinOp::Rem => checked(l, r, i64::wrapping_rem),
+        IrBinOp::Shl => lift(l, r, |a, b| a << (b & 63)),
+        IrBinOp::Shr => lift(l, r, |a, b| a >> (b & 63)),
+        IrBinOp::BitAnd => lift(l, r, |a, b| a & b),
+        IrBinOp::BitOr => lift(l, r, |a, b| a | b),
+        IrBinOp::BitXor => lift(l, r, |a, b| a ^ b),
+        IrBinOp::LogicalAnd => lift(l, r, |a, b| (a != 0 && b != 0) as i64),
+        IrBinOp::LogicalOr => lift(l, r, |a, b| (a != 0 || b != 0) as i64),
+    }
+}
+
+fn float_binary(op: IrBinOp, l: Operand<f64>, r: Operand<f64>) -> Lowering<Operand<f64>> {
+    Ok(match op {
+        IrBinOp::Add => lift(l, r, |a, b| a + b),
+        IrBinOp::Sub => lift(l, r, |a, b| a - b),
+        IrBinOp::Mul => lift(l, r, |a, b| a * b),
+        IrBinOp::Div => lift(l, r, |a, b| a / b),
+        other => Err(InterpError::TypeError(format!("`{other}` on floats")))?,
+    })
+}
+
+fn compare<T: Elem>(op: CmpOp, l: Operand<T>, r: Operand<T>) -> Operand<i64> {
+    lift(l, r, move |a, b| match op {
+        CmpOp::Eq => (a == b) as i64,
+        CmpOp::Ne => (a != b) as i64,
+        CmpOp::Lt => (a < b) as i64,
+        CmpOp::Le => (a <= b) as i64,
+        CmpOp::Gt => (a > b) as i64,
+        CmpOp::Ge => (a >= b) as i64,
+    })
+}
+
+fn select<T: Elem>(cond: Operand<i64>, then: Operand<T>, otherwise: Operand<T>) -> Operand<T> {
+    computed(move |f| match cond.get(f)? {
+        0 => otherwise.get(f),
+        _ => then.get(f),
+    })
+}
+
+fn out_of_bounds(slot: &Slot, index: i64, len: usize) -> Box<InterpError> {
+    let buffer = slot.name.to_string();
+    InterpError::OutOfBounds { buffer, index, len }.into()
+}
+
+/// Element `index` of `slot`'s buffer, checked.
+fn element<T: Elem>(frame: &Frame, slot: &Slot, index: i64) -> Res<T> {
+    let data = frame.buffers[slot.index as usize].as_ref();
+    let data = data.and_then(T::data);
+    let data = data.ok_or_else(|| InterpError::UndefinedBuffer(slot.name.to_string()))?;
+    let at = usize::try_from(index).ok().and_then(|i| data.get(i));
+    Ok(*at.ok_or_else(|| out_of_bounds(slot, index, data.len()))?)
+}
+
+/// `buffer[index] = combine(buffer[index], value)` as one closure.
+fn store_into<T: Elem>(
+    slot: Slot,
+    index: Operand<i64>,
+    value: Operand<T>,
+    combine: impl Fn(T, T) -> T + 'static,
+) -> Exec {
+    exec(move |f| {
+        let (i, v) = (index.get(f)?, value.get(f)?);
+        let data = f.buffers[slot.index as usize].as_mut();
+        let data = data.and_then(T::data_mut);
+        let data = data.ok_or_else(|| InterpError::UndefinedBuffer(slot.name.to_string()))?;
+        let len = data.len();
+        let cell = usize::try_from(i).ok().and_then(|i| data.get_mut(i));
+        let cell = cell.ok_or_else(|| out_of_bounds(&slot, i, len))?;
+        *cell = combine(*cell, v);
+        Ok(())
+    })
+}
+
+fn set<T: Elem>(slot: Slot, value: Operand<T>) -> Exec {
+    exec(move |f| {
+        let v = value.get(f)?;
+        T::vars_mut(f)[slot.index as usize] = Some(v);
+        Ok(())
+    })
+}
+
+/// Allocates `size` zeroed elements, wrapped as `wrap` makes a buffer.
+fn alloc<T: Elem>(slot: Slot, size: Operand<i64>, wrap: fn(Vec<T>) -> Buffer) -> Exec {
+    exec(move |f| {
+        let n = size.get(f)?;
+        let len = usize::try_from(n).map_err(|_| InterpError::NegativeAllocation(n))?;
+        let mut data = Vec::new();
+        data.try_reserve_exact(len)
+            .map_err(|_| InterpError::AllocationFailed(n))?;
+        data.resize(len, T::default());
+        f.buffers[slot.index as usize] = Some(wrap(data));
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -491,7 +740,10 @@ mod tests {
         let mut interp = Interpreter::new();
         interp.insert_buffer("crd", Buffer::Ints(vec![0, 2, 2, 1, 2]));
         interp.run(&f).unwrap();
-        assert_eq!(interp.buffer("count").unwrap().as_ints(), &[1, 1, 3]);
+        assert_eq!(
+            interp.buffer("count").unwrap().as_ints().unwrap(),
+            &[1, 1, 3]
+        );
     }
 
     #[test]
@@ -507,7 +759,10 @@ mod tests {
         );
         let mut interp = Interpreter::new();
         interp.run(&f).unwrap();
-        assert_eq!(interp.buffer("out").unwrap().as_floats(), &[1.5, 2.5]);
+        assert_eq!(
+            interp.buffer("out").unwrap().as_floats().unwrap(),
+            &[1.5, 2.5]
+        );
     }
 
     #[test]
@@ -572,8 +827,8 @@ mod tests {
         );
         let mut interp = Interpreter::new();
         interp.run(&f).unwrap();
-        assert_eq!(interp.buffer("m").unwrap().as_ints(), &[4]);
-        assert_eq!(interp.buffer("bits").unwrap().as_ints(), &[5]);
+        assert_eq!(interp.buffer("m").unwrap().as_ints().unwrap(), &[4]);
+        assert_eq!(interp.buffer("bits").unwrap().as_ints().unwrap(), &[5]);
     }
 
     #[test]
@@ -610,5 +865,215 @@ mod tests {
         assert_eq!(Scalar::Int(3).as_float(), 3.0);
         assert!(Scalar::Float(1.0).as_int().is_err());
         assert_eq!(Scalar::Int(3).as_int().unwrap(), 3);
+    }
+
+    fn run(body: Vec<Stmt>) -> (Interpreter, Result<(), InterpError>) {
+        let mut interp = Interpreter::new();
+        let result = interp.run(&Function::new("f", vec![], body));
+        (interp, result)
+    }
+
+    #[test]
+    fn reads_on_paths_never_taken_are_not_errors_and_typing_ignores_order() {
+        // `never` is read only under a false condition; `late` is typed float
+        // by a definition after its only read, which runs on the second trip.
+        let (interp, result) = run(vec![
+            alloc_float("out", int(1), true),
+            if_(eq(int(0), int(1)), vec![store("out", int(0), var("never"))]),
+            for_(
+                "p",
+                int(0),
+                int(2),
+                vec![
+                    if_(
+                        eq(var("p"), int(1)),
+                        vec![store("out", int(0), var("late"))],
+                    ),
+                    assign("late", float(2.5)),
+                ],
+            ),
+        ]);
+        result.unwrap();
+        assert_eq!(interp.buffer("out").unwrap().as_floats().unwrap(), &[2.5]);
+        // `x = b[0]` is typed float by `b`'s `Alloc`, which follows it; the
+        // load runs on the second trip.
+        let (interp, result) = run(vec![
+            alloc_float("out", int(1), true),
+            for_(
+                "p",
+                int(0),
+                int(2),
+                vec![
+                    if_(
+                        eq(var("p"), int(1)),
+                        vec![
+                            assign("x", load("b", int(0))),
+                            store("out", int(0), var("x")),
+                        ],
+                    ),
+                    alloc_float("b", int(1), true),
+                    store("b", int(0), float(1.5)),
+                ],
+            ),
+        ]);
+        result.unwrap();
+        assert_eq!(interp.buffer("out").unwrap().as_floats().unwrap(), &[1.5]);
+        // A read before any assignment still fails when it runs.
+        let (_, result) = run(vec![decl("y", var("x")), decl("x", int(1))]);
+        assert_eq!(result, Err(InterpError::UndefinedVariable("x".into())));
+    }
+
+    #[test]
+    fn conflicting_definitions_are_type_errors() {
+        let is_type_error = |result: Result<(), InterpError>| {
+            assert!(
+                matches!(&result, Err(InterpError::TypeError(msg)) if msg.contains("both")),
+                "{result:?}"
+            );
+        };
+        is_type_error(run(vec![decl("x", int(0)), assign("x", float(1.5))]).1);
+        is_type_error(
+            run(vec![
+                for_("x", int(0), int(1), vec![]),
+                decl("x", float(1.0)),
+            ])
+            .1,
+        );
+        is_type_error(
+            run(vec![
+                alloc_int("b", int(1), true),
+                alloc_float("b", int(1), true),
+            ])
+            .1,
+        );
+        let mut interp = Interpreter::new();
+        interp.insert_int("n", 3);
+        interp.insert_buffer("v", Buffer::Floats(vec![0.0]));
+        let f = Function::new("f", vec![], vec![decl("n", float(0.5))]);
+        is_type_error(interp.run(&f));
+        let f = Function::new("f", vec![], vec![alloc_int("v", int(1), true)]);
+        is_type_error(interp.run(&f));
+        // Nothing ran: the bound inputs are untouched.
+        assert_eq!(interp.int("n"), Some(3));
+        assert_eq!(interp.buffer("v"), Some(&Buffer::Floats(vec![0.0])));
+        // Inserting replaces a binding, whatever its type was.
+        interp.insert_buffer("v", Buffer::Ints(vec![7]));
+        let f = Function::new("f", vec![], vec![store_add("v", int(0), int(1))]);
+        interp.run(&f).unwrap();
+        assert_eq!(interp.buffer("v"), Some(&Buffer::Ints(vec![8])));
+        // `|=` has no float form.
+        let or_float = vec![
+            alloc_float("f", int(1), true),
+            store_or("f", int(0), int(1)),
+        ];
+        assert!(matches!(run(or_float).1, Err(InterpError::TypeError(_))));
+    }
+
+    #[test]
+    fn interpreter_is_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Interpreter>();
+    }
+
+    #[test]
+    fn definitions_keep_their_types_across_runs_and_reads_give_none() {
+        let mut interp = Interpreter::new();
+        let mut run = |body| interp.run(&Function::new("f", vec![], body));
+        // `z` and `c` are only read, on a path never taken: they get no type.
+        let never = eq(int(0), int(1));
+        let reads = vec![if_(
+            never,
+            vec![decl("y", add(var("z"), load("c", int(0))))],
+        )];
+        run(reads).unwrap();
+        run(vec![decl("z", float(1.5)), alloc_float("c", int(1), true)]).unwrap();
+        // `y` was defined, as an int: it stays one.
+        let result = run(vec![decl("y", float(1.5))]);
+        assert!(
+            matches!(result, Err(InterpError::TypeError(_))),
+            "{result:?}"
+        );
+        run(vec![decl("y", int(2))]).unwrap();
+        assert_eq!(interp.int("y"), Some(2));
+    }
+
+    #[test]
+    fn every_error_keeps_its_payload() {
+        let mut interp = Interpreter::new();
+        interp.insert_buffer("a", Buffer::Ints(vec![1, 2]));
+        let err = |e: Expr| interp.eval(&e).unwrap_err();
+        assert_eq!(
+            err(var("nope")),
+            InterpError::UndefinedVariable("nope".into())
+        );
+        assert_eq!(
+            err(load("gone", int(0))),
+            InterpError::UndefinedBuffer("gone".into())
+        );
+        for index in [-1, 2] {
+            let buffer = "a".to_string();
+            let oob = InterpError::OutOfBounds {
+                buffer,
+                index,
+                len: 2,
+            };
+            assert_eq!(err(load("a", int(index))), oob);
+        }
+        let InterpError::TypeError(msg) = err(load("a", float(0.5))) else {
+            panic!("a float index is a type error");
+        };
+        assert!(msg.contains("0.5"), "{msg}");
+        assert_eq!(err(rem(int(3), int(0))), InterpError::DivisionByZero);
+        let (_, result) = run(vec![alloc_int("a", int(-3), true)]);
+        assert_eq!(result, Err(InterpError::NegativeAllocation(-3)));
+        let spin = Stmt::While {
+            cond: int(1),
+            body: vec![],
+        };
+        let mut interp = Interpreter::new();
+        interp.while_budget = 3;
+        let result = interp.run(&Function::new("f", vec![], vec![spin]));
+        assert_eq!(result, Err(InterpError::IterationLimit));
+        assert_eq!(
+            InterpError::AllocationFailed(7).to_string(),
+            "cannot allocate 7 elements"
+        );
+    }
+
+    #[test]
+    fn int_min_over_minus_one_wraps() {
+        let interp = Interpreter::new();
+        let (lhs, rhs) = (int(i64::MIN), int(-1));
+        assert_eq!(
+            interp.eval(&div(lhs.clone(), rhs.clone())),
+            Ok(Scalar::Int(i64::MIN))
+        );
+        assert_eq!(interp.eval(&rem(lhs, rhs)), Ok(Scalar::Int(0)));
+    }
+
+    #[test]
+    fn int_store_add_wraps() {
+        let mut interp = Interpreter::new();
+        interp.insert_buffer("a", Buffer::Ints(vec![i64::MAX]));
+        let f = Function::new("f", vec![], vec![store_add("a", int(0), int(1))]);
+        interp.run(&f).unwrap();
+        assert_eq!(interp.buffer("a").unwrap().as_ints().unwrap(), &[i64::MIN]);
+    }
+
+    #[test]
+    fn allocations_too_large_to_make_are_errors() {
+        let (_, result) = run(vec![alloc_int("a", int(i64::MAX), false)]);
+        assert_eq!(result, Err(InterpError::AllocationFailed(i64::MAX)));
+        let (_, result) = run(vec![alloc_float("a", int(1 << 61), true)]);
+        assert_eq!(result, Err(InterpError::AllocationFailed(1 << 61)));
+    }
+
+    #[test]
+    fn buffer_views_are_typed() {
+        let (ints, floats) = (Buffer::Ints(vec![1]), Buffer::Floats(vec![1.0]));
+        assert_eq!(ints.as_ints(), Some(&[1][..]));
+        assert_eq!(ints.as_floats(), None);
+        assert_eq!(floats.as_floats(), Some(&[1.0][..]));
+        assert_eq!(floats.as_ints(), None);
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! * pretty printed as C-like source (structurally comparable to Figure 6),
 //! * simplified (constant folding, algebraic identities), and
-//! * executed by a tree-walking [`interp::Interpreter`] against named `i64` /
-//!   `f64` buffers, so that generated routines are directly testable against
-//!   hand-written conversions.
+//! * executed by [`interp::Interpreter`], which resolves a routine once to
+//!   typed slots and closures, then runs it against named `i64` / `f64`
+//!   buffers with every access checked, so generated routines are testable.
 //!
 //! # Example
 //!
@@ -30,7 +30,7 @@
 //! interp.insert_buffer("in", Buffer::Ints(vec![1, 2, 3, 4]));
 //! interp.insert_buffer("out", Buffer::Ints(vec![0; 4]));
 //! interp.run(&f)?;
-//! assert_eq!(interp.buffer("out").unwrap().as_ints(), &[2, 4, 6, 8]);
+//! assert_eq!(interp.buffer("out").unwrap().as_ints(), Some(&[2, 4, 6, 8][..]));
 //! # Ok::<(), conv_ir::interp::InterpError>(())
 //! ```
 

@@ -1,15 +1,21 @@
 //! Integration tests for the compiler path: generated IR routines executed
 //! through the interpreter must agree with the monomorphised engine and with
-//! the library baselines on realistic (Table 2 stand-in) matrices.
+//! the library baselines on realistic (Table 2 stand-in) matrices, and bit for
+//! bit with the engine on random inputs.
+
+use proptest::prelude::*;
 
 use taco_conversion_repro::conv::codegen;
 use taco_conversion_repro::conv::convert::plan_for;
 use taco_conversion_repro::conv::plan::CounterStrategy;
 use taco_conversion_repro::conv::prelude::LevelKind;
+use taco_conversion_repro::conv::select::ORDER3_MODE_ORDERS;
 use taco_conversion_repro::conv::{convert, AnyTensor, ConvertError, Format};
 use taco_conversion_repro::formats::{CooMatrix, CscMatrix, CsrMatrix};
+use taco_conversion_repro::ir::interp::InterpError;
 use taco_conversion_repro::remap::{BinOp, DstIndex, IndexExpr, Remapping};
 use taco_conversion_repro::tensor::example::example3_tensor;
+use taco_conversion_repro::tensor::{Shape, SparseTriples};
 use taco_conversion_repro::workloads::table2;
 
 fn small_suite() -> Vec<(String, sparse_tensor::SparseTriples)> {
@@ -211,4 +217,124 @@ fn builder_formats_generate_by_shape_but_only_stock_containers_unpack() {
         codegen::execute_format(&src, &my_csr),
         Err(ConvertError::Unsupported(_))
     ));
+}
+
+/// A matrix with no rows or no columns converts to an empty DIA. The generated
+/// COO->DIA routine allocates its `N + M - 1` diagonal flags unguarded (its
+/// listing is pinned above), so on 0x0 it fails with a typed error where the
+/// engine returns the empty matrix; on 0xN and Nx0 the two agree.
+#[test]
+fn empty_extents_convert_to_an_empty_dia() {
+    for (rows, cols) in [(0, 0), (0, 5), (5, 0)] {
+        let empty = SparseTriples::new(Shape::matrix(rows, cols));
+        let coo = AnyTensor::Coo(CooMatrix::from_triples(&empty));
+        let engine = convert(&coo, Format::dia()).expect("the engine converts");
+        let AnyTensor::Dia(dia) = &engine else {
+            panic!("{rows}x{cols}: {engine:?}");
+        };
+        assert!(dia.offsets().is_empty() && dia.values().is_empty());
+        let generated = codegen::execute_format(&coo, &Format::dia());
+        if rows + cols == 0 {
+            let negative = InterpError::NegativeAllocation(-1);
+            assert!(matches!(generated, Err(ConvertError::Interp(e)) if e == negative));
+        } else {
+            assert_eq!(generated.expect("generated code runs"), engine);
+        }
+    }
+}
+
+/// Nonzero values from `entries`, first occurrence of a coordinate kept.
+fn triples(shape: Shape, entries: impl IntoIterator<Item = (Vec<i64>, i32)>) -> SparseTriples {
+    let mut t = SparseTriples::new(shape);
+    for (coord, v) in entries {
+        if v != 0 && t.get(&coord) == 0.0 {
+            t.push(coord, f64::from(v)).expect("in bounds");
+        }
+    }
+    t
+}
+
+/// A xorshift stream for shuffling entry order.
+fn shuffler(mut state: u64) -> impl FnMut(usize) -> usize {
+    move |bound| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    }
+}
+
+/// Random matrices, 1xN, Nx1, small square-ish and short-and-wide (nnz well
+/// above the row count), from empty up to fully dense, plus a shuffle seed.
+fn arb_matrix() -> impl Strategy<Value = (SparseTriples, u64)> {
+    (0usize..4, 1usize..40, 1usize..40).prop_flat_map(|(kind, a, b)| {
+        let (rows, cols) = [(1, a), (a, 1), (a % 12 + 1, b % 12 + 1), (a % 3 + 1, b)][kind];
+        let entry = (0..rows, 0..cols, -100i32..100);
+        let entries = proptest::collection::vec(entry, 0..(rows * cols).min(160) + 1);
+        (entries, 1u64..u64::MAX).prop_map(move |(entries, seed)| {
+            let entries = entries
+                .into_iter()
+                .map(|(i, j, v)| (vec![i as i64, j as i64], v));
+            (triples(Shape::matrix(rows, cols), entries), seed)
+        })
+    })
+}
+
+/// Random order-3 tensors, thin in one or two modes at times, plus a shuffle
+/// seed.
+fn arb_tensor3() -> impl Strategy<Value = (SparseTriples, u64)> {
+    (1usize..8, 1usize..8, 1usize..16).prop_flat_map(|(d0, d1, d2)| {
+        let entry = (0..d0, 0..d1, 0..d2, -100i32..100);
+        let entries = proptest::collection::vec(entry, 0..(d0 * d1 * d2).min(96) + 1);
+        (entries, 1u64..u64::MAX).prop_map(move |(entries, seed)| {
+            let coords = entries.into_iter();
+            let entries = coords.map(|(i, j, k, v)| (vec![i as i64, j as i64, k as i64], v));
+            (triples(Shape::tensor3(d0, d1, d2), entries), seed)
+        })
+    })
+}
+
+/// Every generated routine from `t`'s order (COO sources in shuffled entry
+/// order) against the engine on the same source, bit for bit.
+fn check_generated_against_engine(t: &SparseTriples, seed: u64) {
+    let mut targets: Vec<(Format, Format)> = codegen::supported_pairs();
+    if t.order() == 3 {
+        let ordered = ORDER3_MODE_ORDERS
+            .iter()
+            .map(|order| Format::csf_ordered(order).unwrap());
+        targets.extend(ordered.map(|target| (Format::coo3(), target)));
+    }
+    for (source, target) in targets.iter().filter(|(s, _)| s.order() == t.order()) {
+        let src = match AnyTensor::from_triples(t, source).expect("source container") {
+            AnyTensor::Coo(mut coo) => {
+                coo.shuffle_with(shuffler(seed));
+                AnyTensor::Coo(coo)
+            }
+            AnyTensor::Coo3(mut coo) => {
+                coo.shuffle_with(shuffler(seed));
+                AnyTensor::Coo3(coo)
+            }
+            other => other,
+        };
+        let generated = codegen::execute_format(&src, target).expect("generated code runs");
+        let engine = convert(&src, target).expect("engine conversion");
+        assert_eq!(generated, engine, "{source} -> {target}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    /// Every stock matrix pair the generator covers, on random shapes and
+    /// entry orders.
+    #[test]
+    fn generated_matrix_routines_match_the_engine((t, seed) in arb_matrix()) {
+        check_generated_against_engine(&t, seed);
+    }
+
+    /// Every order-3 pair, COO3 into all six `CSF@perm` orders included.
+    #[test]
+    fn generated_tensor_routines_match_the_engine((t, seed) in arb_tensor3()) {
+        check_generated_against_engine(&t, seed);
+    }
 }

@@ -5,7 +5,7 @@
 
 #![cfg(feature = "conv-obs")]
 
-use taco_conversion_repro::conv::{convert_with, AnyTensor, Format};
+use taco_conversion_repro::conv::{codegen, convert_with, AnyTensor, Format};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::obs::{validate_json, Collector, PhaseReport, Registry, Span};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
@@ -131,6 +131,34 @@ fn streamed_conversions_report_spills_and_mirror_the_registry() {
     assert!(snapshot.counters["stream.spilled_runs"] >= result.stats.spilled_runs);
     assert!(snapshot.counters["stream.spilled_bytes"] >= result.stats.spilled_bytes);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Generated code reports its four phases, in order, under the caller's span.
+#[test]
+fn generated_code_records_generate_bind_run_unpack() {
+    let src = matrix_source();
+    let root = Span::enter_traced("test.codegen");
+    let trace = root.handle().trace_id();
+    codegen::execute_format(&src, &Format::csr()).unwrap();
+    drop(root);
+    let records = Collector::global().take_trace(trace);
+    let root = records.iter().find(|r| r.name == "test.codegen").unwrap();
+    let mut children: Vec<_> = records
+        .iter()
+        .filter(|r| r.parent == Some(root.id))
+        .collect();
+    children.sort_by_key(|r| r.start_ns);
+    let names: Vec<&str> = children.iter().map(|r| r.name).collect();
+    assert_eq!(
+        names,
+        [
+            "codegen.generate",
+            "codegen.bind",
+            "ir.run",
+            "codegen.unpack"
+        ]
+    );
+    assert_eq!(children[2].items, src.nnz() as u64);
 }
 
 #[test]
