@@ -21,13 +21,17 @@
 //!
 //! where `CSF@best` is the mode ordering minimising the CSF tree's interior
 //! fiber count ([`TensorStats::csf_fibers`]), canonical order winning ties.
+//!
+//! As in Chou et al.'s format abstraction, the statistics are read off the
+//! coordinate arrays: COO and COO3 lend theirs, other matrix containers
+//! stream into two columns, and only CSF and custom tensors use triples.
 
-use std::collections::HashSet;
+use obs::Span;
+use sparse_tensor::{MatrixStats, TensorStats};
 
-use sparse_tensor::{MatrixStats, SparseTriples, TensorStats};
-
-use crate::convert::AnyTensor;
+use crate::convert::{with_source, AnyTensor};
 use crate::format::Format;
+use crate::source::SourceMatrix;
 
 /// All six order-3 mode orderings, canonical first (the selector's tie-break
 /// order, and the sweep order the round-trip tests iterate).
@@ -52,7 +56,8 @@ pub const ORDER3_MODE_ORDERS: [[usize; 3]; 6] = [
 pub struct TensorProfile {
     /// Tensor order.
     pub order: usize,
-    /// Number of stored nonzeros (after duplicate summation for order ≤ 3).
+    /// Number of stored nonzeros, duplicates included (the statistics
+    /// behind `selected` count each coordinate once).
     pub nnz: usize,
     /// Maximum number of nonzeros in any row (order-2 inputs only; `None`
     /// when the input's order has no row notion or it cannot be read).
@@ -65,25 +70,45 @@ impl TensorProfile {
     /// Computes the profile: one statistics pass, yielding both the
     /// auto-selected format and the attributes the planner prices with.
     pub fn compute(t: &AnyTensor) -> Self {
-        let Ok(triples) = t.try_to_triples() else {
-            return Self {
-                order: t.order(),
-                nnz: 0,
-                max_nnz_per_row: None,
-                selected: fallback(t.order()),
-            };
-        };
-        let (selected, max_nnz_per_row) = match triples.order() {
-            2 => {
-                let stats = MatrixStats::compute(&triples);
-                (select_matrix(&triples, &stats), Some(stats.max_nnz_per_row))
+        let span = Span::enter("select.profile");
+        // Columns of sources that do not store them (none if unreadable).
+        let owned: Vec<Vec<usize>> = match t {
+            AnyTensor::Coo(_) | AnyTensor::Coo3(_) => Vec::new(),
+            AnyTensor::Csf(_) | AnyTensor::Custom(_) => {
+                t.try_to_triples().map_or(Vec::new(), |tr| tr.columns())
             }
-            3 => (select_tensor3(&triples), None),
-            _ => (fallback(triples.order()), None),
+            m => {
+                let nnz = m.nnz();
+                let mut crd = vec![Vec::with_capacity(nnz), Vec::with_capacity(nnz)];
+                with_source!(m, s => s.for_each(|i, j, _| {
+                    crd[0].push(i);
+                    crd[1].push(j);
+                }));
+                crd
+            }
         };
+        let crd: Vec<&[usize]> = match t {
+            AnyTensor::Coo(m) => vec![m.row_indices(), m.col_indices()],
+            AnyTensor::Coo3(c) => (0..c.order()).map(|d| c.crd(d)).collect(),
+            _ => owned.iter().map(Vec::as_slice).collect(),
+        };
+        let shape = t.shape();
+        let (selected, max_nnz_per_row) = match crd[..] {
+            [row, col] => {
+                let stats = MatrixStats::from_columns(shape.dim(0), shape.dim(1), row, col);
+                (select_matrix(&stats), Some(stats.max_nnz_per_row))
+            }
+            [_, _, _] => (
+                select_tensor3(&TensorStats::from_columns(&shape, &crd)),
+                None,
+            ),
+            _ => (fallback(t.order()), None),
+        };
+        let nnz = crd.first().map_or(0, |c| c.len());
+        span.add_items(nnz as u64);
         Self {
-            order: triples.order(),
-            nnz: triples.nnz(),
+            order: t.order(),
+            nnz,
             max_nnz_per_row,
             selected,
         }
@@ -109,7 +134,7 @@ fn fallback(order: usize) -> Format {
     }
 }
 
-fn select_matrix(m: &SparseTriples, stats: &MatrixStats) -> Format {
+fn select_matrix(stats: &MatrixStats) -> Format {
     if stats.nnz == 0 {
         return Format::csr();
     }
@@ -118,30 +143,21 @@ fn select_matrix(m: &SparseTriples, stats: &MatrixStats) -> Format {
     if stats.dia_admissible() {
         return Format::dia();
     }
-    let mut coords: HashSet<(i64, i64)> = HashSet::with_capacity(m.nnz());
-    let mut blocks: HashSet<(i64, i64)> = HashSet::new();
-    for tr in m.iter() {
-        coords.insert((tr.coord[0], tr.coord[1]));
-        blocks.insert((tr.coord[0] / 2, tr.coord[1] / 2));
-    }
     // Density in blocks: nonzeros clustered into mostly-full 2x2 tiles
     // amortise the block machinery.
-    let block_fill = coords.len() as f64 / (4.0 * blocks.len() as f64);
+    let block_fill = stats.nnz as f64 / (4.0 * stats.blocks_2x2 as f64);
     if block_fill >= 0.5 {
         return Format::bcsr(2, 2);
     }
     // Fiber skew: root the compressed chain on the mode with fewer (hence
     // longer) fibers.
-    let nonempty_rows = coords.iter().map(|&(i, _)| i).collect::<HashSet<_>>().len();
-    let nonempty_cols = coords.iter().map(|&(_, j)| j).collect::<HashSet<_>>().len();
-    if nonempty_cols < nonempty_rows {
+    if stats.nonempty_cols < stats.nonempty_rows {
         return Format::csc();
     }
     Format::csr()
 }
 
-fn select_tensor3(t: &SparseTriples) -> Format {
-    let stats = TensorStats::compute(t);
+fn select_tensor3(stats: &TensorStats) -> Format {
     if stats.nnz == 0 {
         return Format::csf();
     }
@@ -161,6 +177,7 @@ fn select_tensor3(t: &SparseTriples) -> Format {
 mod tests {
     use super::*;
     use sparse_tensor::Shape;
+    use sparse_tensor::SparseTriples;
 
     fn tensor3(coords: &[[i64; 3]]) -> AnyTensor {
         let dims = (0..3)

@@ -74,15 +74,10 @@ impl CooMatrix {
     /// Panics if the tensor is not order 2.
     pub fn from_triples(t: &SparseTriples) -> Self {
         assert_eq!(t.order(), 2, "COO matrices are order-2 tensors");
-        let mut m = CooMatrix::new(t.shape().rows(), t.shape().cols());
-        for triple in t.iter() {
-            m.push(
-                triple.coord[0] as usize,
-                triple.coord[1] as usize,
-                triple.value,
-            );
-        }
-        m
+        let [row, col]: [Vec<usize>; 2] = t.columns().try_into().expect("two columns");
+        let vals = t.iter().map(|triple| triple.value).collect();
+        let (rows, cols) = (t.shape().rows(), t.shape().cols());
+        CooMatrix::from_parts(rows, cols, row, col, vals).expect("triples are in bounds")
     }
 
     /// Converts back to canonical triples, preserving stored order.

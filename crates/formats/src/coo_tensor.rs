@@ -67,18 +67,9 @@ impl CooTensor {
 
     /// Builds a COO tensor from canonical triples, preserving their order.
     pub fn from_triples(t: &SparseTriples) -> Self {
-        let mut out = CooTensor::new(t.shape().clone());
-        for d in 0..t.order() {
-            out.crd[d].reserve(t.nnz());
-        }
-        out.vals.reserve(t.nnz());
-        for triple in t.iter() {
-            for (d, &c) in triple.coord.iter().enumerate() {
-                out.crd[d].push(c as usize);
-            }
-            out.vals.push(triple.value);
-        }
-        out
+        let vals = t.iter().map(|triple| triple.value).collect();
+        let crd = t.columns();
+        CooTensor::from_parts(t.shape().clone(), crd, vals).expect("triples are in bounds")
     }
 
     /// Converts back to canonical triples, preserving stored order.
@@ -110,6 +101,25 @@ impl CooTensor {
             self.crd[d].push(c);
         }
         self.vals.push(v);
+    }
+
+    /// Appends nonzeros given as one coordinate column per dimension, one
+    /// bulk copy per column. Fails, changing nothing, unless every column is
+    /// as long as `vals` and within its dimension's extent.
+    pub fn append_columns(&mut self, crd: &[&[usize]], vals: &[Value]) -> Result<(), TensorError> {
+        let dims = self.shape.dims();
+        let fits =
+            |(col, &n): (&&[usize], _)| col.len() == vals.len() && col.iter().all(|&c| c < n);
+        if crd.len() != dims.len() || !crd.iter().zip(dims).all(fits) {
+            let shape = &self.shape;
+            let message = format!("columns that do not fit a COO tensor of shape {shape}");
+            return Err(TensorError::InvalidStructure(message));
+        }
+        for (dst, col) in self.crd.iter_mut().zip(crd) {
+            dst.extend_from_slice(col);
+        }
+        self.vals.extend_from_slice(vals);
+        Ok(())
     }
 
     /// The tensor's shape.
@@ -216,6 +226,21 @@ mod tests {
         let mut seen = Vec::new();
         t.for_each(|c, v| seen.push((c.to_vec(), v)));
         assert_eq!(seen, vec![(vec![1i64, 2, 3], 5.0), (vec![0i64, 0, 0], 1.0)]);
+    }
+
+    #[test]
+    fn column_appends_validate_then_copy() {
+        let mut t = CooTensor::new(Shape::matrix(3, 4));
+        t.push(&[2, 3], 1.0);
+        t.append_columns(&[&[0, 1], &[3, 0]], &[2.0, 3.0]).unwrap();
+        assert_eq!(t.crd(0), &[2, 0, 1]);
+        assert_eq!(t.crd(1), &[3, 3, 0]);
+        assert_eq!(t.values(), &[1.0, 2.0, 3.0]);
+        let before = t.clone();
+        assert!(t.append_columns(&[&[0]], &[1.0]).is_err());
+        assert!(t.append_columns(&[&[0], &[0, 1]], &[1.0]).is_err());
+        assert!(t.append_columns(&[&[0], &[4]], &[1.0]).is_err());
+        assert_eq!(t, before, "a rejected append changes nothing");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use sparse_conv::ConvertError;
 use sparse_formats::{CooMatrix, CooTensor};
-use sparse_tensor::{Shape, SparseTriples};
+use sparse_tensor::{Shape, SparseTriples, TensorError};
 
 use crate::block::CoordBlock;
 
@@ -71,15 +71,16 @@ impl TensorSink for CooSink {
         self.tensor.shape()
     }
 
+    /// Appends the block's columns in bulk; a block of another shape is a
+    /// [`ConvertError::Structure`] error.
     fn push_block(&mut self, block: CoordBlock) -> Result<(), ConvertError> {
-        let mut coord = vec![0usize; block.order()];
-        for p in 0..block.nnz() {
-            for (d, c) in coord.iter_mut().enumerate() {
-                *c = block.crd(d)[p];
-            }
-            self.tensor.push(&coord, block.values()[p]);
+        let (shape, expected) = (block.shape(), self.tensor.shape());
+        if shape != expected {
+            let message = format!("a block of shape {shape} for a sink of shape {expected}");
+            return Err(TensorError::InvalidStructure(message).into());
         }
-        Ok(())
+        let crd: Vec<&[usize]> = (0..block.order()).map(|d| block.crd(d)).collect();
+        Ok(self.tensor.append_columns(&crd, block.values())?)
     }
 }
 
@@ -177,6 +178,22 @@ mod tests {
             assert_eq!(blocks, 7usize.div_ceil(block_nnz));
             assert_eq!(sink.into_tensor(), t, "round-trip preserves order");
         }
+    }
+
+    #[test]
+    fn a_block_of_another_shape_is_a_typed_error() {
+        let mut sink = CooSink::new(Shape::matrix(4, 4));
+        let mut block = CoordBlock::new(Shape::matrix(4, 5));
+        block.push(&[0, 4], 1.0).unwrap();
+        assert!(matches!(
+            sink.push_block(block),
+            Err(ConvertError::Structure(_))
+        ));
+        assert!(matches!(
+            sink.push_block(CoordBlock::new(Shape::tensor3(4, 4, 1))),
+            Err(ConvertError::Structure(_))
+        ));
+        assert_eq!(sink.into_tensor().nnz(), 0);
     }
 
     #[test]

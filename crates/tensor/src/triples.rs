@@ -144,6 +144,13 @@ impl SparseTriples {
         &self.triples
     }
 
+    /// The coordinates as one column per dimension, in stored order.
+    pub fn columns(&self) -> Vec<Vec<usize>> {
+        (0..self.order())
+            .map(|d| self.triples.iter().map(|t| t.coord[d] as usize).collect())
+            .collect()
+    }
+
     /// Consumes the tensor and returns its components.
     pub fn into_triples(self) -> Vec<Triple> {
         self.triples

@@ -5,11 +5,14 @@
 
 #![cfg(feature = "conv-obs")]
 
-use taco_conversion_repro::conv::{codegen, convert_with, AnyTensor, Format};
+use taco_conversion_repro::conv::{codegen, convert_with, AnyTensor, Format, TensorProfile};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::obs::{validate_json, Collector, PhaseReport, Registry, Span};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
-use taco_conversion_repro::stream::{CooBlockStream, MemoryBudget};
+use taco_conversion_repro::stream::{
+    CooBlockStream, CooSink, MemoryBudget, TensorSink, TensorStream,
+};
+use taco_conversion_repro::workloads::io::{tns_dims, write_mtx, write_tns, MtxStream, TnsStream};
 use taco_conversion_repro::workloads::{irregular, tensor3_uniform};
 
 fn service(threads: usize) -> ConversionService {
@@ -212,4 +215,59 @@ fn one_chunk_runs_record_their_chunk_spans_on_the_calling_thread() {
     let (caller, chunks) = chunk_threads(4);
     assert_eq!(chunks.len(), 8);
     assert!(chunks.iter().all(|&thread| thread != caller));
+}
+
+fn drain(mut stream: impl TensorStream) -> CooTensor {
+    let mut sink = CooSink::new(stream.shape().clone());
+    while let Some(block) = stream.next_block().unwrap() {
+        sink.push_block(block).unwrap();
+    }
+    sink.into_tensor()
+}
+
+/// The loaders and the profile record their own spans: `io.parse_block` per
+/// block counting its entries, `io.tns_dims` counting the entries it
+/// scanned, and `select.profile` counting the nonzeros it profiled.
+#[test]
+fn loaders_and_the_profile_record_their_spans() {
+    let dir = std::env::temp_dir().join(format!("obs-io-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let AnyTensor::Coo(m) = matrix_source() else {
+        unreachable!("the matrix source is COO")
+    };
+    let t = CooTensor::from_triples(&tensor3_uniform([16, 16, 16], 3_000, 5).unwrap());
+    let (mtx, tns) = (dir.join("m.mtx"), dir.join("t.tns"));
+    write_mtx(&mtx, &m).unwrap();
+    write_tns(&tns, &t).unwrap();
+
+    let root = Span::enter_traced("test.load");
+    let trace = root.handle().trace_id();
+    let loaded = drain(MtxStream::open(&mtx, 4096).unwrap());
+    let (shape, entries) = tns_dims(&tns).unwrap();
+    let loaded3 = drain(TnsStream::open(&tns, shape, 1000).unwrap());
+    let profile = TensorProfile::compute(&AnyTensor::Coo3(loaded3));
+    drop(root);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let records = Collector::global().take_trace(trace);
+    let named = |name: &str| -> Vec<u64> {
+        records
+            .iter()
+            .filter(|r| r.name == name)
+            .map(|r| r.items)
+            .collect()
+    };
+    // The call that finds the end of the `.tns` file parses no entries.
+    let blocks: Vec<u64> = named("io.parse_block")
+        .into_iter()
+        .filter(|&n| n > 0)
+        .collect();
+    assert_eq!(
+        blocks.len(),
+        m.nnz().div_ceil(4096) + t.nnz().div_ceil(1000)
+    );
+    assert_eq!(blocks.iter().sum::<u64>() as usize, loaded.nnz() + t.nnz());
+    assert_eq!(named("io.tns_dims"), [entries]);
+    assert_eq!(named("select.profile"), [profile.nnz as u64]);
+    assert_eq!(profile.nnz, t.nnz());
 }
