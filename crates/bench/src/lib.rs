@@ -1,9 +1,9 @@
-//! Shared code for `convprof`, the criterion benchmarks and the
-//! cross-implementation agreement test: the Table 3 conversion/implementation
-//! matrix, its inputs, and the environment/CLI readers.
+//! Shared code for `convprof` and the cross-implementation agreement test:
+//! the Table 3 conversion/implementation matrix, its inputs, and the
+//! environment/CLI readers.
 
 use conv_runtime::RoutingPolicy;
-use conv_workloads::{table2, MatrixSpec};
+use conv_workloads::MatrixSpec;
 use sparse_conv::engine;
 use sparse_formats::baselines::{mkl, sparskit, taco_noext};
 use sparse_formats::{CooMatrix, CscMatrix, CsrMatrix};
@@ -247,8 +247,8 @@ fn or_exit<T>(setting: Result<T, String>) -> T {
 }
 
 /// Reads an environment variable as a finite `f64` in `(0, max]` (a scale
-/// factor: `max` is 1 for `BENCH_SCALE`, which scales the Table 2 suite
-/// down, and infinite for `PROF_SCALE`), with a default when unset. A
+/// factor: `max` is infinite for `PROF_SCALE`; a scale of the Table 2 suite
+/// would pass 1), with a default when unset. A
 /// malformed or out-of-range value prints an error naming the variable and
 /// exits with status 2.
 pub fn env_f64(name: &str, default: f64, max: f64) -> f64 {
@@ -295,18 +295,10 @@ pub fn routing_from_cli(args: impl IntoIterator<Item = String>) -> (RoutingPolic
     (routing, rest)
 }
 
-/// The Table 2 row with the most nonzeros (the throughput benchmarks use
-/// it as the paper-faithful "heaviest input").
-pub fn largest_spec() -> MatrixSpec {
-    table2()
-        .into_iter()
-        .max_by_key(|s| s.nnz)
-        .expect("Table 2 is non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conv_workloads::table2;
 
     fn small_inputs() -> BenchInputs {
         let spec = table2()[3].clone(); // chem_master1 (banded, non-symmetric)
@@ -354,8 +346,8 @@ mod tests {
             let err = scale(Some(bad)).unwrap_err();
             assert!(err.contains("S=") && err.contains(bad), "{err}");
         }
-        // A bounded scale (BENCH_SCALE, which `conv_workloads` asserts is in
-        // (0, 1]) rejects what an unbounded one (PROF_SCALE) accepts.
+        // A bounded scale (a Table 2 scale, which `conv_workloads` asserts is
+        // in (0, 1]) rejects what an unbounded one (PROF_SCALE) accepts.
         assert_eq!(scale(Some("1.5")), Ok(1.5));
         assert_eq!(scale_to(Some("1"), 1.0), Ok(1.0));
         let err = scale_to(Some("1.5"), 1.0).unwrap_err();
@@ -367,10 +359,5 @@ mod tests {
         assert_eq!(count(Some("0"), 0), Ok(0), "a zero seed is valid");
         assert!(count(Some("four"), 0).unwrap_err().contains("N="));
         assert!(count(Some("-2"), 0).is_err());
-    }
-
-    #[test]
-    fn largest_spec_is_the_heaviest_row() {
-        assert_eq!(largest_spec().name, "pwtk");
     }
 }

@@ -1,7 +1,7 @@
 //! Conversion code generation (the compiler path).
 //!
 //! This module plays the role of taco's code generator in the reproduction:
-//! given a source and a target [`Format`], it emits an imperative [`conv_ir`]
+//! given a source and a target [`Format`], it emits an imperative [`ir`](crate::ir)
 //! routine implementing the conversion, structured exactly like the listings
 //! of Figure 6 — a fused coordinate-remapping + analysis phase, one-shot
 //! allocation from the analysis results, and a fused remapping + assembly
@@ -29,13 +29,6 @@
 //! chains), the output is `B`, and scalar inputs are `N`, `M`, `L` (the
 //! extents of canonical modes `i`, `j`, `k`), `R1` (root fibres) and `nnz`.
 
-use conv_ir::build::*;
-use conv_ir::interp::{Buffer, Interpreter};
-use conv_ir::printer::print_function;
-use conv_ir::simplify::simplify_function;
-use conv_ir::{Expr, Function, Stmt};
-use coord_remap::{BinOp as RBinOp, DstIndex, IndexExpr, Remapping};
-use level_formats::LevelKind;
 use obs::Span;
 use sparse_formats::{CooMatrix, CooTensor, CscMatrix, CsfTensor, CsrMatrix, DiaMatrix, EllMatrix};
 use sparse_tensor::Shape;
@@ -43,7 +36,14 @@ use sparse_tensor::Shape;
 use crate::convert::AnyTensor;
 use crate::error::ConvertError;
 use crate::format::Format;
+use crate::ir::build::*;
+use crate::ir::interp::{Buffer, Interpreter};
+use crate::ir::printer::print_function;
+use crate::ir::simplify::simplify_function;
+use crate::ir::{Expr, Function, IrBinOp, Stmt};
+use crate::levels::LevelKind;
 use crate::mode;
+use crate::remap::{BinOp as RBinOp, DstIndex, IndexExpr, Remapping};
 use crate::spec::FormatSpec;
 use crate::stock::STOCK;
 
@@ -266,16 +266,16 @@ fn lower_index_expr(expr: &IndexExpr, src_vars: &[(&str, &str)]) -> Result<Expr,
             let l = lower_index_expr(l, src_vars)?;
             let r = lower_index_expr(r, src_vars)?;
             let op = match op {
-                RBinOp::Add => conv_ir::IrBinOp::Add,
-                RBinOp::Sub => conv_ir::IrBinOp::Sub,
-                RBinOp::Mul => conv_ir::IrBinOp::Mul,
-                RBinOp::Div => conv_ir::IrBinOp::Div,
-                RBinOp::Rem => conv_ir::IrBinOp::Rem,
-                RBinOp::Shl => conv_ir::IrBinOp::Shl,
-                RBinOp::Shr => conv_ir::IrBinOp::Shr,
-                RBinOp::And => conv_ir::IrBinOp::BitAnd,
-                RBinOp::Or => conv_ir::IrBinOp::BitOr,
-                RBinOp::Xor => conv_ir::IrBinOp::BitXor,
+                RBinOp::Add => IrBinOp::Add,
+                RBinOp::Sub => IrBinOp::Sub,
+                RBinOp::Mul => IrBinOp::Mul,
+                RBinOp::Div => IrBinOp::Div,
+                RBinOp::Rem => IrBinOp::Rem,
+                RBinOp::Shl => IrBinOp::Shl,
+                RBinOp::Shr => IrBinOp::Shr,
+                RBinOp::And => IrBinOp::BitAnd,
+                RBinOp::Or => IrBinOp::BitOr,
+                RBinOp::Xor => IrBinOp::BitXor,
             };
             Expr::binary(op, l, r)
         }
@@ -397,7 +397,8 @@ fn gen_to_dia(src: &Layout, dst: &Layout) -> Result<Vec<Stmt>, ConvertError> {
     let remapping = &dst.spec.remapping;
     let src_vars: Vec<(&str, &str)> = remapping.src.iter().map(String::as_str).zip(SYM).collect();
     let offset_expr = lower_index_expr(&remapping.dst[0].expr, &src_vars)?;
-    let ndiag = sub(add(var("N"), var("M")), int(1));
+    // A 0x0 matrix has no diagonal: clamp `N + M - 1` rather than allocate -1.
+    let ndiag = max(sub(add(var("N"), var("M")), int(1)), int(0));
     let shift = sub(var("N"), int(1));
 
     let mut body = vec![comment(

@@ -267,14 +267,10 @@ pub fn to_csf<S: SourceTensor>(src: &S) -> CsfTensor {
 /// Panics unless `mode_order` is a permutation of `0..order`.
 pub(crate) fn assert_mode_order(mode_order: &[usize], order: usize) {
     assert_eq!(mode_order.len(), order, "one mode per dimension");
-    let mut seen = vec![false; order];
-    for &m in mode_order {
-        assert!(
-            m < order && !seen[m],
-            "mode order {mode_order:?} is not a permutation of 0..{order}"
-        );
-        seen[m] = true;
-    }
+    assert!(
+        crate::remap::is_permutation(mode_order),
+        "mode order {mode_order:?} is not a permutation of 0..{order}"
+    );
 }
 
 /// Converts any tensor source to CSF along a *mode order*: storage level `d`

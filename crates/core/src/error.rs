@@ -37,11 +37,11 @@ pub enum ConvertError {
     /// The produced data structures failed validation.
     Structure(sparse_tensor::TensorError),
     /// A remapping failed to evaluate.
-    Remap(coord_remap::RemapError),
+    Remap(crate::remap::RemapError),
     /// An attribute query failed to evaluate.
-    Query(attr_query::QueryError),
+    Query(crate::query::QueryError),
     /// Generated IR failed to execute.
-    Interp(conv_ir::interp::InterpError),
+    Interp(crate::ir::interp::InterpError),
     /// A worker thread panicked while running its share of a phase. The
     /// conversion is abandoned; the caller, its service and every other
     /// worker carry on.
@@ -95,20 +95,20 @@ impl From<sparse_tensor::TensorError> for ConvertError {
     }
 }
 
-impl From<coord_remap::RemapError> for ConvertError {
-    fn from(e: coord_remap::RemapError) -> Self {
+impl From<crate::remap::RemapError> for ConvertError {
+    fn from(e: crate::remap::RemapError) -> Self {
         ConvertError::Remap(e)
     }
 }
 
-impl From<attr_query::QueryError> for ConvertError {
-    fn from(e: attr_query::QueryError) -> Self {
+impl From<crate::query::QueryError> for ConvertError {
+    fn from(e: crate::query::QueryError) -> Self {
         ConvertError::Query(e)
     }
 }
 
-impl From<conv_ir::interp::InterpError> for ConvertError {
-    fn from(e: conv_ir::interp::InterpError) -> Self {
+impl From<crate::ir::interp::InterpError> for ConvertError {
+    fn from(e: crate::ir::interp::InterpError) -> Self {
         ConvertError::Interp(e)
     }
 }
@@ -121,11 +121,11 @@ mod tests {
     fn display_and_conversions() {
         let e: ConvertError = sparse_tensor::TensorError::InvalidStructure("bad pos".into()).into();
         assert!(e.to_string().contains("bad pos"));
-        let e: ConvertError = coord_remap::RemapError::DivisionByZero.into();
+        let e: ConvertError = crate::remap::RemapError::DivisionByZero.into();
         assert!(e.to_string().contains("remapping"));
-        let e: ConvertError = attr_query::QueryError::Parse("x".into()).into();
+        let e: ConvertError = crate::query::QueryError::Parse("x".into()).into();
         assert!(e.to_string().contains("query"));
-        let e: ConvertError = conv_ir::interp::InterpError::DivisionByZero.into();
+        let e: ConvertError = crate::ir::interp::InterpError::DivisionByZero.into();
         assert!(e.to_string().contains("generated code"));
         assert!(ConvertError::Unsupported("skyline needs square".into())
             .to_string()

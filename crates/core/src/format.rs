@@ -34,10 +34,9 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use coord_remap::Remapping;
-use level_formats::LevelKind;
-
 use crate::error::ConvertError;
+use crate::levels::LevelKind;
+use crate::remap::Remapping;
 use crate::spec::FormatSpec;
 use crate::stock::{self, FormatId, StockFormat, STOCK};
 
@@ -168,22 +167,18 @@ impl Format {
     /// permutation of `0..mode_order.len()`.
     pub fn csf_ordered(mode_order: &[usize]) -> Result<Format, ConvertError> {
         let n = mode_order.len();
-        let mut seen = vec![false; n];
-        for &m in mode_order {
-            if m >= n || seen[m] {
-                return Err(ConvertError::UnsupportedSpec {
-                    reason: format!("CSF mode order {mode_order:?} is not a permutation of 0..{n}"),
-                });
-            }
-            seen[m] = true;
+        if !crate::remap::is_permutation(mode_order) {
+            return Err(ConvertError::UnsupportedSpec {
+                reason: format!("CSF mode order {mode_order:?} is not a permutation of 0..{n}"),
+            });
         }
         if n == 3 && mode_order == [0, 1, 2] {
             return Ok(Format::csf());
         }
-        let names = coord_remap::ast::canonical_names(n);
+        let names = crate::remap::ast::canonical_names(n);
         let spec = FormatSpec::new(
             &crate::mode::csf_ordered_name(mode_order),
-            coord_remap::stock::mode_permutation(mode_order),
+            Remapping::mode_permutation(mode_order),
             mode_order.iter().map(|&m| names[m].as_str()).collect(),
             vec![LevelKind::Compressed; n],
         );
@@ -424,8 +419,8 @@ impl FormatBuilder {
     /// # Errors
     ///
     /// Propagates the remapping parser's error.
-    pub fn remap_str(self, s: &str) -> Result<Self, coord_remap::RemapError> {
-        Ok(self.remapping(coord_remap::parse_remapping(s)?))
+    pub fn remap_str(self, s: &str) -> Result<Self, crate::remap::RemapError> {
+        Ok(self.remapping(crate::remap::parse_remapping(s)?))
     }
 
     /// Appends one remapped dimension name (outer to inner).
@@ -699,7 +694,7 @@ mod tests {
         // CSR's stock spec, rebuilt by hand: same fingerprint, so the
         // registry hands back the stock entry with its id and fast path.
         let rebuilt = Format::builder("CSR")
-            .remapping(coord_remap::stock::row_major_matrix())
+            .remapping(Remapping::identity(2))
             .dims(["i", "j"])
             .levels([LevelKind::Dense, LevelKind::Compressed])
             .build()

@@ -9,18 +9,19 @@
 //! measured by the `ablations` benchmark) but places no restriction on the
 //! level composition.
 
-use attr_query::eval::evaluate_on_coords;
-use attr_query::{AttrQuery, QueryResult};
-use coord_remap::{BoundsEnv, EvalContext, Remapping};
-use level_formats::{
-    BandedLevel, CompressedLevel, DenseLevel, EdgeInsertion, HashedLevel, LevelAssembler,
-    LevelKind, LevelProperties, PositionKind, SingletonLevel, SlicedLevel, SqueezedLevel,
-};
-use sparse_tensor::{DimBounds, Shape, Value};
 use std::collections::HashMap;
+
+use sparse_tensor::{DimBounds, Shape, Value};
 
 use crate::convert::AnyTensor;
 use crate::error::ConvertError;
+use crate::levels::{
+    BandedLevel, CompressedLevel, DenseLevel, EdgeInsertion, HashedLevel, LevelAssembler,
+    LevelKind, LevelProperties, PositionKind, SingletonLevel, SlicedLevel, SqueezedLevel,
+};
+use crate::query::eval::evaluate_on_coords;
+use crate::query::{AttrQuery, QueryResult};
+use crate::remap::{BoundsEnv, EvalContext, Remapping};
 use crate::spec::FormatSpec;
 
 /// The assembled data of one output level.
@@ -116,7 +117,7 @@ impl CustomTensor {
     /// # Errors
     ///
     /// Returns [`ConvertError::UnsupportedSpec`] when the remapping is not
-    /// invertible (see [`coord_remap::Remapping::inverter`]); such formats
+    /// invertible (see [`crate::remap::Remapping::inverter`]); such formats
     /// are conversion targets only.
     pub fn to_triples(&self) -> Result<sparse_tensor::SparseTriples, ConvertError> {
         let inverter =
@@ -438,7 +439,7 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
     // Static bounds of each remapped dimension, used to size dense, squeezed,
     // and counter-derived dimensions.
     let env = BoundsEnv::for_remapping(remapping, shape.dims()).with_nnz(triples.nnz());
-    let bounds = coord_remap::infer_bounds(remapping, &env)?;
+    let bounds = crate::remap::infer_bounds(remapping, &env)?;
 
     // Phase 2: analysis (Section 5) — evaluate each level's attribute query
     // over the remapped coordinates.
@@ -737,7 +738,7 @@ mod tests {
         // interned in a hash level, block contents dense.
         let spec = FormatSpec::new(
             "BLOCK-HASH",
-            coord_remap::stock::bcsr_with_blocks(2, 2),
+            Remapping::blocked(2, 2),
             vec!["bi", "bj", "li", "lj"],
             vec![
                 LevelKind::Dense,

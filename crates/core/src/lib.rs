@@ -1,8 +1,8 @@
 //! The conversion-routine generator: the paper's primary contribution.
 //!
 //! `sparse-conv` combines the three per-format specification languages —
-//! coordinate remappings (`coord-remap`), attribute queries (`attr-query`),
-//! and the assembly abstract interface (`level-formats`) — into conversion
+//! coordinate remappings ([`remap`], §4), attribute queries ([`query`], §5)
+//! and the assembly abstract interface ([`levels`], §6) — into conversion
 //! routines between arbitrary pairs of supported formats:
 //!
 //! * [`spec`] — [`FormatSpec`]s describing every supported format by its
@@ -22,8 +22,12 @@
 //! * [`kernel_table`] — the one table naming every conversion routine
 //!   (which pairs it serves, whether it is parallel) and every per-format
 //!   fact the planner, the service and the streaming path read.
-//! * [`codegen`] — lowers a conversion plan to executable [`conv_ir`]
-//!   routines and C-like listings structurally comparable to Figure 6.
+//! * [`codegen`] — lowers a conversion plan to executable [`ir`] routines
+//!   and C-like listings structurally comparable to Figure 6.
+//! * [`ir`] — the imperative IR generated routines are written in: builder,
+//!   printer, simplifier and the resolve-then-run interpreter.
+//! * [`planner`] — multi-hop route planning: formats as nodes, kernel-table
+//!   rows as edges priced from [`TensorAttrs`](planner::TensorAttrs).
 //! * [`generic`] — a fully dynamic converter driven by [`FormatSpec`]s and
 //!   trait objects, used for user-defined custom formats.
 //! * [`format`](mod@format) — the spec-first public surface: [`Format`]
@@ -70,11 +74,16 @@ pub mod engine;
 pub mod error;
 pub mod format;
 pub mod generic;
+pub mod ir;
 pub mod kernel_table;
 pub mod kernels;
+pub mod levels;
 pub mod mode;
 pub mod partition;
 pub mod plan;
+pub mod planner;
+pub mod query;
+pub mod remap;
 pub mod select;
 pub mod source;
 pub mod spec;
@@ -101,6 +110,47 @@ pub mod prelude {
     pub use crate::select::{auto_select, TensorProfile};
     pub use crate::spec::FormatSpec;
     // The vocabulary user-defined specs are composed from.
-    pub use coord_remap::{parse_remapping, Remapping};
-    pub use level_formats::LevelKind;
+    pub use crate::levels::LevelKind;
+    pub use crate::remap::{parse_remapping, Remapping};
+}
+
+// Unit tests of `remap`, `query`, `levels`, `ir` and `planner` live beside
+// their modules in `*_tests.rs` files and are mounted here, at the crate root,
+// so that each keeps the short name it is tracked under (`interp::tests::…`,
+// not `ir::interp::tests::…`). Where `remap` and `query` share a file name
+// (`ast`, `eval`, `parser`), `remap` holds the short name and `query`'s tests
+// stay inside their module.
+#[cfg(test)]
+macro_rules! mount_tests {
+    ($($name:ident: $path:literal,)*) => {
+        $(#[path = $path] mod $name;)*
+    };
+}
+#[cfg(test)]
+mount_tests! {
+    assembler: "levels/assembler_tests.rs",
+    ast: "remap/ast_tests.rs",
+    banded: "levels/banded_tests.rs",
+    bounds: "remap/bounds_tests.rs",
+    build: "ir/build_tests.rs",
+    cin: "query/cin_tests.rs",
+    compressed: "levels/compressed_tests.rs",
+    cost: "planner/cost_tests.rs",
+    dense: "levels/dense_tests.rs",
+    eval: "remap/eval_tests.rs",
+    expr: "ir/expr_tests.rs",
+    graph: "planner/graph_tests.rs",
+    hashed: "levels/hashed_tests.rs",
+    interp: "ir/interp_tests.rs",
+    invert: "remap/invert_tests.rs",
+    parser: "remap/parser_tests.rs",
+    printer: "ir/printer_tests.rs",
+    properties: "levels/properties_tests.rs",
+    simplify: "ir/simplify_tests.rs",
+    singleton: "levels/singleton_tests.rs",
+    sliced: "levels/sliced_tests.rs",
+    squeezed: "levels/squeezed_tests.rs",
+    stmt: "ir/stmt_tests.rs",
+    token: "remap/token_tests.rs",
+    transform: "query/transform_tests.rs",
 }

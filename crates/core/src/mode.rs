@@ -16,13 +16,13 @@
 //! * [`csf_ordered_name`] / [`parse_csf_ordered_name`] implement the
 //!   `CSF@2,0,1` naming round-trip used by `Format::from_str`.
 
-use coord_remap::{BoundsEnv, IndexExpr, Remapping};
 use sparse_formats::CsfTensor;
 
 use crate::error::ConvertError;
 use crate::generic::{CustomTensor, LevelOutput};
+use crate::levels::LevelKind;
+use crate::remap::{is_permutation, BoundsEnv, IndexExpr, Remapping};
 use crate::spec::FormatSpec;
-use level_formats::LevelKind;
 
 /// Recognises a remapping that is a pure permutation of its source variables
 /// (each destination index a bare source variable, each variable used exactly
@@ -80,14 +80,7 @@ pub fn parse_csf_ordered_name(s: &str) -> Option<Vec<usize>> {
         .split(',')
         .map(|part| part.trim().parse().ok())
         .collect::<Option<_>>()?;
-    let mut seen = vec![false; order.len()];
-    for &m in &order {
-        if m >= order.len() || seen[m] {
-            return None;
-        }
-        seen[m] = true;
-    }
-    Some(order)
+    is_permutation(&order).then_some(order)
 }
 
 /// Wraps an engine-built CSF fiber tree (whose storage dimensions follow
@@ -132,7 +125,7 @@ pub fn custom_from_csf(
     }
     let shape = sparse_tensor::Shape::new(dims);
     let env = BoundsEnv::for_remapping(&spec.remapping, shape.dims()).with_nnz(csf.nnz());
-    let bounds = coord_remap::infer_bounds(&spec.remapping, &env)?;
+    let bounds = crate::remap::infer_bounds(&spec.remapping, &env)?;
     let mut levels = Vec::with_capacity(order);
     for l in 0..order {
         let pos = if l == 0 {
@@ -168,7 +161,7 @@ mod tests {
     fn permuted_spec_reports_its_order() {
         let spec = FormatSpec::new(
             "CSF@2,0,1",
-            coord_remap::stock::mode_permutation(&[2, 0, 1]),
+            Remapping::mode_permutation(&[2, 0, 1]),
             vec!["k", "i", "j"],
             vec![LevelKind::Compressed; 3],
         );

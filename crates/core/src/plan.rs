@@ -17,8 +17,8 @@
 
 use std::fmt;
 
+use crate::levels::LevelKind;
 use crate::spec::FormatSpec;
-use level_formats::LevelKind;
 
 /// How counters in the target's remapping are realised (Section 4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -47,9 +47,10 @@ pub const ORDER3_MODE_ORDERS: [[usize; 3]; 6] = [
 /// One structural-statistics pass over a tensor, shared between format
 /// selection and the planner's attribute queries.
 ///
-/// [`auto_select`] and `conv_planner::TensorAttrs` both want numbers only a
-/// full walk over the coordinates can produce (the decision table's
-/// statistics, the densest row's population for pricing ELL targets).
+/// [`auto_select`] and [`TensorAttrs`](crate::planner::TensorAttrs) both
+/// want numbers only a full walk over the coordinates can produce (the
+/// decision table's statistics, the densest row's population for pricing ELL
+/// targets).
 /// Computing the profile once and handing it to both sides keeps that walk
 /// to a single pass.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -7,11 +7,10 @@
 //! the assembly level functions to call). One spec per format suffices to
 //! convert both *to* and *from* every other supported format.
 
-use attr_query::AttrQuery;
-use coord_remap::Remapping;
-use level_formats::LevelKind;
-
 use crate::error::ConvertError;
+use crate::levels::LevelKind;
+use crate::query::AttrQuery;
+use crate::remap::Remapping;
 
 /// The specification of one tensor format.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +60,7 @@ impl FormatSpec {
     /// The attribute queries the format's levels require, outer to inner
     /// (Section 5); levels that need no query are skipped.
     pub fn required_queries(&self) -> Vec<AttrQuery> {
-        use level_formats::LevelAssembler as _;
+        use crate::levels::LevelAssembler as _;
         use sparse_tensor::DimBounds;
         let mut out = Vec::new();
         for (k, kind) in self.levels.iter().enumerate() {

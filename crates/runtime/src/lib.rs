@@ -11,8 +11,8 @@
 //!   call — for registry (user-defined) formats exactly like the stock
 //!   presets;
 //! * [`service::ConversionService`] is the batch front end: it routes each
-//!   request over `conv-planner`'s format graph (direct, via-COO, or a
-//!   cost-model-chosen multi-hop chain such as shuffled
+//!   request over `sparse_conv::planner`'s format graph (direct, via-COO,
+//!   or a cost-model-chosen multi-hop chain such as shuffled
 //!   `COO → CSR → BCSR`, with measured hop durations calibrating the edge
 //!   costs online), runs every hop through
 //!   [`sparse_conv::kernel_table`] — on the partitioned parallel kernels

@@ -5,7 +5,7 @@
 //!
 //! 1. **plan** — the [`PlanCache`] returns the pair's [`ConversionPlan`](sparse_conv::ConversionPlan),
 //!    building it at most once per `(source, target, spec fingerprint)`;
-//! 2. **route** — `conv-planner`'s [`FormatGraph`] plans a shortest path
+//! 2. **route** — the planner's [`FormatGraph`] plans a shortest path
 //!    over the format graph: directly, *via COO* (profitable when a padded
 //!    source such as DIA or ELL would be re-scanned by a multi-pass plan),
 //!    or along a longer cost-model-chosen chain such as shuffled
@@ -29,11 +29,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use conv_planner::{FormatGraph, PlannerConfig, TensorAttrs};
 use conv_stream::{ExternalSorter, MemTracker, SorterConfig, StreamStats, TensorStream};
 use obs::{Collector, ConversionReport, Registry, Span};
 use sparse_conv::convert::AnyTensor;
 use sparse_conv::kernel_table::{self, Padding};
+use sparse_conv::planner::{FormatGraph, PlannerConfig, TensorAttrs};
 use sparse_conv::tunables::PARALLEL_NNZ_THRESHOLD;
 use sparse_conv::{ConvertError, Format};
 
@@ -84,7 +84,7 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingPolicy {
     /// Plan the cheapest admissible route over the format graph
-    /// (`conv-planner`): direct, via COO, or a longer multi-hop chain.
+    /// (`sparse_conv::planner`): direct, via COO, or a longer multi-hop chain.
     #[default]
     CostModel,
     /// Always convert directly (ablation baseline).
@@ -122,6 +122,7 @@ struct ServiceCounters {
     stream_spilled_bytes: AtomicU64,
     stream_peak_bytes: AtomicUsize,
     materialized: AtomicU64,
+    worker_panics: AtomicU64,
 }
 
 impl ServiceCounters {
@@ -136,6 +137,7 @@ impl ServiceCounters {
         self.stream_spilled_runs.store(0, Ordering::Relaxed);
         self.stream_spilled_bytes.store(0, Ordering::Relaxed);
         self.stream_peak_bytes.store(0, Ordering::Relaxed);
+        self.worker_panics.store(0, Ordering::Relaxed);
         self.materialized.store(0, Ordering::Relaxed);
     }
 }
@@ -182,6 +184,9 @@ pub struct ServiceStats {
     /// Streaming requests that had no streamed packer for their target and
     /// fell back to materialising the input in memory.
     pub materialized: u64,
+    /// Requests (a conversion, a batch job or a stream) that returned
+    /// [`ConvertError::WorkerPanicked`].
+    pub worker_panics: u64,
     /// Plan-cache hits.
     pub plan_hits: u64,
     /// Plan-cache misses (plans built).
@@ -267,7 +272,7 @@ impl ConversionService {
         src: &AnyTensor,
         target: F,
     ) -> Result<AnyTensor, ConvertError> {
-        self.convert_reported(src, &target.into(), true)
+        self.count_panic(self.convert_reported(src, &target.into(), true))
             .map(|(tensor, _)| tensor)
     }
 
@@ -288,7 +293,7 @@ impl ConversionService {
         src: &AnyTensor,
         target: F,
     ) -> Result<(AnyTensor, ConversionReport), ConvertError> {
-        self.convert_reported(src, &target.into(), true)
+        self.count_panic(self.convert_reported(src, &target.into(), true))
     }
 
     /// The report of the most recently *completed* conversion on this
@@ -338,7 +343,20 @@ impl ConversionService {
                 .map(|(tensor, _)| tensor)
         });
         // A job whose worker died reports that; the rest report themselves.
-        results.into_iter().map(|job| job.and_then(|r| r)).collect()
+        results
+            .into_iter()
+            .map(|job| self.count_panic(job.and_then(|r| r)))
+            .collect()
+    }
+
+    /// Counts a request that returned [`ConvertError::WorkerPanicked`] in
+    /// [`ServiceStats::worker_panics`]; called once per request, where it
+    /// returns to the caller.
+    fn count_panic<T>(&self, result: Result<T, ConvertError>) -> Result<T, ConvertError> {
+        if matches!(result, Err(ConvertError::WorkerPanicked { .. })) {
+            self.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+        }
+        result
     }
 
     /// Converts a [`TensorStream`] without ever materialising the input,
@@ -373,7 +391,7 @@ impl ConversionService {
         let root = Span::enter_traced("convert_stream");
         let trace_id = root.handle().trace_id();
         let mut info = ExecTrace::default();
-        let result = self.stream_exec(&mut stream, &target, opts, &mut info);
+        let result = self.count_panic(self.stream_exec(&mut stream, &target, opts, &mut info));
         drop(root);
         let records = Collector::global().take_trace(trace_id);
         let conv = result?;
@@ -479,6 +497,7 @@ impl ConversionService {
             stream_spilled_bytes: self.counters.stream_spilled_bytes.load(Ordering::Relaxed),
             stream_peak_bytes: self.counters.stream_peak_bytes.load(Ordering::Relaxed),
             materialized: self.counters.materialized.load(Ordering::Relaxed),
+            worker_panics: self.counters.worker_panics.load(Ordering::Relaxed),
             plan_hits: self.cache.hits(),
             plan_misses: self.cache.misses(),
             cached_plans: self.cache.len(),

@@ -2,15 +2,11 @@
 //!
 //! Re-exports the public API of all workspace crates so examples and integration
 //! tests can use a single dependency.
-pub use attr_query as query;
-pub use conv_ir as ir;
-pub use conv_planner as planner;
 pub use conv_runtime as runtime;
 pub use conv_stream as stream;
 pub use conv_workloads as workloads;
-pub use coord_remap as remap;
-pub use level_formats as levels;
 pub use obs;
 pub use sparse_conv as conv;
+pub use sparse_conv::{ir, levels, planner, query, remap};
 pub use sparse_formats as formats;
 pub use sparse_tensor as tensor;

@@ -27,7 +27,7 @@ use taco_conversion_repro::conv::tunables::{TILE_SCATTER_MIN_NNZ, TRANSPOSE_TILE
 use taco_conversion_repro::conv::{Format, FormatRegistry};
 use taco_conversion_repro::formats::DokMatrix;
 use taco_conversion_repro::planner::{static_edge_units, PlannerConfig, TensorAttrs};
-use taco_conversion_repro::remap::stock::mode_permutation;
+use taco_conversion_repro::remap::Remapping;
 use taco_conversion_repro::runtime::{
     ConversionService, RoutingPolicy, ServiceConfig, StreamOptions,
 };
@@ -77,7 +77,7 @@ fn custom_format(order: usize) -> Format {
     let mut levels = vec![LevelKind::Compressed; order];
     levels[0] = LevelKind::Dense;
     Format::builder(&format!("KT-custom{order}"))
-        .remapping(mode_permutation(&(0..order).collect::<Vec<_>>()))
+        .remapping(Remapping::mode_permutation(&(0..order).collect::<Vec<_>>()))
         .dims(["i", "j", "k"][..order].iter().copied())
         .levels(levels)
         .build()

@@ -138,7 +138,7 @@ proptest! {
     fn equal_fingerprints_are_the_same_registry_format((br, bc) in (1usize..6, 1usize..6)) {
         let build = || {
             Format::builder(&format!("BCSR{br}x{bc}"))
-                .remapping(taco_conversion_repro::remap::stock::bcsr_with_blocks(br, bc))
+                .remapping(taco_conversion_repro::remap::Remapping::blocked(br, bc))
                 .dims(["bi", "bj", "li", "lj"])
                 .levels([
                     LevelKind::Dense,

@@ -14,7 +14,7 @@ use taco_conversion_repro::conv::prelude::LevelKind;
 use taco_conversion_repro::conv::Format;
 use taco_conversion_repro::formats::CooMatrix;
 use taco_conversion_repro::planner::{PlannerConfig, TensorAttrs};
-use taco_conversion_repro::remap::stock::mode_permutation;
+use taco_conversion_repro::remap::Remapping;
 use taco_conversion_repro::runtime::{ConversionService, Route, RoutingPolicy, ServiceConfig};
 use taco_conversion_repro::tensor::{Shape, SparseTriples};
 use taco_conversion_repro::workloads::generators::{banded, irregular};
@@ -58,7 +58,7 @@ fn assert_route_equivalent(src: &AnyTensor, target: &Format) {
 /// as a chain *source*.
 fn custom_dcsr(name: &str) -> Format {
     Format::builder(name)
-        .remapping(mode_permutation(&[0, 1]))
+        .remapping(Remapping::mode_permutation(&[0, 1]))
         .dims(["i", "j"])
         .levels([LevelKind::Compressed, LevelKind::Compressed])
         .build()
@@ -198,7 +198,7 @@ fn custom_sources_chain_through_stock_intermediates() {
 /// (the order-2 intermediate pool is exactly {COO, CSR}, and both ends of
 /// CSR → COO sit in it), the service degrades to the direct edge instead of
 /// failing. The fully-unplannable case (planner returns no route at all,
-/// e.g. a DOK target) is covered by `conv-planner`'s own unit tests, and
+/// e.g. a DOK target) is covered by the planner's own unit tests, and
 /// surfaces as the plan cache's error before routing starts.
 #[test]
 fn no_path_falls_back_to_the_direct_route() {

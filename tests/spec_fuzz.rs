@@ -20,7 +20,7 @@ use taco_conversion_repro::conv::prelude::LevelKind;
 use taco_conversion_repro::conv::select::ORDER3_MODE_ORDERS;
 use taco_conversion_repro::conv::{codegen, mode, ConvertError, Format, FormatSpec};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
-use taco_conversion_repro::remap::stock::mode_permutation;
+use taco_conversion_repro::remap::Remapping;
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig};
 use taco_conversion_repro::tensor::{Shape, SparseTriples};
 use taco_conversion_repro::workloads::generators::{banded, tensor3_fibered, tensor3_uniform};
@@ -49,7 +49,7 @@ fn check_fuzz_case(t: &SparseTriples, order: &[usize], kinds: &[LevelKind]) {
     let names = ["i", "j", "k"];
     let name = format!("FUZZ-{}", FUZZ_NAME.fetch_add(1, Ordering::Relaxed));
     let built = Format::builder(&name)
-        .remapping(mode_permutation(order))
+        .remapping(Remapping::mode_permutation(order))
         .dims(order.iter().map(|&m| names[m]))
         .levels(kinds.iter().copied())
         .build();
@@ -155,7 +155,7 @@ fn ordered_csf_spec(order: &[usize; 3]) -> FormatSpec {
     let names = ["i", "j", "k"];
     FormatSpec::new(
         &mode::csf_ordered_name(order),
-        mode_permutation(order),
+        Remapping::mode_permutation(order),
         order.iter().map(|&m| names[m]).collect(),
         vec![LevelKind::Compressed; 3],
     )
@@ -277,7 +277,7 @@ fn malformed_builder_shapes_are_typed_errors() {
         Err(ConvertError::UnsupportedSpec { .. })
     ));
     let short_dims = Format::builder("FUZZ-SHORT-DIMS")
-        .remapping(mode_permutation(&[0, 1]))
+        .remapping(Remapping::mode_permutation(&[0, 1]))
         .dims(["i"])
         .levels([LevelKind::Dense, LevelKind::Compressed])
         .build();
@@ -286,7 +286,7 @@ fn malformed_builder_shapes_are_typed_errors() {
         Err(ConvertError::UnsupportedSpec { .. })
     ));
     let short_levels = Format::builder("FUZZ-SHORT-LEVELS")
-        .remapping(mode_permutation(&[0, 1, 2]))
+        .remapping(Remapping::mode_permutation(&[0, 1, 2]))
         .dims(["i", "j", "k"])
         .levels([LevelKind::Dense, LevelKind::Compressed])
         .build();
@@ -302,7 +302,7 @@ fn malformed_builder_shapes_are_typed_errors() {
 fn hashed_levels_compose_in_rank3_specs() {
     let t = taco_conversion_repro::tensor::example::example3_tensor();
     let format = Format::builder("FUZZ-HASH3")
-        .remapping(mode_permutation(&[2, 1, 0]))
+        .remapping(Remapping::mode_permutation(&[2, 1, 0]))
         .dims(["k", "j", "i"])
         .levels([LevelKind::Hashed, LevelKind::Hashed, LevelKind::Hashed])
         .build()
@@ -327,7 +327,7 @@ fn banded_levels_compose_in_rank3_specs() {
     t.push(vec![0, 1, 3], 9.0).expect("in bounds"); // k > j: dropped
     t.push(vec![2, 0, 2], 9.0).expect("in bounds"); // k > j: dropped
     let format = Format::builder("FUZZ-BAND3")
-        .remapping(mode_permutation(&[0, 1, 2]))
+        .remapping(Remapping::mode_permutation(&[0, 1, 2]))
         .dims(["i", "j", "k"])
         .levels([
             LevelKind::Compressed,

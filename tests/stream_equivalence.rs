@@ -290,7 +290,8 @@ fn unstreamed_targets_materialize_and_match() {
 
 /// A source that panics mid-stream costs that conversion a typed error, not
 /// the process: the producer thread's panic is reported as
-/// `WorkerPanicked`, and the same service converts the next request.
+/// `WorkerPanicked`, counted once in `ServiceStats::worker_panics`, and the
+/// same service converts the next request.
 #[test]
 fn a_panicking_source_is_a_typed_error_and_the_service_keeps_serving() {
     /// Yields two blocks of a real stream, then panics.
@@ -329,6 +330,7 @@ fn a_panicking_source_is_a_typed_error_and_the_service_keeps_serving() {
             phase: "stream.producer"
         }
     );
+    assert_eq!(svc.stats().worker_panics, 1);
     let csr = svc
         .convert(&AnyTensor::Coo(m.clone()), Format::csr())
         .unwrap();
@@ -341,4 +343,5 @@ fn a_panicking_source_is_a_typed_error_and_the_service_keeps_serving() {
         )
         .unwrap();
     assert_eq!(streamed.tensor, csr);
+    assert_eq!(svc.stats().worker_panics, 1, "successes are not counted");
 }
