@@ -1,10 +1,12 @@
 //! Public conversion entry points.
 
+use std::borrow::Cow;
+
 use sparse_formats::{
     BcsrMatrix, CooMatrix, CooTensor, CscMatrix, CsfTensor, CsrMatrix, DiaMatrix, DokMatrix,
     EllMatrix, JadMatrix, SkylineMatrix,
 };
-use sparse_tensor::{Shape, SparseTriples};
+use sparse_tensor::{Shape, SparseTriples, Value};
 
 use crate::error::ConvertError;
 use crate::format::Format;
@@ -199,6 +201,54 @@ impl AnyTensor {
         }
     }
 
+    /// The nonzeros as one coordinate column per dimension, plus the values
+    /// when `with_values` is set, in the order [`AnyTensor::try_to_triples`]
+    /// lists them. COO and COO3 lend their arrays, other matrix containers
+    /// stream through [`SourceMatrix::for_each`], and only CSF and custom
+    /// tensors go through triples.
+    pub(crate) fn columns(&self, with_values: bool) -> Result<Columns<'_>, ConvertError> {
+        Ok(match self {
+            AnyTensor::Coo(m) => Columns {
+                crd: vec![m.row_indices().into(), m.col_indices().into()],
+                vals: m.values().into(),
+            },
+            AnyTensor::Coo3(c) => Columns {
+                crd: (0..c.order()).map(|d| c.crd(d).into()).collect(),
+                vals: c.values().into(),
+            },
+            AnyTensor::Csf(_) | AnyTensor::Custom(_) => {
+                let t = self.try_to_triples()?;
+                let vals: Vec<Value> = if with_values {
+                    t.iter().map(|tr| tr.value).collect()
+                } else {
+                    Vec::new()
+                };
+                let crd = t.columns().into_iter().map(Cow::Owned).collect();
+                Columns {
+                    crd,
+                    vals: vals.into(),
+                }
+            }
+            m => {
+                let nnz = m.nnz();
+                let (mut row, mut col) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+                let mut vals = Vec::with_capacity(if with_values { nnz } else { 0 });
+                with_source!(m, s => s.for_each(|i, j, v| {
+                    row.push(i);
+                    col.push(j);
+                    if with_values {
+                        vals.push(v);
+                    }
+                }));
+                let crd = vec![row.into(), col.into()];
+                Columns {
+                    crd,
+                    vals: vals.into(),
+                }
+            }
+        })
+    }
+
     /// Converts to canonical triples (padding skipped).
     ///
     /// # Errors
@@ -251,6 +301,15 @@ impl AnyTensor {
         };
         convert(&source, format)
     }
+}
+
+/// A tensor's nonzeros as coordinate columns: see [`AnyTensor::columns`].
+#[derive(Default)]
+pub(crate) struct Columns<'a> {
+    /// One column per dimension.
+    pub(crate) crd: Vec<Cow<'a, [usize]>>,
+    /// The values (empty unless asked for).
+    pub(crate) vals: Cow<'a, [Value]>,
 }
 
 /// Converts a tensor to the requested target format — the single public

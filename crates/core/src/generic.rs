@@ -5,12 +5,18 @@
 //! matrix into *any* format described by a [`FormatSpec`] — including
 //! user-defined custom formats — by literally executing the recipe of
 //! Figure 12 with level assemblers, the remapping evaluator, and the
-//! attribute-query evaluator. It is slower than the engine (that gap is
-//! measured by the `ablations` benchmark) but places no restriction on the
-//! level composition.
+//! attribute-query evaluator. The driver is columnar: the source is read as
+//! coordinate columns, remapped into one row-major buffer, analysed with
+//! hash-free counting passes ([`sparse_tensor::stats::distinct_pairs`]) and
+//! assembled level by level. It is slower than the engine (`bench_e2e`'s
+//! `generic.over_engine.*` rows measure the gap, and `convprof` splits it
+//! into `generic.remap`, `generic.analyse` and `generic.assemble`) but
+//! places no restriction on the level composition.
 
 use std::collections::HashMap;
 
+use obs::Span;
+use sparse_tensor::stats::{distinct_pairs, Dense};
 use sparse_tensor::{DimBounds, Shape, Value};
 
 use crate::convert::AnyTensor;
@@ -19,7 +25,7 @@ use crate::levels::{
     BandedLevel, CompressedLevel, DenseLevel, EdgeInsertion, HashedLevel, LevelAssembler,
     LevelKind, LevelProperties, PositionKind, SingletonLevel, SlicedLevel, SqueezedLevel,
 };
-use crate::query::eval::evaluate_on_coords;
+use crate::query::eval::evaluate_on_rows;
 use crate::query::{AttrQuery, QueryResult};
 use crate::remap::{BoundsEnv, EvalContext, Remapping};
 use crate::spec::FormatSpec;
@@ -382,13 +388,16 @@ pub fn make_assembler(kind: LevelKind, bounds: DimBounds) -> AnyLevel {
 /// # Errors
 ///
 /// Returns an error when the source's order does not match the spec's
-/// remapping, the remapping or a query fails to evaluate, or the spec's
-/// level composition requires edge insertion under a non-full ancestor that
-/// is not an ordered chain of dense/compressed levels (the one grouping the
-/// dynamic driver can reconstruct by sorting, as in CSF).
+/// remapping, the remapping or a query fails to evaluate, the remapped
+/// coordinates hold a duplicate, the positions of the spec's full levels
+/// number more than `usize::MAX`, or the spec's level composition requires
+/// edge insertion under a non-full ancestor that is not an ordered chain of
+/// dense/compressed levels (the one grouping the dynamic driver can
+/// reconstruct by sorting, as in CSF).
 pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTensor, ConvertError> {
     spec.validate()?;
-    let triples = src.try_to_triples()?;
+    let span = Span::enter("generic.remap");
+    let source = src.columns(true)?;
     let shape = src.shape();
     if shape.order() != spec.remapping.source_order() {
         return Err(ConvertError::Unsupported(format!(
@@ -399,71 +408,83 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
         )));
     }
 
-    // Phase 1: coordinate remapping (Section 4).
+    // Phase 1: coordinate remapping (Section 4), into one row-major buffer
+    // of `o` coordinates per nonzero.
     let remapping: &Remapping = &spec.remapping;
-    let mut ctx = EvalContext::new(remapping);
-    let mut remapped = ctx.apply_all(&triples)?;
+    let crd: Vec<&[usize]> = source.crd.iter().map(|c| &c[..]).collect();
+    let mut rows = EvalContext::new(remapping).apply_columns(&crd)?;
+    let (o, mut vals) = (remapping.dest_order(), source.vals);
+    let src_nnz = vals.len();
 
-    // A banded level stores one contiguous run per parent fiber, bounded
-    // above by the parent dimension's coordinate (the skyline profile).
-    // Nonzeros above that bound fall outside every run, so they are dropped
-    // here — exactly what the engine's skyline kernel does when it converts
-    // the lower triangle of its source.
-    for (k, kind) in spec.levels.iter().enumerate() {
-        if matches!(kind, LevelKind::Banded) && k > 0 {
-            remapped.triples.retain(|(c, _)| c[k] <= c[k - 1]);
+    if spec.levels.contains(&LevelKind::Banded) || needs_prefix_grouping(&spec.levels) {
+        let row = |p: usize| &rows[p * o..(p + 1) * o];
+        // A banded level stores one contiguous run per parent fiber, bounded
+        // above by the parent dimension's coordinate (the skyline profile).
+        // Nonzeros above that bound fall outside every run, so they are
+        // dropped here — exactly what the engine's skyline kernel does when
+        // it converts the lower triangle of its source.
+        let banded = |r: &[i64], k: usize| spec.levels[k] == LevelKind::Banded && r[k] > r[k - 1];
+        let kept = |&p: &usize| !(1..spec.levels.len()).any(|k| banded(row(p), k));
+        let mut order: Vec<usize> = (0..vals.len()).filter(kept).collect();
+        // Compressed levels nested under non-full ancestors (CSF's fiber
+        // chains) need the input grouped by coordinate prefix; a stable
+        // lexicographic sort of the remapped nonzeros establishes exactly
+        // the grouping the paper's sort-then-pack COO→CSF recipe uses.
+        // Formats whose chains are full-rooted (CSR, DIA, ...) keep the
+        // source iteration order.
+        if needs_prefix_grouping(&spec.levels) {
+            order.sort_by(|&a, &b| row(a).cmp(row(b)));
         }
+        vals = order.iter().map(|&p| vals[p]).collect::<Vec<_>>().into();
+        rows = order.iter().flat_map(|&p| row(p)).copied().collect();
     }
+    let n = vals.len();
+    let row = |p: usize| &rows[p * o..(p + 1) * o];
+    span.add_items(n as u64);
+    drop(span);
 
-    // Compressed levels nested under non-full ancestors (CSF's fiber chains)
-    // need the input grouped by coordinate prefix; a stable lexicographic
-    // sort of the remapped nonzeros establishes exactly the grouping the
-    // paper's sort-then-pack COO→CSF recipe uses. Formats whose chains are
-    // full-rooted (CSR, DIA, ...) keep the source iteration order.
-    if needs_prefix_grouping(&spec.levels) {
-        remapped.triples.sort_by(|a, b| a.0.cmp(&b.0));
-        // The dynamic driver sizes compressed levels from count-*distinct*
-        // queries, so duplicate coordinates (which the monomorphised engine
-        // stores as adjacent innermost entries) cannot be assembled here;
-        // reject them instead of overrunning the coordinate arrays. The sort
-        // above makes the check a free adjacent comparison.
-        if remapped.triples.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(ConvertError::Unsupported(format!(
-                "the dynamic converter requires duplicate-free coordinates for {} \
-                 targets; sum duplicates first (the engine path stores them verbatim)",
-                spec.name
-            )));
-        }
+    // The dynamic driver sizes compressed levels from count-*distinct*
+    // queries and gives each storage coordinate tuple one position, so
+    // duplicate coordinates (which the monomorphised engine stores as
+    // adjacent entries) cannot be assembled here; reject them instead of
+    // overrunning or overwriting level arrays.
+    let span = Span::enter("generic.analyse");
+    span.add_items(n as u64);
+    let (first, extent) = offsets(&rows, o, 0);
+    let mut tuples = Dense::new(&first, extent);
+    for k in 1..o {
+        let (col, extent) = offsets(&rows, o, k);
+        tuples = distinct_pairs(&tuples, &Dense::new(&col, extent)).0;
+    }
+    if tuples.distinct() < n {
+        return Err(ConvertError::Unsupported(format!(
+            "the dynamic converter requires duplicate-free coordinates for {} \
+             targets; sum duplicates first (the engine path stores them verbatim)",
+            spec.name
+        )));
     }
 
     // Static bounds of each remapped dimension, used to size dense, squeezed,
     // and counter-derived dimensions.
-    let env = BoundsEnv::for_remapping(remapping, shape.dims()).with_nnz(triples.nnz());
+    let env = BoundsEnv::for_remapping(remapping, shape.dims()).with_nnz(src_nnz);
     let bounds = crate::remap::infer_bounds(remapping, &env)?;
 
     // Phase 2: analysis (Section 5) — evaluate each level's attribute query
     // over the remapped coordinates.
-    let coords: Vec<Vec<i64>> = remapped.triples.iter().map(|(c, _)| c.clone()).collect();
     let mut queries: Vec<Option<QueryResult>> = Vec::with_capacity(spec.levels.len());
     let mut assemblers: Vec<AnyLevel> = Vec::with_capacity(spec.levels.len());
     for (k, kind) in spec.levels.iter().enumerate() {
         let assembler = make_assembler(*kind, bounds[k]);
-        match assembler.required_query(&spec.dim_names, k) {
-            Some(query) => {
-                let result = evaluate_on_coords(
-                    &query,
-                    &spec.dim_names,
-                    &bounds,
-                    coords.iter().map(|c| c.as_slice()),
-                )?;
-                queries.push(Some(result));
-            }
-            None => queries.push(None),
-        }
+        let query = assembler.required_query(&spec.dim_names, k);
+        let eval = |q: AttrQuery| evaluate_on_rows(&q, &spec.dim_names, &bounds, n, &rows);
+        queries.push(query.map(eval).transpose()?);
         assemblers.push(assembler);
     }
+    drop(span);
 
     // Phase 3: assembly (Section 6, Figure 12), level by level from the top.
+    let span = Span::enter("generic.assemble");
+    span.add_items(n as u64);
     let mut parent_sizes = Vec::with_capacity(spec.levels.len());
     let mut parent_size = 1usize;
     for k in 0..assemblers.len() {
@@ -480,41 +501,20 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
             // in sorted order, so parent position `p` is exactly the `p`-th
             // distinct coordinate prefix in lexicographic order. (A full
             // level *below* a compressed one breaks that correspondence —
-            // its positions are gappy arithmetic, not ranks — so validate
-            // rejects such chains.)
+            // its positions are gappy arithmetic, not ranks — so
+            // `FormatSpec::validate` rejects such chains.)
             let ancestors_full = spec.levels[..k]
                 .iter()
                 .all(|a| matches!(a, LevelKind::Dense | LevelKind::Sliced));
-            let ancestors_chainable = {
-                let mut seen_compressed = false;
-                spec.levels[..k].iter().all(|a| match a {
-                    LevelKind::Compressed => {
-                        seen_compressed = true;
-                        true
-                    }
-                    LevelKind::Dense | LevelKind::Sliced => !seen_compressed,
-                    _ => false,
-                })
-            };
-            if k > 0 && !ancestors_full && !ancestors_chainable {
-                // Unreachable after `spec.validate()`; kept as
-                // defense-in-depth for specs constructed around it.
-                return Err(ConvertError::UnsupportedSpec {
-                    reason: format!(
-                        "level {k} ({}) needs edge insertion under an \
-                         ancestor chain that is not full levels followed \
-                         by compressed levels",
-                        spec.levels[k]
-                    ),
-                });
-            }
-            let parents = if ancestors_full {
-                // Enumerate over each ancestor's *assembled* fanout, not the
-                // static bounds: a sliced level is dense over its
+            assembler.init_edges(parent_size, true, q);
+            if ancestors_full {
+                // An odometer over each ancestor's *assembled* fanout, not
+                // the static bounds: a sliced level is dense over its
                 // data-dependent slice count `K` (0 for an empty input, and
-                // generally at most the dimension extent), and its positions
-                // are `parent * K + coord` with raw 0-based coordinates.
-                let eff_bounds: Vec<DimBounds> = ancestors
+                // generally at most the dimension extent), with raw 0-based
+                // coordinates. Position `p` is the `p`-th tuple in
+                // lexicographic order; there are `parent_size` of them.
+                let eff: Vec<DimBounds> = ancestors
                     .iter()
                     .zip(&bounds[..k])
                     .map(|(a, b)| match a {
@@ -522,68 +522,91 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
                         _ => *b,
                     })
                     .collect();
-                enumerate_full_positions(&eff_bounds)
+                let mut coords: Vec<i64> = eff.iter().map(|b| b.lower).collect();
+                for p in 0..parent_size {
+                    assembler.insert_edges(p, &coords, true, q);
+                    for (c, b) in coords.iter_mut().zip(&eff).rev() {
+                        *c += 1;
+                        if *c < b.upper {
+                            break;
+                        }
+                        *c = b.lower;
+                    }
+                }
             } else {
-                enumerate_prefix_positions(&remapped.triples, k)
-            };
-            debug_assert!(
-                ancestors_full || parents.len() == parent_size,
-                "distinct prefixes must match the assembled parent size"
-            );
-            assembler.init_edges(parent_size, true, q);
-            for (pos, parent_coords) in parents {
-                assembler.insert_edges(pos, &parent_coords, true, q);
+                let mut count = 0;
+                for p in 0..n {
+                    let prefix = &row(p)[..k];
+                    if p == 0 || prefix != &row(p - 1)[..k] {
+                        assembler.insert_edges(count, prefix, true, q);
+                        count += 1;
+                    }
+                }
+                debug_assert_eq!(count, parent_size, "one parent per distinct prefix");
             }
             assembler.finalize_edges(parent_size, true);
         }
         assembler.init_coords(parent_size, q);
         assembler.init_pos(parent_size);
-        parent_size = assembler.size(parent_size);
+        parent_size = match spec.levels[k] {
+            // Full levels multiply their parents' positions by a fanout.
+            LevelKind::Dense | LevelKind::Sliced | LevelKind::Squeezed => {
+                parent_size.checked_mul(assembler.size(1)).ok_or_else(|| {
+                    ConvertError::Unsupported(format!(
+                        "format {}: levels 0..={k} have more than usize::MAX positions",
+                        spec.name
+                    ))
+                })?
+            }
+            _ => assembler.size(parent_size),
+        };
     }
     let total = parent_size;
 
-    // Coordinate insertion: one pass over the remapped nonzeros, walking the
-    // level chain to compute each nonzero's position. Levels that yield
-    // positions but must stay duplicate-free (e.g. an intermediate block
-    // level) are deduplicated on the fly, as Section 6.2 describes.
-    let mut vals = vec![0.0; total];
-    let mut dedup: Vec<HashMap<(usize, i64), usize>> =
-        (0..spec.levels.len()).map(|_| HashMap::new()).collect();
-    for (coord, value) in &remapped.triples {
-        let mut pos = 0usize;
-        for (k, assembler) in assemblers.iter_mut().enumerate() {
-            let prefix = &coord[..=k];
-            let is_last = k + 1 == spec.levels.len();
-            let needs_dedup = assembler.position_kind() == PositionKind::Yield
-                && !is_last
-                && assembler.properties().unique;
-            let next = if needs_dedup {
-                let key = (pos, coord[k]);
-                if let Some(&existing) = dedup[k].get(&key) {
-                    existing
-                } else {
-                    let fresh = assembler.position(pos, prefix);
-                    assembler.insert_coord(pos, fresh, prefix);
-                    dedup[k].insert(key, fresh);
-                    fresh
+    // Coordinate insertion, one level at a time over all nonzeros in order:
+    // `pos[p]` walks nonzero `p` down the level chain. Each assembler sees
+    // the same calls in the same order as in a nonzero-at-a-time walk.
+    let mut pos = vec![0usize; n];
+    for (k, assembler) in assemblers.iter_mut().enumerate() {
+        let needs_dedup = assembler.position_kind() == PositionKind::Yield
+            && k + 1 < spec.levels.len()
+            && assembler.properties().unique;
+        let mut insert = |parent: usize, p: usize| {
+            let fresh = assembler.position(parent, &row(p)[..=k]);
+            assembler.insert_coord(parent, fresh, &row(p)[..=k]);
+            fresh
+        };
+        if needs_dedup {
+            // A yield level inside the chain (e.g. an intermediate block
+            // level) must stay duplicate-free, as Section 6.2 describes: the
+            // first nonzero of each (parent position, coordinate) pair takes
+            // a fresh position, and the others share it.
+            let parents = pos.iter().max().map_or(0, |&m| m + 1);
+            let (col, extent) = offsets(&rows, o, k);
+            let ids = distinct_pairs(&Dense::new(&pos, parents), &Dense::new(&col, extent)).0;
+            let mut first = vec![usize::MAX; ids.extent];
+            for (p, &id) in ids.idx.iter().enumerate() {
+                if first[id] == usize::MAX {
+                    first[id] = insert(pos[p], p);
                 }
-            } else {
-                let fresh = assembler.position(pos, prefix);
-                assembler.insert_coord(pos, fresh, prefix);
-                fresh
-            };
-            pos = next;
+                pos[p] = first[id];
+            }
+        } else {
+            for (p, slot) in pos.iter_mut().enumerate() {
+                *slot = insert(*slot, p);
+            }
         }
-        // Levels whose size is only known as coordinates are interned (e.g.
-        // hashed levels) grow the value array on demand.
-        if pos >= vals.len() {
-            vals.resize(pos + 1, 0.0);
-        }
-        vals[pos] = *value;
     }
     for (k, assembler) in assemblers.iter_mut().enumerate() {
         assembler.finalize_pos(parent_sizes[k]);
     }
+    // Levels whose size is only known as coordinates are interned (e.g.
+    // hashed levels) grow the value array on demand.
+    let mut out = vec![0.0; total.max(pos.iter().max().map_or(0, |&m| m + 1))];
+    for (&q, &v) in pos.iter().zip(vals.iter()) {
+        out[q] = v;
+    }
+    drop(span);
 
     // Extract per-level outputs.
     let levels: Vec<LevelOutput> = assemblers
@@ -594,11 +617,21 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
     Ok(CustomTensor {
         spec: spec.clone(),
         levels,
-        vals,
+        vals: out,
         source_shape: shape,
         bounds,
-        nnz: remapped.triples.len(),
+        nnz: n,
     })
+}
+
+/// Column `k` of `rows` (`o` coordinates per nonzero) as offsets from its
+/// least coordinate, and one past the largest offset.
+fn offsets(rows: &[i64], o: usize, k: usize) -> (Vec<usize>, usize) {
+    let col = rows.iter().skip(k).step_by(o);
+    let lo = col.clone().min().copied().unwrap_or(0);
+    let offsets: Vec<usize> = col.map(|&c| c.abs_diff(lo) as usize).collect();
+    let extent = offsets.iter().max().map_or(0, |&m| m + 1);
+    (offsets, extent)
 }
 
 /// True when some compressed-like level sits under a non-full ancestor, so
@@ -619,37 +652,6 @@ pub fn needs_prefix_grouping(levels: &[LevelKind]) -> bool {
                 .iter()
                 .all(|a| matches!(a, LevelKind::Dense | LevelKind::Sliced))
     })
-}
-
-/// Enumerates the distinct coordinate prefixes of length `k` of
-/// lexicographically sorted nonzeros, paired with their positions (ranks).
-fn enumerate_prefix_positions(sorted: &[(Vec<i64>, Value)], k: usize) -> Vec<(usize, Vec<i64>)> {
-    let mut out: Vec<(usize, Vec<i64>)> = Vec::new();
-    for (coord, _) in sorted {
-        let prefix = &coord[..k];
-        if out.last().is_none_or(|(_, p)| p.as_slice() != prefix) {
-            out.push((out.len(), prefix.to_vec()));
-        }
-    }
-    out
-}
-
-/// Enumerates the positions (and coordinate tuples) of a chain of full
-/// levels, in position order.
-fn enumerate_full_positions(bounds: &[DimBounds]) -> Vec<(usize, Vec<i64>)> {
-    let mut out = vec![(0usize, Vec::new())];
-    for b in bounds {
-        let mut next = Vec::with_capacity(out.len() * b.extent());
-        for (pos, coords) in &out {
-            for (offset, c) in (b.lower..b.upper).enumerate() {
-                let mut extended = coords.clone();
-                extended.push(c);
-                next.push((pos * b.extent() + offset, extended));
-            }
-        }
-        out = next;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -841,6 +843,45 @@ mod tests {
             convert_with_spec(&AnyTensor::Coo3(coo), &spec),
             Err(ConvertError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn overflowing_full_level_positions_are_typed_errors() {
+        // Two dense levels over a 2^33 x 2^33 matrix have 2^66 positions.
+        let side = 1usize << 33;
+        let t = SparseTriples::from_matrix_entries(side, side, vec![(side - 1, 3, 1.0)]).unwrap();
+        let src = AnyTensor::Coo(CooMatrix::from_triples(&t));
+        let dense = FormatSpec::new(
+            "DENSE2",
+            Remapping::identity(2),
+            vec!["i", "j"],
+            vec![LevelKind::Dense, LevelKind::Dense],
+        );
+        assert!(matches!(
+            convert_with_spec(&src, &dense),
+            Err(ConvertError::Unsupported(msg)) if msg.contains("usize::MAX positions")
+        ));
+        // Under a compressed level the same product is the group-by space of
+        // its `count` query, which overflows first.
+        let t = sparse_tensor::example::example3_tensor();
+        let mut wide =
+            SparseTriples::new(sparse_tensor::Shape::tensor3(side, side, t.shape().dim(2)));
+        for tr in t.iter() {
+            wide.push(tr.coord.clone(), tr.value).unwrap();
+        }
+        let src = AnyTensor::Coo3(sparse_formats::CooTensor::from_triples(&wide));
+        let spec = FormatSpec::new(
+            "DDC",
+            Remapping::identity(3),
+            vec!["i", "j", "k"],
+            vec![LevelKind::Dense, LevelKind::Dense, LevelKind::Compressed],
+        );
+        assert_eq!(
+            convert_with_spec(&src, &spec),
+            Err(ConvertError::Query(
+                crate::query::QueryError::GroupSpaceOverflow
+            ))
+        );
     }
 
     #[test]

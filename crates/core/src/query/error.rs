@@ -26,6 +26,9 @@ pub enum QueryError {
         /// Number supplied.
         found: usize,
     },
+    /// The group-by coordinate space has more points than `usize::MAX`, so
+    /// no dense result table can hold it.
+    GroupSpaceOverflow,
     /// A Table 1 transformation was applied to a statement that does not
     /// satisfy its preconditions.
     PreconditionViolated(&'static str),
@@ -50,6 +53,9 @@ impl fmt::Display for QueryError {
             }
             QueryError::ArityMismatch { expected, found } => {
                 write!(f, "expected {expected} coordinates, found {found}")
+            }
+            QueryError::GroupSpaceOverflow => {
+                write!(f, "the group-by space has more than usize::MAX points")
             }
             QueryError::PreconditionViolated(rule) => {
                 write!(

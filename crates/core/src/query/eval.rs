@@ -1,14 +1,14 @@
 //! Attribute query evaluation.
 //!
 //! [`QueryResult`] is the dense result representation the assembly abstraction
-//! consumes (Section 6 passes `Qk` / `qk` arguments to level functions), and
-//! [`evaluate_on_coords`] is the reference evaluator: it aggregates directly
-//! over a stream of (remapped) coordinates. The conversion engine in
-//! The conversion engine computes the same results through optimised paths (e.g. `pos`
+//! consumes (Section 6 passes `Qk` / `qk` arguments to level functions).
+//! [`evaluate_on_rows`] answers a query over a row-major coordinate buffer
+//! with counting passes and no hashing; [`evaluate_on_coords`] is the same
+//! evaluator over a stream of coordinate slices. The conversion engine
+//! computes the same results through optimised paths (e.g. `pos`
 //! differencing for CSR sources) and is tested against this evaluator.
 
-use std::collections::HashSet;
-
+use sparse_tensor::stats::{distinct_pairs, Dense};
 use sparse_tensor::DimBounds;
 
 use crate::query::ast::{Aggregate, AttrQuery};
@@ -188,7 +188,8 @@ impl QueryResult {
 }
 
 /// Evaluates an attribute query over a stream of coordinates in the
-/// (remapped) coordinate space the query ranges over.
+/// (remapped) coordinate space the query ranges over: collects them into one
+/// row-major buffer for [`evaluate_on_rows`].
 ///
 /// `dim_names` names each dimension of that space and `bounds` gives its
 /// coordinate bounds; the query's variables must refer to those names.
@@ -196,14 +197,53 @@ impl QueryResult {
 /// # Errors
 ///
 /// Returns an error when the query mentions unknown dimensions, a coordinate
-/// has the wrong arity, or a coordinate falls outside the declared bounds.
+/// has the wrong arity, a coordinate falls outside the declared bounds, or
+/// the group-by space has more than `usize::MAX` points. The first error in
+/// coordinate order wins.
 pub fn evaluate_on_coords<'a>(
     query: &AttrQuery,
     dim_names: &[String],
     bounds: &[DimBounds],
     coords: impl Iterator<Item = &'a [i64]>,
 ) -> Result<QueryResult, QueryError> {
-    assert_eq!(dim_names.len(), bounds.len(), "one bound per dimension");
+    let (mut rows, mut nnz) = (Vec::new(), 0);
+    for coord in coords {
+        if coord.len() != dim_names.len() {
+            // An unknown name or an earlier out-of-bounds coordinate wins.
+            evaluate_on_rows(query, dim_names, bounds, nnz, &rows)?;
+            let (expected, found) = (dim_names.len(), coord.len());
+            return Err(QueryError::ArityMismatch { expected, found });
+        }
+        rows.extend_from_slice(coord);
+        nnz += 1;
+    }
+    evaluate_on_rows(query, dim_names, bounds, nnz, &rows)
+}
+
+/// Evaluates an attribute query over `nnz` coordinates stored row-major in
+/// `rows` (coordinate `p` is `rows[p * order..][..order]`, one entry per
+/// dimension), in counting passes: group offsets are built one column at a
+/// time, `count` numbers the distinct tuples with [`distinct_pairs`], and
+/// `id`, `min` and `max` update the result arrays directly.
+///
+/// # Errors
+///
+/// As [`evaluate_on_coords`], but every coordinate has the right arity.
+///
+/// # Panics
+///
+/// Panics unless there is one bound per dimension name and `rows` holds
+/// `nnz` coordinates.
+pub fn evaluate_on_rows(
+    query: &AttrQuery,
+    dim_names: &[String],
+    bounds: &[DimBounds],
+    nnz: usize,
+    rows: &[i64],
+) -> Result<QueryResult, QueryError> {
+    let order = bounds.len();
+    assert_eq!(dim_names.len(), order, "one bound per dimension");
+    assert_eq!(rows.len(), nnz * order, "one row per coordinate");
     let dim_of = |name: &str| -> Result<usize, QueryError> {
         dim_names
             .iter()
@@ -215,62 +255,58 @@ pub fn evaluate_on_coords<'a>(
         .iter()
         .map(|g| dim_of(g))
         .collect::<Result<_, _>>()?;
-    let group_bounds: Vec<DimBounds> = group_dims.iter().map(|&d| bounds[d]).collect();
-    let mut result = QueryResult::new(query, group_bounds);
-
-    // Per-field auxiliary state for `count` distinctness.
-    let mut field_dims: Vec<Vec<usize>> = Vec::with_capacity(query.fields.len());
-    for field in &query.fields {
-        let dims = field
-            .aggregate
-            .vars()
-            .iter()
-            .map(|v| dim_of(v))
-            .collect::<Result<Vec<_>, _>>()?;
-        field_dims.push(dims);
-    }
-    let mut seen: Vec<HashSet<Vec<i64>>> = vec![HashSet::new(); query.fields.len()];
-
-    for coord in coords {
-        if coord.len() != dim_names.len() {
-            return Err(QueryError::ArityMismatch {
-                expected: dim_names.len(),
-                found: coord.len(),
+    let field_dims: Vec<Vec<usize>> = query
+        .fields
+        .iter()
+        .map(|f| f.aggregate.vars().into_iter().map(dim_of).collect())
+        .collect::<Result<_, _>>()?;
+    for (x, (&c, b)) in rows.iter().zip(bounds.iter().cycle()).enumerate() {
+        if !b.contains(c) {
+            let dimension = x % order;
+            return Err(QueryError::CoordinateOutOfBounds {
+                coordinate: c,
+                dimension,
             });
         }
-        for (d, (&c, b)) in coord.iter().zip(bounds).enumerate() {
-            if !b.contains(c) {
-                return Err(QueryError::CoordinateOutOfBounds {
-                    coordinate: c,
-                    dimension: d,
-                });
-            }
-        }
-        let group_coord: Vec<i64> = group_dims.iter().map(|&d| coord[d]).collect();
-        let group_off = result.offset(&group_coord);
-        for (f, field) in query.fields.iter().enumerate() {
-            match &field.aggregate {
-                Aggregate::Id => {
-                    result.data[f][group_off] = 1;
+    }
+    let group_bounds: Vec<DimBounds> = group_dims.iter().map(|&d| bounds[d]).collect();
+    let groups = group_bounds
+        .iter()
+        .try_fold(1usize, |n, b| n.checked_mul(b.extent()))
+        .ok_or(QueryError::GroupSpaceOverflow)?;
+    let mut result = QueryResult::new(query, group_bounds);
+
+    let col = |d: usize| rows.iter().skip(d).step_by(order.max(1)).copied();
+    let offsets = |d: usize| col(d).map(move |c| (c - bounds[d].lower) as usize);
+    let mut group = vec![0usize; nnz];
+    for &d in &group_dims {
+        let extent = bounds[d].extent();
+        group
+            .iter_mut()
+            .zip(offsets(d))
+            .for_each(|(g, c)| *g = *g * extent + c);
+    }
+    for ((field, dims), data) in query.fields.iter().zip(&field_dims).zip(&mut result.data) {
+        let cells = group.iter().copied();
+        match &field.aggregate {
+            Aggregate::Id => cells.for_each(|g| data[g] = 1),
+            Aggregate::Max(_) => cells
+                .zip(col(dims[0]))
+                .for_each(|(g, c)| data[g] = data[g].max(c)),
+            Aggregate::Min(_) => cells
+                .zip(col(dims[0]))
+                .for_each(|(g, c)| data[g] = data[g].min(c)),
+            Aggregate::Count(_) => {
+                // Number the distinct (group, counted...) tuples, then count
+                // each tuple once, at its first nonzero.
+                let mut key = Dense::new(&group, groups);
+                for &d in dims {
+                    let val: Vec<usize> = offsets(d).collect();
+                    key = distinct_pairs(&key, &Dense::new(&val, bounds[d].extent())).0;
                 }
-                Aggregate::Count(_) => {
-                    // Count distinct subtensors: key on the group coordinate
-                    // plus the counted coordinates.
-                    let mut key = group_coord.clone();
-                    key.extend(field_dims[f].iter().map(|&d| coord[d]));
-                    if seen[f].insert(key) {
-                        result.data[f][group_off] += 1;
-                    }
-                }
-                Aggregate::Max(_) => {
-                    let c = coord[field_dims[f][0]];
-                    let slot = &mut result.data[f][group_off];
-                    *slot = (*slot).max(c);
-                }
-                Aggregate::Min(_) => {
-                    let c = coord[field_dims[f][0]];
-                    let slot = &mut result.data[f][group_off];
-                    *slot = (*slot).min(c);
+                let mut seen = vec![false; key.extent];
+                for (g, &k) in cells.zip(key.idx.iter()) {
+                    data[g] += i64::from(!std::mem::replace(&mut seen[k], true));
                 }
             }
         }

@@ -5,12 +5,17 @@
 //! its coordinates to produce the remapped coordinates. Counters (`#i...`)
 //! are stateful: they count how many nonzeros with the same values of the
 //! listed index variables have been seen so far, in iteration order.
+//!
+//! [`EvalContext::apply_columns`] evaluates a whole tensor at once, one
+//! expression over every nonzero at a time: a counter is read off
+//! occurrence ranks, and the result is one flat row-major buffer.
 
 use std::collections::HashMap;
 
+use sparse_tensor::stats::{distinct_pairs, Dense};
 use sparse_tensor::{Coord, DimBounds, SparseTriples, Value};
 
-use crate::remap::ast::{BinOp, DstIndex, IndexExpr, Remapping};
+use crate::remap::ast::{BinOp, IndexExpr, Remapping};
 use crate::remap::error::RemapError;
 
 /// State of every counter appearing in a remapping.
@@ -153,62 +158,145 @@ impl<'a> EvalContext<'a> {
                 found: source.len(),
             });
         }
-        let mut out = Vec::with_capacity(self.remap.dest_order());
-        let dst: &[DstIndex] = &self.remap.dst;
-        for d in dst {
-            let mut lets: HashMap<String, i64> = HashMap::new();
-            for (name, expr) in &d.lets {
-                let v = self.eval_expr(expr, source, &lets)?;
-                lets.insert(name.clone(), v);
-            }
-            out.push(self.eval_expr(&d.expr, source, &lets)?);
-        }
-        Ok(out)
+        // One nonzero's columns; a negative coordinate survives the round
+        // trip through `usize`.
+        let cols: Vec<[usize; 1]> = source.iter().map(|&c| [c as usize]).collect();
+        let cols: Vec<&[usize]> = cols.iter().map(|c| &c[..]).collect();
+        let mut state = std::mem::take(&mut self.counters);
+        let out = self.run(1, &cols, &mut Counters::State(&mut state));
+        self.counters = state;
+        out
     }
 
-    fn eval_expr(
-        &mut self,
+    /// Remaps a tensor given as coordinate columns (`crd[d][p]` is nonzero
+    /// `p`'s coordinate in dimension `d`) into one row-major buffer: nonzero
+    /// `p`'s remapped coordinates are `out[p * dest_order..][..dest_order]`.
+    /// The result and the errors are those of [`EvalContext::apply_all`] on
+    /// the same nonzeros in the same order; the counter state is neither
+    /// read nor advanced.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation errors, at the first nonzero that raises one.
+    pub fn apply_columns(&self, crd: &[&[usize]]) -> Result<Vec<i64>, RemapError> {
+        let n = crd.first().map_or(0, |c| c.len());
+        if crd.len() != self.remap.source_order() && n > 0 {
+            let (expected, found) = (self.remap.source_order(), crd.len());
+            return Err(RemapError::ArityMismatch { expected, found });
+        }
+        let mut uses = Vec::new();
+        for d in &self.remap.dst {
+            d.lets
+                .iter()
+                .map(|(_, e)| e)
+                .chain([&d.expr])
+                .for_each(|e| count_uses(e, &mut uses));
+        }
+        self.run(n, crd, &mut Counters::Ranks(uses))
+    }
+
+    /// Evaluates the remapping at `n` nonzeros, one column per expression,
+    /// into rows of destination coordinates. The error is the one a
+    /// nonzero-at-a-time walk meets first: lowest nonzero, then evaluation
+    /// order.
+    fn run(&self, n: usize, src: &[&[usize]], ctr: &mut Counters) -> Result<Vec<i64>, RemapError> {
+        let (mut cols, mut first) = (Vec::with_capacity(self.remap.dest_order()), None);
+        for d in &self.remap.dst {
+            let mut lets: Vec<(&str, Vec<i64>)> = Vec::with_capacity(d.lets.len());
+            for (name, expr) in &d.lets {
+                let (col, err) = self.eval_column(expr, n, src, &lets, ctr);
+                first = earliest([first, err]);
+                lets.push((name, col));
+            }
+            let (col, err) = self.eval_column(&d.expr, n, src, &lets, ctr);
+            first = earliest([first, err]);
+            cols.push(col);
+        }
+        if let Some((_, err)) = first {
+            return Err(err);
+        }
+        let mut rows = vec![0; n * cols.len()];
+        for (d, col) in cols.iter().enumerate() {
+            let dim = rows.iter_mut().skip(d).step_by(cols.len());
+            dim.zip(col).for_each(|(x, &c)| *x = c);
+        }
+        Ok(rows)
+    }
+
+    /// Evaluates `expr` at all `n` nonzeros, given the source columns and
+    /// the let bindings in scope (latest last).
+    fn eval_column(
+        &self,
         expr: &IndexExpr,
-        source: &[i64],
-        lets: &HashMap<String, i64>,
-    ) -> Result<i64, RemapError> {
+        n: usize,
+        src: &[&[usize]],
+        lets: &[(&str, Vec<i64>)],
+        ctr: &mut Counters,
+    ) -> Column {
+        let fail = |e: RemapError| (vec![0; n], (n > 0).then_some((0, e)));
+        let unbound = |name: &String| fail(RemapError::UnboundVariable(name.clone()));
+        let dim = |name: &String| self.remap.src.iter().position(|s| s == name);
         match expr {
-            IndexExpr::Const(c) => Ok(*c),
-            IndexExpr::Var(name) => {
-                let idx = self
-                    .remap
-                    .src
-                    .iter()
-                    .position(|s| s == name)
-                    .ok_or_else(|| RemapError::UnboundVariable(name.clone()))?;
-                Ok(source[idx])
-            }
-            IndexExpr::LetVar(name) => lets
-                .get(name)
-                .copied()
-                .ok_or_else(|| RemapError::UnboundVariable(name.clone())),
-            IndexExpr::Param(name) => self
-                .params
-                .get(name)
-                .copied()
-                .ok_or_else(|| RemapError::MissingParameter(name.clone())),
+            IndexExpr::Const(c) => (vec![*c; n], None),
+            IndexExpr::Var(name) => match dim(name) {
+                Some(d) => (src[d].iter().map(|&c| c as i64).collect(), None),
+                None => unbound(name),
+            },
+            IndexExpr::LetVar(name) => match lets.iter().rev().find(|(l, _)| l == name) {
+                Some((_, col)) => (col.clone(), None),
+                None => unbound(name),
+            },
+            IndexExpr::Param(name) => match self.params.get(name) {
+                Some(&v) => (vec![v; n], None),
+                None => fail(RemapError::MissingParameter(name.clone())),
+            },
             IndexExpr::Counter(vars) => {
-                let mut key = Vec::with_capacity(vars.len());
-                for v in vars {
-                    let idx = self
-                        .remap
-                        .src
-                        .iter()
-                        .position(|s| s == v)
-                        .ok_or_else(|| RemapError::UnboundVariable(v.clone()))?;
-                    key.push(source[idx]);
+                let key: Vec<usize> = match vars.iter().map(|v| dim(v).ok_or(v)).collect() {
+                    Ok(key) => key,
+                    Err(v) => return unbound(v),
+                };
+                match ctr {
+                    Counters::State(state) => {
+                        let key = key.iter().map(|&d| src[d][0] as i64).collect();
+                        (vec![state.next(vars, key)], None)
+                    }
+                    // The `nth` use at a nonzero: the number of earlier
+                    // nonzeros with the same key tuple, times the uses per
+                    // nonzero, plus `nth`.
+                    Counters::Ranks(uses) => {
+                        let (_, per, nth) = uses
+                            .iter_mut()
+                            .find(|u| u.0 == vars)
+                            .expect("count_uses lists every counter");
+                        let mut ids = Dense {
+                            idx: vec![0; n].into(),
+                            extent: 1,
+                        };
+                        for &d in &key {
+                            let extent = src[d].iter().max().map_or(0, |&m| m + 1);
+                            ids = distinct_pairs(&ids, &Dense::new(src[d], extent)).0;
+                        }
+                        let mut seen = vec![*nth - *per; ids.extent];
+                        *nth += 1;
+                        let rank = |&k: &usize| {
+                            seen[k] += *per;
+                            seen[k]
+                        };
+                        (ids.idx.iter().map(rank).collect(), None)
+                    }
                 }
-                Ok(self.counters.next(vars, key))
             }
-            IndexExpr::Binary(op, lhs, rhs) => {
-                let l = self.eval_expr(lhs, source, lets)?;
-                let r = self.eval_expr(rhs, source, lets)?;
-                apply_binop(*op, l, r)
+            IndexExpr::Binary(op, l, r) => {
+                let (mut vals, l_err) = self.eval_column(l, n, src, lets, ctr);
+                let (rhs, r_err) = self.eval_column(r, n, src, lets, ctr);
+                let mut err = None;
+                for (p, (a, &b)) in vals.iter_mut().zip(&rhs).enumerate() {
+                    match apply_binop(*op, *a, b) {
+                        Ok(v) => *a = v,
+                        Err(e) => err = err.or(Some((p, e))),
+                    }
+                }
+                (vals, earliest([l_err, r_err, err]))
             }
         }
     }
@@ -245,6 +333,39 @@ impl<'a> EvalContext<'a> {
             source_shape: tensor.shape().clone(),
         })
     }
+}
+
+/// How [`EvalContext::apply`] and [`EvalContext::apply_columns`] evaluate
+/// counters.
+enum Counters<'s> {
+    /// At one coordinate, from (and advancing) the context's state.
+    State(&'s mut CounterState),
+    /// Over whole columns, from occurrence ranks: each counter's variables
+    /// with its uses per nonzero and the uses evaluated so far.
+    Ranks(Vec<(&'s [String], i64, i64)>),
+}
+
+/// Lists each counter in `expr` with its uses (see [`Counters::Ranks`]).
+fn count_uses<'e>(expr: &'e IndexExpr, uses: &mut Vec<(&'e [String], i64, i64)>) {
+    match expr {
+        IndexExpr::Counter(vars) => match uses.iter_mut().find(|u| u.0 == vars) {
+            Some(u) => u.1 += 1,
+            None => uses.push((vars, 1, 0)),
+        },
+        IndexExpr::Binary(_, l, r) => {
+            count_uses(l, uses);
+            count_uses(r, uses);
+        }
+        _ => {}
+    }
+}
+
+/// A column of values, and the first nonzero whose evaluation failed.
+type Column = (Vec<i64>, Option<(usize, RemapError)>);
+
+/// The error at the lowest nonzero, the first listed on a tie.
+fn earliest<const N: usize>(errs: [Option<(usize, RemapError)>; N]) -> Option<(usize, RemapError)> {
+    errs.into_iter().flatten().min_by_key(|(p, _)| *p)
 }
 
 /// A tensor in remapped coordinate space.

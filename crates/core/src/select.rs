@@ -29,9 +29,8 @@
 use obs::Span;
 use sparse_tensor::{MatrixStats, TensorStats};
 
-use crate::convert::{with_source, AnyTensor};
+use crate::convert::AnyTensor;
 use crate::format::Format;
-use crate::source::SourceMatrix;
 
 /// All six order-3 mode orderings, canonical first (the selector's tie-break
 /// order, and the sweep order the round-trip tests iterate).
@@ -72,27 +71,9 @@ impl TensorProfile {
     /// auto-selected format and the attributes the planner prices with.
     pub fn compute(t: &AnyTensor) -> Self {
         let span = Span::enter("select.profile");
-        // Columns of sources that do not store them (none if unreadable).
-        let owned: Vec<Vec<usize>> = match t {
-            AnyTensor::Coo(_) | AnyTensor::Coo3(_) => Vec::new(),
-            AnyTensor::Csf(_) | AnyTensor::Custom(_) => {
-                t.try_to_triples().map_or(Vec::new(), |tr| tr.columns())
-            }
-            m => {
-                let nnz = m.nnz();
-                let mut crd = vec![Vec::with_capacity(nnz), Vec::with_capacity(nnz)];
-                with_source!(m, s => s.for_each(|i, j, _| {
-                    crd[0].push(i);
-                    crd[1].push(j);
-                }));
-                crd
-            }
-        };
-        let crd: Vec<&[usize]> = match t {
-            AnyTensor::Coo(m) => vec![m.row_indices(), m.col_indices()],
-            AnyTensor::Coo3(c) => (0..c.order()).map(|d| c.crd(d)).collect(),
-            _ => owned.iter().map(Vec::as_slice).collect(),
-        };
+        // No columns (and so the fallback format) if unreadable.
+        let columns = t.columns(false).unwrap_or_default();
+        let crd: Vec<&[usize]> = columns.crd.iter().map(|c| &c[..]).collect();
         let shape = t.shape();
         let (selected, max_nnz_per_row) = match crd[..] {
             [row, col] => {

@@ -227,13 +227,16 @@ impl TensorStats {
 /// A coordinate column as indices below `extent`: the column itself while
 /// its extent is at most 16 × its length, else each coordinate's rank among
 /// the column's distinct values.
-struct Dense<'a> {
-    idx: Cow<'a, [usize]>,
-    extent: usize,
+pub struct Dense<'a> {
+    /// Each position's index, below `extent`.
+    pub idx: Cow<'a, [usize]>,
+    /// Bound on the indices: each is below it.
+    pub extent: usize,
 }
 
 impl<'a> Dense<'a> {
-    fn new(col: &'a [usize], extent: usize) -> Self {
+    /// Indexes `col`, whose values lie below `extent`.
+    pub fn new(col: &'a [usize], extent: usize) -> Self {
         // A borrowed column's out-of-bounds coordinates fail the indexing
         // that consumes them.
         if extent <= col.len().saturating_mul(16) {
@@ -250,7 +253,7 @@ impl<'a> Dense<'a> {
     }
 
     /// Number of distinct indices.
-    fn distinct(&self) -> usize {
+    pub fn distinct(&self) -> usize {
         let mut seen = vec![false; self.extent];
         let first = |k: &&usize| !std::mem::replace(&mut seen[**k], true);
         self.idx.iter().filter(first).count()
@@ -259,7 +262,7 @@ impl<'a> Dense<'a> {
 
 /// Numbers the distinct `(key, val)` index pairs: returns each position's
 /// pair id (the extent is the number of pairs) and the pairs per key.
-fn distinct_pairs(key: &Dense, val: &Dense) -> (Dense<'static>, Vec<usize>) {
+pub fn distinct_pairs(key: &Dense, val: &Dense) -> (Dense<'static>, Vec<usize>) {
     // Bucket positions by key (a counting sort); placing a position
     // advances `start[k]`, which ends at the next group's start.
     let mut start = vec![0usize; key.extent + 1];

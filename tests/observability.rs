@@ -5,6 +5,7 @@
 
 #![cfg(feature = "conv-obs")]
 
+use taco_conversion_repro::conv::generic::convert_with_spec;
 use taco_conversion_repro::conv::{codegen, convert_with, AnyTensor, Format, TensorProfile};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::obs::{validate_json, Collector, PhaseReport, Registry, Span};
@@ -162,6 +163,37 @@ fn generated_code_records_generate_bind_run_unpack() {
         ]
     );
     assert_eq!(children[2].items, src.nnz() as u64);
+}
+
+/// The generic driver records its three phases, in order, each counting
+/// the nonzeros it handled.
+#[test]
+fn the_generic_driver_records_remap_analyse_assemble() {
+    let src = matrix_source();
+    let format: Format = "MYBCSR:(i,j)->(i/4,j/4,i%4,j%4):bi,bj,ii,jj:dense,compressed,dense,dense"
+        .parse()
+        .unwrap();
+    let root = Span::enter_traced("test.generic");
+    let trace = root.handle().trace_id();
+    convert_with_spec(&src, format.spec().unwrap()).unwrap();
+    drop(root);
+    let records = Collector::global().take_trace(trace);
+    let root = records.iter().find(|r| r.name == "test.generic").unwrap();
+    let mut children: Vec<_> = records
+        .iter()
+        .filter(|r| r.parent == Some(root.id))
+        .collect();
+    children.sort_by_key(|r| r.start_ns);
+    let named: Vec<(&str, u64)> = children.iter().map(|r| (r.name, r.items)).collect();
+    let nnz = src.nnz() as u64;
+    assert_eq!(
+        named,
+        [
+            ("generic.remap", nnz),
+            ("generic.analyse", nnz),
+            ("generic.assemble", nnz)
+        ]
+    );
 }
 
 #[test]
