@@ -67,6 +67,13 @@ impl<'a, T> SharedSlice<'a, T> {
     }
 }
 
+/// The threads this machine can run at once (`available_parallelism`,
+/// falling back to one when it cannot be determined): the width of a
+/// machine-sized worker pool and of a loader's parse.
+pub fn machine_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Runs `work(item, span)` once per item and returns the results in item
 /// order — the only function of the conversion stack that starts
 /// threads for a fan-out.

@@ -33,3 +33,12 @@ pub const TREE_MERGE_MIN_WORK: usize = 1 << 15;
 /// 2k-nonzero requests stay inline) against `convert_large`
 /// `service.parallel_share`.
 pub const PARALLEL_NNZ_THRESHOLD: usize = 1 << 14;
+
+/// Bytes of `.mtx`/`.tns` text a loader's parse chunk holds at least: a
+/// window of `b` bytes is parsed as `clamp(b / PARSE_CHUNK_BYTES, 1,
+/// partition::machine_threads())` newline-aligned chunks, and a window is
+/// read `machine_threads()` chunks at a time. Set on `file_first_use`'s
+/// `io.mtx_load_s.*` (1.8 MB files, one 64k-entry block, parsed on every
+/// thread) against `stream_spill`'s 2^10-entry blocks (about 28 KB, one
+/// chunk, because a thread start costs more than the parse it would split).
+pub const PARSE_CHUNK_BYTES: usize = 1 << 18;

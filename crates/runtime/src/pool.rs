@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use sparse_conv::partition::fork_join;
+use sparse_conv::partition::{fork_join, machine_threads};
 use sparse_conv::ConvertError;
 
 /// A fixed-width pool of scoped worker threads.
@@ -27,13 +27,9 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the machine (`std::thread::available_parallelism`,
-    /// falling back to one worker when it cannot be determined).
+    /// A pool sized to the machine ([`machine_threads`]).
     pub fn machine_sized() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        WorkerPool::new(threads)
+        WorkerPool::new(machine_threads())
     }
 
     /// Number of workers.

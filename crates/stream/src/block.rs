@@ -34,6 +34,46 @@ impl CoordBlock {
         }
     }
 
+    /// A block from its columns: `crd[d]` holds dimension `d`'s
+    /// coordinates and `vals` the values, nonzero `p` at index `p` of each.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConvertError::Structure`] when there is not one column per
+    /// dimension, a column's length differs from `vals`', or a coordinate is
+    /// out of bounds.
+    pub fn from_columns(
+        shape: Shape,
+        crd: Vec<Vec<usize>>,
+        vals: Vec<Value>,
+    ) -> Result<Self, ConvertError> {
+        let invalid = |message: String| {
+            ConvertError::Structure(sparse_tensor::TensorError::InvalidStructure(message))
+        };
+        if crd.len() != shape.order() || crd.iter().any(|c| c.len() != vals.len()) {
+            return Err(invalid(format!(
+                "{} columns of lengths {:?} for an order-{} block of {} values",
+                crd.len(),
+                crd.iter().map(Vec::len).collect::<Vec<_>>(),
+                shape.order(),
+                vals.len()
+            )));
+        }
+        for (d, column) in crd.iter().enumerate() {
+            if let Some(c) = column.iter().find(|&&c| c >= shape.dim(d)) {
+                return Err(invalid(format!(
+                    "coordinate {c} out of bounds for dimension {d} of {shape}"
+                )));
+            }
+        }
+        Ok(CoordBlock {
+            shape,
+            crd,
+            vals,
+            sorted_by: None,
+        })
+    }
+
     /// Appends a nonzero, clearing any sorted-run metadata.
     ///
     /// # Errors
@@ -140,6 +180,14 @@ mod tests {
         assert_eq!(b.approx_bytes(), 2 * 4 * 8);
         assert!(b.push(&[0, 0], 1.0).is_err());
         assert!(b.push(&[0, 3, 0], 1.0).is_err());
+        let shape = Shape::tensor3(2, 3, 4);
+        let crd = vec![vec![1, 0], vec![2, 0], vec![3, 0]];
+        let c = CoordBlock::from_columns(shape.clone(), crd.clone(), vec![5.0, 1.0]).unwrap();
+        assert_eq!((c.crd(1), c.values()), (b.crd(1), &b.values()[..2]));
+        assert!(CoordBlock::from_columns(shape.clone(), crd.clone(), vec![5.0]).is_err());
+        assert!(CoordBlock::from_columns(shape.clone(), crd[..2].to_vec(), vec![]).is_err());
+        let outside = vec![vec![1, 0], vec![3, 0], vec![3, 0]];
+        assert!(CoordBlock::from_columns(shape, outside, vec![5.0, 1.0]).is_err());
     }
 
     #[test]

@@ -1,29 +1,34 @@
 //! Streaming loaders for the real-dataset file formats of the paper's
 //! evaluation: Matrix Market (`.mtx`, SuiteSparse) and FROSTT (`.tns`).
 //!
-//! Both loaders implement [`TensorStream`]: they read line by line and yield
-//! bounded [`CoordBlock`]s, so a file larger than memory can flow straight
-//! into `ConversionService::convert_stream` without ever being resident.
-//! Failures surface as the typed [`ConvertError::Io`] and
+//! Both loaders implement [`TensorStream`]: they read a window of lines at a
+//! time and yield bounded [`CoordBlock`]s, so a file larger than memory can
+//! flow straight into `ConversionService::convert_stream` without ever being
+//! resident. Failures surface as the typed [`ConvertError::Io`] and
 //! [`ConvertError::Parse`] variants, the latter carrying the 1-based line
 //! number.
 //!
-//! Parsing works on bytes with no per-line allocation: `read_until` into one
-//! reused buffer, fields as byte ranges, coordinates through an
-//! overflow-checked scan with `usize::from_str`'s grammar, values through
-//! `f64::from_str`. A non-ASCII line must be UTF-8 and splits on Unicode
-//! whitespace, so files read, and fail, as `str` line parsing would.
+//! Parsing works on bytes in place. Raw reads fill one reused window, cut
+//! after its last whole line (or the last line a block needs), and the
+//! window is parsed as newline-aligned chunks on `partition::fork_join`, one
+//! per [`PARSE_CHUNK_BYTES`] up to the machine's threads, appended in file
+//! order. Fields are byte ranges, coordinates go through an overflow-checked
+//! scan with `usize::from_str`'s grammar, values through `f64::from_str`. A
+//! non-ASCII line must be UTF-8 and splits on Unicode whitespace, so files
+//! read, and fail (first error in file order), as `str` line parsing would.
 //!
 //! The writers ([`write_mtx`], [`write_tns`]) exist so tests and examples can
 //! round-trip files without external data.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::ops::Range;
 use std::path::Path;
 
 use conv_stream::{CoordBlock, TensorStream};
 use obs::Span;
+use sparse_conv::partition::{fork_join, machine_threads};
+use sparse_conv::tunables::PARSE_CHUNK_BYTES;
 use sparse_conv::ConvertError;
 use sparse_formats::{CooMatrix, CooTensor};
 use sparse_tensor::Shape;
@@ -44,93 +49,85 @@ fn is_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r')
 }
 
-/// Splits `line` into fields (byte ranges of it); returns whether every
-/// field byte is ASCII.
-fn split_fields(line: &[u8], fields: &mut Vec<Range<usize>>) -> bool {
+/// Splits the line that starts `text` into fields (byte ranges of it);
+/// returns the line's length, newline included, and whether every field
+/// byte is ASCII.
+fn split_fields(text: &[u8], fields: &mut Vec<Range<usize>>) -> (usize, bool) {
     fields.clear();
     let (mut high, mut i) = (0u8, 0);
     loop {
-        while i < line.len() && is_space(line[i]) {
+        while i < text.len() && text[i] != b'\n' && is_space(text[i]) {
             i += 1;
         }
-        if i == line.len() {
-            return high < 0x80;
+        if i == text.len() || text[i] == b'\n' {
+            return ((i + 1).min(text.len()), high < 0x80);
         }
         let start = i;
-        while i < line.len() && !is_space(line[i]) {
-            high |= line[i];
+        while i < text.len() && !is_space(text[i]) {
+            high |= text[i];
             i += 1;
         }
         fields.push(start..i);
     }
 }
 
-/// A line reader that skips comments and blank lines and splits the rest
-/// into fields, reusing one byte buffer and one field vector throughout.
-#[derive(Debug)]
-struct Lines<R> {
-    reader: R,
-    buf: Vec<u8>,
-    fields: Vec<Range<usize>>,
-    /// 1-based number of the line in `buf`.
-    number: u64,
-    /// The leading comment byte (`%` for Matrix Market, `#` for FROSTT).
-    comment: u8,
+/// Counts `\n` bytes, 255 at a time into a byte-wide counter (so the
+/// compare-and-add vectorises).
+fn newlines(text: &[u8]) -> usize {
+    let count = |run: &[u8]| run.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'));
+    text.chunks(255).map(|run| usize::from(count(run))).sum()
 }
 
-impl<R: BufRead> Lines<R> {
-    /// Reads `reader`, whose first line is line `number + 1`.
-    fn new(reader: R, number: u64, comment: u8) -> Self {
-        let (buf, fields) = (Vec::new(), Vec::new());
-        Lines {
-            reader,
-            buf,
+/// A data line (neither blank nor a comment), split into fields.
+struct Line<'a> {
+    text: &'a [u8],
+    fields: &'a [Range<usize>],
+    /// 1-based, counted from the start of the parsed chunk.
+    number: u64,
+}
+
+impl<'a> Line<'a> {
+    /// Splits the line that starts `text`, line `number`; returns its
+    /// length and `None` for a blank or `comment` line. A line with
+    /// non-ASCII bytes must be UTF-8, and is split on Unicode whitespace.
+    fn split(
+        text: &'a [u8],
+        number: u64,
+        comment: u8,
+        fields: &'a mut Vec<Range<usize>>,
+    ) -> Result<(usize, Option<Self>), ConvertError> {
+        let (len, ascii) = split_fields(text, fields);
+        let text = &text[..len];
+        if !ascii {
+            let utf8 = std::str::from_utf8(text).map_err(|e| ConvertError::Io(e.to_string()))?;
+            let origin = utf8.as_ptr() as usize;
+            fields.clear();
+            fields.extend(utf8.split_whitespace().map(|field| {
+                let start = field.as_ptr() as usize - origin;
+                start..start + field.len()
+            }));
+        }
+        let data = fields.first().is_some_and(|f| text[f.start] != comment);
+        let line = data.then_some(Line {
+            text,
             fields,
             number,
-            comment,
-        }
-    }
-
-    /// Reads the next non-comment, non-blank line; `false` at end of file.
-    /// A line with non-ASCII bytes must be UTF-8, and is split on Unicode
-    /// whitespace.
-    fn next_data(&mut self) -> Result<bool, ConvertError> {
-        loop {
-            self.buf.clear();
-            if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
-                return Ok(false);
-            }
-            self.number += 1;
-            if !split_fields(&self.buf, &mut self.fields) {
-                let text =
-                    std::str::from_utf8(&self.buf).map_err(|e| ConvertError::Io(e.to_string()))?;
-                let origin = text.as_ptr() as usize;
-                self.fields.clear();
-                self.fields.extend(text.split_whitespace().map(|field| {
-                    let start = field.as_ptr() as usize - origin;
-                    start..start + field.len()
-                }));
-            }
-            if let Some(first) = self.fields.first() {
-                if self.buf[first.start] != self.comment {
-                    return Ok(true);
-                }
-            }
-        }
+        });
+        Ok((len, line))
     }
 
     fn field(&self, k: usize) -> &[u8] {
-        &self.buf[self.fields[k].clone()]
+        &self.text[self.fields[k].clone()]
     }
 
-    /// A parse error at the current line.
+    /// A parse error at this line.
     fn err(&self, message: impl Into<String>) -> ConvertError {
         parse_err(self.number, message)
     }
 
-    /// A parse error naming what the current line lacks, and the line.
+    /// A parse error naming what this line lacks, and the line.
     fn malformed(&self, needs: impl std::fmt::Display) -> ConvertError {
-        let text = String::from_utf8_lossy(&self.buf);
+        let text = String::from_utf8_lossy(self.text);
         self.err(format!("{needs}, got {}", text.trim()))
     }
 
@@ -176,6 +173,239 @@ fn parse_u64(field: &[u8]) -> Option<u64> {
     })
 }
 
+/// Reads whole lines from a `BufRead` into one reused window and parses
+/// them in chunks.
+#[derive(Debug)]
+struct Scanner<R> {
+    reader: R,
+    /// Bytes `start..end` are read and not yet handed out.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    eof: bool,
+    /// A read that failed after whole lines were held: returned once those
+    /// are handed out, so errors keep file order.
+    failed: Option<std::io::Error>,
+    /// Lines handed out so far.
+    line: u64,
+    /// The leading comment byte (`%` for Matrix Market, `#` for FROSTT).
+    comment: u8,
+    /// Most chunks a window is parsed as, and fewest bytes per chunk.
+    threads: usize,
+    floor: usize,
+}
+
+impl<R: BufRead> Scanner<R> {
+    /// Reads `reader`, whose first line is line `line + 1`.
+    fn new(reader: R, line: u64, comment: u8) -> Self {
+        Scanner {
+            reader,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            eof: false,
+            failed: None,
+            line,
+            comment,
+            threads: machine_threads(),
+            floor: PARSE_CHUNK_BYTES,
+        }
+    }
+
+    /// Hands out the next whole lines, at most `need` of them and about
+    /// `threads × PARSE_CHUNK_BYTES` bytes (more when one line is longer),
+    /// and the number of the line before them; empty at end of file, and
+    /// the file's last line may lack its newline.
+    fn window(&mut self, need: usize) -> Result<(Range<usize>, u64), ConvertError> {
+        let target = self.threads * PARSE_CHUNK_BYTES;
+        let (mut scanned, mut lines) = (self.start, 0);
+        let cut = loop {
+            // Count newlines a stripe at a time, then find the `need`th.
+            while lines < need && scanned < self.end {
+                let stripe = &self.buf[scanned..self.end.min(scanned + 256)];
+                let count = newlines(stripe);
+                if lines + count < need {
+                    (lines, scanned) = (lines + count, scanned + stripe.len());
+                    continue;
+                }
+                let k = (0..stripe.len())
+                    .filter(|&k| stripe[k] == b'\n')
+                    .nth(need - lines - 1);
+                (lines, scanned) = (need, scanned + k.expect("the stripe has that newline") + 1);
+            }
+            if lines == need {
+                break scanned;
+            }
+            // Or the last newline at least `target` bytes in.
+            let from = (self.start + target - 1).min(self.end);
+            let last = self.buf[from..self.end].iter().rposition(|&b| b == b'\n');
+            if let Some(p) = last {
+                break from + p + 1;
+            }
+            if self.eof {
+                lines += usize::from(scanned > self.start && self.buf[scanned - 1] != b'\n');
+                break self.end;
+            }
+            if self.end == self.buf.len() {
+                let held = self.end - self.start;
+                self.buf.copy_within(self.start..self.end, 0);
+                (scanned, self.end, self.start) = (scanned - self.start, held, 0);
+                if held == self.buf.len() {
+                    // Double, up to room for the window and a line crossing
+                    // its end; past that, as far as a longer line needs.
+                    let room = target + (1 << 16);
+                    let room = if held < room { room } else { 2 * held };
+                    self.buf.resize((2 * held).clamp(1 << 16, room), 0);
+                }
+            }
+            if let Some(e) = self.failed.take() {
+                return Err(e.into());
+            }
+            match self.reader.read(&mut self.buf[self.end..]) {
+                Ok(0) => self.eof = true,
+                Ok(k) => self.end += k,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if lines > 0 => {
+                    self.failed = Some(e);
+                    let last = self.buf[self.start..self.end]
+                        .iter()
+                        .rposition(|&b| b == b'\n');
+                    break self.start + last.map_or(0, |p| p + 1);
+                }
+                Err(e) => return Err(e.into()),
+            }
+        };
+        let (window, first) = (self.start..cut, self.line);
+        (self.line, self.start) = (first + lines as u64, cut);
+        Ok((window, first))
+    }
+
+    /// Reads to the next data line, one line at a time, and returns `f` of
+    /// it; `None` at end of file.
+    fn next_data<T>(
+        &mut self,
+        f: impl FnOnce(&Line) -> Result<T, ConvertError>,
+    ) -> Result<Option<T>, ConvertError> {
+        let mut fields = Vec::new();
+        loop {
+            let (window, first) = self.window(1)?;
+            if window.is_empty() {
+                return Ok(None);
+            }
+            let text = &self.buf[window];
+            if let (_, Some(line)) = Line::split(text, first + 1, self.comment, &mut fields)? {
+                return f(&line).map(Some);
+            }
+        }
+    }
+
+    /// Parses data lines until `need` are read or the file ends. Each window
+    /// is cut into `clamp(bytes / floor, 1, threads)` newline-aligned
+    /// chunks, parsed on [`fork_join`] (`io.parse`, an `io.parse_chunk` span
+    /// per chunk counting its entries): `init` makes a chunk's accumulator
+    /// from its text, `entry` parses a data line into it and returns the
+    /// entries it added, and `fold` takes the accumulators in file order.
+    /// Returns the data lines read, or the first error in file order.
+    fn read<T: Send>(
+        &mut self,
+        need: usize,
+        init: impl Fn(&[u8]) -> T + Sync,
+        entry: impl Fn(&Line, &mut T) -> Result<usize, ConvertError> + Sync,
+        mut fold: impl FnMut(T),
+    ) -> Result<usize, ConvertError> {
+        let mut got = 0;
+        while got < need {
+            let (window, mut first) = self.window(need - got)?;
+            let text = &self.buf[window];
+            if text.is_empty() {
+                break;
+            }
+            let n = (text.len() / self.floor).clamp(1, self.threads);
+            let (mut chunks, mut start) = (Vec::with_capacity(n), 0);
+            for k in 1..=n {
+                let from = (text.len() * k / n).max(start);
+                let newline = text[from..].iter().position(|&b| b == b'\n');
+                let cut = newline
+                    .filter(|_| k < n)
+                    .map_or(text.len(), |p| from + p + 1);
+                chunks.extend((cut > start).then(|| &text[start..cut]));
+                start = cut;
+            }
+            let comment = self.comment;
+            let parsed = fork_join("io.parse", "io.parse_chunk", chunks, |chunk, span| {
+                let (mut acc, mut fields) = (init(chunk), Vec::new());
+                let (mut rest, mut lines, mut data, mut items) = (chunk, 0, 0, 0);
+                while !rest.is_empty() {
+                    lines += 1;
+                    let (len, line) = Line::split(rest, lines, comment, &mut fields)?;
+                    if let Some(line) = line {
+                        (items, data) = (items + entry(&line, &mut acc)?, data + 1);
+                    }
+                    rest = &rest[len..];
+                }
+                span.add_items(items as u64);
+                Ok((acc, lines, data))
+            })?;
+            for chunk in parsed {
+                let (acc, lines, data) = chunk.map_err(|e| match e {
+                    ConvertError::Parse { line, message } => parse_err(first + line, message),
+                    e => e,
+                })?;
+                (first, got) = (first + lines, got + data);
+                fold(acc);
+            }
+        }
+        Ok(got)
+    }
+}
+
+/// A block's coordinate and value columns.
+struct Columns {
+    crd: Vec<Vec<usize>>,
+    vals: Vec<f64>,
+}
+
+impl Columns {
+    fn with_capacity(order: usize, cap: usize) -> Self {
+        let (crd, vals) = (
+            vec![Vec::with_capacity(cap); order],
+            Vec::with_capacity(cap),
+        );
+        Columns { crd, vals }
+    }
+
+    /// Appends `other`'s entries. Full columns grow to four times the
+    /// entries so far but never past `max`, so room follows the lines
+    /// actually read, and a block of a few windows moves its first entries
+    /// once.
+    fn append(&mut self, other: Columns, max: usize) {
+        if self.vals.is_empty() {
+            *self = other;
+            return;
+        }
+        let len = self.vals.len() + other.vals.len();
+        let full = len > self.vals.capacity();
+        let room = if full {
+            len.saturating_mul(4).min(max)
+        } else {
+            len
+        }
+        .max(len)
+            - self.vals.len();
+        for (column, more) in self.crd.iter_mut().zip(other.crd) {
+            column.reserve_exact(room);
+            column.extend_from_slice(&more);
+        }
+        self.vals.reserve_exact(room);
+        self.vals.extend_from_slice(&other.vals);
+    }
+
+    fn into_block(self, shape: Shape) -> CoordBlock {
+        CoordBlock::from_columns(shape, self.crd, self.vals)
+            .expect("coordinates were bounds-checked")
+    }
+}
+
 /// A streaming Matrix Market (`coordinate`) loader.
 ///
 /// Supports `real`, `integer`, and `pattern` fields (pattern entries get
@@ -185,7 +415,7 @@ fn parse_u64(field: &[u8]) -> Option<u64> {
 /// and blank lines may follow the last declared entry.
 #[derive(Debug)]
 pub struct MtxStream<R: BufRead> {
-    lines: Lines<R>,
+    scanner: Scanner<R>,
     shape: Shape,
     block_nnz: usize,
     symmetric: bool,
@@ -223,49 +453,46 @@ impl<R: BufRead> MtxStream<R> {
             return Err(parse_err(1, "empty file, expected a %%MatrixMarket banner"));
         }
         let banner: Vec<String> = buf.split_whitespace().map(str::to_lowercase).collect();
+        let bad = |message: String| Err(parse_err(1, message));
         if banner.len() < 5 || banner[0] != "%%matrixmarket" || banner[1] != "matrix" {
-            return Err(parse_err(
-                1,
-                format!("not a Matrix Market banner: {}", buf.trim()),
-            ));
+            return bad(format!("not a Matrix Market banner: {}", buf.trim()));
         }
         if banner[2] != "coordinate" {
-            return Err(parse_err(
-                1,
-                format!(
-                    "only coordinate matrices are supported, got {:?}",
-                    banner[2]
-                ),
-            ));
+            let message = "only coordinate matrices are supported, got";
+            return bad(format!("{message} {:?}", banner[2]));
         }
         let pattern = match banner[3].as_str() {
             "real" | "integer" => false,
             "pattern" => true,
-            other => return Err(parse_err(1, format!("unsupported field type {other:?}"))),
+            other => return bad(format!("unsupported field type {other:?}")),
         };
         let symmetric = match banner[4].as_str() {
             "general" => false,
             "symmetric" => true,
-            other => return Err(parse_err(1, format!("unsupported symmetry {other:?}"))),
+            other => return bad(format!("unsupported symmetry {other:?}")),
         };
-        let mut lines = Lines::new(reader, 1, b'%');
-        if !lines.next_data()? {
-            return Err(lines.err("missing size line"));
-        }
-        if lines.fields.len() != 3 {
-            return Err(lines.malformed("size line needs `rows cols nnz`"));
-        }
-        let mut dims = [0u64; 3];
-        for (k, dim) in dims.iter_mut().enumerate() {
-            *dim = parse_u64(lines.field(k)).ok_or_else(|| lines.bad_field("bad size entry", k))?;
-        }
-        let [rows, cols, declared] = dims;
-        if symmetric && rows != cols {
-            let message = format!("a symmetric matrix must be square, got {rows}x{cols}");
-            return Err(lines.err(message));
-        }
+        let mut scanner = Scanner::new(reader, 1, b'%');
+        let size = scanner.next_data(|line| {
+            if line.fields.len() != 3 {
+                return Err(line.malformed("size line needs `rows cols nnz`"));
+            }
+            let mut dims = [0u64; 3];
+            for (k, dim) in dims.iter_mut().enumerate() {
+                *dim =
+                    parse_u64(line.field(k)).ok_or_else(|| line.bad_field("bad size entry", k))?;
+            }
+            let [rows, cols, _] = dims;
+            if symmetric && rows != cols {
+                let message = format!("a symmetric matrix must be square, got {rows}x{cols}");
+                return Err(line.err(message));
+            }
+            Ok(dims)
+        })?;
+        let Some([rows, cols, declared]) = size else {
+            return Err(parse_err(scanner.line, "missing size line"));
+        };
         Ok(MtxStream {
-            lines,
+            scanner,
             shape: Shape::matrix(rows as usize, cols as usize),
             block_nnz: block_nnz.max(1),
             symmetric,
@@ -292,42 +519,46 @@ impl<R: BufRead> TensorStream for MtxStream<R> {
     }
 
     fn next_block(&mut self) -> Result<Option<CoordBlock>, ConvertError> {
-        let lines = &mut self.lines;
         if self.remaining == 0 {
-            if lines.next_data()? {
-                return Err(lines.err(format!("more than {} declared entries", self.declared)));
-            }
-            return Ok(None);
+            let declared = self.declared;
+            let more =
+                |line: &Line| Err(line.err(format!("more than {declared} declared entries")));
+            return self.scanner.next_data(more);
         }
         let span = Span::enter("io.parse_block");
         let want = (self.block_nnz as u64).min(self.remaining) as usize;
-        // A symmetric block can hold up to twice the entry lines.
-        let cap = if self.symmetric { want * 2 } else { want };
-        let mut block = CoordBlock::with_capacity(self.shape.clone(), cap);
-        let expected = if self.pattern { 2 } else { 3 };
-        for _ in 0..want {
-            if !lines.next_data()? {
-                let unread = self.remaining;
-                return Err(lines.err(format!("file ended with {unread} declared entries unread")));
+        // A symmetric entry line can add its mirror.
+        let per_line = 1 + usize::from(self.symmetric);
+        let (shape, pattern, symmetric) = (&self.shape, self.pattern, self.symmetric);
+        let expected = if pattern { 2 } else { 3 };
+        let mut block = Columns::with_capacity(2, 0);
+        let init = |chunk: &[u8]| Columns::with_capacity(2, (newlines(chunk) + 1) * per_line);
+        let entry = |line: &Line, cols: &mut Columns| {
+            if line.fields.len() != expected {
+                return Err(line.malformed(format!("entry needs {expected} fields")));
             }
-            if lines.fields.len() != expected {
-                return Err(lines.malformed(format!("entry needs {expected} fields")));
+            let i = line.coord_1based(0, shape.dim(0), 0)?;
+            let j = line.coord_1based(1, shape.dim(1), 1)?;
+            let v = if pattern { 1.0 } else { line.value(2)? };
+            let mirror = symmetric && i != j;
+            for (i, j) in std::iter::once((i, j)).chain(mirror.then_some((j, i))) {
+                cols.crd[0].push(i);
+                cols.crd[1].push(j);
+                cols.vals.push(v);
             }
-            let i = lines.coord_1based(0, self.shape.dim(0), 0)?;
-            let j = lines.coord_1based(1, self.shape.dim(1), 1)?;
-            let v = if self.pattern { 1.0 } else { lines.value(2)? };
-            block
-                .push(&[i, j], v)
-                .expect("coordinates were bounds-checked");
-            if self.symmetric && i != j {
-                block
-                    .push(&[j, i], v)
-                    .expect("a symmetric matrix is square");
-            }
-            self.remaining -= 1;
+            Ok(1 + usize::from(mirror))
+        };
+        let max = want.saturating_mul(per_line);
+        let got = self
+            .scanner
+            .read(want, init, entry, |cols| block.append(cols, max))?;
+        self.remaining -= got as u64;
+        if got < want {
+            let message = format!("file ended with {} declared entries unread", self.remaining);
+            return Err(parse_err(self.scanner.line, message));
         }
-        span.add_items(block.nnz() as u64);
-        Ok(Some(block))
+        span.add_items(block.vals.len() as u64);
+        Ok(Some(block.into_block(self.shape.clone())))
     }
 
     fn size_hint(&self) -> Option<u64> {
@@ -343,7 +574,7 @@ impl<R: BufRead> TensorStream for MtxStream<R> {
 /// [`tns_dims`] for a one-pass scan that discovers it).
 #[derive(Debug)]
 pub struct TnsStream<R: BufRead> {
-    lines: Lines<R>,
+    scanner: Scanner<R>,
     shape: Shape,
     block_nnz: usize,
     done: bool,
@@ -373,7 +604,7 @@ impl<R: BufRead> TnsStream<R> {
     /// Wraps an already-open reader.
     pub fn from_reader(reader: R, shape: Shape, block_nnz: usize) -> Self {
         TnsStream {
-            lines: Lines::new(reader, 0, b'#'),
+            scanner: Scanner::new(reader, 0, b'#'),
             shape,
             block_nnz: block_nnz.max(1),
             done: false,
@@ -391,68 +622,71 @@ impl<R: BufRead> TensorStream for TnsStream<R> {
             return Ok(None);
         }
         let span = Span::enter("io.parse_block");
-        let order = self.shape.order();
-        let lines = &mut self.lines;
-        let mut block = CoordBlock::with_capacity(self.shape.clone(), self.block_nnz);
-        let mut coord = vec![0usize; order];
-        while block.nnz() < self.block_nnz {
-            if !lines.next_data()? {
-                self.done = true;
-                break;
+        let (shape, order, block_nnz) = (&self.shape, self.shape.order(), self.block_nnz);
+        let mut block = Columns::with_capacity(order, 0);
+        let init = |chunk: &[u8]| Columns::with_capacity(order, newlines(chunk) + 1);
+        let entry = |line: &Line, cols: &mut Columns| {
+            if line.fields.len() != order + 1 {
+                let needs = format!("entry needs {order} coordinates and a value");
+                return Err(line.malformed(needs));
             }
-            if lines.fields.len() != order + 1 {
-                return Err(lines.malformed(format!("entry needs {order} coordinates and a value")));
+            for (d, column) in cols.crd.iter_mut().enumerate() {
+                column.push(line.coord_1based(d, shape.dim(d), d)?);
             }
-            for (d, c) in coord.iter_mut().enumerate() {
-                *c = lines.coord_1based(d, self.shape.dim(d), d)?;
-            }
-            let v = lines.value(order)?;
-            block
-                .push(&coord, v)
-                .expect("coordinates were bounds-checked");
-        }
-        span.add_items(block.nnz() as u64);
-        Ok((block.nnz() > 0).then_some(block))
+            cols.vals.push(line.value(order)?);
+            Ok(1)
+        };
+        let got = self
+            .scanner
+            .read(block_nnz, init, entry, |cols| block.append(cols, block_nnz))?;
+        self.done = got < block_nnz;
+        span.add_items(block.vals.len() as u64);
+        Ok((!block.vals.is_empty()).then(|| block.into_block(self.shape.clone())))
     }
 }
 
-/// Scans a `.tns` file once, line by line, and returns the tensor's shape
-/// (the per-dimension coordinate maxima) and nonzero count. The order is
-/// taken from the first entry line.
+/// Scans a `.tns` file once and returns the tensor's shape (the
+/// per-dimension coordinate maxima) and nonzero count. The order is taken
+/// from the first entry line; the rest is parsed in chunks like a
+/// [`TnsStream`] block.
 ///
 /// # Errors
 ///
 /// [`ConvertError::Io`] on open/read failure, [`ConvertError::Parse`] on a
 /// malformed line or an empty file.
 pub fn tns_dims(path: impl AsRef<Path>) -> Result<(Shape, u64), ConvertError> {
+    scan_dims(Scanner::new(BufReader::new(File::open(path)?), 0, b'#'))
+}
+
+fn scan_dims<R: BufRead>(mut scanner: Scanner<R>) -> Result<(Shape, u64), ConvertError> {
     let span = Span::enter("io.tns_dims");
-    let mut lines = Lines::new(BufReader::new(File::open(path)?), 0, b'#');
-    let mut dims: Vec<usize> = Vec::new();
-    let mut nnz = 0u64;
-    while lines.next_data()? {
-        let fields = lines.fields.len();
-        if dims.is_empty() {
-            if fields < 2 {
-                return Err(lines.err("an entry needs at least one coordinate and a value"));
-            }
-            dims = vec![0; fields - 1];
+    // The maxima so far; their count is the order.
+    let entry = |line: &Line, max: &mut Vec<usize>| {
+        if line.fields.len() != max.len() + 1 {
+            let order = max.len();
+            return Err(line.malformed(format!("entry needs {order} coordinates and a value")));
         }
-        if fields != dims.len() + 1 {
-            let order = dims.len();
-            return Err(lines.malformed(format!("entry needs {order} coordinates and a value")));
-        }
-        for (d, max) in dims.iter_mut().enumerate() {
-            match lines.coord(d)? {
-                0 => return Err(lines.err("FROSTT coordinates are 1-based")),
+        for (d, max) in max.iter_mut().enumerate() {
+            match line.coord(d)? {
+                0 => return Err(line.err("FROSTT coordinates are 1-based")),
                 c => *max = (*max).max(c),
             }
         }
-        lines.value(dims.len())?;
-        nnz += 1;
-    }
-    if dims.is_empty() {
-        return Err(lines.err("no entries in .tns file"));
-    }
+        line.value(max.len()).map(|_| 1)
+    };
+    let first = scanner.next_data(|line| {
+        if line.fields.len() < 2 {
+            return Err(line.err("an entry needs at least one coordinate and a value"));
+        }
+        let mut dims = vec![0; line.fields.len() - 1];
+        entry(line, &mut dims).map(|_| dims)
+    })?;
+    let Some(mut dims) = first else {
+        return Err(parse_err(scanner.line, "no entries in .tns file"));
+    };
+    let order = dims.len();
+    let fold = |max: Vec<usize>| dims.iter_mut().zip(max).for_each(|(d, m)| *d = (*d).max(m));
+    let nnz = 1 + scanner.read(usize::MAX, |_| vec![0; order], entry, fold)? as u64;
     span.add_items(nnz);
     Ok((Shape::new(dims), nnz))
 }
@@ -493,7 +727,10 @@ pub fn write_tns(path: impl AsRef<Path>, t: &CooTensor) -> Result<(), ConvertErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::io::{Cursor, Read};
 
     fn drain<S: TensorStream>(s: &mut S) -> Vec<(Vec<usize>, f64)> {
         let mut out = Vec::new();
@@ -676,6 +913,365 @@ mod tests {
             drain(&mut s),
             vec![(vec![1, 2, 3], 9.0), (vec![0, 0, 0], 0.25)]
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_declared_count_or_block_size_reserves_nothing_unread() {
+        let text = "%%MatrixMarket matrix coordinate real general\n3 3 1000000000000000\n1 1 1.0\n";
+        let mut s = MtxStream::from_reader(Cursor::new(text), usize::MAX).unwrap();
+        assert_eq!(
+            s.next_block(),
+            Err(ConvertError::Parse {
+                line: 3,
+                message: "file ended with 999999999999999 declared entries unread".into()
+            })
+        );
+        let shape = Shape::tensor3(2, 2, 2);
+        let mut s = TnsStream::from_reader(Cursor::new("1 1 1 1.0\n"), shape, usize::MAX);
+        assert_eq!(s.next_block().unwrap().unwrap().nnz(), 1);
+        assert_eq!(s.next_block(), Ok(None));
+    }
+
+    /// Hands out at most `.1` bytes per read.
+    struct Trickle<'a>(&'a [u8], usize);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let k = buf.len().min(self.1).min(self.0.len());
+            buf[..k].copy_from_slice(&self.0[..k]);
+            self.0 = &self.0[k..];
+            Ok(k)
+        }
+    }
+
+    fn reader(text: &[u8], step: usize) -> BufReader<Trickle<'_>> {
+        BufReader::with_capacity(16, Trickle(text, step))
+    }
+
+    /// Hands out its bytes, then fails every read.
+    struct Failing<'a>(&'a [u8]);
+
+    impl Read for Failing<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match std::mem::take(&mut self.0) {
+                [] => Err(std::io::Error::other("device gone")),
+                bytes => (&*bytes).read(buf),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_read_comes_after_the_lines_read_before_it() {
+        let text = "%%MatrixMarket matrix coordinate real general\n2 2 4\n1 1 1\n2 2 2\n1 2";
+        let mut s = MtxStream::from_reader(BufReader::new(Failing(text.as_bytes())), 1).unwrap();
+        let (read, err) = blocks(&mut s);
+        assert_eq!(read.len(), 2);
+        assert!(matches!(err, Some(ConvertError::Io(m)) if m.contains("device gone")));
+        let text = "1 1 1\n1 x 2\n2 2 2\n";
+        let s = &mut TnsStream::from_reader(
+            BufReader::new(Failing(text.as_bytes())),
+            Shape::matrix(2, 2),
+            8,
+        );
+        let message = "expected a coordinate, got \"x\"".into();
+        assert_eq!(
+            blocks(s),
+            (vec![], Some(ConvertError::Parse { line: 2, message }))
+        );
+    }
+
+    /// Pins a scanner's parse to `n` chunks: the floor drops to one byte, so
+    /// any window of at least `n` bytes splits `n` ways.
+    fn chunked<R>(scanner: &mut Scanner<R>, n: usize) {
+        (scanner.threads, scanner.floor) = (n, 1);
+    }
+
+    /// Every block as columns and value bits, then the error that ended the
+    /// stream, if one did.
+    type Blocks = (Vec<(Vec<Vec<usize>>, Vec<u64>)>, Option<ConvertError>);
+
+    fn blocks(s: &mut impl TensorStream) -> Blocks {
+        let mut out = Vec::new();
+        loop {
+            match s.next_block() {
+                Ok(Some(b)) => out.push((
+                    (0..b.order()).map(|d| b.crd(d).to_vec()).collect(),
+                    b.values().iter().map(|v| v.to_bits()).collect(),
+                )),
+                Ok(None) => return (out, None),
+                Err(e) => return (out, Some(e)),
+            }
+        }
+    }
+
+    fn mtx_at(
+        text: &[u8],
+        block_nnz: usize,
+        n: usize,
+        step: usize,
+    ) -> Result<Blocks, ConvertError> {
+        let mut s = MtxStream::from_reader(reader(text, step), block_nnz)?;
+        chunked(&mut s.scanner, n);
+        Ok(blocks(&mut s))
+    }
+
+    fn tns_at(text: &[u8], shape: &Shape, block_nnz: usize, n: usize, step: usize) -> Blocks {
+        let mut s = TnsStream::from_reader(reader(text, step), shape.clone(), block_nnz);
+        chunked(&mut s.scanner, n);
+        blocks(&mut s)
+    }
+
+    fn dims_at(text: &[u8], n: usize, step: usize) -> Result<(Shape, u64), ConvertError> {
+        let mut scanner = Scanner::new(reader(text, step), 0, b'#');
+        chunked(&mut scanner, n);
+        scan_dims(scanner)
+    }
+
+    /// Asserts that `text` reads the same, blocks and errors, at 1, 2, 3, 4
+    /// and 9 chunks, as `.mtx` and as `.tns` of `order`; returns the
+    /// one-chunk `.tns` read.
+    fn same_at_every_chunk_count(text: &[u8], order: usize, block_nnz: usize) -> Blocks {
+        let shape = Shape::new(vec![4; order]);
+        let one = |step| {
+            let mtx = mtx_at(text, block_nnz, 1, step);
+            (
+                mtx,
+                tns_at(text, &shape, block_nnz, 1, step),
+                dims_at(text, 1, step),
+            )
+        };
+        let want = one(usize::MAX);
+        for n in [2, 3, 4, 9] {
+            for step in [usize::MAX, 7] {
+                let got = (
+                    mtx_at(text, block_nnz, n, step),
+                    tns_at(text, &shape, block_nnz, n, step),
+                    dims_at(text, n, step),
+                );
+                assert_eq!(
+                    got,
+                    want,
+                    "n = {n}, step {step}: {}",
+                    String::from_utf8_lossy(text)
+                );
+            }
+        }
+        want.1
+    }
+
+    /// Dirty `.mtx` text (order 2), or `.tns` text of `order`: comments,
+    /// blank lines, CRLF, odd whitespace and, now and then, a bad field,
+    /// count or byte.
+    fn dirty(rng: &mut StdRng, order: Option<usize>) -> Vec<u8> {
+        let pick = |rng: &mut StdRng, options: &[&str]| {
+            options[rng.gen_range(0..options.len())].to_string()
+        };
+        let bad = rng.gen_range(0..4) == 0;
+        let mut out = Vec::new();
+        let entries = rng.gen_range(0..160);
+        let comment = if order.is_some() { "#" } else { "%" };
+        if order.is_none() {
+            let field = pick(rng, &["real", "integer", "pattern"]);
+            let symmetry = pick(rng, &["general", "symmetric"]);
+            let declared = entries + usize::from(bad && rng.gen_range(0..2) == 0);
+            let text =
+                format!("%%MatrixMarket matrix coordinate {field} {symmetry}\n4 4 {declared}\n");
+            out.extend_from_slice(text.as_bytes());
+        }
+        let fields = order.map_or(
+            if out.windows(7).any(|w| w == b"pattern") {
+                2
+            } else {
+                3
+            },
+            |o| o + 1,
+        );
+        for _ in 0..entries {
+            while rng.gen_range(0..5) == 0 {
+                let filler = pick(
+                    rng,
+                    &["", "  ", "\r", "\t\x0b", "% note", "# note", "%\u{3000}é"],
+                );
+                out.extend_from_slice(filler.as_bytes());
+                if bad && rng.gen_range(0..40) == 0 {
+                    out.extend_from_slice(format!("{comment} \u{ff}").as_bytes());
+                    out.push(0xff);
+                }
+                out.extend_from_slice(pick(rng, &["\n", "\r\n"]).as_bytes());
+            }
+            let mut line = Vec::new();
+            for k in 0..fields {
+                line.push(if k + 1 < fields || order.is_none() && fields == 2 {
+                    rng.gen_range(1..5).to_string()
+                } else {
+                    pick(rng, &["1.5", "-0.0", "2e-3", "nan", "-inf", "7"])
+                });
+            }
+            if bad && rng.gen_range(0..30) == 0 {
+                let k = rng.gen_range(0..line.len());
+                line[k] = pick(rng, &["0", "5", "x", "1.0.0", "+", "18446744073709551616"]);
+            }
+            if bad && rng.gen_range(0..60) == 0 {
+                line.pop();
+            }
+            let sep = pick(rng, &[" ", "\t", " \x0c ", "\u{a0}"]);
+            out.extend_from_slice(line.join(&sep).as_bytes());
+            out.extend_from_slice(pick(rng, &["\n", "\r\n", " \n"]).as_bytes());
+        }
+        if rng.gen_range(0..3) == 0 {
+            while out.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
+                out.pop();
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn chunk_counts_read_dirty_files_as_one_chunk_does(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let block_nnz = [1, 3, 40, DEFAULT_BLOCK_NNZ][rng.gen_range(0..4)];
+            let mtx = dirty(&mut rng, None);
+            same_at_every_chunk_count(&mtx, 2, block_nnz);
+            let order = rng.gen_range(1..4);
+            let tns = dirty(&mut rng, Some(order));
+            same_at_every_chunk_count(&tns, order, block_nnz);
+        }
+    }
+
+    /// `entries` `.tns` lines of order 2, `i i 1.5` for `i` cycling 1..=4,
+    /// each ended by `eol`.
+    fn tns_lines(entries: usize, eol: &str) -> String {
+        (0..entries)
+            .map(|p| format!("{0} {0} 1.5{eol}", p % 4 + 1))
+            .collect()
+    }
+
+    #[test]
+    fn cuts_fall_after_a_carriage_return_or_inside_comment_runs() {
+        // Pad until half the text ends right after a `\r`: the two-chunk cut
+        // is the `\n` that follows it.
+        let text = (0..40)
+            .map(|pad| format!("#{}\r\n{}", "x".repeat(pad), tns_lines(30, "\r\n")))
+            .find(|t| t.as_bytes()[t.len() / 2 - 1] == b'\r')
+            .expect("some padding puts a \\r at the middle");
+        let read = same_at_every_chunk_count(text.as_bytes(), 2, DEFAULT_BLOCK_NNZ);
+        assert_eq!(read.0[0].1.len(), 30);
+        // A run of comments and blank lines across every cut, then an error
+        // whose line number counts the whole run.
+        let run = "# c\n\n   \r\n".repeat(40);
+        let text = format!("{}{run}{}1 9 1.0\n", tns_lines(5, "\n"), tns_lines(5, "\n"));
+        let read = same_at_every_chunk_count(text.as_bytes(), 2, DEFAULT_BLOCK_NNZ);
+        let message = "coordinate 9 out of bounds 1..=4 in dimension 1".into();
+        assert_eq!(read.1, Some(ConvertError::Parse { line: 131, message }));
+    }
+
+    #[test]
+    fn the_first_error_in_file_order_wins_at_its_line() {
+        // An error in the last of four chunks, rebased to its file line.
+        let text = format!("{}1 1\n", tns_lines(39, "\n"));
+        let read = same_at_every_chunk_count(text.as_bytes(), 2, DEFAULT_BLOCK_NNZ);
+        let message = "entry needs 2 coordinates and a value, got 1 1".into();
+        assert_eq!(read.1, Some(ConvertError::Parse { line: 40, message }));
+        // Invalid UTF-8 in the second chunk is an I/O error, unless the first
+        // chunk already failed.
+        let mut text = tns_lines(10, "\n").into_bytes();
+        text.extend_from_slice(b"# \xff\n");
+        text.extend_from_slice(tns_lines(10, "\n").as_bytes());
+        let read = same_at_every_chunk_count(&text, 2, DEFAULT_BLOCK_NNZ);
+        assert!(matches!(read.1, Some(ConvertError::Io(_))));
+        text.splice(0..0, b"0 1 1.0\n".iter().copied());
+        let read = same_at_every_chunk_count(&text, 2, DEFAULT_BLOCK_NNZ);
+        let message = "coordinate 0 out of bounds 1..=4 in dimension 0".into();
+        assert_eq!(read.1, Some(ConvertError::Parse { line: 1, message }));
+    }
+
+    #[test]
+    fn mtx_blocks_mirror_and_check_their_count_at_any_chunk_count() {
+        let entries: String = (0..24)
+            .map(|p| format!("{} {} {p}\n", p % 4 + 1, p / 3 % 4 + 1))
+            .collect();
+        let symmetric =
+            format!("%%MatrixMarket matrix coordinate real symmetric\n4 4 24\n{entries}");
+        let off_diagonal = (0..24).filter(|p| p % 4 != p / 3 % 4).count();
+        for block_nnz in [5, DEFAULT_BLOCK_NNZ] {
+            let (read, err) = mtx_at(symmetric.as_bytes(), block_nnz, 4, usize::MAX).unwrap();
+            assert_eq!(err, None);
+            let nnz: usize = read.iter().map(|(_, vals)| vals.len()).sum();
+            assert_eq!(nnz, 24 + off_diagonal);
+            same_at_every_chunk_count(symmetric.as_bytes(), 2, block_nnz);
+        }
+        // More entries than declared, found past comments in the window
+        // that ends the file.
+        let general = format!(
+            "%%MatrixMarket matrix coordinate real general\n4 4 24\n{entries}% c\n\n1 1 1\n% d\n"
+        );
+        let (read, err) = mtx_at(general.as_bytes(), DEFAULT_BLOCK_NNZ, 3, usize::MAX).unwrap();
+        assert_eq!(read.len(), 1);
+        let message = "more than 24 declared entries".into();
+        assert_eq!(err, Some(ConvertError::Parse { line: 29, message }));
+        same_at_every_chunk_count(general.as_bytes(), 2, 7);
+        // Fewer entries than declared, with and without a final newline.
+        for tail in ["", "\n", "\n% end"] {
+            let early = format!(
+                "%%MatrixMarket matrix coordinate real general\n4 4 30\n{}{tail}",
+                entries.trim_end()
+            );
+            let (read, err) = mtx_at(early.as_bytes(), DEFAULT_BLOCK_NNZ, 4, usize::MAX).unwrap();
+            assert!(read.is_empty());
+            let line = 26 + u64::from(tail.len() > 1);
+            let message = "file ended with 6 declared entries unread".into();
+            assert_eq!(err, Some(ConvertError::Parse { line, message }));
+            same_at_every_chunk_count(early.as_bytes(), 2, 10);
+        }
+    }
+
+    #[test]
+    fn a_line_longer_than_the_window_is_read_whole_at_any_chunk_count() {
+        let long = "0".repeat(2 * PARSE_CHUNK_BYTES + 3);
+        let text = format!("1 1 1.0\n# {long}\n2 2 {long}\n3 3 2.5");
+        for n in [1, 2] {
+            let (read, err) = tns_at(
+                text.as_bytes(),
+                &Shape::matrix(4, 4),
+                DEFAULT_BLOCK_NNZ,
+                n,
+                usize::MAX,
+            );
+            assert_eq!(err, None);
+            assert_eq!(read[0].0, vec![vec![0, 1, 2], vec![0, 1, 2]]);
+            assert_eq!(read[0].1, [1f64.to_bits(), 0, 2.5f64.to_bits()]);
+        }
+    }
+
+    #[test]
+    fn a_file_of_many_windows_reads_as_one_line_blocks_do() {
+        let dir = std::env::temp_dir().join(format!("io-windows-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.mtx");
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut m = CooMatrix::new(5000, 7000);
+        while std::fs::metadata(&path).map_or(0, |f| f.len() as usize) < 4 * PARSE_CHUNK_BYTES {
+            for _ in 0..10_000 {
+                m.push(rng.gen_range(0..5000), rng.gen_range(0..7000), rng.gen());
+            }
+            write_mtx(&path, &m).unwrap();
+        }
+        let flat = |block_nnz| {
+            let (read, err) = blocks(&mut MtxStream::open(&path, block_nnz).unwrap());
+            assert_eq!(err, None);
+            let mut out: (Vec<Vec<usize>>, Vec<u64>) = (vec![Vec::new(); 2], Vec::new());
+            for (crd, vals) in read {
+                out.0[0].extend(&crd[0]);
+                out.0[1].extend(&crd[1]);
+                out.1.extend(vals);
+            }
+            out
+        };
+        let whole = flat(DEFAULT_BLOCK_NNZ);
+        assert_eq!(whole.1.len(), m.nnz());
+        assert_eq!(whole, flat(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,6 +6,7 @@
 #![cfg(feature = "conv-obs")]
 
 use taco_conversion_repro::conv::generic::convert_with_spec;
+use taco_conversion_repro::conv::tunables::PARSE_CHUNK_BYTES;
 use taco_conversion_repro::conv::{codegen, convert_with, AnyTensor, Format, TensorProfile};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::obs::{validate_json, Collector, PhaseReport, Registry, Span};
@@ -302,4 +303,60 @@ fn loaders_and_the_profile_record_their_spans() {
     assert_eq!(named("io.tns_dims"), [entries]);
     assert_eq!(named("select.profile"), [profile.nnz as u64]);
     assert_eq!(profile.nnz, t.nnz());
+}
+
+/// A block read in several parse chunks is still one `io.parse_block` span
+/// counting its entries; the per-chunk `io.parse_chunk` worker spans nest
+/// under it and their items add up to the same count, and no span is opened
+/// per line.
+#[test]
+fn a_chunked_parse_is_one_block_span_over_its_chunk_spans() {
+    let dir = std::env::temp_dir().join(format!("obs-chunks-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("m.mtx");
+    let t = irregular(4096, 4096, 80_000, 64, 11).expect("valid generator parameters");
+    let m = CooMatrix::from_triples(&t);
+    write_mtx(&path, &m).unwrap();
+    let bytes = std::fs::metadata(&path).unwrap().len() as usize;
+    assert!(bytes > 2 * PARSE_CHUNK_BYTES, "{bytes} bytes");
+
+    let root = Span::enter_traced("test.parse");
+    let trace = root.handle().trace_id();
+    let mut stream = MtxStream::open(&path, m.nnz()).unwrap();
+    let block = stream.next_block().unwrap().unwrap();
+    assert_eq!(stream.next_block(), Ok(None));
+    drop(root);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let records = Collector::global().take_trace(trace);
+    let blocks: Vec<_> = records
+        .iter()
+        .filter(|r| r.name == "io.parse_block")
+        .collect();
+    assert_eq!(blocks.len(), 1);
+    assert_eq!(blocks[0].items as usize, m.nnz());
+    assert_eq!(block.nnz(), m.nnz());
+    let parent = |id: u64| records.iter().find(|r| r.id == id).and_then(|r| r.parent);
+    let under_block = |mut id: u64| loop {
+        match parent(id) {
+            Some(p) if p == blocks[0].id => return true,
+            Some(p) => id = p,
+            None => return false,
+        }
+    };
+    let chunks: Vec<_> = records
+        .iter()
+        .filter(|r| r.name == "io.parse_chunk")
+        .collect();
+    assert!(!chunks.is_empty());
+    assert!(chunks.iter().all(|r| under_block(r.id)));
+    assert_eq!(
+        chunks.iter().map(|r| r.items).sum::<u64>() as usize,
+        m.nnz()
+    );
+    // The root, the block, then one `io.parse` phase per window and its
+    // chunks: a handful per PARSE_CHUNK_BYTES of text, never one per line.
+    let most = 2 + 2 * (bytes / PARSE_CHUNK_BYTES + 1);
+    assert!(records.len() <= most, "{} spans", records.len());
+    assert!(most * 100 < m.nnz());
 }
