@@ -17,12 +17,22 @@
 //! target is just another [`Format`].
 //!
 //! Generated routines can be pretty printed ([`listing`]) for comparison with
-//! Figure 6 and executed against real inputs ([`execute_format`]): the
-//! interpreter resolves a routine once to typed slots and closures, then runs
-//! it with every access checked. The engine kernels stay the reference the
-//! tests check the generated code against, bit for bit. `execute_format`
-//! records its phases as the spans `codegen.generate`, `codegen.bind`,
-//! `ir.run` and `codegen.unpack`.
+//! Figure 6 and executed against real inputs ([`execute_format`]), in one of
+//! two tiers. Every routine `execute_format` can serve (each stock source
+//! into each stock format and `CSF@perm` that [`generate`] accepts) is also
+//! compiled Rust: [`ir::emit`](crate::ir::emit) prints it, with every access
+//! checked as the interpreter checks it, into the `@generated`
+//! [`ir::compiled`](crate::ir::compiled) module, and the unit test
+//! `compiled_routines_are_fresh` rewrites that file, and fails, whenever the
+//! generator or the emitter would now print something else. Any other
+//! routine (a builder-made target's) runs in the interpreter, which resolves
+//! it once to typed slots and closures, then runs it with every access
+//! checked. The interpreter is the reference the compiled tier is tested
+//! against, table for table; the engine kernels stay the reference both are
+//! tested against, bit for bit. `execute_format` records its phases as the
+//! spans `codegen.generate`, `codegen.bind`, `ir.run` and `codegen.unpack`,
+//! and `ir.run` has one child naming the tier: `ir.compiled` or
+//! `ir.interpreted`.
 //!
 //! Buffer naming conventions: the source is `A` (`A_pos`, `A_crd`, `A_vals`,
 //! or `A1_crd`/`A2_crd`/`A2_pos` per level for coordinate lists and fibre
@@ -37,6 +47,8 @@ use crate::convert::AnyTensor;
 use crate::error::ConvertError;
 use crate::format::Format;
 use crate::ir::build::*;
+use crate::ir::compiled;
+use crate::ir::emit::Param;
 use crate::ir::interp::{Buffer, Interpreter};
 use crate::ir::printer::print_function;
 use crate::ir::simplify::simplify_function;
@@ -152,12 +164,12 @@ impl<'a> Layout<'a> {
             .collect()
     }
 
-    /// The parameters of a routine reading this format: the level arrays,
-    /// the values, the extents, the root fibre count of a fibre chain, and
-    /// the nonzero count.
-    fn params(&self) -> Vec<String> {
+    /// The parameters of a routine reading this format, with what each
+    /// holds: the level arrays, the values, the extents, the root fibre
+    /// count of a fibre chain, and the nonzero count.
+    fn params(&self) -> Vec<(String, Param)> {
         let order = self.modes.len();
-        let mut params = match self.chain {
+        let arrays: Vec<String> = match self.chain {
             Chain::Coordinates => (1..=order).map(|d| format!("A{d}_crd")).collect(),
             Chain::Fibers => {
                 let deeper = (2..=order).flat_map(|d| [format!("A{d}_pos"), format!("A{d}_crd")]);
@@ -165,12 +177,14 @@ impl<'a> Layout<'a> {
             }
             _ => vec!["A_pos".to_string(), "A_crd".to_string()],
         };
-        params.push("A_vals".to_string());
-        params.extend(EXTENT[..order].iter().map(|e| e.to_string()));
+        let mut params: Vec<_> = arrays.into_iter().map(|a| (a, Param::Ints)).collect();
+        params.push(("A_vals".to_string(), Param::Floats));
+        let mut scalars: Vec<&str> = EXTENT[..order].to_vec();
         if self.chain == Chain::Fibers {
-            params.push("R1".to_string());
+            scalars.push("R1");
         }
-        params.push("nnz".to_string());
+        scalars.push("nnz");
+        params.extend(scalars.into_iter().map(|s| (s.to_string(), Param::Int)));
         params
     }
 
@@ -312,7 +326,8 @@ pub fn generate(source: &Format, target: &Format) -> Result<Function, ConvertErr
         Chain::Fibers => gen_to_fibers(&src, &dst)?,
     };
     let name = format!("convert_{}_to_{}", src.ident(), dst.ident());
-    Ok(simplify_function(&Function::new(&name, src.params(), body)))
+    let params = src.params().into_iter().map(|(name, _)| name).collect();
+    Ok(simplify_function(&Function::new(&name, params, body)))
 }
 
 /// Pretty prints the generated routine for a pair as a C-like listing.
@@ -706,9 +721,9 @@ fn bind_source(interp: &mut Interpreter, src: &AnyTensor) -> Result<(), ConvertE
     Ok(())
 }
 
-/// What a finished routine left behind, read by name.
+/// What a finished routine left behind, taken out by name.
 struct Outputs<'a> {
-    interp: &'a Interpreter,
+    interp: &'a mut Interpreter,
     target: &'a Format,
 }
 
@@ -722,22 +737,29 @@ impl Outputs<'_> {
         }
     }
 
-    fn raw_ints(&self, name: &str) -> Result<&[i64], ConvertError> {
-        match self.interp.buffer(name) {
-            Some(Buffer::Ints(ints)) => Ok(ints),
+    /// The first `len` entries (all of a shorter buffer).
+    fn raw_ints(&mut self, name: &str, len: usize) -> Result<Vec<i64>, ConvertError> {
+        match self.interp.take_buffer(name) {
+            Some(Buffer::Ints(mut ints)) => {
+                ints.truncate(len);
+                Ok(ints)
+            }
             _ => Err(self.missing("integer buffer", name)),
         }
     }
 
-    /// The first `len` entries (all of a shorter buffer).
-    fn ints(&self, name: &str, len: usize) -> Result<Vec<usize>, ConvertError> {
-        let ints = self.raw_ints(name)?.iter().take(len);
-        Ok(ints.map(|&x| x as usize).collect())
+    /// The first `len` entries (all of a shorter buffer), converted in place.
+    fn ints(&mut self, name: &str, len: usize) -> Result<Vec<usize>, ConvertError> {
+        let ints = self.raw_ints(name, len)?.into_iter();
+        Ok(ints.map(|x| x as usize).collect())
     }
 
-    fn floats(&self, name: &str, len: usize) -> Result<Vec<f64>, ConvertError> {
-        match self.interp.buffer(name) {
-            Some(Buffer::Floats(floats)) => Ok(floats.iter().take(len).copied().collect()),
+    fn floats(&mut self, name: &str, len: usize) -> Result<Vec<f64>, ConvertError> {
+        match self.interp.take_buffer(name) {
+            Some(Buffer::Floats(mut floats)) => {
+                floats.truncate(len);
+                Ok(floats)
+            }
             _ => Err(self.missing("value buffer", name)),
         }
     }
@@ -753,17 +775,17 @@ impl Outputs<'_> {
 /// Rebuilds the target's container from the output buffers the assembly of
 /// its chain writes.
 fn unpack_target(
-    interp: &Interpreter,
+    interp: &mut Interpreter,
     src: &AnyTensor,
     target: &Layout,
 ) -> Result<AnyTensor, ConvertError> {
     const ALL: usize = usize::MAX;
-    let out = Outputs {
+    let mut out = Outputs {
         interp,
         target: target.format,
     };
     let (rows, cols, nnz, shape) = (src.rows(), src.cols(), src.nnz(), src.shape());
-    let compressed = || -> Result<_, ConvertError> {
+    let compressed = |out: &mut Outputs| -> Result<_, ConvertError> {
         Ok((
             out.ints("B_pos", ALL)?,
             out.ints("B_crd", ALL)?,
@@ -772,11 +794,11 @@ fn unpack_target(
     };
     let tensor = match (target.chain, target.modes.as_slice()) {
         (Chain::DenseCompressed, [0, 1]) => {
-            let (pos, crd, vals) = compressed()?;
+            let (pos, crd, vals) = compressed(&mut out)?;
             AnyTensor::Csr(CsrMatrix::from_parts(rows, cols, pos, crd, vals)?)
         }
         (Chain::DenseCompressed, _) => {
-            let (pos, crd, vals) = compressed()?;
+            let (pos, crd, vals) = compressed(&mut out)?;
             AnyTensor::Csc(CscMatrix::from_parts(rows, cols, pos, crd, vals)?)
         }
         (Chain::Coordinates, [_, _]) => AnyTensor::Coo(CooMatrix::from_parts(
@@ -796,11 +818,11 @@ fn unpack_target(
             )?)
         }
         (Chain::Diagonals, _) => {
-            let offsets = out.raw_ints("B_perm")?.iter().take(out.scalar("K")?);
+            let offsets = out.raw_ints("B_perm", out.scalar("K")?)?;
             AnyTensor::Dia(DiaMatrix::from_parts(
                 rows,
                 cols,
-                offsets.copied().collect(),
+                offsets,
                 out.floats("B_vals", ALL)?,
             )?)
         }
@@ -847,8 +869,9 @@ fn unpack_target(
 }
 
 /// Generates the routine from `src`'s format to `target`, executes it on
-/// `src` through the IR interpreter, and rebuilds the target's container
-/// from the output buffers. Stock targets come back in their stock
+/// `src` (compiled, when the routine was compiled ahead of time, else
+/// through the IR interpreter), and rebuilds the target's container from the
+/// output buffers. Stock targets come back in their stock
 /// container; a mode-ordered `CSF@perm` target is wrapped exactly as the
 /// dynamic driver assembles it, so all three execution paths stay
 /// byte-comparable.
@@ -874,10 +897,29 @@ pub fn execute_format(src: &AnyTensor, target: &Format) -> Result<AnyTensor, Con
     {
         let span = Span::enter("ir.run");
         span.add_items(src.nnz() as u64);
-        interp.run(&function)?;
+        match compiled::lookup(&function.name).filter(|_| compiled_ahead(target)) {
+            Some(routine) => {
+                let _tier = Span::enter("ir.compiled");
+                routine(&mut interp).map_err(|fault| *fault)?;
+            }
+            None => {
+                let _tier = Span::enter("ir.interpreted");
+                interp.run(&function)?;
+            }
+        }
     }
     let _span = Span::enter("codegen.unpack");
-    unpack_target(&interp, src, &Layout::of(target)?)
+    unpack_target(&mut interp, src, &Layout::of(target)?)
+}
+
+/// True when the routine into `target` may have been compiled ahead of time:
+/// `target` is a stock format, or the registered `CSF@perm` of its mode
+/// order. (Sources are always stock: only stock containers bind.) A
+/// builder-made format can share such a format's routine name but not its
+/// specification, so its routine is always interpreted.
+fn compiled_ahead(target: &Format) -> bool {
+    let csf = |order: Vec<usize>| Format::csf_ordered(&order).is_ok_and(|f| f == *target);
+    target.id().is_some() || target.mode_order().is_some_and(csf)
 }
 
 /// The stock (source, target) pairs the code generator covers — every pair
@@ -902,8 +944,13 @@ pub fn supported_pairs() -> Vec<(Format, Format)> {
 mod tests {
     use super::*;
     use crate::convert::convert;
+    use crate::emit::tests::tables;
+    use crate::ir::emit::{emit_function, emit_module};
+    use crate::select::ORDER3_MODE_ORDERS;
+    use proptest::prelude::*;
     use sparse_formats::CooMatrix;
     use sparse_tensor::example::figure1_matrix;
+    use sparse_tensor::SparseTriples;
 
     #[test]
     fn generated_listings_have_figure6_structure() {
@@ -1042,11 +1089,217 @@ mod tests {
             (Format::csr(), "`B_pos`"), // ...a compressed level,
             (Format::ell(), "`K`"),     // ...and an analysed slice count.
         ] {
-            let got = unpack_target(&interp, &src, &Layout::of(&target).unwrap());
+            let got = unpack_target(&mut interp, &src, &Layout::of(&target).unwrap());
             let Err(ConvertError::UnsupportedSpec { reason }) = got else {
                 panic!("{target}: {got:?}");
             };
             assert!(reason.contains(name), "{reason}");
+        }
+    }
+
+    /// Every pair `execute_format` can serve: each stock source the
+    /// generator reads, into every stock format and every `CSF@perm` it
+    /// generates a routine for (`supported_pairs`, the identity pairs, and
+    /// COO3 into the five non-stock mode orders).
+    fn compiled_pairs() -> Vec<(Format, Format)> {
+        let targets = targets();
+        let stock = STOCK.iter().map(|row| row.format());
+        let pairs = stock.flat_map(|s| targets.iter().map(move |t| (s.clone(), t.clone())));
+        pairs.filter(|(s, t)| generate(s, t).is_ok()).collect()
+    }
+
+    /// The stock formats, then the `CSF@perm`s that are not stock.
+    fn targets() -> Vec<Format> {
+        let stock = STOCK.iter().map(|row| row.format());
+        let perms = ORDER3_MODE_ORDERS
+            .iter()
+            .map(|o| Format::csf_ordered(o).unwrap());
+        let mut targets: Vec<Format> = Vec::new();
+        for target in stock.chain(perms) {
+            if !targets.contains(&target) {
+                targets.push(target);
+            }
+        }
+        targets
+    }
+
+    /// `ir/compiled.rs` is what the emitter makes of `compiled_pairs` now.
+    /// A stale file is rewritten, and the test fails so that `git diff`
+    /// shows the change to review and commit. (A file that no longer
+    /// compiles is first replaced by what `emit_module(&[], &[])` prints.)
+    #[test]
+    fn compiled_routines_are_fresh() {
+        let routines: Vec<(String, String)> = compiled_pairs()
+            .iter()
+            .map(|(source, target)| {
+                let function = generate(source, target).unwrap();
+                let params = Layout::of(source).unwrap().params();
+                let code = emit_function(&function, &params).unwrap();
+                (function.name, code)
+            })
+            .collect();
+        let (function, params) = crate::emit::tests::fixture();
+        let fixture = emit_function(&function, &params).unwrap();
+        let fresh = emit_module(&routines, &[(function.name, fixture)]);
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/ir/compiled.rs");
+        if std::fs::read_to_string(&path).ok().as_deref() != Some(fresh.as_str()) {
+            std::fs::write(&path, fresh).unwrap();
+            panic!(
+                "{} was stale and is rewritten: run the tests again, review and commit it",
+                path.display()
+            );
+        }
+    }
+
+    /// Every pair `execute_format` serves, from any stock source into any
+    /// stock or `CSF@perm` target, has a compiled routine.
+    #[test]
+    fn every_servable_pair_is_compiled() {
+        let targets = targets();
+        let mut served = 0;
+        for source in STOCK.iter().map(|row| row.format()) {
+            let t = match source.order() {
+                2 => figure1_matrix(),
+                _ => sparse_tensor::example::example3_tensor(),
+            };
+            let Ok(src) = AnyTensor::from_triples(&t, &source) else {
+                continue;
+            };
+            for target in &targets {
+                if execute_format(&src, target).is_ok() {
+                    let name = generate(&source, target).unwrap().name;
+                    assert!(compiled::lookup(&name).is_some(), "{source} -> {target}");
+                    assert!(compiled_ahead(target), "{source} -> {target}");
+                    served += 1;
+                }
+            }
+        }
+        assert_eq!(served, compiled_pairs().len());
+    }
+
+    /// Runs every compiled pair from `t`'s order on `t` (coordinate lists
+    /// shuffled by `seed`) through the interpreter and the compiled routine.
+    fn check_tiers(t: &SparseTriples, seed: u64) {
+        let mut state = seed | 1;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for (source, target) in compiled_pairs()
+            .iter()
+            .filter(|(s, _)| s.order() == t.order())
+        {
+            let pair = format!("{source} -> {target}");
+            let src = match AnyTensor::from_triples(t, source).unwrap() {
+                AnyTensor::Coo(mut coo) => {
+                    coo.shuffle_with(&mut next);
+                    AnyTensor::Coo(coo)
+                }
+                AnyTensor::Coo3(mut coo) => {
+                    coo.shuffle_with(&mut next);
+                    AnyTensor::Coo3(coo)
+                }
+                other => other,
+            };
+            let function = generate(source, target).unwrap();
+            let routine = compiled::lookup(&function.name).expect("a compiled routine");
+            let mut interpreted = Interpreter::new();
+            bind_source(&mut interpreted, &src).unwrap();
+            let mut compiled = interpreted.clone();
+            let expected = interpreted.run(&function);
+            let got = routine(&mut compiled).map_err(|fault| *fault);
+            assert_eq!(expected, got, "{pair}");
+            assert!(expected.is_ok(), "{pair}: {expected:?}");
+            assert_eq!(tables(&interpreted), tables(&compiled), "{pair}");
+        }
+    }
+
+    /// A builder format whose routine has a compiled routine's name (its
+    /// name lowercases to `csf_201`) but another specification runs
+    /// interpreted, and converts to what the dynamic driver builds.
+    #[test]
+    fn a_builder_format_named_like_a_compiled_routine_is_interpreted() {
+        let spec = "CSF_201:(i,j,k)->(j,i,k):j,i,k:compressed,compressed,compressed";
+        let impostor: Format = spec.parse().unwrap();
+        let function = generate(&Format::coo3(), &impostor).unwrap();
+        assert_eq!(function.name, "convert_coo3_to_csf_201");
+        assert!(compiled::lookup(&function.name).is_some());
+        assert!(!compiled_ahead(&impostor));
+        let t = sparse_tensor::example::example3_tensor();
+        let src = AnyTensor::from_triples(&t, Format::coo3()).unwrap();
+        let expected = convert(&src, &impostor).unwrap();
+        assert_eq!(execute_format(&src, &impostor).unwrap(), expected);
+    }
+
+    /// Payloads: ordinary values, both zeros and two NaNs (one with a
+    /// payload), so a tier that rewrote a value would show.
+    const PAYLOADS: [f64; 6] = [1.5, -0.0, 0.0, f64::NAN, -7.0, -2.0];
+
+    fn payload(index: usize) -> f64 {
+        match index {
+            5 => f64::from_bits(f64::NAN.to_bits() | 0xbeef),
+            i => PAYLOADS[i],
+        }
+    }
+
+    /// `shape` with the entries at `coords` (first occurrence kept).
+    fn triples(shape: Shape, entries: Vec<(Vec<i64>, usize)>) -> SparseTriples {
+        let mut t = SparseTriples::new(shape);
+        let mut seen = std::collections::BTreeSet::new();
+        for (coord, p) in entries {
+            if seen.insert(coord.clone()) {
+                t.push(coord, payload(p)).unwrap();
+            }
+        }
+        t
+    }
+
+    proptest! {
+        /// Empty, 1xN, Nx1, small and short-and-wide matrices: every
+        /// compiled matrix pair leaves what the interpreter leaves.
+        #[test]
+        fn compiled_matrix_routines_match_the_interpreter(
+            (rows, cols, entries, seed) in (0usize..4, 1usize..40, 1usize..40).prop_flat_map(|(kind, a, b)| {
+                let (rows, cols) = [(1, a), (a, 1), (a % 12 + 1, b % 12 + 1), (a % 3 + 1, b)][kind];
+                let entry = (0..rows, 0..cols, 0..PAYLOADS.len());
+                let entries = proptest::collection::vec(entry, 0..(rows * cols).min(160) + 1);
+                (Just(rows), Just(cols), entries, 1u64..u64::MAX)
+            })
+        ) {
+            let entries = entries.into_iter().map(|(i, j, p)| (vec![i as i64, j as i64], p));
+            check_tiers(&triples(Shape::matrix(rows, cols), entries.collect()), seed);
+        }
+
+        /// Order-3 tensors, thin in one or two modes at times: COO3 <-> CSF
+        /// and COO3 into every `CSF@perm`.
+        #[test]
+        fn compiled_tensor_routines_match_the_interpreter(
+            (dims, entries, seed) in (1usize..8, 1usize..8, 1usize..16).prop_flat_map(|(d0, d1, d2)| {
+                let entry = (0..d0, 0..d1, 0..d2, 0..PAYLOADS.len());
+                let entries = proptest::collection::vec(entry, 0..(d0 * d1 * d2).min(96) + 1);
+                (Just((d0, d1, d2)), entries, 1u64..u64::MAX)
+            })
+        ) {
+            let coords = entries.into_iter();
+            let entries = coords.map(|(i, j, k, p)| (vec![i as i64, j as i64, k as i64], p));
+            let shape = Shape::tensor3(dims.0, dims.1, dims.2);
+            check_tiers(&triples(shape, entries.collect()), seed);
+        }
+    }
+
+    /// Shapes with no entries at all, and with no rows or columns.
+    #[test]
+    fn compiled_routines_match_the_interpreter_on_empty_shapes() {
+        for (rows, cols) in [(0, 0), (0, 5), (5, 0), (1, 1), (3, 3)] {
+            check_tiers(&SparseTriples::new(Shape::matrix(rows, cols)), 7);
+        }
+        for dims in [(0, 0, 0), (1, 0, 4), (2, 2, 2)] {
+            check_tiers(
+                &SparseTriples::new(Shape::tensor3(dims.0, dims.1, dims.2)),
+                7,
+            );
         }
     }
 }

@@ -1,0 +1,214 @@
+//! Unit tests of `crate::ir::emit`, mounted at the crate root by `lib.rs` so that
+//! they run as `emit::tests::…`.
+
+pub(crate) mod tests {
+    use proptest::prelude::*;
+
+    use crate::ir::build::*;
+    use crate::ir::compiled;
+    use crate::ir::emit::*;
+    use crate::ir::expr::{Expr, IrBinOp};
+    use crate::ir::interp::*;
+    use crate::ir::stmt::{Function, Stmt};
+
+    /// Every defined scalar and buffer, tagged with its type, as bits.
+    pub(crate) fn tables(env: &Interpreter) -> Vec<(String, Vec<u64>)> {
+        let [scalars, buffers] = env.defined();
+        let scalars = scalars.into_iter().map(|name| match env.scalar(name) {
+            Some(Scalar::Float(v)) => (format!("float {name}"), vec![v.to_bits()]),
+            other => (format!("int {name}"), other.and_then(|s| s.as_int().ok()).map(|v| v as u64).into_iter().collect()),
+        });
+        let buffers = buffers.into_iter().map(|name| match env.buffer(name) {
+            Some(Buffer::Floats(v)) => (format!("floats {name}"), v.iter().map(|x| x.to_bits()).collect()),
+            Some(Buffer::Ints(v)) => (format!("ints {name}"), v.iter().map(|&x| x as u64).collect()),
+            None => (name.to_string(), vec![]),
+        });
+        scalars.chain(buffers).collect()
+    }
+
+    fn ints(name: &str) -> (String, Param) {
+        (name.to_string(), Param::Ints)
+    }
+
+    fn emit(body: Vec<Stmt>, params: &[(String, Param)]) -> Result<String, InterpError> {
+        let names = params.iter().map(|(name, _)| name.clone()).collect();
+        emit_function(&Function::new("f", names, body), params)
+    }
+
+    fn bin(op: IrBinOp, l: Expr, r: Expr) -> Expr {
+        Expr::binary(op, l, r)
+    }
+
+    /// A routine that uses every expression and statement of the IR, with
+    /// faults (a zero divisor, an index out of bounds, a runaway `while`)
+    /// that depend on its inputs `xs`, `vs` and `n`. `codegen`'s freshness
+    /// test compiles it into `compiled.rs` under `#[cfg(test)]`.
+    pub(crate) fn fixture() -> (Function, Vec<(String, Param)>) {
+        let params = vec![
+            ints("xs"),
+            ("vs".to_string(), Param::Floats),
+            ("n".to_string(), Param::Int),
+        ];
+        let (x, v) = (var("x"), load("vs", var("i")));
+        let o = |slot: i64, value: Expr| store("o", int(slot), value);
+        let select = |cond: Expr, then: Expr, otherwise: Expr| Expr::Select {
+            cond: Box::new(cond),
+            then: Box::new(then),
+            otherwise: Box::new(otherwise),
+        };
+        let body = vec![
+            comment("every expression, on every element"),
+            alloc_int("o", int(16), true),
+            alloc_float("f", int(8), false),
+            decl("acc", int(i64::MIN)),
+            decl("facc", float(0.5)),
+            for_(
+                "i",
+                int(0),
+                var("n"),
+                vec![
+                    decl("x", load("xs", var("i"))),
+                    assign("acc", add(var("acc"), mul(x.clone(), int(3)))),
+                    store_add("o", int(0), x.clone()),
+                    store_max("o", int(1), x.clone()),
+                    store_or("o", int(2), x.clone()),
+                    o(3, div(int(100), sub(x.clone(), int(-1)))),
+                    o(4, rem(var("acc"), x.clone())),
+                    o(5, bin(IrBinOp::Shl, x.clone(), int(65))),
+                    o(6, bin(IrBinOp::Shr, var("acc"), x.clone())),
+                    o(7, bin(IrBinOp::BitXor, x.clone(), bin(IrBinOp::BitAnd, var("acc"), int(-4)))),
+                    o(8, bin(IrBinOp::LogicalAnd, x.clone(), bin(IrBinOp::BitOr, var("acc"), x.clone()))),
+                    o(9, bin(IrBinOp::LogicalOr, x.clone(), var("acc"))),
+                    o(10, select(gt(x.clone(), int(2)), x.clone(), int(-2))),
+                    o(11, Expr::Not(Box::new(x.clone()))),
+                    o(12, min(x.clone(), var("acc"))),
+                    o(13, max(x.clone(), int(-1))),
+                    store("o", x.clone(), le(x.clone(), var("n"))),
+                    assign("facc", add(mul(var("facc"), v.clone()), x.clone())),
+                    store_add("f", int(0), v.clone()),
+                    store_max("f", int(1), v.clone()),
+                    store("f", int(2), div(v.clone(), x.clone())),
+                    store("f", int(3), select(lt(v.clone(), float(0.0)), float(-0.0), float(f64::NAN))),
+                    store("f", int(4), min(v.clone(), float(-1e300))),
+                    store("f", int(5), sub(v.clone(), var("facc"))),
+                    store("f", int(6), select(eq(v.clone(), v.clone()), x.clone(), v.clone())),
+                    if_else(
+                        ne(x.clone(), int(0)),
+                        vec![decl("last", x.clone())],
+                        vec![assign("zeros", add(var("i"), int(1)))],
+                    ),
+                ],
+            ),
+            decl("w", int(0)),
+            Stmt::While {
+                cond: lt(var("w"), load("xs", int(0))),
+                body: vec![assign("w", add(var("w"), int(1)))],
+            },
+            if_(ge(var("w"), int(2)), vec![decl("late", float(2.5))]),
+        ];
+        (Function::new("emit_fixture", vec![], body), params)
+    }
+
+    #[test]
+    fn reads_before_definition_are_refused() {
+        let read_first = vec![decl("y", var("x")), decl("x", int(1))];
+        assert_eq!(
+            emit(read_first, &[]),
+            Err(InterpError::UndefinedVariable("x".into()))
+        );
+        // Defined on one branch only, or only inside a loop that may not run.
+        let one_branch = vec![
+            if_(int(1), vec![decl("x", int(1))]),
+            decl("y", var("x")),
+        ];
+        assert_eq!(
+            emit(one_branch, &[]),
+            Err(InterpError::UndefinedVariable("x".into()))
+        );
+        let in_loop = vec![
+            for_("i", int(0), int(3), vec![alloc_int("b", int(1), true)]),
+            store("b", int(0), int(1)),
+        ];
+        assert_eq!(
+            emit(in_loop, &[]),
+            Err(InterpError::UndefinedBuffer("b".into()))
+        );
+        // Both branches define it: the read is fine.
+        let both = vec![
+            if_else(int(1), vec![decl("x", int(1))], vec![decl("x", int(2))]),
+            decl("y", var("x")),
+        ];
+        assert!(emit(both, &[]).is_ok());
+    }
+
+    #[test]
+    fn what_the_emitter_does_not_take_is_refused() {
+        let refused = |body: Vec<Stmt>, params: &[(String, Param)], what: &str| {
+            let Err(InterpError::TypeError(why)) = emit(body, params) else {
+                panic!("{what} was emitted");
+            };
+            assert!(why.contains(what), "{why}");
+        };
+        let one_path = vec![if_(var("n"), vec![alloc_int("b", int(1), true)])];
+        refused(one_path, &[("n".into(), Param::Int)], "not allocated on every path");
+        refused(vec![store("xs", int(0), int(1))], &[ints("xs")], "writes its input `xs`");
+        refused(vec![alloc_int("xs", int(1), true)], &[ints("xs")], "writes its input `xs`");
+        refused(vec![decl("x-y", int(1))], &[], "not an identifier");
+        let n = [("n".into(), Param::Int)];
+        refused(vec![assign("n", add(var("n"), int(1)))], &n, "writes its input `n`");
+    }
+
+    #[test]
+    fn type_errors_are_the_interpreters() {
+        let body = vec![decl("x", int(1)), decl("x", float(1.0))];
+        let function = Function::new("f", vec![], body.clone());
+        let expected = Interpreter::new().run(&function).unwrap_err();
+        assert!(matches!(expected, InterpError::TypeError(_)));
+        assert_eq!(emit(body, &[]), Err(expected));
+    }
+
+    /// The compiled routines carry no unchecked access and nothing that can
+    /// panic.
+    #[test]
+    fn the_compiled_file_has_no_unchecked_access_and_no_panics() {
+        let text = include_str!("compiled.rs");
+        assert!(text.starts_with("// @generated"));
+        for banned in ["unsafe", "get_unchecked", "unwrap(", "expect(", "panic!"] {
+            assert!(!text.contains(banned), "`{banned}` in compiled.rs");
+        }
+        // No indexing either: every access goes through `checked`.
+        let code = text.lines().map(str::trim_start);
+        let code = code.filter(|l| !l.starts_with("//") && !l.starts_with('#'));
+        assert!(code.clone().all(|l| !l.contains('[')), "an index in compiled.rs");
+        assert!(code.count() > 1000);
+    }
+
+    const PAYLOADS: [f64; 6] = [1.5, -0.0, 0.0, f64::NAN, -7.0, f64::INFINITY];
+
+    proptest! {
+        /// The fixture's compiled and interpreted runs return the same error,
+        /// or leave the same names defined, bit for bit.
+        #[test]
+        fn the_compiled_fixture_matches_the_interpreter((xs, vs, extra) in (
+            proptest::collection::vec(-3i64..20, 1..12),
+            proptest::collection::vec(0..PAYLOADS.len(), 12..13),
+            0i64..3,
+        )) {
+            let (function, _) = fixture();
+            let routine = compiled::lookup("emit_fixture").expect("compiled for tests");
+            let mut interpreted = Interpreter::new();
+            interpreted.while_budget = 12;
+            let n = xs.len() as i64 + extra - 1;
+            interpreted.insert_buffer("xs", Buffer::Ints(xs));
+            let vs = vs.into_iter().map(|p| PAYLOADS[p]).collect();
+            interpreted.insert_buffer("vs", Buffer::Floats(vs));
+            interpreted.insert_int("n", n);
+            let mut compiled = interpreted.clone();
+            let expected = interpreted.run(&function);
+            prop_assert_eq!(&expected, &routine(&mut compiled).map_err(|fault| *fault));
+            if expected.is_ok() {
+                prop_assert_eq!(tables(&interpreted), tables(&compiled));
+            }
+        }
+    }
+}

@@ -16,7 +16,7 @@
 //! when it runs, not before), missing buffers, division by zero, runaway
 //! `while` loops and negative or unrepresentable allocation sizes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -193,10 +193,80 @@ impl Interpreter {
         self.frame.buffers[slot.index as usize].as_ref()
     }
 
+    /// Removes a buffer from the environment and returns it; its name
+    /// keeps its slot and type.
+    pub(crate) fn take_buffer(&mut self, name: &str) -> Option<Buffer> {
+        let slot = self.names[BUFFER].get(name)?;
+        self.frame.buffers[slot.index as usize].take()
+    }
+
     /// Looks up an integer scalar by name.
     pub fn int(&self, name: &str) -> Option<i64> {
         let slot = self.names[SCALAR].get(name).filter(|s| s.ty == Ty::Int)?;
         self.frame.ints[slot.index as usize]
+    }
+
+    /// Looks up a scalar of either type by name.
+    pub fn scalar(&self, name: &str) -> Option<Scalar> {
+        let slot = self.names[SCALAR].get(name)?;
+        match slot.ty {
+            Ty::Int => self.frame.ints[slot.index as usize].map(Scalar::Int),
+            Ty::Float => self.frame.floats[slot.index as usize].map(Scalar::Float),
+        }
+    }
+
+    /// The names that hold a value: the scalars', then the buffers', each
+    /// in name order.
+    pub fn defined(&self) -> [Vec<&str>; 2] {
+        let set = |kind: usize, name: &str| match kind {
+            SCALAR => self.scalar(name).is_some(),
+            _ => self.buffer(name).is_some(),
+        };
+        [SCALAR, BUFFER].map(|kind| {
+            let names = self.names[kind].keys().filter(|name| set(kind, name));
+            let mut names: Vec<&str> = names.map(String::as_str).collect();
+            names.sort_unstable();
+            names
+        })
+    }
+
+    /// Inserts (or replaces) a named float scalar.
+    pub fn insert_float(&mut self, name: &str, value: f64) {
+        let slot = self.slot(SCALAR, name, Ty::Float);
+        let slot = slot.unwrap_or_else(|_| self.add(SCALAR, name, Ty::Float));
+        self.frame.floats[slot.index as usize] = Some(value);
+    }
+
+    /// The integer input `name`, as a compiled routine reads it.
+    pub(crate) fn input_int(&self, name: &str) -> Result<i64, InterpError> {
+        self.int(name)
+            .ok_or_else(|| InterpError::UndefinedVariable(name.to_string()))
+    }
+
+    /// The buffer input `name` as `view` sees it ([`Buffer::as_ints`] or
+    /// [`Buffer::as_floats`]), as a compiled routine reads it.
+    pub(crate) fn input<'a, T>(
+        &'a self,
+        name: &str,
+        view: fn(&Buffer) -> Option<&[T]>,
+    ) -> Result<&'a [T], InterpError> {
+        let data = self.buffer(name).and_then(view);
+        data.ok_or_else(|| InterpError::UndefinedBuffer(name.to_string()))
+    }
+
+    /// The type [`run`](Self::run) gives each name `function` reads or
+    /// defines in this environment: the scalars', then the buffers'.
+    ///
+    /// # Errors
+    ///
+    /// Returns the type error `run` would return before running anything.
+    pub(crate) fn typing(
+        &mut self,
+        function: &Function,
+    ) -> Result<[BTreeMap<String, Ty>; 2], InterpError> {
+        self.resolve(&function.body)?;
+        let typed = |names: HashMap<String, Slot>| names.into_iter().map(|(n, s)| (n, s.ty));
+        Ok(self.names.clone().map(|names| typed(names).collect()))
     }
 
     /// Runs a function against the current environment.
@@ -476,7 +546,7 @@ impl Interpreter {
 }
 
 /// The static type of a scalar, a buffer's elements or an expression.
-type Ty = BufferKind;
+pub(crate) type Ty = BufferKind;
 /// A runtime result; its error is boxed to keep it two words wide.
 type Res<T> = Result<T, Box<InterpError>>;
 /// A resolve-time outcome.

@@ -6,10 +6,20 @@
 //! conversion plan to [`Function`]s in this IR, which can be
 //!
 //! * pretty printed as C-like source (structurally comparable to Figure 6),
-//! * simplified (constant folding, algebraic identities), and
+//! * simplified (constant folding, algebraic identities),
 //! * executed by [`interp::Interpreter`], which resolves a routine once to
 //!   typed slots and closures, then runs it against named `i64` / `f64`
-//!   buffers with every access checked, so generated routines are testable.
+//!   buffers with every access checked, so generated routines are testable,
+//!   and
+//! * emitted as checked Rust ([`emit`]), which keeps the interpreter's
+//!   contract (every access checked through [`checked`], the same
+//!   [`InterpError`](interp::InterpError)s, wrapping arithmetic) and runs
+//!   against the same tables. The routines the code generator serves are
+//!   emitted ahead of time into the `@generated` [`compiled`] module, which
+//!   a unit test of `codegen` keeps equal to what the emitter prints now
+//!   (there is no build script: it could not run the generator of the crate
+//!   it builds). The interpreter runs every other routine, and is the
+//!   reference the compiled tier is tested against.
 //!
 //! # Example
 //!
@@ -35,6 +45,10 @@
 //! ```
 
 pub mod build;
+pub mod checked;
+#[rustfmt::skip]
+pub mod compiled;
+pub mod emit;
 pub mod expr;
 pub mod interp;
 pub mod printer;

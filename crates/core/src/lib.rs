@@ -133,10 +133,11 @@ mount_tests! {
     banded: "levels/banded_tests.rs",
     bounds: "remap/bounds_tests.rs",
     build: "ir/build_tests.rs",
-    cin: "query/cin_tests.rs",
+    checked: "ir/checked_tests.rs",
     compressed: "levels/compressed_tests.rs",
     cost: "planner/cost_tests.rs",
     dense: "levels/dense_tests.rs",
+    emit: "ir/emit_tests.rs",
     eval: "remap/eval_tests.rs",
     expr: "ir/expr_tests.rs",
     graph: "planner/graph_tests.rs",
@@ -152,5 +153,4 @@ mount_tests! {
     squeezed: "levels/squeezed_tests.rs",
     stmt: "ir/stmt_tests.rs",
     token: "remap/token_tests.rs",
-    transform: "query/transform_tests.rs",
 }

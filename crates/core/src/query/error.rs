@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors raised while parsing, lowering, or evaluating attribute queries.
+/// Errors raised while parsing or evaluating attribute queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
     /// The query text could not be parsed.
@@ -29,9 +29,6 @@ pub enum QueryError {
     /// The group-by coordinate space has more points than `usize::MAX`, so
     /// no dense result table can hold it.
     GroupSpaceOverflow,
-    /// A Table 1 transformation was applied to a statement that does not
-    /// satisfy its preconditions.
-    PreconditionViolated(&'static str),
 }
 
 impl fmt::Display for QueryError {
@@ -56,12 +53,6 @@ impl fmt::Display for QueryError {
             }
             QueryError::GroupSpaceOverflow => {
                 write!(f, "the group-by space has more than usize::MAX points")
-            }
-            QueryError::PreconditionViolated(rule) => {
-                write!(
-                    f,
-                    "preconditions of the `{rule}` transformation are not satisfied"
-                )
             }
         }
     }
@@ -94,8 +85,5 @@ mod tests {
         }
         .to_string()
         .contains('2'));
-        assert!(QueryError::PreconditionViolated("inline-temporary")
-            .to_string()
-            .contains("inline-temporary"));
     }
 }

@@ -15,9 +15,7 @@
 //!
 //! The module provides:
 //!
-//! * an AST ([`AttrQuery`]) and parser ([`parse_query`]),
-//! * lowering to *concrete index notation* ([`cin`]) following Section 5.2,
-//! * the rewrite rules of Table 1 ([`transform`]), and
+//! * an AST ([`AttrQuery`]) and parser ([`parse_query`]), and
 //! * evaluators ([`eval`]): a reference evaluator over remapped coordinate
 //!   streams, plus the dense-result [`eval::QueryResult`] representation that
 //!   the conversion engine consumes.
@@ -44,11 +42,9 @@
 //! ```
 
 pub mod ast;
-pub mod cin;
 pub mod error;
 pub mod eval;
 pub mod parser;
-pub mod transform;
 
 pub use ast::{Aggregate, AttrQuery, QueryField};
 pub use error::QueryError;

@@ -166,6 +166,37 @@ fn generated_code_records_generate_bind_run_unpack() {
     assert_eq!(children[2].items, src.nnz() as u64);
 }
 
+/// `ir.run` names the tier that ran the routine in exactly one child span,
+/// which opens nothing inside it: `ir.compiled` for a routine compiled ahead
+/// of time, `ir.interpreted` for one only the interpreter can run (here a
+/// builder format's, which then has no container to unpack into).
+#[test]
+fn ir_run_records_one_tier_span_and_nothing_inside_it() {
+    let src = matrix_source();
+    let my_csr: Format = "OBS-TEST-MYCSR:(r,c)->(r,c):r,c:dense,compressed"
+        .parse()
+        .unwrap();
+    for (target, tier) in [
+        (Format::csr(), "ir.compiled"),
+        (Format::dia(), "ir.compiled"),
+        (my_csr, "ir.interpreted"),
+    ] {
+        let root = Span::enter_traced("test.tier");
+        let trace = root.handle().trace_id();
+        let result = codegen::execute_format(&src, &target);
+        assert_eq!(result.is_ok(), tier == "ir.compiled", "{target}");
+        drop(root);
+        let records = Collector::global().take_trace(trace);
+        let children = |id| records.iter().filter(move |r| r.parent == Some(id));
+        let runs: Vec<_> = records.iter().filter(|r| r.name == "ir.run").collect();
+        assert_eq!(runs.len(), 1, "{target}");
+        let tiers: Vec<_> = children(runs[0].id).collect();
+        assert_eq!(tiers.len(), 1, "{target}");
+        assert_eq!(tiers[0].name, tier, "{target}");
+        assert_eq!(children(tiers[0].id).count(), 0, "{target}");
+    }
+}
+
 /// The generic driver records its three phases, in order, each counting
 /// the nonzeros it handled.
 #[test]
