@@ -25,11 +25,11 @@
 use std::ops::Range;
 
 use obs::Span;
-use sparse_formats::csf::pack_sorted;
-use sparse_formats::radix;
+use sparse_formats::csf::lex_sort_perm;
+use sparse_formats::radix::{self, KeyLayout, PackedKey};
 use sparse_formats::{
-    BcsrMatrix, CooMatrix, CooTensor, CscMatrix, CsfTensor, CsrMatrix, DiaMatrix, EllMatrix,
-    JadMatrix, SkylineMatrix,
+    BcsrMatrix, CooMatrix, CooTensor, CscMatrix, CsfBuilder, CsfTensor, CsrMatrix, DiaMatrix,
+    EllMatrix, JadMatrix, SkylineMatrix,
 };
 use sparse_tensor::Value;
 
@@ -254,7 +254,7 @@ pub fn tensor_to_coo<S: SourceTensor>(src: &S) -> CooTensor {
 
 /// Converts any tensor source to CSF by the paper's sort-then-pack recipe:
 /// a stable lexicographic sort of the coordinates (the packed-key radix
-/// sort of [`radix::sort_perm`]; skipped when the source already iterates
+/// sort of [`radix::sort_pairs`]; skipped when the source already iterates
 /// in order, e.g. CSF itself) followed by a single packing pass that opens
 /// a fresh fiber at the first level whose coordinate changes. Works at any
 /// order — order-2 sources yield DCSR. This is [`to_csf_ordered`] at the
@@ -280,12 +280,12 @@ pub(crate) fn assert_mode_order(mode_order: &[usize], order: usize) {
 /// sort is skipped when the order is the identity and the source already
 /// iterates in order.
 ///
-/// The sort is the shared stable lexicographic order ([`radix::sort_perm`],
-/// the packed-key radix sort equivalent of
-/// [`sparse_formats::csf::lex_sort_perm`]) over the *permuted* columns, so
-/// the resulting permutation equals the stable full-tuple sort the dynamic
-/// driver performs on remapped coordinates — the root of the three paths'
-/// bit-identical outputs.
+/// Each nonzero becomes one packed `(key, value bits)` pair ([`KeyLayout`]),
+/// radix-sorted and packed from the keys ([`radix::pack_keys`]). The order
+/// is the stable full-tuple sort of the *permuted* columns (keys wider than
+/// `u128` take [`lex_sort_perm`]), which the dynamic driver performs on
+/// remapped coordinates too — the root of the three paths' bit-identical
+/// outputs.
 ///
 /// # Panics
 ///
@@ -296,30 +296,79 @@ pub fn to_csf_ordered<S: SourceTensor>(src: &S, mode_order: &[usize]) -> CsfTens
     assert_mode_order(mode_order, order);
     let shape = sparse_tensor::Shape::new(mode_order.iter().map(|&m| canonical.dim(m)).collect());
     let nnz = src.nnz();
+    let gather = Span::enter("engine.gather");
+    gather.add_items(nnz as u64);
     let mut columns: Vec<Vec<usize>> = vec![Vec::with_capacity(nnz); order];
     let mut vals: Vec<Value> = Vec::with_capacity(nnz);
-    {
-        let span = Span::enter("engine.gather");
-        span.add_items(nnz as u64);
-        src.for_each_coord(|coord, v| {
-            for (d, &m) in mode_order.iter().enumerate() {
-                columns[d].push(coord[m] as usize);
-            }
-            vals.push(v);
-        });
+    let mut maxima = vec![0usize; order];
+    src.for_each_coord(|coord, v| {
+        for (d, &m) in mode_order.iter().enumerate() {
+            maxima[d] = maxima[d].max(coord[m] as usize);
+            columns[d].push(coord[m] as usize);
+        }
+        vals.push(v);
+    });
+    let layout = KeyLayout::new(&maxima);
+    let in_order = mode_order.iter().enumerate().all(|(d, &m)| d == m) && src.coords_in_order();
+    if !in_order && layout.bits() <= u64::BITS {
+        return sort_pack_columns::<u64>(shape, &layout, &columns, &vals, gather);
     }
-    let identity = mode_order.iter().enumerate().all(|(d, &m)| d == m);
-    let perm: Vec<usize> = if identity && src.coords_in_order() {
+    if !in_order && layout.bits() <= u128::BITS {
+        return sort_pack_columns::<u128>(shape, &layout, &columns, &vals, gather);
+    }
+    drop(gather);
+    // Already sorted, or too wide to pack: push in (comparison-)sorted order.
+    let perm = if in_order {
         (0..nnz).collect()
     } else {
         let span = Span::enter("engine.sort");
         span.add_items(nnz as u64);
-        radix::sort_perm(&columns)
+        lex_sort_perm(&columns)
     };
     let span = Span::enter("engine.pack");
     span.add_items(nnz as u64);
-    span.add_bytes((nnz * (order * size_of::<usize>() + size_of::<Value>())) as u64);
-    pack_sorted(shape, |d, p| columns[d][perm[p]], |p| vals[perm[p]], nnz)
+    let mut builder = CsfBuilder::new(shape, nnz);
+    for p in perm {
+        builder.push(|d| columns[d][p], vals[p]);
+    }
+    builder.finish()
+}
+
+/// The engine's keyed path: builds every `(key, value bits)` pair (still
+/// under the caller's `gather` span), then [`sort_pack`]s them.
+fn sort_pack_columns<K: PackedKey>(
+    shape: sparse_tensor::Shape,
+    layout: &KeyLayout,
+    columns: &[Vec<usize>],
+    vals: &[Value],
+    gather: Span,
+) -> CsfTensor {
+    let mut pairs: Vec<(K, u64)> = (0..vals.len())
+        .map(|p| (layout.key(|d| columns[d][p]), vals[p].to_bits()))
+        .collect();
+    drop(gather);
+    sort_pack(shape, layout, &mut pairs, ["engine.sort", "engine.pack"])
+}
+
+/// Sort-then-pack of `(key, value bits)` pairs under the two named spans:
+/// the engine's, and every parallel kernel chunk's. The scratch buffer of
+/// the in-place sort is freed before the pack.
+pub(crate) fn sort_pack<K: PackedKey>(
+    shape: sparse_tensor::Shape,
+    layout: &KeyLayout,
+    pairs: &mut [(K, u64)],
+    [sort, pack]: [&'static str; 2],
+) -> CsfTensor {
+    let n = pairs.len() as u64;
+    {
+        let span = Span::enter(sort);
+        span.add_items(n);
+        let mut scratch = vec![(K::default(), 0); pairs.len()];
+        radix::sort_pairs(pairs, &mut scratch, layout.bits());
+    }
+    let span = Span::enter(pack);
+    span.add_items(n);
+    radix::pack_keys(shape, layout, pairs)
 }
 
 /// Converts any source to DIA (generalises Figure 6a to any source and to

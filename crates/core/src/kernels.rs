@@ -7,11 +7,13 @@
 //! once each, on the same primitives — at one thread, one chunk of every
 //! step, inline on the calling thread:
 //!
-//! * **COO→CSF** ([`coo_to_csf_ordered`]) — after the shared histogram →
-//!   merge → scatter step buckets the nonzeros by root, the work is
-//!   re-partitioned by *root fibers* and each span is radix-sorted and
-//!   packed on its own ([`fork_join`]), which no per-nonzero assembly
-//!   expresses.
+//! * **COO→CSF** ([`coo_to_csf_ordered`]) — every nonzero becomes one
+//!   packed `(key, value bits)` pair, built as the columns are read in
+//!   order (the gather at one chunk; the shared histogram → merge → scatter
+//!   step's bucket-by-root scatter at several). The work is then
+//!   re-partitioned by *root fibers* and each span is radix-sorted in place
+//!   and packed straight from its keys on its own ([`fork_join`]), which no
+//!   per-nonzero assembly expresses.
 //! * **CSR→BCSR** ([`csr_to_bcsr`]) — a CSR source hands each block row's
 //!   column indices over as slices, so block discovery sorts one reused
 //!   scratch buffer per block row. Written over `SourceMatrix::for_each_in`
@@ -27,8 +29,7 @@
 //! of the [kernel table](crate::kernel_table).
 
 use obs::Span;
-use sparse_formats::csf::pack_sorted;
-use sparse_formats::radix::{self, SortStrategy};
+use sparse_formats::radix::{KeyLayout, PackedKey};
 use sparse_formats::{BcsrMatrix, CooTensor, CsfTensor, CsrMatrix};
 use sparse_tensor::{Shape, Value};
 
@@ -55,23 +56,22 @@ pub fn coo_to_csf(coo: &CooTensor, threads: usize) -> Result<CsfTensor, ConvertE
 /// COO→CSF along an arbitrary mode order (storage level `d` holds canonical
 /// mode `mode_order[d]`), partitioned by the *storage* root:
 ///
-/// 1. *analysis* — per-chunk histograms over the root coordinate (canonical
-///    mode `mode_order[0]`),
-/// 2. *merge + scatter* — a stable bucket sort that groups nonzeros by root
-///    while preserving source order inside each root (the cursors encode
-///    exactly the sequential positions),
+/// 1. *layout* — the per-level maxima fix the packed key ([`KeyLayout`]):
+///    `u64` up to 64 bits, `u128` up to 128, the engine's comparison sort
+///    past that,
+/// 2. *keys* — one `(key, value bits)` pair per nonzero, in source order at
+///    one chunk; at several, a stable bucket scatter by root (canonical mode
+///    `mode_order[0]`) off merged per-chunk root histograms,
 /// 3. *root-fiber-partitioned sort + pack* — the roots are carved into
-///    nnz-balanced chunks; every chunk's contiguous span is stably sorted by
-///    the full *permuted* coordinate tuple and packed into its own fibers;
+///    nnz-balanced chunks; every chunk's contiguous span of pairs is
+///    radix-sorted in place and packed from its keys into its own fibers;
 ///    the per-chunk CSF arrays concatenate exactly because chunk boundaries
 ///    coincide with root-fiber boundaries.
 ///
 /// A stable bucket sort by the storage root followed by a stable sort of
-/// each bucket span is the same permutation as one global stable
-/// lexicographic sort of the permuted tuples, so the output is
-/// **bit-identical** to [`engine::to_csf_ordered`] at any thread count. The
-/// span sorts go through the packed-key LSD radix kernel
-/// ([`radix::sort_index_span`]).
+/// each bucket span is the same order as one global stable lexicographic
+/// sort of the permuted tuples, so the output is **bit-identical** to
+/// [`engine::to_csf_ordered`] at any thread count.
 ///
 /// # Errors
 ///
@@ -85,28 +85,6 @@ pub fn coo_to_csf_ordered(
     mode_order: &[usize],
     threads: usize,
 ) -> Result<CsfTensor, ConvertError> {
-    coo_to_csf_ordered_with(coo, mode_order, threads, SortStrategy::Radix)
-}
-
-/// [`coo_to_csf_ordered`] with the span-sort strategy pinned, so strategy
-/// ablations compare sort algorithms over identical plumbing. All strategies
-/// are stable, so the output is the same for every choice; only the sort
-/// phase timing differs (the `sort_strategies` bench group measures exactly
-/// this).
-///
-/// # Errors
-///
-/// Returns [`ConvertError::WorkerPanicked`] when a worker thread panicked.
-///
-/// # Panics
-///
-/// Panics if `mode_order` is not a permutation of `0..coo.order()`.
-pub fn coo_to_csf_ordered_with(
-    coo: &CooTensor,
-    mode_order: &[usize],
-    threads: usize,
-    strategy: SortStrategy,
-) -> Result<CsfTensor, ConvertError> {
     let nnz = coo.nnz();
     let order = coo.order();
     if nnz == 0 || order < 2 {
@@ -114,59 +92,83 @@ pub fn coo_to_csf_ordered_with(
         return Ok(engine::to_csf_ordered(coo, mode_order));
     }
     engine::assert_mode_order(mode_order, order);
-    let threads = threads.max(1);
-    // Storage dimension d holds canonical mode mode_order[d]; the root
-    // partitioner keys on the storage-outermost mode.
-    let packed_shape = Shape::new(mode_order.iter().map(|&m| coo.shape().dim(m)).collect());
-    let roots = packed_shape.dim(0);
-    let root_crd = coo.crd(mode_order[0]);
+    let columns: Vec<&[usize]> = mode_order.iter().map(|&m| coo.crd(m)).collect();
+    let maxima: Vec<usize> = {
+        let span = Span::enter("kernel.layout");
+        span.add_items(nnz as u64);
+        let max = |c: &&[usize]| c.iter().copied().max().unwrap_or(0);
+        columns.iter().map(max).collect()
+    };
+    let layout = KeyLayout::new(&maxima);
+    // Root histograms wider than the tensor has nonzeros would cost more
+    // than the sort they split.
+    let roots = maxima[0] + 1;
+    let threads = if roots > nnz { 1 } else { threads.max(1) };
+    if layout.bits() <= u64::BITS {
+        sort_pack_chunks::<u64>(coo, mode_order, &columns, &layout, roots, threads)
+    } else if layout.bits() <= u128::BITS {
+        sort_pack_chunks::<u128>(coo, mode_order, &columns, &layout, roots, threads)
+    } else {
+        Ok(engine::to_csf_ordered(coo, mode_order))
+    }
+}
 
-    // The permutation being sorted, cut into one span per chunk. One chunk
-    // needs no partition: its span is every nonzero, and the stable span
-    // sort orders by the root too. Several first bucket the nonzeros by root
-    // and then own whole root fibers, nnz-balanced off the merged root `pos`
-    // array.
-    let mut perm: Vec<usize> = (0..nnz).collect();
+/// Steps 2 and 3 of [`coo_to_csf_ordered`] over `K`-wide keys whose root
+/// coordinates lie in `0..roots`, and the stitch.
+fn sort_pack_chunks<K: PackedKey>(
+    coo: &CooTensor,
+    mode_order: &[usize],
+    columns: &[&[usize]],
+    layout: &KeyLayout,
+    roots: usize,
+    threads: usize,
+) -> Result<CsfTensor, ConvertError> {
+    let (nnz, order) = (coo.nnz(), coo.order());
+    let packed_shape = Shape::new(mode_order.iter().map(|&m| coo.shape().dim(m)).collect());
+    let vals = coo.values();
+    let pair = |p: usize| (layout.key::<K>(|d| columns[d][p]), vals[p].to_bits());
+
+    // The pairs being sorted, cut into one span per chunk. One chunk needs
+    // no partition: its span is every nonzero in source order, and the
+    // stable sort orders by the root too. Several first bucket the pairs by
+    // root and then own whole root fibers, nnz-balanced off the merged root
+    // `pos` array.
+    let mut pairs: Vec<(K, u64)>;
     let span_lens: Vec<usize> = if threads == 1 {
+        let span = Span::enter("kernel.gather");
+        span.add_items(nnz as u64);
+        pairs = (0..nnz).map(pair).collect();
         vec![nnz]
     } else {
-        let root_pos = bucket_by_root(root_crd, roots, threads, &mut perm)?;
+        pairs = vec![(K::default(), 0); nnz];
+        let root_pos = bucket_by_root(columns[0], roots, threads, &mut pairs, pair)?;
         balanced_chunks_by_pos(&root_pos, threads)
             .iter()
             .map(|roots| root_pos[roots.end] - root_pos[roots.start])
             .collect()
     };
-    let spans = split_spans(&mut perm, span_lens);
+    let spans = split_spans(&mut pairs, span_lens);
 
-    // Sort each span stably by the *permuted* coordinate tuple, then pack it
-    // into partial CSF arrays. The span is already grouped by ascending root
-    // with source order inside each root, so the stable span sort completes
-    // the global stable lexicographic order.
-    let columns: Vec<&[usize]> = mode_order.iter().map(|&m| coo.crd(m)).collect();
-    let vals = coo.values();
+    // The span is already grouped by ascending root with source order
+    // inside each root, so its stable sort completes the global stable
+    // lexicographic order.
     let mut partials: Vec<CsfTensor> = fork_join(
         "kernel.sort_pack",
         "chunk_sort_pack",
         spans,
         |span, worker| {
             worker.add_items(span.len() as u64);
-            {
-                let sort = Span::enter("kernel.radix_sort");
-                sort.add_items(span.len() as u64);
-                radix::sort_index_span_with(&columns, span, strategy);
-            }
-            pack_sorted(
-                packed_shape.clone(),
-                |d, p| columns[d][span[p]],
-                |p| vals[span[p]],
-                span.len(),
-            )
+            let names = ["kernel.radix_sort", "kernel.pack"];
+            engine::sort_pack(packed_shape.clone(), layout, span, names)
         },
     )?;
     if partials.len() == 1 {
         // One chunk packed the whole tensor: nothing to stitch.
         return Ok(partials.remove(0));
     }
+    // The partials hold everything now: free the pairs before the stitch
+    // allocates the output.
+    drop(pairs);
 
     // Stitch: chunk boundaries are root-fiber boundaries, so the per-chunk
     // level arrays concatenate with offset fix-ups on the pos arrays.
@@ -290,18 +292,19 @@ pub fn csr_to_bcsr(
     )
 }
 
-/// Stable bucket sort of the nonzero positions by storage root, as the
-/// histogram instance of the shared skeleton over even nonzero chunks: count
-/// roots, merge into the root `pos` array (returned) and per-chunk cursors,
-/// scatter the source permutation into `perm`.
-fn bucket_by_root(
+/// Stable bucket sort of the nonzeros by storage root, as the histogram
+/// instance of the shared skeleton over even nonzero chunks: count roots,
+/// merge into the root `pos` array (returned) and per-chunk cursors, and
+/// scatter `item(p)` for every nonzero `p` into its slot of `out`.
+fn bucket_by_root<T: Send>(
     root_crd: &[usize],
     roots: usize,
     threads: usize,
-    perm: &mut [usize],
+    out: &mut [T],
+    item: impl Fn(usize) -> T + Sync,
 ) -> Result<Vec<usize>, ConvertError> {
-    let chunks = even_chunks(perm.len(), threads);
-    let perm_out = SharedSlice::new(perm);
+    let chunks = even_chunks(out.len(), threads);
+    let out = SharedSlice::new(out);
     two_phase(
         &chunks,
         "chunk_histogram",
@@ -320,7 +323,7 @@ fn bucket_by_root(
                 let dst = cursor[root_crd[p]];
                 cursor[root_crd[p]] += 1;
                 // SAFETY: cursor ranges partition the output.
-                unsafe { perm_out.write(dst, p) };
+                unsafe { out.write(dst, item(p)) };
             }
         },
     )
@@ -375,28 +378,6 @@ mod tests {
                     reference,
                     "{order:?} at {threads} threads"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn strategy_pinned_csf_kernels_match_the_default() {
-        let coo = shuffled_example3(11);
-        let strategies = [
-            SortStrategy::Radix,
-            SortStrategy::Comparison,
-            SortStrategy::Counting,
-        ];
-        for order in [[0, 1, 2], [2, 0, 1]] {
-            let reference = engine::to_csf_ordered(&coo, &order);
-            for strategy in strategies {
-                for threads in [1, 2, 4] {
-                    assert_eq!(
-                        coo_to_csf_ordered_with(&coo, &order, threads, strategy).unwrap(),
-                        reference,
-                        "{order:?} with {strategy:?} at {threads} threads"
-                    );
-                }
             }
         }
     }

@@ -156,22 +156,12 @@ impl CsfTensor {
     /// Builds a CSF tensor from canonical triples by the paper's reference
     /// recipe: stable lexicographic sort, then a single packing pass.
     pub fn from_triples(t: &SparseTriples) -> Self {
-        let order = t.order();
-        let mut columns: Vec<Vec<usize>> = vec![Vec::with_capacity(t.nnz()); order];
-        let mut vals: Vec<Value> = Vec::with_capacity(t.nnz());
-        for triple in t.iter() {
-            for (d, &c) in triple.coord.iter().enumerate() {
-                columns[d].push(c as usize);
-            }
-            vals.push(triple.value);
+        let columns = t.columns();
+        let mut builder = CsfBuilder::new(t.shape().clone(), t.nnz());
+        for p in lex_sort_perm(&columns) {
+            builder.push(|d| columns[d][p], t.triples()[p].value);
         }
-        let perm = lex_sort_perm(&columns);
-        pack_sorted(
-            t.shape().clone(),
-            |d, p| columns[d][perm[p]],
-            |p| vals[perm[p]],
-            t.nnz(),
-        )
+        builder.finish()
     }
 
     /// Converts back to canonical triples, in fiber-tree (lexicographic)
@@ -256,80 +246,82 @@ impl CsfTensor {
     }
 }
 
-/// An incremental CSF packer: push nonzeros in lexicographic (fiber-tree)
+/// An incremental CSF packer: append nonzeros in lexicographic (fiber-tree)
 /// order, one at a time, and [`CsfBuilder::finish`] assembles the level
-/// arrays. This is the packing loop of the paper's sort-then-pack recipe
-/// factored out of [`pack_sorted`] so that *streaming* consumers (an
-/// external merge sort draining runs from disk) and the in-memory paths
-/// share the exact same code — bit-identical outputs by construction.
+/// arrays. This is the packing loop of the paper's sort-then-pack recipe,
+/// shared by every path that builds CSF — the engine and the parallel
+/// kernel's chunks (through [`crate::radix::pack_keys`], which reads each
+/// nonzero's split level off its packed key), the streaming drain of an
+/// external merge sort and the wide-key comparison fallback (through
+/// [`CsfBuilder::push`]) — so their outputs are bit-identical by
+/// construction.
 ///
-/// The caller is responsible for feeding coordinates in non-decreasing
-/// lexicographic order with in-bounds components (the contract [`pack_sorted`]
-/// has always had); duplicates of the full coordinate tuple are stored as
-/// adjacent innermost entries.
+/// Every nonzero is one split-driven append: it leaves the previous
+/// nonzero's fibers at some level `split`, and is written at that level and
+/// every deeper one, each fresh fiber recording where its children start;
+/// [`CsfBuilder::finish`] closes every `pos` array with its child level's
+/// length.
+///
+/// The caller feeds coordinates in non-decreasing lexicographic order with
+/// in-bounds components; duplicates of the full coordinate tuple split at
+/// the innermost level, so they are stored as adjacent innermost entries.
 #[derive(Debug)]
 pub struct CsfBuilder {
     shape: Shape,
     crd: Vec<Vec<usize>>,
+    /// The start of every open or closed fiber's children, one per `crd`
+    /// entry until [`CsfBuilder::finish`] appends the end.
     pos: Vec<Vec<usize>>,
     vals: Vec<Value>,
-    prev: Vec<usize>,
 }
 
 impl CsfBuilder {
-    /// An empty builder for tensors of the given shape.
+    /// An empty builder for tensors of the given shape, with room for `nnz`
+    /// nonzeros at the innermost level.
     ///
     /// # Panics
     ///
     /// Panics on order-0 shapes (a tensor needs at least one level).
-    pub fn new(shape: Shape) -> Self {
+    pub fn new(shape: Shape, nnz: usize) -> Self {
         let order = shape.order();
         assert!(order >= 1, "CSF needs at least one level");
+        let mut crd = vec![Vec::new(); order];
+        crd[order - 1].reserve_exact(nnz);
         CsfBuilder {
             shape,
-            crd: vec![Vec::new(); order],
-            pos: vec![vec![0]; order - 1],
-            vals: Vec::new(),
-            prev: Vec::new(),
+            crd,
+            pos: vec![Vec::new(); order - 1],
+            vals: Vec::with_capacity(nnz),
         }
     }
 
-    /// Appends the next nonzero in sorted order.
-    pub fn push(&mut self, coord: &[usize], value: Value) {
-        let order = self.shape.order();
-        debug_assert_eq!(coord.len(), order, "coordinate arity mismatch");
-        // The first level whose coordinate differs from the previous nonzero
-        // opens a fresh fiber there and at every deeper level.
-        let split = (0..order)
-            .find(|&d| self.prev.get(d) != Some(&coord[d]))
-            .unwrap_or(order - 1);
-        for (d, &c) in coord.iter().enumerate().skip(split) {
-            self.crd[d].push(c);
-            if d + 1 < order {
-                // Placeholder for the new fiber's end offset.
-                self.pos[d].push(0);
-            }
+    /// Appends the next nonzero in sorted order, the one whose level-`d`
+    /// coordinate is `coord(d)`: it splits at the first level where it
+    /// leaves the open fibers (the last coordinate of every level), and at
+    /// the innermost level if it repeats the previous nonzero.
+    pub fn push(&mut self, coord: impl Fn(usize) -> usize, value: Value) {
+        let inner = self.crd.len() - 1;
+        let split = (0..inner)
+            .find(|&d| self.crd[d].last() != Some(&coord(d)))
+            .unwrap_or(inner);
+        self.append(split, coord, value);
+    }
+
+    /// Appends a nonzero that leaves the open fibers at level `split`.
+    pub(crate) fn append(&mut self, split: usize, coord: impl Fn(usize) -> usize, value: Value) {
+        let inner = self.crd.len() - 1;
+        for d in split..inner {
+            self.pos[d].push(self.crd[d + 1].len());
+            self.crd[d].push(coord(d));
         }
-        // Every open fiber's end offset is the running child length.
-        for d in 0..order - 1 {
-            self.pos[d][self.crd[d].len()] = self.crd[d + 1].len();
-        }
-        self.prev.clear();
-        self.prev.extend_from_slice(coord);
+        self.crd[inner].push(coord(inner));
         self.vals.push(value);
     }
 
-    /// Number of nonzeros pushed so far.
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Assembles the packed tensor.
-    pub fn finish(self) -> CsfTensor {
-        let order = self.shape.order();
-        for d in 0..order.saturating_sub(1) {
-            debug_assert_eq!(self.pos[d].len(), self.crd[d].len() + 1);
-            debug_assert_eq!(self.pos[d].last().copied(), Some(self.crd[d + 1].len()));
+    pub fn finish(mut self) -> CsfTensor {
+        for (d, pos) in self.pos.iter_mut().enumerate() {
+            pos.push(self.crd[d + 1].len());
         }
         CsfTensor {
             shape: self.shape,
@@ -338,29 +330,6 @@ impl CsfBuilder {
             vals: self.vals,
         }
     }
-}
-
-/// Packs already-sorted nonzeros into CSF level arrays. `coord_at(d, p)` and
-/// `value_at(p)` read the `p`-th nonzero in sorted order. Exposed so the
-/// conversion engine and the parallel runtime kernels can share the exact
-/// packing loop (bit-identical outputs by construction); implemented on
-/// [`CsfBuilder`], which streaming consumers drive directly.
-pub fn pack_sorted(
-    shape: Shape,
-    coord_at: impl Fn(usize, usize) -> usize,
-    value_at: impl Fn(usize) -> Value,
-    nnz: usize,
-) -> CsfTensor {
-    let order = shape.order();
-    let mut builder = CsfBuilder::new(shape);
-    let mut coord = vec![0usize; order];
-    for p in 0..nnz {
-        for (d, c) in coord.iter_mut().enumerate() {
-            *c = coord_at(d, p);
-        }
-        builder.push(&coord, value_at(p));
-    }
-    builder.finish()
 }
 
 #[cfg(test)]
@@ -468,7 +437,7 @@ mod tests {
     fn order_1_tensors_roundtrip_through_from_parts() {
         // At order 1 the root level is the innermost level, so duplicate
         // coordinates are representable; from_parts must accept what
-        // pack_sorted produces.
+        // the builder produces.
         let mut t = SparseTriples::new(Shape::vector(4));
         t.push(vec![2], 1.0).unwrap();
         t.push(vec![2], 2.0).unwrap();

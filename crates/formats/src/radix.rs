@@ -1,51 +1,45 @@
 //! Packed-key LSD radix sorting for coordinate tuples.
 //!
-//! The paper's sort-then-pack conversions spend almost all of their time in
-//! the *sort*: a stable lexicographic ordering of parallel coordinate
-//! columns ([`crate::csf::lex_cmp_at`]). A comparison sort pays an indirect
-//! memory access per column per comparison; this module instead packs each
-//! nonzero's coordinate tuple into a single machine word and runs a
-//! least-significant-digit radix sort over the packed keys:
+//! The paper's sort-then-pack conversions order their nonzeros by a stable
+//! lexicographic comparison of parallel coordinate columns
+//! ([`crate::csf::lex_cmp_at`]) and then append each one at the first level
+//! where it leaves the previous nonzero's fibers. Both halves run on one
+//! machine word per nonzero here:
 //!
-//! * **Key packing** — dimension `d` occupies a bit field wide enough for
-//!   the *actual* maximum coordinate in the sorted span (not the shape's
-//!   extent), with the outermost dimension in the highest bits. Because
-//!   every field is wide enough for its values, integer comparison of the
-//!   packed keys equals lexicographic comparison of the tuples.
+//! * **Key packing** ([`KeyLayout`]) — level `d` occupies a bit field wide
+//!   enough for the *actual* maximum coordinate (not the shape's extent),
+//!   with the outermost level in the highest bits. Because every field is
+//!   wide enough for its values, integer comparison of the packed keys
+//!   equals lexicographic comparison of the tuples. An all-zero level packs
+//!   to no bits at all.
 //! * **Width check + fallback** — keys up to 64 bits take the `u64` path,
 //!   up to 128 bits the `u128` path; wider tuples (only reachable at order
 //!   ≥ 3 with near-`usize::MAX` coordinates) fall back to the stable
 //!   comparison sort, so every input remains sortable.
-//! * **LSD passes** — 8-bit digits, with all per-pass histograms gathered
-//!   in one read over the keys and passes whose histogram is a single
-//!   bucket skipped entirely (common: high digits of small tensors).
-//!   `(key, index)` pairs ping-pong between two buffers, so each pass is
-//!   two sequential sweeps with no per-element indirection.
+//! * **LSD passes** ([`sort_pairs`]) — 8-bit digits, with all per-pass
+//!   histograms gathered in one read over the keys and passes whose
+//!   histogram is a single bucket skipped entirely (common: high digits of
+//!   small tensors). `(key, payload)` pairs ping-pong between the input and
+//!   one scratch buffer of its length, so each pass is two sequential sweeps
+//!   with no per-element indirection, and the sorted pairs end in the input
+//!   (the scratch can be freed before the pack). The payload is whatever
+//!   must travel with the key: the nonzero's index for [`sort_index_span`]
+//!   (the streaming sorter's presort), the value's bits for COO→CSF, which
+//!   then needs no permutation at all.
+//! * **Pack from keys** ([`pack_keys`]) — the coordinates come back out of a
+//!   sorted key by shift and mask, and the level a nonzero opens new fibers
+//!   at (its *split*) is the one owning the highest set bit of `prev ^ key`
+//!   (a per-bit table), or the innermost level when `key == prev` (a
+//!   duplicate).
 //!
-//! Every pass of an LSD radix sort is stable, so the resulting permutation
-//! is *identical* to the stable comparison sort's — the property that keeps
-//! the engine, the parallel kernels, and the streaming pre-sort bit-for-bit
-//! interchangeable (enforced by `tests/radix_equivalence.rs`).
+//! Every pass of an LSD radix sort is stable, so the resulting order is
+//! *identical* to the stable comparison sort's whatever the payload — the
+//! property that keeps the engine, the parallel kernels, and the streaming
+//! pre-sort bit-for-bit interchangeable (enforced by
+//! `tests/radix_equivalence.rs`).
 
-use crate::csf::lex_cmp_at;
-
-/// How a sort-then-pack path orders its nonzeros. All strategies are stable
-/// and produce the exact permutation of [`crate::csf::lex_sort_perm`];
-/// they differ only in cost. Exposed so benchmarks and equivalence tests can
-/// pin a path; production code uses [`SortStrategy::Radix`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SortStrategy {
-    /// Packed-key LSD radix sort (comparison fallback for unpackable keys).
-    #[default]
-    Radix,
-    /// Stable comparison sort on [`lex_cmp_at`] — the reference.
-    Comparison,
-    /// Per-dimension stable counting sorts, innermost dimension first (the
-    /// recipe the paper's generated code uses). Falls back to the
-    /// comparison sort when a dimension's coordinate range is too large for
-    /// a dense histogram.
-    Counting,
-}
+use crate::csf::{lex_cmp_at, CsfBuilder, CsfTensor};
+use sparse_tensor::Shape;
 
 /// Which code path a sort took — the width-check outcome the fallback tests
 /// assert on.
@@ -55,115 +49,133 @@ pub enum SortPath {
     Radix64,
     /// Keys packed into `u128` words.
     Radix128,
-    /// Stable comparison sort (requested, or the wide-key fallback).
+    /// Stable comparison sort (trivial spans, or the wide-key fallback).
     Comparison,
-    /// Per-dimension counting sorts.
-    Counting,
 }
 
 const DIGIT_BITS: u32 = 8;
 const BUCKETS: usize = 1 << DIGIT_BITS;
 
-/// Largest dense histogram the counting strategy will allocate per
-/// dimension before falling back to the comparison sort.
-const COUNTING_MAX_BUCKETS: usize = 1 << 22;
+mod sealed {
+    pub trait Sealed {}
+}
 
-/// A word type coordinate tuples pack into. Private: only `u64` and `u128`
-/// implement it, selected by the width check.
-trait PackedKey: Copy + Default {
-    fn pack(v: usize, shift: u32) -> Self;
-    fn merge(self, other: Self) -> Self;
+/// A word type coordinate tuples pack into: `u64` or `u128`, chosen by
+/// [`KeyLayout::bits`]. Sealed.
+pub trait PackedKey: sealed::Sealed + Copy + Default + Eq + Send + Sync {
+    /// `self` with `v` OR'd in at bit `shift`.
+    fn with_field(self, v: usize, shift: u32) -> Self;
+    /// The field at bit `shift` under `mask`.
+    fn field(self, shift: u32, mask: usize) -> usize;
+    /// The `DIGIT_BITS`-wide digit of LSD pass `pass`.
     fn digit(self, pass: u32) -> usize;
+    /// The index of the highest bit where `self` and `other` differ (they
+    /// must differ).
+    fn top_diff_bit(self, other: Self) -> u32;
 }
 
-impl PackedKey for u64 {
-    #[inline]
-    fn pack(v: usize, shift: u32) -> Self {
-        (v as u64) << shift
-    }
-    #[inline]
-    fn merge(self, other: Self) -> Self {
-        self | other
-    }
-    #[inline]
-    fn digit(self, pass: u32) -> usize {
-        ((self >> (pass * DIGIT_BITS)) & 0xff) as usize
-    }
+macro_rules! packed_key {
+    ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl PackedKey for $t {
+            #[inline]
+            fn with_field(self, v: usize, shift: u32) -> Self {
+                self | (v as $t) << shift
+            }
+            #[inline]
+            fn field(self, shift: u32, mask: usize) -> usize {
+                (self >> shift) as usize & mask
+            }
+            #[inline]
+            fn digit(self, pass: u32) -> usize {
+                (self >> (pass * DIGIT_BITS)) as usize & (BUCKETS - 1)
+            }
+            #[inline]
+            fn top_diff_bit(self, other: Self) -> u32 {
+                <$t>::BITS - 1 - (self ^ other).leading_zeros()
+            }
+        }
+    )*};
+}
+packed_key!(u64, u128);
+
+/// Where each level's coordinate sits in a packed key, computed from the
+/// per-level coordinate maxima.
+#[derive(Debug, Clone)]
+pub struct KeyLayout {
+    /// `(shift, mask)` per level; an all-zero level is `(0, 0)`.
+    fields: Vec<(u32, usize)>,
+    /// The level owning each key bit, lowest bit first (the split table).
+    owner: Vec<usize>,
 }
 
-impl PackedKey for u128 {
-    #[inline]
-    fn pack(v: usize, shift: u32) -> Self {
-        (v as u128) << shift
+impl KeyLayout {
+    /// The layout for tuples whose level `d` never exceeds `maxima[d]`.
+    pub fn new(maxima: &[usize]) -> Self {
+        let mut fields = vec![(0, 0); maxima.len()];
+        let mut owner = Vec::new();
+        // Innermost level in the lowest bits.
+        for (d, &max) in maxima.iter().enumerate().rev() {
+            let width = usize::BITS - max.leading_zeros();
+            if width > 0 {
+                fields[d] = (owner.len() as u32, usize::MAX >> (usize::BITS - width));
+            }
+            owner.resize(owner.len() + width as usize, d);
+        }
+        KeyLayout { fields, owner }
     }
-    #[inline]
-    fn merge(self, other: Self) -> Self {
-        self | other
-    }
-    #[inline]
-    fn digit(self, pass: u32) -> usize {
-        ((self >> (pass * DIGIT_BITS)) & 0xff) as usize
-    }
-}
 
-/// Per-dimension bit fields of the packed key: `(dim, shift)` for every
-/// dimension that needs bits at all (constant dimensions pack to nothing),
-/// plus the total key width.
-fn key_layout<C: AsRef<[usize]>>(columns: &[C], span: &[usize]) -> (Vec<(usize, u32)>, u32) {
-    // Field widths come from the actual maxima over the span, which is both
-    // tighter than the shape's extents (fewer radix passes) and independent
-    // of any shape plumbing (the streaming sorter has key *dimensions*, not
-    // key extents).
-    let bits: Vec<u32> = columns
-        .iter()
-        .map(|c| {
-            let col = c.as_ref();
-            let max = span.iter().map(|&p| col[p]).max().unwrap_or(0);
-            usize::BITS - max.leading_zeros()
-        })
-        .collect();
-    let total: u32 = bits.iter().sum();
-    // Outermost dimension in the highest bits; zero-width fields dropped.
-    let mut fields = Vec::with_capacity(columns.len());
-    let mut shift = total;
-    for (d, &b) in bits.iter().enumerate() {
-        shift -= b;
-        if b > 0 {
-            fields.push((d, shift));
+    /// Total key width in bits: ≤ 64 packs into `u64`, ≤ 128 into `u128`.
+    pub fn bits(&self) -> u32 {
+        self.owner.len() as u32
+    }
+
+    /// Packs the tuple whose level-`d` coordinate is `coord(d)`.
+    pub fn key<K: PackedKey>(&self, coord: impl Fn(usize) -> usize) -> K {
+        let mut key = K::default();
+        for (d, &(shift, _)) in self.fields.iter().enumerate() {
+            key = key.with_field(coord(d), shift);
+        }
+        key
+    }
+
+    /// The level-`level` coordinate of `key`.
+    fn coord<K: PackedKey>(&self, key: K, level: usize) -> usize {
+        let (shift, mask) = self.fields[level];
+        key.field(shift, mask)
+    }
+
+    /// The first level where `key` differs from `prev`; the innermost one
+    /// when they are equal.
+    fn split<K: PackedKey>(&self, prev: K, key: K) -> usize {
+        if prev == key {
+            self.fields.len() - 1
+        } else {
+            self.owner[prev.top_diff_bit(key) as usize]
         }
     }
-    (fields, total)
 }
 
-/// One LSD radix sort over packed keys: gathers all per-pass histograms in
-/// a single read, skips single-bucket passes, ping-pongs `(key, index)`
-/// pairs, and writes the sorted indices back into `span`.
-fn radix_sort_packed<K: PackedKey, C: AsRef<[usize]>>(
-    columns: &[C],
-    fields: &[(usize, u32)],
-    total_bits: u32,
-    span: &mut [usize],
-) {
-    let n = span.len();
-    let mut keys: Vec<(K, usize)> = span
-        .iter()
-        .map(|&p| {
-            let mut key = K::default();
-            for &(d, shift) in fields {
-                key = key.merge(K::pack(columns[d].as_ref()[p], shift));
-            }
-            (key, p)
-        })
-        .collect();
-    let passes = total_bits.div_ceil(DIGIT_BITS);
+/// Stable LSD radix sort of `(key, payload)` pairs by key, in place:
+/// the passes over the digits of a `bits`-wide key ping-pong with
+/// `scratch` (same length as `pairs`), and an odd number of them copies
+/// back once.
+///
+/// # Panics
+///
+/// Panics if `scratch` and `pairs` differ in length.
+pub fn sort_pairs<K: PackedKey, P: Copy>(pairs: &mut [(K, P)], scratch: &mut [(K, P)], bits: u32) {
+    let n = pairs.len();
+    assert_eq!(scratch.len(), n, "one scratch slot per pair");
     // All histograms in one sweep: one read pass instead of one per digit.
-    let mut hists = vec![[0usize; BUCKETS]; passes as usize];
-    for &(key, _) in &keys {
+    let mut hists = vec![[0usize; BUCKETS]; bits.div_ceil(DIGIT_BITS) as usize];
+    for &(key, _) in pairs.iter() {
         for (pass, hist) in hists.iter_mut().enumerate() {
             hist[key.digit(pass as u32)] += 1;
         }
     }
-    let mut buf: Vec<(K, usize)> = vec![(K::default(), 0); n];
+    let (mut src, mut dst) = (&mut *pairs, &mut *scratch);
+    let mut swapped = false;
     for (pass, hist) in hists.iter().enumerate() {
         // A pass whose keys share one digit value would be the identity
         // permutation; skip the two sweeps.
@@ -176,116 +188,84 @@ fn radix_sort_packed<K: PackedKey, C: AsRef<[usize]>>(
             *cursor = running;
             running += count;
         }
-        for &(key, p) in &keys {
-            let digit = key.digit(pass as u32);
-            buf[cursors[digit]] = (key, p);
+        for &pair in src.iter() {
+            let digit = pair.0.digit(pass as u32);
+            dst[cursors[digit]] = pair;
             cursors[digit] += 1;
         }
-        std::mem::swap(&mut keys, &mut buf);
+        std::mem::swap(&mut src, &mut dst);
+        swapped = !swapped;
     }
-    for (dst, &(_, p)) in span.iter_mut().zip(keys.iter()) {
+    if swapped {
+        pairs.copy_from_slice(scratch);
+    }
+}
+
+/// Packs key-sorted `(key, value bits)` pairs into a CSF tensor of `shape`:
+/// each coordinate is read out of its key, and each nonzero's split level
+/// off the previous key (see the module docs).
+pub fn pack_keys<K: PackedKey>(shape: Shape, layout: &KeyLayout, sorted: &[(K, u64)]) -> CsfTensor {
+    let mut builder = CsfBuilder::new(shape, sorted.len());
+    let mut prev = None;
+    for &(key, bits) in sorted {
+        let split = prev.map_or(0, |prev| layout.split(prev, key));
+        builder.append(split, |d| layout.coord(key, d), f64::from_bits(bits));
+        prev = Some(key);
+    }
+    builder.finish()
+}
+
+/// Sorts `span` through `(key, index)` pairs under `layout`.
+fn radix_sort_span<K: PackedKey, C: AsRef<[usize]>>(
+    columns: &[C],
+    layout: &KeyLayout,
+    span: &mut [usize],
+) {
+    let mut pairs: Vec<(K, usize)> = span
+        .iter()
+        .map(|&p| (layout.key(|d| columns[d].as_ref()[p]), p))
+        .collect();
+    let mut scratch = vec![(K::default(), 0); pairs.len()];
+    sort_pairs(&mut pairs, &mut scratch, layout.bits());
+    for (dst, &(_, p)) in span.iter_mut().zip(&pairs) {
         *dst = p;
     }
 }
 
-/// Per-dimension stable counting sorts, innermost dimension first — the
-/// paper's generated LSD recipe over raw coordinates. Returns `false`
-/// (leaving `span` untouched) when a dimension's maximum exceeds
-/// [`COUNTING_MAX_BUCKETS`].
-fn counting_sort_span<C: AsRef<[usize]>>(columns: &[C], span: &mut [usize]) -> bool {
-    let maxima: Vec<usize> = columns
-        .iter()
-        .map(|c| {
-            let col = c.as_ref();
-            span.iter().map(|&p| col[p]).max().unwrap_or(0)
-        })
-        .collect();
-    if maxima.iter().any(|&m| m >= COUNTING_MAX_BUCKETS) {
-        return false;
-    }
-    let mut buf = vec![0usize; span.len()];
-    for (d, &max) in maxima.iter().enumerate().rev() {
-        if max == 0 {
-            continue; // a constant column is a stable no-op
-        }
-        let col = columns[d].as_ref();
-        let mut cursors = vec![0usize; max + 2];
-        for &p in span.iter() {
-            cursors[col[p] + 1] += 1;
-        }
-        for i in 0..=max {
-            cursors[i + 1] += cursors[i];
-        }
-        for &p in span.iter() {
-            buf[cursors[col[p]]] = p;
-            cursors[col[p]] += 1;
-        }
-        span.copy_from_slice(&buf);
-    }
-    true
-}
-
 /// Stably sorts `span` — indices into the parallel coordinate `columns` —
-/// into lexicographic tuple order with the given strategy, returning the
-/// path taken. Every strategy yields the permutation of the stable
-/// comparison sort on [`lex_cmp_at`].
-pub fn sort_index_span_with<C: AsRef<[usize]>>(
-    columns: &[C],
-    span: &mut [usize],
-    strategy: SortStrategy,
-) -> SortPath {
+/// into lexicographic tuple order, returning the path taken. The result is
+/// the permutation of the stable comparison sort on [`lex_cmp_at`].
+pub fn sort_index_span<C: AsRef<[usize]>>(columns: &[C], span: &mut [usize]) -> SortPath {
     if span.len() < 2 {
         return SortPath::Comparison;
     }
-    match strategy {
-        SortStrategy::Comparison => {
-            span.sort_by(|&a, &b| lex_cmp_at(columns, a, b));
-            SortPath::Comparison
-        }
-        SortStrategy::Counting => {
-            if counting_sort_span(columns, span) {
-                SortPath::Counting
-            } else {
-                span.sort_by(|&a, &b| lex_cmp_at(columns, a, b));
-                SortPath::Comparison
-            }
-        }
-        SortStrategy::Radix => {
-            let (fields, total_bits) = key_layout(columns, span);
-            if total_bits <= u64::BITS {
-                radix_sort_packed::<u64, C>(columns, &fields, total_bits, span);
-                SortPath::Radix64
-            } else if total_bits <= u128::BITS {
-                radix_sort_packed::<u128, C>(columns, &fields, total_bits, span);
-                SortPath::Radix128
-            } else {
-                span.sort_by(|&a, &b| lex_cmp_at(columns, a, b));
-                SortPath::Comparison
-            }
-        }
+    let maxima: Vec<usize> = columns
+        .iter()
+        .map(|c| span.iter().map(|&p| c.as_ref()[p]).max().unwrap_or(0))
+        .collect();
+    let layout = KeyLayout::new(&maxima);
+    if layout.bits() <= u64::BITS {
+        radix_sort_span::<u64, C>(columns, &layout, span);
+        SortPath::Radix64
+    } else if layout.bits() <= u128::BITS {
+        radix_sort_span::<u128, C>(columns, &layout, span);
+        SortPath::Radix128
+    } else {
+        span.sort_by(|&a, &b| lex_cmp_at(columns, a, b));
+        SortPath::Comparison
     }
-}
-
-/// [`sort_index_span_with`] at the default [`SortStrategy::Radix`].
-pub fn sort_index_span<C: AsRef<[usize]>>(columns: &[C], span: &mut [usize]) -> SortPath {
-    sort_index_span_with(columns, span, SortStrategy::Radix)
-}
-
-/// Radix-accelerated drop-in for [`crate::csf::lex_sort_perm`]: the stable
-/// lexicographic sort permutation over parallel coordinate columns, computed
-/// by the packed-key radix sort (with the comparison fallback for unpackable
-/// keys).
-pub fn sort_perm<C: AsRef<[usize]>>(columns: &[C]) -> Vec<usize> {
-    let nnz = columns.first().map_or(0, |c| c.as_ref().len());
-    let mut perm: Vec<usize> = (0..nnz).collect();
-    sort_index_span(columns, &mut perm);
-    perm
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csf::lex_sort_perm;
+
+    fn sort_perm(columns: &[Vec<usize>]) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..columns.first().map_or(0, Vec::len)).collect();
+        sort_index_span(columns, &mut perm);
+        perm
+    }
 
     fn reference(columns: &[Vec<usize>], span: &[usize]) -> Vec<usize> {
         let mut sorted = span.to_vec();
@@ -307,18 +287,55 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_match_the_comparison_sort() {
+    fn radix_matches_the_comparison_sort() {
         let columns = pseudo_columns(&[7, 5, 11], 200, 0x5eed);
         let expected = reference(&columns, &(0..200).collect::<Vec<_>>());
-        for strategy in [
-            SortStrategy::Radix,
-            SortStrategy::Comparison,
-            SortStrategy::Counting,
-        ] {
-            let mut span: Vec<usize> = (0..200).collect();
-            sort_index_span_with(&columns, &mut span, strategy);
-            assert_eq!(span, expected, "{strategy:?}");
-        }
+        let mut span: Vec<usize> = (0..200).collect();
+        assert_eq!(sort_index_span(&columns, &mut span), SortPath::Radix64);
+        assert_eq!(span, expected);
+    }
+
+    #[test]
+    fn sort_pairs_carries_any_payload_stably() {
+        // Same keys, two payloads: the order is the key order, ties in input
+        // order, whatever travels with the key.
+        let keys = [3u64, 1, 3, 0, 1];
+        let mut by_index: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+        let mut scratch = vec![(0, 0); keys.len()];
+        sort_pairs(&mut by_index, &mut scratch, 2);
+        assert_eq!(
+            by_index.iter().map(|p| p.1).collect::<Vec<_>>(),
+            [3, 1, 4, 0, 2]
+        );
+        let mut by_bits: Vec<(u128, u64)> = keys.iter().map(|&k| (k as u128, k * 10)).collect();
+        let mut scratch = vec![(0, 0); keys.len()];
+        sort_pairs(&mut by_bits, &mut scratch, 2);
+        assert_eq!(
+            by_bits.iter().map(|p| p.1).collect::<Vec<_>>(),
+            [0, 10, 10, 30, 30]
+        );
+    }
+
+    #[test]
+    fn keys_split_at_the_highest_differing_level() {
+        // Widths 3, 4 and 0 (an all-zero level): level 0 in bits 4..7,
+        // level 1 in bits 0..4, level 2 nowhere.
+        let layout = KeyLayout::new(&[5, 9, 0]);
+        assert_eq!(layout.bits(), 7);
+        let key = |c: [usize; 3]| layout.key::<u64>(|d| c[d]);
+        let a = key([5, 3, 0]);
+        assert_eq!(a, 5 << 4 | 3);
+        assert_eq!(
+            (0..3).map(|d| layout.coord(a, d)).collect::<Vec<_>>(),
+            [5, 3, 0]
+        );
+        assert_eq!(layout.split(a, key([5, 9, 0])), 1);
+        assert_eq!(layout.split(a, key([6, 0, 0])), 0);
+        assert_eq!(
+            layout.split(a, a),
+            2,
+            "a duplicate appends the innermost level"
+        );
     }
 
     #[test]
@@ -390,7 +407,7 @@ mod tests {
         let mut span: Vec<usize> = (0..5).collect();
         sort_index_span(&columns, &mut span);
         assert_eq!(span, vec![0, 1, 2, 3, 4]);
-        assert!(sort_perm::<Vec<usize>>(&[]).is_empty());
+        assert!(sort_perm(&[]).is_empty());
         let mut empty: Vec<usize> = Vec::new();
         assert_eq!(
             sort_index_span(&columns, &mut empty),
@@ -400,11 +417,10 @@ mod tests {
     }
 
     #[test]
-    fn counting_falls_back_on_huge_extents() {
+    fn huge_extents_sort_like_the_comparison_sort() {
         let columns = vec![vec![usize::MAX, 0, 7]];
         let mut span: Vec<usize> = vec![0, 1, 2];
-        let path = sort_index_span_with(&columns, &mut span, SortStrategy::Counting);
-        assert_eq!(path, SortPath::Comparison);
+        assert_eq!(sort_index_span(&columns, &mut span), SortPath::Radix64);
         assert_eq!(span, vec![1, 2, 0]);
     }
 

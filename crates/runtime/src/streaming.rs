@@ -249,13 +249,9 @@ fn assemble_csf(
     let span = Span::enter("stream.assemble");
     span.add_items(sorter.stats().entries);
     let packed = Shape::new(mode_order.iter().map(|&m| shape.dim(m)).collect());
-    let mut builder = CsfBuilder::new(packed);
-    let mut buf = vec![0usize; mode_order.len()];
+    let mut builder = CsfBuilder::new(packed, sorter.stats().entries as usize);
     let stats = sorter.drain(|coord, v| {
-        for (d, &m) in mode_order.iter().enumerate() {
-            buf[d] = coord[m];
-        }
-        builder.push(&buf, v);
+        builder.push(|d| coord[mode_order[d]], v);
         Ok(())
     })?;
     Ok((builder.finish(), stats))

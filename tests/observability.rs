@@ -103,6 +103,62 @@ fn parallel_kernel_spans_nest_under_the_kernel_phases() {
     );
 }
 
+/// The phase tree as `(depth, name, spans, items)` rows, in report order.
+fn tree(phases: &[PhaseReport], depth: usize, out: &mut Vec<(usize, String, u64, u64)>) {
+    for p in phases {
+        out.push((depth, p.name.clone(), p.spans, p.count));
+        tree(&p.children, depth + 1, out);
+    }
+}
+
+/// COO3→CSF's kernel, pinned at one and two threads: the layout pass, the
+/// keys (a gather at one chunk, the bucket-by-root step at two), and under
+/// every `chunk_sort_pack` its radix sort beside its pack, each with the
+/// chunk's nonzeros as items.
+#[test]
+fn coo3_to_csf_attributes_sort_and_pack_per_chunk() {
+    let t = tensor3_uniform([48, 48, 48], 6_000, 5).expect("valid generator parameters");
+    let src = AnyTensor::Coo3(CooTensor::from_triples(&t));
+    let n = src.nnz() as u64;
+    let phases = |threads: usize| {
+        let (_, report) = service(threads)
+            .convert_traced(&src, Format::csf())
+            .unwrap();
+        let execute = report.phase("service.execute").expect("execute phase");
+        let mut rows = Vec::new();
+        tree(&execute.children, 0, &mut rows);
+        rows
+    };
+    let row = |depth, name: &str, spans, items| (depth, name.to_string(), spans, items);
+    assert_eq!(
+        phases(1),
+        vec![
+            row(0, "kernel.layout", 1, n),
+            row(0, "kernel.gather", 1, n),
+            row(0, "kernel.sort_pack", 1, 0),
+            row(1, "chunk_sort_pack", 1, n),
+            row(2, "kernel.radix_sort", 1, n),
+            row(2, "kernel.pack", 1, n),
+        ]
+    );
+    assert_eq!(
+        phases(2),
+        vec![
+            row(0, "kernel.layout", 1, n),
+            row(0, "kernel.analysis", 1, 0),
+            row(1, "chunk_histogram", 2, n),
+            row(0, "kernel.merge", 1, 0),
+            row(0, "kernel.scatter", 1, 0),
+            row(1, "chunk_scatter", 2, n),
+            row(0, "kernel.sort_pack", 1, 0),
+            row(1, "chunk_sort_pack", 2, n),
+            row(2, "kernel.radix_sort", 2, n),
+            row(2, "kernel.pack", 2, n),
+            row(0, "kernel.stitch", 1, 2),
+        ]
+    );
+}
+
 #[test]
 fn streamed_conversions_report_spills_and_mirror_the_registry() {
     let t = tensor3_uniform([48, 48, 48], 6_000, 11).expect("valid generator parameters");

@@ -4,11 +4,17 @@
 //! performance rewrites: every path must be *bit-identical* to the stable
 //! comparison-sort baseline. Three layers pin that down:
 //!
-//! * raw index sorts — [`radix::sort_perm`] against the comparison
+//! * raw index sorts — [`radix::sort_index_span`] against the comparison
 //!   [`lex_sort_perm`] over random columns whose per-dimension bit widths
 //!   sweep across the u64 / u128 / comparison-fallback boundaries,
-//! * the COO3→CSF kernels — every sort strategy, all six mode orderings,
-//!   at 1 / 2 / 4 threads, against the sequential engine,
+//! * COO→CSF from packed keys — the engine and the parallel kernel (keys
+//!   sorted with the value bits as payload, fibers split off `prev ^ key`)
+//!   against the reference constructor [`CsfTensor::from_triples`] (stable
+//!   comparison sort + [`CsfBuilder::push`](taco_conversion_repro::formats::CsfBuilder)),
+//!   compared bit for bit: key widths 63 / 64 / 65 / 128 / 129, all-zero
+//!   modes and duplicate coordinates, 0 and 1 nonzeros, orders 1–4, the
+//!   values −0.0, 0.0 and NaN with payload bits, and all six order-3 mode
+//!   orders at 1 / 2 / 3 / 4 threads,
 //! * CSR→CSC — the transpose's blocked write-combining scatter (what a
 //!   large chunk of a wide CSR source takes) against its direct scatter, at
 //!   one chunk and at many, on an input large and wide enough to cross the
@@ -20,8 +26,8 @@ use taco_conversion_repro::conv::engine;
 use taco_conversion_repro::conv::kernels;
 use taco_conversion_repro::conv::select::ORDER3_MODE_ORDERS;
 use taco_conversion_repro::formats::csf::lex_sort_perm;
-use taco_conversion_repro::formats::radix::{self, SortPath, SortStrategy};
-use taco_conversion_repro::formats::{CooTensor, CsrMatrix};
+use taco_conversion_repro::formats::radix::{self, KeyLayout, SortPath};
+use taco_conversion_repro::formats::{CooTensor, CsfTensor, CsrMatrix};
 use taco_conversion_repro::tensor::{Shape, SparseTriples};
 
 /// Random coordinate columns with per-dimension bit widths drawn so the
@@ -37,12 +43,19 @@ fn arb_columns() -> impl Strategy<Value = Vec<Vec<usize>>> {
     })
 }
 
+/// The radix sort's permutation of every nonzero.
+fn radix_perm(columns: &[Vec<usize>]) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..columns.first().map_or(0, Vec::len)).collect();
+    radix::sort_index_span(columns, &mut perm);
+    perm
+}
+
 proptest! {
     /// The radix permutation equals the stable comparison permutation for
     /// any key width, including the fallback regions.
     #[test]
     fn radix_perm_matches_comparison_perm(columns in arb_columns()) {
-        prop_assert_eq!(radix::sort_perm(&columns), lex_sort_perm(&columns));
+        prop_assert_eq!(radix_perm(&columns), lex_sort_perm(&columns));
     }
 }
 
@@ -122,35 +135,189 @@ fn shuffled_coo3(t: &SparseTriples, seed: u64) -> CooTensor {
     coo
 }
 
+/// A CSF tensor's level arrays and value *bits*: `CsfTensor`'s `==`
+/// compares values as floats, so it can neither tell −0.0 from 0.0 nor
+/// match a NaN.
+fn bits(csf: &CsfTensor) -> (Vec<Vec<usize>>, Vec<Vec<usize>>, Vec<u64>) {
+    let order = csf.order();
+    (
+        (0..order).map(|l| csf.crd(l).to_vec()).collect(),
+        (0..order - 1).map(|l| csf.pos(l).to_vec()).collect(),
+        csf.values().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// The reference CSF of `coo` along `mode_order`: its triples in storage
+/// order, modes permuted, through [`CsfTensor::from_triples`].
+fn reference_csf(coo: &CooTensor, mode_order: &[usize]) -> CsfTensor {
+    CsfTensor::from_triples(&coo.to_triples().permute_dims(mode_order))
+}
+
+/// The mode orders swept at `order`: all six at order 3, the identity and
+/// its reverse elsewhere.
+fn mode_orders(order: usize) -> Vec<Vec<usize>> {
+    if order == 3 {
+        return ORDER3_MODE_ORDERS.iter().map(|o| o.to_vec()).collect();
+    }
+    let identity: Vec<usize> = (0..order).collect();
+    let reversed: Vec<usize> = identity.iter().rev().copied().collect();
+    vec![identity, reversed]
+}
+
+/// The engine and the kernel at 1 / 2 / 3 / 4 threads along every swept
+/// mode order, each bit for bit against the reference.
+fn assert_keyed_paths_match(coo: &CooTensor) -> Result<(), String> {
+    for order in mode_orders(coo.order()) {
+        let want = bits(&reference_csf(coo, &order));
+        let engine = engine::to_csf_ordered(coo, &order);
+        if bits(&engine) != want {
+            return Err(format!("engine along {order:?}"));
+        }
+        for threads in 1..=4 {
+            let got = kernels::coo_to_csf_ordered(coo, &order, threads).expect("no worker panics");
+            if bits(&got) != want {
+                return Err(format!("kernel along {order:?} at {threads} threads"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Values the pack must carry bit for bit: signed zeros, NaNs with payload
+/// bits (quiet and signalling, both signs), and ordinary numbers.
+const SPECIAL_VALUES: [u64; 6] = [
+    0x0000_0000_0000_0000, // 0.0
+    0x8000_0000_0000_0000, // -0.0
+    0x7ff8_0000_dead_beef, // quiet NaN, payload
+    0xfff0_0000_0000_0001, // negative signalling NaN
+    0x3ff8_0000_0000_0000, // 1.5
+    0xc000_0000_0000_0000, // -2.0
+];
+
+/// A COO tensor with per-mode coordinate widths `widths` (0 = an all-zero
+/// mode), `nnz` nonzeros drawn from a pool of `distinct` coordinate tuples
+/// (so small pools repeat full coordinates), each mode's maximum planted so
+/// the key layout sees the full width, and values cycling through
+/// [`SPECIAL_VALUES`].
+fn keyed_coo(widths: &[u32], nnz: usize, distinct: usize, seed: u64) -> CooTensor {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let max = |w: u32| {
+        if w == 0 {
+            0
+        } else {
+            usize::MAX >> (usize::BITS - w)
+        }
+    };
+    let pool: Vec<Vec<usize>> = (0..distinct.max(1))
+        .map(|t| {
+            widths
+                .iter()
+                .map(|&w| {
+                    if t == 0 {
+                        max(w)
+                    } else {
+                        next() as usize & max(w)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let shape = Shape::new(widths.iter().map(|&w| max(w) + 1).collect());
+    let mut coo = CooTensor::new(shape);
+    for p in 0..nnz {
+        let tuple = &pool[next() as usize % pool.len()];
+        coo.push(
+            tuple,
+            f64::from_bits(SPECIAL_VALUES[p % SPECIAL_VALUES.len()]),
+        );
+    }
+    coo
+}
+
+/// The pinned key widths of the packed-key paths: 63 and 64 bits pack into
+/// `u64`, 65 and 128 into `u128`, 129 falls back to the comparison sort;
+/// every path matches the reference bit for bit.
+#[test]
+fn csf_key_width_boundaries_match_the_reference() {
+    let cases: [&[u32]; 5] = [
+        &[21, 21, 21], // 63
+        &[22, 21, 21], // 64
+        &[22, 22, 21], // 65
+        &[43, 43, 42], // 128
+        &[43, 43, 43], // 129
+    ];
+    for (n, widths) in cases.into_iter().enumerate() {
+        let coo = keyed_coo(widths, 300, 120, 0x9e37_79b9 + n as u64);
+        let maxima: Vec<usize> = (0..3).map(|d| *coo.crd(d).iter().max().unwrap()).collect();
+        let total: u32 = widths.iter().sum();
+        assert_eq!(KeyLayout::new(&maxima).bits(), total, "widths {widths:?}");
+        assert_keyed_paths_match(&coo).unwrap_or_else(|e| panic!("{total} bits: {e}"));
+    }
+}
+
+/// Random orders 1–4 with all-zero modes, repeated coordinates, 0 and 1
+/// nonzeros, and signed-zero / NaN values.
+fn arb_keyed_coo() -> impl Strategy<Value = CooTensor> {
+    (
+        1usize..5,
+        0usize..4,
+        0usize..120,
+        1usize..60,
+        1u64..u64::MAX,
+    )
+        .prop_flat_map(|(order, zero_modes, nnz, distinct, seed)| {
+            proptest::collection::vec(0u32..5, order..order + 1).prop_map(move |mut widths| {
+                // The first `zero_modes` modes (capped) are all-zero.
+                for w in widths.iter_mut().take(zero_modes.min(order - 1)) {
+                    *w = 0;
+                }
+                keyed_coo(&widths, nnz, distinct, seed)
+            })
+        })
+}
+
 proptest! {
-    // Each case runs 6 orders x 3 strategies x 3 thread counts = 54
+    /// Every keyed path against the reference constructor, bit for bit.
+    #[test]
+    fn keyed_csf_matches_the_reference_bit_for_bit(coo in arb_keyed_coo()) {
+        prop_assert_eq!(assert_keyed_paths_match(&coo), Ok(()));
+    }
+}
+
+/// Zero and one nonzero at every order: nothing to sort, one fiber chain.
+#[test]
+fn empty_and_single_nonzero_tensors_match_the_reference() {
+    for order in 1..=4 {
+        let widths = vec![3; order];
+        for nnz in [0, 1] {
+            let coo = keyed_coo(&widths, nnz, 1, 7);
+            assert_eq!(
+                assert_keyed_paths_match(&coo),
+                Ok(()),
+                "order {order}, nnz {nnz}"
+            );
+        }
+    }
+}
+
+proptest! {
+    // Each case runs 6 orders x 4 thread counts plus the engine = 30
     // conversions, so take a quarter of the configured case count (the
     // `PROPTEST_CASES` boost still scales it).
     #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases / 4))]
 
-    /// Every sort strategy, all six CSF mode orderings, 1 / 2 / 4 threads:
-    /// bit-identical to the sequential engine.
+    /// All six CSF mode orderings of shuffled order-3 tensors, 1 / 2 / 3 / 4
+    /// threads: bit-identical to the reference and the sequential engine.
     #[test]
-    fn csf_kernels_are_strategy_and_thread_invariant((t, seed) in arb_tensor3()) {
+    fn csf_kernels_are_thread_invariant((t, seed) in arb_tensor3()) {
         let coo = shuffled_coo3(&t, seed);
-        let strategies = [
-            SortStrategy::Radix,
-            SortStrategy::Comparison,
-            SortStrategy::Counting,
-        ];
-        for order in ORDER3_MODE_ORDERS {
-            let reference = engine::to_csf_ordered(&coo, &order);
-            for strategy in strategies {
-                for threads in [1, 2, 4] {
-                    let got = kernels::coo_to_csf_ordered_with(&coo, &order, threads, strategy)
-                        .expect("no worker panics");
-                    prop_assert_eq!(
-                        &got, &reference,
-                        "{:?} with {:?} at {} threads", order, strategy, threads
-                    );
-                }
-            }
-        }
+        prop_assert_eq!(assert_keyed_paths_match(&coo), Ok(()));
         // The canonical kernel too (it shares the radix span sorts).
         let reference = engine::to_csf(&coo);
         for threads in [1, 2, 4] {
