@@ -364,7 +364,7 @@ pub(crate) fn sort_pack<K: PackedKey>(
         let span = Span::enter(sort);
         span.add_items(n);
         let mut scratch = vec![(K::default(), 0); pairs.len()];
-        radix::sort_pairs(pairs, &mut scratch, layout.bits());
+        radix::sort_pairs(pairs, &mut scratch, 0, layout.bits());
     }
     let span = Span::enter(pack);
     span.add_items(n);

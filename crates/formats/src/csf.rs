@@ -307,8 +307,12 @@ impl CsfBuilder {
         self.append(split, coord, value);
     }
 
-    /// Appends a nonzero that leaves the open fibers at level `split`.
-    pub(crate) fn append(&mut self, split: usize, coord: impl Fn(usize) -> usize, value: Value) {
+    /// Appends a nonzero that leaves the open fibers at level `split`: the
+    /// first level where its coordinate differs from the previous
+    /// nonzero's, the innermost level for a duplicate, and 0 for the first
+    /// nonzero. [`CsfBuilder::push`] finds the split itself; a caller that
+    /// knows it already (a packed-key loop) passes it.
+    pub fn append(&mut self, split: usize, coord: impl Fn(usize) -> usize, value: Value) {
         let inner = self.crd.len() - 1;
         for d in split..inner {
             self.pos[d].push(self.crd[d + 1].len());

@@ -47,7 +47,6 @@ pub use dia::DiaMatrix;
 pub use dok::DokMatrix;
 pub use ell::EllMatrix;
 pub use jad::JadMatrix;
-pub use radix::SortPath;
 pub use skyline::SkylineMatrix;
 
 pub use sparse_tensor::{SparseTriples, TensorError, Value};

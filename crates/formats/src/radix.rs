@@ -12,10 +12,9 @@
 //!   wide enough for its values, integer comparison of the packed keys
 //!   equals lexicographic comparison of the tuples. An all-zero level packs
 //!   to no bits at all.
-//! * **Width check + fallback** — keys up to 64 bits take the `u64` path,
-//!   up to 128 bits the `u128` path; wider tuples (only reachable at order
-//!   ≥ 3 with near-`usize::MAX` coordinates) fall back to the stable
-//!   comparison sort, so every input remains sortable.
+//! * **Width check** — keys up to 64 bits take the `u64` path, up to 128
+//!   bits the `u128` path; callers route wider tuples (only reachable at
+//!   order ≥ 3 with near-`usize::MAX` coordinates) to a comparison sort.
 //! * **LSD passes** ([`sort_pairs`]) — 8-bit digits, with all per-pass
 //!   histograms gathered in one read over the keys and passes whose
 //!   histogram is a single bucket skipped entirely (common: high digits of
@@ -23,9 +22,10 @@
 //!   one scratch buffer of its length, so each pass is two sequential sweeps
 //!   with no per-element indirection, and the sorted pairs end in the input
 //!   (the scratch can be freed before the pack). The payload is whatever
-//!   must travel with the key: the nonzero's index for [`sort_index_span`]
-//!   (the streaming sorter's presort), the value's bits for COO→CSF, which
-//!   then needs no permutation at all.
+//!   must travel with the key — the value's bits for COO→CSF and for the
+//!   streaming sorter's records, which then need no permutation at all —
+//!   and the sort may start above bit 0, leaving low bits that only travel
+//!   (the streaming CSR sort keys on the row field above the column's).
 //! * **Pack from keys** ([`pack_keys`]) — the coordinates come back out of a
 //!   sorted key by shift and mask, and the level a nonzero opens new fibers
 //!   at (its *split*) is the one owning the highest set bit of `prev ^ key`
@@ -36,22 +36,10 @@
 //! *identical* to the stable comparison sort's whatever the payload — the
 //! property that keeps the engine, the parallel kernels, and the streaming
 //! pre-sort bit-for-bit interchangeable (enforced by
-//! `tests/radix_equivalence.rs`).
+//! `tests/radix_equivalence.rs` and `tests/stream_equivalence.rs`).
 
-use crate::csf::{lex_cmp_at, CsfBuilder, CsfTensor};
+use crate::csf::{CsfBuilder, CsfTensor};
 use sparse_tensor::Shape;
-
-/// Which code path a sort took — the width-check outcome the fallback tests
-/// assert on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SortPath {
-    /// Keys packed into `u64` words.
-    Radix64,
-    /// Keys packed into `u128` words.
-    Radix128,
-    /// Stable comparison sort (trivial spans, or the wide-key fallback).
-    Comparison,
-}
 
 const DIGIT_BITS: u32 = 8;
 const BUCKETS: usize = 1 << DIGIT_BITS;
@@ -62,16 +50,22 @@ mod sealed {
 
 /// A word type coordinate tuples pack into: `u64` or `u128`, chosen by
 /// [`KeyLayout::bits`]. Sealed.
-pub trait PackedKey: sealed::Sealed + Copy + Default + Eq + Send + Sync {
+pub trait PackedKey: sealed::Sealed + Copy + Default + Ord + Send + Sync {
     /// `self` with `v` OR'd in at bit `shift`.
     fn with_field(self, v: usize, shift: u32) -> Self;
     /// The field at bit `shift` under `mask`.
     fn field(self, shift: u32, mask: usize) -> usize;
-    /// The `DIGIT_BITS`-wide digit of LSD pass `pass`.
-    fn digit(self, pass: u32) -> usize;
+    /// The bits from `lo` up, shifted down (zero when `lo` is the width).
+    fn high(self, lo: u32) -> Self;
+    /// The `DIGIT_BITS`-wide digit starting at bit `shift`.
+    fn digit(self, shift: u32) -> usize;
     /// The index of the highest bit where `self` and `other` differ (they
     /// must differ).
     fn top_diff_bit(self, other: Self) -> u32;
+    /// Writes the little-endian encoding into the front of `out`.
+    fn write_le(self, out: &mut [u8]);
+    /// Reads the little-endian encoding from the front of `bytes`.
+    fn read_le(bytes: &[u8]) -> Self;
 }
 
 macro_rules! packed_key {
@@ -87,12 +81,22 @@ macro_rules! packed_key {
                 (self >> shift) as usize & mask
             }
             #[inline]
-            fn digit(self, pass: u32) -> usize {
-                (self >> (pass * DIGIT_BITS)) as usize & (BUCKETS - 1)
+            fn high(self, lo: u32) -> Self {
+                self.checked_shr(lo).unwrap_or(0)
+            }
+            #[inline]
+            fn digit(self, shift: u32) -> usize {
+                (self >> shift) as usize & (BUCKETS - 1)
             }
             #[inline]
             fn top_diff_bit(self, other: Self) -> u32 {
                 <$t>::BITS - 1 - (self ^ other).leading_zeros()
+            }
+            fn write_le(self, out: &mut [u8]) {
+                out[..<$t>::BITS as usize / 8].copy_from_slice(&self.to_le_bytes());
+            }
+            fn read_le(bytes: &[u8]) -> Self {
+                Self::from_le_bytes(bytes[..<$t>::BITS as usize / 8].try_into().expect("a whole word"))
             }
         }
     )*};
@@ -140,14 +144,14 @@ impl KeyLayout {
     }
 
     /// The level-`level` coordinate of `key`.
-    fn coord<K: PackedKey>(&self, key: K, level: usize) -> usize {
+    pub fn coord<K: PackedKey>(&self, key: K, level: usize) -> usize {
         let (shift, mask) = self.fields[level];
         key.field(shift, mask)
     }
 
     /// The first level where `key` differs from `prev`; the innermost one
     /// when they are equal.
-    fn split<K: PackedKey>(&self, prev: K, key: K) -> usize {
+    pub fn split<K: PackedKey>(&self, prev: K, key: K) -> usize {
         if prev == key {
             self.fields.len() - 1
         } else {
@@ -156,27 +160,34 @@ impl KeyLayout {
     }
 }
 
-/// Stable LSD radix sort of `(key, payload)` pairs by key, in place:
-/// the passes over the digits of a `bits`-wide key ping-pong with
+/// Stable LSD radix sort of `(key, payload)` pairs by key bits
+/// `lo..bits`, in place: the passes over those digits ping-pong with
 /// `scratch` (same length as `pairs`), and an odd number of them copies
-/// back once.
+/// back once. Pairs whose keys agree from bit `lo` up keep their input
+/// order.
 ///
 /// # Panics
 ///
 /// Panics if `scratch` and `pairs` differ in length.
-pub fn sort_pairs<K: PackedKey, P: Copy>(pairs: &mut [(K, P)], scratch: &mut [(K, P)], bits: u32) {
+pub fn sort_pairs<K: PackedKey, P: Copy>(
+    pairs: &mut [(K, P)],
+    scratch: &mut [(K, P)],
+    lo: u32,
+    bits: u32,
+) {
     let n = pairs.len();
     assert_eq!(scratch.len(), n, "one scratch slot per pair");
+    let shifts: Vec<u32> = (lo..bits).step_by(DIGIT_BITS as usize).collect();
     // All histograms in one sweep: one read pass instead of one per digit.
-    let mut hists = vec![[0usize; BUCKETS]; bits.div_ceil(DIGIT_BITS) as usize];
+    let mut hists = vec![[0usize; BUCKETS]; shifts.len()];
     for &(key, _) in pairs.iter() {
-        for (pass, hist) in hists.iter_mut().enumerate() {
-            hist[key.digit(pass as u32)] += 1;
+        for (&shift, hist) in shifts.iter().zip(&mut hists) {
+            hist[key.digit(shift)] += 1;
         }
     }
     let (mut src, mut dst) = (&mut *pairs, &mut *scratch);
     let mut swapped = false;
-    for (pass, hist) in hists.iter().enumerate() {
+    for (&shift, hist) in shifts.iter().zip(&hists) {
         // A pass whose keys share one digit value would be the identity
         // permutation; skip the two sweeps.
         if hist.contains(&n) {
@@ -189,7 +200,7 @@ pub fn sort_pairs<K: PackedKey, P: Copy>(pairs: &mut [(K, P)], scratch: &mut [(K
             running += count;
         }
         for &pair in src.iter() {
-            let digit = pair.0.digit(pass as u32);
+            let digit = pair.0.digit(shift);
             dst[cursors[digit]] = pair;
             cursors[digit] += 1;
         }
@@ -215,55 +226,42 @@ pub fn pack_keys<K: PackedKey>(shape: Shape, layout: &KeyLayout, sorted: &[(K, u
     builder.finish()
 }
 
-/// Sorts `span` through `(key, index)` pairs under `layout`.
-fn radix_sort_span<K: PackedKey, C: AsRef<[usize]>>(
-    columns: &[C],
-    layout: &KeyLayout,
-    span: &mut [usize],
-) {
-    let mut pairs: Vec<(K, usize)> = span
-        .iter()
-        .map(|&p| (layout.key(|d| columns[d].as_ref()[p]), p))
-        .collect();
-    let mut scratch = vec![(K::default(), 0); pairs.len()];
-    sort_pairs(&mut pairs, &mut scratch, layout.bits());
-    for (dst, &(_, p)) in span.iter_mut().zip(&pairs) {
-        *dst = p;
-    }
-}
-
-/// Stably sorts `span` — indices into the parallel coordinate `columns` —
-/// into lexicographic tuple order, returning the path taken. The result is
-/// the permutation of the stable comparison sort on [`lex_cmp_at`].
-pub fn sort_index_span<C: AsRef<[usize]>>(columns: &[C], span: &mut [usize]) -> SortPath {
-    if span.len() < 2 {
-        return SortPath::Comparison;
-    }
-    let maxima: Vec<usize> = columns
-        .iter()
-        .map(|c| span.iter().map(|&p| c.as_ref()[p]).max().unwrap_or(0))
-        .collect();
-    let layout = KeyLayout::new(&maxima);
-    if layout.bits() <= u64::BITS {
-        radix_sort_span::<u64, C>(columns, &layout, span);
-        SortPath::Radix64
-    } else if layout.bits() <= u128::BITS {
-        radix_sort_span::<u128, C>(columns, &layout, span);
-        SortPath::Radix128
-    } else {
-        span.sort_by(|&a, &b| lex_cmp_at(columns, a, b));
-        SortPath::Comparison
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csf::lex_sort_perm;
+    use crate::csf::{lex_cmp_at, lex_sort_perm};
+
+    /// Sorts `span` (indices into `columns`) through `(key, index)` pairs
+    /// under the layout of its maxima when the key fits 128 bits, and
+    /// returns the key width.
+    fn sort_span(columns: &[Vec<usize>], span: &mut [usize]) -> u32 {
+        fn by_key<K: PackedKey>(columns: &[Vec<usize>], layout: &KeyLayout, span: &mut [usize]) {
+            let mut pairs: Vec<(K, usize)> = span
+                .iter()
+                .map(|&p| (layout.key(|d| columns[d][p]), p))
+                .collect();
+            let mut scratch = vec![(K::default(), 0); pairs.len()];
+            sort_pairs(&mut pairs, &mut scratch, 0, layout.bits());
+            for (dst, &(_, p)) in span.iter_mut().zip(&pairs) {
+                *dst = p;
+            }
+        }
+        let maxima: Vec<usize> = columns
+            .iter()
+            .map(|c| span.iter().map(|&p| c[p]).max().unwrap_or(0))
+            .collect();
+        let layout = KeyLayout::new(&maxima);
+        match layout.bits() {
+            0..=64 => by_key::<u64>(columns, &layout, span),
+            65..=128 => by_key::<u128>(columns, &layout, span),
+            _ => {}
+        }
+        layout.bits()
+    }
 
     fn sort_perm(columns: &[Vec<usize>]) -> Vec<usize> {
         let mut perm: Vec<usize> = (0..columns.first().map_or(0, Vec::len)).collect();
-        sort_index_span(columns, &mut perm);
+        sort_span(columns, &mut perm);
         perm
     }
 
@@ -291,7 +289,7 @@ mod tests {
         let columns = pseudo_columns(&[7, 5, 11], 200, 0x5eed);
         let expected = reference(&columns, &(0..200).collect::<Vec<_>>());
         let mut span: Vec<usize> = (0..200).collect();
-        assert_eq!(sort_index_span(&columns, &mut span), SortPath::Radix64);
+        assert!(sort_span(&columns, &mut span) <= 64);
         assert_eq!(span, expected);
     }
 
@@ -302,18 +300,34 @@ mod tests {
         let keys = [3u64, 1, 3, 0, 1];
         let mut by_index: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
         let mut scratch = vec![(0, 0); keys.len()];
-        sort_pairs(&mut by_index, &mut scratch, 2);
+        sort_pairs(&mut by_index, &mut scratch, 0, 2);
         assert_eq!(
             by_index.iter().map(|p| p.1).collect::<Vec<_>>(),
             [3, 1, 4, 0, 2]
         );
         let mut by_bits: Vec<(u128, u64)> = keys.iter().map(|&k| (k as u128, k * 10)).collect();
         let mut scratch = vec![(0, 0); keys.len()];
-        sort_pairs(&mut by_bits, &mut scratch, 2);
+        sort_pairs(&mut by_bits, &mut scratch, 0, 2);
         assert_eq!(
             by_bits.iter().map(|p| p.1).collect::<Vec<_>>(),
             [0, 10, 10, 30, 30]
         );
+    }
+
+    #[test]
+    fn sort_pairs_from_a_low_bit_keeps_the_bits_below_in_input_order() {
+        // Key bits 4.. are the sort key; bits 0..4 travel in input order,
+        // even across a digit boundary (bits 4..12).
+        let keys = [0x1f5u64, 0x013, 0x1f2, 0x019, 0x004];
+        let mut pairs: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+        let mut scratch = vec![(0, 0); keys.len()];
+        sort_pairs(&mut pairs, &mut scratch, 4, 12);
+        let sorted: Vec<u64> = pairs.iter().map(|p| p.0).collect();
+        assert_eq!(sorted, [0x004, 0x013, 0x019, 0x1f5, 0x1f2]);
+        // A start at the key's width is no pass at all.
+        sort_pairs(&mut pairs, &mut scratch, 64, 64);
+        assert_eq!(pairs.iter().map(|p| p.0).collect::<Vec<_>>(), sorted);
+        assert_eq!(u64::MAX.high(64), 0);
     }
 
     #[test]
@@ -339,6 +353,18 @@ mod tests {
     }
 
     #[test]
+    fn keys_round_trip_their_little_endian_encoding() {
+        let mut buf = [0u8; 16];
+        let k = 0x0123_4567_89ab_cdefu64;
+        k.write_le(&mut buf);
+        assert_eq!(buf[..8], k.to_le_bytes());
+        assert_eq!(u64::read_le(&buf), k);
+        let w = u128::MAX - 5;
+        w.write_le(&mut buf);
+        assert_eq!(u128::read_le(&buf), w);
+    }
+
+    #[test]
     fn radix_is_stable_on_duplicate_tuples() {
         // Duplicate (1, 0) tuples must keep index order; matches
         // lex_sort_perm's documented stability test.
@@ -352,8 +378,7 @@ mod tests {
         let columns = pseudo_columns(&[4, 9], 64, 0xabc);
         let mut span: Vec<usize> = vec![3, 60, 1, 17, 17, 5, 40];
         let expected = reference(&columns, &span);
-        let path = sort_index_span(&columns, &mut span);
-        assert_eq!(path, SortPath::Radix64);
+        assert!(sort_span(&columns, &mut span) <= 64);
         assert_eq!(span, expected);
     }
 
@@ -368,10 +393,11 @@ mod tests {
         ];
         let mut span: Vec<usize> = vec![0, 1, 2, 3];
         let expected = reference(&columns, &span);
-        assert_eq!(sort_index_span(&columns, &mut span), SortPath::Radix128);
+        assert_eq!(sort_span(&columns, &mut span), 99);
         assert_eq!(span, expected);
 
-        // Three 63-bit fields: 189 bits, comparison fallback.
+        // Three 63-bit fields: 189 bits, past both words — callers take a
+        // comparison sort.
         let huge = 1usize << 62;
         let columns = vec![
             vec![huge, 3, huge, 0],
@@ -379,9 +405,7 @@ mod tests {
             vec![huge, huge, 2, 1],
         ];
         let mut span: Vec<usize> = vec![0, 1, 2, 3];
-        let expected = reference(&columns, &span);
-        assert_eq!(sort_index_span(&columns, &mut span), SortPath::Comparison);
-        assert_eq!(span, expected);
+        assert_eq!(sort_span(&columns, &mut span), 189);
     }
 
     #[test]
@@ -390,12 +414,12 @@ mod tests {
         let v = (1usize << 31) + 5;
         let columns = vec![vec![v, 0, v - 1], vec![0, v, v]];
         let mut span: Vec<usize> = vec![0, 1, 2];
-        assert_eq!(sort_index_span(&columns, &mut span), SortPath::Radix64);
+        assert_eq!(sort_span(&columns, &mut span), 64);
         assert_eq!(span, reference(&columns, &span.clone()));
         // One more bit tips it over to u128.
         let columns = vec![vec![v, 0, v - 1], vec![0, 2 * v, v]];
         let mut span: Vec<usize> = vec![0, 1, 2];
-        assert_eq!(sort_index_span(&columns, &mut span), SortPath::Radix128);
+        assert_eq!(sort_span(&columns, &mut span), 65);
         assert_eq!(span, reference(&columns, &span.clone()));
     }
 
@@ -405,22 +429,22 @@ mod tests {
         // the identity (stability).
         let columns = vec![vec![0; 5], vec![0; 5]];
         let mut span: Vec<usize> = (0..5).collect();
-        sort_index_span(&columns, &mut span);
+        assert_eq!(sort_span(&columns, &mut span), 0);
         assert_eq!(span, vec![0, 1, 2, 3, 4]);
         assert!(sort_perm(&[]).is_empty());
         let mut empty: Vec<usize> = Vec::new();
-        assert_eq!(
-            sort_index_span(&columns, &mut empty),
-            SortPath::Comparison,
-            "trivial spans skip the machinery"
-        );
+        sort_span(&columns, &mut empty);
+        assert!(empty.is_empty());
+        let mut one = vec![3];
+        sort_span(&columns, &mut one);
+        assert_eq!(one, [3]);
     }
 
     #[test]
     fn huge_extents_sort_like_the_comparison_sort() {
         let columns = vec![vec![usize::MAX, 0, 7]];
         let mut span: Vec<usize> = vec![0, 1, 2];
-        assert_eq!(sort_index_span(&columns, &mut span), SortPath::Radix64);
+        assert_eq!(sort_span(&columns, &mut span), 64);
         assert_eq!(span, vec![1, 2, 0]);
     }
 

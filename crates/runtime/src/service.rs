@@ -29,7 +29,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use conv_stream::{ExternalSorter, MemTracker, SorterConfig, StreamStats, TensorStream};
+use conv_stream::sorter::record_bits;
+use conv_stream::{StreamStats, TensorStream};
 use obs::{Collector, ConversionReport, Registry, Span};
 use sparse_conv::convert::AnyTensor;
 use sparse_conv::kernel_table::{self, Padding};
@@ -431,7 +432,7 @@ impl ConversionService {
         info: &mut ExecTrace,
     ) -> Result<StreamConversion, ConvertError> {
         let shape = stream.shape().clone();
-        let Some(plan) = streaming::classify(target, shape.order()) else {
+        let Some(plan) = streaming::classify(target, &shape) else {
             self.counters.materialized.fetch_add(1, Ordering::Relaxed);
             let mut stats = StreamStats {
                 in_memory: true,
@@ -444,20 +445,13 @@ impl ConversionService {
             return Ok(StreamConversion { tensor, stats });
         };
         self.counters.conversions.fetch_add(1, Ordering::Relaxed);
-        let cfg = SorterConfig {
-            budget: opts.budget,
-            spill_dir: opts.spill_dir.clone(),
+        // One key word per conversion: the narrowest the records fit.
+        let pump = if record_bits(&shape) <= u64::BITS {
+            streaming::pump::<u64, S>
+        } else {
+            streaming::pump::<u128, S>
         };
-        let mut sorter =
-            ExternalSorter::new(shape.clone(), plan.sort_key(), cfg, MemTracker::new())?;
-        streaming::pump(
-            stream,
-            &mut sorter,
-            &self.pool,
-            self.config.threads,
-            opts.channel_blocks,
-        )?;
-        let (tensor, stats) = plan.assemble(&shape, target, sorter)?;
+        let (tensor, stats) = pump(plan, stream, target, opts, &self.pool, self.config.threads)?;
         self.counters
             .stream_spilled_runs
             .fetch_add(stats.spilled_runs, Ordering::Relaxed);

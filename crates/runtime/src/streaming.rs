@@ -6,30 +6,34 @@
 //! * [`classify`](self) — reads the target's streamed sort key off
 //!   [`sparse_conv::kernel_table`] (CSR, CSF, and mode-ordered `CSF@...`
 //!   registry formats have one) and falls back to materialising the input
-//!   for targets without;
-//! * [`pump`](self) — the producer/consumer pipeline: a producer thread pulls
+//!   for targets without and for records wider than 128 bits;
+//! * [`pump`](self) — the producer/consumer pipeline on `u64` or `u128`
+//!   records ([`record_bits`]), then the packer: a producer thread pulls
 //!   [`CoordBlock`]s from the source and sends them through a *bounded*
 //!   channel (the bound is the backpressure: a slow sorter stalls the
 //!   producer instead of letting blocks pile up), while the consumer groups
 //!   blocks and pre-sorts each group in parallel on the service's
 //!   [`WorkerPool`] before feeding the [`ExternalSorter`];
-//! * the `assemble_*` packers — they drain the sorter straight into the same
-//!   packing loops the in-memory engine uses (`CsfBuilder`, the CSR
-//!   count/prefix/fill), which is what makes streamed output byte-identical.
+//! * the `assemble_*` packers — they drain the sorter's records straight
+//!   into the packing loops the in-memory engine uses (the CSR
+//!   count/prefix/fill, `CsfBuilder::append` at the `prev ^ key` split),
+//!   which is what makes streamed output byte-identical.
 
 use std::path::PathBuf;
 use std::sync::mpsc;
 
-use conv_stream::sorter::MemRun;
+use conv_stream::sorter::{record_bits, MemRun};
 use conv_stream::{
-    CooSink, CoordBlock, ExternalSorter, MemoryBudget, StreamStats, TensorSink, TensorStream,
+    CooSink, CoordBlock, ExternalSorter, MemTracker, MemoryBudget, SorterConfig, StreamStats,
+    TensorSink, TensorStream,
 };
 use obs::Span;
 use sparse_conv::convert::AnyTensor;
 use sparse_conv::kernel_table::{self, StreamKey};
 use sparse_conv::{ConvertError, Format};
+use sparse_formats::radix::PackedKey;
 use sparse_formats::{CooMatrix, CsfBuilder, CsfTensor, CsrMatrix};
-use sparse_tensor::Shape;
+use sparse_tensor::{Shape, Value};
 
 use crate::pool::WorkerPool;
 
@@ -77,10 +81,14 @@ pub(crate) enum StreamTarget {
     Csf(Vec<usize>),
 }
 
-/// Classifies a target for an order-`order` stream from its [`StreamKey`]
-/// fact; `None` means no streamed packer (materialise, then convert in
-/// memory).
-pub(crate) fn classify(target: &Format, order: usize) -> Option<StreamTarget> {
+/// Classifies a target for a stream of `shape` from its [`StreamKey`]
+/// fact; `None` means no streamed packer, or records wider than 128 bits
+/// (materialise, then convert in memory).
+pub(crate) fn classify(target: &Format, shape: &Shape) -> Option<StreamTarget> {
+    if record_bits(shape) > u128::BITS {
+        return None;
+    }
+    let order = shape.order();
     match kernel_table::facts(target).stream_key? {
         StreamKey::Rows => (order == 2).then_some(StreamTarget::Csr),
         StreamKey::Modes => {
@@ -107,11 +115,11 @@ impl StreamTarget {
     }
 
     /// Drains the sorter into the target's container.
-    pub(crate) fn assemble(
+    fn assemble<K: PackedKey>(
         self,
         shape: &Shape,
         target: &Format,
-        sorter: ExternalSorter,
+        sorter: ExternalSorter<K>,
     ) -> Result<(AnyTensor, StreamStats), ConvertError> {
         match self {
             StreamTarget::Csr => {
@@ -131,32 +139,41 @@ impl StreamTarget {
     }
 }
 
-/// Runs the producer/consumer pipeline: a producer thread feeds blocks into
-/// a bounded channel; the calling thread drains it in groups of up to
+/// Sorts the stream through an [`ExternalSorter`] on `K`-word records (the
+/// caller picks the narrowest word [`record_bits`] fits) and packs the
+/// target from them. The pipeline: a producer thread feeds blocks into a
+/// bounded channel; the calling thread drains it in groups of up to
 /// `threads` blocks, pre-sorts each group on the pool, and pushes the runs
 /// into the sorter in arrival order (which later merges use to break ties).
 /// The producer is a pipeline stage, not a fan-out, so it is the one thread
 /// the runtime starts outside `sparse_conv::partition::fork_join`.
-pub(crate) fn pump<S: TensorStream + Send>(
+pub(crate) fn pump<K: PackedKey, S: TensorStream + Send>(
+    plan: StreamTarget,
     stream: &mut S,
-    sorter: &mut ExternalSorter,
+    target: &Format,
+    opts: &StreamOptions,
     pool: &WorkerPool,
     threads: usize,
-    channel_blocks: usize,
-) -> Result<(), ConvertError> {
+) -> Result<(AnyTensor, StreamStats), ConvertError> {
+    let shape = stream.shape().clone();
+    let cfg = SorterConfig {
+        budget: opts.budget,
+        spill_dir: opts.spill_dir.clone(),
+    };
+    let mut sorter = ExternalSorter::new(shape.clone(), plan.sort_key(), cfg, MemTracker::new())?;
     let tracker = sorter.tracker().clone();
-    let key = sorter.key().to_vec();
+    let layout = sorter.layout().clone();
     let group_size = threads.max(1);
-    let depth = if channel_blocks == 0 {
-        group_size
-    } else {
-        channel_blocks
+    let depth = match opts.channel_blocks {
+        0 => group_size,
+        depth => depth,
     };
     // One span for the whole pipeline; the consumer loop below runs on this
     // thread, so the per-group pre-sort spans nest under it.
     let pump_span = Span::enter("stream.pump");
     std::thread::scope(|s| {
         let (tx, rx) = mpsc::sync_channel::<CoordBlock>(depth);
+        let sorter = &mut sorter;
         let producer_tracker = tracker.clone();
         let producer = s.spawn(move || -> Result<(), ConvertError> {
             while let Some(block) = stream.next_block()? {
@@ -184,8 +201,8 @@ pub(crate) fn pump<S: TensorStream + Send>(
                 }
                 let presort = Span::enter("stream.presort");
                 presort.add_items(group.iter().map(|b| b.nnz() as u64).sum());
-                let runs: Vec<MemRun> = pool
-                    .run(group.len(), |i| MemRun::from_block(&group[i], &key))
+                let runs: Vec<MemRun<K>> = pool
+                    .run(group.len(), |i| MemRun::from_block(&group[i], &layout))
                     .into_iter()
                     .collect::<Result<_, _>>()?;
                 drop(presort);
@@ -203,28 +220,30 @@ pub(crate) fn pump<S: TensorStream + Send>(
         consumed
     })?;
     drop(pump_span);
-    Ok(())
+    plan.assemble(&shape, target, sorter)
 }
 
 /// Drains the sorter into a CSR matrix: rows arrive in nondecreasing order
 /// (and within a row in arrival order, because the sort key is the row
-/// alone), so one counting pass plus a prefix sum reproduces
-/// `engine::to_csr`'s output exactly.
-fn assemble_csr(
+/// alone, above the column's tail bits), so one counting pass plus a prefix
+/// sum reproduces `engine::to_csr`'s output exactly.
+fn assemble_csr<K: PackedKey>(
     shape: &Shape,
-    sorter: ExternalSorter,
+    sorter: ExternalSorter<K>,
 ) -> Result<(CsrMatrix, StreamStats), ConvertError> {
     let (rows, cols) = (shape.dim(0), shape.dim(1));
     let entries = sorter.stats().entries as usize;
     let span = Span::enter("stream.assemble");
     span.add_items(entries as u64);
+    // Key [0] puts the row at level 0 and the column at level 1.
+    let layout = sorter.layout().keys().clone();
     let mut counts = vec![0usize; rows];
     let mut crd = Vec::with_capacity(entries);
     let mut vals = Vec::with_capacity(entries);
-    let stats = sorter.drain(|coord, v| {
-        counts[coord[0]] += 1;
-        crd.push(coord[1]);
-        vals.push(v);
+    let stats = sorter.drain(|key, bits| {
+        counts[layout.coord(key, 0)] += 1;
+        crd.push(layout.coord(key, 1));
+        vals.push(Value::from_bits(bits));
         Ok(())
     })?;
     let mut pos = vec![0usize; rows + 1];
@@ -238,20 +257,24 @@ fn assemble_csr(
 
 /// Drains the sorter into CSF along `mode_order` (storage level `d` holds
 /// canonical mode `mode_order[d]`). The sorter's key is `mode_order` itself,
-/// so entries arrive exactly as the engine's stable lexicographic sort of
-/// the permuted tuples would emit them, and the shared [`CsfBuilder`] packs
-/// them identically.
-fn assemble_csf(
+/// so the key word's levels are the CSF levels (no tail), records arrive
+/// exactly as the engine's stable lexicographic sort of the permuted tuples
+/// would emit them, and each one appends at the split `prev ^ key` names.
+fn assemble_csf<K: PackedKey>(
     shape: &Shape,
     mode_order: &[usize],
-    sorter: ExternalSorter,
+    sorter: ExternalSorter<K>,
 ) -> Result<(CsfTensor, StreamStats), ConvertError> {
     let span = Span::enter("stream.assemble");
     span.add_items(sorter.stats().entries);
     let packed = Shape::new(mode_order.iter().map(|&m| shape.dim(m)).collect());
+    let layout = sorter.layout().keys().clone();
     let mut builder = CsfBuilder::new(packed, sorter.stats().entries as usize);
-    let stats = sorter.drain(|coord, v| {
-        builder.push(|d| coord[mode_order[d]], v);
+    let mut prev = None;
+    let stats = sorter.drain(|key, bits| {
+        let split = prev.map_or(0, |prev| layout.split(prev, key));
+        builder.append(split, |d| layout.coord(key, d), Value::from_bits(bits));
+        prev = Some(key);
         Ok(())
     })?;
     Ok((builder.finish(), stats))
@@ -289,19 +312,27 @@ mod tests {
 
     #[test]
     fn classification_covers_the_streamed_targets() {
-        assert_eq!(classify(&Format::csr(), 2), Some(StreamTarget::Csr));
-        // CSR needs an order-2 stream; an order-3 stream materialises.
-        assert_eq!(classify(&Format::csr(), 3), None);
+        let cube = Shape::tensor3(4, 4, 4);
         assert_eq!(
-            classify(&Format::csf(), 3),
+            classify(&Format::csr(), &Shape::matrix(4, 4)),
+            Some(StreamTarget::Csr)
+        );
+        // CSR needs an order-2 stream; an order-3 stream materialises.
+        assert_eq!(classify(&Format::csr(), &cube), None);
+        assert_eq!(
+            classify(&Format::csf(), &cube),
             Some(StreamTarget::Csf(vec![0, 1, 2]))
         );
         let permuted: Format = "CSF@2,0,1".parse().unwrap();
         assert_eq!(
-            classify(&permuted, 3),
+            classify(&permuted, &cube),
             Some(StreamTarget::Csf(vec![2, 0, 1]))
         );
-        assert_eq!(classify(&permuted, 2), None);
-        assert_eq!(classify(&Format::ell(), 2), None);
+        assert_eq!(classify(&permuted, &Shape::matrix(4, 4)), None);
+        assert_eq!(classify(&Format::ell(), &Shape::matrix(4, 4)), None);
+        // 129-bit records fit no key word; 128-bit ones take u128.
+        let wide = |d0| Shape::tensor3(d0, 1 << 43, 1 << 43);
+        assert_eq!(classify(&Format::csf(), &wide(1 << 43)), None);
+        assert!(classify(&Format::csf(), &wide(1 << 42)).is_some());
     }
 }

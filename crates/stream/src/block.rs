@@ -4,17 +4,12 @@ use sparse_conv::ConvertError;
 use sparse_tensor::{Shape, Value};
 
 /// A bounded chunk of COO nonzeros: one coordinate column per dimension plus
-/// values, tagged with the tensor's full rank-`N` [`Shape`] and optional
-/// sorted-run metadata (`sorted_by`), which lets downstream sorters skip
-/// re-sorting blocks a loader already produced in key order.
+/// values, tagged with the tensor's full rank-`N` [`Shape`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoordBlock {
     shape: Shape,
     crd: Vec<Vec<usize>>,
     vals: Vec<Value>,
-    /// The key (a sequence of dimension indices) this block's entries are
-    /// known to be sorted by, if any.
-    sorted_by: Option<Vec<usize>>,
 }
 
 impl CoordBlock {
@@ -30,7 +25,6 @@ impl CoordBlock {
             shape,
             crd: vec![Vec::with_capacity(cap); order],
             vals: Vec::with_capacity(cap),
-            sorted_by: None,
         }
     }
 
@@ -66,15 +60,10 @@ impl CoordBlock {
                 )));
             }
         }
-        Ok(CoordBlock {
-            shape,
-            crd,
-            vals,
-            sorted_by: None,
-        })
+        Ok(CoordBlock { shape, crd, vals })
     }
 
-    /// Appends a nonzero, clearing any sorted-run metadata.
+    /// Appends a nonzero.
     ///
     /// # Errors
     ///
@@ -104,7 +93,6 @@ impl CoordBlock {
             self.crd[d].push(c);
         }
         self.vals.push(value);
-        self.sorted_by = None;
         Ok(())
     }
 
@@ -138,31 +126,6 @@ impl CoordBlock {
     pub fn approx_bytes(&self) -> usize {
         crate::entry_bytes(self.order()) * self.nnz()
     }
-
-    /// Declares that this block's entries are sorted by the given key (a
-    /// sequence of dimension indices compared lexicographically). The claim
-    /// is verified in debug builds; sorters re-verify cheaply before relying
-    /// on it.
-    pub fn mark_sorted_by(&mut self, key: Vec<usize>) {
-        debug_assert!(self.is_sorted_by(&key), "sorted-run metadata is wrong");
-        self.sorted_by = Some(key);
-    }
-
-    /// The key this block declares itself sorted by, if any.
-    pub fn sorted_by(&self) -> Option<&[usize]> {
-        self.sorted_by.as_deref()
-    }
-
-    /// True when the block's entries are in non-decreasing order of the given
-    /// key dimensions (one linear scan).
-    pub fn is_sorted_by(&self, key: &[usize]) -> bool {
-        (1..self.nnz()).all(|p| {
-            key.iter()
-                .map(|&d| (self.crd[d][p - 1], self.crd[d][p]))
-                .find(|(a, b)| a != b)
-                .is_none_or(|(a, b)| a < b)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -188,21 +151,5 @@ mod tests {
         assert!(CoordBlock::from_columns(shape.clone(), crd[..2].to_vec(), vec![]).is_err());
         let outside = vec![vec![1, 0], vec![3, 0], vec![3, 0]];
         assert!(CoordBlock::from_columns(shape, outside, vec![5.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn sortedness_checks_follow_the_key() {
-        let mut b = CoordBlock::new(Shape::matrix(4, 4));
-        for (i, j) in [(0, 3), (1, 0), (1, 2), (3, 1)] {
-            b.push(&[i, j], 1.0).unwrap();
-        }
-        assert!(b.is_sorted_by(&[0]));
-        assert!(b.is_sorted_by(&[0, 1]));
-        assert!(!b.is_sorted_by(&[1]));
-        b.mark_sorted_by(vec![0, 1]);
-        assert_eq!(b.sorted_by(), Some(&[0usize, 1][..]));
-        // Pushing clears the metadata.
-        b.push(&[0, 0], 2.0).unwrap();
-        assert_eq!(b.sorted_by(), None);
     }
 }

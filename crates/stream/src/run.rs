@@ -1,38 +1,41 @@
-//! Spill runs: sorted runs of nonzeros written to (and re-read from) disk by
+//! Spill runs: sorted runs of records written to (and re-read from) disk by
 //! the external merge sort.
 //!
-//! The on-disk encoding is deliberately trivial: a `u64` entry count followed
-//! by `order + 1` little-endian 8-byte words per entry (`order` coordinates
-//! plus the value's IEEE-754 bits). Values round-trip through
-//! [`f64::to_bits`], so spilling never perturbs them — a prerequisite for the
-//! byte-identical guarantee.
+//! The on-disk encoding is deliberately trivial: a `u64` entry count, then
+//! one record per entry, written and read with one call each — the key word
+//! (8 or 16 bytes) and the value's IEEE-754 bits, all little-endian. Values
+//! round-trip through [`f64::to_bits`], so spilling never perturbs them — a
+//! prerequisite for the byte-identical guarantee. [`SpilledRun::open`]
+//! rejects a run whose header or length differs from what was written.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::marker::PhantomData;
+use std::mem::size_of;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sparse_conv::ConvertError;
-use sparse_tensor::Value;
+use sparse_formats::radix::PackedKey;
 
 /// Process-wide counter making spill-file names unique.
 static RUN_ID: AtomicU64 = AtomicU64::new(0);
 
-/// A sorted run spilled to disk. The file is deleted when the run is dropped.
-#[derive(Debug)]
-pub struct SpilledRun {
-    path: PathBuf,
-    order: usize,
-    entries: u64,
-    bytes: u64,
+/// Bytes one record of `K`-word keys occupies in a spill run.
+pub fn record_bytes<K: PackedKey>() -> usize {
+    size_of::<K>() + 8
 }
 
-impl SpilledRun {
-    /// Entries in this run.
-    pub fn entries(&self) -> u64 {
-        self.entries
-    }
+/// A sorted run spilled to disk. The file is deleted when the run is dropped.
+#[derive(Debug)]
+pub struct SpilledRun<K> {
+    path: PathBuf,
+    entries: u64,
+    bytes: u64,
+    key: PhantomData<K>,
+}
 
+impl<K: PackedKey> SpilledRun<K> {
     /// Bytes this run occupies on disk.
     pub fn bytes(&self) -> u64 {
         self.bytes
@@ -40,24 +43,36 @@ impl SpilledRun {
 
     /// Opens the run for sequential re-reading with a read buffer of
     /// `read_buf` bytes.
-    pub fn open(&self, read_buf: usize) -> Result<RunCursor, ConvertError> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConvertError::Io`] when the file cannot be read, or when
+    /// its header or length differs from the run that was written.
+    pub fn open(&self, read_buf: usize) -> Result<RunCursor<K>, ConvertError> {
         let file = File::open(&self.path)?;
+        let len = file.metadata()?.len();
         let mut reader = BufReader::with_capacity(read_buf.max(64), file);
         let mut header = [0u8; 8];
         reader.read_exact(&mut header)?;
         let entries = u64::from_le_bytes(header);
-        debug_assert_eq!(entries, self.entries);
+        if entries != self.entries || len != self.bytes {
+            return Err(ConvertError::Io(format!(
+                "spill run {} is damaged: {entries} entries in {len} bytes, \
+                 written as {} entries in {} bytes",
+                self.path.display(),
+                self.entries,
+                self.bytes
+            )));
+        }
         Ok(RunCursor {
             reader,
-            order: self.order,
             remaining: entries,
-            coord: vec![0usize; self.order],
-            value: 0.0,
+            key: PhantomData,
         })
     }
 }
 
-impl Drop for SpilledRun {
+impl<K> Drop for SpilledRun<K> {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.path);
     }
@@ -66,16 +81,16 @@ impl Drop for SpilledRun {
 /// Writes one sorted run to disk; [`RunWriter::finish`] seals it into a
 /// [`SpilledRun`].
 #[derive(Debug)]
-pub struct RunWriter {
+pub struct RunWriter<K> {
     path: PathBuf,
     writer: BufWriter<File>,
-    order: usize,
     entries: u64,
+    key: PhantomData<K>,
 }
 
-impl RunWriter {
+impl<K: PackedKey> RunWriter<K> {
     /// Creates a run file in `dir` (the system temp directory when `None`).
-    pub fn create(dir: Option<&std::path::Path>, order: usize) -> Result<Self, ConvertError> {
+    pub fn create(dir: Option<&std::path::Path>) -> Result<Self, ConvertError> {
         let dir = dir.map_or_else(std::env::temp_dir, |d| d.to_path_buf());
         let path = dir.join(format!(
             "conv-stream-{}-{}.run",
@@ -89,82 +104,65 @@ impl RunWriter {
         Ok(RunWriter {
             path,
             writer,
-            order,
             entries: 0,
+            key: PhantomData,
         })
     }
 
-    /// Appends one nonzero (coordinates must already be in run order).
-    pub fn push(&mut self, coord: &[usize], value: Value) -> Result<(), ConvertError> {
-        debug_assert_eq!(coord.len(), self.order);
-        for &c in coord {
-            self.writer.write_all(&(c as u64).to_le_bytes())?;
-        }
-        self.writer.write_all(&value.to_bits().to_le_bytes())?;
+    /// Appends one record (records must already be in run order).
+    pub fn push(&mut self, key: K, bits: u64) -> Result<(), ConvertError> {
+        let mut record = [0u8; 24]; // the widest record: a u128 key and the value
+        key.write_le(&mut record);
+        record[size_of::<K>()..size_of::<K>() + 8].copy_from_slice(&bits.to_le_bytes());
+        self.writer.write_all(&record[..record_bytes::<K>()])?;
         self.entries += 1;
         Ok(())
     }
 
     /// Flushes, rewrites the entry-count header, and seals the run.
-    pub fn finish(self) -> Result<SpilledRun, ConvertError> {
+    pub fn finish(self) -> Result<SpilledRun<K>, ConvertError> {
         let RunWriter {
             path,
             writer,
-            order,
             entries,
+            key,
         } = self;
         let mut file = writer
             .into_inner()
             .map_err(|e| ConvertError::Io(e.to_string()))?;
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::Start(0))?;
+        file.seek(SeekFrom::Start(0))?;
         file.write_all(&entries.to_le_bytes())?;
         file.sync_data().ok();
-        let bytes = 8 + entries * (order as u64 + 1) * 8;
         Ok(SpilledRun {
             path,
-            order,
             entries,
-            bytes,
+            bytes: 8 + entries * record_bytes::<K>() as u64,
+            key,
         })
     }
 }
 
-/// Sequential reader over a [`SpilledRun`], holding the current (head) entry.
+/// Sequential reader over a [`SpilledRun`].
 #[derive(Debug)]
-pub struct RunCursor {
+pub struct RunCursor<K> {
     reader: BufReader<File>,
-    order: usize,
     remaining: u64,
-    coord: Vec<usize>,
-    value: Value,
+    key: PhantomData<K>,
 }
 
-impl RunCursor {
-    /// Advances to the next entry; returns `false` at the end of the run.
-    pub fn advance(&mut self) -> Result<bool, ConvertError> {
-        if self.remaining == 0 {
-            return Ok(false);
-        }
-        let mut word = [0u8; 8];
-        for d in 0..self.order {
-            self.reader.read_exact(&mut word)?;
-            self.coord[d] = u64::from_le_bytes(word) as usize;
-        }
-        self.reader.read_exact(&mut word)?;
-        self.value = Value::from_bits(u64::from_le_bytes(word));
-        self.remaining -= 1;
-        Ok(true)
-    }
+impl<K: PackedKey> Iterator for RunCursor<K> {
+    type Item = Result<(K, u64), ConvertError>;
 
-    /// The current entry's coordinates (valid after a successful advance).
-    pub fn coord(&self) -> &[usize] {
-        &self.coord
-    }
-
-    /// The current entry's value.
-    pub fn value(&self) -> Value {
-        self.value
+    /// The next record; `None` at the end of the run.
+    fn next(&mut self) -> Option<Self::Item> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        let mut record = [0u8; 24]; // the widest record, as in `RunWriter::push`
+        let record = &mut record[..record_bytes::<K>()];
+        if let Err(e) = self.reader.read_exact(record) {
+            return Some(Err(e.into()));
+        }
+        let bits = u64::from_le_bytes(record[size_of::<K>()..].try_into().expect("8 value bytes"));
+        Some(Ok((K::read_le(record), bits)))
     }
 }
 
@@ -174,22 +172,25 @@ mod tests {
 
     #[test]
     fn runs_roundtrip_and_clean_up() {
-        let mut w = RunWriter::create(None, 3).unwrap();
-        w.push(&[0, 1, 2], 1.5).unwrap();
-        w.push(&[4, 5, 6], -2.25).unwrap();
+        let mut w = RunWriter::<u128>::create(None).unwrap();
+        w.push(1 << 100 | 2, 1.5f64.to_bits()).unwrap();
+        w.push(4 << 64 | 6, (-2.25f64).to_bits()).unwrap();
         let run = w.finish().unwrap();
-        assert_eq!(run.entries(), 2);
-        assert_eq!(run.bytes(), 8 + 2 * 4 * 8);
+        assert_eq!(run.entries, 2);
+        assert_eq!(run.bytes(), 8 + 2 * 24);
         let path = run.path.clone();
         assert!(path.exists());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), run.bytes());
         let mut c = run.open(128).unwrap();
-        assert!(c.advance().unwrap());
-        assert_eq!(c.coord(), &[0, 1, 2]);
-        assert_eq!(c.value(), 1.5);
-        assert!(c.advance().unwrap());
-        assert_eq!(c.coord(), &[4, 5, 6]);
-        assert_eq!(c.value(), -2.25);
-        assert!(!c.advance().unwrap());
+        assert_eq!(
+            c.next().transpose().unwrap(),
+            Some((1 << 100 | 2, 1.5f64.to_bits()))
+        );
+        assert_eq!(
+            c.next().transpose().unwrap(),
+            Some((4 << 64 | 6, (-2.25f64).to_bits()))
+        );
+        assert_eq!(c.next().transpose().unwrap(), None);
         drop(c);
         drop(run);
         assert!(!path.exists(), "dropping a run removes its file");
@@ -198,15 +199,48 @@ mod tests {
     #[test]
     fn values_round_trip_bit_exactly() {
         let tricky = [0.0, -0.0, f64::MIN_POSITIVE, 1.0 / 3.0, f64::INFINITY];
-        let mut w = RunWriter::create(None, 1).unwrap();
-        for (i, &v) in tricky.iter().enumerate() {
-            w.push(&[i], v).unwrap();
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let mut w = RunWriter::<u64>::create(None).unwrap();
+        for (i, &v) in tricky.iter().chain([&nan]).enumerate() {
+            w.push(i as u64, v.to_bits()).unwrap();
         }
         let run = w.finish().unwrap();
+        assert_eq!(run.bytes(), 8 + 6 * 16);
         let mut c = run.open(64).unwrap();
-        for &v in &tricky {
-            assert!(c.advance().unwrap());
-            assert_eq!(c.value().to_bits(), v.to_bits());
+        for (i, &v) in tricky.iter().chain([&nan]).enumerate() {
+            assert_eq!(c.next().transpose().unwrap(), Some((i as u64, v.to_bits())));
         }
+    }
+
+    fn three_entry_run() -> SpilledRun<u64> {
+        let mut w = RunWriter::<u64>::create(None).unwrap();
+        for k in 0..3u64 {
+            w.push(k, k).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    #[test]
+    fn a_truncated_run_is_an_io_error() {
+        let run = three_entry_run();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&run.path)
+            .unwrap();
+        file.set_len(run.bytes() - 16).unwrap();
+        assert!(matches!(run.open(64), Err(ConvertError::Io(_))));
+    }
+
+    #[test]
+    fn a_rewritten_header_is_an_io_error() {
+        let run = three_entry_run();
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&run.path)
+            .unwrap();
+        file.write_all(&2u64.to_le_bytes()).unwrap();
+        drop(file);
+        assert_eq!(std::fs::metadata(&run.path).unwrap().len(), run.bytes());
+        assert!(matches!(run.open(64), Err(ConvertError::Io(_))));
     }
 }

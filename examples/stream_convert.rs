@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let service = ConversionService::new(ServiceConfig::with_threads(4));
 
     // --- Matrix Market -> CSR under an 8 KiB budget ---------------------
-    // 4000 entries * 24 B = ~94 KiB of sort working set: ~12x the budget,
-    // so the external sort must spill runs to disk.
+    // 4000 entries as 16 B sort records = ~62 KiB of sort working set: ~8x
+    // the budget, so the external sort must spill runs to disk.
     let mtx_path = dir.join("example.mtx");
     let mut matrix = CooMatrix::new(512, 512);
     for p in 0..4000usize {

@@ -11,6 +11,7 @@ use taco_conversion_repro::conv::{codegen, convert_with, AnyTensor, Format, Tens
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::obs::{validate_json, Collector, PhaseReport, Registry, Span};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
+use taco_conversion_repro::stream::run::record_bytes;
 use taco_conversion_repro::stream::{
     CooBlockStream, CooSink, MemoryBudget, TensorSink, TensorStream,
 };
@@ -192,6 +193,50 @@ fn streamed_conversions_report_spills_and_mirror_the_registry() {
     assert!(snapshot.counters["stream.spilled_runs"] >= result.stats.spilled_runs);
     assert!(snapshot.counters["stream.spilled_bytes"] >= result.stats.spilled_bytes);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A spilling stream's phase tree: the pipeline pre-sorts blocks and spills
+/// full buffers, then the assembly spills the residue and merges the runs;
+/// every nonzero is pre-sorted, spilled and merged exactly once, and the
+/// spilled bytes are one header plus one packed record per entry per run.
+#[test]
+fn streamed_span_tree_attributes_presort_spills_and_merge() {
+    let t = tensor3_uniform([48, 48, 48], 6_000, 11).expect("valid generator parameters");
+    let n = t.nnz() as u64;
+    let svc = service(2);
+    let opts = StreamOptions::with_budget(MemoryBudget::kib(16));
+    let stream = CooBlockStream::new(CooTensor::from_triples(&t), 64);
+    let stats = svc
+        .convert_stream(stream, Format::csf(), &opts)
+        .unwrap()
+        .stats;
+    let runs = stats.spilled_runs;
+    assert!(runs > 1, "the budget forces spills mid-stream");
+    let report = svc.last_report().expect("stream stored a report");
+    let mut rows = Vec::new();
+    tree(&report.phases, 0, &mut rows);
+    rows.retain(|r| r.0 <= 1);
+    let row = |depth, name: &str, spans, items| (depth, name.to_string(), spans, items);
+    let mid_stream = report
+        .phase("stream.pump")
+        .and_then(|p| p.child("stream.spill_write"))
+        .expect("spills under the pump")
+        .count;
+    assert_eq!(
+        rows,
+        vec![
+            row(0, "stream.pump", 1, 0),
+            row(1, "stream.presort", rows[1].2, n),
+            row(1, "stream.spill_write", runs - 1, mid_stream),
+            row(0, "stream.assemble", 1, n),
+            row(1, "stream.spill_write", 1, n - mid_stream),
+            row(1, "stream.merge_spills", 1, n),
+        ]
+    );
+    let record = record_bytes::<u64>() as u64;
+    assert_eq!(record, 16);
+    assert_eq!(report.spilled_bytes, 8 * runs + n * record);
+    assert_eq!(report.spilled_bytes, stats.spilled_bytes);
 }
 
 /// Generated code reports its four phases, in order, under the caller's span.

@@ -4,9 +4,11 @@
 //! performance rewrites: every path must be *bit-identical* to the stable
 //! comparison-sort baseline. Three layers pin that down:
 //!
-//! * raw index sorts — [`radix::sort_index_span`] against the comparison
-//!   [`lex_sort_perm`] over random columns whose per-dimension bit widths
-//!   sweep across the u64 / u128 / comparison-fallback boundaries,
+//! * raw sorts — [`radix::sort_pairs`] carrying each nonzero's index,
+//!   against the comparison [`lex_sort_perm`], over random columns whose
+//!   per-dimension bit widths sweep across the u64 / u128 boundaries (wider
+//!   keys are the callers' comparison fallback; the streamed path's is in
+//!   `tests/stream_equivalence.rs`),
 //! * COO→CSF from packed keys — the engine and the parallel kernel (keys
 //!   sorted with the value bits as payload, fibers split off `prev ^ key`)
 //!   against the reference constructor [`CsfTensor::from_triples`] (stable
@@ -26,14 +28,13 @@ use taco_conversion_repro::conv::engine;
 use taco_conversion_repro::conv::kernels;
 use taco_conversion_repro::conv::select::ORDER3_MODE_ORDERS;
 use taco_conversion_repro::formats::csf::lex_sort_perm;
-use taco_conversion_repro::formats::radix::{self, KeyLayout, SortPath};
+use taco_conversion_repro::formats::radix::{self, KeyLayout, PackedKey};
 use taco_conversion_repro::formats::{CooTensor, CsfTensor, CsrMatrix};
 use taco_conversion_repro::tensor::{Shape, SparseTriples};
 
 /// Random coordinate columns with per-dimension bit widths drawn so the
 /// packed key's total width sweeps the interesting regions: comfortably
-/// inside u64, straddling 64, inside u128, and past 128 (comparison
-/// fallback).
+/// inside u64, straddling 64, inside u128, and past 128.
 fn arb_columns() -> impl Strategy<Value = Vec<Vec<usize>>> {
     (1usize..5, 1usize..50, 0usize..200).prop_flat_map(|(dims, bits, n)| {
         proptest::collection::vec(
@@ -43,25 +44,43 @@ fn arb_columns() -> impl Strategy<Value = Vec<Vec<usize>>> {
     })
 }
 
-/// The radix sort's permutation of every nonzero.
-fn radix_perm(columns: &[Vec<usize>]) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..columns.first().map_or(0, Vec::len)).collect();
-    radix::sort_index_span(columns, &mut perm);
-    perm
+/// The permutation [`radix::sort_pairs`] gives every nonzero, carrying its
+/// index, on the word its key fits; `None` past 128 bits.
+fn radix_perm(columns: &[Vec<usize>]) -> Option<Vec<usize>> {
+    fn by_key<K: PackedKey>(columns: &[Vec<usize>], layout: &KeyLayout) -> Vec<usize> {
+        let n = columns.first().map_or(0, Vec::len);
+        let mut pairs: Vec<(K, usize)> =
+            (0..n).map(|p| (layout.key(|d| columns[d][p]), p)).collect();
+        let mut scratch = vec![(K::default(), 0); n];
+        radix::sort_pairs(&mut pairs, &mut scratch, 0, layout.bits());
+        pairs.into_iter().map(|(_, p)| p).collect()
+    }
+    let maxima: Vec<usize> = columns
+        .iter()
+        .map(|c| c.iter().copied().max().unwrap_or(0))
+        .collect();
+    let layout = KeyLayout::new(&maxima);
+    match layout.bits() {
+        0..=64 => Some(by_key::<u64>(columns, &layout)),
+        65..=128 => Some(by_key::<u128>(columns, &layout)),
+        _ => None,
+    }
 }
 
 proptest! {
     /// The radix permutation equals the stable comparison permutation for
-    /// any key width, including the fallback regions.
+    /// any key width a word holds.
     #[test]
     fn radix_perm_matches_comparison_perm(columns in arb_columns()) {
-        prop_assert_eq!(radix_perm(&columns), lex_sort_perm(&columns));
+        if let Some(perm) = radix_perm(&columns) {
+            prop_assert_eq!(perm, lex_sort_perm(&columns));
+        }
     }
 }
 
-/// Pinned width boundaries: exactly 64 bits packs into u64, 65 spills to
-/// u128, beyond 128 falls back to the comparison sort — and all three agree
-/// with the baseline.
+/// Pinned width boundaries: 63 and exactly 64 bits pack into u64, 65 and
+/// 128 into u128 — all agreeing with the baseline, on 300, one and no
+/// nonzeros — and 129 fits no word.
 #[test]
 fn width_boundaries_agree_with_the_comparison_sort() {
     let mut state = 0xdeadbeefcafef00du64;
@@ -71,33 +90,47 @@ fn width_boundaries_agree_with_the_comparison_sort() {
         state ^= state << 17;
         (state as usize) % bound
     };
-    // (per-dim widths, expected path) — widths are realised by planting one
-    // maximal value per column so the layout sees the full width.
-    let cases: [(&[u32], SortPath); 4] = [
-        (&[32, 31], SortPath::Radix64),        // 63 bits
-        (&[32, 32], SortPath::Radix64),        // exactly 64
-        (&[33, 32], SortPath::Radix128),       // 65
-        (&[50, 50, 50], SortPath::Comparison), // 150: fallback
+    // Widths are realised by planting one maximal value per column so the
+    // layout sees the full width.
+    let cases: [&[u32]; 5] = [
+        &[32, 31],     // 63 bits
+        &[32, 32],     // exactly 64
+        &[33, 32],     // 65
+        &[64, 64],     // exactly 128
+        &[43, 43, 43], // 129: no word holds it
     ];
-    for (widths, expected) in cases {
+    for widths in cases {
         let n = 300;
         let columns: Vec<Vec<usize>> = widths
             .iter()
             .map(|&w| {
-                let max = if w >= 64 {
-                    usize::MAX
-                } else {
-                    (1usize << w) - 1
-                };
+                let max = usize::MAX >> (usize::BITS - w);
                 let mut col: Vec<usize> = (0..n).map(|_| next(max)).collect();
                 col[n / 2] = max; // pin the width the layout derives
                 col
             })
             .collect();
-        let mut span: Vec<usize> = (0..n).collect();
-        let path = radix::sort_index_span(&columns, &mut span);
-        assert_eq!(path, expected, "widths {widths:?}");
-        assert_eq!(span, lex_sort_perm(&columns), "widths {widths:?}");
+        let total: u32 = widths.iter().sum();
+        let maxima: Vec<usize> = columns.iter().map(|c| c[n / 2]).collect();
+        assert_eq!(KeyLayout::new(&maxima).bits(), total, "widths {widths:?}");
+        if total > 128 {
+            assert_eq!(radix_perm(&columns), None, "widths {widths:?}");
+            continue;
+        }
+        assert_eq!(
+            radix_perm(&columns),
+            Some(lex_sort_perm(&columns)),
+            "widths {widths:?}"
+        );
+        for len in [0, 1] {
+            let short: Vec<Vec<usize>> =
+                columns.iter().map(|c| c[n / 2..][..len].to_vec()).collect();
+            assert_eq!(
+                radix_perm(&short),
+                Some((0..len).collect()),
+                "{len} of {widths:?}"
+            );
+        }
     }
 }
 
