@@ -22,8 +22,8 @@
 //!   [`pool::WorkerPool`];
 //! * [`streaming`] is the out-of-core path:
 //!   [`ConversionService::convert_stream`](service::ConversionService::convert_stream)
-//!   pipelines `conv-stream` coordinate blocks through the pool into an
-//!   external merge sort, so a tensor larger than memory converts to
+//!   parses and pre-sorts `conv-stream` parse jobs on long-lived workers
+//!   into an external merge sort, so a tensor larger than memory converts to
 //!   CSR/CSF under a fixed [`MemoryBudget`](conv_stream::MemoryBudget),
 //!   byte-identical to the in-memory engine.
 //!

@@ -361,11 +361,14 @@ impl ConversionService {
     }
 
     /// Converts a [`TensorStream`] without ever materialising the input,
-    /// bounded by the working-set budget in `opts`. Blocks are pre-sorted in
-    /// parallel on the worker pool, buffered by an external merge sort that
-    /// spills sorted runs to disk when the budget fills, and k-way-merged
-    /// straight into the target's packing loop. Inputs that fit the budget
-    /// never touch disk (the in-memory fast case, `stats.in_memory`).
+    /// bounded by the working-set budget in `opts`. The stream's parse jobs
+    /// ([`TensorStream::next_job`]) are admitted against the budget, parsed
+    /// and pre-sorted in parallel on `threads` workers that live for the
+    /// whole conversion, buffered in file order by an external merge sort
+    /// that spills sorted runs to disk when the budget fills, and
+    /// k-way-merged straight into the target's packing loop. Inputs that fit
+    /// the budget never touch disk (the in-memory fast case,
+    /// `stats.in_memory`).
     ///
     /// CSR (order-2), CSF, and mode-ordered `CSF@...` registry targets are
     /// streamed end to end and produce output **byte-identical** to
@@ -451,7 +454,7 @@ impl ConversionService {
         } else {
             streaming::pump::<u128, S>
         };
-        let (tensor, stats) = pump(plan, stream, target, opts, &self.pool, self.config.threads)?;
+        let (tensor, stats) = pump(plan, stream, target, opts, self.config.threads)?;
         self.counters
             .stream_spilled_runs
             .fetch_add(stats.spilled_runs, Ordering::Relaxed);

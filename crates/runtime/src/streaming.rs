@@ -7,27 +7,31 @@
 //!   [`sparse_conv::kernel_table`] (CSR, CSF, and mode-ordered `CSF@...`
 //!   registry formats have one) and falls back to materialising the input
 //!   for targets without and for records wider than 128 bits;
-//! * [`pump`](self) — the producer/consumer pipeline on `u64` or `u128`
-//!   records ([`record_bits`]), then the packer: a producer thread pulls
-//!   [`CoordBlock`]s from the source and sends them through a *bounded*
-//!   channel (the bound is the backpressure: a slow sorter stalls the
-//!   producer instead of letting blocks pile up), while the consumer groups
-//!   blocks and pre-sorts each group in parallel on the service's
-//!   [`WorkerPool`] before feeding the [`ExternalSorter`];
+//! * [`pump`](self) — the pipeline on `u64` or `u128` records
+//!   ([`record_bits`]): the producer thread cuts [`ParseJob`]s from the
+//!   source ([`TensorStream::next_job`]) and queues each once the memory
+//!   budget admits it; `T` workers, started once for the whole conversion
+//!   by one [`WorkerPool::run`], each parse a job and pre-sort it into a
+//!   run; and the consumer, a stage of the same run, pushes the runs into
+//!   the [`ExternalSorter`] in file order and releases their reservations;
 //! * the `assemble_*` packers — they drain the sorter's records straight
 //!   into the packing loops the in-memory engine uses (the CSR
 //!   count/prefix/fill, `CsfBuilder::append` at the `prev ^ key` split),
 //!   which is what makes streamed output byte-identical.
 
+use std::collections::BTreeMap;
+use std::mem::size_of;
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-use conv_stream::sorter::{record_bits, MemRun};
+use conv_stream::sorter::{record_bits, MemRun, RecordLayout};
 use conv_stream::{
-    CooSink, CoordBlock, ExternalSorter, MemTracker, MemoryBudget, SorterConfig, StreamStats,
-    TensorSink, TensorStream,
+    entry_bytes, CooSink, ExternalSorter, MemTracker, MemoryBudget, ParseJob, SorterConfig,
+    StreamStats, TensorSink, TensorStream,
 };
-use obs::Span;
+use obs::{Span, SpanHandle};
 use sparse_conv::convert::AnyTensor;
 use sparse_conv::kernel_table::{self, StreamKey};
 use sparse_conv::{ConvertError, Format};
@@ -40,11 +44,11 @@ use crate::pool::WorkerPool;
 /// Tuning knobs of a streaming conversion.
 #[derive(Debug, Clone, Default)]
 pub struct StreamOptions {
-    /// Working-set budget for the external sort (sort buffers, in-flight
-    /// blocks, merge read buffers). Inputs that fit stay entirely in memory.
+    /// Working-set budget for the external sort (sort buffers, parse jobs in
+    /// flight, merge read buffers). Inputs that fit stay entirely in memory.
     pub budget: MemoryBudget,
-    /// Capacity of the bounded block channel between the producer and the
-    /// sorter — the backpressure depth. `0` means "one block per worker".
+    /// Depth of the job queue between the producer and the parse workers:
+    /// admitted jobs no worker has taken yet. `0` means one per worker.
     pub channel_blocks: usize,
     /// Directory for spill runs (the system temp directory when `None`).
     pub spill_dir: Option<PathBuf>,
@@ -141,18 +145,19 @@ impl StreamTarget {
 
 /// Sorts the stream through an [`ExternalSorter`] on `K`-word records (the
 /// caller picks the narrowest word [`record_bits`] fits) and packs the
-/// target from them. The pipeline: a producer thread feeds blocks into a
-/// bounded channel; the calling thread drains it in groups of up to
-/// `threads` blocks, pre-sorts each group on the pool, and pushes the runs
-/// into the sorter in arrival order (which later merges use to break ties).
-/// The producer is a pipeline stage, not a fan-out, so it is the one thread
-/// the runtime starts outside `sparse_conv::partition::fork_join`.
+/// target from them. Three stages run at once: the producer thread cuts
+/// jobs from the stream and queues each once the budget admits it; `threads`
+/// workers parse and pre-sort jobs into runs; and the consumer pushes the
+/// runs into the sorter in job order (which later merges use to break ties)
+/// and releases their reservations. The workers and the consumer are one
+/// [`WorkerPool::run`] for the whole conversion; the producer is a pipeline
+/// stage, not a fan-out, so it is the one thread the runtime starts outside
+/// `sparse_conv::partition::fork_join`.
 pub(crate) fn pump<K: PackedKey, S: TensorStream + Send>(
     plan: StreamTarget,
     stream: &mut S,
     target: &Format,
     opts: &StreamOptions,
-    pool: &WorkerPool,
     threads: usize,
 ) -> Result<(AnyTensor, StreamStats), ConvertError> {
     let shape = stream.shape().clone();
@@ -160,67 +165,269 @@ pub(crate) fn pump<K: PackedKey, S: TensorStream + Send>(
         budget: opts.budget,
         spill_dir: opts.spill_dir.clone(),
     };
-    let mut sorter = ExternalSorter::new(shape.clone(), plan.sort_key(), cfg, MemTracker::new())?;
-    let tracker = sorter.tracker().clone();
+    let mut sorter =
+        ExternalSorter::<K>::new(shape.clone(), plan.sort_key(), cfg, MemTracker::new())?;
     let layout = sorter.layout().clone();
-    let group_size = threads.max(1);
+    let threads = threads.max(1);
     let depth = match opts.channel_blocks {
-        0 => group_size,
+        0 => threads,
         depth => depth,
     };
-    // One span for the whole pipeline; the consumer loop below runs on this
-    // thread, so the per-group pre-sort spans nest under it.
+    let sizing = JobSizing::new::<K>(shape.order(), opts.budget, threads);
+    let gate = Gate {
+        state: Mutex::default(),
+        changed: Condvar::new(),
+        budget: opts.budget.bytes,
+        tracker: sorter.tracker().clone(),
+    };
     let pump_span = Span::enter("stream.pump");
+    let pump = pump_span.handle();
     std::thread::scope(|s| {
-        let (tx, rx) = mpsc::sync_channel::<CoordBlock>(depth);
-        let sorter = &mut sorter;
-        let producer_tracker = tracker.clone();
-        let producer = s.spawn(move || -> Result<(), ConvertError> {
-            while let Some(block) = stream.next_block()? {
-                producer_tracker.add(block.approx_bytes());
-                if tx.send(block).is_err() {
-                    // The consumer hung up after an error; it reports it.
-                    return Ok(());
-                }
+        let (jobs_tx, jobs) = mpsc::sync_channel(depth);
+        let (runs, runs_rx) = mpsc::channel();
+        let (gate, sizing, to_consumer) = (&gate, &sizing, runs.clone());
+        let producer = s.spawn(move || produce(stream, sizing, gate, jobs_tx, &to_consumer, pump));
+        // The consumer's state, behind a lock only the consumer takes; it
+        // drops the receiver when it returns, so the workers stop.
+        let (jobs, consumer) = (Mutex::new(jobs), Mutex::new((&mut sorter, Some(runs_rx))));
+        let stages = WorkerPool::new(threads + 1).run(threads + 1, |stage| match stage {
+            0 => {
+                let mut consumer = consumer.lock().unwrap_or_else(PoisonError::into_inner);
+                let (sorter, runs) = &mut *consumer;
+                consume(sorter, runs.take().expect("one consumer"), gate)
             }
-            Ok(())
+            _ => {
+                work(&jobs, &runs, &layout);
+                Ok(())
+            }
         });
-        let consumed = (move || -> Result<(), ConvertError> {
-            // `rx` is moved in, so an early error return drops it and
-            // unblocks the producer.
-            loop {
-                let mut group: Vec<CoordBlock> = match rx.recv() {
-                    Ok(b) => vec![b],
-                    Err(_) => return Ok(()),
-                };
-                while group.len() < group_size {
-                    match rx.try_recv() {
-                        Ok(b) => group.push(b),
-                        Err(_) => break,
-                    }
-                }
-                let presort = Span::enter("stream.presort");
-                presort.add_items(group.iter().map(|b| b.nnz() as u64).sum());
-                let runs: Vec<MemRun<K>> = pool
-                    .run(group.len(), |i| MemRun::from_block(&group[i], &layout))
-                    .into_iter()
-                    .collect::<Result<_, _>>()?;
-                drop(presort);
-                for (block, run) in group.iter().zip(runs) {
-                    tracker.sub(block.approx_bytes());
-                    sorter.push_run(run)?;
-                }
-            }
-        })();
-        // A panicking source drops `tx` as it unwinds, which ends the
-        // consumer loop above; the panic itself becomes the error.
-        producer.join().map_err(|_| ConvertError::WorkerPanicked {
+        // Unblocks a producer still sending into, or waiting on jobs in, the
+        // queue.
+        drop(jobs);
+        let produced = producer.join();
+        // The consumer's error, first, is the first in file order.
+        stages.into_iter().try_for_each(|stage| stage?)?;
+        produced.map_err(|_| ConvertError::WorkerPanicked {
             phase: "stream.producer",
-        })??;
-        consumed
+        })
     })?;
     drop(pump_span);
     plan.assemble(&shape, target, sorter)
+}
+
+/// A job's sequence number, then its run and reservation, `None` after the
+/// last job, or the error that ends the stream there.
+type Done<K> = (u64, Result<Option<(MemRun<K>, usize)>, ConvertError>);
+
+/// How large the pump cuts jobs and what it reserves for each.
+struct JobSizing {
+    /// Entries a job asks for: its share of the budget's headroom.
+    entries: usize,
+    /// Bytes of one entry's parsed columns, and of one sort record.
+    column: usize,
+    record: usize,
+}
+
+impl JobSizing {
+    /// Sizes jobs so `threads + 2` of them (one per worker, one queued, one
+    /// being cut) fit the headroom the sort buffer leaves in `budget`.
+    fn new<K: PackedKey>(order: usize, budget: MemoryBudget, threads: usize) -> Self {
+        let (column, record) = (entry_bytes(order), size_of::<(K, u64)>());
+        let headroom = budget.bytes - budget.buffer_threshold();
+        JobSizing {
+            entries: headroom / ((threads + 2) * (column + 2 * record)),
+            column,
+            record,
+        }
+    }
+
+    /// The most a job holds at one time: its text and parsed columns, or its
+    /// columns, records and radix scratch.
+    fn reservation(&self, job: &ParseJob) -> usize {
+        let n = job.entries;
+        (job.text_bytes + n * self.column).max(n * (self.column + 2 * self.record))
+    }
+}
+
+/// The admission gate between the producer and the consumer: jobs in flight
+/// (admitted, their runs not yet pushed) and whether the consumer stopped.
+struct Gate {
+    state: Mutex<(usize, bool)>,
+    changed: Condvar,
+    budget: usize,
+    tracker: MemTracker,
+}
+
+impl Gate {
+    fn lock(&self) -> MutexGuard<'_, (usize, bool)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Reserves `bytes` for a job: at once when no job is in flight or the
+    /// tracked working set plus `bytes` stays under the budget, otherwise
+    /// after waiting (`stream.budget_wait`) for the consumer to release
+    /// enough. Returns `false` when the consumer has stopped.
+    fn admit(&self, bytes: usize, pump: SpanHandle) -> bool {
+        let blocked = |&(in_flight, stopped): &(usize, bool)| {
+            !stopped && in_flight > 0 && self.tracker.current() + bytes >= self.budget
+        };
+        let mut state = self.lock();
+        if blocked(&state) {
+            let _wait = Span::enter_under("stream.budget_wait", pump);
+            // A spill releases the sort buffer before it syncs its file,
+            // without a notification: the tracker is read again every
+            // `POLL`, so jobs parse while the sync runs.
+            const POLL: Duration = Duration::from_micros(100);
+            while blocked(&state) {
+                let waited = self.changed.wait_timeout(state, POLL);
+                state = waited.unwrap_or_else(PoisonError::into_inner).0;
+            }
+        }
+        if state.1 {
+            return false;
+        }
+        self.tracker.add(bytes);
+        state.0 += 1;
+        true
+    }
+
+    /// Hands a job's run to the sorter and releases the rest of its
+    /// reservation; the sorter takes over the run's bytes, so the tracker
+    /// never counts the run twice nor drops it, and a spill the push
+    /// triggers runs without the lock.
+    fn push<K: PackedKey>(
+        &self,
+        sorter: &mut ExternalSorter<K>,
+        run: MemRun<K>,
+        reserved: usize,
+    ) -> Result<(), ConvertError> {
+        self.tracker.sub(reserved - run.bytes());
+        self.changed.notify_one();
+        let pushed = sorter.push_run(run);
+        self.lock().0 -= 1;
+        self.changed.notify_one();
+        pushed
+    }
+
+    /// Tells the producer the consumer has stopped.
+    fn stop(&self) {
+        self.lock().1 = true;
+        self.changed.notify_one();
+    }
+}
+
+/// The producer: cuts jobs from `stream` in file order, admits each against
+/// the budget and queues it. After the last job it sends the end of the
+/// stream to the consumer, or the error that ended it; it stops early when
+/// the consumer or the workers have.
+fn produce<K: PackedKey, S: TensorStream>(
+    stream: &mut S,
+    sizing: &JobSizing,
+    gate: &Gate,
+    jobs: SyncSender<(u64, ParseJob, usize)>,
+    runs: &Sender<Done<K>>,
+    pump: SpanHandle,
+) {
+    let mut current = Unwinding {
+        seq: 0,
+        runs,
+        phase: "stream.producer",
+    };
+    loop {
+        let job = match stream.next_job(sizing.entries) {
+            Ok(Some(job)) => job,
+            end => {
+                let _ = runs.send((current.seq, end.map(|_| None)));
+                return;
+            }
+        };
+        let bytes = sizing.reservation(&job);
+        if !gate.admit(bytes, pump) || jobs.send((current.seq, job, bytes)).is_err() {
+            return;
+        }
+        current.seq += 1;
+    }
+}
+
+/// A parse worker: takes jobs off the queue until it closes, parses and
+/// pre-sorts each, and hands the run to the consumer under the job's
+/// sequence number. It stops early when the consumer has.
+fn work<K: PackedKey>(
+    jobs: &Mutex<Receiver<(u64, ParseJob, usize)>>,
+    runs: &Sender<Done<K>>,
+    layout: &RecordLayout,
+) {
+    loop {
+        let next = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok((seq, job, reserved)) = next else {
+            return;
+        };
+        let _current = Unwinding {
+            seq,
+            runs,
+            phase: "stream.worker",
+        };
+        let run = job.run().map(|block| {
+            let presort = Span::enter("stream.presort");
+            presort.add_items(block.nnz() as u64);
+            Some((MemRun::from_block(&block, layout), reserved))
+        });
+        if runs.send((seq, run)).is_err() {
+            return;
+        }
+    }
+}
+
+/// The consumer: pushes runs into the sorter in sequence order until the
+/// end of the stream, or returns the first error in that order. Returning,
+/// or unwinding, stops the producer.
+fn consume<K: PackedKey>(
+    sorter: &mut ExternalSorter<K>,
+    runs: Receiver<Done<K>>,
+    gate: &Gate,
+) -> Result<(), ConvertError> {
+    let _stop = Stop(gate);
+    let (mut finished, mut next) = (BTreeMap::new(), 0);
+    loop {
+        let (seq, run) = runs.recv().expect("the pump holds a sender");
+        finished.insert(seq, run);
+        while let Some(run) = finished.remove(&next) {
+            let Some((run, reserved)) = run? else {
+                return Ok(());
+            };
+            gate.push(sorter, run, reserved)?;
+            next += 1;
+        }
+    }
+}
+
+/// Stops the producer when the consumer returns or unwinds.
+struct Stop<'a>(&'a Gate);
+
+impl Drop for Stop<'_> {
+    fn drop(&mut self) {
+        self.0.stop();
+    }
+}
+
+/// Reports the job a stage holds (a worker's job, or the producer's next) as
+/// [`ConvertError::WorkerPanicked`] if the stage unwinds, so the consumer,
+/// waiting for that job, stops.
+struct Unwinding<'a, K> {
+    seq: u64,
+    runs: &'a Sender<Done<K>>,
+    phase: &'static str,
+}
+
+impl<K> Drop for Unwinding<'_, K> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let phase = self.phase;
+            let _ = self
+                .runs
+                .send((self.seq, Err(ConvertError::WorkerPanicked { phase })));
+        }
+    }
 }
 
 /// Drains the sorter into a CSR matrix: rows arrive in nondecreasing order

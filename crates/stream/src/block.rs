@@ -120,12 +120,6 @@ impl CoordBlock {
     pub fn values(&self) -> &[Value] {
         &self.vals
     }
-
-    /// Approximate heap bytes this block holds, the unit the
-    /// [`crate::MemTracker`] accounts in.
-    pub fn approx_bytes(&self) -> usize {
-        crate::entry_bytes(self.order()) * self.nnz()
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +134,6 @@ mod tests {
         assert_eq!(b.nnz(), 2);
         assert_eq!(b.crd(1), &[2, 0]);
         assert_eq!(b.values(), &[5.0, 1.0]);
-        assert_eq!(b.approx_bytes(), 2 * 4 * 8);
         assert!(b.push(&[0, 0], 1.0).is_err());
         assert!(b.push(&[0, 3, 0], 1.0).is_err());
         let shape = Shape::tensor3(2, 3, 4);

@@ -3,8 +3,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A configurable cap on the streaming *working set*: sort buffers, blocks in
-/// flight through pipeline channels, and merge read buffers. The final packed
+/// A configurable cap on the streaming *working set*: sort buffers, parse
+/// jobs in flight through the pipeline, and merge read buffers. The final packed
 /// output is **not** counted — a conversion's result is as large as its input
 /// no matter how it is computed; the budget bounds everything the streaming
 /// pipeline allocates *on top of* the output.
@@ -34,7 +34,7 @@ impl MemoryBudget {
 
     /// The sort-buffer fill threshold: buffered runs spill to disk once they
     /// exceed this. Kept at 3/4 of the budget so the remaining quarter covers
-    /// blocks in flight and merge buffers without busting the cap.
+    /// parse jobs in flight and merge buffers without busting the cap.
     pub fn buffer_threshold(&self) -> usize {
         (self.bytes / 4) * 3
     }
@@ -59,9 +59,9 @@ struct TrackerInner {
     peak: AtomicUsize,
 }
 
-/// A shared gauge of the streaming pipeline's tracked allocation. Producers
-/// add bytes when a block enters a channel or a run buffer grows; consumers
-/// subtract when the memory is released. The high-water mark is what
+/// A shared gauge of the streaming pipeline's tracked allocation. The
+/// producer adds a parse job's reservation when it admits the job; the
+/// consumer and the sorter subtract as the memory is released. The high-water mark is what
 /// acceptance checks compare against the [`MemoryBudget`].
 #[derive(Debug, Clone, Default)]
 pub struct MemTracker(Arc<TrackerInner>);

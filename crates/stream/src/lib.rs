@@ -16,7 +16,7 @@
 //!   loops (`CsfBuilder`, CSR assembly) the in-memory engine uses — so the
 //!   streamed output is **byte-identical** to the in-memory conversion;
 //! * [`MemTracker`] / [`StreamStats`] — honest accounting of the streaming
-//!   working set (sort buffers, in-flight blocks, merge read buffers) and of
+//!   working set (sort buffers, parse jobs in flight, merge read buffers) and of
 //!   spill traffic, surfaced by the runtime service next to its plan-cache
 //!   statistics.
 //!
@@ -39,10 +39,10 @@ pub mod stats;
 pub use block::CoordBlock;
 pub use budget::{MemTracker, MemoryBudget};
 pub use sorter::{ExternalSorter, SorterConfig};
-pub use source::{CooBlockStream, CooSink, TensorSink, TensorStream};
+pub use source::{CooBlockStream, CooSink, ParseJob, TensorSink, TensorStream};
 pub use stats::StreamStats;
 
-/// Bytes one nonzero of a [`CoordBlock`] in flight occupies: `order`
+/// Bytes one parsed nonzero of a [`CoordBlock`] occupies: `order`
 /// coordinates plus the value, all 8 bytes wide. Sort buffers and spill runs
 /// hold packed records instead ([`sorter::MemRun::bytes`],
 /// [`run::record_bytes`]).

@@ -235,7 +235,9 @@ impl<K: PackedKey> ExternalSorter<K> {
     }
 
     /// Buffers one pre-sorted run, spilling the buffer first when adding it
-    /// would cross the budget threshold.
+    /// would cross the budget threshold. The caller has added the run's
+    /// [`MemRun::bytes`] to the tracker (it reserved them before the run
+    /// existed); the sorter releases them when the run spills or drains.
     pub fn push_run(&mut self, run: MemRun<K>) -> Result<(), ConvertError> {
         self.stats.blocks += 1;
         self.stats.entries += run.records.len() as u64;
@@ -248,7 +250,6 @@ impl<K: PackedKey> ExternalSorter<K> {
         {
             self.spill()?;
         }
-        self.tracker.add(bytes);
         self.buffered_bytes += bytes;
         self.buffer.push(run);
         Ok(())
@@ -271,6 +272,11 @@ impl<K: PackedKey> ExternalSorter<K> {
         merge(self.buffered(), self.layout.tail, &mut |key, bits| {
             writer.push(key, bits)
         })?;
+        // The records are in the writer: the buffer is released before the
+        // run is flushed and synced.
+        self.tracker.sub(self.buffered_bytes);
+        self.buffered_bytes = 0;
+        self.buffer.clear();
         let run = writer.finish()?;
         span.add_bytes(run.bytes());
         self.stats.spilled_runs += 1;
@@ -282,9 +288,6 @@ impl<K: PackedKey> ExternalSorter<K> {
             .histogram("stream.spill_run_bytes")
             .observe(run.bytes());
         self.spills.push(run);
-        self.tracker.sub(self.buffered_bytes);
-        self.buffered_bytes = 0;
-        self.buffer.clear();
         Ok(())
     }
 
@@ -361,9 +364,10 @@ mod tests {
         (coord, Value::from_bits(bits))
     }
 
-    /// Pre-sorts a block and buffers the run.
+    /// Pre-sorts a block, tracks the run and buffers it.
     fn push(sorter: &mut ExternalSorter<u64>, block: &CoordBlock) {
         let run = MemRun::from_block(block, sorter.layout());
+        sorter.tracker().add(run.bytes());
         sorter.push_run(run).unwrap();
     }
 

@@ -29,6 +29,68 @@ pub trait TensorStream {
     fn size_hint(&self) -> Option<u64> {
         None
     }
+
+    /// The next unit of parse work, or `None` when the stream is exhausted:
+    /// a [`ParseJob`] that yields the next entries in source order when run.
+    /// Jobs are sequenced: the caller may run them on other threads (they are
+    /// `Send`) and in any order, but must take their blocks in the order the
+    /// jobs were handed out, and stop at the first error in that order. A job
+    /// may cover more than one block, about `entries` entries when the stream
+    /// can cut that finely, never less than a block. A stream is drained by
+    /// this method or by [`TensorStream::next_block`], not both.
+    ///
+    /// The default hands out each [`TensorStream::next_block`] as an
+    /// already-parsed job.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O or parse failures from the underlying source.
+    fn next_job(&mut self, entries: usize) -> Result<Option<ParseJob>, ConvertError> {
+        let _ = entries;
+        Ok(self.next_block()?.map(ParseJob::ready))
+    }
+}
+
+/// A `Send` unit of parse work cut from a [`TensorStream`]: raw input plus
+/// the parser that turns it into a [`CoordBlock`], stating up front what it
+/// can hold, so a pipeline can charge it to a memory budget.
+pub struct ParseJob {
+    /// The most entries the job's block can hold.
+    pub entries: usize,
+    /// Bytes of raw input the job holds until it runs.
+    pub text_bytes: usize,
+    parse: Box<dyn FnOnce() -> Result<CoordBlock, ConvertError> + Send>,
+}
+
+impl ParseJob {
+    /// A job holding `text_bytes` bytes of raw input that `parse` turns into
+    /// at most `entries` entries.
+    pub fn new(
+        entries: usize,
+        text_bytes: usize,
+        parse: impl FnOnce() -> Result<CoordBlock, ConvertError> + Send + 'static,
+    ) -> Self {
+        let parse = Box::new(parse);
+        ParseJob {
+            entries,
+            text_bytes,
+            parse,
+        }
+    }
+
+    /// A job whose block is already parsed.
+    pub fn ready(block: CoordBlock) -> Self {
+        Self::new(block.nnz(), 0, move || Ok(block))
+    }
+
+    /// Parses the job's input into its block.
+    ///
+    /// # Errors
+    ///
+    /// The parse failures of the underlying source, at their file lines.
+    pub fn run(self) -> Result<CoordBlock, ConvertError> {
+        (self.parse)()
+    }
 }
 
 /// A push-based consumer of coordinate blocks.
@@ -178,6 +240,21 @@ mod tests {
             assert_eq!(blocks, 7usize.div_ceil(block_nnz));
             assert_eq!(sink.into_tensor(), t, "round-trip preserves order");
         }
+    }
+
+    #[test]
+    fn default_jobs_are_the_blocks_already_parsed() {
+        let t = sample();
+        let (mut blocks, mut jobs) = (CooBlockStream::new(t.clone(), 3), CooBlockStream::new(t, 3));
+        while let Some(job) = jobs.next_job(100).unwrap() {
+            let block = blocks
+                .next_block()
+                .unwrap()
+                .expect("as many blocks as jobs");
+            assert_eq!((job.entries, job.text_bytes), (block.nnz(), 0));
+            assert_eq!(job.run().unwrap(), block);
+        }
+        assert_eq!(blocks.next_block().unwrap(), None);
     }
 
     #[test]

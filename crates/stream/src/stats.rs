@@ -5,7 +5,7 @@
 /// the runtime service next to its plan-cache statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamStats {
-    /// Blocks consumed from the source stream.
+    /// Runs (parse jobs or blocks) consumed from the source stream.
     pub blocks: u64,
     /// Nonzeros consumed from the source stream.
     pub entries: u64,
@@ -16,7 +16,7 @@ pub struct StreamStats {
     /// Entries re-read from disk during the final k-way merge.
     pub merged_entries: u64,
     /// High-water mark of the tracked streaming working set (sort buffers,
-    /// in-flight blocks, merge read buffers) in bytes.
+    /// parse jobs in flight, merge read buffers) in bytes.
     pub peak_tracked_bytes: usize,
     /// True when the whole input fit the memory budget and the conversion
     /// never touched disk — the in-memory fast case.

@@ -17,6 +17,13 @@
 //! non-ASCII line must be UTF-8 and splits on Unicode whitespace, so files
 //! read, and fail (first error in file order), as `str` line parsing would.
 //!
+//! [`TensorStream::next_job`] hands out the same text unparsed: a job owns
+//! its raw lines (whole lines, however many bytes) and parses them with the
+//! per-line parser blocks use, on whatever thread runs it. `.mtx` jobs stop
+//! at the declared entry count's line; the rest is read as blocks once the
+//! jobs have reported their data lines, so the count is checked as a block
+//! read checks it.
+//!
 //! The writers ([`write_mtx`], [`write_tns`]) exist so tests and examples can
 //! round-trip files without external data.
 
@@ -24,8 +31,9 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::ops::Range;
 use std::path::Path;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use conv_stream::{CoordBlock, TensorStream};
+use conv_stream::{CoordBlock, ParseJob, TensorStream};
 use obs::Span;
 use sparse_conv::partition::{fork_join, machine_threads};
 use sparse_conv::tunables::PARSE_CHUNK_BYTES;
@@ -213,11 +221,10 @@ impl<R: BufRead> Scanner<R> {
     }
 
     /// Hands out the next whole lines, at most `need` of them and about
-    /// `threads × PARSE_CHUNK_BYTES` bytes (more when one line is longer),
-    /// and the number of the line before them; empty at end of file, and
-    /// the file's last line may lack its newline.
-    fn window(&mut self, need: usize) -> Result<(Range<usize>, u64), ConvertError> {
-        let target = self.threads * PARSE_CHUNK_BYTES;
+    /// `target` bytes (more when one line is longer), and the number of the
+    /// line before them; empty at end of file, and the file's last line may
+    /// lack its newline.
+    fn window(&mut self, need: usize, target: usize) -> Result<(Range<usize>, u64), ConvertError> {
         let (mut scanned, mut lines) = (self.start, 0);
         let cut = loop {
             // Count newlines a stripe at a time, then find the `need`th.
@@ -237,7 +244,7 @@ impl<R: BufRead> Scanner<R> {
                 break scanned;
             }
             // Or the last newline at least `target` bytes in.
-            let from = (self.start + target - 1).min(self.end);
+            let from = self.start.saturating_add(target - 1).min(self.end);
             let last = self.buf[from..self.end].iter().rposition(|&b| b == b'\n');
             if let Some(p) = last {
                 break from + p + 1;
@@ -253,7 +260,7 @@ impl<R: BufRead> Scanner<R> {
                 if held == self.buf.len() {
                     // Double, up to room for the window and a line crossing
                     // its end; past that, as far as a longer line needs.
-                    let room = target + (1 << 16);
+                    let room = target.saturating_add(1 << 16);
                     let room = if held < room { room } else { 2 * held };
                     self.buf.resize((2 * held).clamp(1 << 16, room), 0);
                 }
@@ -288,7 +295,7 @@ impl<R: BufRead> Scanner<R> {
     ) -> Result<Option<T>, ConvertError> {
         let mut fields = Vec::new();
         loop {
-            let (window, first) = self.window(1)?;
+            let (window, first) = self.window(1, self.threads * PARSE_CHUNK_BYTES)?;
             if window.is_empty() {
                 return Ok(None);
             }
@@ -315,7 +322,8 @@ impl<R: BufRead> Scanner<R> {
     ) -> Result<usize, ConvertError> {
         let mut got = 0;
         while got < need {
-            let (window, mut first) = self.window(need - got)?;
+            let target = self.threads * PARSE_CHUNK_BYTES;
+            let (window, mut first) = self.window(need - got, target)?;
             let text = &self.buf[window];
             if text.is_empty() {
                 break;
@@ -333,29 +341,186 @@ impl<R: BufRead> Scanner<R> {
             }
             let comment = self.comment;
             let parsed = fork_join("io.parse", "io.parse_chunk", chunks, |chunk, span| {
-                let (mut acc, mut fields) = (init(chunk), Vec::new());
-                let (mut rest, mut lines, mut data, mut items) = (chunk, 0, 0, 0);
-                while !rest.is_empty() {
-                    lines += 1;
-                    let (len, line) = Line::split(rest, lines, comment, &mut fields)?;
-                    if let Some(line) = line {
-                        (items, data) = (items + entry(&line, &mut acc)?, data + 1);
-                    }
-                    rest = &rest[len..];
-                }
+                let mut acc = init(chunk);
+                let (lines, data, items) = parse_lines(chunk, comment, &mut acc, &entry)?;
                 span.add_items(items as u64);
                 Ok((acc, lines, data))
             })?;
             for chunk in parsed {
-                let (acc, lines, data) = chunk.map_err(|e| match e {
-                    ConvertError::Parse { line, message } => parse_err(first + line, message),
-                    e => e,
-                })?;
+                let (acc, lines, data) = chunk.map_err(|e| rebase(e, first))?;
                 (first, got) = (first + lines, got + data);
                 fold(acc);
             }
         }
         Ok(got)
+    }
+
+    /// Hands out the next `need` whole lines (fewer at end of file) as owned
+    /// text, however many bytes they take, with the number of the line
+    /// before them and their count.
+    fn take(&mut self, need: usize) -> Result<(Vec<u8>, u64, usize), ConvertError> {
+        let (window, first) = self.window(need, usize::MAX)?;
+        Ok((
+            self.buf[window].to_vec(),
+            first,
+            (self.line - first) as usize,
+        ))
+    }
+}
+
+/// Parses the lines of `chunk` in order, each data line through `entry`
+/// into `acc`. Returns the lines, the data lines and the entries `entry`
+/// added, or the first error with its line counted from the chunk's start.
+fn parse_lines<T>(
+    chunk: &[u8],
+    comment: u8,
+    acc: &mut T,
+    entry: &impl Fn(&Line, &mut T) -> Result<usize, ConvertError>,
+) -> Result<(u64, usize, usize), ConvertError> {
+    let mut fields = Vec::new();
+    let (mut rest, mut lines, mut data, mut items) = (chunk, 0, 0, 0);
+    while !rest.is_empty() {
+        lines += 1;
+        let (len, line) = Line::split(rest, lines, comment, &mut fields)?;
+        if let Some(line) = line {
+            (items, data) = (items + entry(&line, acc)?, data + 1);
+        }
+        rest = &rest[len..];
+    }
+    Ok((lines, data, items))
+}
+
+/// A parse error at a line counted from text whose first line is `first + 1`,
+/// renumbered from the file's start.
+fn rebase(e: ConvertError, first: u64) -> ConvertError {
+    match e {
+        ConvertError::Parse { line, message } => parse_err(first + line, message),
+        e => e,
+    }
+}
+
+/// How one format's data lines become entries: the line parser both drivers
+/// share, a block's chunked [`Scanner::read`] and a [`ParseJob`].
+trait Entries: Send + Sync + 'static {
+    /// Entries one line adds at most.
+    fn per_line(&self) -> usize {
+        1
+    }
+
+    /// Parses a data line into `cols`; returns the entries it added.
+    fn entry(&self, line: &Line, cols: &mut Columns) -> Result<usize, ConvertError>;
+}
+
+/// A `.mtx` entry line: `i j v` (`i j` for pattern matrices), 1-based, and
+/// its mirror for an off-diagonal entry of a symmetric matrix.
+#[derive(Debug, Clone, Copy)]
+struct MtxEntries {
+    dims: [usize; 2],
+    pattern: bool,
+    symmetric: bool,
+}
+
+impl Entries for MtxEntries {
+    fn per_line(&self) -> usize {
+        1 + usize::from(self.symmetric)
+    }
+
+    fn entry(&self, line: &Line, cols: &mut Columns) -> Result<usize, ConvertError> {
+        let expected = if self.pattern { 2 } else { 3 };
+        if line.fields.len() != expected {
+            return Err(line.malformed(format!("entry needs {expected} fields")));
+        }
+        let i = line.coord_1based(0, self.dims[0], 0)?;
+        let j = line.coord_1based(1, self.dims[1], 1)?;
+        let v = if self.pattern { 1.0 } else { line.value(2)? };
+        let mirror = self.symmetric && i != j;
+        for (i, j) in std::iter::once((i, j)).chain(mirror.then_some((j, i))) {
+            cols.crd[0].push(i);
+            cols.crd[1].push(j);
+            cols.vals.push(v);
+        }
+        Ok(1 + usize::from(mirror))
+    }
+}
+
+/// A `.tns` entry line: `N` 1-based coordinates and a value.
+#[derive(Debug, Clone)]
+struct TnsEntries {
+    dims: Vec<usize>,
+}
+
+impl Entries for TnsEntries {
+    fn entry(&self, line: &Line, cols: &mut Columns) -> Result<usize, ConvertError> {
+        let order = self.dims.len();
+        if line.fields.len() != order + 1 {
+            let needs = format!("entry needs {order} coordinates and a value");
+            return Err(line.malformed(needs));
+        }
+        for (d, column) in cols.crd.iter_mut().enumerate() {
+            column.push(line.coord_1based(d, self.dims[d], d)?);
+        }
+        cols.vals.push(line.value(order)?);
+        Ok(1)
+    }
+}
+
+/// A job over `lines` whole lines of `text`, whose first is line `first + 1`:
+/// parses them all with `parser` into one block of `shape` (an
+/// `io.parse_job` span) and reports its data lines to `report`, if any.
+fn parse_job<P: Entries>(
+    parser: P,
+    shape: Shape,
+    comment: u8,
+    (text, first, lines): (Vec<u8>, u64, usize),
+    report: Option<Report>,
+) -> ParseJob {
+    let entries = lines * parser.per_line();
+    ParseJob::new(entries, text.len(), move || {
+        let span = Span::enter("io.parse_job");
+        let mut cols = Columns::with_capacity(shape.order(), entries);
+        let entry = |line: &Line, cols: &mut Columns| parser.entry(line, cols);
+        let parsed = parse_lines(&text, comment, &mut cols, &entry);
+        let (_, data, items) = parsed.map_err(|e| rebase(e, first))?;
+        if let Some(mut report) = report {
+            report.1 = Some(data as u64);
+        }
+        span.add_items(items as u64);
+        Ok(cols.into_block(shape))
+    })
+}
+
+/// The data lines a stream's parse jobs read: jobs reported, their data
+/// lines, and whether one failed, panicked or was dropped unrun.
+#[derive(Debug, Default)]
+struct Tally(Mutex<(u64, u64, bool)>, Condvar);
+
+impl Tally {
+    /// Waits for `jobs` reports and returns their data lines, or an error
+    /// when a job failed (its own error comes first in file order).
+    fn wait(&self, jobs: u64) -> Result<u64, ConvertError> {
+        let state = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let state = self.1.wait_while(state, |s| s.0 < jobs);
+        match *state.unwrap_or_else(PoisonError::into_inner) {
+            (_, data, false) => Ok(data),
+            _ => Err(ConvertError::Io("an earlier parse job failed".into())),
+        }
+    }
+}
+
+/// A job's report to its [`Tally`], sent when dropped: its data lines, or
+/// `None` for a job that failed, panicked or never ran.
+#[derive(Debug)]
+struct Report(Arc<Tally>, Option<u64>);
+
+impl Drop for Report {
+    fn drop(&mut self) {
+        let mut state = self.0 .0.lock().unwrap_or_else(PoisonError::into_inner);
+        state.0 += 1;
+        match self.1 {
+            Some(data) => state.1 += data,
+            None => state.2 = true,
+        }
+        self.0 .1.notify_all();
     }
 }
 
@@ -418,11 +583,17 @@ pub struct MtxStream<R: BufRead> {
     scanner: Scanner<R>,
     shape: Shape,
     block_nnz: usize,
-    symmetric: bool,
-    pattern: bool,
+    parser: MtxEntries,
     /// Entry *lines* still to read (symmetric mirrors not counted).
     remaining: u64,
     declared: u64,
+    /// Lines parse jobs may still cut, `None` before the first job: jobs stop
+    /// `remaining` lines after the first one starts, so no job can hold a
+    /// line past the declared entries, and blocks read the rest.
+    job_lines: Option<u64>,
+    /// The jobs' reports and how many jobs were cut, until the blocks take
+    /// over.
+    jobs: Option<(Arc<Tally>, u64)>,
 }
 
 impl MtxStream<BufReader<File>> {
@@ -491,20 +662,26 @@ impl<R: BufRead> MtxStream<R> {
         let Some([rows, cols, declared]) = size else {
             return Err(parse_err(scanner.line, "missing size line"));
         };
+        let dims = [rows as usize, cols as usize];
         Ok(MtxStream {
             scanner,
-            shape: Shape::matrix(rows as usize, cols as usize),
+            shape: Shape::matrix(dims[0], dims[1]),
             block_nnz: block_nnz.max(1),
-            symmetric,
-            pattern,
+            parser: MtxEntries {
+                dims,
+                pattern,
+                symmetric,
+            },
             remaining: declared,
             declared,
+            job_lines: None,
+            jobs: None,
         })
     }
 
     /// Whether the file declared itself symmetric.
     pub fn is_symmetric(&self) -> bool {
-        self.symmetric
+        self.parser.symmetric
     }
 
     /// Entry lines the header declared.
@@ -528,26 +705,10 @@ impl<R: BufRead> TensorStream for MtxStream<R> {
         let span = Span::enter("io.parse_block");
         let want = (self.block_nnz as u64).min(self.remaining) as usize;
         // A symmetric entry line can add its mirror.
-        let per_line = 1 + usize::from(self.symmetric);
-        let (shape, pattern, symmetric) = (&self.shape, self.pattern, self.symmetric);
-        let expected = if pattern { 2 } else { 3 };
+        let (parser, per_line) = (self.parser, self.parser.per_line());
         let mut block = Columns::with_capacity(2, 0);
         let init = |chunk: &[u8]| Columns::with_capacity(2, (newlines(chunk) + 1) * per_line);
-        let entry = |line: &Line, cols: &mut Columns| {
-            if line.fields.len() != expected {
-                return Err(line.malformed(format!("entry needs {expected} fields")));
-            }
-            let i = line.coord_1based(0, shape.dim(0), 0)?;
-            let j = line.coord_1based(1, shape.dim(1), 1)?;
-            let v = if pattern { 1.0 } else { line.value(2)? };
-            let mirror = symmetric && i != j;
-            for (i, j) in std::iter::once((i, j)).chain(mirror.then_some((j, i))) {
-                cols.crd[0].push(i);
-                cols.crd[1].push(j);
-                cols.vals.push(v);
-            }
-            Ok(1 + usize::from(mirror))
-        };
+        let entry = |line: &Line, cols: &mut Columns| parser.entry(line, cols);
         let max = want.saturating_mul(per_line);
         let got = self
             .scanner
@@ -566,6 +727,33 @@ impl<R: BufRead> TensorStream for MtxStream<R> {
         // nonzeros, which a header cannot predict.
         Some(self.declared)
     }
+
+    /// Cuts jobs of `max(block_nnz, entries / mirrors)` lines while they
+    /// cannot reach past the declared entries; then waits for the jobs'
+    /// data-line counts and reads the rest as blocks, which check the count
+    /// ("more than N declared entries", "file ended with N declared entries
+    /// unread") at the line a block read would.
+    fn next_job(&mut self, entries: usize) -> Result<Option<ParseJob>, ConvertError> {
+        let lines = self.job_lines.get_or_insert(self.remaining);
+        if *lines > 0 {
+            let want = (entries / self.parser.per_line()).max(self.block_nnz);
+            let cut = self.scanner.take(want.min(*lines as usize))?;
+            if cut.2 > 0 {
+                *lines -= cut.2 as u64;
+                let (tally, jobs) = self.jobs.get_or_insert_with(Default::default);
+                *jobs += 1;
+                let report = Report(tally.clone(), None);
+                let comment = self.scanner.comment;
+                let job = parse_job(self.parser, self.shape.clone(), comment, cut, Some(report));
+                return Ok(Some(job));
+            }
+            *lines = 0;
+        }
+        if let Some((tally, jobs)) = self.jobs.take() {
+            self.remaining -= tally.wait(jobs)?;
+        }
+        Ok(self.next_block()?.map(ParseJob::ready))
+    }
 }
 
 /// A streaming FROSTT (`.tns`) loader: whitespace-separated lines of `N`
@@ -576,6 +764,7 @@ impl<R: BufRead> TensorStream for MtxStream<R> {
 pub struct TnsStream<R: BufRead> {
     scanner: Scanner<R>,
     shape: Shape,
+    parser: TnsEntries,
     block_nnz: usize,
     done: bool,
 }
@@ -605,6 +794,9 @@ impl<R: BufRead> TnsStream<R> {
     pub fn from_reader(reader: R, shape: Shape, block_nnz: usize) -> Self {
         TnsStream {
             scanner: Scanner::new(reader, 0, b'#'),
+            parser: TnsEntries {
+                dims: shape.dims().to_vec(),
+            },
             shape,
             block_nnz: block_nnz.max(1),
             done: false,
@@ -622,26 +814,28 @@ impl<R: BufRead> TensorStream for TnsStream<R> {
             return Ok(None);
         }
         let span = Span::enter("io.parse_block");
-        let (shape, order, block_nnz) = (&self.shape, self.shape.order(), self.block_nnz);
+        let (parser, order, block_nnz) = (&self.parser, self.shape.order(), self.block_nnz);
         let mut block = Columns::with_capacity(order, 0);
         let init = |chunk: &[u8]| Columns::with_capacity(order, newlines(chunk) + 1);
-        let entry = |line: &Line, cols: &mut Columns| {
-            if line.fields.len() != order + 1 {
-                let needs = format!("entry needs {order} coordinates and a value");
-                return Err(line.malformed(needs));
-            }
-            for (d, column) in cols.crd.iter_mut().enumerate() {
-                column.push(line.coord_1based(d, shape.dim(d), d)?);
-            }
-            cols.vals.push(line.value(order)?);
-            Ok(1)
-        };
+        let entry = |line: &Line, cols: &mut Columns| parser.entry(line, cols);
         let got = self
             .scanner
             .read(block_nnz, init, entry, |cols| block.append(cols, block_nnz))?;
         self.done = got < block_nnz;
         span.add_items(block.vals.len() as u64);
         Ok((!block.vals.is_empty()).then(|| block.into_block(self.shape.clone())))
+    }
+
+    /// Cuts jobs of `max(block_nnz, entries)` lines until the file ends.
+    fn next_job(&mut self, entries: usize) -> Result<Option<ParseJob>, ConvertError> {
+        if self.done {
+            return Ok(None);
+        }
+        let cut = self.scanner.take(entries.max(self.block_nnz))?;
+        self.done = cut.2 == 0;
+        let (parser, shape) = (self.parser.clone(), self.shape.clone());
+        let comment = self.scanner.comment;
+        Ok((!self.done).then(|| parse_job(parser, shape, comment, cut, None)))
     }
 }
 
@@ -1028,9 +1222,48 @@ mod tests {
         scan_dims(scanner)
     }
 
+    /// A read's entries, concatenated, or its error.
+    type Entries = Result<(Vec<Vec<usize>>, Vec<u64>), ConvertError>;
+
+    fn entries((blocks, err): Blocks) -> Entries {
+        if let Some(err) = err {
+            return Err(err);
+        }
+        let mut out = (Vec::new(), Vec::new());
+        for (crd, vals) in blocks.into_iter().filter(|b| !b.1.is_empty()) {
+            out.0.resize(crd.len(), Vec::new());
+            out.0
+                .iter_mut()
+                .zip(crd)
+                .for_each(|(c, more)| c.extend(more));
+            out.1.extend(vals);
+        }
+        Ok(out)
+    }
+
+    /// Reads a stream through jobs of `cut` lines (its block size), running
+    /// each as it is cut.
+    fn jobs(s: &mut impl TensorStream) -> Entries {
+        let mut out = Vec::new();
+        loop {
+            match s
+                .next_job(0)
+                .and_then(|job| job.map(ParseJob::run).transpose())
+            {
+                Ok(Some(b)) => out.push((
+                    (0..b.order()).map(|d| b.crd(d).to_vec()).collect(),
+                    b.values().iter().map(|v| v.to_bits()).collect(),
+                )),
+                Ok(None) => return entries((out, None)),
+                Err(e) => return entries((out, Some(e))),
+            }
+        }
+    }
+
     /// Asserts that `text` reads the same, blocks and errors, at 1, 2, 3, 4
-    /// and 9 chunks, as `.mtx` and as `.tns` of `order`; returns the
-    /// one-chunk `.tns` read.
+    /// and 9 chunks, as `.mtx` and as `.tns` of `order`, and the same
+    /// entries and errors through jobs of 1, 7 and more lines than it has;
+    /// returns the one-chunk `.tns` read.
     fn same_at_every_chunk_count(text: &[u8], order: usize, block_nnz: usize) -> Blocks {
         let shape = Shape::new(vec![4; order]);
         let one = |step| {
@@ -1042,6 +1275,17 @@ mod tests {
             )
         };
         let want = one(usize::MAX);
+        for cut in [1, 7, 1 << 20] {
+            for step in [usize::MAX, 7] {
+                let mtx = MtxStream::from_reader(reader(text, step), cut);
+                let got = mtx.map(|mut s| jobs(&mut s));
+                let mtx_want = want.0.clone().map(entries);
+                assert_eq!(got, mtx_want, "mtx jobs of {cut}, step {step}");
+                let mut tns = TnsStream::from_reader(reader(text, step), shape.clone(), cut);
+                let tns_want = entries(want.1.clone());
+                assert_eq!(jobs(&mut tns), tns_want, "tns jobs of {cut}, step {step}");
+            }
+        }
         for n in [2, 3, 4, 9] {
             for step in [usize::MAX, 7] {
                 let got = (

@@ -362,6 +362,37 @@ fn drain(stream: &mut impl TensorStream) -> Drained {
     Ok(out)
 }
 
+/// Every entry in file order, as coordinates and value bits, up to the first
+/// error.
+type Entries = Result<(Vec<Vec<usize>>, Vec<u64>), ConvertError>;
+
+/// The drained blocks' entries, concatenated (a job's block may be empty).
+fn flat(blocks: &Drained) -> Entries {
+    let mut out = (Vec::new(), Vec::new());
+    for (crd, vals) in blocks.clone()?.into_iter().filter(|b| !b.1.is_empty()) {
+        out.0.resize(crd.len(), Vec::new());
+        for (column, more) in out.0.iter_mut().zip(crd) {
+            column.extend(more);
+        }
+        out.1.extend(vals);
+    }
+    Ok(out)
+}
+
+/// Drains a stream through its parse jobs, running each in order as it is
+/// cut, and concatenates their entries.
+fn drain_jobs(stream: &mut impl TensorStream) -> Entries {
+    let mut blocks = Vec::new();
+    while let Some(job) = stream.next_job(0)? {
+        blocks.push(columns(&job.run()?));
+    }
+    flat(&Ok(blocks))
+}
+
+/// The job cuts every job-path read sweeps: one line, a prime stride, and
+/// the whole file (the stream's block size sets the cut).
+const CUTS: [usize; 3] = [1, 7, 1 << 20];
+
 /// A result with I/O errors reduced to their variant: invalid UTF-8 is
 /// `ConvertError::Io` on both sides, rendered differently.
 fn same<T: Clone>(result: &Result<T, ConvertError>) -> Result<T, ConvertError> {
@@ -387,6 +418,8 @@ struct Gen {
     rng: StdRng,
     dirty: usize,
     unicode: bool,
+    /// Whether `.mtx` files may hold entries beyond their declared count.
+    excess: bool,
 }
 
 impl Gen {
@@ -559,6 +592,8 @@ impl Gen {
         let entries = self.rng.gen_range(0..12);
         let declared = if self.roll(self.dirty) {
             entries + self.rng.gen_range(1..3)
+        } else if self.excess && entries > 0 && self.roll(50) {
+            entries - self.rng.gen_range(1..entries + 1)
         } else {
             entries
         };
@@ -618,6 +653,7 @@ fn generator(seed: u64) -> Gen {
         rng,
         dirty,
         unicode,
+        excess: false,
     }
 }
 
@@ -635,7 +671,12 @@ proptest! {
                 prop_assert_eq!(&old.shape, new.shape(), "{}", text);
                 prop_assert_eq!(old.symmetric, new.is_symmetric());
                 prop_assert_eq!(old.declared, new.declared_entries());
-                prop_assert_eq!(same(&drain(&mut old)), same(&drain(&mut new)), "{}", text);
+                let want = drain(&mut old);
+                prop_assert_eq!(same(&want), same(&drain(&mut new)), "{}", text);
+                for cut in CUTS {
+                    let mut jobs = MtxStream::from_reader(reader(&bytes, &mut g.rng), cut).unwrap();
+                    prop_assert_eq!(same(&flat(&want)), same(&drain_jobs(&mut jobs)), "cut {}: {}", cut, text);
+                }
             }
             (old, new) => {
                 prop_assert_eq!(same(&old.map(|_| ())), same(&new.map(|_| ())), "{}", text)
@@ -666,7 +707,32 @@ proptest! {
         };
         let block_nnz = g.rng.gen_range(1..6);
         let mut old = reference::TnsStream::from_reader(reader(&bytes, &mut g.rng), shape.clone(), block_nnz);
-        let mut new = TnsStream::from_reader(reader(&bytes, &mut g.rng), shape, block_nnz);
-        prop_assert_eq!(same(&drain(&mut old)), same(&drain(&mut new)), "{}", text);
+        let mut new = TnsStream::from_reader(reader(&bytes, &mut g.rng), shape.clone(), block_nnz);
+        let want = drain(&mut old);
+        prop_assert_eq!(same(&want), same(&drain(&mut new)), "{}", text);
+        for cut in CUTS {
+            let mut jobs = TnsStream::from_reader(reader(&bytes, &mut g.rng), shape.clone(), cut);
+            prop_assert_eq!(same(&flat(&want)), same(&drain_jobs(&mut jobs)), "cut {}: {}", cut, text);
+        }
+    }
+
+    /// The job path checks the declared count as blocks do, on files that
+    /// also hold entries beyond it: the same entries, then the same "more
+    /// than N declared entries" or "file ended with N declared entries
+    /// unread" error at the same line.
+    #[test]
+    fn mtx_jobs_check_the_declared_count_as_blocks_do(seed in 0u64..u64::MAX) {
+        let mut g = generator(seed);
+        g.excess = true;
+        let bytes = g.mtx();
+        let block_nnz = g.rng.gen_range(1..6);
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(mut blocks) = MtxStream::from_reader(reader(&bytes, &mut g.rng), block_nnz) {
+            let want = flat(&drain(&mut blocks));
+            for cut in CUTS {
+                let mut jobs = MtxStream::from_reader(reader(&bytes, &mut g.rng), cut).unwrap();
+                prop_assert_eq!(same(&want), same(&drain_jobs(&mut jobs)), "cut {}: {}", cut, text);
+            }
+        }
     }
 }

@@ -51,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         channel_blocks: 2,
         spill_dir: Some(dir.clone()),
     };
-    // Small blocks keep the in-flight working set (producer + channel +
-    // one worker group) inside the budget's headroom quarter.
+    // Small blocks keep each parse job's reservation (its text, columns and
+    // sort records) inside the budget's headroom quarter.
     let stream = MtxStream::open(&mtx_path, 8)?;
     let result = service.convert_stream(stream, Format::csr(), &opts)?;
     println!(

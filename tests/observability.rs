@@ -7,14 +7,17 @@
 
 use taco_conversion_repro::conv::generic::convert_with_spec;
 use taco_conversion_repro::conv::tunables::PARSE_CHUNK_BYTES;
-use taco_conversion_repro::conv::{codegen, convert_with, AnyTensor, Format, TensorProfile};
+use taco_conversion_repro::conv::{
+    codegen, convert_with, AnyTensor, ConvertError, Format, TensorProfile,
+};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::obs::{validate_json, Collector, PhaseReport, Registry, Span};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
 use taco_conversion_repro::stream::run::record_bytes;
 use taco_conversion_repro::stream::{
-    CooBlockStream, CooSink, MemoryBudget, TensorSink, TensorStream,
+    CooBlockStream, CooSink, CoordBlock, MemoryBudget, ParseJob, TensorSink, TensorStream,
 };
+use taco_conversion_repro::tensor::Shape;
 use taco_conversion_repro::workloads::io::{tns_dims, write_mtx, write_tns, MtxStream, TnsStream};
 use taco_conversion_repro::workloads::{irregular, tensor3_uniform};
 
@@ -195,10 +198,13 @@ fn streamed_conversions_report_spills_and_mirror_the_registry() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A spilling stream's phase tree: the pipeline pre-sorts blocks and spills
-/// full buffers, then the assembly spills the residue and merges the runs;
-/// every nonzero is pre-sorted, spilled and merged exactly once, and the
-/// spilled bytes are one header plus one packed record per entry per run.
+/// A spilling stream's phase tree: under `stream.pump`, one `pool.run`
+/// holds the consumer and the workers, each a `pool.worker`; the workers
+/// pre-sort every job and the consumer spills full buffers; any budget wait
+/// is the producer's, directly under the pump. Then the assembly spills the
+/// residue and merges the runs. Every nonzero is pre-sorted, spilled and
+/// merged exactly once, and the spilled bytes are one header plus one packed
+/// record per entry per run.
 #[test]
 fn streamed_span_tree_attributes_presort_spills_and_merge() {
     let t = tensor3_uniform([48, 48, 48], 6_000, 11).expect("valid generator parameters");
@@ -215,28 +221,95 @@ fn streamed_span_tree_attributes_presort_spills_and_merge() {
     let report = svc.last_report().expect("stream stored a report");
     let mut rows = Vec::new();
     tree(&report.phases, 0, &mut rows);
-    rows.retain(|r| r.0 <= 1);
+    rows.retain(|r| r.1 != "stream.budget_wait");
     let row = |depth, name: &str, spans, items| (depth, name.to_string(), spans, items);
-    let mid_stream = report
+    let stages = report
         .phase("stream.pump")
-        .and_then(|p| p.child("stream.spill_write"))
-        .expect("spills under the pump")
+        .and_then(|p| p.child("pool.run"))
+        .and_then(|p| p.child("pool.worker"))
+        .expect("the pump's stages");
+    let presort = stages.child("stream.presort").expect("workers pre-sort");
+    let mid_stream = stages
+        .child("stream.spill_write")
+        .expect("the consumer spills")
         .count;
+    // One worker span per stage: the consumer and the two workers.
+    let mut want = vec![
+        row(0, "stream.pump", 1, 0),
+        row(1, "pool.run", 1, 0),
+        row(2, "pool.worker", 3, 0),
+        row(3, "stream.presort", presort.spans, n),
+        row(3, "stream.spill_write", runs - 1, mid_stream),
+        row(0, "stream.assemble", 1, n),
+        row(1, "stream.spill_write", 1, n - mid_stream),
+        row(1, "stream.merge_spills", 1, n),
+    ];
+    want.sort();
+    rows.sort();
+    assert_eq!(rows, want);
+    let waits = |phases: &[PhaseReport]| {
+        let mut all = Vec::new();
+        tree(phases, 0, &mut all);
+        all.iter().filter(|r| r.1 == "stream.budget_wait").count()
+    };
+    let pump = report.phase("stream.pump").expect("the pump");
+    let direct = usize::from(pump.child("stream.budget_wait").is_some());
     assert_eq!(
-        rows,
-        vec![
-            row(0, "stream.pump", 1, 0),
-            row(1, "stream.presort", rows[1].2, n),
-            row(1, "stream.spill_write", runs - 1, mid_stream),
-            row(0, "stream.assemble", 1, n),
-            row(1, "stream.spill_write", 1, n - mid_stream),
-            row(1, "stream.merge_spills", 1, n),
-        ]
+        waits(&report.phases),
+        direct,
+        "budget waits sit under the pump"
     );
     let record = record_bytes::<u64>() as u64;
     assert_eq!(record, 16);
     assert_eq!(report.spilled_bytes, 8 * runs + n * record);
     assert_eq!(report.spilled_bytes, stats.spilled_bytes);
+}
+
+/// A producer that cannot admit its next job waits, and the wait is a
+/// `stream.budget_wait` span directly under `stream.pump`: here every job
+/// takes a few milliseconds and the budget holds one job's reservation, so
+/// the producer waits for each job before queuing the next.
+#[test]
+fn budget_waits_are_the_producers_under_the_pump() {
+    /// Blocks of an inner stream, each parsed slowly.
+    struct Slow(CooBlockStream);
+    impl TensorStream for Slow {
+        fn shape(&self) -> &Shape {
+            self.0.shape()
+        }
+        fn next_block(&mut self) -> Result<Option<CoordBlock>, ConvertError> {
+            self.0.next_block()
+        }
+        fn next_job(&mut self, _: usize) -> Result<Option<ParseJob>, ConvertError> {
+            Ok(self.0.next_block()?.map(|block| {
+                ParseJob::new(block.nnz(), 0, move || {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    Ok(block)
+                })
+            }))
+        }
+    }
+    let mut m = CooMatrix::new(64, 64);
+    for p in 0..640usize {
+        m.push((p * 13) % 64, (p * 7) % 64, p as f64);
+    }
+    let svc = service(2);
+    // A 64-entry job reserves 64 × 56 B = 3584 B, so no two fit 4 KiB.
+    let opts = StreamOptions::with_budget(MemoryBudget::kib(4));
+    let got = svc
+        .convert_stream(
+            Slow(CooBlockStream::from_matrix(&m, 64)),
+            Format::csr(),
+            &opts,
+        )
+        .unwrap();
+    assert_eq!(got.stats.entries, 640);
+    let report = svc.last_report().expect("stream stored a report");
+    let wait = report
+        .phase("stream.pump")
+        .and_then(|p| p.child("stream.budget_wait"))
+        .expect("the producer waited under the pump");
+    assert!(wait.spans >= 1);
 }
 
 /// Generated code reports its four phases, in order, under the caller's span.

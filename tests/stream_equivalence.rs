@@ -10,14 +10,20 @@
 //! a width sweep pins shapes whose packed records are 63, 64, 65, 128 and
 //! 129 bits (the last materialises), comparing values as bits.
 
+use std::fs::File;
+use std::io::BufReader;
+
 use proptest::prelude::*;
 
 use taco_conversion_repro::conv::{AnyTensor, ConvertError, Format};
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
 use taco_conversion_repro::stream::sorter::record_bits;
-use taco_conversion_repro::stream::{CooBlockStream, CoordBlock, MemoryBudget, TensorStream};
+use taco_conversion_repro::stream::{
+    CooBlockStream, CoordBlock, MemoryBudget, ParseJob, TensorSink, TensorStream,
+};
 use taco_conversion_repro::tensor::Shape;
+use taco_conversion_repro::workloads::io::{MtxStream, TnsStream};
 
 fn service() -> ConversionService {
     ConversionService::new(ServiceConfig {
@@ -515,4 +521,321 @@ fn a_panicking_source_is_a_typed_error_and_the_service_keeps_serving() {
         .unwrap();
     assert_eq!(streamed.tensor, csr);
     assert_eq!(svc.stats().worker_panics, 1, "successes are not counted");
+}
+
+/// Runs `f` on its own thread and fails the test instead of hanging when it
+/// has not returned within a minute.
+fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()).unwrap());
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the streamed conversion finished instead of deadlocking")
+}
+
+/// A `.mtx` file's text, written by hand for the fields `write_mtx` does
+/// not write: `pattern` drops the values, `symmetric` keeps the lower
+/// triangle (the loader mirrors it back).
+fn mtx_text(field: &str, symmetry: &str, m: &CooMatrix) -> String {
+    let lines: Vec<String> = m
+        .iter()
+        .filter(|&(i, j, _)| symmetry == "general" || i >= j)
+        .map(|(i, j, v)| match field {
+            "pattern" => format!("{} {}", i + 1, j + 1),
+            _ => format!("{} {} {v}", i + 1, j + 1),
+        })
+        .collect();
+    let (rows, cols, nnz) = (m.rows(), m.cols(), lines.len());
+    let header =
+        format!("%%MatrixMarket matrix coordinate {field} {symmetry}\n{rows} {cols} {nnz}");
+    format!("{header}\n% entries\n{}\n", lines.join("\n"))
+}
+
+/// Either file loader, forwarding its own jobs.
+enum Loader {
+    Mtx(MtxStream<BufReader<File>>),
+    Tns(TnsStream<BufReader<File>>),
+}
+
+impl TensorStream for Loader {
+    fn shape(&self) -> &Shape {
+        match self {
+            Loader::Mtx(s) => s.shape(),
+            Loader::Tns(s) => s.shape(),
+        }
+    }
+    fn next_block(&mut self) -> Result<Option<CoordBlock>, ConvertError> {
+        match self {
+            Loader::Mtx(s) => s.next_block(),
+            Loader::Tns(s) => s.next_block(),
+        }
+    }
+    fn next_job(&mut self, entries: usize) -> Result<Option<ParseJob>, ConvertError> {
+        match self {
+            Loader::Mtx(s) => s.next_job(entries),
+            Loader::Tns(s) => s.next_job(entries),
+        }
+    }
+}
+
+/// Real loaders under real budgets: `.mtx` files (general, symmetric,
+/// pattern) and a `.tns` file, each streamed through its parse jobs at
+/// budgets forcing no spill, two spills and many, at 1, 2 and 4 threads,
+/// and under a budget whose headroom holds one job, so the producer
+/// admits one job at a time once the sort buffer fills. Every run equals
+/// `service.convert` of the loaded tensor, values compared as bits, and
+/// keeps its tracked working set under the budget.
+#[test]
+fn real_loaders_stream_jobs_under_real_budgets() {
+    use taco_conversion_repro::stream::CooSink;
+    use taco_conversion_repro::workloads::io::{write_mtx, write_tns};
+
+    let dir = std::env::temp_dir().join(format!("stream-loaders-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut m = CooMatrix::new(200, 200);
+    let mut t = CooTensor::new(Shape::tensor3(20, 30, 40));
+    for p in 0..3000usize {
+        let v = f64::from_bits(SPECIAL_VALUES[p % 4 + 2]) * (p % 97) as f64;
+        m.push((p * 37) % 200, (p * 101 + p / 7) % 200, v);
+        t.push(&[(p * 7) % 20, (p * 31) % 30, (p * 13 + p / 5) % 40], v);
+    }
+    write_mtx(dir.join("general.mtx"), &m).unwrap();
+    for (name, field, symmetry) in [
+        ("symmetric.mtx", "real", "symmetric"),
+        ("pattern.mtx", "pattern", "general"),
+    ] {
+        std::fs::write(dir.join(name), mtx_text(field, symmetry, &m)).unwrap();
+    }
+    write_tns(dir.join("t.tns"), &t).unwrap();
+
+    // Blocks small next to the tightest budget's headroom: an 8-line job
+    // reserves at most 8 × 2 × 56 B (a mirrored `.mtx` line is two entries).
+    const BLOCK: usize = 8;
+    let open = |name: &str, block: usize| {
+        let path = dir.join(name);
+        match name {
+            "t.tns" => Loader::Tns(TnsStream::open(path, t.shape().clone(), block).unwrap()),
+            _ => Loader::Mtx(MtxStream::open(path, block).unwrap()),
+        }
+    };
+    for name in ["general.mtx", "symmetric.mtx", "pattern.mtx", "t.tns"] {
+        let (target, order) = match name {
+            "t.tns" => (Format::csf(), 3),
+            _ => (Format::csr(), 2),
+        };
+        // The reference: the loaded tensor, converted in memory.
+        let mut loaded = open(name, BLOCK);
+        let mut sink = CooSink::new(loaded.shape().clone());
+        while let Some(block) = loaded.next_block().unwrap() {
+            sink.push_block(block).unwrap();
+        }
+        let coo = sink.into_tensor();
+        let nnz = coo.nnz();
+        let source = if order == 2 {
+            let mut matrix = CooMatrix::new(coo.shape().dim(0), coo.shape().dim(1));
+            for p in 0..nnz {
+                matrix.push(coo.crd(0)[p], coo.crd(1)[p], coo.values()[p]);
+            }
+            AnyTensor::Coo(matrix)
+        } else {
+            AnyTensor::Coo3(coo)
+        };
+        let want = bits(&service().convert(&source, target.clone()).unwrap());
+        // Records are 16 B: `records` fits; 3/4 of it spills once, then
+        // the drain flushes the rest; an eighth of it spills many times.
+        let records = 16 * nnz;
+        // A 64-line job reserves its columns plus two records per entry (its
+        // text is smaller); a quarter of `one_job` holds 1.25 such jobs.
+        let per_line = if name == "symmetric.mtx" { 2 } else { 1 };
+        let job = 64 * per_line * ((order + 1) * 8 + 32);
+        let one_job = 4 * (job + job / 4);
+        let cases = [
+            (MemoryBudget::mib(4), BLOCK, 0..=0),
+            (MemoryBudget::bytes(records), BLOCK, 2..=2),
+            (MemoryBudget::bytes(records / 8), BLOCK, 5..=u64::MAX),
+            (MemoryBudget::bytes(one_job), 64, 2..=u64::MAX),
+        ];
+        for threads in [1, 2, 4] {
+            for (budget, block, spills) in cases.clone() {
+                let label = format!("{name} T={threads} budget={}", budget.bytes);
+                let stream = open(name, block);
+                let target = target.clone();
+                let got = within_a_minute(move || {
+                    let svc = ConversionService::new(ServiceConfig {
+                        threads,
+                        parallel_nnz_threshold: 0,
+                        ..ServiceConfig::default()
+                    });
+                    svc.convert_stream(stream, target, &StreamOptions::with_budget(budget))
+                });
+                let got = got.unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(bits(&got.tensor), want, "{label}");
+                assert_eq!(got.stats.entries, nnz as u64, "{label}");
+                assert!(spills.contains(&got.stats.spilled_runs), "{label}");
+                assert!(
+                    got.stats.peak_tracked_bytes < budget.bytes,
+                    "{label}: peak {} over the budget",
+                    got.stats.peak_tracked_bytes
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A parse job that panics on a worker is `WorkerPanicked`, counted once,
+/// and the same service streams the next request.
+#[test]
+fn a_panicking_job_is_a_typed_error_and_the_service_keeps_serving() {
+    /// The blocks of a real stream as jobs; the third job panics.
+    struct PanickingJob {
+        inner: CooBlockStream,
+        cut: usize,
+    }
+    impl TensorStream for PanickingJob {
+        fn shape(&self) -> &Shape {
+            self.inner.shape()
+        }
+        fn next_block(&mut self) -> Result<Option<CoordBlock>, ConvertError> {
+            self.inner.next_block()
+        }
+        fn next_job(&mut self, _: usize) -> Result<Option<ParseJob>, ConvertError> {
+            self.cut += 1;
+            if self.cut == 3 {
+                return Ok(Some(ParseJob::new(1, 0, || {
+                    panic!("a parse job dies on a worker (expected by this test)")
+                })));
+            }
+            Ok(self.inner.next_block()?.map(ParseJob::ready))
+        }
+    }
+
+    let mut m = CooMatrix::new(10, 10);
+    for p in 0..30usize {
+        m.push((p * 3) % 10, (p * 7) % 10, p as f64);
+    }
+    let svc = service();
+    let panicking = PanickingJob {
+        inner: CooBlockStream::from_matrix(&m, 4),
+        cut: 0,
+    };
+    let err = svc
+        .convert_stream(panicking, Format::csr(), &StreamOptions::default())
+        .unwrap_err();
+    assert!(matches!(err, ConvertError::WorkerPanicked { .. }), "{err}");
+    assert_eq!(svc.stats().worker_panics, 1);
+    let want = svc
+        .convert(&AnyTensor::Coo(m.clone()), Format::csr())
+        .unwrap();
+    let streamed = svc
+        .convert_stream(
+            CooBlockStream::from_matrix(&m, 4),
+            Format::csr(),
+            &StreamOptions::default(),
+        )
+        .unwrap();
+    assert_eq!(streamed.tensor, want);
+    assert_eq!(svc.stats().worker_panics, 1, "successes are not counted");
+}
+
+/// Errors come back in file order: when job 1 fails after job 2 already
+/// has, or fails while job 2 is still running, the stream returns job 1's
+/// error, and every stage stops.
+#[test]
+fn the_first_failing_job_in_file_order_wins() {
+    /// Jobs of one entry each; job 1 fails after `slow_fail`, job 2 after
+    /// `slow_next`, with parse errors at their own line numbers.
+    struct Failing {
+        shape: Shape,
+        cut: u64,
+        slow_fail: u64,
+        slow_next: u64,
+    }
+    impl TensorStream for Failing {
+        fn shape(&self) -> &Shape {
+            &self.shape
+        }
+        fn next_block(&mut self) -> Result<Option<CoordBlock>, ConvertError> {
+            unreachable!("the pump cuts jobs")
+        }
+        fn next_job(&mut self, _: usize) -> Result<Option<ParseJob>, ConvertError> {
+            let (line, shape) = (self.cut, self.shape.clone());
+            self.cut += 1;
+            let delay = match line {
+                1 => self.slow_fail,
+                2 => self.slow_next,
+                _ => 0,
+            };
+            Ok(Some(ParseJob::new(1, 0, move || {
+                std::thread::sleep(std::time::Duration::from_millis(delay));
+                if line == 1 || line == 2 {
+                    let message = format!("job {line} fails");
+                    return Err(ConvertError::Parse { line, message });
+                }
+                CoordBlock::from_columns(shape, vec![vec![0], vec![0]], vec![1.0])
+            })))
+        }
+    }
+
+    for (slow_fail, slow_next) in [(50, 0), (0, 50)] {
+        let got = within_a_minute(move || {
+            let failing = Failing {
+                shape: Shape::matrix(4, 4),
+                cut: 0,
+                slow_fail,
+                slow_next,
+            };
+            service().convert_stream(failing, Format::csr(), &StreamOptions::default())
+        });
+        let message = "job 1 fails".to_string();
+        assert_eq!(got.unwrap_err(), ConvertError::Parse { line: 1, message });
+    }
+}
+
+/// When the consumer fails mid-stream (here the first spill cannot create
+/// its file), the conversion returns that error, the producer stops
+/// cutting jobs, and the workers exit.
+#[test]
+fn a_consumer_failure_stops_the_producer_and_the_workers() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Counts the jobs cut from an inner stream.
+    struct Counted(CooBlockStream, Arc<AtomicUsize>);
+    impl TensorStream for Counted {
+        fn shape(&self) -> &Shape {
+            self.0.shape()
+        }
+        fn next_block(&mut self) -> Result<Option<CoordBlock>, ConvertError> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.next_block()
+        }
+    }
+
+    let mut m = CooMatrix::new(100, 100);
+    for p in 0..20_000usize {
+        m.push((p * 37) % 100, (p * 11) % 100, p as f64);
+    }
+    let blocks = 20_000 / 8;
+    let cut = Arc::new(AtomicUsize::new(0));
+    let stream = Counted(CooBlockStream::from_matrix(&m, 8), cut.clone());
+    let opts = StreamOptions {
+        budget: MemoryBudget::kib(8),
+        channel_blocks: 0,
+        spill_dir: Some(
+            std::env::temp_dir()
+                .join("no-such-dir-for-spills")
+                .join("x"),
+        ),
+    };
+    let err = within_a_minute(move || {
+        service()
+            .convert_stream(stream, Format::csr(), &opts)
+            .unwrap_err()
+    });
+    assert!(matches!(err, ConvertError::Io(_)), "{err}");
+    let cut = cut.load(Ordering::Relaxed);
+    assert!(
+        cut < blocks / 2,
+        "the producer stopped after {cut} of {blocks} jobs"
+    );
 }
