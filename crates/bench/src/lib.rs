@@ -179,7 +179,9 @@ pub fn run_conversion(inputs: &BenchInputs, conversion: Conversion, implementati
         (Conversion::CsrDia, Impl::Sparskit) => sparskit::csr_to_dia(&inputs.csr).num_diagonals(),
         (Conversion::CsrDia, Impl::Mkl) => mkl::csr_to_dia(&inputs.csr).num_diagonals(),
 
-        (Conversion::CsrEll, Impl::Generated) => engine::to_ell(&inputs.csr).slices(),
+        (Conversion::CsrEll, Impl::Generated) => engine::to_ell(&inputs.csr)
+            .expect("ELL conversion")
+            .slices(),
         (Conversion::CsrEll, Impl::Sparskit) => sparskit::csr_to_ell(&inputs.csr).slices(),
 
         (Conversion::CscDia, Impl::Generated) => engine::to_dia(&inputs.csc)
@@ -188,7 +190,9 @@ pub fn run_conversion(inputs: &BenchInputs, conversion: Conversion, implementati
         (Conversion::CscDia, Impl::Sparskit) => sparskit::csc_to_dia(&inputs.csc).num_diagonals(),
         (Conversion::CscDia, Impl::Mkl) => mkl::csc_to_dia(&inputs.csc).num_diagonals(),
 
-        (Conversion::CscEll, Impl::Generated) => engine::to_ell(&inputs.csc).slices(),
+        (Conversion::CscEll, Impl::Generated) => engine::to_ell(&inputs.csc)
+            .expect("ELL conversion")
+            .slices(),
         (Conversion::CscEll, Impl::Sparskit) => sparskit::csc_to_ell(&inputs.csc).slices(),
 
         (conversion, implementation) => {

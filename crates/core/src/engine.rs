@@ -36,7 +36,7 @@ use sparse_tensor::Value;
 use crate::error::ConvertError;
 use crate::partition::{merge_histograms_tree, two_phase, SharedSlice};
 use crate::source::{SourceMatrix, SourceTensor};
-use crate::tunables::{TILE_SCATTER_MIN_NNZ, TRANSPOSE_TILE};
+use crate::tunables::{PADDED_EXPANSION_MAX, TILE_SCATTER_MIN_NNZ, TRANSPOSE_TILE};
 
 /// Converts any source to COO, preserving the source's iteration order.
 pub fn to_coo<S: SourceMatrix>(src: &S) -> CooMatrix {
@@ -371,6 +371,23 @@ pub(crate) fn sort_pack<K: PackedKey>(
     radix::pack_keys(shape, layout, pairs)
 }
 
+/// The `slots × width` slots of a padded output (DIA diagonals × rows, say)
+/// for an input of `nnz` nonzeros whose extents sum to `dims`, or
+/// [`ConvertError::PaddingLimit`] past [`PADDED_EXPANSION_MAX`] slots per
+/// unit of `nnz + dims` (or past `usize::MAX`).
+pub(crate) fn padded_slots(
+    slots: usize,
+    width: usize,
+    nnz: usize,
+    dims: usize,
+) -> Result<usize, ConvertError> {
+    let limit = PADDED_EXPANSION_MAX.saturating_mul(nnz.saturating_add(dims));
+    match slots.checked_mul(width) {
+        Some(slots) if slots <= limit => Ok(slots),
+        slots => Err(ConvertError::PaddingLimit { slots, limit }),
+    }
+}
+
 /// Converts any source to DIA (generalises Figure 6a to any source and to
 /// rectangular matrices). The remapping `k = j - i` is fused into both the
 /// analysis pass (building the nonzero-diagonal bit set) and the assembly
@@ -379,9 +396,10 @@ pub(crate) fn sort_pack<K: PackedKey>(
 ///
 /// # Errors
 ///
-/// Returns [`ConvertError::Structure`] if the assembled arrays fail DIA
-/// validation (continuing the library-wide panics-to-errors sweep; the
-/// engine's own assembly never produces such arrays).
+/// Returns [`ConvertError::PaddingLimit`] past the padded-slot limit, and
+/// [`ConvertError::Structure`] if the assembled arrays fail DIA validation
+/// (continuing the library-wide panics-to-errors sweep; the engine's own
+/// assembly never produces such arrays).
 pub fn to_dia<S: SourceMatrix>(src: &S) -> Result<DiaMatrix, ConvertError> {
     let rows = src.rows();
     let cols = src.cols();
@@ -403,12 +421,13 @@ pub fn to_dia<S: SourceMatrix>(src: &S) -> Result<DiaMatrix, ConvertError> {
     }
     // ...and init_get_pos: the reverse permutation for random access.
     let k = offsets.len();
+    let len = padded_slots(k, rows, src.nnz(), rows + cols)?;
     let mut rperm = vec![usize::MAX; ndiag_max];
     for (n, &off) in offsets.iter().enumerate() {
         rperm[(off + shift) as usize] = n;
     }
     // Assembly: single fused pass (calloc'd output).
-    let mut vals = vec![0.0; k * rows];
+    let mut vals = vec![0.0; len];
     src.for_each(|i, j, v| {
         let d = rperm[(j as i64 - i as i64 + shift) as usize];
         vals[d * rows + i] = v;
@@ -419,14 +438,18 @@ pub fn to_dia<S: SourceMatrix>(src: &S) -> Result<DiaMatrix, ConvertError> {
 /// Converts any source to ELL (generalises Figure 6b). The `#i` counter of
 /// the ELL remapping is realised as a scalar when the source iterates rows in
 /// order and as a counter array otherwise (Section 4.2).
-pub fn to_ell<S: SourceMatrix>(src: &S) -> EllMatrix {
+///
+/// # Errors
+///
+/// Returns [`ConvertError::PaddingLimit`] past the padded-slot limit.
+pub fn to_ell<S: SourceMatrix>(src: &S) -> Result<EllMatrix, ConvertError> {
     let rows = src.rows();
     // Analysis: select [] -> max(k) as max_crd, computed through the
     // counter-to-histogram rewrite: a row histogram followed by a max. For
     // sources with a row pos array, row_counts avoids touching nonzeros.
     let counts = src.row_counts();
     let k = counts.iter().copied().max().unwrap_or(0);
-    let len = k * rows;
+    let len = padded_slots(k, rows, src.nnz(), rows + src.cols())?;
     let mut crd = vec![0usize; len];
     let mut vals = vec![0.0; len];
     if src.rows_in_order() {
@@ -454,12 +477,20 @@ pub fn to_ell<S: SourceMatrix>(src: &S) -> EllMatrix {
             vals[p] = v;
         });
     }
-    EllMatrix::from_parts(rows, src.cols(), k, crd, vals).expect("assembled ELL structure is valid")
+    Ok(EllMatrix::from_parts(rows, src.cols(), k, crd, vals)?)
 }
 
 /// Converts any source to BCSR with the given block shape. The remapping
 /// `(i,j) -> (i/M, j/N, i%M, j%N)` is fused into both passes.
-pub fn to_bcsr<S: SourceMatrix>(src: &S, block_rows: usize, block_cols: usize) -> BcsrMatrix {
+///
+/// # Errors
+///
+/// Returns [`ConvertError::PaddingLimit`] past the padded-slot limit.
+pub fn to_bcsr<S: SourceMatrix>(
+    src: &S,
+    block_rows: usize,
+    block_cols: usize,
+) -> Result<BcsrMatrix, ConvertError> {
     assert!(
         block_rows > 0 && block_cols > 0,
         "block sizes must be positive"
@@ -490,7 +521,7 @@ pub fn to_bcsr<S: SourceMatrix>(src: &S, block_rows: usize, block_cols: usize) -
     }
     // Assembly: scatter into dense blocks.
     let bsize = block_rows * block_cols;
-    let mut vals = vec![0.0; nblocks * bsize];
+    let mut vals = vec![0.0; padded_slots(nblocks, bsize, src.nnz(), rows + cols)?];
     src.for_each(|i, j, v| {
         let bi = i / block_rows;
         let bj = j / block_cols;
@@ -500,8 +531,9 @@ pub fn to_bcsr<S: SourceMatrix>(src: &S, block_rows: usize, block_cols: usize) -
                 .expect("block registered in analysis");
         vals[p * bsize + (i % block_rows) * block_cols + (j % block_cols)] = v;
     });
-    BcsrMatrix::from_parts(rows, cols, block_rows, block_cols, pos, crd, vals)
-        .expect("assembled BCSR structure is valid")
+    Ok(BcsrMatrix::from_parts(
+        rows, cols, block_rows, block_cols, pos, crd, vals,
+    )?)
 }
 
 /// Converts any (square) source's lower triangle to the skyline format.
@@ -641,16 +673,18 @@ mod tests {
     fn ell_from_every_source_preserves_values() {
         let t = example();
         let reference = EllMatrix::from_triples(&t);
-        let from_csr = to_ell(&CsrMatrix::from_triples(&t));
+        let from_csr = to_ell(&CsrMatrix::from_triples(&t)).unwrap();
         assert_eq!(from_csr.slices(), reference.slices());
         assert_eq!(from_csr.crd(), reference.crd());
         assert_eq!(from_csr.values(), reference.values());
         // CSC and COO sources reorder entries within a row but preserve the
         // matrix.
         assert!(to_ell(&CscMatrix::from_triples(&t))
+            .unwrap()
             .to_triples()
             .same_values(&t));
         assert!(to_ell(&CooMatrix::from_triples(&t))
+            .unwrap()
             .to_triples()
             .same_values(&t));
     }
@@ -675,7 +709,7 @@ mod tests {
     #[test]
     fn bcsr_jad_and_skyline_targets() {
         let t = example();
-        let bcsr = to_bcsr(&CsrMatrix::from_triples(&t), 2, 3);
+        let bcsr = to_bcsr(&CsrMatrix::from_triples(&t), 2, 3).unwrap();
         assert!(bcsr.to_triples().same_values(&t));
         let jad = to_jad(&CsrMatrix::from_triples(&t));
         assert!(jad.to_triples().same_values(&t));
@@ -709,7 +743,7 @@ mod tests {
         });
         assert!(to_csr(&coo, 1).unwrap().to_triples().same_values(&t));
         assert!(to_dia(&coo).unwrap().to_triples().same_values(&t));
-        assert!(to_ell(&coo).to_triples().same_values(&t));
+        assert!(to_ell(&coo).unwrap().to_triples().same_values(&t));
         assert!(to_csc(&coo, 1).unwrap().to_triples().same_values(&t));
     }
 
@@ -779,9 +813,9 @@ mod tests {
         let csr = CsrMatrix::from_triples(&t);
         let expected = spmv_fingerprint(&csr);
         assert_eq!(spmv_fingerprint(&to_dia(&csr).unwrap()), expected);
-        assert_eq!(spmv_fingerprint(&to_ell(&csr)), expected);
+        assert_eq!(spmv_fingerprint(&to_ell(&csr).unwrap()), expected);
         assert_eq!(spmv_fingerprint(&to_csc(&csr, 1).unwrap()), expected);
-        assert_eq!(spmv_fingerprint(&to_bcsr(&csr, 2, 2)), expected);
+        assert_eq!(spmv_fingerprint(&to_bcsr(&csr, 2, 2).unwrap()), expected);
         assert_eq!(spmv_fingerprint(&to_jad(&csr)), expected);
     }
 
@@ -818,8 +852,55 @@ mod tests {
         let coo = CooMatrix::from_triples(&t);
         assert_eq!(to_csr(&coo, 1).unwrap().nnz(), 0);
         assert_eq!(to_dia(&coo).unwrap().num_diagonals(), 0);
-        assert_eq!(to_ell(&coo).slices(), 0);
+        assert_eq!(to_ell(&coo).unwrap().slices(), 0);
         assert_eq!(to_jad(&coo).num_jagged_diagonals(), 0);
-        assert_eq!(to_bcsr(&coo, 2, 2).num_blocks(), 0);
+        assert_eq!(to_bcsr(&coo, 2, 2).unwrap().num_blocks(), 0);
+    }
+
+    #[test]
+    fn padded_outputs_past_the_limit_are_typed_errors() {
+        // 44 000 nonzeros down column 0 of a 2^20-row matrix lie on as many
+        // diagonals, and the same count along row 0 is one row that long:
+        // DIA and ELL would each ask for 44 000 × 2^20 slots, 369 GB of
+        // values, where the input admits 1024 × (nnz + rows + cols).
+        let (rows, k) = (1usize << 20, 44_000);
+        let slots = Some(k * rows);
+        assert!(k * rows * 8 > 369_000_000_000);
+        let mut column = CooMatrix::new(rows, 1);
+        (0..k).for_each(|i| column.push(i, 0, 1.0));
+        let limit = PADDED_EXPANSION_MAX * (k + rows + 1);
+        assert_eq!(
+            to_dia(&column).unwrap_err(),
+            ConvertError::PaddingLimit { slots, limit }
+        );
+        let mut row = CooMatrix::new(rows, k);
+        (0..k).for_each(|j| row.push(0, j, 1.0));
+        let limit = PADDED_EXPANSION_MAX * (k + rows + k);
+        let err = to_ell(&row).unwrap_err();
+        assert_eq!(err, ConvertError::PaddingLimit { slots, limit });
+        assert!(err.to_string().contains("46137344000 slots"), "{err}");
+        // Two nonzeros in two 2^16 × 2^16 blocks: 2^33 slots, through the
+        // engine and the parallel CSR kernel alike.
+        let side = 1usize << 16;
+        let mut blocks = CooMatrix::new(2 * side, 2 * side);
+        blocks.push(0, 0, 1.0);
+        blocks.push(side, side, 2.0);
+        let limit = PADDED_EXPANSION_MAX * (2 + 4 * side);
+        let expected = ConvertError::PaddingLimit {
+            slots: Some(2 * side * side),
+            limit,
+        };
+        assert_eq!(to_bcsr(&blocks, side, side).unwrap_err(), expected);
+        let csr = to_csr(&blocks, 1).unwrap();
+        let parallel = crate::kernels::csr_to_bcsr(&csr, side, side, 2);
+        assert_eq!(parallel.unwrap_err(), expected);
+        // A product past usize::MAX is refused without a slot count.
+        assert_eq!(
+            padded_slots(usize::MAX, 2, 1, 1),
+            Err(ConvertError::PaddingLimit {
+                slots: None,
+                limit: PADDED_EXPANSION_MAX * 2
+            })
+        );
     }
 }

@@ -42,6 +42,16 @@ pub enum ConvertError {
     Query(crate::query::QueryError),
     /// Generated IR failed to execute.
     Interp(crate::ir::interp::InterpError),
+    /// A padded output (DIA diagonals or ELL slices times rows, BCSR blocks
+    /// times the block size, the value array of a spec's full levels) would
+    /// hold more slots than [`crate::tunables::PADDED_EXPANSION_MAX`] admits
+    /// for its input, or more than `usize::MAX`.
+    PaddingLimit {
+        /// The slots the output asks for (`None` past `usize::MAX`).
+        slots: Option<usize>,
+        /// The most slots the input admits.
+        limit: usize,
+    },
     /// A worker thread panicked while running its share of a phase. The
     /// conversion is abandoned; the caller, its service and every other
     /// worker carry on.
@@ -74,10 +84,28 @@ impl fmt::Display for ConvertError {
             ConvertError::Remap(e) => write!(f, "remapping error: {e}"),
             ConvertError::Query(e) => write!(f, "attribute query error: {e}"),
             ConvertError::Interp(e) => write!(f, "generated code failed: {e}"),
+            ConvertError::PaddingLimit { slots, limit } => {
+                let slots = slots.map_or("more than usize::MAX".into(), |s| s.to_string());
+                write!(
+                    f,
+                    "the padded output needs {slots} slots, over the limit of {limit}"
+                )
+            }
             ConvertError::WorkerPanicked { phase } => {
                 write!(f, "a worker thread panicked during {phase}")
             }
         }
+    }
+}
+
+impl ConvertError {
+    /// The error for remapped coordinates holding a duplicate, which a
+    /// specification-driven conversion to `format` cannot assemble.
+    pub(crate) fn duplicate_coordinates(format: &str) -> Self {
+        ConvertError::Unsupported(format!(
+            "the dynamic converter requires duplicate-free coordinates for {format} \
+             targets; sum duplicates first (the engine path stores them verbatim)"
+        ))
     }
 }
 

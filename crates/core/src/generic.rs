@@ -6,28 +6,43 @@
 //! user-defined custom formats — by literally executing the recipe of
 //! Figure 12 with level assemblers, the remapping evaluator, and the
 //! attribute-query evaluator. The driver is columnar: the source is read as
-//! coordinate columns, remapped into one row-major buffer, analysed with
-//! hash-free counting passes ([`sparse_tensor::stats::distinct_pairs`]) and
-//! assembled level by level. It is slower than the engine (`bench_e2e`'s
+//! coordinate columns, remapped into one column per remapped dimension,
+//! analysed by the levels' attribute queries (counting passes over those
+//! columns, [`crate::query::eval::evaluate_on_columns`]) and assembled level
+//! by level. It is slower than the engine (`bench_e2e`'s
 //! `generic.over_engine.*` rows measure the gap, and `convprof` splits it
 //! into `generic.remap`, `generic.analyse` and `generic.assemble`) but
 //! places no restriction on the level composition.
+//!
+//! Level assembly gives each storage coordinate tuple one position, so the
+//! driver rejects duplicate remapped coordinates with a typed error for
+//! every spec. The level properties decide where the answer comes from:
+//!
+//! | levels | duplicates exist when | examples |
+//! |---|---|---|
+//! | innermost level unique compressed | its `count` query, grouped by every other dimension, sums to less than `nnz` | CSR, CSC, DCSR, CSF |
+//! | every level unique, and `get` or a deduplicated `yield` (compressed inside the chain) | two nonzeros reach one value slot | BCSR, `BLOCK-HASH`, skyline |
+//! | any other (singleton or non-unique levels) | a numbering pass over every dimension, before the analysis | COO, DIA, ELL, JAD |
+//!
+//! Under the first two rules a query, bounds or assembly error on an input
+//! that also holds a duplicate is reported as the duplicate, as under the
+//! third, so the rule never changes which error a spec returns.
 
 use std::collections::HashMap;
 
 use obs::Span;
-use sparse_tensor::stats::{distinct_pairs, Dense};
 use sparse_tensor::{DimBounds, Shape, Value};
 
 use crate::convert::AnyTensor;
+use crate::engine::padded_slots;
 use crate::error::ConvertError;
 use crate::levels::{
     BandedLevel, CompressedLevel, DenseLevel, EdgeInsertion, HashedLevel, LevelAssembler,
-    LevelKind, LevelProperties, PositionKind, SingletonLevel, SlicedLevel, SqueezedLevel,
+    LevelKind, PositionKind, SingletonLevel, SlicedLevel, SqueezedLevel,
 };
-use crate::query::eval::evaluate_on_rows;
+use crate::query::eval::{evaluate_on_columns, number_tuples};
 use crate::query::{AttrQuery, QueryResult};
-use crate::remap::{BoundsEnv, EvalContext, Remapping};
+use crate::remap::{BoundsEnv, EvalContext};
 use crate::spec::FormatSpec;
 
 /// The assembled data of one output level.
@@ -148,19 +163,18 @@ impl CustomTensor {
         });
         // Group each hashed level's interned pairs by parent once, so the
         // walk is linear instead of rescanning the whole pair list per
-        // parent position.
-        let hashed_groups: HashedGroups = self
+        // parent position (other levels get no groups).
+        let hashed_groups: Vec<HashedGroups> = self
             .levels
             .iter()
-            .map(|l| match l {
-                LevelOutput::Hashed { coords } => {
-                    let mut groups: HashMap<usize, Vec<(usize, i64)>> = HashMap::new();
+            .map(|l| {
+                let mut groups = HashedGroups::new();
+                if let LevelOutput::Hashed { coords } = l {
                     for (idx, &(parent, coord)) in coords.iter().enumerate() {
                         groups.entry(parent).or_default().push((idx, coord));
                     }
-                    Some(groups)
                 }
-                _ => None,
+                groups
             })
             .collect();
         let mut out =
@@ -178,13 +192,13 @@ impl CustomTensor {
     }
 
     /// Visits every storage coordinate tuple under `parent_pos` at level
-    /// `k`, depth first. `hashed_groups[k]` holds level `k`'s interned pairs
-    /// grouped by parent when the level is hashed.
+    /// `k`, depth first, passing `visit` each leaf position and tuple.
+    /// `hashed_groups[k]` holds level `k`'s interned pairs when it is hashed.
     fn walk_level(
         &self,
         k: usize,
         parent_pos: usize,
-        hashed_groups: &HashedGroups,
+        hashed_groups: &[HashedGroups],
         prefix: &mut Vec<i64>,
         visit: &mut LevelVisitor<'_>,
     ) -> Result<(), ConvertError> {
@@ -208,8 +222,6 @@ impl CustomTensor {
                 .map(|off| (pos[parent_pos] + off, (first[parent_pos] + off) as i64))
                 .collect(),
             LevelOutput::Hashed { .. } => hashed_groups[k]
-                .as_ref()
-                .expect("hashed levels are grouped before the walk")
                 .get(&parent_pos)
                 .cloned()
                 .unwrap_or_default(),
@@ -228,14 +240,12 @@ impl CustomTensor {
     }
 }
 
-/// Callback of [`CustomTensor::walk_level`]: receives each leaf position and
-/// the full storage coordinate tuple leading to it.
+/// Callback of [`CustomTensor::walk_level`]: each leaf position and tuple.
 type LevelVisitor<'a> = dyn FnMut(usize, &[i64]) -> Result<(), ConvertError> + 'a;
 
-/// Per-level hashed-entry grouping used by [`CustomTensor::walk_level`]:
-/// `Some` for hashed levels, mapping each parent position to its interned
-/// `(position, coordinate)` pairs.
-type HashedGroups = Vec<Option<HashMap<usize, Vec<(usize, i64)>>>>;
+/// A hashed level's interned `(position, coordinate)` pairs by parent
+/// position, as [`CustomTensor::walk_level`] reads them.
+type HashedGroups = HashMap<usize, Vec<(usize, i64)>>;
 
 /// A level assembler of any kind, dispatched by enumeration (so that the
 /// assembled data can be recovered without downcasting).
@@ -271,71 +281,17 @@ macro_rules! each_level {
     };
 }
 
-impl LevelAssembler for AnyLevel {
-    fn kind(&self) -> LevelKind {
-        each_level!(self, l => l.kind())
-    }
-
-    fn properties(&self) -> LevelProperties {
-        each_level!(self, l => l.properties())
-    }
-
-    fn required_query(&self, dims: &[String], level: usize) -> Option<AttrQuery> {
-        each_level!(self, l => l.required_query(dims, level))
-    }
-
-    fn edge_insertion(&self) -> EdgeInsertion {
-        each_level!(self, l => l.edge_insertion())
-    }
-
-    fn position_kind(&self) -> PositionKind {
-        each_level!(self, l => l.position_kind())
-    }
-
-    fn size(&self, parent_size: usize) -> usize {
-        each_level!(self, l => l.size(parent_size))
-    }
-
-    fn init_edges(&mut self, parent_size: usize, sequenced: bool, q: Option<&QueryResult>) {
-        each_level!(self, l => l.init_edges(parent_size, sequenced, q))
-    }
-
-    fn insert_edges(
-        &mut self,
-        parent_pos: usize,
-        parent_coords: &[i64],
-        sequenced: bool,
-        q: Option<&QueryResult>,
-    ) {
-        each_level!(self, l => l.insert_edges(parent_pos, parent_coords, sequenced, q))
-    }
-
-    fn finalize_edges(&mut self, parent_size: usize, sequenced: bool) {
-        each_level!(self, l => l.finalize_edges(parent_size, sequenced))
-    }
-
-    fn init_coords(&mut self, parent_size: usize, q: Option<&QueryResult>) {
-        each_level!(self, l => l.init_coords(parent_size, q))
-    }
-
-    fn init_pos(&mut self, parent_size: usize) {
-        each_level!(self, l => l.init_pos(parent_size))
-    }
-
-    fn position(&mut self, parent_pos: usize, coords: &[i64]) -> usize {
-        each_level!(self, l => l.position(parent_pos, coords))
-    }
-
-    fn insert_coord(&mut self, parent_pos: usize, pos: usize, coords: &[i64]) {
-        each_level!(self, l => l.insert_coord(parent_pos, pos, coords))
-    }
-
-    fn finalize_pos(&mut self, parent_size: usize) {
-        each_level!(self, l => l.finalize_pos(parent_size))
-    }
-}
-
 impl AnyLevel {
+    /// The level's assembler.
+    pub fn level(&self) -> &dyn LevelAssembler {
+        each_level!(self, l => l)
+    }
+
+    /// The level's assembler, to assemble with.
+    pub fn level_mut(&mut self) -> &mut dyn LevelAssembler {
+        each_level!(self, l => l)
+    }
+
     /// Extracts the assembled data.
     pub fn into_output(self, bounds: DimBounds) -> LevelOutput {
         match self {
@@ -390,9 +346,10 @@ pub fn make_assembler(kind: LevelKind, bounds: DimBounds) -> AnyLevel {
 /// Returns an error when the source's order does not match the spec's
 /// remapping, the remapping or a query fails to evaluate, the remapped
 /// coordinates hold a duplicate, the positions of the spec's full levels
-/// number more than `usize::MAX`, or the spec's level composition requires
-/// edge insertion under a non-full ancestor that is not an ordered chain of
-/// dense/compressed levels (the one grouping the dynamic driver can
+/// number more than `usize::MAX` or than the padded-slot limit admits
+/// ([`ConvertError::PaddingLimit`]), or the spec's level composition
+/// requires edge insertion under a non-full ancestor that is not an ordered
+/// chain of dense/compressed levels (the one grouping the dynamic driver can
 /// reconstruct by sorting, as in CSF).
 pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTensor, ConvertError> {
     spec.validate()?;
@@ -408,23 +365,21 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
         )));
     }
 
-    // Phase 1: coordinate remapping (Section 4), into one row-major buffer
-    // of `o` coordinates per nonzero.
-    let remapping: &Remapping = &spec.remapping;
+    // Phase 1: coordinate remapping (Section 4), one column per remapped
+    // dimension.
     let crd: Vec<&[usize]> = source.crd.iter().map(|c| &c[..]).collect();
-    let mut rows = EvalContext::new(remapping).apply_columns(&crd)?;
-    let (o, mut vals) = (remapping.dest_order(), source.vals);
-    let src_nnz = vals.len();
-
-    if spec.levels.contains(&LevelKind::Banded) || needs_prefix_grouping(&spec.levels) {
-        let row = |p: usize| &rows[p * o..(p + 1) * o];
+    let mut cols = EvalContext::new(&spec.remapping).remap_columns(&crd)?;
+    let (src_nnz, mut vals) = (source.vals.len(), source.vals);
+    let grouped = needs_prefix_grouping(&spec.levels);
+    if grouped || spec.levels.contains(&LevelKind::Banded) {
         // A banded level stores one contiguous run per parent fiber, bounded
         // above by the parent dimension's coordinate (the skyline profile).
         // Nonzeros above that bound fall outside every run, so they are
         // dropped here — exactly what the engine's skyline kernel does when
         // it converts the lower triangle of its source.
-        let banded = |r: &[i64], k: usize| spec.levels[k] == LevelKind::Banded && r[k] > r[k - 1];
-        let kept = |&p: &usize| !(1..spec.levels.len()).any(|k| banded(row(p), k));
+        let banded =
+            |p: usize, k: usize| spec.levels[k] == LevelKind::Banded && cols[k][p] > cols[k - 1][p];
+        let kept = |p: &usize| !(1..spec.levels.len()).any(|k| banded(*p, k));
         let mut order: Vec<usize> = (0..vals.len()).filter(kept).collect();
         // Compressed levels nested under non-full ancestors (CSF's fiber
         // chains) need the input grouped by coordinate prefix; a stable
@@ -432,42 +387,57 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
         // the grouping the paper's sort-then-pack COO→CSF recipe uses.
         // Formats whose chains are full-rooted (CSR, DIA, ...) keep the
         // source iteration order.
-        if needs_prefix_grouping(&spec.levels) {
-            order.sort_by(|&a, &b| row(a).cmp(row(b)));
+        if grouped {
+            let tuple = |p: usize| cols.iter().map(move |c| c[p]);
+            order.sort_by(|&a, &b| tuple(a).cmp(tuple(b)));
         }
         vals = order.iter().map(|&p| vals[p]).collect::<Vec<_>>().into();
-        rows = order.iter().flat_map(|&p| row(p)).copied().collect();
+        for col in &mut cols {
+            *col = order.iter().map(|&p| col[p]).collect();
+        }
     }
-    let n = vals.len();
-    let row = |p: usize| &rows[p * o..(p + 1) * o];
-    span.add_items(n as u64);
+    span.add_items(vals.len() as u64);
     drop(span);
 
-    // The dynamic driver sizes compressed levels from count-*distinct*
-    // queries and gives each storage coordinate tuple one position, so
-    // duplicate coordinates (which the monomorphised engine stores as
-    // adjacent entries) cannot be assembled here; reject them instead of
-    // overrunning or overwriting level arrays.
+    // A duplicate wins over any later error, as the module doc says.
+    assemble(spec, shape, &cols, &vals, src_nnz).map_err(|e| match numbered_duplicates(&cols) {
+        true => ConvertError::duplicate_coordinates(&spec.name),
+        false => e,
+    })
+}
+
+/// Phases 2 and 3 of [`convert_with_spec`] over the remapped columns
+/// (`src_nnz` nonzeros before the banded filter).
+fn assemble(
+    spec: &FormatSpec,
+    shape: Shape,
+    cols: &[Vec<i64>],
+    vals: &[Value],
+    src_nnz: usize,
+) -> Result<CustomTensor, ConvertError> {
+    let duplicate = || Err(ConvertError::duplicate_coordinates(&spec.name));
+    let n = vals.len();
     let span = Span::enter("generic.analyse");
     span.add_items(n as u64);
-    let (first, extent) = offsets(&rows, o, 0);
-    let mut tuples = Dense::new(&first, extent);
-    for k in 1..o {
-        let (col, extent) = offsets(&rows, o, k);
-        tuples = distinct_pairs(&tuples, &Dense::new(&col, extent)).0;
-    }
-    if tuples.distinct() < n {
-        return Err(ConvertError::Unsupported(format!(
-            "the dynamic converter requires duplicate-free coordinates for {} \
-             targets; sum duplicates first (the engine path stores them verbatim)",
-            spec.name
-        )));
+    // The module doc's duplicate rules. A unique level keeps distinct
+    // coordinates under one parent apart: a `get` level by arithmetic or
+    // interning, a `yield` level inside the chain because it is deduplicated.
+    let inner = spec.levels.len() - 1;
+    let apart = |(k, &kind): (usize, &LevelKind)| {
+        let level = make_assembler(kind, DimBounds::new(0, 0));
+        let level = level.level();
+        level.properties().unique && (level.position_kind() == PositionKind::Get || k < inner)
+    };
+    let counted = spec.levels[inner] == LevelKind::Compressed;
+    let collide = !counted && spec.levels.iter().enumerate().all(apart);
+    if !counted && !collide && numbered_duplicates(cols) {
+        return duplicate();
     }
 
     // Static bounds of each remapped dimension, used to size dense, squeezed,
     // and counter-derived dimensions.
-    let env = BoundsEnv::for_remapping(remapping, shape.dims()).with_nnz(src_nnz);
-    let bounds = crate::remap::infer_bounds(remapping, &env)?;
+    let env = BoundsEnv::for_remapping(&spec.remapping, shape.dims()).with_nnz(src_nnz);
+    let bounds = crate::remap::infer_bounds(&spec.remapping, &env)?;
 
     // Phase 2: analysis (Section 5) — evaluate each level's attribute query
     // over the remapped coordinates.
@@ -475,10 +445,16 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
     let mut assemblers: Vec<AnyLevel> = Vec::with_capacity(spec.levels.len());
     for (k, kind) in spec.levels.iter().enumerate() {
         let assembler = make_assembler(*kind, bounds[k]);
-        let query = assembler.required_query(&spec.dim_names, k);
-        let eval = |q: AttrQuery| evaluate_on_rows(&q, &spec.dim_names, &bounds, n, &rows);
+        let query = assembler.level().required_query(&spec.dim_names, k);
+        let eval = |q: AttrQuery| evaluate_on_columns(&q, &spec.dim_names, &bounds, n, cols);
         queries.push(query.map(eval).transpose()?);
         assemblers.push(assembler);
+    }
+    if let (true, Some(q)) = (counted, &queries[inner]) {
+        // `count(i_last)` grouped by every other dimension: distinct tuples.
+        if q.field_sum(&q.labels()[0])? < n as i64 {
+            return duplicate();
+        }
     }
     drop(span);
 
@@ -491,7 +467,7 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
         parent_sizes.push(parent_size);
         let q = queries[k].as_ref();
         let (ancestors, rest) = assemblers.split_at_mut(k);
-        let assembler = &mut rest[0];
+        let assembler = rest[0].level_mut();
         if assembler.edge_insertion() == EdgeInsertion::SequencedOrUnsequenced {
             // Enumerate parent positions with their coordinate tuples. When
             // every ancestor level is full (dense-like), positions are the
@@ -534,11 +510,12 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
                     }
                 }
             } else {
-                let mut count = 0;
+                let (mut count, mut prefix) = (0, Vec::with_capacity(k));
                 for p in 0..n {
-                    let prefix = &row(p)[..k];
-                    if p == 0 || prefix != &row(p - 1)[..k] {
-                        assembler.insert_edges(count, prefix, true, q);
+                    if p == 0 || cols[..k].iter().any(|c| c[p] != c[p - 1]) {
+                        prefix.clear();
+                        prefix.extend(cols[..k].iter().map(|c| c[p]));
+                        assembler.insert_edges(count, &prefix, true, q);
                         count += 1;
                     }
                 }
@@ -561,50 +538,27 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
             _ => assembler.size(parent_size),
         };
     }
-    let total = parent_size;
+    let total = padded_slots(parent_size, 1, src_nnz, shape.dims().iter().sum())?;
 
     // Coordinate insertion, one level at a time over all nonzeros in order:
     // `pos[p]` walks nonzero `p` down the level chain. Each assembler sees
     // the same calls in the same order as in a nonzero-at-a-time walk.
     let mut pos = vec![0usize; n];
     for (k, assembler) in assemblers.iter_mut().enumerate() {
-        let needs_dedup = assembler.position_kind() == PositionKind::Yield
-            && k + 1 < spec.levels.len()
-            && assembler.properties().unique;
-        let mut insert = |parent: usize, p: usize| {
-            let fresh = assembler.position(parent, &row(p)[..=k]);
-            assembler.insert_coord(parent, fresh, &row(p)[..=k]);
-            fresh
-        };
-        if needs_dedup {
-            // A yield level inside the chain (e.g. an intermediate block
-            // level) must stay duplicate-free, as Section 6.2 describes: the
-            // first nonzero of each (parent position, coordinate) pair takes
-            // a fresh position, and the others share it.
-            let parents = pos.iter().max().map_or(0, |&m| m + 1);
-            let (col, extent) = offsets(&rows, o, k);
-            let ids = distinct_pairs(&Dense::new(&pos, parents), &Dense::new(&col, extent)).0;
-            let mut first = vec![usize::MAX; ids.extent];
-            for (p, &id) in ids.idx.iter().enumerate() {
-                if first[id] == usize::MAX {
-                    first[id] = insert(pos[p], p);
-                }
-                pos[p] = first[id];
-            }
-        } else {
-            for (p, slot) in pos.iter_mut().enumerate() {
-                *slot = insert(*slot, p);
-            }
-        }
-    }
-    for (k, assembler) in assemblers.iter_mut().enumerate() {
-        assembler.finalize_pos(parent_sizes[k]);
+        let parent = k.checked_sub(1).map(|up| &cols[up][..]);
+        each_level!(assembler, l => insert_coords(l, &mut pos, parent, &cols[k], k < inner));
+        assembler.level_mut().finalize_pos(parent_sizes[k]);
     }
     // Levels whose size is only known as coordinates are interned (e.g.
     // hashed levels) grow the value array on demand.
     let mut out = vec![0.0; total.max(pos.iter().max().map_or(0, |&m| m + 1))];
-    for (&q, &v) in pos.iter().zip(vals.iter()) {
-        out[q] = v;
+    let mut taken = vec![0u64; out.len().div_ceil(64)];
+    for (&q, &v) in pos.iter().zip(vals) {
+        let (word, bit) = (&mut taken[q / 64], 1 << (q % 64));
+        if *word & bit != 0 && collide {
+            return duplicate();
+        }
+        (*word, out[q]) = (*word | bit, v);
     }
     drop(span);
 
@@ -624,14 +578,58 @@ pub fn convert_with_spec(src: &AnyTensor, spec: &FormatSpec) -> Result<CustomTen
     })
 }
 
-/// Column `k` of `rows` (`o` coordinates per nonzero) as offsets from its
-/// least coordinate, and one past the largest offset.
-fn offsets(rows: &[i64], o: usize, k: usize) -> (Vec<usize>, usize) {
-    let col = rows.iter().skip(k).step_by(o);
-    let lo = col.clone().min().copied().unwrap_or(0);
-    let offsets: Vec<usize> = col.map(|&c| c.abs_diff(lo) as usize).collect();
-    let extent = offsets.iter().max().map_or(0, |&m| m + 1);
-    (offsets, extent)
+/// Coordinate insertion at one level: `pos[p]` goes from nonzero `p`'s parent
+/// position to its position here. Levels read the coordinate (`col`), a
+/// banded one also its parent's; `inner` is false at the innermost level.
+fn insert_coords<L: LevelAssembler>(
+    level: &mut L,
+    pos: &mut [usize],
+    parent: Option<&[i64]>,
+    col: &[i64],
+    inner: bool,
+) {
+    // A yield level inside the chain (e.g. an intermediate block level) must
+    // stay duplicate-free, as Section 6.2 describes: the first nonzero of each
+    // (parent position, coordinate) pair takes a fresh position, and the
+    // others share it.
+    let dedup = inner && level.position_kind() == PositionKind::Yield && level.properties().unique;
+    let mut insert = |at: usize, p: usize| {
+        let coords = [parent.map_or(0, |up| up[p]), col[p]];
+        let fresh = level.position(at, &coords);
+        level.insert_coord(at, fresh, &coords);
+        fresh
+    };
+    if dedup {
+        let parents = pos.iter().max().map_or(0, |&m| m + 1);
+        let (ids, pairs) = number_tuples(pos.to_vec(), parents, &[observed(col)], 1);
+        let mut first = vec![usize::MAX; pairs];
+        for (p, &id) in ids.iter().enumerate() {
+            if first[id] == usize::MAX {
+                first[id] = insert(pos[p], p);
+            }
+            pos[p] = first[id];
+        }
+    } else {
+        for (p, slot) in pos.iter_mut().enumerate() {
+            *slot = insert(*slot, p);
+        }
+    }
+}
+
+/// True when two of the tuples `cols` hold (one column per dimension) are
+/// equal: the all-dimension numbering pass.
+fn numbered_duplicates(cols: &[Vec<i64>]) -> bool {
+    let cols: Vec<_> = cols.iter().map(|c| observed(c)).collect();
+    let (ids, space) = number_tuples(vec![0; cols[0].0.len()], 1, &cols, 8);
+    let mut seen = vec![false; space];
+    ids.iter().any(|&t| std::mem::replace(&mut seen[t], true))
+}
+
+/// A column with the least coordinate and the extent it spans.
+fn observed(col: &[i64]) -> (&[i64], i64, usize) {
+    let lo = col.iter().min().copied().unwrap_or(0);
+    let span = col.iter().max().map_or(0, |&hi| hi.abs_diff(lo) as usize);
+    (col, lo, span.saturating_add(usize::from(!col.is_empty())))
 }
 
 /// True when some compressed-like level sits under a non-full ancestor, so
@@ -660,6 +658,7 @@ mod tests {
     use crate::convert::AnyTensor;
     use crate::engine;
     use crate::format::Format;
+    use crate::remap::Remapping;
     use sparse_formats::{CooMatrix, CsrMatrix, DiaMatrix, EllMatrix};
     use sparse_tensor::example::figure1_matrix;
     use sparse_tensor::SparseTriples;
@@ -704,7 +703,7 @@ mod tests {
     fn dynamic_ell_matches_engine_ell() {
         let spec = stock(Format::ell());
         let custom = convert_with_spec(&coo_src(), &spec).unwrap();
-        let reference = engine::to_ell(&CooMatrix::from_triples(&figure1_matrix()));
+        let reference = engine::to_ell(&CooMatrix::from_triples(&figure1_matrix())).unwrap();
         match &custom.levels[0] {
             LevelOutput::Sliced { slices } => assert_eq!(*slices, reference.slices()),
             other => panic!("unexpected level output {other:?}"),
@@ -881,6 +880,28 @@ mod tests {
             Err(ConvertError::Query(
                 crate::query::QueryError::GroupSpaceOverflow
             ))
+        );
+    }
+
+    #[test]
+    fn wide_full_levels_past_the_padding_limit_are_typed_errors() {
+        // Two dense levels over a 2^20 x 2^20 matrix: 2^40 value slots for
+        // one nonzero, refused before any is allocated.
+        let side = 1usize << 20;
+        let t = SparseTriples::from_matrix_entries(side, side, vec![(3, 5, 1.0)]).unwrap();
+        let src = AnyTensor::Coo(CooMatrix::from_triples(&t));
+        let dense = FormatSpec::new(
+            "DENSE2",
+            Remapping::identity(2),
+            vec!["i", "j"],
+            vec![LevelKind::Dense, LevelKind::Dense],
+        );
+        assert_eq!(
+            convert_with_spec(&src, &dense),
+            Err(ConvertError::PaddingLimit {
+                slots: Some(side * side),
+                limit: crate::tunables::PADDED_EXPANSION_MAX * (1 + 2 * side),
+            })
         );
     }
 

@@ -137,7 +137,7 @@ pub static KERNELS: &[KernelRow] = &[
     row("matrix-dia", Matrix, Is(Dia), false,
         |src, _, _| Ok(AnyTensor::Dia(with_source!(src, m => engine::to_dia(m))?))),
     row("matrix-ell", Matrix, Is(Ell), false,
-        |src, _, _| Ok(AnyTensor::Ell(with_source!(src, m => engine::to_ell(m))))),
+        |src, _, _| Ok(AnyTensor::Ell(with_source!(src, m => engine::to_ell(m))?))),
     row("matrix-bcsr", Matrix, Bcsr, false, matrix_to_bcsr),
     row("matrix-skyline", Matrix, Is(Skyline), false,
         |src, _, _| Ok(AnyTensor::Skyline(with_source!(src, m => engine::to_skyline(m))?))),
@@ -329,7 +329,7 @@ fn csr_to_bcsr(src: &AnyTensor, target: &Format, threads: usize) -> KernelResult
 fn matrix_to_bcsr(src: &AnyTensor, target: &Format, _: usize) -> KernelResult {
     let (block_rows, block_cols) = block_shape(target);
     Ok(AnyTensor::Bcsr(
-        with_source!(src, m => engine::to_bcsr(m, block_rows, block_cols)),
+        with_source!(src, m => engine::to_bcsr(m, block_rows, block_cols))?,
     ))
 }
 

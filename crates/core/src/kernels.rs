@@ -199,7 +199,8 @@ fn sort_pack_chunks<K: PackedKey>(
 ///
 /// # Errors
 ///
-/// Returns [`ConvertError::WorkerPanicked`] when a worker thread panicked.
+/// Returns [`ConvertError::WorkerPanicked`] when a worker thread panicked,
+/// and [`ConvertError::PaddingLimit`] as [`engine::to_bcsr`] does.
 ///
 /// # Panics
 ///
@@ -260,7 +261,8 @@ pub fn csr_to_bcsr(
             for bi in 0..brows {
                 pos[bi + 1] = pos[bi] + sets[bi].len();
             }
-            *vals_out = vec![0.0; pos[brows] * bsize];
+            *vals_out =
+                vec![0.0; engine::padded_slots(pos[brows], bsize, csr.nnz(), rows + csr.cols())?];
             let blocks = chunks.iter().map(|c| (pos[c.end] - pos[c.start]) * bsize);
             let spans = split_spans(vals_out, blocks);
             Ok(((sets, pos), spans))
@@ -386,7 +388,7 @@ mod tests {
     fn parallel_csr_to_bcsr_is_bit_identical() {
         let csr = CsrMatrix::from_triples(&figure1_matrix());
         for (br, bc) in [(2, 2), (2, 3), (3, 1)] {
-            let reference = engine::to_bcsr(&csr, br, bc);
+            let reference = engine::to_bcsr(&csr, br, bc).unwrap();
             for threads in [1, 2, 4, 9] {
                 assert_eq!(
                     csr_to_bcsr(&csr, br, bc, threads).unwrap(),

@@ -109,11 +109,7 @@ pub fn custom_from_csf(
         let crd = csf.crd(order - 1);
         for fiber in pos.windows(2) {
             if (fiber[0] + 1..fiber[1]).any(|p| crd[p] == crd[p - 1]) {
-                return Err(ConvertError::Unsupported(format!(
-                    "the dynamic converter requires duplicate-free coordinates for {} \
-                     targets; sum duplicates first (the engine path stores them verbatim)",
-                    spec.name
-                )));
+                return Err(ConvertError::duplicate_coordinates(&spec.name));
             }
         }
     }

@@ -2,9 +2,10 @@
 //!
 //! [`QueryResult`] is the dense result representation the assembly abstraction
 //! consumes (Section 6 passes `Qk` / `qk` arguments to level functions).
-//! [`evaluate_on_rows`] answers a query over a row-major coordinate buffer
-//! with counting passes and no hashing; [`evaluate_on_coords`] is the same
-//! evaluator over a stream of coordinate slices. The conversion engine
+//! [`evaluate_on_columns`] answers a query over one coordinate column per
+//! dimension with counting passes and no hashing; [`evaluate_on_rows`] and
+//! [`evaluate_on_coords`] are the same evaluator over a row-major buffer and
+//! over a stream of coordinate slices. The conversion engine
 //! computes the same results through optimised paths (e.g. `pos`
 //! differencing for CSR sources) and is tested against this evaluator.
 
@@ -222,9 +223,7 @@ pub fn evaluate_on_coords<'a>(
 
 /// Evaluates an attribute query over `nnz` coordinates stored row-major in
 /// `rows` (coordinate `p` is `rows[p * order..][..order]`, one entry per
-/// dimension), in counting passes: group offsets are built one column at a
-/// time, `count` numbers the distinct tuples with [`distinct_pairs`], and
-/// `id`, `min` and `max` update the result arrays directly.
+/// dimension), as [`evaluate_on_columns`] does over their columns.
 ///
 /// # Errors
 ///
@@ -242,8 +241,36 @@ pub fn evaluate_on_rows(
     rows: &[i64],
 ) -> Result<QueryResult, QueryError> {
     let order = bounds.len();
-    assert_eq!(dim_names.len(), order, "one bound per dimension");
     assert_eq!(rows.len(), nnz * order, "one row per coordinate");
+    let cols: Vec<Vec<i64>> = (0..order)
+        .map(|d| rows.iter().skip(d).step_by(order).copied().collect())
+        .collect();
+    evaluate_on_columns(query, dim_names, bounds, nnz, &cols)
+}
+
+/// Evaluates an attribute query over `nnz` coordinates stored as one column
+/// per dimension (`cols[d][p]` is coordinate `p`'s entry in dimension `d`),
+/// in counting passes: group offsets are built one column at a time,
+/// `count` marks the tuples `number_tuples` numbers in a bitmap, and `id`,
+/// `min` and `max` update the result arrays directly.
+///
+/// # Errors
+///
+/// As [`evaluate_on_coords`], but every coordinate has the right arity.
+///
+/// # Panics
+///
+/// Panics unless there is one bound and one `nnz`-long column per
+/// dimension name.
+pub fn evaluate_on_columns(
+    query: &AttrQuery,
+    dim_names: &[String],
+    bounds: &[DimBounds],
+    nnz: usize,
+    cols: &[Vec<i64>],
+) -> Result<QueryResult, QueryError> {
+    assert_eq!(dim_names.len(), bounds.len(), "one bound per dimension");
+    assert!(cols.len() == bounds.len() && cols.iter().all(|c| c.len() == nnz));
     let dim_of = |name: &str| -> Result<usize, QueryError> {
         dim_names
             .iter()
@@ -260,13 +287,15 @@ pub fn evaluate_on_rows(
         .iter()
         .map(|f| f.aggregate.vars().into_iter().map(dim_of).collect())
         .collect::<Result<_, _>>()?;
-    for (x, (&c, b)) in rows.iter().zip(bounds.iter().cycle()).enumerate() {
-        if !b.contains(c) {
-            let dimension = x % order;
-            return Err(QueryError::CoordinateOutOfBounds {
-                coordinate: c,
-                dimension,
-            });
+    for p in 0..nnz {
+        for (dimension, (col, b)) in cols.iter().zip(bounds).enumerate() {
+            if !b.contains(col[p]) {
+                let coordinate = col[p];
+                return Err(QueryError::CoordinateOutOfBounds {
+                    coordinate,
+                    dimension,
+                });
+            }
         }
     }
     let group_bounds: Vec<DimBounds> = group_dims.iter().map(|&d| bounds[d]).collect();
@@ -276,42 +305,67 @@ pub fn evaluate_on_rows(
         .ok_or(QueryError::GroupSpaceOverflow)?;
     let mut result = QueryResult::new(query, group_bounds);
 
-    let col = |d: usize| rows.iter().skip(d).step_by(order.max(1)).copied();
-    let offsets = |d: usize| col(d).map(move |c| (c - bounds[d].lower) as usize);
     let mut group = vec![0usize; nnz];
     for &d in &group_dims {
-        let extent = bounds[d].extent();
-        group
-            .iter_mut()
-            .zip(offsets(d))
-            .for_each(|(g, c)| *g = *g * extent + c);
+        let b = bounds[d];
+        let at = group.iter_mut().zip(&cols[d]);
+        at.for_each(|(g, &c)| *g = *g * b.extent() + (c - b.lower) as usize);
     }
     for ((field, dims), data) in query.fields.iter().zip(&field_dims).zip(&mut result.data) {
         let cells = group.iter().copied();
         match &field.aggregate {
             Aggregate::Id => cells.for_each(|g| data[g] = 1),
             Aggregate::Max(_) => cells
-                .zip(col(dims[0]))
-                .for_each(|(g, c)| data[g] = data[g].max(c)),
+                .zip(&cols[dims[0]])
+                .for_each(|(g, &c)| data[g] = data[g].max(c)),
             Aggregate::Min(_) => cells
-                .zip(col(dims[0]))
-                .for_each(|(g, c)| data[g] = data[g].min(c)),
+                .zip(&cols[dims[0]])
+                .for_each(|(g, &c)| data[g] = data[g].min(c)),
             Aggregate::Count(_) => {
-                // Number the distinct (group, counted...) tuples, then count
-                // each tuple once, at its first nonzero.
-                let mut key = Dense::new(&group, groups);
-                for &d in dims {
-                    let val: Vec<usize> = offsets(d).collect();
-                    key = distinct_pairs(&key, &Dense::new(&val, bounds[d].extent())).0;
-                }
-                let mut seen = vec![false; key.extent];
-                for (g, &k) in cells.zip(key.idx.iter()) {
-                    data[g] += i64::from(!std::mem::replace(&mut seen[k], true));
+                // Count each distinct (group, counted...) tuple once, at its
+                // first nonzero.
+                let counted: Vec<_> = dims
+                    .iter()
+                    .map(|&d| (&cols[d][..], bounds[d].lower, bounds[d].extent()))
+                    .collect();
+                let (tuples, space) = number_tuples(group.clone(), groups, &counted, 64);
+                let mut seen = vec![0u64; space.div_ceil(64)];
+                for (g, t) in cells.zip(tuples) {
+                    let (word, bit) = (&mut seen[t / 64], 1 << (t % 64));
+                    data[g] += i64::from(*word & bit == 0);
+                    *word |= bit;
                 }
             }
         }
     }
     Ok(result)
+}
+
+/// Numbers the tuples `(key[p], cols[0][p], ...)`, where `key` lies below
+/// `extent` and each column, given as `(coordinates, lower, extent)`, in
+/// its range: equal tuples get equal numbers, below the returned bound. A
+/// number is the tuple's offset in the tuple space while that space has at
+/// most `per` points per tuple, else the one [`distinct_pairs`] gives it.
+pub(crate) fn number_tuples(
+    mut key: Vec<usize>,
+    extent: usize,
+    cols: &[(&[i64], i64, usize)],
+    per: usize,
+) -> (Vec<usize>, usize) {
+    let space = cols.iter().try_fold(extent, |s, c| s.checked_mul(c.2));
+    if let Some(space) = space.filter(|s| s / per <= key.len()) {
+        for &(col, lower, extent) in cols {
+            let at = key.iter_mut().zip(col);
+            at.for_each(|(t, &c)| *t = *t * extent + c.abs_diff(lower) as usize);
+        }
+        return (key, space);
+    }
+    let mut ids = Dense::new(&key, extent);
+    for &(col, lower, extent) in cols {
+        let val: Vec<usize> = col.iter().map(|&c| c.abs_diff(lower) as usize).collect();
+        ids = distinct_pairs(&ids, &Dense::new(&val, extent)).0;
+    }
+    (ids.idx.into_owned(), ids.extent)
 }
 
 #[cfg(test)]

@@ -6,9 +6,11 @@
 //! are stateful: they count how many nonzeros with the same values of the
 //! listed index variables have been seen so far, in iteration order.
 //!
-//! [`EvalContext::apply_columns`] evaluates a whole tensor at once, one
+//! [`EvalContext::remap_columns`] evaluates a whole tensor at once, one
 //! expression over every nonzero at a time: a counter is read off
-//! occurrence ranks, and the result is one flat row-major buffer.
+//! occurrence ranks, and the result is one column per remapped dimension
+//! ([`EvalContext::apply_columns`] interleaves them into one row-major
+//! buffer).
 
 use std::collections::HashMap;
 
@@ -165,7 +167,7 @@ impl<'a> EvalContext<'a> {
         let mut state = std::mem::take(&mut self.counters);
         let out = self.run(1, &cols, &mut Counters::State(&mut state));
         self.counters = state;
-        out
+        Ok(out?.iter().map(|c| c[0]).collect())
     }
 
     /// Remaps a tensor given as coordinate columns (`crd[d][p]` is nonzero
@@ -179,6 +181,21 @@ impl<'a> EvalContext<'a> {
     ///
     /// Propagates evaluation errors, at the first nonzero that raises one.
     pub fn apply_columns(&self, crd: &[&[usize]]) -> Result<Vec<i64>, RemapError> {
+        let cols = self.remap_columns(crd)?;
+        let n = cols.first().map_or(0, Vec::len);
+        Ok((0..n)
+            .flat_map(|p| cols.iter().map(move |c| c[p]))
+            .collect())
+    }
+
+    /// [`EvalContext::apply_columns`] without the interleaving: one column
+    /// per remapped dimension, `out[d][p]` being nonzero `p`'s coordinate in
+    /// dimension `d`.
+    ///
+    /// # Errors
+    ///
+    /// As [`EvalContext::apply_columns`].
+    pub fn remap_columns(&self, crd: &[&[usize]]) -> Result<Vec<Vec<i64>>, RemapError> {
         let n = crd.first().map_or(0, |c| c.len());
         if crd.len() != self.remap.source_order() && n > 0 {
             let (expected, found) = (self.remap.source_order(), crd.len());
@@ -196,10 +213,15 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Evaluates the remapping at `n` nonzeros, one column per expression,
-    /// into rows of destination coordinates. The error is the one a
+    /// into one column per destination dimension. The error is the one a
     /// nonzero-at-a-time walk meets first: lowest nonzero, then evaluation
     /// order.
-    fn run(&self, n: usize, src: &[&[usize]], ctr: &mut Counters) -> Result<Vec<i64>, RemapError> {
+    fn run(
+        &self,
+        n: usize,
+        src: &[&[usize]],
+        ctr: &mut Counters,
+    ) -> Result<Vec<Vec<i64>>, RemapError> {
         let (mut cols, mut first) = (Vec::with_capacity(self.remap.dest_order()), None);
         for d in &self.remap.dst {
             let mut lets: Vec<(&str, Vec<i64>)> = Vec::with_capacity(d.lets.len());
@@ -212,15 +234,10 @@ impl<'a> EvalContext<'a> {
             first = earliest([first, err]);
             cols.push(col);
         }
-        if let Some((_, err)) = first {
-            return Err(err);
+        match first {
+            Some((_, err)) => Err(err),
+            None => Ok(cols),
         }
-        let mut rows = vec![0; n * cols.len()];
-        for (d, col) in cols.iter().enumerate() {
-            let dim = rows.iter_mut().skip(d).step_by(cols.len());
-            dim.zip(col).for_each(|(x, &c)| *x = c);
-        }
-        Ok(rows)
     }
 
     /// Evaluates `expr` at all `n` nonzeros, given the source columns and
@@ -335,7 +352,7 @@ impl<'a> EvalContext<'a> {
     }
 }
 
-/// How [`EvalContext::apply`] and [`EvalContext::apply_columns`] evaluate
+/// How [`EvalContext::apply`] and [`EvalContext::remap_columns`] evaluate
 /// counters.
 enum Counters<'s> {
     /// At one coordinate, from (and advancing) the context's state.

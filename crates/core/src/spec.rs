@@ -60,12 +60,11 @@ impl FormatSpec {
     /// The attribute queries the format's levels require, outer to inner
     /// (Section 5); levels that need no query are skipped.
     pub fn required_queries(&self) -> Vec<AttrQuery> {
-        use crate::levels::LevelAssembler as _;
         use sparse_tensor::DimBounds;
         let mut out = Vec::new();
         for (k, kind) in self.levels.iter().enumerate() {
             let assembler = crate::generic::make_assembler(*kind, DimBounds::from_extent(1));
-            if let Some(q) = assembler.required_query(&self.dim_names, k) {
+            if let Some(q) = assembler.level().required_query(&self.dim_names, k) {
                 out.push(q);
             }
         }

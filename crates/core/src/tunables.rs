@@ -42,3 +42,11 @@ pub const PARALLEL_NNZ_THRESHOLD: usize = 1 << 14;
 /// thread) against `stream_spill`'s 2^10-entry blocks (about 28 KB, one
 /// chunk, because a thread start costs more than the parse it would split).
 pub const PARSE_CHUNK_BYTES: usize = 1 << 18;
+
+/// Padded output slots (DIA or ELL values, BCSR blocks, a builder spec's
+/// full levels) a conversion may allocate per unit of its input's nonzeros
+/// plus extents, so a matrix whose extents sum to at most 1024 always fits.
+/// Set to admit `convert_large`'s padded rows (`engine.convert_s.coo_dia`,
+/// `service.convert_s.csr_ell`, `engine.convert_s.coo_bcsr4x4`) and refuse
+/// the 1 M-nonzero irregular DIA that asked for 369 GB.
+pub const PADDED_EXPANSION_MAX: usize = 1 << 10;

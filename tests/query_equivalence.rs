@@ -15,7 +15,11 @@
 //!   stock specs (ELL's `#i` counter and skyline among them) and the
 //!   `spec_fuzz` corpus digests to the values the row-at-a-time driver
 //!   produced, and duplicate coordinates are a typed error for specs that do
-//!   not sort as well as for those that do.
+//!   not sort as well as for those that do. The same corpus with one entry
+//!   duplicated (next to it, far from it, as the last nonzero, three times)
+//!   digests to what the all-dimension duplicate pass returned, whichever
+//!   rule a spec now answers the question with, and a duplicate wins over a
+//!   query or assembly error.
 
 use std::collections::{HashMap, HashSet};
 
@@ -442,6 +446,8 @@ mod corpus {
     use taco_conversion_repro::tensor::{Shape, SparseTriples};
     use taco_conversion_repro::workloads::generators::{blocked, irregular, tensor3_uniform};
 
+    use super::Visit;
+
     /// FNV-1a over the `Debug` text of each result, in order.
     pub struct Digest(pub u64);
 
@@ -486,7 +492,11 @@ mod corpus {
     /// The four builder specs of the `custom_format` workload on shuffled
     /// irregular and blocked inputs.
     pub fn custom_format() -> u64 {
-        let mut digest = Digest::new();
+        digest(custom_format_cases)
+    }
+
+    /// Visits the cases [`custom_format`] digests.
+    pub fn custom_format_cases(visit: &mut Visit) {
         let irr = irregular(300, 300, 2000, 64, 11).expect("irregular input");
         let blk = blocked(160, 160, 4, 4, 2000, 12).expect("blocked input");
         let cases = [
@@ -499,16 +509,19 @@ mod corpus {
             ),
         ];
         for (t, text) in cases {
-            digest.add(&shuffled(t, 5), &spec(text));
-            digest.add(&AnyTensor::Csr(CsrMatrix::from_triples(t)), &spec(text));
+            visit(&shuffled(t, 5), &spec(text));
+            visit(&AnyTensor::Csr(CsrMatrix::from_triples(t)), &spec(text));
         }
-        digest.0
     }
 
     /// Every stock order-2 spec, ELL's `#i` counter and skyline among them,
     /// on a shuffled irregular input, its lower triangle, and an empty one.
     pub fn stock() -> u64 {
-        let mut digest = Digest::new();
+        digest(stock_cases)
+    }
+
+    /// Visits the cases [`stock`] digests.
+    pub fn stock_cases(visit: &mut Visit) {
         let irr = irregular(120, 120, 700, 20, 13).expect("irregular input");
         let mut lower = SparseTriples::new(irr.shape().clone());
         for t in irr.iter().filter(|t| t.coord[1] <= t.coord[0]) {
@@ -528,15 +541,19 @@ mod corpus {
         for format in formats {
             let spec = format.spec().expect("stock spec").clone();
             for t in [&irr, &lower, &empty] {
-                digest.add(&shuffled(t, 7), &spec);
+                visit(&shuffled(t, 7), &spec);
             }
         }
-        digest.0
     }
 
     /// The `spec_fuzz` space: every mode permutation crossed with every
     /// level composition, on a few duplicate-free random inputs.
     pub fn fuzz() -> u64 {
+        digest(fuzz_cases)
+    }
+
+    /// Visits the cases [`fuzz`] digests.
+    pub fn fuzz_cases(visit: &mut Visit) {
         const KINDS: [LevelKind; 8] = [
             LevelKind::Dense,
             LevelKind::Compressed,
@@ -547,7 +564,6 @@ mod corpus {
             LevelKind::Banded,
             LevelKind::Hashed,
         ];
-        let mut digest = Digest::new();
         let mut rng = Xorshift(0x5eed);
         let mut random = |dims: Vec<usize>, nnz: usize| {
             let mut t = SparseTriples::new(Shape::new(dims.clone()));
@@ -569,7 +585,7 @@ mod corpus {
                 let dims = order.iter().map(|&m| names[m]).collect();
                 let spec = FormatSpec::new("F2", Remapping::mode_permutation(&order), dims, kinds);
                 for m in &matrices {
-                    digest.add(&AnyTensor::Coo(CooMatrix::from_triples(m)), &spec);
+                    visit(&AnyTensor::Coo(CooMatrix::from_triples(m)), &spec);
                 }
             }
         }
@@ -586,15 +602,68 @@ mod corpus {
                 let kinds = vec![KINDS[code % 8], KINDS[code / 8 % 8], KINDS[code / 64]];
                 let dims = order.iter().map(|&m| names[m]).collect();
                 let spec = FormatSpec::new("F3", Remapping::mode_permutation(&order), dims, kinds);
-                digest.add(&AnyTensor::Coo3(tensor.clone()), &spec);
+                visit(&AnyTensor::Coo3(tensor.clone()), &spec);
             }
         }
         let dense = tensor3_uniform([3, 3, 2], 18, 17).expect("tensor input");
         let spec = Format::csf().spec().expect("stock spec").clone();
-        digest.add(&AnyTensor::Coo3(CooTensor::from_triples(&dense)), &spec);
+        visit(&AnyTensor::Coo3(CooTensor::from_triples(&dense)), &spec);
+    }
+
+    /// Digests every case `cases` visits.
+    pub fn digest(cases: impl FnOnce(&mut Visit)) -> u64 {
+        let mut digest = Digest::new();
+        cases(&mut |src, spec| digest.add(src, spec));
         digest.0
     }
+
+    /// The placements [`duplicated`] knows, by index.
+    pub const PLACEMENTS: [&str; 4] = ["adjacent", "far apart", "last", "triple"];
+
+    /// `src`'s entries in iteration order as a COO source, with copies of one
+    /// entry (fresh values) placed as `PLACEMENTS[placement]` says: next to
+    /// it, the last entry at the front, the middle entry as the last nonzero,
+    /// or two copies, one next to the entry and one at the end. An empty
+    /// source becomes two entries at the origin.
+    pub fn duplicated(src: &AnyTensor, placement: usize) -> AnyTensor {
+        let mut entries: Vec<(Vec<usize>, f64)> = match src {
+            AnyTensor::Coo(m) => m.iter().map(|(i, j, v)| (vec![i, j], v)).collect(),
+            AnyTensor::Csr(m) => m.iter().map(|(i, j, v)| (vec![i, j], v)).collect(),
+            AnyTensor::Coo3(t) => {
+                let mut entries = Vec::new();
+                t.for_each(|c, v| entries.push((c.iter().map(|&x| x as usize).collect(), v)));
+                entries
+            }
+            other => panic!("no corpus source is a {}", other.format()),
+        };
+        let shape = src.shape();
+        let n = entries.len();
+        let copy = |from: usize, k: f64| (entries[from].0.clone(), 100.0 + k);
+        match (n, placement) {
+            (0, _) => entries = vec![(vec![0; shape.order()], 1.0), (vec![0; shape.order()], 2.0)],
+            (_, 0) => entries.insert(n / 2 + 1, copy(n / 2, 0.0)),
+            (_, 1) => entries.insert(0, copy(n - 1, 1.0)),
+            (_, 2) => entries.push(copy(n / 2, 2.0)),
+            _ => {
+                let (a, b) = (copy(n / 3, 3.0), copy(n / 3, 4.0));
+                entries.insert(n / 3 + 1, a);
+                entries.push(b);
+            }
+        }
+        if shape.order() == 2 {
+            let mut coo = CooMatrix::new(shape.dim(0), shape.dim(1));
+            entries.iter().for_each(|(c, v)| coo.push(c[0], c[1], *v));
+            AnyTensor::Coo(coo)
+        } else {
+            let mut coo = CooTensor::new(shape);
+            entries.iter().for_each(|(c, v)| coo.push(c, *v));
+            AnyTensor::Coo3(coo)
+        }
+    }
 }
+
+/// A corpus walk: called once per (source, spec) case.
+type Visit<'a> = dyn FnMut(&AnyTensor, &taco_conversion_repro::conv::FormatSpec) + 'a;
 
 /// The digests are those of the row-at-a-time driver (triples, `HashSet`
 /// queries, `HashMap` dedup) on the same corpus: every output and every
@@ -639,6 +708,83 @@ fn duplicates_are_rejected_by_specs_that_do_not_sort() {
         assert!(
             matches!(served, Err(ConvertError::Unsupported(ref m)) if m.contains("duplicate-free")),
             "{text}: {served:?}"
+        );
+    }
+}
+
+/// Every corpus case again, each with a duplicated entry in each of the four
+/// placements: the driver returns what the all-dimension duplicate pass
+/// returned. That is mostly the typed duplicate error, but ELL's `#i`
+/// counter makes duplicated `(i, j)` distinct and assembles them, and a
+/// skyline drops a copy above its band before any check. The digests are
+/// those of that pass, on the same corpus.
+#[test]
+fn duplicated_entries_keep_the_all_dimension_pass_results() {
+    let duplicated = |cases: fn(&mut Visit)| {
+        corpus::digest(|visit| {
+            cases(&mut |src, spec| {
+                for placement in 0..corpus::PLACEMENTS.len() {
+                    visit(&corpus::duplicated(src, placement), spec);
+                }
+            })
+        })
+    };
+    let digests = [
+        duplicated(corpus::custom_format_cases),
+        duplicated(corpus::stock_cases),
+        duplicated(corpus::fuzz_cases),
+    ];
+    assert_eq!(
+        digests,
+        [
+            2124292340521744437,
+            17528922139703317383,
+            4581267475057715170
+        ]
+    );
+}
+
+/// A duplicated entry in an input that would also fail a query (a `count`
+/// group space past `usize::MAX`) or assembly (full levels with more than
+/// `usize::MAX` positions) is reported as the duplicate, because the
+/// all-dimension pass ran before any query.
+#[test]
+fn a_duplicate_wins_over_a_query_or_assembly_error() {
+    use taco_conversion_repro::conv::generic::convert_with_spec;
+    use taco_conversion_repro::conv::prelude::LevelKind::{Compressed, Dense};
+    use taco_conversion_repro::conv::FormatSpec;
+    use taco_conversion_repro::formats::CooTensor;
+    use taco_conversion_repro::tensor::Shape;
+
+    let side = 1usize << 33;
+    let cases = [
+        (
+            "i,j,k",
+            vec![Dense, Dense, Compressed],
+            "GroupSpaceOverflow",
+        ),
+        ("i,j,k", vec![Dense, Dense, Dense], "usize::MAX positions"),
+    ];
+    for (dims, levels, alone) in cases {
+        let spec = FormatSpec::new(
+            "WIDE",
+            Remapping::identity(3),
+            dims.split(',').collect(),
+            levels,
+        );
+        let mut src = CooTensor::new(Shape::tensor3(side, side, 2));
+        src.push(&[side - 1, 3, 1], 1.0);
+        src.push(&[0, side - 2, 0], 2.0);
+        let err = format!(
+            "{:?}",
+            convert_with_spec(&AnyTensor::Coo3(src.clone()), &spec)
+        );
+        assert!(err.contains(alone), "{spec:?} without a duplicate: {err}");
+        src.push(&[side - 1, 3, 1], 3.0);
+        let err = format!("{:?}", convert_with_spec(&AnyTensor::Coo3(src), &spec));
+        assert!(
+            err.contains("duplicate-free"),
+            "{spec:?} with a duplicate: {err}"
         );
     }
 }

@@ -94,7 +94,7 @@ proptest! {
         prop_assert_eq!(ours.offsets(), skit.offsets());
         prop_assert_eq!(ours.values(), skit.values());
 
-        let ours = engine::to_ell(&csr);
+        let ours = engine::to_ell(&csr).expect("ELL conversion");
         let skit = baselines::sparskit::csr_to_ell(&csr);
         prop_assert_eq!(ours.slices(), skit.slices());
         prop_assert_eq!(ours.values(), skit.values());
