@@ -17,22 +17,23 @@
 //! target is just another [`Format`].
 //!
 //! Generated routines can be pretty printed ([`listing`]) for comparison with
-//! Figure 6 and executed against real inputs ([`execute_format`]), in one of
-//! two tiers. Every routine `execute_format` can serve (each stock source
-//! into each stock format and `CSF@perm` that [`generate`] accepts) is also
-//! compiled Rust: [`ir::emit`](crate::ir::emit) prints it, with every access
-//! checked as the interpreter checks it, into the `@generated`
-//! [`ir::compiled`](crate::ir::compiled) module, and the unit test
+//! Figure 6 and executed against real inputs ([`execute_format`]). Every
+//! routine `execute_format` can serve (each stock source into each stock
+//! format and `CSF@perm` that [`generate`] accepts) is compiled Rust in the
+//! `@generated` [`ir::compiled`](crate::ir::compiled) module: the test-only
+//! emitter prints it with every access checked, and the unit test
 //! `compiled_routines_are_fresh` rewrites that file, and fails, whenever the
-//! generator or the emitter would now print something else. Any other
-//! routine (a builder-made target's) runs in the interpreter, which resolves
-//! it once to typed slots and closures, then runs it with every access
-//! checked. The interpreter is the reference the compiled tier is tested
-//! against, table for table; the engine kernels stay the reference both are
-//! tested against, bit for bit. `execute_format` records its phases as the
-//! spans `codegen.generate`, `codegen.bind`, `ir.run` and `codegen.unpack`,
-//! and `ir.run` has one child naming the tier: `ir.compiled` or
-//! `ir.interpreted`.
+//! generator or the emitter would now print something else. A routine
+//! borrows the source container's slices and returns only the buffers the
+//! target's container is built from. Routines are keyed by structure, not by
+//! name: a builder-made fibre chain runs the routine of the registered
+//! `CSF@perm` with its mode order, and a builder-made target of any other
+//! chain has no container and is refused before anything runs. The IR's
+//! test-only interpreter is the reference the compiled routines are tested
+//! against, on outputs and errors; the engine kernels stay the reference
+//! both are tested against, bit for bit. `execute_format` records its phases
+//! as the spans `codegen.generate`, `codegen.bind`, `ir.run` and
+//! `codegen.unpack`, and `ir.run` has one child, `ir.compiled`.
 //!
 //! Buffer naming conventions: the source is `A` (`A_pos`, `A_crd`, `A_vals`,
 //! or `A1_crd`/`A2_crd`/`A2_pos` per level for coordinate lists and fibre
@@ -47,9 +48,8 @@ use crate::convert::AnyTensor;
 use crate::error::ConvertError;
 use crate::format::Format;
 use crate::ir::build::*;
+use crate::ir::checked::{Inputs, Outputs, Param};
 use crate::ir::compiled;
-use crate::ir::emit::Param;
-use crate::ir::interp::{Buffer, Interpreter};
 use crate::ir::printer::print_function;
 use crate::ir::simplify::simplify_function;
 use crate::ir::{Expr, Function, IrBinOp, Stmt};
@@ -63,6 +63,9 @@ use crate::stock::STOCK;
 const SYM: [&str; 3] = ["i", "j", "k"];
 /// The scalar input holding each canonical mode's extent.
 const EXTENT: [&str; 3] = ["N", "M", "L"];
+/// The output coordinate array of each level of a coordinate list or fibre
+/// chain.
+const B_CRD: [&str; 3] = ["B1_crd", "B2_crd", "B3_crd"];
 
 /// The level chains the generator has loops (sources) or assembly (targets)
 /// for.
@@ -186,6 +189,30 @@ impl<'a> Layout<'a> {
         scalars.push("nnz");
         params.extend(scalars.into_iter().map(|s| (s.to_string(), Param::Int)));
         params
+    }
+
+    /// What a routine assembling this (target) format returns: the buffers
+    /// and scalars [`unpack_target`] builds its container from. The emitter
+    /// compiles each routine to return these.
+    #[cfg(test)]
+    fn outputs(&self) -> Vec<(&'static str, Param)> {
+        let ints: &[&'static str] = match self.chain {
+            Chain::Coordinates => &B_CRD[..self.modes.len()],
+            Chain::DenseCompressed => &["B_pos", "B_crd"],
+            Chain::Diagonals => &["B_perm"],
+            Chain::Slices => &["B_crd"],
+            Chain::Fibers => &["B1_crd", "B2_pos", "B2_crd", "B3_pos", "B3_crd"],
+        };
+        let scalars: &[&'static str] = match self.chain {
+            Chain::Diagonals | Chain::Slices => &["K"],
+            Chain::Fibers => &["q1", "q2"],
+            _ => &[],
+        };
+        let ints = ints.iter().map(|&name| (name, Param::Ints));
+        let scalars = scalars.iter().map(|&name| (name, Param::Int));
+        ints.chain([("B_vals", Param::Floats)])
+            .chain(scalars)
+            .collect()
     }
 
     /// Wraps `body` in loops iterating this (source) format. Inside, the IR
@@ -658,13 +685,9 @@ fn gen_to_fibers(src: &Layout, dst: &Layout) -> Result<Vec<Stmt>, ConvertError> 
     Ok(body)
 }
 
-/// Binds a source container's arrays, extents and nonzero count to the
-/// parameters [`Layout::params`] names for its format.
-fn bind_source(interp: &mut Interpreter, src: &AnyTensor) -> Result<(), ConvertError> {
-    fn put(interp: &mut Interpreter, name: &str, data: &[usize]) {
-        let ints = data.iter().map(|&x| x as i64).collect();
-        interp.insert_buffer(name, Buffer::Ints(ints));
-    }
+/// Borrows a source container's arrays, and reads its extents and nonzero
+/// count, as the parameters [`Layout::params`] lists for its format.
+fn bind(src: &AnyTensor) -> Result<Inputs<'_>, ConvertError> {
     let (shape, format) = (src.shape(), src.format());
     // The rank-N containers hold tensors of any order; a routine is
     // generated for the order of the format's specification.
@@ -675,40 +698,16 @@ fn bind_source(interp: &mut Interpreter, src: &AnyTensor) -> Result<(), ConvertE
             shape.order()
         )));
     }
-    for (extent, &dim) in EXTENT.iter().zip(shape.dims()) {
-        interp.insert_int(extent, dim as i64);
-    }
-    interp.insert_int("nnz", src.nnz() as i64);
-    let values = match src {
-        AnyTensor::Coo(m) => {
-            put(interp, "A1_crd", m.row_indices());
-            put(interp, "A2_crd", m.col_indices());
-            m.values()
-        }
-        AnyTensor::Csr(m) => {
-            put(interp, "A_pos", m.pos());
-            put(interp, "A_crd", m.crd());
-            m.values()
-        }
-        AnyTensor::Csc(m) => {
-            put(interp, "A_pos", m.pos());
-            put(interp, "A_crd", m.crd());
-            m.values()
-        }
-        AnyTensor::Coo3(t) => {
-            for d in 0..t.order() {
-                put(interp, &format!("A{}_crd", d + 1), t.crd(d));
-            }
-            t.values()
-        }
+    let mut scalars: Vec<i64> = shape.dims().iter().map(|&dim| dim as i64).collect();
+    let (ints, values) = match src {
+        AnyTensor::Coo(m) => (vec![m.row_indices(), m.col_indices()], m.values()),
+        AnyTensor::Csr(m) => (vec![m.pos(), m.crd()], m.values()),
+        AnyTensor::Csc(m) => (vec![m.pos(), m.crd()], m.values()),
+        AnyTensor::Coo3(t) => ((0..t.order()).map(|d| t.crd(d)).collect(), t.values()),
         AnyTensor::Csf(t) => {
-            interp.insert_int("R1", t.num_fibers(0) as i64);
-            put(interp, "A1_crd", t.crd(0));
-            for d in 1..t.order() {
-                put(interp, &format!("A{}_pos", d + 1), t.pos(d - 1));
-                put(interp, &format!("A{}_crd", d + 1), t.crd(d));
-            }
-            t.values()
+            scalars.push(t.num_fibers(0) as i64);
+            let deeper = (1..t.order()).flat_map(|d| [t.pos(d - 1), t.crd(d)]);
+            ([vec![t.crd(0)], deeper.collect()].concat(), t.values())
         }
         other => {
             return Err(ConvertError::Unsupported(format!(
@@ -717,35 +716,32 @@ fn bind_source(interp: &mut Interpreter, src: &AnyTensor) -> Result<(), ConvertE
             )))
         }
     };
-    interp.insert_buffer("A_vals", Buffer::Floats(values.to_vec()));
-    Ok(())
+    scalars.push(src.nnz() as i64);
+    let floats = vec![values];
+    Ok(Inputs {
+        ints,
+        floats,
+        scalars,
+    })
 }
 
-/// What a finished routine left behind, taken out by name.
-struct Outputs<'a> {
-    interp: &'a mut Interpreter,
-    target: &'a Format,
-}
-
-impl Outputs<'_> {
-    fn missing(&self, what: &str, name: &str) -> ConvertError {
-        ConvertError::UnsupportedSpec {
-            reason: format!(
-                "the routine generated for {} defines no {what} `{name}`",
-                self.target
-            ),
-        }
+/// The value named `name`, taken out of `named`.
+fn take<T: Default>(named: &mut [(&str, T)], name: &str, what: &str) -> Result<T, ConvertError> {
+    match named.iter_mut().find(|(n, _)| *n == name) {
+        Some((_, value)) => Ok(std::mem::take(value)),
+        None => Err(ConvertError::UnsupportedSpec {
+            reason: format!("the compiled routine returns no {what} `{name}`"),
+        }),
     }
+}
 
+/// What a routine returned, taken out by name.
+impl Outputs {
     /// The first `len` entries (all of a shorter buffer).
     fn raw_ints(&mut self, name: &str, len: usize) -> Result<Vec<i64>, ConvertError> {
-        match self.interp.take_buffer(name) {
-            Some(Buffer::Ints(mut ints)) => {
-                ints.truncate(len);
-                Ok(ints)
-            }
-            _ => Err(self.missing("integer buffer", name)),
-        }
+        let mut ints = take(&mut self.ints, name, "integer buffer")?;
+        ints.truncate(len);
+        Ok(ints)
     }
 
     /// The first `len` entries (all of a shorter buffer), converted in place.
@@ -755,35 +751,24 @@ impl Outputs<'_> {
     }
 
     fn floats(&mut self, name: &str, len: usize) -> Result<Vec<f64>, ConvertError> {
-        match self.interp.take_buffer(name) {
-            Some(Buffer::Floats(mut floats)) => {
-                floats.truncate(len);
-                Ok(floats)
-            }
-            _ => Err(self.missing("value buffer", name)),
-        }
+        let mut floats = take(&mut self.floats, name, "value buffer")?;
+        floats.truncate(len);
+        Ok(floats)
     }
 
-    fn scalar(&self, name: &str) -> Result<usize, ConvertError> {
-        let value = self.interp.int(name);
-        value
-            .map(|v| v as usize)
-            .ok_or_else(|| self.missing("scalar", name))
+    fn scalar(&mut self, name: &str) -> Result<usize, ConvertError> {
+        Ok(take(&mut self.scalars, name, "scalar")? as usize)
     }
 }
 
-/// Rebuilds the target's container from the output buffers the assembly of
-/// its chain writes.
+/// Rebuilds the target's container from the outputs the assembly of its
+/// chain returns.
 fn unpack_target(
-    interp: &mut Interpreter,
+    mut out: Outputs,
     src: &AnyTensor,
     target: &Layout,
 ) -> Result<AnyTensor, ConvertError> {
     const ALL: usize = usize::MAX;
-    let mut out = Outputs {
-        interp,
-        target: target.format,
-    };
     let (rows, cols, nnz, shape) = (src.rows(), src.cols(), src.nnz(), src.shape());
     let compressed = |out: &mut Outputs| -> Result<_, ConvertError> {
         Ok((
@@ -792,7 +777,7 @@ fn unpack_target(
             out.floats("B_vals", ALL)?,
         ))
     };
-    let tensor = match (target.chain, target.modes.as_slice()) {
+    Ok(match (target.chain, target.modes.as_slice()) {
         (Chain::DenseCompressed, [0, 1]) => {
             let (pos, crd, vals) = compressed(&mut out)?;
             AnyTensor::Csr(CsrMatrix::from_parts(rows, cols, pos, crd, vals)?)
@@ -809,7 +794,7 @@ fn unpack_target(
             out.floats("B_vals", ALL)?,
         )?),
         (Chain::Coordinates, modes) => {
-            let crd = (1..=modes.len()).map(|d| out.ints(&format!("B{d}_crd"), ALL));
+            let crd = B_CRD[..modes.len()].iter().map(|name| out.ints(name, ALL));
             let crd = crd.collect::<Result<_, _>>()?;
             AnyTensor::Coo3(CooTensor::from_parts(
                 shape,
@@ -818,11 +803,11 @@ fn unpack_target(
             )?)
         }
         (Chain::Diagonals, _) => {
-            let offsets = out.raw_ints("B_perm", out.scalar("K")?)?;
+            let k = out.scalar("K")?;
             AnyTensor::Dia(DiaMatrix::from_parts(
                 rows,
                 cols,
-                offsets,
+                out.raw_ints("B_perm", k)?,
                 out.floats("B_vals", ALL)?,
             )?)
         }
@@ -854,72 +839,70 @@ fn unpack_target(
                 AnyTensor::Custom(Box::new(custom))
             }
         }
-    };
-    // The chains above are the stock containers'; a builder-made format
-    // that merely shares one has no container of its own to unpack into.
-    if tensor.format() != *target.format {
-        return Err(ConvertError::Unsupported(format!(
-            "code generation has no container for {}; its routine assembles a {} (use the \
-             dynamic driver)",
-            target.format,
-            tensor.format()
-        )));
-    }
-    Ok(tensor)
+    })
 }
 
-/// Generates the routine from `src`'s format to `target`, executes it on
-/// `src` (compiled, when the routine was compiled ahead of time, else
-/// through the IR interpreter), and rebuilds the target's container from the
-/// output buffers. Stock targets come back in their stock
-/// container; a mode-ordered `CSF@perm` target is wrapped exactly as the
-/// dynamic driver assembles it, so all three execution paths stay
-/// byte-comparable.
+/// The name of the compiled routine from `source` into `target`, keyed by
+/// structure: a stock target's own; a fibre chain's, the registered
+/// `CSF@perm`'s of its mode order (whose output [`unpack_target`] wraps).
+/// Any other builder-made target has no container: `Unsupported`.
+fn routine_name(source: &Layout, target: &Layout) -> Result<String, ConvertError> {
+    let stand_in = match target.chain {
+        _ if target.format.id().is_some() => target.format.clone(),
+        Chain::Fibers => Format::csf_ordered(&target.modes)?,
+        _ => {
+            return Err(ConvertError::Unsupported(format!(
+                "code generation has no container for {}; the dynamic driver assembles it",
+                target.format
+            )))
+        }
+    };
+    let target = Layout::of(&stand_in)?.ident();
+    Ok(format!("convert_{}_to_{target}", source.ident()))
+}
+
+/// Generates the routine from `src`'s format to `target`, runs its compiled
+/// form on `src`'s borrowed arrays, and rebuilds the target's container from
+/// the buffers it returns. Stock targets come back in their stock container;
+/// a mode-ordered fibre chain (a `CSF@perm`, or a builder format of that
+/// structure) is wrapped exactly as the dynamic driver assembles it, so all
+/// three execution paths stay byte-comparable.
 ///
 /// # Errors
 ///
-/// Propagates [`generate`] errors; returns [`ConvertError::Unsupported`] for
-/// sources that are not a COO, CSR, CSC, COO3 or CSF container at their
-/// format's own order, for builder-made targets without a container, and for
-/// duplicate coordinates under a `CSF@perm` target (which the dynamic driver
-/// also rejects); [`ConvertError::Interp`] when the generated code fails to
+/// Propagates [`generate`] errors; returns [`ConvertError::Unsupported`],
+/// before running anything, for builder-made targets without a container,
+/// and for sources that are not a COO, CSR, CSC, COO3 or CSF container at
+/// their format's own order; [`ConvertError::Unsupported`] for duplicate
+/// coordinates under a mode-ordered target (which the dynamic driver also
+/// rejects); [`ConvertError::Interp`] when the generated code fails to
 /// execute.
 pub fn execute_format(src: &AnyTensor, target: &Format) -> Result<AnyTensor, ConvertError> {
-    let function = {
+    let (layout, routine) = {
         let _span = Span::enter("codegen.generate");
-        generate(&src.format(), target)?
+        let source = src.format();
+        generate(&source, target)?;
+        let layout = Layout::of(target)?;
+        let name = routine_name(&Layout::of(&source)?, &layout)?;
+        let missing = || {
+            ConvertError::Unsupported(format!(
+                "no routine is compiled from {source} into {target}"
+            ))
+        };
+        (layout, compiled::lookup(&name).ok_or_else(missing)?)
     };
-    let mut interp = Interpreter::new();
-    {
+    let inputs = {
         let _span = Span::enter("codegen.bind");
-        bind_source(&mut interp, src)?;
-    }
-    {
+        bind(src)?
+    };
+    let outputs = {
         let span = Span::enter("ir.run");
         span.add_items(src.nnz() as u64);
-        match compiled::lookup(&function.name).filter(|_| compiled_ahead(target)) {
-            Some(routine) => {
-                let _tier = Span::enter("ir.compiled");
-                routine(&mut interp).map_err(|fault| *fault)?;
-            }
-            None => {
-                let _tier = Span::enter("ir.interpreted");
-                interp.run(&function)?;
-            }
-        }
-    }
+        let _tier = Span::enter("ir.compiled");
+        routine(&inputs).map_err(|fault| *fault)?
+    };
     let _span = Span::enter("codegen.unpack");
-    unpack_target(&mut interp, src, &Layout::of(target)?)
-}
-
-/// True when the routine into `target` may have been compiled ahead of time:
-/// `target` is a stock format, or the registered `CSF@perm` of its mode
-/// order. (Sources are always stock: only stock containers bind.) A
-/// builder-made format can share such a format's routine name but not its
-/// specification, so its routine is always interpreted.
-fn compiled_ahead(target: &Format) -> bool {
-    let csf = |order: Vec<usize>| Format::csf_ordered(&order).is_ok_and(|f| f == *target);
-    target.id().is_some() || target.mode_order().is_some_and(csf)
+    unpack_target(outputs, src, &layout)
 }
 
 /// The stock (source, target) pairs the code generator covers — every pair
@@ -944,9 +927,12 @@ pub fn supported_pairs() -> Vec<(Format, Format)> {
 mod tests {
     use super::*;
     use crate::convert::convert;
-    use crate::emit::tests::tables;
+    use crate::emit::tests::{bits, interpret};
+    use crate::generic::convert_with_spec;
+    use crate::ir::checked::InterpError;
     use crate::ir::emit::{emit_function, emit_module};
     use crate::select::ORDER3_MODE_ORDERS;
+    use obs::Collector;
     use proptest::prelude::*;
     use sparse_formats::CooMatrix;
     use sparse_tensor::example::figure1_matrix;
@@ -1080,16 +1066,14 @@ mod tests {
     fn unpacking_a_routine_that_omits_a_buffer_or_scalar_is_an_error() {
         let src = AnyTensor::Coo(CooMatrix::from_triples(&figure1_matrix()));
         // Run the COO -> COO routine, then unpack as if it had assembled...
-        let mut interp = Interpreter::new();
-        bind_source(&mut interp, &src).unwrap();
-        interp
-            .run(&generate(&Format::coo(), &Format::coo()).unwrap())
-            .unwrap();
+        let routine = compiled::lookup("convert_coo_to_coo").unwrap();
+        let inputs = bind(&src).unwrap();
         for (target, name) in [
             (Format::csr(), "`B_pos`"), // ...a compressed level,
             (Format::ell(), "`K`"),     // ...and an analysed slice count.
         ] {
-            let got = unpack_target(&mut interp, &src, &Layout::of(&target).unwrap());
+            let outputs = routine(&inputs).unwrap();
+            let got = unpack_target(outputs, &src, &Layout::of(&target).unwrap());
             let Err(ConvertError::UnsupportedSpec { reason }) = got else {
                 panic!("{target}: {got:?}");
             };
@@ -1134,12 +1118,13 @@ mod tests {
             .map(|(source, target)| {
                 let function = generate(source, target).unwrap();
                 let params = Layout::of(source).unwrap().params();
-                let code = emit_function(&function, &params).unwrap();
+                let outputs = Layout::of(target).unwrap().outputs();
+                let code = emit_function(&function, &params, &outputs).unwrap();
                 (function.name, code)
             })
             .collect();
-        let (function, params) = crate::emit::tests::fixture();
-        let fixture = emit_function(&function, &params).unwrap();
+        let (function, params, outputs) = crate::emit::tests::fixture();
+        let fixture = emit_function(&function, &params, &outputs).unwrap();
         let fresh = emit_module(&routines, &[(function.name, fixture)]);
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/ir/compiled.rs");
         if std::fs::read_to_string(&path).ok().as_deref() != Some(fresh.as_str()) {
@@ -1169,12 +1154,32 @@ mod tests {
                 if execute_format(&src, target).is_ok() {
                     let name = generate(&source, target).unwrap().name;
                     assert!(compiled::lookup(&name).is_some(), "{source} -> {target}");
-                    assert!(compiled_ahead(target), "{source} -> {target}");
                     served += 1;
                 }
             }
         }
         assert_eq!(served, compiled_pairs().len());
+    }
+
+    /// Runs `source`'s routine into `target` on `inputs` through the
+    /// interpreter and the compiled routine, which must return the same
+    /// outputs, bit for bit, or the same error; returns the result.
+    fn both_tiers(
+        source: &Format,
+        target: &Format,
+        inputs: &Inputs,
+    ) -> Result<Outputs, InterpError> {
+        let pair = format!("{source} -> {target}");
+        let function = generate(source, target).unwrap();
+        let (src, dst) = (Layout::of(source).unwrap(), Layout::of(target).unwrap());
+        let name = routine_name(&src, &dst).unwrap();
+        let routine = compiled::lookup(&name).expect("a compiled routine");
+        let expected = interpret(&function, &src.params(), inputs, &dst.outputs());
+        let got = routine(inputs).map_err(|fault| *fault);
+        let bits =
+            |result: &Result<Outputs, InterpError>| result.as_ref().map(bits).map_err(Clone::clone);
+        assert_eq!(bits(&expected), bits(&got), "{pair}");
+        got
     }
 
     /// Runs every compiled pair from `t`'s order on `t` (coordinate lists
@@ -1203,34 +1208,137 @@ mod tests {
                 }
                 other => other,
             };
-            let function = generate(source, target).unwrap();
-            let routine = compiled::lookup(&function.name).expect("a compiled routine");
-            let mut interpreted = Interpreter::new();
-            bind_source(&mut interpreted, &src).unwrap();
-            let mut compiled = interpreted.clone();
-            let expected = interpreted.run(&function);
-            let got = routine(&mut compiled).map_err(|fault| *fault);
-            assert_eq!(expected, got, "{pair}");
-            assert!(expected.is_ok(), "{pair}: {expected:?}");
-            assert_eq!(tables(&interpreted), tables(&compiled), "{pair}");
+            let outputs = both_tiers(source, target, &bind(&src).unwrap());
+            let outputs = outputs.unwrap_or_else(|fault| panic!("{pair}: {fault}"));
+            let unpacked = unpack_target(outputs, &src, &Layout::of(target).unwrap());
+            assert!(unpacked.is_ok(), "{pair}: {unpacked:?}");
         }
     }
 
-    /// A builder format whose routine has a compiled routine's name (its
-    /// name lowercases to `csf_201`) but another specification runs
-    /// interpreted, and converts to what the dynamic driver builds.
+    /// Arrays no container would accept, bound directly: each source chain
+    /// reads past an array, and both tiers report the same load or store.
     #[test]
-    fn a_builder_format_named_like_a_compiled_routine_is_interpreted() {
-        let spec = "CSF_201:(i,j,k)->(j,i,k):j,i,k:compressed,compressed,compressed";
-        let impostor: Format = spec.parse().unwrap();
-        let function = generate(&Format::coo3(), &impostor).unwrap();
-        assert_eq!(function.name, "convert_coo3_to_csf_201");
-        assert!(compiled::lookup(&function.name).is_some());
-        assert!(!compiled_ahead(&impostor));
+    fn damaged_inputs_fail_alike_in_both_tiers() {
+        let out_of_bounds = |buffer: &str, index, len| InterpError::OutOfBounds {
+            buffer: buffer.into(),
+            index,
+            len,
+        };
+        let vals = [1.0, 2.0, 3.0, 4.0];
+        // CSR: row 1 ends at 4, past `crd`'s 3 entries.
+        let (pos, crd) = ([0, 2, 4], [0, 1, 1]);
+        let csr = Inputs {
+            ints: vec![&pos, &crd],
+            floats: vec![&vals[..3]],
+            scalars: vec![2, 2, 3],
+        };
+        let want = out_of_bounds("A_crd", 3, 3);
+        assert_eq!(
+            both_tiers(&Format::csr(), &Format::csc(), &csr).err(),
+            Some(want)
+        );
+        // COO: a row coordinate of 5 in a 2 x 2 matrix.
+        let (rows, cols) = ([0, 5], [1, 0]);
+        let coo = Inputs {
+            ints: vec![&rows, &cols],
+            floats: vec![&vals[..2]],
+            scalars: vec![2, 2, 2],
+        };
+        let want = out_of_bounds("count", 5, 2);
+        assert_eq!(
+            both_tiers(&Format::coo(), &Format::csr(), &coo).err(),
+            Some(want)
+        );
+        // CSF: the leaf `pos` steps back from 3 to 1, so the leaves are
+        // walked six times for four nonzeros.
+        let (i, j_pos, j, k_pos, k) = ([0], [0, 3], [0, 1, 2], [0, 3, 1, 4], [0, 1, 2, 3]);
+        let csf = Inputs {
+            ints: vec![&i, &j_pos, &j, &k_pos, &k],
+            floats: vec![&vals],
+            scalars: vec![1, 3, 4, 1, 4],
+        };
+        let want = out_of_bounds("B1_crd", 4, 4);
+        assert_eq!(
+            both_tiers(&Format::csf(), &Format::coo3(), &csf).err(),
+            Some(want)
+        );
+    }
+
+    /// A builder format whose routine has a compiled routine's name (its
+    /// name lowercases to `csf_201`) but another mode order runs the routine
+    /// of its structure, `CSF@1,0,2`'s, as does a builder CSF in the
+    /// identity order; both convert to what the dynamic driver builds.
+    #[test]
+    fn a_builder_format_named_like_a_compiled_routine_is_compiled() {
         let t = sparse_tensor::example::example3_tensor();
         let src = AnyTensor::from_triples(&t, Format::coo3()).unwrap();
-        let expected = convert(&src, &impostor).unwrap();
-        assert_eq!(execute_format(&src, &impostor).unwrap(), expected);
+        let coo3 = Format::coo3();
+        let coo3 = Layout::of(&coo3).unwrap();
+        for (spec, listed, routine) in [
+            (
+                "CSF_201:(i,j,k)->(j,i,k):j,i,k:compressed,compressed,compressed",
+                "convert_coo3_to_csf_201",
+                "convert_coo3_to_csf_102",
+            ),
+            (
+                "CODEGEN-TEST-CSF:(i,j,k)->(i,j,k):i,j,k:compressed,compressed,compressed",
+                "convert_coo3_to_codegen_test_csf",
+                "convert_coo3_to_csf",
+            ),
+        ] {
+            let builder: Format = spec.parse().unwrap();
+            assert!(builder.id().is_none(), "{builder}");
+            let function = generate(&Format::coo3(), &builder).unwrap();
+            assert_eq!(function.name, listed);
+            let layout = Layout::of(&builder).unwrap();
+            assert_eq!(routine_name(&coo3, &layout).unwrap(), routine);
+            let root = Span::enter_traced("test.builder_csf");
+            let trace = root.handle().trace_id();
+            let got = execute_format(&src, &builder).unwrap();
+            drop(root);
+            let expected = convert_with_spec(&src, builder.spec().unwrap()).unwrap();
+            assert_eq!(got, AnyTensor::Custom(Box::new(expected)), "{builder}");
+            let records = Collector::global().take_trace(trace);
+            let run = records.iter().find(|r| r.name == "ir.run").unwrap();
+            let tiers: Vec<_> = records
+                .iter()
+                .filter(|r| r.parent == Some(run.id))
+                .collect();
+            assert_eq!(tiers.len(), 1, "{builder}");
+            assert_eq!(tiers[0].name, "ir.compiled", "{builder}");
+        }
+    }
+
+    /// A builder-made order-2 target generates, but has no container: it is
+    /// refused before its inputs are bound or anything runs.
+    #[test]
+    fn order2_builder_targets_are_refused_before_running() {
+        let src = AnyTensor::Coo(CooMatrix::from_triples(&figure1_matrix()));
+        for spec in [
+            "CODEGEN-TEST-COO:(i,j)->(i,j):i,j:compressed-nonunique,singleton",
+            "CODEGEN-TEST-CSR:(i,j)->(i,j):i,j:dense,compressed",
+            "CODEGEN-TEST-CSC:(i,j)->(j,i):j,i:dense,compressed",
+            "CODEGEN-TEST-DIA:(i,j)->(j-i,i,j):k,i,j:squeezed,dense,singleton",
+            "CODEGEN-TEST-ELL:(i,j)->(k=#i in k,i,j):k,i,j:sliced,dense,singleton",
+        ] {
+            let builder: Format = spec.parse().unwrap();
+            assert!(generate(&Format::coo(), &builder).is_ok(), "{builder}");
+            let root = Span::enter_traced("test.order2_builder");
+            let trace = root.handle().trace_id();
+            let got = execute_format(&src, &builder);
+            drop(root);
+            assert!(
+                matches!(got, Err(ConvertError::Unsupported(_))),
+                "{builder}: {got:?}"
+            );
+            let records = Collector::global().take_trace(trace);
+            let names: Vec<_> = records.iter().map(|r| r.name).collect();
+            assert_eq!(
+                names,
+                ["codegen.generate", "test.order2_builder"],
+                "{builder}"
+            );
+        }
     }
 
     /// Payloads: ordinary values, both zeros and two NaNs (one with a

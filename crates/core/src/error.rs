@@ -41,7 +41,7 @@ pub enum ConvertError {
     /// An attribute query failed to evaluate.
     Query(crate::query::QueryError),
     /// Generated IR failed to execute.
-    Interp(crate::ir::interp::InterpError),
+    Interp(crate::ir::checked::InterpError),
     /// A padded output (DIA diagonals or ELL slices times rows, BCSR blocks
     /// times the block size, the value array of a spec's full levels) would
     /// hold more slots than [`crate::tunables::PADDED_EXPANSION_MAX`] admits
@@ -135,8 +135,8 @@ impl From<crate::query::QueryError> for ConvertError {
     }
 }
 
-impl From<crate::ir::interp::InterpError> for ConvertError {
-    fn from(e: crate::ir::interp::InterpError) -> Self {
+impl From<crate::ir::checked::InterpError> for ConvertError {
+    fn from(e: crate::ir::checked::InterpError) -> Self {
         ConvertError::Interp(e)
     }
 }
@@ -153,7 +153,7 @@ mod tests {
         assert!(e.to_string().contains("remapping"));
         let e: ConvertError = crate::query::QueryError::Parse("x".into()).into();
         assert!(e.to_string().contains("query"));
-        let e: ConvertError = crate::ir::interp::InterpError::DivisionByZero.into();
+        let e: ConvertError = crate::ir::checked::InterpError::DivisionByZero.into();
         assert!(e.to_string().contains("generated code"));
         assert!(ConvertError::Unsupported("skyline needs square".into())
             .to_string()

@@ -884,6 +884,22 @@ mod tests {
     }
 
     #[test]
+    fn a_group_space_too_large_to_allocate_is_a_typed_error() {
+        // A 2^61 x 4 matrix holding one nonzero: the compressed level's
+        // `count` table has 2^61 rows, whose byte count overflows, so it is
+        // refused before anything is allocated.
+        let t = SparseTriples::from_matrix_entries(1 << 61, 4, vec![(7, 2, 1.0)]).unwrap();
+        let src = AnyTensor::Coo(CooMatrix::from_triples(&t));
+        let wide: crate::format::Format = "WIDE:(i,j)->(i,j):i,j:dense,compressed".parse().unwrap();
+        assert_eq!(
+            convert_with_spec(&src, wide.spec().unwrap()),
+            Err(ConvertError::Query(
+                crate::query::QueryError::GroupSpaceOverflow
+            ))
+        );
+    }
+
+    #[test]
     fn wide_full_levels_past_the_padding_limit_are_typed_errors() {
         // Two dense levels over a 2^20 x 2^20 matrix: 2^40 value slots for
         // one nonzero, refused before any is allocated.

@@ -1,17 +1,134 @@
-//! The checked operations compiled routines are made of.
+//! What compiled routines are made of: the checked operations, the inputs
+//! they borrow, the outputs they return and the errors they raise.
 //!
-//! Each fails with the [`InterpError`] the interpreter raises for the same
-//! fault, payload included, so a routine in [`compiled`](crate::ir::compiled)
-//! and the same routine run by [`Interpreter`](crate::ir::interp::Interpreter)
-//! cannot be told apart by their results. There is no unchecked access: every
-//! index goes through `get`, and every failure is a returned error, boxed (as
-//! the interpreter boxes it) so that a `Checked<i64>` is two words wide and
-//! the hot paths pass it in registers.
+//! A [`Routine`] borrows its source's arrays as [`Inputs`] and returns, as
+//! [`Outputs`], only what the target's container is built from. Each
+//! operation fails with the [`InterpError`] the IR's reference interpreter
+//! (a test-only module) raises for the same fault, payload included, so the
+//! two cannot be told apart by their results. There is no unchecked access:
+//! every index goes through `get`, and every failure is a returned error,
+//! boxed so that a `Checked<i64>` is two words wide and the hot paths pass it
+//! in registers.
 
-use crate::ir::interp::InterpError;
+use std::error::Error;
+use std::fmt;
+
+/// Errors raised while executing IR.
+#[derive(Debug, Clone, PartialEq)]
+pub enum InterpError {
+    /// A scalar variable was read before being defined.
+    UndefinedVariable(String),
+    /// A buffer was accessed that does not exist in the environment.
+    UndefinedBuffer(String),
+    /// A buffer access was out of bounds.
+    OutOfBounds {
+        /// Buffer name.
+        buffer: String,
+        /// Offending index.
+        index: i64,
+        /// Buffer length.
+        len: usize,
+    },
+    /// A value, or a name's definitions, had the wrong type.
+    TypeError(String),
+    /// Division or remainder by zero.
+    DivisionByZero,
+    /// A loop exceeded its iteration budget ([`WHILE_BUDGET`]; guards
+    /// against nontermination).
+    IterationLimit,
+    /// An allocation size was negative.
+    NegativeAllocation(i64),
+    /// An allocation of this many elements could not be made: its size in
+    /// bytes overflows, or the allocator refused it.
+    AllocationFailed(i64),
+}
+
+impl fmt::Display for InterpError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InterpError::UndefinedVariable(name) => write!(f, "undefined variable `{name}`"),
+            InterpError::UndefinedBuffer(name) => write!(f, "undefined buffer `{name}`"),
+            InterpError::OutOfBounds { buffer, index, len } => {
+                write!(
+                    f,
+                    "index {index} out of bounds for buffer `{buffer}` of length {len}"
+                )
+            }
+            InterpError::TypeError(msg) => write!(f, "type error: {msg}"),
+            InterpError::DivisionByZero => write!(f, "division by zero"),
+            InterpError::IterationLimit => write!(f, "iteration limit exceeded"),
+            InterpError::NegativeAllocation(size) => write!(f, "negative allocation size {size}"),
+            InterpError::AllocationFailed(size) => write!(f, "cannot allocate {size} elements"),
+        }
+    }
+}
+
+impl Error for InterpError {}
 
 /// The outcome of a checked operation.
 pub type Checked<T> = Result<T, Box<InterpError>>;
+
+/// The most iterations one `while` loop may run.
+pub const WHILE_BUDGET: u64 = 1 << 32;
+
+/// What a routine parameter, or a value it returns, holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Param {
+    /// An integer array (`pos`, `crd`).
+    Ints,
+    /// A value array.
+    Floats,
+    /// An integer scalar (an extent or a count).
+    Int,
+}
+
+/// A compiled routine.
+pub type Routine = fn(&Inputs<'_>) -> Checked<Outputs>;
+
+/// What a routine reads: its parameters by kind, each kind in parameter
+/// order. The integer arrays are the source container's own; a routine
+/// widens what it loads to `i64`.
+#[derive(Debug, Clone, Default)]
+pub struct Inputs<'a> {
+    /// The integer arrays.
+    pub ints: Vec<&'a [usize]>,
+    /// The value arrays.
+    pub floats: Vec<&'a [f64]>,
+    /// The integer scalars.
+    pub scalars: Vec<i64>,
+}
+
+impl<'a> Inputs<'a> {
+    /// The integer array at `at`, which the routine calls `name`.
+    pub fn int_array(&self, at: usize, name: &str) -> Checked<&'a [usize]> {
+        let array = self.ints.get(at).copied();
+        array.ok_or_else(|| Box::new(InterpError::UndefinedBuffer(name.to_string())))
+    }
+
+    /// The value array at `at`, which the routine calls `name`.
+    pub fn float_array(&self, at: usize, name: &str) -> Checked<&'a [f64]> {
+        let array = self.floats.get(at).copied();
+        array.ok_or_else(|| Box::new(InterpError::UndefinedBuffer(name.to_string())))
+    }
+
+    /// The integer scalar at `at`, which the routine calls `name`.
+    pub fn int(&self, at: usize, name: &str) -> Checked<i64> {
+        let value = self.scalars.get(at).copied();
+        value.ok_or_else(|| Box::new(InterpError::UndefinedVariable(name.to_string())))
+    }
+}
+
+/// What a routine returns, by name: the buffers and scalars its target's
+/// container is built from.
+#[derive(Debug, Clone, Default)]
+pub struct Outputs {
+    /// The integer buffers.
+    pub ints: Vec<(&'static str, Vec<i64>)>,
+    /// The value buffers.
+    pub floats: Vec<(&'static str, Vec<f64>)>,
+    /// The integer scalars.
+    pub scalars: Vec<(&'static str, i64)>,
+}
 
 #[cold]
 #[inline(never)]

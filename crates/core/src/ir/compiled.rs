@@ -4,20 +4,14 @@
 
 //! Conversion routines compiled ahead of time.
 //!
-//! Every routine `codegen::execute_format` can serve, emitted by
-//! [`emit_function`](crate::ir::emit::emit_function) from what
-//! `codegen::generate` returns for it. Each runs against an [`Interpreter`]'s
-//! tables with every access checked, exactly as `Interpreter::run` would run
-//! the same function.
+//! Every routine `codegen::execute_format` can serve, emitted by the
+//! test-only `ir::emit` from what `codegen::generate` returns for it. Each
+//! borrows its source's arrays as [`Inputs`] and returns what its target's
+//! container is built from as [`Outputs`], with every access checked.
 
-#![allow(non_snake_case, clippy::needless_late_init)]
+#![allow(non_snake_case, unused_assignments, unused_variables, clippy::needless_late_init)]
 
 use crate::ir::checked::*;
-use crate::ir::interp::{Buffer, Interpreter};
-
-/// A compiled routine: reads its inputs from the interpreter's tables and
-/// leaves there what `Interpreter::run` would, or fails as it would.
-pub type Routine = fn(&mut Interpreter) -> Checked<()>;
 
 /// The routine compiled ahead of time for the function named `name`.
 pub fn lookup(name: &str) -> Option<Routine> {
@@ -50,17 +44,17 @@ pub fn lookup(name: &str) -> Option<Routine> {
     })
 }
 
-fn convert_coo_to_coo(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo_to_coo(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_nnz = inputs.int(2, "nnz")?;
     let mut b_B1_crd: Vec<i64>;
     let mut b_B2_crd: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
     let mut v_q: i64;
     // assembly: append nonzeros in source order
     b_B1_crd = alloc(v_nnz)?;
@@ -68,167 +62,152 @@ fn convert_coo_to_coo(env: &mut Interpreter) -> Checked<()> {
     b_B_vals = alloc(v_nnz)?;
     v_q = 0_i64;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(b_A1_crd, v_p, "A1_crd")?; f_i = true;
-        v_j = ld(b_A2_crd, v_p, "A2_crd")?; f_j = true;
+        v_p = it;
+        v_i = ld(b_A1_crd, v_p, "A1_crd")? as i64;
+        v_j = ld(b_A2_crd, v_p, "A2_crd")? as i64;
         update(v_q, v_i, &mut b_B1_crd, "B1_crd", |_, v| v)?;
         update(v_q, v_j, &mut b_B2_crd, "B2_crd", |_, v| v)?;
         update(v_q, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         v_q = v_q.wrapping_add(1_i64);
     }
-    env.insert_buffer("B1_crd", Buffer::Ints(b_B1_crd));
-    env.insert_buffer("B2_crd", Buffer::Ints(b_B2_crd));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    env.insert_int("q", v_q);
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B1_crd", b_B1_crd), ("B2_crd", b_B2_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(),
+    })
 }
 
-fn convert_coo_to_csr(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo_to_csr(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_nnz = inputs.int(2, "nnz")?;
     let mut b_B_crd: Vec<i64>;
     let mut b_B_pos: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_count: Vec<i64>;
     let mut b_cursor: Vec<i64>;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB, mut f_pB) = (0_i64, false);
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
+    let mut v_pB: i64;
+    let mut v_r: i64;
     // analysis: count nonzeros per output group
     b_count = alloc(v_N)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(b_A1_crd, v_p, "A1_crd")?; f_i = true;
-        v_j = ld(b_A2_crd, v_p, "A2_crd")?; f_j = true;
+        v_p = it;
+        v_i = ld(b_A1_crd, v_p, "A1_crd")? as i64;
+        v_j = ld(b_A2_crd, v_p, "A2_crd")? as i64;
         update(v_i, 1_i64, &mut b_count, "count", i64::wrapping_add)?;
     }
     // assembly: sequenced edge insertion (pos) then coordinate insertion
     b_B_pos = alloc(v_N.wrapping_add(1_i64))?;
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_B_pos, v_r, "B_pos")?.wrapping_add(ld(&b_count, v_r, "count")?), &mut b_B_pos, "B_pos", |_, v| v)?;
     }
     b_B_crd = alloc(v_nnz)?;
     b_B_vals = alloc(v_nnz)?;
     b_cursor = alloc(v_N)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(b_A1_crd, v_p, "A1_crd")?; f_i = true;
-        v_j = ld(b_A2_crd, v_p, "A2_crd")?; f_j = true;
-        v_pB = ld(&b_B_pos, v_i, "B_pos")?.wrapping_add(ld(&b_cursor, v_i, "cursor")?); f_pB = true;
+        v_p = it;
+        v_i = ld(b_A1_crd, v_p, "A1_crd")? as i64;
+        v_j = ld(b_A2_crd, v_p, "A2_crd")? as i64;
+        v_pB = ld(&b_B_pos, v_i, "B_pos")?.wrapping_add(ld(&b_cursor, v_i, "cursor")?);
         update(v_i, 1_i64, &mut b_cursor, "cursor", i64::wrapping_add)?;
         update(v_pB, v_j, &mut b_B_crd, "B_crd", |_, v| v)?;
         update(v_pB, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
     }
-    env.insert_buffer("B_crd", Buffer::Ints(b_B_crd));
-    env.insert_buffer("B_pos", Buffer::Ints(b_B_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("count", Buffer::Ints(b_count));
-    env.insert_buffer("cursor", Buffer::Ints(b_cursor));
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB { env.insert_int("pB", v_pB); }
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_pos", b_B_pos), ("B_crd", b_B_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(),
+    })
 }
 
-fn convert_coo_to_csc(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_M = env.input_int("M")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo_to_csc(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_nnz = inputs.int(2, "nnz")?;
     let mut b_B_crd: Vec<i64>;
     let mut b_B_pos: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_count: Vec<i64>;
     let mut b_cursor: Vec<i64>;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB, mut f_pB) = (0_i64, false);
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
+    let mut v_pB: i64;
+    let mut v_r: i64;
     // analysis: count nonzeros per output group
     b_count = alloc(v_M)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(b_A1_crd, v_p, "A1_crd")?; f_i = true;
-        v_j = ld(b_A2_crd, v_p, "A2_crd")?; f_j = true;
+        v_p = it;
+        v_i = ld(b_A1_crd, v_p, "A1_crd")? as i64;
+        v_j = ld(b_A2_crd, v_p, "A2_crd")? as i64;
         update(v_j, 1_i64, &mut b_count, "count", i64::wrapping_add)?;
     }
     // assembly: sequenced edge insertion (pos) then coordinate insertion
     b_B_pos = alloc(v_M.wrapping_add(1_i64))?;
     for it in 0_i64..v_M {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_B_pos, v_r, "B_pos")?.wrapping_add(ld(&b_count, v_r, "count")?), &mut b_B_pos, "B_pos", |_, v| v)?;
     }
     b_B_crd = alloc(v_nnz)?;
     b_B_vals = alloc(v_nnz)?;
     b_cursor = alloc(v_M)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(b_A1_crd, v_p, "A1_crd")?; f_i = true;
-        v_j = ld(b_A2_crd, v_p, "A2_crd")?; f_j = true;
-        v_pB = ld(&b_B_pos, v_j, "B_pos")?.wrapping_add(ld(&b_cursor, v_j, "cursor")?); f_pB = true;
+        v_p = it;
+        v_i = ld(b_A1_crd, v_p, "A1_crd")? as i64;
+        v_j = ld(b_A2_crd, v_p, "A2_crd")? as i64;
+        v_pB = ld(&b_B_pos, v_j, "B_pos")?.wrapping_add(ld(&b_cursor, v_j, "cursor")?);
         update(v_j, 1_i64, &mut b_cursor, "cursor", i64::wrapping_add)?;
         update(v_pB, v_i, &mut b_B_crd, "B_crd", |_, v| v)?;
         update(v_pB, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
     }
-    env.insert_buffer("B_crd", Buffer::Ints(b_B_crd));
-    env.insert_buffer("B_pos", Buffer::Ints(b_B_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("count", Buffer::Ints(b_count));
-    env.insert_buffer("cursor", Buffer::Ints(b_cursor));
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB { env.insert_int("pB", v_pB); }
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_pos", b_B_pos), ("B_crd", b_B_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(),
+    })
 }
 
-fn convert_coo_to_dia(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo_to_dia(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_nnz = inputs.int(2, "nnz")?;
     let mut b_B_perm: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_nz: Vec<i64>;
     let mut b_rperm: Vec<i64>;
     let mut v_K: i64;
-    let (mut v_d, mut f_d) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_k, mut f_k) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB1, mut f_pB1) = (0_i64, false);
-    let (mut v_pB2, mut f_pB2) = (0_i64, false);
+    let mut v_d: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_k: i64;
+    let mut v_p: i64;
+    let mut v_pB1: i64;
+    let mut v_pB2: i64;
     // fused remapping + analysis: mark nonzero diagonals
     b_nz = alloc(i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(b_A1_crd, v_p, "A1_crd")?; f_i = true;
-        v_j = ld(b_A2_crd, v_p, "A2_crd")?; f_j = true;
-        v_k = v_j.wrapping_sub(v_i); f_k = true;
+        v_p = it;
+        v_i = ld(b_A1_crd, v_p, "A1_crd")? as i64;
+        v_j = ld(b_A2_crd, v_p, "A2_crd")? as i64;
+        v_k = v_j.wrapping_sub(v_i);
         update(v_k.wrapping_add(v_N.wrapping_sub(1_i64)), 1_i64, &mut b_nz, "nz", |_, v| v)?;
     }
     // assembly: collect offsets (perm), build rperm, scatter values
     b_B_perm = alloc(i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64))?;
     v_K = 0_i64;
     for it in 0_i64..i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64) {
-        v_d = it; f_d = true;
+        v_d = it;
         if ld(&b_nz, v_d, "nz")? != 0_i64 {
             update(v_K, v_d.wrapping_sub(v_N.wrapping_sub(1_i64)), &mut b_B_perm, "B_perm", |_, v| v)?;
             v_K = v_K.wrapping_add(1_i64);
@@ -236,62 +215,54 @@ fn convert_coo_to_dia(env: &mut Interpreter) -> Checked<()> {
     }
     b_rperm = alloc(i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64))?;
     for it in 0_i64..v_K {
-        v_d = it; f_d = true;
+        v_d = it;
         update(ld(&b_B_perm, v_d, "B_perm")?.wrapping_add(v_N.wrapping_sub(1_i64)), v_d, &mut b_rperm, "rperm", |_, v| v)?;
     }
     b_B_vals = alloc(v_K.wrapping_mul(v_N))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(b_A1_crd, v_p, "A1_crd")?; f_i = true;
-        v_j = ld(b_A2_crd, v_p, "A2_crd")?; f_j = true;
-        v_k = v_j.wrapping_sub(v_i); f_k = true;
-        v_pB1 = ld(&b_rperm, v_k.wrapping_add(v_N.wrapping_sub(1_i64)), "rperm")?; f_pB1 = true;
-        v_pB2 = v_pB1.wrapping_mul(v_N).wrapping_add(v_i); f_pB2 = true;
+        v_p = it;
+        v_i = ld(b_A1_crd, v_p, "A1_crd")? as i64;
+        v_j = ld(b_A2_crd, v_p, "A2_crd")? as i64;
+        v_k = v_j.wrapping_sub(v_i);
+        v_pB1 = ld(&b_rperm, v_k.wrapping_add(v_N.wrapping_sub(1_i64)), "rperm")?;
+        v_pB2 = v_pB1.wrapping_mul(v_N).wrapping_add(v_i);
         update(v_pB2, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
     }
-    env.insert_buffer("B_perm", Buffer::Ints(b_B_perm));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("nz", Buffer::Ints(b_nz));
-    env.insert_buffer("rperm", Buffer::Ints(b_rperm));
-    env.insert_int("K", v_K);
-    if f_d { env.insert_int("d", v_d); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_k { env.insert_int("k", v_k); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB1 { env.insert_int("pB1", v_pB1); }
-    if f_pB2 { env.insert_int("pB2", v_pB2); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_perm", b_B_perm)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("K", v_K)),
+    })
 }
 
-fn convert_coo_to_ell(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo_to_ell(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_nnz = inputs.int(2, "nnz")?;
     let mut b_B_crd: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_count: Vec<i64>;
     let mut b_counter: Vec<i64>;
     let mut v_K: i64;
-    let (mut v_c, mut f_c) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB, mut f_pB) = (0_i64, false);
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_c: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
+    let mut v_pB: i64;
+    let mut v_r: i64;
     // analysis: maximum number of nonzeros in any row
     b_count = alloc(v_N)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(b_A1_crd, v_p, "A1_crd")?; f_i = true;
-        v_j = ld(b_A2_crd, v_p, "A2_crd")?; f_j = true;
+        v_p = it;
+        v_i = ld(b_A1_crd, v_p, "A1_crd")? as i64;
+        v_j = ld(b_A2_crd, v_p, "A2_crd")? as i64;
         update(v_i, 1_i64, &mut b_count, "count", i64::wrapping_add)?;
     }
     v_K = 0_i64;
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         v_K = i64::max(v_K, ld(&b_count, v_r, "count")?);
     }
     // assembly: scatter into K slices (calloc'd output)
@@ -299,41 +270,34 @@ fn convert_coo_to_ell(env: &mut Interpreter) -> Checked<()> {
     b_B_vals = alloc(v_K.wrapping_mul(v_N))?;
     b_counter = alloc(v_N)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(b_A1_crd, v_p, "A1_crd")?; f_i = true;
-        v_j = ld(b_A2_crd, v_p, "A2_crd")?; f_j = true;
-        v_c = ld(&b_counter, v_i, "counter")?; f_c = true;
+        v_p = it;
+        v_i = ld(b_A1_crd, v_p, "A1_crd")? as i64;
+        v_j = ld(b_A2_crd, v_p, "A2_crd")? as i64;
+        v_c = ld(&b_counter, v_i, "counter")?;
         update(v_i, 1_i64, &mut b_counter, "counter", i64::wrapping_add)?;
-        v_pB = v_c.wrapping_mul(v_N).wrapping_add(v_i); f_pB = true;
+        v_pB = v_c.wrapping_mul(v_N).wrapping_add(v_i);
         update(v_pB, v_j, &mut b_B_crd, "B_crd", |_, v| v)?;
         update(v_pB, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
     }
-    env.insert_buffer("B_crd", Buffer::Ints(b_B_crd));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("count", Buffer::Ints(b_count));
-    env.insert_buffer("counter", Buffer::Ints(b_counter));
-    env.insert_int("K", v_K);
-    if f_c { env.insert_int("c", v_c); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB { env.insert_int("pB", v_pB); }
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_crd", b_B_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("K", v_K)),
+    })
 }
 
-fn convert_csr_to_coo(env: &mut Interpreter) -> Checked<()> {
-    let b_A_crd = env.input("A_crd", Buffer::as_ints)?;
-    let b_A_pos = env.input("A_pos", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_csr_to_coo(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A_pos = inputs.int_array(0, "A_pos")?;
+    let b_A_crd = inputs.int_array(1, "A_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_nnz = inputs.int(2, "nnz")?;
     let mut b_B1_crd: Vec<i64>;
     let mut b_B2_crd: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
     let mut v_q: i64;
     // assembly: append nonzeros in source order
     b_B1_crd = alloc(v_nnz)?;
@@ -341,171 +305,156 @@ fn convert_csr_to_coo(env: &mut Interpreter) -> Checked<()> {
     b_B_vals = alloc(v_nnz)?;
     v_q = 0_i64;
     for it in 0_i64..v_N {
-        v_i = it; f_i = true;
-        for it in ld(b_A_pos, v_i, "A_pos")?..ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_j = ld(b_A_crd, v_p, "A_crd")?; f_j = true;
+        v_i = it;
+        for it in (ld(b_A_pos, v_i, "A_pos")? as i64)..(ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_j = ld(b_A_crd, v_p, "A_crd")? as i64;
             update(v_q, v_i, &mut b_B1_crd, "B1_crd", |_, v| v)?;
             update(v_q, v_j, &mut b_B2_crd, "B2_crd", |_, v| v)?;
             update(v_q, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
             v_q = v_q.wrapping_add(1_i64);
         }
     }
-    env.insert_buffer("B1_crd", Buffer::Ints(b_B1_crd));
-    env.insert_buffer("B2_crd", Buffer::Ints(b_B2_crd));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    env.insert_int("q", v_q);
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B1_crd", b_B1_crd), ("B2_crd", b_B2_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(),
+    })
 }
 
-fn convert_csr_to_csr(env: &mut Interpreter) -> Checked<()> {
-    let b_A_crd = env.input("A_crd", Buffer::as_ints)?;
-    let b_A_pos = env.input("A_pos", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_csr_to_csr(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A_pos = inputs.int_array(0, "A_pos")?;
+    let b_A_crd = inputs.int_array(1, "A_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_nnz = inputs.int(2, "nnz")?;
     let mut b_B_crd: Vec<i64>;
     let mut b_B_pos: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_count: Vec<i64>;
     let mut b_cursor: Vec<i64>;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB, mut f_pB) = (0_i64, false);
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
+    let mut v_pB: i64;
+    let mut v_r: i64;
     // analysis: count nonzeros per output group
     b_count = alloc(v_N)?;
     for it in 0_i64..v_N {
-        v_i = it; f_i = true;
-        for it in ld(b_A_pos, v_i, "A_pos")?..ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_j = ld(b_A_crd, v_p, "A_crd")?; f_j = true;
+        v_i = it;
+        for it in (ld(b_A_pos, v_i, "A_pos")? as i64)..(ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_j = ld(b_A_crd, v_p, "A_crd")? as i64;
             update(v_i, 1_i64, &mut b_count, "count", i64::wrapping_add)?;
         }
     }
     // assembly: sequenced edge insertion (pos) then coordinate insertion
     b_B_pos = alloc(v_N.wrapping_add(1_i64))?;
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_B_pos, v_r, "B_pos")?.wrapping_add(ld(&b_count, v_r, "count")?), &mut b_B_pos, "B_pos", |_, v| v)?;
     }
     b_B_crd = alloc(v_nnz)?;
     b_B_vals = alloc(v_nnz)?;
     b_cursor = alloc(v_N)?;
     for it in 0_i64..v_N {
-        v_i = it; f_i = true;
-        for it in ld(b_A_pos, v_i, "A_pos")?..ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_j = ld(b_A_crd, v_p, "A_crd")?; f_j = true;
-            v_pB = ld(&b_B_pos, v_i, "B_pos")?.wrapping_add(ld(&b_cursor, v_i, "cursor")?); f_pB = true;
+        v_i = it;
+        for it in (ld(b_A_pos, v_i, "A_pos")? as i64)..(ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_j = ld(b_A_crd, v_p, "A_crd")? as i64;
+            v_pB = ld(&b_B_pos, v_i, "B_pos")?.wrapping_add(ld(&b_cursor, v_i, "cursor")?);
             update(v_i, 1_i64, &mut b_cursor, "cursor", i64::wrapping_add)?;
             update(v_pB, v_j, &mut b_B_crd, "B_crd", |_, v| v)?;
             update(v_pB, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         }
     }
-    env.insert_buffer("B_crd", Buffer::Ints(b_B_crd));
-    env.insert_buffer("B_pos", Buffer::Ints(b_B_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("count", Buffer::Ints(b_count));
-    env.insert_buffer("cursor", Buffer::Ints(b_cursor));
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB { env.insert_int("pB", v_pB); }
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_pos", b_B_pos), ("B_crd", b_B_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(),
+    })
 }
 
-fn convert_csr_to_csc(env: &mut Interpreter) -> Checked<()> {
-    let b_A_crd = env.input("A_crd", Buffer::as_ints)?;
-    let b_A_pos = env.input("A_pos", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_csr_to_csc(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A_pos = inputs.int_array(0, "A_pos")?;
+    let b_A_crd = inputs.int_array(1, "A_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_nnz = inputs.int(2, "nnz")?;
     let mut b_B_crd: Vec<i64>;
     let mut b_B_pos: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_count: Vec<i64>;
     let mut b_cursor: Vec<i64>;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB, mut f_pB) = (0_i64, false);
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
+    let mut v_pB: i64;
+    let mut v_r: i64;
     // analysis: count nonzeros per output group
     b_count = alloc(v_M)?;
     for it in 0_i64..v_N {
-        v_i = it; f_i = true;
-        for it in ld(b_A_pos, v_i, "A_pos")?..ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_j = ld(b_A_crd, v_p, "A_crd")?; f_j = true;
+        v_i = it;
+        for it in (ld(b_A_pos, v_i, "A_pos")? as i64)..(ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_j = ld(b_A_crd, v_p, "A_crd")? as i64;
             update(v_j, 1_i64, &mut b_count, "count", i64::wrapping_add)?;
         }
     }
     // assembly: sequenced edge insertion (pos) then coordinate insertion
     b_B_pos = alloc(v_M.wrapping_add(1_i64))?;
     for it in 0_i64..v_M {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_B_pos, v_r, "B_pos")?.wrapping_add(ld(&b_count, v_r, "count")?), &mut b_B_pos, "B_pos", |_, v| v)?;
     }
     b_B_crd = alloc(v_nnz)?;
     b_B_vals = alloc(v_nnz)?;
     b_cursor = alloc(v_M)?;
     for it in 0_i64..v_N {
-        v_i = it; f_i = true;
-        for it in ld(b_A_pos, v_i, "A_pos")?..ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_j = ld(b_A_crd, v_p, "A_crd")?; f_j = true;
-            v_pB = ld(&b_B_pos, v_j, "B_pos")?.wrapping_add(ld(&b_cursor, v_j, "cursor")?); f_pB = true;
+        v_i = it;
+        for it in (ld(b_A_pos, v_i, "A_pos")? as i64)..(ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_j = ld(b_A_crd, v_p, "A_crd")? as i64;
+            v_pB = ld(&b_B_pos, v_j, "B_pos")?.wrapping_add(ld(&b_cursor, v_j, "cursor")?);
             update(v_j, 1_i64, &mut b_cursor, "cursor", i64::wrapping_add)?;
             update(v_pB, v_i, &mut b_B_crd, "B_crd", |_, v| v)?;
             update(v_pB, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         }
     }
-    env.insert_buffer("B_crd", Buffer::Ints(b_B_crd));
-    env.insert_buffer("B_pos", Buffer::Ints(b_B_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("count", Buffer::Ints(b_count));
-    env.insert_buffer("cursor", Buffer::Ints(b_cursor));
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB { env.insert_int("pB", v_pB); }
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_pos", b_B_pos), ("B_crd", b_B_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(),
+    })
 }
 
-fn convert_csr_to_dia(env: &mut Interpreter) -> Checked<()> {
-    let b_A_crd = env.input("A_crd", Buffer::as_ints)?;
-    let b_A_pos = env.input("A_pos", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
+fn convert_csr_to_dia(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A_pos = inputs.int_array(0, "A_pos")?;
+    let b_A_crd = inputs.int_array(1, "A_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
     let mut b_B_perm: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_nz: Vec<i64>;
     let mut b_rperm: Vec<i64>;
     let mut v_K: i64;
-    let (mut v_d, mut f_d) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_k, mut f_k) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB1, mut f_pB1) = (0_i64, false);
-    let (mut v_pB2, mut f_pB2) = (0_i64, false);
+    let mut v_d: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_k: i64;
+    let mut v_p: i64;
+    let mut v_pB1: i64;
+    let mut v_pB2: i64;
     // fused remapping + analysis: mark nonzero diagonals
     b_nz = alloc(i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64))?;
     for it in 0_i64..v_N {
-        v_i = it; f_i = true;
-        for it in ld(b_A_pos, v_i, "A_pos")?..ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_j = ld(b_A_crd, v_p, "A_crd")?; f_j = true;
-            v_k = v_j.wrapping_sub(v_i); f_k = true;
+        v_i = it;
+        for it in (ld(b_A_pos, v_i, "A_pos")? as i64)..(ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_j = ld(b_A_crd, v_p, "A_crd")? as i64;
+            v_k = v_j.wrapping_sub(v_i);
             update(v_k.wrapping_add(v_N.wrapping_sub(1_i64)), 1_i64, &mut b_nz, "nz", |_, v| v)?;
         }
     }
@@ -513,7 +462,7 @@ fn convert_csr_to_dia(env: &mut Interpreter) -> Checked<()> {
     b_B_perm = alloc(i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64))?;
     v_K = 0_i64;
     for it in 0_i64..i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64) {
-        v_d = it; f_d = true;
+        v_d = it;
         if ld(&b_nz, v_d, "nz")? != 0_i64 {
             update(v_K, v_d.wrapping_sub(v_N.wrapping_sub(1_i64)), &mut b_B_perm, "B_perm", |_, v| v)?;
             v_K = v_K.wrapping_add(1_i64);
@@ -521,106 +470,92 @@ fn convert_csr_to_dia(env: &mut Interpreter) -> Checked<()> {
     }
     b_rperm = alloc(i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64))?;
     for it in 0_i64..v_K {
-        v_d = it; f_d = true;
+        v_d = it;
         update(ld(&b_B_perm, v_d, "B_perm")?.wrapping_add(v_N.wrapping_sub(1_i64)), v_d, &mut b_rperm, "rperm", |_, v| v)?;
     }
     b_B_vals = alloc(v_K.wrapping_mul(v_N))?;
     for it in 0_i64..v_N {
-        v_i = it; f_i = true;
-        for it in ld(b_A_pos, v_i, "A_pos")?..ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_j = ld(b_A_crd, v_p, "A_crd")?; f_j = true;
-            v_k = v_j.wrapping_sub(v_i); f_k = true;
-            v_pB1 = ld(&b_rperm, v_k.wrapping_add(v_N.wrapping_sub(1_i64)), "rperm")?; f_pB1 = true;
-            v_pB2 = v_pB1.wrapping_mul(v_N).wrapping_add(v_i); f_pB2 = true;
+        v_i = it;
+        for it in (ld(b_A_pos, v_i, "A_pos")? as i64)..(ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_j = ld(b_A_crd, v_p, "A_crd")? as i64;
+            v_k = v_j.wrapping_sub(v_i);
+            v_pB1 = ld(&b_rperm, v_k.wrapping_add(v_N.wrapping_sub(1_i64)), "rperm")?;
+            v_pB2 = v_pB1.wrapping_mul(v_N).wrapping_add(v_i);
             update(v_pB2, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         }
     }
-    env.insert_buffer("B_perm", Buffer::Ints(b_B_perm));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("nz", Buffer::Ints(b_nz));
-    env.insert_buffer("rperm", Buffer::Ints(b_rperm));
-    env.insert_int("K", v_K);
-    if f_d { env.insert_int("d", v_d); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_k { env.insert_int("k", v_k); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB1 { env.insert_int("pB1", v_pB1); }
-    if f_pB2 { env.insert_int("pB2", v_pB2); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_perm", b_B_perm)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("K", v_K)),
+    })
 }
 
-fn convert_csr_to_ell(env: &mut Interpreter) -> Checked<()> {
-    let b_A_crd = env.input("A_crd", Buffer::as_ints)?;
-    let b_A_pos = env.input("A_pos", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_N = env.input_int("N")?;
+fn convert_csr_to_ell(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A_pos = inputs.int_array(0, "A_pos")?;
+    let b_A_crd = inputs.int_array(1, "A_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
     let mut b_B_crd: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_count: Vec<i64>;
     let mut v_K: i64;
-    let (mut v_c, mut f_c) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB, mut f_pB) = (0_i64, false);
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_c: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
+    let mut v_pB: i64;
+    let mut v_r: i64;
     // analysis: maximum number of nonzeros in any row
     b_count = alloc(v_N)?;
     for it in 0_i64..v_N {
-        v_i = it; f_i = true;
-        for it in ld(b_A_pos, v_i, "A_pos")?..ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_j = ld(b_A_crd, v_p, "A_crd")?; f_j = true;
+        v_i = it;
+        for it in (ld(b_A_pos, v_i, "A_pos")? as i64)..(ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_j = ld(b_A_crd, v_p, "A_crd")? as i64;
             update(v_i, 1_i64, &mut b_count, "count", i64::wrapping_add)?;
         }
     }
     v_K = 0_i64;
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         v_K = i64::max(v_K, ld(&b_count, v_r, "count")?);
     }
     // assembly: scatter into K slices (calloc'd output)
     b_B_crd = alloc(v_K.wrapping_mul(v_N))?;
     b_B_vals = alloc(v_K.wrapping_mul(v_N))?;
     for it in 0_i64..v_N {
-        v_i = it; f_i = true;
-        v_c = 0_i64; f_c = true;
-        for it in ld(b_A_pos, v_i, "A_pos")?..ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_j = ld(b_A_crd, v_p, "A_crd")?; f_j = true;
-            v_pB = v_c.wrapping_mul(v_N).wrapping_add(v_i); f_pB = true;
-            v_c = v_c.wrapping_add(1_i64); f_c = true;
+        v_i = it;
+        v_c = 0_i64;
+        for it in (ld(b_A_pos, v_i, "A_pos")? as i64)..(ld(b_A_pos, v_i.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_j = ld(b_A_crd, v_p, "A_crd")? as i64;
+            v_pB = v_c.wrapping_mul(v_N).wrapping_add(v_i);
+            v_c = v_c.wrapping_add(1_i64);
             update(v_pB, v_j, &mut b_B_crd, "B_crd", |_, v| v)?;
             update(v_pB, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         }
     }
-    env.insert_buffer("B_crd", Buffer::Ints(b_B_crd));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("count", Buffer::Ints(b_count));
-    env.insert_int("K", v_K);
-    if f_c { env.insert_int("c", v_c); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB { env.insert_int("pB", v_pB); }
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_crd", b_B_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("K", v_K)),
+    })
 }
 
-fn convert_csc_to_coo(env: &mut Interpreter) -> Checked<()> {
-    let b_A_crd = env.input("A_crd", Buffer::as_ints)?;
-    let b_A_pos = env.input("A_pos", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_M = env.input_int("M")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_csc_to_coo(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A_pos = inputs.int_array(0, "A_pos")?;
+    let b_A_crd = inputs.int_array(1, "A_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_nnz = inputs.int(2, "nnz")?;
     let mut b_B1_crd: Vec<i64>;
     let mut b_B2_crd: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
     let mut v_q: i64;
     // assembly: append nonzeros in source order
     b_B1_crd = alloc(v_nnz)?;
@@ -628,171 +563,156 @@ fn convert_csc_to_coo(env: &mut Interpreter) -> Checked<()> {
     b_B_vals = alloc(v_nnz)?;
     v_q = 0_i64;
     for it in 0_i64..v_M {
-        v_j = it; f_j = true;
-        for it in ld(b_A_pos, v_j, "A_pos")?..ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_i = ld(b_A_crd, v_p, "A_crd")?; f_i = true;
+        v_j = it;
+        for it in (ld(b_A_pos, v_j, "A_pos")? as i64)..(ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_i = ld(b_A_crd, v_p, "A_crd")? as i64;
             update(v_q, v_i, &mut b_B1_crd, "B1_crd", |_, v| v)?;
             update(v_q, v_j, &mut b_B2_crd, "B2_crd", |_, v| v)?;
             update(v_q, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
             v_q = v_q.wrapping_add(1_i64);
         }
     }
-    env.insert_buffer("B1_crd", Buffer::Ints(b_B1_crd));
-    env.insert_buffer("B2_crd", Buffer::Ints(b_B2_crd));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    env.insert_int("q", v_q);
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B1_crd", b_B1_crd), ("B2_crd", b_B2_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(),
+    })
 }
 
-fn convert_csc_to_csr(env: &mut Interpreter) -> Checked<()> {
-    let b_A_crd = env.input("A_crd", Buffer::as_ints)?;
-    let b_A_pos = env.input("A_pos", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_csc_to_csr(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A_pos = inputs.int_array(0, "A_pos")?;
+    let b_A_crd = inputs.int_array(1, "A_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_nnz = inputs.int(2, "nnz")?;
     let mut b_B_crd: Vec<i64>;
     let mut b_B_pos: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_count: Vec<i64>;
     let mut b_cursor: Vec<i64>;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB, mut f_pB) = (0_i64, false);
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
+    let mut v_pB: i64;
+    let mut v_r: i64;
     // analysis: count nonzeros per output group
     b_count = alloc(v_N)?;
     for it in 0_i64..v_M {
-        v_j = it; f_j = true;
-        for it in ld(b_A_pos, v_j, "A_pos")?..ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_i = ld(b_A_crd, v_p, "A_crd")?; f_i = true;
+        v_j = it;
+        for it in (ld(b_A_pos, v_j, "A_pos")? as i64)..(ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_i = ld(b_A_crd, v_p, "A_crd")? as i64;
             update(v_i, 1_i64, &mut b_count, "count", i64::wrapping_add)?;
         }
     }
     // assembly: sequenced edge insertion (pos) then coordinate insertion
     b_B_pos = alloc(v_N.wrapping_add(1_i64))?;
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_B_pos, v_r, "B_pos")?.wrapping_add(ld(&b_count, v_r, "count")?), &mut b_B_pos, "B_pos", |_, v| v)?;
     }
     b_B_crd = alloc(v_nnz)?;
     b_B_vals = alloc(v_nnz)?;
     b_cursor = alloc(v_N)?;
     for it in 0_i64..v_M {
-        v_j = it; f_j = true;
-        for it in ld(b_A_pos, v_j, "A_pos")?..ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_i = ld(b_A_crd, v_p, "A_crd")?; f_i = true;
-            v_pB = ld(&b_B_pos, v_i, "B_pos")?.wrapping_add(ld(&b_cursor, v_i, "cursor")?); f_pB = true;
+        v_j = it;
+        for it in (ld(b_A_pos, v_j, "A_pos")? as i64)..(ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_i = ld(b_A_crd, v_p, "A_crd")? as i64;
+            v_pB = ld(&b_B_pos, v_i, "B_pos")?.wrapping_add(ld(&b_cursor, v_i, "cursor")?);
             update(v_i, 1_i64, &mut b_cursor, "cursor", i64::wrapping_add)?;
             update(v_pB, v_j, &mut b_B_crd, "B_crd", |_, v| v)?;
             update(v_pB, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         }
     }
-    env.insert_buffer("B_crd", Buffer::Ints(b_B_crd));
-    env.insert_buffer("B_pos", Buffer::Ints(b_B_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("count", Buffer::Ints(b_count));
-    env.insert_buffer("cursor", Buffer::Ints(b_cursor));
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB { env.insert_int("pB", v_pB); }
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_pos", b_B_pos), ("B_crd", b_B_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(),
+    })
 }
 
-fn convert_csc_to_csc(env: &mut Interpreter) -> Checked<()> {
-    let b_A_crd = env.input("A_crd", Buffer::as_ints)?;
-    let b_A_pos = env.input("A_pos", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_M = env.input_int("M")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_csc_to_csc(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A_pos = inputs.int_array(0, "A_pos")?;
+    let b_A_crd = inputs.int_array(1, "A_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_nnz = inputs.int(2, "nnz")?;
     let mut b_B_crd: Vec<i64>;
     let mut b_B_pos: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_count: Vec<i64>;
     let mut b_cursor: Vec<i64>;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB, mut f_pB) = (0_i64, false);
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
+    let mut v_pB: i64;
+    let mut v_r: i64;
     // analysis: count nonzeros per output group
     b_count = alloc(v_M)?;
     for it in 0_i64..v_M {
-        v_j = it; f_j = true;
-        for it in ld(b_A_pos, v_j, "A_pos")?..ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_i = ld(b_A_crd, v_p, "A_crd")?; f_i = true;
+        v_j = it;
+        for it in (ld(b_A_pos, v_j, "A_pos")? as i64)..(ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_i = ld(b_A_crd, v_p, "A_crd")? as i64;
             update(v_j, 1_i64, &mut b_count, "count", i64::wrapping_add)?;
         }
     }
     // assembly: sequenced edge insertion (pos) then coordinate insertion
     b_B_pos = alloc(v_M.wrapping_add(1_i64))?;
     for it in 0_i64..v_M {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_B_pos, v_r, "B_pos")?.wrapping_add(ld(&b_count, v_r, "count")?), &mut b_B_pos, "B_pos", |_, v| v)?;
     }
     b_B_crd = alloc(v_nnz)?;
     b_B_vals = alloc(v_nnz)?;
     b_cursor = alloc(v_M)?;
     for it in 0_i64..v_M {
-        v_j = it; f_j = true;
-        for it in ld(b_A_pos, v_j, "A_pos")?..ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_i = ld(b_A_crd, v_p, "A_crd")?; f_i = true;
-            v_pB = ld(&b_B_pos, v_j, "B_pos")?.wrapping_add(ld(&b_cursor, v_j, "cursor")?); f_pB = true;
+        v_j = it;
+        for it in (ld(b_A_pos, v_j, "A_pos")? as i64)..(ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_i = ld(b_A_crd, v_p, "A_crd")? as i64;
+            v_pB = ld(&b_B_pos, v_j, "B_pos")?.wrapping_add(ld(&b_cursor, v_j, "cursor")?);
             update(v_j, 1_i64, &mut b_cursor, "cursor", i64::wrapping_add)?;
             update(v_pB, v_i, &mut b_B_crd, "B_crd", |_, v| v)?;
             update(v_pB, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         }
     }
-    env.insert_buffer("B_crd", Buffer::Ints(b_B_crd));
-    env.insert_buffer("B_pos", Buffer::Ints(b_B_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("count", Buffer::Ints(b_count));
-    env.insert_buffer("cursor", Buffer::Ints(b_cursor));
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB { env.insert_int("pB", v_pB); }
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_pos", b_B_pos), ("B_crd", b_B_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(),
+    })
 }
 
-fn convert_csc_to_dia(env: &mut Interpreter) -> Checked<()> {
-    let b_A_crd = env.input("A_crd", Buffer::as_ints)?;
-    let b_A_pos = env.input("A_pos", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
+fn convert_csc_to_dia(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A_pos = inputs.int_array(0, "A_pos")?;
+    let b_A_crd = inputs.int_array(1, "A_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
     let mut b_B_perm: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_nz: Vec<i64>;
     let mut b_rperm: Vec<i64>;
     let mut v_K: i64;
-    let (mut v_d, mut f_d) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_k, mut f_k) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB1, mut f_pB1) = (0_i64, false);
-    let (mut v_pB2, mut f_pB2) = (0_i64, false);
+    let mut v_d: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_k: i64;
+    let mut v_p: i64;
+    let mut v_pB1: i64;
+    let mut v_pB2: i64;
     // fused remapping + analysis: mark nonzero diagonals
     b_nz = alloc(i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64))?;
     for it in 0_i64..v_M {
-        v_j = it; f_j = true;
-        for it in ld(b_A_pos, v_j, "A_pos")?..ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_i = ld(b_A_crd, v_p, "A_crd")?; f_i = true;
-            v_k = v_j.wrapping_sub(v_i); f_k = true;
+        v_j = it;
+        for it in (ld(b_A_pos, v_j, "A_pos")? as i64)..(ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_i = ld(b_A_crd, v_p, "A_crd")? as i64;
+            v_k = v_j.wrapping_sub(v_i);
             update(v_k.wrapping_add(v_N.wrapping_sub(1_i64)), 1_i64, &mut b_nz, "nz", |_, v| v)?;
         }
     }
@@ -800,7 +720,7 @@ fn convert_csc_to_dia(env: &mut Interpreter) -> Checked<()> {
     b_B_perm = alloc(i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64))?;
     v_K = 0_i64;
     for it in 0_i64..i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64) {
-        v_d = it; f_d = true;
+        v_d = it;
         if ld(&b_nz, v_d, "nz")? != 0_i64 {
             update(v_K, v_d.wrapping_sub(v_N.wrapping_sub(1_i64)), &mut b_B_perm, "B_perm", |_, v| v)?;
             v_K = v_K.wrapping_add(1_i64);
@@ -808,66 +728,58 @@ fn convert_csc_to_dia(env: &mut Interpreter) -> Checked<()> {
     }
     b_rperm = alloc(i64::max(v_N.wrapping_add(v_M).wrapping_sub(1_i64), 0_i64))?;
     for it in 0_i64..v_K {
-        v_d = it; f_d = true;
+        v_d = it;
         update(ld(&b_B_perm, v_d, "B_perm")?.wrapping_add(v_N.wrapping_sub(1_i64)), v_d, &mut b_rperm, "rperm", |_, v| v)?;
     }
     b_B_vals = alloc(v_K.wrapping_mul(v_N))?;
     for it in 0_i64..v_M {
-        v_j = it; f_j = true;
-        for it in ld(b_A_pos, v_j, "A_pos")?..ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_i = ld(b_A_crd, v_p, "A_crd")?; f_i = true;
-            v_k = v_j.wrapping_sub(v_i); f_k = true;
-            v_pB1 = ld(&b_rperm, v_k.wrapping_add(v_N.wrapping_sub(1_i64)), "rperm")?; f_pB1 = true;
-            v_pB2 = v_pB1.wrapping_mul(v_N).wrapping_add(v_i); f_pB2 = true;
+        v_j = it;
+        for it in (ld(b_A_pos, v_j, "A_pos")? as i64)..(ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_i = ld(b_A_crd, v_p, "A_crd")? as i64;
+            v_k = v_j.wrapping_sub(v_i);
+            v_pB1 = ld(&b_rperm, v_k.wrapping_add(v_N.wrapping_sub(1_i64)), "rperm")?;
+            v_pB2 = v_pB1.wrapping_mul(v_N).wrapping_add(v_i);
             update(v_pB2, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         }
     }
-    env.insert_buffer("B_perm", Buffer::Ints(b_B_perm));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("nz", Buffer::Ints(b_nz));
-    env.insert_buffer("rperm", Buffer::Ints(b_rperm));
-    env.insert_int("K", v_K);
-    if f_d { env.insert_int("d", v_d); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_k { env.insert_int("k", v_k); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB1 { env.insert_int("pB1", v_pB1); }
-    if f_pB2 { env.insert_int("pB2", v_pB2); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_perm", b_B_perm)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("K", v_K)),
+    })
 }
 
-fn convert_csc_to_ell(env: &mut Interpreter) -> Checked<()> {
-    let b_A_crd = env.input("A_crd", Buffer::as_ints)?;
-    let b_A_pos = env.input("A_pos", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
+fn convert_csc_to_ell(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A_pos = inputs.int_array(0, "A_pos")?;
+    let b_A_crd = inputs.int_array(1, "A_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
     let mut b_B_crd: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
     let mut b_count: Vec<i64>;
     let mut b_counter: Vec<i64>;
     let mut v_K: i64;
-    let (mut v_c, mut f_c) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
-    let (mut v_pB, mut f_pB) = (0_i64, false);
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_c: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
+    let mut v_pB: i64;
+    let mut v_r: i64;
     // analysis: maximum number of nonzeros in any row
     b_count = alloc(v_N)?;
     for it in 0_i64..v_M {
-        v_j = it; f_j = true;
-        for it in ld(b_A_pos, v_j, "A_pos")?..ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_i = ld(b_A_crd, v_p, "A_crd")?; f_i = true;
+        v_j = it;
+        for it in (ld(b_A_pos, v_j, "A_pos")? as i64)..(ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_i = ld(b_A_crd, v_p, "A_crd")? as i64;
             update(v_i, 1_i64, &mut b_count, "count", i64::wrapping_add)?;
         }
     }
     v_K = 0_i64;
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         v_K = i64::max(v_K, ld(&b_count, v_r, "count")?);
     }
     // assembly: scatter into K slices (calloc'd output)
@@ -875,45 +787,38 @@ fn convert_csc_to_ell(env: &mut Interpreter) -> Checked<()> {
     b_B_vals = alloc(v_K.wrapping_mul(v_N))?;
     b_counter = alloc(v_N)?;
     for it in 0_i64..v_M {
-        v_j = it; f_j = true;
-        for it in ld(b_A_pos, v_j, "A_pos")?..ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? {
-            v_p = it; f_p = true;
-            v_i = ld(b_A_crd, v_p, "A_crd")?; f_i = true;
-            v_c = ld(&b_counter, v_i, "counter")?; f_c = true;
+        v_j = it;
+        for it in (ld(b_A_pos, v_j, "A_pos")? as i64)..(ld(b_A_pos, v_j.wrapping_add(1_i64), "A_pos")? as i64) {
+            v_p = it;
+            v_i = ld(b_A_crd, v_p, "A_crd")? as i64;
+            v_c = ld(&b_counter, v_i, "counter")?;
             update(v_i, 1_i64, &mut b_counter, "counter", i64::wrapping_add)?;
-            v_pB = v_c.wrapping_mul(v_N).wrapping_add(v_i); f_pB = true;
+            v_pB = v_c.wrapping_mul(v_N).wrapping_add(v_i);
             update(v_pB, v_j, &mut b_B_crd, "B_crd", |_, v| v)?;
             update(v_pB, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         }
     }
-    env.insert_buffer("B_crd", Buffer::Ints(b_B_crd));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("count", Buffer::Ints(b_count));
-    env.insert_buffer("counter", Buffer::Ints(b_counter));
-    env.insert_int("K", v_K);
-    if f_c { env.insert_int("c", v_c); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    if f_pB { env.insert_int("pB", v_pB); }
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B_crd", b_B_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("K", v_K)),
+    })
 }
 
-fn convert_coo3_to_coo3(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A3_crd = env.input("A3_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo3_to_coo3(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A3_crd = inputs.int_array(2, "A3_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_nnz = inputs.int(3, "nnz")?;
     let mut b_B1_crd: Vec<i64>;
     let mut b_B2_crd: Vec<i64>;
     let mut b_B3_crd: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_k, mut f_k) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_k: i64;
+    let mut v_p: i64;
     let mut v_q: i64;
     // assembly: append nonzeros in source order
     b_B1_crd = alloc(v_nnz)?;
@@ -922,37 +827,32 @@ fn convert_coo3_to_coo3(env: &mut Interpreter) -> Checked<()> {
     b_B_vals = alloc(v_nnz)?;
     v_q = 0_i64;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(b_A1_crd, v_p, "A1_crd")?; f_i = true;
-        v_j = ld(b_A2_crd, v_p, "A2_crd")?; f_j = true;
-        v_k = ld(b_A3_crd, v_p, "A3_crd")?; f_k = true;
+        v_p = it;
+        v_i = ld(b_A1_crd, v_p, "A1_crd")? as i64;
+        v_j = ld(b_A2_crd, v_p, "A2_crd")? as i64;
+        v_k = ld(b_A3_crd, v_p, "A3_crd")? as i64;
         update(v_q, v_i, &mut b_B1_crd, "B1_crd", |_, v| v)?;
         update(v_q, v_j, &mut b_B2_crd, "B2_crd", |_, v| v)?;
         update(v_q, v_k, &mut b_B3_crd, "B3_crd", |_, v| v)?;
         update(v_q, ld(b_A_vals, v_p, "A_vals")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         v_q = v_q.wrapping_add(1_i64);
     }
-    env.insert_buffer("B1_crd", Buffer::Ints(b_B1_crd));
-    env.insert_buffer("B2_crd", Buffer::Ints(b_B2_crd));
-    env.insert_buffer("B3_crd", Buffer::Ints(b_B3_crd));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_k { env.insert_int("k", v_k); }
-    if f_p { env.insert_int("p", v_p); }
-    env.insert_int("q", v_q);
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B1_crd", b_B1_crd), ("B2_crd", b_B2_crd), ("B3_crd", b_B3_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(),
+    })
 }
 
-fn convert_coo3_to_csf(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A3_crd = env.input("A3_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_L = env.input_int("L")?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo3_to_csf(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A3_crd = inputs.int_array(2, "A3_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_L = inputs.int(2, "L")?;
+    let v_nnz = inputs.int(3, "nnz")?;
     let mut b_B1_crd: Vec<i64>;
     let mut b_B2_crd: Vec<i64>;
     let mut b_B2_pos: Vec<i64>;
@@ -974,24 +874,24 @@ fn convert_coo3_to_csf(env: &mut Interpreter) -> Checked<()> {
     let mut b_t2_j: Vec<i64>;
     let mut b_t2_k: Vec<i64>;
     let mut b_t2_v: Vec<f64>;
-    let (mut v_d, mut f_d) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
+    let mut v_d: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
     let mut v_prev_i: i64;
     let mut v_prev_j: i64;
     let mut v_q1: i64;
     let mut v_q2: i64;
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_r: i64;
     // sort: LSD radix over (k, j, i) = stable lexicographic order
     // stable counting sort by A3_crd (L buckets)
     b_cnt1 = alloc(v_L.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        update(ld(b_A3_crd, v_p, "A3_crd")?.wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        v_p = it;
+        update((ld(b_A3_crd, v_p, "A3_crd")? as i64).wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
     }
     for it in 0_i64..v_L {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt1, v_r.wrapping_add(1_i64), "cnt1")?.wrapping_add(ld(&b_cnt1, v_r, "cnt1")?), &mut b_cnt1, "cnt1", |_, v| v)?;
     }
     b_t1_i = alloc(v_nnz)?;
@@ -999,22 +899,22 @@ fn convert_coo3_to_csf(env: &mut Interpreter) -> Checked<()> {
     b_t1_k = alloc(v_nnz)?;
     b_t1_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt1, ld(b_A3_crd, v_p, "A3_crd")?, "cnt1")?; f_d = true;
-        update(ld(b_A3_crd, v_p, "A3_crd")?, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
-        update(v_d, ld(b_A1_crd, v_p, "A1_crd")?, &mut b_t1_i, "t1_i", |_, v| v)?;
-        update(v_d, ld(b_A2_crd, v_p, "A2_crd")?, &mut b_t1_j, "t1_j", |_, v| v)?;
-        update(v_d, ld(b_A3_crd, v_p, "A3_crd")?, &mut b_t1_k, "t1_k", |_, v| v)?;
+        v_p = it;
+        v_d = ld(&b_cnt1, ld(b_A3_crd, v_p, "A3_crd")? as i64, "cnt1")?;
+        update(ld(b_A3_crd, v_p, "A3_crd")? as i64, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        update(v_d, ld(b_A1_crd, v_p, "A1_crd")? as i64, &mut b_t1_i, "t1_i", |_, v| v)?;
+        update(v_d, ld(b_A2_crd, v_p, "A2_crd")? as i64, &mut b_t1_j, "t1_j", |_, v| v)?;
+        update(v_d, ld(b_A3_crd, v_p, "A3_crd")? as i64, &mut b_t1_k, "t1_k", |_, v| v)?;
         update(v_d, ld(b_A_vals, v_p, "A_vals")?, &mut b_t1_v, "t1_v", |_, v| v)?;
     }
     // stable counting sort by t1_j (M buckets)
     b_cnt2 = alloc(v_M.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t1_j, v_p, "t1_j")?.wrapping_add(1_i64), 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
     }
     for it in 0_i64..v_M {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt2, v_r.wrapping_add(1_i64), "cnt2")?.wrapping_add(ld(&b_cnt2, v_r, "cnt2")?), &mut b_cnt2, "cnt2", |_, v| v)?;
     }
     b_t2_i = alloc(v_nnz)?;
@@ -1022,8 +922,8 @@ fn convert_coo3_to_csf(env: &mut Interpreter) -> Checked<()> {
     b_t2_k = alloc(v_nnz)?;
     b_t2_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt2, ld(&b_t1_j, v_p, "t1_j")?, "cnt2")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt2, ld(&b_t1_j, v_p, "t1_j")?, "cnt2")?;
         update(ld(&b_t1_j, v_p, "t1_j")?, 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
         update(v_d, ld(&b_t1_i, v_p, "t1_i")?, &mut b_t2_i, "t2_i", |_, v| v)?;
         update(v_d, ld(&b_t1_j, v_p, "t1_j")?, &mut b_t2_j, "t2_j", |_, v| v)?;
@@ -1033,11 +933,11 @@ fn convert_coo3_to_csf(env: &mut Interpreter) -> Checked<()> {
     // stable counting sort by t2_i (N buckets)
     b_cnt3 = alloc(v_N.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t2_i, v_p, "t2_i")?.wrapping_add(1_i64), 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
     }
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt3, v_r.wrapping_add(1_i64), "cnt3")?.wrapping_add(ld(&b_cnt3, v_r, "cnt3")?), &mut b_cnt3, "cnt3", |_, v| v)?;
     }
     b_s_i = alloc(v_nnz)?;
@@ -1045,8 +945,8 @@ fn convert_coo3_to_csf(env: &mut Interpreter) -> Checked<()> {
     b_s_k = alloc(v_nnz)?;
     b_s_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt3, ld(&b_t2_i, v_p, "t2_i")?, "cnt3")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt3, ld(&b_t2_i, v_p, "t2_i")?, "cnt3")?;
         update(ld(&b_t2_i, v_p, "t2_i")?, 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
         update(v_d, ld(&b_t2_i, v_p, "t2_i")?, &mut b_s_i, "s_i", |_, v| v)?;
         update(v_d, ld(&b_t2_j, v_p, "t2_j")?, &mut b_s_j, "s_j", |_, v| v)?;
@@ -1065,9 +965,9 @@ fn convert_coo3_to_csf(env: &mut Interpreter) -> Checked<()> {
     v_prev_i = -1_i64;
     v_prev_j = -1_i64;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(&b_s_i, v_p, "s_i")?; f_i = true;
-        v_j = ld(&b_s_j, v_p, "s_j")?; f_j = true;
+        v_p = it;
+        v_i = ld(&b_s_i, v_p, "s_i")?;
+        v_j = ld(&b_s_j, v_p, "s_j")?;
         if v_i != v_prev_i {
             update(v_q1, v_i, &mut b_B1_crd, "B1_crd", |_, v| v)?;
             v_q1 = v_q1.wrapping_add(1_i64);
@@ -1084,48 +984,22 @@ fn convert_coo3_to_csf(env: &mut Interpreter) -> Checked<()> {
         update(v_p, ld(&b_s_v, v_p, "s_v")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         update(v_q2, v_p.wrapping_add(1_i64), &mut b_B3_pos, "B3_pos", |_, v| v)?;
     }
-    env.insert_buffer("B1_crd", Buffer::Ints(b_B1_crd));
-    env.insert_buffer("B2_crd", Buffer::Ints(b_B2_crd));
-    env.insert_buffer("B2_pos", Buffer::Ints(b_B2_pos));
-    env.insert_buffer("B3_crd", Buffer::Ints(b_B3_crd));
-    env.insert_buffer("B3_pos", Buffer::Ints(b_B3_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("cnt1", Buffer::Ints(b_cnt1));
-    env.insert_buffer("cnt2", Buffer::Ints(b_cnt2));
-    env.insert_buffer("cnt3", Buffer::Ints(b_cnt3));
-    env.insert_buffer("s_i", Buffer::Ints(b_s_i));
-    env.insert_buffer("s_j", Buffer::Ints(b_s_j));
-    env.insert_buffer("s_k", Buffer::Ints(b_s_k));
-    env.insert_buffer("s_v", Buffer::Floats(b_s_v));
-    env.insert_buffer("t1_i", Buffer::Ints(b_t1_i));
-    env.insert_buffer("t1_j", Buffer::Ints(b_t1_j));
-    env.insert_buffer("t1_k", Buffer::Ints(b_t1_k));
-    env.insert_buffer("t1_v", Buffer::Floats(b_t1_v));
-    env.insert_buffer("t2_i", Buffer::Ints(b_t2_i));
-    env.insert_buffer("t2_j", Buffer::Ints(b_t2_j));
-    env.insert_buffer("t2_k", Buffer::Ints(b_t2_k));
-    env.insert_buffer("t2_v", Buffer::Floats(b_t2_v));
-    if f_d { env.insert_int("d", v_d); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    env.insert_int("prev_i", v_prev_i);
-    env.insert_int("prev_j", v_prev_j);
-    env.insert_int("q1", v_q1);
-    env.insert_int("q2", v_q2);
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B1_crd", b_B1_crd), ("B2_pos", b_B2_pos), ("B2_crd", b_B2_crd), ("B3_pos", b_B3_pos), ("B3_crd", b_B3_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("q1", v_q1), ("q2", v_q2)),
+    })
 }
 
-fn convert_coo3_to_csf_021(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A3_crd = env.input("A3_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_L = env.input_int("L")?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo3_to_csf_021(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A3_crd = inputs.int_array(2, "A3_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_L = inputs.int(2, "L")?;
+    let v_nnz = inputs.int(3, "nnz")?;
     let mut b_B1_crd: Vec<i64>;
     let mut b_B2_crd: Vec<i64>;
     let mut b_B2_pos: Vec<i64>;
@@ -1147,24 +1021,24 @@ fn convert_coo3_to_csf_021(env: &mut Interpreter) -> Checked<()> {
     let mut b_t2_j: Vec<i64>;
     let mut b_t2_k: Vec<i64>;
     let mut b_t2_v: Vec<f64>;
-    let (mut v_d, mut f_d) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
+    let mut v_d: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
     let mut v_prev_i: i64;
     let mut v_prev_j: i64;
     let mut v_q1: i64;
     let mut v_q2: i64;
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_r: i64;
     // sort: LSD radix over (j, k, i) = stable lexicographic order
     // stable counting sort by A2_crd (M buckets)
     b_cnt1 = alloc(v_M.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        update(ld(b_A2_crd, v_p, "A2_crd")?.wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        v_p = it;
+        update((ld(b_A2_crd, v_p, "A2_crd")? as i64).wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
     }
     for it in 0_i64..v_M {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt1, v_r.wrapping_add(1_i64), "cnt1")?.wrapping_add(ld(&b_cnt1, v_r, "cnt1")?), &mut b_cnt1, "cnt1", |_, v| v)?;
     }
     b_t1_i = alloc(v_nnz)?;
@@ -1172,22 +1046,22 @@ fn convert_coo3_to_csf_021(env: &mut Interpreter) -> Checked<()> {
     b_t1_k = alloc(v_nnz)?;
     b_t1_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt1, ld(b_A2_crd, v_p, "A2_crd")?, "cnt1")?; f_d = true;
-        update(ld(b_A2_crd, v_p, "A2_crd")?, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
-        update(v_d, ld(b_A1_crd, v_p, "A1_crd")?, &mut b_t1_i, "t1_i", |_, v| v)?;
-        update(v_d, ld(b_A2_crd, v_p, "A2_crd")?, &mut b_t1_j, "t1_j", |_, v| v)?;
-        update(v_d, ld(b_A3_crd, v_p, "A3_crd")?, &mut b_t1_k, "t1_k", |_, v| v)?;
+        v_p = it;
+        v_d = ld(&b_cnt1, ld(b_A2_crd, v_p, "A2_crd")? as i64, "cnt1")?;
+        update(ld(b_A2_crd, v_p, "A2_crd")? as i64, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        update(v_d, ld(b_A1_crd, v_p, "A1_crd")? as i64, &mut b_t1_i, "t1_i", |_, v| v)?;
+        update(v_d, ld(b_A2_crd, v_p, "A2_crd")? as i64, &mut b_t1_j, "t1_j", |_, v| v)?;
+        update(v_d, ld(b_A3_crd, v_p, "A3_crd")? as i64, &mut b_t1_k, "t1_k", |_, v| v)?;
         update(v_d, ld(b_A_vals, v_p, "A_vals")?, &mut b_t1_v, "t1_v", |_, v| v)?;
     }
     // stable counting sort by t1_k (L buckets)
     b_cnt2 = alloc(v_L.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t1_k, v_p, "t1_k")?.wrapping_add(1_i64), 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
     }
     for it in 0_i64..v_L {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt2, v_r.wrapping_add(1_i64), "cnt2")?.wrapping_add(ld(&b_cnt2, v_r, "cnt2")?), &mut b_cnt2, "cnt2", |_, v| v)?;
     }
     b_t2_i = alloc(v_nnz)?;
@@ -1195,8 +1069,8 @@ fn convert_coo3_to_csf_021(env: &mut Interpreter) -> Checked<()> {
     b_t2_k = alloc(v_nnz)?;
     b_t2_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt2, ld(&b_t1_k, v_p, "t1_k")?, "cnt2")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt2, ld(&b_t1_k, v_p, "t1_k")?, "cnt2")?;
         update(ld(&b_t1_k, v_p, "t1_k")?, 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
         update(v_d, ld(&b_t1_i, v_p, "t1_i")?, &mut b_t2_i, "t2_i", |_, v| v)?;
         update(v_d, ld(&b_t1_j, v_p, "t1_j")?, &mut b_t2_j, "t2_j", |_, v| v)?;
@@ -1206,11 +1080,11 @@ fn convert_coo3_to_csf_021(env: &mut Interpreter) -> Checked<()> {
     // stable counting sort by t2_i (N buckets)
     b_cnt3 = alloc(v_N.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t2_i, v_p, "t2_i")?.wrapping_add(1_i64), 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
     }
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt3, v_r.wrapping_add(1_i64), "cnt3")?.wrapping_add(ld(&b_cnt3, v_r, "cnt3")?), &mut b_cnt3, "cnt3", |_, v| v)?;
     }
     b_s_i = alloc(v_nnz)?;
@@ -1218,8 +1092,8 @@ fn convert_coo3_to_csf_021(env: &mut Interpreter) -> Checked<()> {
     b_s_k = alloc(v_nnz)?;
     b_s_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt3, ld(&b_t2_i, v_p, "t2_i")?, "cnt3")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt3, ld(&b_t2_i, v_p, "t2_i")?, "cnt3")?;
         update(ld(&b_t2_i, v_p, "t2_i")?, 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
         update(v_d, ld(&b_t2_i, v_p, "t2_i")?, &mut b_s_i, "s_i", |_, v| v)?;
         update(v_d, ld(&b_t2_j, v_p, "t2_j")?, &mut b_s_j, "s_j", |_, v| v)?;
@@ -1238,9 +1112,9 @@ fn convert_coo3_to_csf_021(env: &mut Interpreter) -> Checked<()> {
     v_prev_i = -1_i64;
     v_prev_j = -1_i64;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(&b_s_i, v_p, "s_i")?; f_i = true;
-        v_j = ld(&b_s_k, v_p, "s_k")?; f_j = true;
+        v_p = it;
+        v_i = ld(&b_s_i, v_p, "s_i")?;
+        v_j = ld(&b_s_k, v_p, "s_k")?;
         if v_i != v_prev_i {
             update(v_q1, v_i, &mut b_B1_crd, "B1_crd", |_, v| v)?;
             v_q1 = v_q1.wrapping_add(1_i64);
@@ -1257,48 +1131,22 @@ fn convert_coo3_to_csf_021(env: &mut Interpreter) -> Checked<()> {
         update(v_p, ld(&b_s_v, v_p, "s_v")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         update(v_q2, v_p.wrapping_add(1_i64), &mut b_B3_pos, "B3_pos", |_, v| v)?;
     }
-    env.insert_buffer("B1_crd", Buffer::Ints(b_B1_crd));
-    env.insert_buffer("B2_crd", Buffer::Ints(b_B2_crd));
-    env.insert_buffer("B2_pos", Buffer::Ints(b_B2_pos));
-    env.insert_buffer("B3_crd", Buffer::Ints(b_B3_crd));
-    env.insert_buffer("B3_pos", Buffer::Ints(b_B3_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("cnt1", Buffer::Ints(b_cnt1));
-    env.insert_buffer("cnt2", Buffer::Ints(b_cnt2));
-    env.insert_buffer("cnt3", Buffer::Ints(b_cnt3));
-    env.insert_buffer("s_i", Buffer::Ints(b_s_i));
-    env.insert_buffer("s_j", Buffer::Ints(b_s_j));
-    env.insert_buffer("s_k", Buffer::Ints(b_s_k));
-    env.insert_buffer("s_v", Buffer::Floats(b_s_v));
-    env.insert_buffer("t1_i", Buffer::Ints(b_t1_i));
-    env.insert_buffer("t1_j", Buffer::Ints(b_t1_j));
-    env.insert_buffer("t1_k", Buffer::Ints(b_t1_k));
-    env.insert_buffer("t1_v", Buffer::Floats(b_t1_v));
-    env.insert_buffer("t2_i", Buffer::Ints(b_t2_i));
-    env.insert_buffer("t2_j", Buffer::Ints(b_t2_j));
-    env.insert_buffer("t2_k", Buffer::Ints(b_t2_k));
-    env.insert_buffer("t2_v", Buffer::Floats(b_t2_v));
-    if f_d { env.insert_int("d", v_d); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    env.insert_int("prev_i", v_prev_i);
-    env.insert_int("prev_j", v_prev_j);
-    env.insert_int("q1", v_q1);
-    env.insert_int("q2", v_q2);
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B1_crd", b_B1_crd), ("B2_pos", b_B2_pos), ("B2_crd", b_B2_crd), ("B3_pos", b_B3_pos), ("B3_crd", b_B3_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("q1", v_q1), ("q2", v_q2)),
+    })
 }
 
-fn convert_coo3_to_csf_102(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A3_crd = env.input("A3_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_L = env.input_int("L")?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo3_to_csf_102(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A3_crd = inputs.int_array(2, "A3_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_L = inputs.int(2, "L")?;
+    let v_nnz = inputs.int(3, "nnz")?;
     let mut b_B1_crd: Vec<i64>;
     let mut b_B2_crd: Vec<i64>;
     let mut b_B2_pos: Vec<i64>;
@@ -1320,24 +1168,24 @@ fn convert_coo3_to_csf_102(env: &mut Interpreter) -> Checked<()> {
     let mut b_t2_j: Vec<i64>;
     let mut b_t2_k: Vec<i64>;
     let mut b_t2_v: Vec<f64>;
-    let (mut v_d, mut f_d) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
+    let mut v_d: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
     let mut v_prev_i: i64;
     let mut v_prev_j: i64;
     let mut v_q1: i64;
     let mut v_q2: i64;
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_r: i64;
     // sort: LSD radix over (k, i, j) = stable lexicographic order
     // stable counting sort by A3_crd (L buckets)
     b_cnt1 = alloc(v_L.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        update(ld(b_A3_crd, v_p, "A3_crd")?.wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        v_p = it;
+        update((ld(b_A3_crd, v_p, "A3_crd")? as i64).wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
     }
     for it in 0_i64..v_L {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt1, v_r.wrapping_add(1_i64), "cnt1")?.wrapping_add(ld(&b_cnt1, v_r, "cnt1")?), &mut b_cnt1, "cnt1", |_, v| v)?;
     }
     b_t1_i = alloc(v_nnz)?;
@@ -1345,22 +1193,22 @@ fn convert_coo3_to_csf_102(env: &mut Interpreter) -> Checked<()> {
     b_t1_k = alloc(v_nnz)?;
     b_t1_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt1, ld(b_A3_crd, v_p, "A3_crd")?, "cnt1")?; f_d = true;
-        update(ld(b_A3_crd, v_p, "A3_crd")?, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
-        update(v_d, ld(b_A1_crd, v_p, "A1_crd")?, &mut b_t1_i, "t1_i", |_, v| v)?;
-        update(v_d, ld(b_A2_crd, v_p, "A2_crd")?, &mut b_t1_j, "t1_j", |_, v| v)?;
-        update(v_d, ld(b_A3_crd, v_p, "A3_crd")?, &mut b_t1_k, "t1_k", |_, v| v)?;
+        v_p = it;
+        v_d = ld(&b_cnt1, ld(b_A3_crd, v_p, "A3_crd")? as i64, "cnt1")?;
+        update(ld(b_A3_crd, v_p, "A3_crd")? as i64, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        update(v_d, ld(b_A1_crd, v_p, "A1_crd")? as i64, &mut b_t1_i, "t1_i", |_, v| v)?;
+        update(v_d, ld(b_A2_crd, v_p, "A2_crd")? as i64, &mut b_t1_j, "t1_j", |_, v| v)?;
+        update(v_d, ld(b_A3_crd, v_p, "A3_crd")? as i64, &mut b_t1_k, "t1_k", |_, v| v)?;
         update(v_d, ld(b_A_vals, v_p, "A_vals")?, &mut b_t1_v, "t1_v", |_, v| v)?;
     }
     // stable counting sort by t1_i (N buckets)
     b_cnt2 = alloc(v_N.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t1_i, v_p, "t1_i")?.wrapping_add(1_i64), 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
     }
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt2, v_r.wrapping_add(1_i64), "cnt2")?.wrapping_add(ld(&b_cnt2, v_r, "cnt2")?), &mut b_cnt2, "cnt2", |_, v| v)?;
     }
     b_t2_i = alloc(v_nnz)?;
@@ -1368,8 +1216,8 @@ fn convert_coo3_to_csf_102(env: &mut Interpreter) -> Checked<()> {
     b_t2_k = alloc(v_nnz)?;
     b_t2_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt2, ld(&b_t1_i, v_p, "t1_i")?, "cnt2")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt2, ld(&b_t1_i, v_p, "t1_i")?, "cnt2")?;
         update(ld(&b_t1_i, v_p, "t1_i")?, 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
         update(v_d, ld(&b_t1_i, v_p, "t1_i")?, &mut b_t2_i, "t2_i", |_, v| v)?;
         update(v_d, ld(&b_t1_j, v_p, "t1_j")?, &mut b_t2_j, "t2_j", |_, v| v)?;
@@ -1379,11 +1227,11 @@ fn convert_coo3_to_csf_102(env: &mut Interpreter) -> Checked<()> {
     // stable counting sort by t2_j (M buckets)
     b_cnt3 = alloc(v_M.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t2_j, v_p, "t2_j")?.wrapping_add(1_i64), 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
     }
     for it in 0_i64..v_M {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt3, v_r.wrapping_add(1_i64), "cnt3")?.wrapping_add(ld(&b_cnt3, v_r, "cnt3")?), &mut b_cnt3, "cnt3", |_, v| v)?;
     }
     b_s_i = alloc(v_nnz)?;
@@ -1391,8 +1239,8 @@ fn convert_coo3_to_csf_102(env: &mut Interpreter) -> Checked<()> {
     b_s_k = alloc(v_nnz)?;
     b_s_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt3, ld(&b_t2_j, v_p, "t2_j")?, "cnt3")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt3, ld(&b_t2_j, v_p, "t2_j")?, "cnt3")?;
         update(ld(&b_t2_j, v_p, "t2_j")?, 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
         update(v_d, ld(&b_t2_i, v_p, "t2_i")?, &mut b_s_i, "s_i", |_, v| v)?;
         update(v_d, ld(&b_t2_j, v_p, "t2_j")?, &mut b_s_j, "s_j", |_, v| v)?;
@@ -1411,9 +1259,9 @@ fn convert_coo3_to_csf_102(env: &mut Interpreter) -> Checked<()> {
     v_prev_i = -1_i64;
     v_prev_j = -1_i64;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(&b_s_j, v_p, "s_j")?; f_i = true;
-        v_j = ld(&b_s_i, v_p, "s_i")?; f_j = true;
+        v_p = it;
+        v_i = ld(&b_s_j, v_p, "s_j")?;
+        v_j = ld(&b_s_i, v_p, "s_i")?;
         if v_i != v_prev_i {
             update(v_q1, v_i, &mut b_B1_crd, "B1_crd", |_, v| v)?;
             v_q1 = v_q1.wrapping_add(1_i64);
@@ -1430,48 +1278,22 @@ fn convert_coo3_to_csf_102(env: &mut Interpreter) -> Checked<()> {
         update(v_p, ld(&b_s_v, v_p, "s_v")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         update(v_q2, v_p.wrapping_add(1_i64), &mut b_B3_pos, "B3_pos", |_, v| v)?;
     }
-    env.insert_buffer("B1_crd", Buffer::Ints(b_B1_crd));
-    env.insert_buffer("B2_crd", Buffer::Ints(b_B2_crd));
-    env.insert_buffer("B2_pos", Buffer::Ints(b_B2_pos));
-    env.insert_buffer("B3_crd", Buffer::Ints(b_B3_crd));
-    env.insert_buffer("B3_pos", Buffer::Ints(b_B3_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("cnt1", Buffer::Ints(b_cnt1));
-    env.insert_buffer("cnt2", Buffer::Ints(b_cnt2));
-    env.insert_buffer("cnt3", Buffer::Ints(b_cnt3));
-    env.insert_buffer("s_i", Buffer::Ints(b_s_i));
-    env.insert_buffer("s_j", Buffer::Ints(b_s_j));
-    env.insert_buffer("s_k", Buffer::Ints(b_s_k));
-    env.insert_buffer("s_v", Buffer::Floats(b_s_v));
-    env.insert_buffer("t1_i", Buffer::Ints(b_t1_i));
-    env.insert_buffer("t1_j", Buffer::Ints(b_t1_j));
-    env.insert_buffer("t1_k", Buffer::Ints(b_t1_k));
-    env.insert_buffer("t1_v", Buffer::Floats(b_t1_v));
-    env.insert_buffer("t2_i", Buffer::Ints(b_t2_i));
-    env.insert_buffer("t2_j", Buffer::Ints(b_t2_j));
-    env.insert_buffer("t2_k", Buffer::Ints(b_t2_k));
-    env.insert_buffer("t2_v", Buffer::Floats(b_t2_v));
-    if f_d { env.insert_int("d", v_d); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    env.insert_int("prev_i", v_prev_i);
-    env.insert_int("prev_j", v_prev_j);
-    env.insert_int("q1", v_q1);
-    env.insert_int("q2", v_q2);
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B1_crd", b_B1_crd), ("B2_pos", b_B2_pos), ("B2_crd", b_B2_crd), ("B3_pos", b_B3_pos), ("B3_crd", b_B3_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("q1", v_q1), ("q2", v_q2)),
+    })
 }
 
-fn convert_coo3_to_csf_120(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A3_crd = env.input("A3_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_L = env.input_int("L")?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo3_to_csf_120(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A3_crd = inputs.int_array(2, "A3_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_L = inputs.int(2, "L")?;
+    let v_nnz = inputs.int(3, "nnz")?;
     let mut b_B1_crd: Vec<i64>;
     let mut b_B2_crd: Vec<i64>;
     let mut b_B2_pos: Vec<i64>;
@@ -1493,24 +1315,24 @@ fn convert_coo3_to_csf_120(env: &mut Interpreter) -> Checked<()> {
     let mut b_t2_j: Vec<i64>;
     let mut b_t2_k: Vec<i64>;
     let mut b_t2_v: Vec<f64>;
-    let (mut v_d, mut f_d) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
+    let mut v_d: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
     let mut v_prev_i: i64;
     let mut v_prev_j: i64;
     let mut v_q1: i64;
     let mut v_q2: i64;
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_r: i64;
     // sort: LSD radix over (i, k, j) = stable lexicographic order
     // stable counting sort by A1_crd (N buckets)
     b_cnt1 = alloc(v_N.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        update(ld(b_A1_crd, v_p, "A1_crd")?.wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        v_p = it;
+        update((ld(b_A1_crd, v_p, "A1_crd")? as i64).wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
     }
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt1, v_r.wrapping_add(1_i64), "cnt1")?.wrapping_add(ld(&b_cnt1, v_r, "cnt1")?), &mut b_cnt1, "cnt1", |_, v| v)?;
     }
     b_t1_i = alloc(v_nnz)?;
@@ -1518,22 +1340,22 @@ fn convert_coo3_to_csf_120(env: &mut Interpreter) -> Checked<()> {
     b_t1_k = alloc(v_nnz)?;
     b_t1_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt1, ld(b_A1_crd, v_p, "A1_crd")?, "cnt1")?; f_d = true;
-        update(ld(b_A1_crd, v_p, "A1_crd")?, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
-        update(v_d, ld(b_A1_crd, v_p, "A1_crd")?, &mut b_t1_i, "t1_i", |_, v| v)?;
-        update(v_d, ld(b_A2_crd, v_p, "A2_crd")?, &mut b_t1_j, "t1_j", |_, v| v)?;
-        update(v_d, ld(b_A3_crd, v_p, "A3_crd")?, &mut b_t1_k, "t1_k", |_, v| v)?;
+        v_p = it;
+        v_d = ld(&b_cnt1, ld(b_A1_crd, v_p, "A1_crd")? as i64, "cnt1")?;
+        update(ld(b_A1_crd, v_p, "A1_crd")? as i64, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        update(v_d, ld(b_A1_crd, v_p, "A1_crd")? as i64, &mut b_t1_i, "t1_i", |_, v| v)?;
+        update(v_d, ld(b_A2_crd, v_p, "A2_crd")? as i64, &mut b_t1_j, "t1_j", |_, v| v)?;
+        update(v_d, ld(b_A3_crd, v_p, "A3_crd")? as i64, &mut b_t1_k, "t1_k", |_, v| v)?;
         update(v_d, ld(b_A_vals, v_p, "A_vals")?, &mut b_t1_v, "t1_v", |_, v| v)?;
     }
     // stable counting sort by t1_k (L buckets)
     b_cnt2 = alloc(v_L.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t1_k, v_p, "t1_k")?.wrapping_add(1_i64), 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
     }
     for it in 0_i64..v_L {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt2, v_r.wrapping_add(1_i64), "cnt2")?.wrapping_add(ld(&b_cnt2, v_r, "cnt2")?), &mut b_cnt2, "cnt2", |_, v| v)?;
     }
     b_t2_i = alloc(v_nnz)?;
@@ -1541,8 +1363,8 @@ fn convert_coo3_to_csf_120(env: &mut Interpreter) -> Checked<()> {
     b_t2_k = alloc(v_nnz)?;
     b_t2_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt2, ld(&b_t1_k, v_p, "t1_k")?, "cnt2")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt2, ld(&b_t1_k, v_p, "t1_k")?, "cnt2")?;
         update(ld(&b_t1_k, v_p, "t1_k")?, 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
         update(v_d, ld(&b_t1_i, v_p, "t1_i")?, &mut b_t2_i, "t2_i", |_, v| v)?;
         update(v_d, ld(&b_t1_j, v_p, "t1_j")?, &mut b_t2_j, "t2_j", |_, v| v)?;
@@ -1552,11 +1374,11 @@ fn convert_coo3_to_csf_120(env: &mut Interpreter) -> Checked<()> {
     // stable counting sort by t2_j (M buckets)
     b_cnt3 = alloc(v_M.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t2_j, v_p, "t2_j")?.wrapping_add(1_i64), 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
     }
     for it in 0_i64..v_M {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt3, v_r.wrapping_add(1_i64), "cnt3")?.wrapping_add(ld(&b_cnt3, v_r, "cnt3")?), &mut b_cnt3, "cnt3", |_, v| v)?;
     }
     b_s_i = alloc(v_nnz)?;
@@ -1564,8 +1386,8 @@ fn convert_coo3_to_csf_120(env: &mut Interpreter) -> Checked<()> {
     b_s_k = alloc(v_nnz)?;
     b_s_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt3, ld(&b_t2_j, v_p, "t2_j")?, "cnt3")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt3, ld(&b_t2_j, v_p, "t2_j")?, "cnt3")?;
         update(ld(&b_t2_j, v_p, "t2_j")?, 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
         update(v_d, ld(&b_t2_i, v_p, "t2_i")?, &mut b_s_i, "s_i", |_, v| v)?;
         update(v_d, ld(&b_t2_j, v_p, "t2_j")?, &mut b_s_j, "s_j", |_, v| v)?;
@@ -1584,9 +1406,9 @@ fn convert_coo3_to_csf_120(env: &mut Interpreter) -> Checked<()> {
     v_prev_i = -1_i64;
     v_prev_j = -1_i64;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(&b_s_j, v_p, "s_j")?; f_i = true;
-        v_j = ld(&b_s_k, v_p, "s_k")?; f_j = true;
+        v_p = it;
+        v_i = ld(&b_s_j, v_p, "s_j")?;
+        v_j = ld(&b_s_k, v_p, "s_k")?;
         if v_i != v_prev_i {
             update(v_q1, v_i, &mut b_B1_crd, "B1_crd", |_, v| v)?;
             v_q1 = v_q1.wrapping_add(1_i64);
@@ -1603,48 +1425,22 @@ fn convert_coo3_to_csf_120(env: &mut Interpreter) -> Checked<()> {
         update(v_p, ld(&b_s_v, v_p, "s_v")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         update(v_q2, v_p.wrapping_add(1_i64), &mut b_B3_pos, "B3_pos", |_, v| v)?;
     }
-    env.insert_buffer("B1_crd", Buffer::Ints(b_B1_crd));
-    env.insert_buffer("B2_crd", Buffer::Ints(b_B2_crd));
-    env.insert_buffer("B2_pos", Buffer::Ints(b_B2_pos));
-    env.insert_buffer("B3_crd", Buffer::Ints(b_B3_crd));
-    env.insert_buffer("B3_pos", Buffer::Ints(b_B3_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("cnt1", Buffer::Ints(b_cnt1));
-    env.insert_buffer("cnt2", Buffer::Ints(b_cnt2));
-    env.insert_buffer("cnt3", Buffer::Ints(b_cnt3));
-    env.insert_buffer("s_i", Buffer::Ints(b_s_i));
-    env.insert_buffer("s_j", Buffer::Ints(b_s_j));
-    env.insert_buffer("s_k", Buffer::Ints(b_s_k));
-    env.insert_buffer("s_v", Buffer::Floats(b_s_v));
-    env.insert_buffer("t1_i", Buffer::Ints(b_t1_i));
-    env.insert_buffer("t1_j", Buffer::Ints(b_t1_j));
-    env.insert_buffer("t1_k", Buffer::Ints(b_t1_k));
-    env.insert_buffer("t1_v", Buffer::Floats(b_t1_v));
-    env.insert_buffer("t2_i", Buffer::Ints(b_t2_i));
-    env.insert_buffer("t2_j", Buffer::Ints(b_t2_j));
-    env.insert_buffer("t2_k", Buffer::Ints(b_t2_k));
-    env.insert_buffer("t2_v", Buffer::Floats(b_t2_v));
-    if f_d { env.insert_int("d", v_d); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    env.insert_int("prev_i", v_prev_i);
-    env.insert_int("prev_j", v_prev_j);
-    env.insert_int("q1", v_q1);
-    env.insert_int("q2", v_q2);
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B1_crd", b_B1_crd), ("B2_pos", b_B2_pos), ("B2_crd", b_B2_crd), ("B3_pos", b_B3_pos), ("B3_crd", b_B3_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("q1", v_q1), ("q2", v_q2)),
+    })
 }
 
-fn convert_coo3_to_csf_201(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A3_crd = env.input("A3_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_L = env.input_int("L")?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo3_to_csf_201(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A3_crd = inputs.int_array(2, "A3_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_L = inputs.int(2, "L")?;
+    let v_nnz = inputs.int(3, "nnz")?;
     let mut b_B1_crd: Vec<i64>;
     let mut b_B2_crd: Vec<i64>;
     let mut b_B2_pos: Vec<i64>;
@@ -1666,24 +1462,24 @@ fn convert_coo3_to_csf_201(env: &mut Interpreter) -> Checked<()> {
     let mut b_t2_j: Vec<i64>;
     let mut b_t2_k: Vec<i64>;
     let mut b_t2_v: Vec<f64>;
-    let (mut v_d, mut f_d) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
+    let mut v_d: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
     let mut v_prev_i: i64;
     let mut v_prev_j: i64;
     let mut v_q1: i64;
     let mut v_q2: i64;
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_r: i64;
     // sort: LSD radix over (j, i, k) = stable lexicographic order
     // stable counting sort by A2_crd (M buckets)
     b_cnt1 = alloc(v_M.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        update(ld(b_A2_crd, v_p, "A2_crd")?.wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        v_p = it;
+        update((ld(b_A2_crd, v_p, "A2_crd")? as i64).wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
     }
     for it in 0_i64..v_M {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt1, v_r.wrapping_add(1_i64), "cnt1")?.wrapping_add(ld(&b_cnt1, v_r, "cnt1")?), &mut b_cnt1, "cnt1", |_, v| v)?;
     }
     b_t1_i = alloc(v_nnz)?;
@@ -1691,22 +1487,22 @@ fn convert_coo3_to_csf_201(env: &mut Interpreter) -> Checked<()> {
     b_t1_k = alloc(v_nnz)?;
     b_t1_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt1, ld(b_A2_crd, v_p, "A2_crd")?, "cnt1")?; f_d = true;
-        update(ld(b_A2_crd, v_p, "A2_crd")?, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
-        update(v_d, ld(b_A1_crd, v_p, "A1_crd")?, &mut b_t1_i, "t1_i", |_, v| v)?;
-        update(v_d, ld(b_A2_crd, v_p, "A2_crd")?, &mut b_t1_j, "t1_j", |_, v| v)?;
-        update(v_d, ld(b_A3_crd, v_p, "A3_crd")?, &mut b_t1_k, "t1_k", |_, v| v)?;
+        v_p = it;
+        v_d = ld(&b_cnt1, ld(b_A2_crd, v_p, "A2_crd")? as i64, "cnt1")?;
+        update(ld(b_A2_crd, v_p, "A2_crd")? as i64, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        update(v_d, ld(b_A1_crd, v_p, "A1_crd")? as i64, &mut b_t1_i, "t1_i", |_, v| v)?;
+        update(v_d, ld(b_A2_crd, v_p, "A2_crd")? as i64, &mut b_t1_j, "t1_j", |_, v| v)?;
+        update(v_d, ld(b_A3_crd, v_p, "A3_crd")? as i64, &mut b_t1_k, "t1_k", |_, v| v)?;
         update(v_d, ld(b_A_vals, v_p, "A_vals")?, &mut b_t1_v, "t1_v", |_, v| v)?;
     }
     // stable counting sort by t1_i (N buckets)
     b_cnt2 = alloc(v_N.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t1_i, v_p, "t1_i")?.wrapping_add(1_i64), 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
     }
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt2, v_r.wrapping_add(1_i64), "cnt2")?.wrapping_add(ld(&b_cnt2, v_r, "cnt2")?), &mut b_cnt2, "cnt2", |_, v| v)?;
     }
     b_t2_i = alloc(v_nnz)?;
@@ -1714,8 +1510,8 @@ fn convert_coo3_to_csf_201(env: &mut Interpreter) -> Checked<()> {
     b_t2_k = alloc(v_nnz)?;
     b_t2_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt2, ld(&b_t1_i, v_p, "t1_i")?, "cnt2")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt2, ld(&b_t1_i, v_p, "t1_i")?, "cnt2")?;
         update(ld(&b_t1_i, v_p, "t1_i")?, 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
         update(v_d, ld(&b_t1_i, v_p, "t1_i")?, &mut b_t2_i, "t2_i", |_, v| v)?;
         update(v_d, ld(&b_t1_j, v_p, "t1_j")?, &mut b_t2_j, "t2_j", |_, v| v)?;
@@ -1725,11 +1521,11 @@ fn convert_coo3_to_csf_201(env: &mut Interpreter) -> Checked<()> {
     // stable counting sort by t2_k (L buckets)
     b_cnt3 = alloc(v_L.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t2_k, v_p, "t2_k")?.wrapping_add(1_i64), 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
     }
     for it in 0_i64..v_L {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt3, v_r.wrapping_add(1_i64), "cnt3")?.wrapping_add(ld(&b_cnt3, v_r, "cnt3")?), &mut b_cnt3, "cnt3", |_, v| v)?;
     }
     b_s_i = alloc(v_nnz)?;
@@ -1737,8 +1533,8 @@ fn convert_coo3_to_csf_201(env: &mut Interpreter) -> Checked<()> {
     b_s_k = alloc(v_nnz)?;
     b_s_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt3, ld(&b_t2_k, v_p, "t2_k")?, "cnt3")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt3, ld(&b_t2_k, v_p, "t2_k")?, "cnt3")?;
         update(ld(&b_t2_k, v_p, "t2_k")?, 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
         update(v_d, ld(&b_t2_i, v_p, "t2_i")?, &mut b_s_i, "s_i", |_, v| v)?;
         update(v_d, ld(&b_t2_j, v_p, "t2_j")?, &mut b_s_j, "s_j", |_, v| v)?;
@@ -1757,9 +1553,9 @@ fn convert_coo3_to_csf_201(env: &mut Interpreter) -> Checked<()> {
     v_prev_i = -1_i64;
     v_prev_j = -1_i64;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(&b_s_k, v_p, "s_k")?; f_i = true;
-        v_j = ld(&b_s_i, v_p, "s_i")?; f_j = true;
+        v_p = it;
+        v_i = ld(&b_s_k, v_p, "s_k")?;
+        v_j = ld(&b_s_i, v_p, "s_i")?;
         if v_i != v_prev_i {
             update(v_q1, v_i, &mut b_B1_crd, "B1_crd", |_, v| v)?;
             v_q1 = v_q1.wrapping_add(1_i64);
@@ -1776,48 +1572,22 @@ fn convert_coo3_to_csf_201(env: &mut Interpreter) -> Checked<()> {
         update(v_p, ld(&b_s_v, v_p, "s_v")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         update(v_q2, v_p.wrapping_add(1_i64), &mut b_B3_pos, "B3_pos", |_, v| v)?;
     }
-    env.insert_buffer("B1_crd", Buffer::Ints(b_B1_crd));
-    env.insert_buffer("B2_crd", Buffer::Ints(b_B2_crd));
-    env.insert_buffer("B2_pos", Buffer::Ints(b_B2_pos));
-    env.insert_buffer("B3_crd", Buffer::Ints(b_B3_crd));
-    env.insert_buffer("B3_pos", Buffer::Ints(b_B3_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("cnt1", Buffer::Ints(b_cnt1));
-    env.insert_buffer("cnt2", Buffer::Ints(b_cnt2));
-    env.insert_buffer("cnt3", Buffer::Ints(b_cnt3));
-    env.insert_buffer("s_i", Buffer::Ints(b_s_i));
-    env.insert_buffer("s_j", Buffer::Ints(b_s_j));
-    env.insert_buffer("s_k", Buffer::Ints(b_s_k));
-    env.insert_buffer("s_v", Buffer::Floats(b_s_v));
-    env.insert_buffer("t1_i", Buffer::Ints(b_t1_i));
-    env.insert_buffer("t1_j", Buffer::Ints(b_t1_j));
-    env.insert_buffer("t1_k", Buffer::Ints(b_t1_k));
-    env.insert_buffer("t1_v", Buffer::Floats(b_t1_v));
-    env.insert_buffer("t2_i", Buffer::Ints(b_t2_i));
-    env.insert_buffer("t2_j", Buffer::Ints(b_t2_j));
-    env.insert_buffer("t2_k", Buffer::Ints(b_t2_k));
-    env.insert_buffer("t2_v", Buffer::Floats(b_t2_v));
-    if f_d { env.insert_int("d", v_d); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    env.insert_int("prev_i", v_prev_i);
-    env.insert_int("prev_j", v_prev_j);
-    env.insert_int("q1", v_q1);
-    env.insert_int("q2", v_q2);
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B1_crd", b_B1_crd), ("B2_pos", b_B2_pos), ("B2_crd", b_B2_crd), ("B3_pos", b_B3_pos), ("B3_crd", b_B3_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("q1", v_q1), ("q2", v_q2)),
+    })
 }
 
-fn convert_coo3_to_csf_210(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A3_crd = env.input("A3_crd", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_L = env.input_int("L")?;
-    let v_M = env.input_int("M")?;
-    let v_N = env.input_int("N")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_coo3_to_csf_210(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_crd = inputs.int_array(1, "A2_crd")?;
+    let b_A3_crd = inputs.int_array(2, "A3_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_N = inputs.int(0, "N")?;
+    let v_M = inputs.int(1, "M")?;
+    let v_L = inputs.int(2, "L")?;
+    let v_nnz = inputs.int(3, "nnz")?;
     let mut b_B1_crd: Vec<i64>;
     let mut b_B2_crd: Vec<i64>;
     let mut b_B2_pos: Vec<i64>;
@@ -1839,24 +1609,24 @@ fn convert_coo3_to_csf_210(env: &mut Interpreter) -> Checked<()> {
     let mut b_t2_j: Vec<i64>;
     let mut b_t2_k: Vec<i64>;
     let mut b_t2_v: Vec<f64>;
-    let (mut v_d, mut f_d) = (0_i64, false);
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
+    let mut v_d: i64;
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_p: i64;
     let mut v_prev_i: i64;
     let mut v_prev_j: i64;
     let mut v_q1: i64;
     let mut v_q2: i64;
-    let (mut v_r, mut f_r) = (0_i64, false);
+    let mut v_r: i64;
     // sort: LSD radix over (i, j, k) = stable lexicographic order
     // stable counting sort by A1_crd (N buckets)
     b_cnt1 = alloc(v_N.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        update(ld(b_A1_crd, v_p, "A1_crd")?.wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        v_p = it;
+        update((ld(b_A1_crd, v_p, "A1_crd")? as i64).wrapping_add(1_i64), 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
     }
     for it in 0_i64..v_N {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt1, v_r.wrapping_add(1_i64), "cnt1")?.wrapping_add(ld(&b_cnt1, v_r, "cnt1")?), &mut b_cnt1, "cnt1", |_, v| v)?;
     }
     b_t1_i = alloc(v_nnz)?;
@@ -1864,22 +1634,22 @@ fn convert_coo3_to_csf_210(env: &mut Interpreter) -> Checked<()> {
     b_t1_k = alloc(v_nnz)?;
     b_t1_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt1, ld(b_A1_crd, v_p, "A1_crd")?, "cnt1")?; f_d = true;
-        update(ld(b_A1_crd, v_p, "A1_crd")?, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
-        update(v_d, ld(b_A1_crd, v_p, "A1_crd")?, &mut b_t1_i, "t1_i", |_, v| v)?;
-        update(v_d, ld(b_A2_crd, v_p, "A2_crd")?, &mut b_t1_j, "t1_j", |_, v| v)?;
-        update(v_d, ld(b_A3_crd, v_p, "A3_crd")?, &mut b_t1_k, "t1_k", |_, v| v)?;
+        v_p = it;
+        v_d = ld(&b_cnt1, ld(b_A1_crd, v_p, "A1_crd")? as i64, "cnt1")?;
+        update(ld(b_A1_crd, v_p, "A1_crd")? as i64, 1_i64, &mut b_cnt1, "cnt1", i64::wrapping_add)?;
+        update(v_d, ld(b_A1_crd, v_p, "A1_crd")? as i64, &mut b_t1_i, "t1_i", |_, v| v)?;
+        update(v_d, ld(b_A2_crd, v_p, "A2_crd")? as i64, &mut b_t1_j, "t1_j", |_, v| v)?;
+        update(v_d, ld(b_A3_crd, v_p, "A3_crd")? as i64, &mut b_t1_k, "t1_k", |_, v| v)?;
         update(v_d, ld(b_A_vals, v_p, "A_vals")?, &mut b_t1_v, "t1_v", |_, v| v)?;
     }
     // stable counting sort by t1_j (M buckets)
     b_cnt2 = alloc(v_M.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t1_j, v_p, "t1_j")?.wrapping_add(1_i64), 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
     }
     for it in 0_i64..v_M {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt2, v_r.wrapping_add(1_i64), "cnt2")?.wrapping_add(ld(&b_cnt2, v_r, "cnt2")?), &mut b_cnt2, "cnt2", |_, v| v)?;
     }
     b_t2_i = alloc(v_nnz)?;
@@ -1887,8 +1657,8 @@ fn convert_coo3_to_csf_210(env: &mut Interpreter) -> Checked<()> {
     b_t2_k = alloc(v_nnz)?;
     b_t2_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt2, ld(&b_t1_j, v_p, "t1_j")?, "cnt2")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt2, ld(&b_t1_j, v_p, "t1_j")?, "cnt2")?;
         update(ld(&b_t1_j, v_p, "t1_j")?, 1_i64, &mut b_cnt2, "cnt2", i64::wrapping_add)?;
         update(v_d, ld(&b_t1_i, v_p, "t1_i")?, &mut b_t2_i, "t2_i", |_, v| v)?;
         update(v_d, ld(&b_t1_j, v_p, "t1_j")?, &mut b_t2_j, "t2_j", |_, v| v)?;
@@ -1898,11 +1668,11 @@ fn convert_coo3_to_csf_210(env: &mut Interpreter) -> Checked<()> {
     // stable counting sort by t2_k (L buckets)
     b_cnt3 = alloc(v_L.wrapping_add(1_i64))?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
+        v_p = it;
         update(ld(&b_t2_k, v_p, "t2_k")?.wrapping_add(1_i64), 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
     }
     for it in 0_i64..v_L {
-        v_r = it; f_r = true;
+        v_r = it;
         update(v_r.wrapping_add(1_i64), ld(&b_cnt3, v_r.wrapping_add(1_i64), "cnt3")?.wrapping_add(ld(&b_cnt3, v_r, "cnt3")?), &mut b_cnt3, "cnt3", |_, v| v)?;
     }
     b_s_i = alloc(v_nnz)?;
@@ -1910,8 +1680,8 @@ fn convert_coo3_to_csf_210(env: &mut Interpreter) -> Checked<()> {
     b_s_k = alloc(v_nnz)?;
     b_s_v = alloc(v_nnz)?;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_d = ld(&b_cnt3, ld(&b_t2_k, v_p, "t2_k")?, "cnt3")?; f_d = true;
+        v_p = it;
+        v_d = ld(&b_cnt3, ld(&b_t2_k, v_p, "t2_k")?, "cnt3")?;
         update(ld(&b_t2_k, v_p, "t2_k")?, 1_i64, &mut b_cnt3, "cnt3", i64::wrapping_add)?;
         update(v_d, ld(&b_t2_i, v_p, "t2_i")?, &mut b_s_i, "s_i", |_, v| v)?;
         update(v_d, ld(&b_t2_j, v_p, "t2_j")?, &mut b_s_j, "s_j", |_, v| v)?;
@@ -1930,9 +1700,9 @@ fn convert_coo3_to_csf_210(env: &mut Interpreter) -> Checked<()> {
     v_prev_i = -1_i64;
     v_prev_j = -1_i64;
     for it in 0_i64..v_nnz {
-        v_p = it; f_p = true;
-        v_i = ld(&b_s_k, v_p, "s_k")?; f_i = true;
-        v_j = ld(&b_s_j, v_p, "s_j")?; f_j = true;
+        v_p = it;
+        v_i = ld(&b_s_k, v_p, "s_k")?;
+        v_j = ld(&b_s_j, v_p, "s_j")?;
         if v_i != v_prev_i {
             update(v_q1, v_i, &mut b_B1_crd, "B1_crd", |_, v| v)?;
             v_q1 = v_q1.wrapping_add(1_i64);
@@ -1949,59 +1719,33 @@ fn convert_coo3_to_csf_210(env: &mut Interpreter) -> Checked<()> {
         update(v_p, ld(&b_s_v, v_p, "s_v")?, &mut b_B_vals, "B_vals", |_, v| v)?;
         update(v_q2, v_p.wrapping_add(1_i64), &mut b_B3_pos, "B3_pos", |_, v| v)?;
     }
-    env.insert_buffer("B1_crd", Buffer::Ints(b_B1_crd));
-    env.insert_buffer("B2_crd", Buffer::Ints(b_B2_crd));
-    env.insert_buffer("B2_pos", Buffer::Ints(b_B2_pos));
-    env.insert_buffer("B3_crd", Buffer::Ints(b_B3_crd));
-    env.insert_buffer("B3_pos", Buffer::Ints(b_B3_pos));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    env.insert_buffer("cnt1", Buffer::Ints(b_cnt1));
-    env.insert_buffer("cnt2", Buffer::Ints(b_cnt2));
-    env.insert_buffer("cnt3", Buffer::Ints(b_cnt3));
-    env.insert_buffer("s_i", Buffer::Ints(b_s_i));
-    env.insert_buffer("s_j", Buffer::Ints(b_s_j));
-    env.insert_buffer("s_k", Buffer::Ints(b_s_k));
-    env.insert_buffer("s_v", Buffer::Floats(b_s_v));
-    env.insert_buffer("t1_i", Buffer::Ints(b_t1_i));
-    env.insert_buffer("t1_j", Buffer::Ints(b_t1_j));
-    env.insert_buffer("t1_k", Buffer::Ints(b_t1_k));
-    env.insert_buffer("t1_v", Buffer::Floats(b_t1_v));
-    env.insert_buffer("t2_i", Buffer::Ints(b_t2_i));
-    env.insert_buffer("t2_j", Buffer::Ints(b_t2_j));
-    env.insert_buffer("t2_k", Buffer::Ints(b_t2_k));
-    env.insert_buffer("t2_v", Buffer::Floats(b_t2_v));
-    if f_d { env.insert_int("d", v_d); }
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_p { env.insert_int("p", v_p); }
-    env.insert_int("prev_i", v_prev_i);
-    env.insert_int("prev_j", v_prev_j);
-    env.insert_int("q1", v_q1);
-    env.insert_int("q2", v_q2);
-    if f_r { env.insert_int("r", v_r); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B1_crd", b_B1_crd), ("B2_pos", b_B2_pos), ("B2_crd", b_B2_crd), ("B3_pos", b_B3_pos), ("B3_crd", b_B3_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(("q1", v_q1), ("q2", v_q2)),
+    })
 }
 
-fn convert_csf_to_coo3(env: &mut Interpreter) -> Checked<()> {
-    let b_A1_crd = env.input("A1_crd", Buffer::as_ints)?;
-    let b_A2_crd = env.input("A2_crd", Buffer::as_ints)?;
-    let b_A2_pos = env.input("A2_pos", Buffer::as_ints)?;
-    let b_A3_crd = env.input("A3_crd", Buffer::as_ints)?;
-    let b_A3_pos = env.input("A3_pos", Buffer::as_ints)?;
-    let b_A_vals = env.input("A_vals", Buffer::as_floats)?;
-    let v_R1 = env.input_int("R1")?;
-    let v_nnz = env.input_int("nnz")?;
+fn convert_csf_to_coo3(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_A1_crd = inputs.int_array(0, "A1_crd")?;
+    let b_A2_pos = inputs.int_array(1, "A2_pos")?;
+    let b_A2_crd = inputs.int_array(2, "A2_crd")?;
+    let b_A3_pos = inputs.int_array(3, "A3_pos")?;
+    let b_A3_crd = inputs.int_array(4, "A3_crd")?;
+    let b_A_vals = inputs.float_array(0, "A_vals")?;
+    let v_R1 = inputs.int(3, "R1")?;
+    let v_nnz = inputs.int(4, "nnz")?;
     let mut b_B1_crd: Vec<i64>;
     let mut b_B2_crd: Vec<i64>;
     let mut b_B3_crd: Vec<i64>;
     let mut b_B_vals: Vec<f64>;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_j, mut f_j) = (0_i64, false);
-    let (mut v_k, mut f_k) = (0_i64, false);
-    let (mut v_p, mut f_p) = (0_i64, false);
+    let mut v_i: i64;
+    let mut v_j: i64;
+    let mut v_k: i64;
+    let mut v_p: i64;
     let mut v_q: i64;
-    let (mut v_r, mut f_r) = (0_i64, false);
-    let (mut v_s, mut f_s) = (0_i64, false);
+    let mut v_r: i64;
+    let mut v_s: i64;
     // assembly: append nonzeros in source order
     b_B1_crd = alloc(v_nnz)?;
     b_B2_crd = alloc(v_nnz)?;
@@ -2009,14 +1753,14 @@ fn convert_csf_to_coo3(env: &mut Interpreter) -> Checked<()> {
     b_B_vals = alloc(v_nnz)?;
     v_q = 0_i64;
     for it in 0_i64..v_R1 {
-        v_r = it; f_r = true;
-        v_i = ld(b_A1_crd, v_r, "A1_crd")?; f_i = true;
-        for it in ld(b_A2_pos, v_r, "A2_pos")?..ld(b_A2_pos, v_r.wrapping_add(1_i64), "A2_pos")? {
-            v_s = it; f_s = true;
-            v_j = ld(b_A2_crd, v_s, "A2_crd")?; f_j = true;
-            for it in ld(b_A3_pos, v_s, "A3_pos")?..ld(b_A3_pos, v_s.wrapping_add(1_i64), "A3_pos")? {
-                v_p = it; f_p = true;
-                v_k = ld(b_A3_crd, v_p, "A3_crd")?; f_k = true;
+        v_r = it;
+        v_i = ld(b_A1_crd, v_r, "A1_crd")? as i64;
+        for it in (ld(b_A2_pos, v_r, "A2_pos")? as i64)..(ld(b_A2_pos, v_r.wrapping_add(1_i64), "A2_pos")? as i64) {
+            v_s = it;
+            v_j = ld(b_A2_crd, v_s, "A2_crd")? as i64;
+            for it in (ld(b_A3_pos, v_s, "A3_pos")? as i64)..(ld(b_A3_pos, v_s.wrapping_add(1_i64), "A3_pos")? as i64) {
+                v_p = it;
+                v_k = ld(b_A3_crd, v_p, "A3_crd")? as i64;
                 update(v_q, v_i, &mut b_B1_crd, "B1_crd", |_, v| v)?;
                 update(v_q, v_j, &mut b_B2_crd, "B2_crd", |_, v| v)?;
                 update(v_q, v_k, &mut b_B3_crd, "B3_crd", |_, v| v)?;
@@ -2025,43 +1769,36 @@ fn convert_csf_to_coo3(env: &mut Interpreter) -> Checked<()> {
             }
         }
     }
-    env.insert_buffer("B1_crd", Buffer::Ints(b_B1_crd));
-    env.insert_buffer("B2_crd", Buffer::Ints(b_B2_crd));
-    env.insert_buffer("B3_crd", Buffer::Ints(b_B3_crd));
-    env.insert_buffer("B_vals", Buffer::Floats(b_B_vals));
-    if f_i { env.insert_int("i", v_i); }
-    if f_j { env.insert_int("j", v_j); }
-    if f_k { env.insert_int("k", v_k); }
-    if f_p { env.insert_int("p", v_p); }
-    env.insert_int("q", v_q);
-    if f_r { env.insert_int("r", v_r); }
-    if f_s { env.insert_int("s", v_s); }
-    Ok(())
+    Ok(Outputs {
+        ints: vec!(("B1_crd", b_B1_crd), ("B2_crd", b_B2_crd), ("B3_crd", b_B3_crd)),
+        floats: vec!(("B_vals", b_B_vals)),
+        scalars: vec!(),
+    })
 }
 
 #[cfg(test)]
-fn emit_fixture(env: &mut Interpreter) -> Checked<()> {
-    let v_n = env.input_int("n")?;
-    let b_vs = env.input("vs", Buffer::as_floats)?;
-    let b_xs = env.input("xs", Buffer::as_ints)?;
+fn emit_fixture(inputs: &Inputs<'_>) -> Checked<Outputs> {
+    let b_xs = inputs.int_array(0, "xs")?;
+    let b_vs = inputs.float_array(0, "vs")?;
+    let v_n = inputs.int(0, "n")?;
     let mut b_f: Vec<f64>;
     let mut b_o: Vec<i64>;
     let mut v_acc: i64;
     let mut v_facc: f64;
-    let (mut v_i, mut f_i) = (0_i64, false);
-    let (mut v_last, mut f_last) = (0_i64, false);
-    let (mut v_late, mut f_late) = (0_f64, false);
+    let mut v_i: i64;
+    let mut v_last: i64;
+    let v_late: f64;
     let mut v_w: i64;
-    let (mut v_x, mut f_x) = (0_i64, false);
-    let (mut v_zeros, mut f_zeros) = (0_i64, false);
+    let mut v_x: i64;
+    let mut v_zeros: i64;
     // every expression, on every element
     b_o = alloc(16_i64)?;
     b_f = alloc(8_i64)?;
     v_acc = i64::MIN;
     v_facc = 0.5_f64;
     for it in 0_i64..v_n {
-        v_i = it; f_i = true;
-        v_x = ld(b_xs, v_i, "xs")?; f_x = true;
+        v_i = it;
+        v_x = ld(b_xs, v_i, "xs")? as i64;
         v_acc = v_acc.wrapping_add(v_x.wrapping_mul(3_i64));
         update(0_i64, v_x, &mut b_o, "o", i64::wrapping_add)?;
         update(1_i64, v_x, &mut b_o, "o", i64::max)?;
@@ -2087,31 +1824,26 @@ fn emit_fixture(env: &mut Interpreter) -> Checked<()> {
         update(5_i64, ld(b_vs, v_i, "vs")? - v_facc, &mut b_f, "f", |_, v| v)?;
         update(6_i64, if ld(b_vs, v_i, "vs")? == ld(b_vs, v_i, "vs")? { v_x as f64 } else { ld(b_vs, v_i, "vs")? }, &mut b_f, "f", |_, v| v)?;
         if v_x != 0_i64 {
-            v_last = v_x; f_last = true;
+            v_last = v_x;
         } else {
-            v_zeros = v_i.wrapping_add(1_i64); f_zeros = true;
+            v_zeros = v_i.wrapping_add(1_i64);
         }
     }
     v_w = 0_i64;
     {
-        let mut left = env.while_budget;
-        while v_w < ld(b_xs, 0_i64, "xs")? {
+        let mut left = WHILE_BUDGET;
+        while v_w < (ld(b_xs, 0_i64, "xs")? as i64) {
             tick(&mut left)?;
             v_w = v_w.wrapping_add(1_i64);
         }
     }
     if v_w >= 2_i64 {
-        v_late = 2.5_f64; f_late = true;
+        v_late = 2.5_f64;
     }
-    env.insert_buffer("f", Buffer::Floats(b_f));
-    env.insert_buffer("o", Buffer::Ints(b_o));
-    env.insert_int("acc", v_acc);
-    env.insert_float("facc", v_facc);
-    if f_i { env.insert_int("i", v_i); }
-    if f_last { env.insert_int("last", v_last); }
-    if f_late { env.insert_float("late", v_late); }
-    env.insert_int("w", v_w);
-    if f_x { env.insert_int("x", v_x); }
-    if f_zeros { env.insert_int("zeros", v_zeros); }
-    Ok(())
+    update(7_i64, v_facc, &mut b_f, "f", |_, v| v)?;
+    Ok(Outputs {
+        ints: vec!(("o", b_o)),
+        floats: vec!(("f", b_f)),
+        scalars: vec!(("acc", v_acc), ("w", v_w)),
+    })
 }

@@ -1,39 +1,31 @@
-//! Emits routines as checked Rust: the compiled tier.
+//! Emits routines as checked Rust: the compiled tier's source. Like the
+//! interpreter whose typing it reads, it is compiled for tests only; the
+//! `codegen` freshness test writes what it prints into
+//! [`compiled`](crate::ir::compiled).
 //!
-//! [`emit_function`] prints a [`Function`] as a Rust `fn` that keeps the
-//! interpreter's contract. Every load and store is bounds-checked and fails
-//! with the interpreter's [`InterpError::OutOfBounds`] payload; division by
-//! zero, the `while` budget and allocation sizes stay checked (the helpers
-//! are in [`checked`](crate::ir::checked)); integer arithmetic wraps. Each
-//! name gets the type [`Interpreter::run`] gives it. Definition before use is
-//! checked here, at emit time, by the rule rustc applies to the emitted
-//! `let`s: a read on a path where its name may still be undefined is the
+//! [`emit_function`] prints a [`Function`] as a [`Routine`](crate::ir::checked::Routine):
+//! a Rust `fn` that borrows its parameters as [`Inputs`](crate::ir::checked::Inputs)
+//! (integer arrays as the source stores them, each load widened to `i64`)
+//! and returns the names it is asked for as [`Outputs`](crate::ir::checked::Outputs).
+//! Every load and store is bounds-checked and fails with the interpreter's
+//! [`InterpError::OutOfBounds`] payload; division by zero, the `while`
+//! budget and allocation sizes stay checked (the helpers are in
+//! [`checked`](crate::ir::checked)); integer arithmetic wraps. Each name gets
+//! the type [`Interpreter::run`] gives it. Definition before use is checked
+//! here, at emit time, by the rule rustc applies to the emitted `let`s: a
+//! read, or an output, on a path where its name may still be undefined is the
 //! error the interpreter would raise there, and nothing is emitted.
-//!
-//! An emitted routine reads its inputs from an [`Interpreter`]'s tables and
-//! leaves there every scalar and buffer the interpreted routine would leave,
-//! so it is a drop-in replacement for `run`. [`emit_module`] gathers routines
-//! into the `@generated` [`compiled`](crate::ir::compiled) file, with the
+//! [`emit_module`] gathers routines into the `@generated` file, with the
 //! `lookup` that finds one by name.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+use crate::ir::checked::{InterpError, Param};
 use crate::ir::expr::{Expr, IrBinOp};
-use crate::ir::interp::{Buffer, InterpError, Interpreter, Ty};
+use crate::ir::interp::{Buffer, Interpreter, Ty};
 use crate::ir::printer::print_expr;
 use crate::ir::stmt::{Function, Stmt};
-
-/// What a routine parameter holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Param {
-    /// An integer array (`pos`, `crd`).
-    Ints,
-    /// A value array.
-    Floats,
-    /// An integer scalar (an extent or a count).
-    Int,
-}
 
 const SCALAR: usize = 0;
 const BUFFER: usize = 1;
@@ -41,64 +33,64 @@ const BUFFER: usize = 1;
 /// The names defined on every path to a point: the scalars', then the buffers'.
 type Defined = [BTreeSet<String>; 2];
 
+/// Whether a parameter or an output is a scalar or a buffer.
+fn kind(param: Param) -> usize {
+    usize::from(param != Param::Int)
+}
+
 /// Emits `function`, whose parameters hold what `params` says, as a checked
-/// Rust `fn` of the [`compiled::Routine`](crate::ir::compiled::Routine) type.
+/// Rust `fn` that returns the `outputs`, each holding what its [`Param`] says.
 ///
 /// # Errors
 ///
 /// Returns the type error `run` would return; an
 /// [`InterpError::UndefinedVariable`] or [`InterpError::UndefinedBuffer`] for
-/// a read its name may not be defined before; and an
+/// a read or an output its name may not be defined before; and an
 /// [`InterpError::TypeError`] for what the emitter does not take: a name that
-/// is not a Rust identifier, a buffer allocated on some paths only, and a
-/// write to an input.
+/// is not a Rust identifier, a write to an input, and an output that is an
+/// input or not of its declared type.
 pub fn emit_function(
     function: &Function,
     params: &[(String, Param)],
+    outputs: &[(&str, Param)],
 ) -> Result<String, InterpError> {
-    let mut env = Interpreter::new();
+    let mut interp = Interpreter::new();
     let mut defined = Defined::default();
     for (name, param) in params {
         ident(name)?;
         match param {
-            Param::Ints => env.insert_buffer(name, Buffer::Ints(Vec::new())),
-            Param::Floats => env.insert_buffer(name, Buffer::Floats(Vec::new())),
-            Param::Int => env.insert_int(name, 0),
+            Param::Ints => interp.insert_buffer(name, Buffer::Ints(Vec::new())),
+            Param::Floats => interp.insert_buffer(name, Buffer::Floats(Vec::new())),
+            Param::Int => interp.insert_int(name, 0),
         }
-        defined[usize::from(*param != Param::Int)].insert(name.clone());
+        defined[kind(*param)].insert(name.clone());
     }
     ident(&function.name)?;
     let mut e = Emitter {
-        types: env.typing(function)?,
-        inputs: params.iter().cloned().collect(),
+        types: interp.typing(function)?,
+        inputs: params.to_vec(),
+        depth: 1,
         ..Emitter::default()
     };
-    // A first pass finds what the declarations need: which names are set
-    // twice or in a loop, and which scalars the end may see undefined.
-    let mut end = defined.clone();
-    e.block(&function.body, &mut end)?;
-    let end = &end;
-    let maybe = |kind: usize| {
-        e.assigned[kind]
-            .keys()
-            .filter(move |n| !end[kind].contains(*n))
-    };
-    if let Some(name) = maybe(BUFFER).next() {
-        return Err(refuse(format!("`{name}` is not allocated on every path")));
-    }
-    let written = e
+    e.block(&function.body, &mut defined)?;
+    let mut written = e
         .stored
         .iter()
         .chain(e.assigned.iter().flat_map(|names| names.keys()));
-    if let Some(name) = written.clone().find(|n| e.inputs.contains_key(*n)) {
+    if let Some(name) = written.find(|n| e.input(n).is_some()) {
         return Err(refuse(format!("the routine writes its input `{name}`")));
     }
-    e.flagged = maybe(SCALAR).cloned().collect();
-    // The second pass writes the body, and records the same facts again.
-    (e.assigned, e.stored, e.read, e.out) = Default::default();
-    e.depth = 1;
-    e.block(&function.body, &mut defined)?;
-    Ok(e.finish(&function.name))
+    for (name, param) in outputs {
+        if e.input(name).is_some() {
+            return Err(refuse(format!("the routine returns its input `{name}`")));
+        }
+        e.read(kind(*param), name, &defined)?;
+        let ty = [Ty::Int, Ty::Float][usize::from(*param == Param::Floats)];
+        if e.ty(kind(*param), name) != ty {
+            return Err(refuse(format!("`{name}` is not {param:?}")));
+        }
+    }
+    Ok(e.finish(&function.name, outputs))
 }
 
 /// Gathers emitted routines, named as their functions are, into the
@@ -134,20 +126,14 @@ const HEADER: &str = "\
 
 //! Conversion routines compiled ahead of time.
 //!
-//! Every routine `codegen::execute_format` can serve, emitted by
-//! [`emit_function`](crate::ir::emit::emit_function) from what
-//! `codegen::generate` returns for it. Each runs against an [`Interpreter`]'s
-//! tables with every access checked, exactly as `Interpreter::run` would run
-//! the same function.
+//! Every routine `codegen::execute_format` can serve, emitted by the
+//! test-only `ir::emit` from what `codegen::generate` returns for it. Each
+//! borrows its source's arrays as [`Inputs`] and returns what its target's
+//! container is built from as [`Outputs`], with every access checked.
 
-#![allow(non_snake_case, clippy::needless_late_init)]
+#![allow(non_snake_case, unused_assignments, unused_variables, clippy::needless_late_init)]
 
 use crate::ir::checked::*;
-use crate::ir::interp::{Buffer, Interpreter};
-
-/// A compiled routine: reads its inputs from the interpreter's tables and
-/// leaves there what `Interpreter::run` would, or fails as it would.
-pub type Routine = fn(&mut Interpreter) -> Checked<()>;
 
 ";
 
@@ -210,16 +196,14 @@ impl Code {
 struct Emitter {
     /// Every name's type: the scalars', then the buffers'.
     types: [BTreeMap<String, Ty>; 2],
-    inputs: BTreeMap<String, Param>,
+    /// The parameters, in order.
+    inputs: Vec<(String, Param)>,
     /// Per name defined in the body, whether it is set more than once or in
     /// a loop: the scalars', then the buffers' (allocations).
     assigned: [BTreeMap<String, bool>; 2],
     stored: BTreeSet<String>,
     /// The inputs the body reads.
     read: BTreeSet<String>,
-    /// The scalars some path to the end leaves undefined: they start at zero
-    /// with a defined flag `f_<name>`, and are left only where it is set.
-    flagged: BTreeSet<String>,
     loops: usize,
     depth: usize,
     out: String,
@@ -228,6 +212,11 @@ struct Emitter {
 impl Emitter {
     fn line(&mut self, text: &str) {
         let _ = writeln!(self.out, "{:1$}{text}", "", 4 * self.depth);
+    }
+
+    fn input(&self, name: &str) -> Option<Param> {
+        let mut params = self.inputs.iter();
+        params.find(|(n, _)| n == name).map(|(_, param)| *param)
     }
 
     fn ty(&self, kind: usize, name: &str) -> Ty {
@@ -240,7 +229,7 @@ impl Emitter {
             let kinds = [InterpError::UndefinedVariable, InterpError::UndefinedBuffer];
             return Err(kinds[kind](name));
         }
-        if self.inputs.contains_key(name) {
+        if self.input(name).is_some() {
             self.read.insert(name.to_string());
         }
         Ok(())
@@ -258,11 +247,7 @@ impl Emitter {
     /// Sets scalar `name` to `value` (already at its type).
     fn set(&mut self, name: &str, value: &str, d: &mut Defined) -> Result<(), InterpError> {
         self.define(SCALAR, name, d)?;
-        let flag = match self.flagged.contains(name) {
-            true => format!(" f_{name} = true;"),
-            false => String::new(),
-        };
-        self.line(&format!("v_{name} = {value};{flag}"));
+        self.line(&format!("v_{name} = {value};"));
         Ok(())
     }
 
@@ -329,7 +314,7 @@ impl Emitter {
                 let cond = self.truth(cond, d)?;
                 self.line("{");
                 self.depth += 1;
-                self.line("let mut left = env.while_budget;");
+                self.line("let mut left = WHILE_BUDGET;");
                 self.line(&format!("while {cond} {{"));
                 self.loops += 1;
                 self.line("    tick(&mut left)?;");
@@ -434,13 +419,14 @@ impl Emitter {
             Expr::Load { buffer, index } => {
                 let index = self.int(index, d)?;
                 self.read(BUFFER, buffer, d)?;
-                let borrow = if self.inputs.contains_key(buffer) {
-                    ""
-                } else {
-                    "&"
-                };
+                let input = self.input(buffer);
+                let borrow = if input.is_some() { "" } else { "&" };
                 let text = format!("ld({borrow}b_{buffer}, {}, {buffer:?})?", index.text);
-                Code::atom(text, self.ty(BUFFER, buffer))
+                match input {
+                    // The source's `usize`s, widened as they are loaded.
+                    Some(Param::Ints) => Code::op(format!("{text} as i64"), Ty::Int),
+                    _ => Code::atom(text, self.ty(BUFFER, buffer)),
+                }
             }
             Expr::Binary(op, l, r) => {
                 let (l, r) = self.pair(l, r, d)?;
@@ -506,19 +492,25 @@ impl Emitter {
         })
     }
 
-    /// The routine: its inputs and declarations, the body, then what it
-    /// leaves in the interpreter's tables.
-    fn finish(self, name: &str) -> String {
-        let mut head = format!("fn {name}(env: &mut Interpreter) -> Checked<()> {{\n");
+    /// The routine: its inputs and declarations, the body, then the outputs.
+    fn finish(self, name: &str, outputs: &[(&str, Param)]) -> String {
+        let mut head = format!("fn {name}(inputs: &Inputs<'_>) -> Checked<Outputs> {{\n");
         let mut line = |text: String| _ = writeln!(head, "    {text}");
-        for (input, param) in self.inputs.iter().filter(|(n, _)| self.read.contains(*n)) {
-            line(match param {
-                Param::Ints => format!("let b_{input} = env.input({input:?}, Buffer::as_ints)?;"),
-                Param::Floats => {
-                    format!("let b_{input} = env.input({input:?}, Buffer::as_floats)?;")
-                }
-                Param::Int => format!("let v_{input} = env.input_int({input:?})?;"),
-            });
+        // Each kind of input is numbered in parameter order.
+        let mut at = [0; 3];
+        for (input, param) in &self.inputs {
+            let (prefix, get) = match param {
+                Param::Ints => ("b", "int_array"),
+                Param::Floats => ("b", "float_array"),
+                Param::Int => ("v", "int"),
+            };
+            if self.read.contains(input) {
+                let index = at[*param as usize];
+                line(format!(
+                    "let {prefix}_{input} = inputs.{get}({index}, {input:?})?;"
+                ));
+            }
+            at[*param as usize] += 1;
         }
         for (buffer, again) in &self.assigned[BUFFER] {
             let mutable = if *again || self.stored.contains(buffer) {
@@ -530,33 +522,22 @@ impl Emitter {
             line(format!("let {mutable}b_{buffer}: Vec<{ty}>;"));
         }
         for (scalar, again) in &self.assigned[SCALAR] {
+            let mutable = if *again { "mut " } else { "" };
             let ty = rust_ty(self.ty(SCALAR, scalar));
-            if self.flagged.contains(scalar) {
-                line(format!(
-                    "let (mut v_{scalar}, mut f_{scalar}) = (0_{ty}, false);"
-                ));
-            } else {
-                let mutable = if *again { "mut " } else { "" };
-                line(format!("let {mutable}v_{scalar}: {ty};"));
-            }
+            line(format!("let {mutable}v_{scalar}: {ty};"));
         }
-        let mut out = head + &self.out;
-        let mut line = |text: String| _ = writeln!(out, "    {text}");
-        for buffer in self.assigned[BUFFER].keys() {
-            let variant = ["Ints", "Floats"][usize::from(self.ty(BUFFER, buffer) == Ty::Float)];
-            line(format!(
-                "env.insert_buffer({buffer:?}, Buffer::{variant}(b_{buffer}));"
-            ));
+        let mut out = head + &self.out + "    Ok(Outputs {\n";
+        for (field, param, prefix) in [
+            ("ints", Param::Ints, "b"),
+            ("floats", Param::Floats, "b"),
+            ("scalars", Param::Int, "v"),
+        ] {
+            let named = outputs.iter().filter(|(_, p)| *p == param);
+            let named: Vec<String> = named
+                .map(|(n, _)| format!("({n:?}, {prefix}_{n})"))
+                .collect();
+            let _ = writeln!(out, "        {field}: vec!({}),", named.join(", "));
         }
-        for scalar in self.assigned[SCALAR].keys() {
-            let insert =
-                ["insert_int", "insert_float"][usize::from(self.ty(SCALAR, scalar) == Ty::Float)];
-            let leave = format!("env.{insert}({scalar:?}, v_{scalar});");
-            match self.flagged.contains(scalar) {
-                true => line(format!("if f_{scalar} {{ {leave} }}")),
-                false => line(leave),
-            }
-        }
-        out + "    Ok(())\n}\n"
+        out + "    })\n}\n"
     }
 }

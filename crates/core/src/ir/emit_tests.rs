@@ -5,25 +5,54 @@ pub(crate) mod tests {
     use proptest::prelude::*;
 
     use crate::ir::build::*;
+    use crate::ir::checked::{InterpError, Inputs, Outputs, Param};
     use crate::ir::compiled;
     use crate::ir::emit::*;
     use crate::ir::expr::{Expr, IrBinOp};
     use crate::ir::interp::*;
     use crate::ir::stmt::{Function, Stmt};
 
-    /// Every defined scalar and buffer, tagged with its type, as bits.
-    pub(crate) fn tables(env: &Interpreter) -> Vec<(String, Vec<u64>)> {
-        let [scalars, buffers] = env.defined();
-        let scalars = scalars.into_iter().map(|name| match env.scalar(name) {
-            Some(Scalar::Float(v)) => (format!("float {name}"), vec![v.to_bits()]),
-            other => (format!("int {name}"), other.and_then(|s| s.as_int().ok()).map(|v| v as u64).into_iter().collect()),
-        });
-        let buffers = buffers.into_iter().map(|name| match env.buffer(name) {
-            Some(Buffer::Floats(v)) => (format!("floats {name}"), v.iter().map(|x| x.to_bits()).collect()),
-            Some(Buffer::Ints(v)) => (format!("ints {name}"), v.iter().map(|&x| x as u64).collect()),
-            None => (name.to_string(), vec![]),
-        });
-        scalars.chain(buffers).collect()
+    /// Every output, tagged with its kind, as bits.
+    pub(crate) fn bits(outputs: &Outputs) -> Vec<(String, Vec<u64>)> {
+        let ints = outputs.ints.iter().map(|(name, v)| (format!("ints {name}"), v.iter().map(|&x| x as u64).collect()));
+        let floats = outputs.floats.iter().map(|(name, v)| (format!("floats {name}"), v.iter().map(|x| x.to_bits()).collect()));
+        let scalars = outputs.scalars.iter().map(|(name, v)| (format!("int {name}"), vec![*v as u64]));
+        ints.chain(floats).chain(scalars).collect()
+    }
+
+    /// Runs `function` in the interpreter on `inputs`, bound to the names
+    /// `params` gives them (integer arrays widened to `i64`, as a compiled
+    /// routine widens what it loads), and returns the `outputs` it leaves, as
+    /// a compiled routine returns them.
+    pub(crate) fn interpret(
+        function: &Function,
+        params: &[(String, Param)],
+        inputs: &Inputs,
+        outputs: &[(&'static str, Param)],
+    ) -> Result<Outputs, InterpError> {
+        let mut interp = Interpreter::new();
+        let (mut ints, mut floats, mut scalars) = (inputs.ints.iter(), inputs.floats.iter(), inputs.scalars.iter());
+        for (name, param) in params {
+            match param {
+                Param::Ints => {
+                    let widened = ints.next().expect("bound").iter().map(|&x| x as i64);
+                    interp.insert_buffer(name, Buffer::Ints(widened.collect()));
+                }
+                Param::Floats => interp.insert_buffer(name, Buffer::Floats(floats.next().expect("bound").to_vec())),
+                Param::Int => interp.insert_int(name, *scalars.next().expect("bound")),
+            }
+        }
+        interp.run(function)?;
+        let mut out = Outputs::default();
+        for &(name, param) in outputs {
+            let buffer = interp.buffer(name);
+            match param {
+                Param::Ints => out.ints.push((name, buffer.and_then(Buffer::as_ints).expect("left").to_vec())),
+                Param::Floats => out.floats.push((name, buffer.and_then(Buffer::as_floats).expect("left").to_vec())),
+                Param::Int => out.scalars.push((name, interp.int(name).expect("left"))),
+            }
+        }
+        Ok(out)
     }
 
     fn ints(name: &str) -> (String, Param) {
@@ -31,8 +60,16 @@ pub(crate) mod tests {
     }
 
     fn emit(body: Vec<Stmt>, params: &[(String, Param)]) -> Result<String, InterpError> {
+        emit_returning(body, params, &[])
+    }
+
+    fn emit_returning(
+        body: Vec<Stmt>,
+        params: &[(String, Param)],
+        outputs: &[(&str, Param)],
+    ) -> Result<String, InterpError> {
         let names = params.iter().map(|(name, _)| name.clone()).collect();
-        emit_function(&Function::new("f", names, body), params)
+        emit_function(&Function::new("f", names, body), params, outputs)
     }
 
     fn bin(op: IrBinOp, l: Expr, r: Expr) -> Expr {
@@ -40,10 +77,14 @@ pub(crate) mod tests {
     }
 
     /// A routine that uses every expression and statement of the IR, with
-    /// faults (a zero divisor, an index out of bounds, a runaway `while`)
-    /// that depend on its inputs `xs`, `vs` and `n`. `codegen`'s freshness
-    /// test compiles it into `compiled.rs` under `#[cfg(test)]`.
-    pub(crate) fn fixture() -> (Function, Vec<(String, Param)>) {
+    /// faults (a zero divisor, an index out of bounds) that depend on its
+    /// inputs `xs`, `vs` and `n`, and the outputs it returns. Its scalars
+    /// `last`, `zeros` and `late` are defined on some paths only, and are
+    /// not returned. `codegen`'s freshness test compiles it into
+    /// `compiled.rs` under `#[cfg(test)]`.
+    pub(crate) type Fixture = (Function, Vec<(String, Param)>, Vec<(&'static str, Param)>);
+
+    pub(crate) fn fixture() -> Fixture {
         let params = vec![
             ints("xs"),
             ("vs".to_string(), Param::Floats),
@@ -105,8 +146,15 @@ pub(crate) mod tests {
                 body: vec![assign("w", add(var("w"), int(1)))],
             },
             if_(ge(var("w"), int(2)), vec![decl("late", float(2.5))]),
+            store("f", int(7), var("facc")),
         ];
-        (Function::new("emit_fixture", vec![], body), params)
+        let outputs = vec![
+            ("o", Param::Ints),
+            ("f", Param::Floats),
+            ("acc", Param::Int),
+            ("w", Param::Int),
+        ];
+        (Function::new("emit_fixture", vec![], body), params, outputs)
     }
 
     #[test]
@@ -133,6 +181,18 @@ pub(crate) mod tests {
             emit(in_loop, &[]),
             Err(InterpError::UndefinedBuffer("b".into()))
         );
+        // An output some path leaves undefined is refused as such a read.
+        let n = [("n".into(), Param::Int)];
+        let one_path = || vec![if_(var("n"), vec![alloc_int("b", int(1), true), decl("x", int(1))])];
+        assert!(emit(one_path(), &n).is_ok(), "defined on one path, never read");
+        assert_eq!(
+            emit_returning(one_path(), &n, &[("b", Param::Ints)]),
+            Err(InterpError::UndefinedBuffer("b".into()))
+        );
+        assert_eq!(
+            emit_returning(one_path(), &n, &[("x", Param::Int)]),
+            Err(InterpError::UndefinedVariable("x".into()))
+        );
         // Both branches define it: the read is fine.
         let both = vec![
             if_else(int(1), vec![decl("x", int(1))], vec![decl("x", int(2))]),
@@ -149,13 +209,21 @@ pub(crate) mod tests {
             };
             assert!(why.contains(what), "{why}");
         };
-        let one_path = vec![if_(var("n"), vec![alloc_int("b", int(1), true)])];
-        refused(one_path, &[("n".into(), Param::Int)], "not allocated on every path");
         refused(vec![store("xs", int(0), int(1))], &[ints("xs")], "writes its input `xs`");
         refused(vec![alloc_int("xs", int(1), true)], &[ints("xs")], "writes its input `xs`");
         refused(vec![decl("x-y", int(1))], &[], "not an identifier");
         let n = [("n".into(), Param::Int)];
         refused(vec![assign("n", add(var("n"), int(1)))], &n, "writes its input `n`");
+        let returned = |body: Vec<Stmt>, params: &[(String, Param)], outputs: &[(&str, Param)], what: &str| {
+            let Err(InterpError::TypeError(why)) = emit_returning(body, params, outputs) else {
+                panic!("{what} was emitted");
+            };
+            assert!(why.contains(what), "{why}");
+        };
+        returned(vec![], &[ints("xs")], &[("xs", Param::Ints)], "returns its input `xs`");
+        let floats = vec![alloc_float("b", int(1), true)];
+        returned(floats, &[], &[("b", Param::Ints)], "`b` is not Ints");
+        returned(vec![decl("x", float(1.0))], &[], &[("x", Param::Int)], "`x` is not Int");
     }
 
     #[test]
@@ -187,28 +255,24 @@ pub(crate) mod tests {
 
     proptest! {
         /// The fixture's compiled and interpreted runs return the same error,
-        /// or leave the same names defined, bit for bit.
+        /// or the same outputs, bit for bit.
         #[test]
         fn the_compiled_fixture_matches_the_interpreter((xs, vs, extra) in (
             proptest::collection::vec(-3i64..20, 1..12),
             proptest::collection::vec(0..PAYLOADS.len(), 12..13),
             0i64..3,
         )) {
-            let (function, _) = fixture();
+            let (function, params, outputs) = fixture();
             let routine = compiled::lookup("emit_fixture").expect("compiled for tests");
-            let mut interpreted = Interpreter::new();
-            interpreted.while_budget = 12;
             let n = xs.len() as i64 + extra - 1;
-            interpreted.insert_buffer("xs", Buffer::Ints(xs));
-            let vs = vs.into_iter().map(|p| PAYLOADS[p]).collect();
-            interpreted.insert_buffer("vs", Buffer::Floats(vs));
-            interpreted.insert_int("n", n);
-            let mut compiled = interpreted.clone();
-            let expected = interpreted.run(&function);
-            prop_assert_eq!(&expected, &routine(&mut compiled).map_err(|fault| *fault));
-            if expected.is_ok() {
-                prop_assert_eq!(tables(&interpreted), tables(&compiled));
-            }
+            // The routine reads `usize`s: a negative entry is what a wrapped
+            // coordinate would be.
+            let xs: Vec<usize> = xs.into_iter().map(|x| x as usize).collect();
+            let vs: Vec<f64> = vs.into_iter().map(|p| PAYLOADS[p]).collect();
+            let inputs = Inputs { ints: vec![&xs], floats: vec![&vs], scalars: vec![n] };
+            let expected = interpret(&function, &params, &inputs, &outputs);
+            let got = routine(&inputs).map_err(|fault| *fault);
+            prop_assert_eq!(expected.as_ref().map(bits), got.as_ref().map(bits));
         }
     }
 }

@@ -1,4 +1,5 @@
-//! The executor for the conversion IR.
+//! The IR's reference semantics, compiled for tests only: the interpreter
+//! that the emitter's typing and every compiled routine are checked against.
 //!
 //! [`Interpreter::run`] resolves a routine once, then runs it. Each name it
 //! defines gets a `u32` slot in one of four typed tables (int and float
@@ -17,10 +18,9 @@
 //! `while` loops and negative or unrepresentable allocation sizes.
 
 use std::collections::{BTreeMap, HashMap};
-use std::error::Error;
-use std::fmt;
 use std::sync::Arc;
 
+use crate::ir::checked::{InterpError, WHILE_BUDGET};
 use crate::ir::expr::{CmpOp, Expr, IrBinOp};
 use crate::ir::printer::print_expr;
 use crate::ir::stmt::{BufferKind, Function, Stmt};
@@ -68,19 +68,6 @@ pub enum Buffer {
 }
 
 impl Buffer {
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        match self {
-            Buffer::Ints(v) => v.len(),
-            Buffer::Floats(v) => v.len(),
-        }
-    }
-
-    /// True when the buffer has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The buffer as an integer slice, or `None` if it holds floats.
     pub fn as_ints(&self) -> Option<&[i64]> {
         match self {
@@ -98,58 +85,6 @@ impl Buffer {
     }
 }
 
-/// Errors raised while executing IR.
-#[derive(Debug, Clone, PartialEq)]
-pub enum InterpError {
-    /// A scalar variable was read before being defined.
-    UndefinedVariable(String),
-    /// A buffer was accessed that does not exist in the environment.
-    UndefinedBuffer(String),
-    /// A buffer access was out of bounds.
-    OutOfBounds {
-        /// Buffer name.
-        buffer: String,
-        /// Offending index.
-        index: i64,
-        /// Buffer length.
-        len: usize,
-    },
-    /// A value, or a name's definitions, had the wrong type.
-    TypeError(String),
-    /// Division or remainder by zero.
-    DivisionByZero,
-    /// A loop exceeded the interpreter's iteration budget (guards against
-    /// nontermination in tests).
-    IterationLimit,
-    /// An allocation size was negative.
-    NegativeAllocation(i64),
-    /// An allocation of this many elements could not be made: its size in
-    /// bytes overflows, or the allocator refused it.
-    AllocationFailed(i64),
-}
-
-impl fmt::Display for InterpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InterpError::UndefinedVariable(name) => write!(f, "undefined variable `{name}`"),
-            InterpError::UndefinedBuffer(name) => write!(f, "undefined buffer `{name}`"),
-            InterpError::OutOfBounds { buffer, index, len } => {
-                write!(
-                    f,
-                    "index {index} out of bounds for buffer `{buffer}` of length {len}"
-                )
-            }
-            InterpError::TypeError(msg) => write!(f, "type error: {msg}"),
-            InterpError::DivisionByZero => write!(f, "division by zero"),
-            InterpError::IterationLimit => write!(f, "iteration limit exceeded"),
-            InterpError::NegativeAllocation(size) => write!(f, "negative allocation size {size}"),
-            InterpError::AllocationFailed(size) => write!(f, "cannot allocate {size} elements"),
-        }
-    }
-}
-
-impl Error for InterpError {}
-
 /// The execution environment (slot-indexed typed tables) plus the engine.
 #[derive(Debug, Default, Clone)]
 pub struct Interpreter {
@@ -164,7 +99,7 @@ impl Interpreter {
     /// Creates an interpreter with an empty environment.
     pub fn new() -> Self {
         Interpreter {
-            while_budget: 1 << 32,
+            while_budget: WHILE_BUDGET,
             ..Interpreter::default()
         }
     }
@@ -193,65 +128,10 @@ impl Interpreter {
         self.frame.buffers[slot.index as usize].as_ref()
     }
 
-    /// Removes a buffer from the environment and returns it; its name
-    /// keeps its slot and type.
-    pub(crate) fn take_buffer(&mut self, name: &str) -> Option<Buffer> {
-        let slot = self.names[BUFFER].get(name)?;
-        self.frame.buffers[slot.index as usize].take()
-    }
-
     /// Looks up an integer scalar by name.
     pub fn int(&self, name: &str) -> Option<i64> {
         let slot = self.names[SCALAR].get(name).filter(|s| s.ty == Ty::Int)?;
         self.frame.ints[slot.index as usize]
-    }
-
-    /// Looks up a scalar of either type by name.
-    pub fn scalar(&self, name: &str) -> Option<Scalar> {
-        let slot = self.names[SCALAR].get(name)?;
-        match slot.ty {
-            Ty::Int => self.frame.ints[slot.index as usize].map(Scalar::Int),
-            Ty::Float => self.frame.floats[slot.index as usize].map(Scalar::Float),
-        }
-    }
-
-    /// The names that hold a value: the scalars', then the buffers', each
-    /// in name order.
-    pub fn defined(&self) -> [Vec<&str>; 2] {
-        let set = |kind: usize, name: &str| match kind {
-            SCALAR => self.scalar(name).is_some(),
-            _ => self.buffer(name).is_some(),
-        };
-        [SCALAR, BUFFER].map(|kind| {
-            let names = self.names[kind].keys().filter(|name| set(kind, name));
-            let mut names: Vec<&str> = names.map(String::as_str).collect();
-            names.sort_unstable();
-            names
-        })
-    }
-
-    /// Inserts (or replaces) a named float scalar.
-    pub fn insert_float(&mut self, name: &str, value: f64) {
-        let slot = self.slot(SCALAR, name, Ty::Float);
-        let slot = slot.unwrap_or_else(|_| self.add(SCALAR, name, Ty::Float));
-        self.frame.floats[slot.index as usize] = Some(value);
-    }
-
-    /// The integer input `name`, as a compiled routine reads it.
-    pub(crate) fn input_int(&self, name: &str) -> Result<i64, InterpError> {
-        self.int(name)
-            .ok_or_else(|| InterpError::UndefinedVariable(name.to_string()))
-    }
-
-    /// The buffer input `name` as `view` sees it ([`Buffer::as_ints`] or
-    /// [`Buffer::as_floats`]), as a compiled routine reads it.
-    pub(crate) fn input<'a, T>(
-        &'a self,
-        name: &str,
-        view: fn(&Buffer) -> Option<&[T]>,
-    ) -> Result<&'a [T], InterpError> {
-        let data = self.buffer(name).and_then(view);
-        data.ok_or_else(|| InterpError::UndefinedBuffer(name.to_string()))
     }
 
     /// The type [`run`](Self::run) gives each name `function` reads or

@@ -4,6 +4,7 @@
 mod tests {
     use crate::ir::build::*;
     use crate::ir::expr::Expr;
+    use crate::ir::checked::InterpError;
     use crate::ir::interp::*;
     use crate::ir::stmt::Function;
     use crate::ir::stmt::Stmt;

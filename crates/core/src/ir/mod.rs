@@ -5,27 +5,28 @@
 //! reproduction: the conversion code generator (`codegen`) lowers a
 //! conversion plan to [`Function`]s in this IR, which can be
 //!
-//! * pretty printed as C-like source (structurally comparable to Figure 6),
-//! * simplified (constant folding, algebraic identities),
-//! * executed by [`interp::Interpreter`], which resolves a routine once to
-//!   typed slots and closures, then runs it against named `i64` / `f64`
-//!   buffers with every access checked, so generated routines are testable,
-//!   and
-//! * emitted as checked Rust ([`emit`]), which keeps the interpreter's
-//!   contract (every access checked through [`checked`], the same
-//!   [`InterpError`](interp::InterpError)s, wrapping arithmetic) and runs
-//!   against the same tables. The routines the code generator serves are
-//!   emitted ahead of time into the `@generated` [`compiled`] module, which
-//!   a unit test of `codegen` keeps equal to what the emitter prints now
-//!   (there is no build script: it could not run the generator of the crate
-//!   it builds). The interpreter runs every other routine, and is the
-//!   reference the compiled tier is tested against.
+//! * built ([`build`]), simplified ([`simplify`]: constant folding, algebraic
+//!   identities) and pretty printed as C-like source ([`printer`],
+//!   structurally comparable to Figure 6), and
+//! * run compiled. Every routine the code generator serves is emitted ahead
+//!   of time as checked Rust into the `@generated` [`compiled`] module: a
+//!   [`Routine`](checked::Routine) borrows its source's arrays and returns
+//!   only what the target's container is built from, with every access
+//!   checked by [`checked`] and every fault an
+//!   [`InterpError`](checked::InterpError).
+//!
+//! The emitter that writes [`compiled`], and the resolve-then-run interpreter
+//! that gives the IR its reference semantics, are compiled for tests only: a
+//! unit test of `codegen` keeps the file equal to what the emitter prints now
+//! (there is no build script: it could not run the generator of the crate it
+//! builds), and the parity tests check every compiled routine against the
+//! interpreter on outputs and errors.
 //!
 //! # Example
 //!
 //! ```
 //! use sparse_conv::ir::build::*;
-//! use sparse_conv::ir::interp::{Buffer, Interpreter};
+//! use sparse_conv::ir::printer::print_function;
 //! use sparse_conv::ir::Function;
 //!
 //! // for (i = 0; i < 4; i++) out[i] = in[i] * 2;
@@ -36,20 +37,19 @@
 //!         store("out", var("i"), mul(load("in", var("i")), int(2))),
 //!     ])],
 //! );
-//! let mut interp = Interpreter::new();
-//! interp.insert_buffer("in", Buffer::Ints(vec![1, 2, 3, 4]));
-//! interp.insert_buffer("out", Buffer::Ints(vec![0; 4]));
-//! interp.run(&f)?;
-//! assert_eq!(interp.buffer("out").unwrap().as_ints(), Some(&[2, 4, 6, 8][..]));
-//! # Ok::<(), sparse_conv::ir::interp::InterpError>(())
+//! let listing = print_function(&f);
+//! assert!(listing.starts_with("void double("), "{listing}");
+//! assert!(listing.contains("out[i] = (in[i] * 2);"), "{listing}");
 //! ```
 
 pub mod build;
 pub mod checked;
 #[rustfmt::skip]
 pub mod compiled;
+#[cfg(test)]
 pub mod emit;
 pub mod expr;
+#[cfg(test)]
 pub mod interp;
 pub mod printer;
 pub mod simplify;

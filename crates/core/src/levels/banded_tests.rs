@@ -12,7 +12,7 @@ mod tests {
         let dims = vec!["i".to_string(), "j".to_string()];
         let query = level.required_query(&dims, 1).unwrap();
         assert_eq!(query.to_string(), "select [i] -> min(j) as w");
-        let mut q = QueryResult::new(&query, vec![DimBounds::from_extent(4)]);
+        let mut q = QueryResult::new(&query, vec![DimBounds::from_extent(4)]).unwrap();
         for (i, w) in [0i64, 1, 0, 2].iter().enumerate() {
             q.set(&[i as i64], W, *w).unwrap();
         }
@@ -64,7 +64,7 @@ mod tests {
         let mut level = BandedLevel::new();
         let dims = vec!["i".to_string(), "j".to_string()];
         let query = level.required_query(&dims, 1).unwrap();
-        let q = QueryResult::new(&query, vec![DimBounds::from_extent(2)]);
+        let q = QueryResult::new(&query, vec![DimBounds::from_extent(2)]).unwrap();
         level.init_edges(2, true, Some(&q));
         for i in 0..2i64 {
             level.insert_edges(i as usize, &[i], true, Some(&q));

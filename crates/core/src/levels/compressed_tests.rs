@@ -15,7 +15,7 @@ mod tests {
     /// Figure 6c for the example matrix.
     fn assemble(sequenced: bool) -> CompressedLevel {
         let query = nir_query();
-        let mut q = QueryResult::new(&query, vec![DimBounds::from_extent(4)]);
+        let mut q = QueryResult::new(&query, vec![DimBounds::from_extent(4)]).unwrap();
         for (i, n) in [2i64, 2, 2, 3].iter().enumerate() {
             q.set(&[i as i64], NIR, *n).unwrap();
         }

@@ -15,7 +15,7 @@ mod tests {
         let query = level.required_query(&dims, 0).unwrap();
         assert_eq!(query.to_string(), "select [] -> max(k) as max_crd");
 
-        let mut q = QueryResult::new(&query, vec![]);
+        let mut q = QueryResult::new(&query, vec![]).unwrap();
         q.set(&[], MAX_CRD, 2).unwrap();
         level.init_coords(1, Some(&q));
         assert_eq!(level.slice_count(), 3);
@@ -30,7 +30,7 @@ mod tests {
         let dims = vec!["k".to_string()];
         let mut level = SlicedLevel::new();
         let query = level.required_query(&dims, 0).unwrap();
-        let q = QueryResult::new(&query, vec![]);
+        let q = QueryResult::new(&query, vec![]).unwrap();
         level.init_coords(1, Some(&q));
         assert_eq!(level.slice_count(), 0);
         assert_eq!(level.size(1), 0);

@@ -16,7 +16,7 @@ mod tests {
         let query = level.required_query(&dims, 0).unwrap();
         assert_eq!(query.to_string(), "select [k] -> id() as nz");
 
-        let mut q = QueryResult::new(&query, vec![DimBounds::new(-3, 6)]);
+        let mut q = QueryResult::new(&query, vec![DimBounds::new(-3, 6)]).unwrap();
         for k in [-2i64, 0, 1] {
             q.set(&[k], NZ, 1).unwrap();
         }
@@ -38,7 +38,7 @@ mod tests {
         let dims = vec!["k".to_string()];
         let mut level = SqueezedLevel::new(0, 4);
         let query = level.required_query(&dims, 0).unwrap();
-        let q = QueryResult::new(&query, vec![DimBounds::from_extent(4)]);
+        let q = QueryResult::new(&query, vec![DimBounds::from_extent(4)]).unwrap();
         level.init_coords(1, Some(&q));
         assert_eq!(level.count(), 0);
         assert_eq!(level.size(3), 0);

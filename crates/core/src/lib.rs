@@ -25,7 +25,8 @@
 //! * [`codegen`] — lowers a conversion plan to executable [`ir`] routines
 //!   and C-like listings structurally comparable to Figure 6.
 //! * [`ir`] — the imperative IR generated routines are written in: builder,
-//!   printer, simplifier and the resolve-then-run interpreter.
+//!   printer, simplifier, and the checked Rust every served routine is
+//!   compiled to (a test-only interpreter is its reference).
 //! * [`planner`] — multi-hop route planning: formats as nodes, kernel-table
 //!   rows as edges priced from [`TensorAttrs`](planner::TensorAttrs).
 //! * [`generic`] — a fully dynamic converter driven by [`FormatSpec`]s and

@@ -26,8 +26,8 @@ pub enum QueryError {
         /// Number supplied.
         found: usize,
     },
-    /// The group-by coordinate space has more points than `usize::MAX`, so
-    /// no dense result table can hold it.
+    /// The group-by coordinate space has more points than `usize::MAX`, or
+    /// more than a dense result table can be allocated for.
     GroupSpaceOverflow,
 }
 
@@ -52,7 +52,10 @@ impl fmt::Display for QueryError {
                 write!(f, "expected {expected} coordinates, found {found}")
             }
             QueryError::GroupSpaceOverflow => {
-                write!(f, "the group-by space has more than usize::MAX points")
+                write!(
+                    f,
+                    "the group-by space is too large for a dense result table"
+                )
             }
         }
     }

@@ -39,8 +39,17 @@ impl QueryResult {
     /// Creates a result table with every field initialised according to its
     /// aggregation (`0` for `count`/`id`, [`MAX_EMPTY`] for `max`,
     /// [`MIN_EMPTY`] for `min`).
-    pub fn new(query: &AttrQuery, group_bounds: Vec<DimBounds>) -> Self {
-        let size: usize = group_bounds.iter().map(DimBounds::extent).product();
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueryError::GroupSpaceOverflow`] when the group-by space
+    /// has more points than `usize::MAX`, or a field's table cannot be
+    /// allocated.
+    pub fn new(query: &AttrQuery, group_bounds: Vec<DimBounds>) -> Result<Self, QueryError> {
+        let size = group_bounds
+            .iter()
+            .try_fold(1usize, |n, b| n.checked_mul(b.extent()))
+            .ok_or(QueryError::GroupSpaceOverflow)?;
         let mut labels = Vec::with_capacity(query.fields.len());
         let mut data = Vec::with_capacity(query.fields.len());
         for field in &query.fields {
@@ -50,13 +59,17 @@ impl QueryResult {
                 Aggregate::Max(_) => MAX_EMPTY,
                 Aggregate::Min(_) => MIN_EMPTY,
             };
-            data.push(vec![init; size]);
+            let mut table = Vec::new();
+            let overflow = |_| QueryError::GroupSpaceOverflow;
+            table.try_reserve_exact(size).map_err(overflow)?;
+            table.resize(size, init);
+            data.push(table);
         }
-        QueryResult {
+        Ok(QueryResult {
             group_bounds,
             labels,
             data,
-        }
+        })
     }
 
     /// The bounds of the group-by coordinate space.
@@ -199,7 +212,7 @@ impl QueryResult {
 ///
 /// Returns an error when the query mentions unknown dimensions, a coordinate
 /// has the wrong arity, a coordinate falls outside the declared bounds, or
-/// the group-by space has more than `usize::MAX` points. The first error in
+/// the group-by space is too large for a result table. The first error in
 /// coordinate order wins.
 pub fn evaluate_on_coords<'a>(
     query: &AttrQuery,
@@ -299,11 +312,8 @@ pub fn evaluate_on_columns(
         }
     }
     let group_bounds: Vec<DimBounds> = group_dims.iter().map(|&d| bounds[d]).collect();
-    let groups = group_bounds
-        .iter()
-        .try_fold(1usize, |n, b| n.checked_mul(b.extent()))
-        .ok_or(QueryError::GroupSpaceOverflow)?;
-    let mut result = QueryResult::new(query, group_bounds);
+    let mut result = QueryResult::new(query, group_bounds)?;
+    let groups = result.group_size();
 
     let mut group = vec![0usize; nnz];
     for &d in &group_dims {
@@ -532,7 +542,7 @@ mod tests {
     #[test]
     fn result_accessors() {
         let query = parse_query("select [i] -> count(j) as nir").unwrap();
-        let mut result = QueryResult::new(&query, vec![DimBounds::from_extent(3)]);
+        let mut result = QueryResult::new(&query, vec![DimBounds::from_extent(3)]).unwrap();
         assert_eq!(result.group_size(), 3);
         assert_eq!(result.labels(), &["nir".to_string()]);
         result.set(&[1], "nir", 7).unwrap();
@@ -545,7 +555,7 @@ mod tests {
     #[test]
     fn unknown_field_is_an_error_not_a_panic() {
         let query = parse_query("select [i] -> count(j) as nir").unwrap();
-        let mut result = QueryResult::new(&query, vec![DimBounds::from_extent(3)]);
+        let mut result = QueryResult::new(&query, vec![DimBounds::from_extent(3)]).unwrap();
         let expected = QueryError::UnknownField("bogus".to_string());
         assert_eq!(result.get(&[0], "bogus"), Err(expected.clone()));
         assert_eq!(result.set(&[0], "bogus", 1), Err(expected.clone()));

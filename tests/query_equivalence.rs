@@ -60,7 +60,7 @@ mod reference {
             .map(|g| dim_of(g))
             .collect::<Result<_, _>>()?;
         let group_bounds: Vec<DimBounds> = group_dims.iter().map(|&d| bounds[d]).collect();
-        let mut result = QueryResult::new(query, group_bounds);
+        let mut result = QueryResult::new(query, group_bounds)?;
         let mut field_dims: Vec<Vec<usize>> = Vec::new();
         for field in &query.fields {
             let dims = field.aggregate.vars().into_iter().map(dim_of);
