@@ -835,7 +835,7 @@ fn unpack_target(
             } else {
                 // Wrapped exactly as the dynamic driver assembles a
                 // mode-ordered target, so the paths stay byte-comparable.
-                let custom = mode::custom_from_csf(target.spec, modes, &csf)?;
+                let custom = mode::custom_from_csf(target.spec, modes, csf)?;
                 AnyTensor::Custom(Box::new(custom))
             }
         }

@@ -203,15 +203,11 @@ impl AnyTensor {
 
     /// The nonzeros as one coordinate column per dimension, plus the values
     /// when `with_values` is set, in the order [`AnyTensor::try_to_triples`]
-    /// lists them. COO and COO3 lend their arrays, other matrix containers
-    /// stream through [`SourceMatrix::for_each`], and only CSF and custom
-    /// tensors go through triples.
+    /// lists them. Matrix containers answer [`SourceMatrix::columns`] (COO
+    /// lends its arrays, CSR its `crd` and values), COO3 lends its arrays,
+    /// and only CSF and custom tensors go through triples.
     pub(crate) fn columns(&self, with_values: bool) -> Result<Columns<'_>, ConvertError> {
         Ok(match self {
-            AnyTensor::Coo(m) => Columns {
-                crd: vec![m.row_indices().into(), m.col_indices().into()],
-                vals: m.values().into(),
-            },
             AnyTensor::Coo3(c) => Columns {
                 crd: (0..c.order()).map(|d| c.crd(d).into()).collect(),
                 vals: c.values().into(),
@@ -230,20 +226,10 @@ impl AnyTensor {
                 }
             }
             m => {
-                let nnz = m.nnz();
-                let (mut row, mut col) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
-                let mut vals = Vec::with_capacity(if with_values { nnz } else { 0 });
-                with_source!(m, s => s.for_each(|i, j, v| {
-                    row.push(i);
-                    col.push(j);
-                    if with_values {
-                        vals.push(v);
-                    }
-                }));
-                let crd = vec![row.into(), col.into()];
+                let (row, col, vals) = with_source!(m, s => s.columns(with_values));
                 Columns {
-                    crd,
-                    vals: vals.into(),
+                    crd: vec![row, col],
+                    vals,
                 }
             }
         })

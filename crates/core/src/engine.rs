@@ -22,19 +22,19 @@
 //! thread; `T` chunks produce the same bytes. The kernel table passes the
 //! service's thread count on the rows flagged `parallel` and 1 elsewhere.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use obs::Span;
-use sparse_formats::csf::lex_sort_perm;
-use sparse_formats::radix::{self, KeyLayout, PackedKey};
 use sparse_formats::{
     BcsrMatrix, CooMatrix, CooTensor, CscMatrix, CsfBuilder, CsfTensor, CsrMatrix, DiaMatrix,
     EllMatrix, JadMatrix, SkylineMatrix,
 };
+use sparse_tensor::stats::Dense;
 use sparse_tensor::Value;
 
 use crate::error::ConvertError;
-use crate::partition::{merge_histograms_tree, two_phase, SharedSlice};
+use crate::partition::{merge_histograms_tree, two_phase, zeroed, SharedSlice};
 use crate::source::{SourceMatrix, SourceTensor};
 use crate::tunables::{PADDED_EXPANSION_MAX, TILE_SCATTER_MIN_NNZ, TRANSPOSE_TILE};
 
@@ -100,7 +100,7 @@ pub fn to_csc<S: SourceMatrix + Sync>(src: &S, threads: usize) -> Result<CscMatr
     )
 }
 
-/// The `pos`, `crd` and `vals` arrays of a dense level over a compressed one.
+/// The `pos`, `crd` and `vals` arrays of a compressed level under its parents.
 type Compressed = (Vec<usize>, Vec<usize>, Vec<Value>);
 
 /// The one routine behind [`to_csr`] and [`to_csc`]: assembles a dense
@@ -134,6 +134,8 @@ fn to_compressed<S: SourceMatrix + Sync>(
     threads: usize,
 ) -> Result<Compressed, ConvertError> {
     let nnz = src.nnz();
+    // Sized first: an extent no allocation holds fails before any count.
+    let pos = zeroed(parents + 1)?;
     let chunks = src.chunks(threads.max(1));
     let whole = chunks.len() == 1;
     let mut crd = vec![0usize; nnz];
@@ -148,7 +150,7 @@ fn to_compressed<S: SourceMatrix + Sync>(
             let hist = if whole {
                 counts(src)
             } else {
-                let mut hist = vec![0usize; parents];
+                let mut hist = zeroed(parents)?;
                 src.for_each_in(chunk, |i, j, _| hist[key(i, j).0] += 1);
                 hist
             };
@@ -157,11 +159,11 @@ fn to_compressed<S: SourceMatrix + Sync>(
                 .map(|tile| tile.iter().sum())
                 .collect();
             span.add_items(tiles.iter().sum::<usize>() as u64);
-            (hist, tiles)
+            Ok::<_, ConvertError>((hist, tiles))
         };
-        let merge = |found: Vec<(Vec<usize>, Vec<usize>)>| {
-            let (hists, tiles): (Vec<_>, Vec<_>) = found.into_iter().unzip();
-            let (pos, cursors) = merge_histograms_tree(hists, parents)?;
+        let merge = |found: Vec<_>| {
+            let (hists, tiles): (Vec<_>, Vec<_>) = found.into_iter().collect::<Result<_, _>>()?;
+            let (pos, cursors) = merge_histograms_tree(hists, pos)?;
             Ok((pos, cursors.into_iter().zip(tiles).collect()))
         };
         let assemble = |_: &Vec<usize>,
@@ -254,11 +256,11 @@ pub fn tensor_to_coo<S: SourceTensor>(src: &S) -> CooTensor {
 
 /// Converts any tensor source to CSF by the paper's sort-then-pack recipe:
 /// a stable lexicographic sort of the coordinates (the packed-key radix
-/// sort of [`radix::sort_pairs`]; skipped when the source already iterates
-/// in order, e.g. CSF itself) followed by a single packing pass that opens
-/// a fresh fiber at the first level whose coordinate changes. Works at any
-/// order — order-2 sources yield DCSR. This is [`to_csf_ordered`] at the
-/// identity mode order.
+/// sort; skipped when the source already iterates in order, e.g. CSF
+/// itself) followed by a single packing pass that opens a fresh fiber at
+/// the first level whose coordinate changes. Works at any order — order-2
+/// sources yield DCSR. This is [`to_csf_ordered`] at the identity mode
+/// order.
 pub fn to_csf<S: SourceTensor>(src: &S) -> CsfTensor {
     let identity: Vec<usize> = (0..src.shape().order()).collect();
     to_csf_ordered(src, &identity)
@@ -275,100 +277,23 @@ pub(crate) fn assert_mode_order(mode_order: &[usize], order: usize) {
 
 /// Converts any tensor source to CSF along a *mode order*: storage level `d`
 /// of the fiber tree holds canonical mode `mode_order[d]`, so `&[2, 0, 1]`
-/// packs an `(i,j,k)` tensor with mode `k` outermost: the coordinate columns
-/// (and the shape) are permuted before the sort-then-pack recipe, and the
-/// sort is skipped when the order is the identity and the source already
-/// iterates in order.
-///
-/// Each nonzero becomes one packed `(key, value bits)` pair ([`KeyLayout`]),
-/// radix-sorted and packed from the keys ([`radix::pack_keys`]). The order
-/// is the stable full-tuple sort of the *permuted* columns (keys wider than
-/// `u128` take [`lex_sort_perm`]), which the dynamic driver performs on
-/// remapped coordinates too — the root of the three paths' bit-identical
-/// outputs.
+/// packs an `(i,j,k)` tensor with mode `k` outermost. A source in order at
+/// the identity packs as it iterates, any other runs the COO→CSF kernel at
+/// one chunk ([`kernels`](crate::kernels)): the stable sort of the permuted
+/// columns, which the dynamic driver performs on remapped coordinates too.
 ///
 /// # Panics
 ///
 /// Panics if `mode_order` is not a permutation of `0..src.shape().order()`.
 pub fn to_csf_ordered<S: SourceTensor>(src: &S, mode_order: &[usize]) -> CsfTensor {
-    let canonical = src.shape().clone();
-    let order = canonical.order();
-    assert_mode_order(mode_order, order);
-    let shape = sparse_tensor::Shape::new(mode_order.iter().map(|&m| canonical.dim(m)).collect());
-    let nnz = src.nnz();
-    let gather = Span::enter("engine.gather");
-    gather.add_items(nnz as u64);
-    let mut columns: Vec<Vec<usize>> = vec![Vec::with_capacity(nnz); order];
-    let mut vals: Vec<Value> = Vec::with_capacity(nnz);
-    let mut maxima = vec![0usize; order];
-    src.for_each_coord(|coord, v| {
-        for (d, &m) in mode_order.iter().enumerate() {
-            maxima[d] = maxima[d].max(coord[m] as usize);
-            columns[d].push(coord[m] as usize);
-        }
-        vals.push(v);
-    });
-    let layout = KeyLayout::new(&maxima);
-    let in_order = mode_order.iter().enumerate().all(|(d, &m)| d == m) && src.coords_in_order();
-    if !in_order && layout.bits() <= u64::BITS {
-        return sort_pack_columns::<u64>(shape, &layout, &columns, &vals, gather);
+    assert_mode_order(mode_order, src.shape().order());
+    if src.coords_in_order() && mode_order.iter().enumerate().all(|(d, &m)| d == m) {
+        let mut builder = CsfBuilder::new(src.shape().clone(), src.nnz());
+        src.for_each_coord(|coord, v| builder.push(|d| coord[d] as usize, v));
+        return builder.finish();
     }
-    if !in_order && layout.bits() <= u128::BITS {
-        return sort_pack_columns::<u128>(shape, &layout, &columns, &vals, gather);
-    }
-    drop(gather);
-    // Already sorted, or too wide to pack: push in (comparison-)sorted order.
-    let perm = if in_order {
-        (0..nnz).collect()
-    } else {
-        let span = Span::enter("engine.sort");
-        span.add_items(nnz as u64);
-        lex_sort_perm(&columns)
-    };
-    let span = Span::enter("engine.pack");
-    span.add_items(nnz as u64);
-    let mut builder = CsfBuilder::new(shape, nnz);
-    for p in perm {
-        builder.push(|d| columns[d][p], vals[p]);
-    }
-    builder.finish()
-}
-
-/// The engine's keyed path: builds every `(key, value bits)` pair (still
-/// under the caller's `gather` span), then [`sort_pack`]s them.
-fn sort_pack_columns<K: PackedKey>(
-    shape: sparse_tensor::Shape,
-    layout: &KeyLayout,
-    columns: &[Vec<usize>],
-    vals: &[Value],
-    gather: Span,
-) -> CsfTensor {
-    let mut pairs: Vec<(K, u64)> = (0..vals.len())
-        .map(|p| (layout.key(|d| columns[d][p]), vals[p].to_bits()))
-        .collect();
-    drop(gather);
-    sort_pack(shape, layout, &mut pairs, ["engine.sort", "engine.pack"])
-}
-
-/// Sort-then-pack of `(key, value bits)` pairs under the two named spans:
-/// the engine's, and every parallel kernel chunk's. The scratch buffer of
-/// the in-place sort is freed before the pack.
-pub(crate) fn sort_pack<K: PackedKey>(
-    shape: sparse_tensor::Shape,
-    layout: &KeyLayout,
-    pairs: &mut [(K, u64)],
-    [sort, pack]: [&'static str; 2],
-) -> CsfTensor {
-    let n = pairs.len() as u64;
-    {
-        let span = Span::enter(sort);
-        span.add_items(n);
-        let mut scratch = vec![(K::default(), 0); pairs.len()];
-        radix::sort_pairs(pairs, &mut scratch, 0, layout.bits());
-    }
-    let span = Span::enter(pack);
-    span.add_items(n);
-    radix::pack_keys(shape, layout, pairs)
+    let coo = tensor_to_coo(src);
+    crate::kernels::coo_to_csf_ordered(&coo, mode_order, 1).expect("one chunk runs inline")
 }
 
 /// The `slots × width` slots of a padded output (DIA diagonals × rows, say)
@@ -481,11 +406,19 @@ pub fn to_ell<S: SourceMatrix>(src: &S) -> Result<EllMatrix, ConvertError> {
 }
 
 /// Converts any source to BCSR with the given block shape. The remapping
-/// `(i,j) -> (i/M, j/N, i%M, j%N)` is fused into both passes.
+/// `(i,j) -> (i/M, j/N, i%M, j%N)` is fused into the `counting_order` by
+/// block row and block column, whose entries are the blocks
+/// (`select [bi] -> count(bj)`), each value landing at
+/// `block × M·N + (i%M)·N + j%N`.
 ///
 /// # Errors
 ///
-/// Returns [`ConvertError::PaddingLimit`] past the padded-slot limit.
+/// Returns [`ConvertError::Allocation`] when the block rows' `pos` cannot
+/// be allocated, [`ConvertError::PaddingLimit`] past the padded-slot limit.
+///
+/// # Panics
+///
+/// Panics if a block dimension is zero.
 pub fn to_bcsr<S: SourceMatrix>(
     src: &S,
     block_rows: usize,
@@ -495,45 +428,132 @@ pub fn to_bcsr<S: SourceMatrix>(
         block_rows > 0 && block_cols > 0,
         "block sizes must be positive"
     );
-    let rows = src.rows();
-    let cols = src.cols();
-    let brows = rows.div_ceil(block_rows);
-
-    // Analysis: the set of nonzero blocks per block row
-    // (select [bi] -> count(bj) plus the block coordinates themselves).
-    let mut blocks: Vec<Vec<usize>> = vec![Vec::new(); brows];
-    src.for_each(|i, j, _| {
-        blocks[i / block_rows].push(j / block_cols);
-    });
-    for set in &mut blocks {
-        set.sort_unstable();
-        set.dedup();
-    }
-    // Sequenced edge insertion over block rows.
-    let mut pos = vec![0usize; brows + 1];
-    for bi in 0..brows {
-        pos[bi + 1] = pos[bi] + blocks[bi].len();
-    }
-    let nblocks = pos[brows];
-    let mut crd = vec![0usize; nblocks];
-    for bi in 0..brows {
-        crd[pos[bi]..pos[bi + 1]].copy_from_slice(&blocks[bi]);
-    }
-    // Assembly: scatter into dense blocks.
-    let bsize = block_rows * block_cols;
-    let mut vals = vec![0.0; padded_slots(nblocks, bsize, src.nnz(), rows + cols)?];
-    src.for_each(|i, j, v| {
-        let bi = i / block_rows;
-        let bj = j / block_cols;
-        let p = pos[bi]
-            + blocks[bi]
-                .binary_search(&bj)
-                .expect("block registered in analysis");
-        vals[p * bsize + (i % block_rows) * block_cols + (j % block_cols)] = v;
-    });
+    let (rows, cols) = (src.rows(), src.cols());
+    let columns = src.columns(true);
+    let (row, col, vals): (&[usize], &[usize], &[Value]) = (&columns.0, &columns.1, &columns.2);
+    let (bi, bj) = (divided(row, block_rows), divided(col, block_cols));
+    // Block rows are not ranked: their `pos` is the output's.
+    let outer = Dense {
+        idx: Cow::Borrowed(&bi),
+        extent: rows.div_ceil(block_rows),
+    };
+    let inner = Dense::new(&bj, cols.div_ceil(block_cols));
+    let entry = |p: usize| {
+        let offset = (row[p] - bi[p] * block_rows) * block_cols + col[p] - bj[p] * block_cols;
+        (bj[p], offset, vals[p])
+    };
+    let block = Some(block_rows * block_cols);
+    let (pos, crd, values) = counting_order(&outer, &inner, block, rows + cols, entry)?;
     Ok(BcsrMatrix::from_parts(
-        rows, cols, block_rows, block_cols, pos, crd, vals,
+        rows, cols, block_rows, block_cols, pos, crd, values,
     )?)
+}
+
+/// `keys` divided by `d`, in a (vectorised) shift loop of its own when `d`
+/// is a power of two: a division per key costs more than the pass it feeds.
+fn divided(keys: &[usize], d: usize) -> Vec<usize> {
+    if d.is_power_of_two() {
+        let shift = d.trailing_zeros();
+        return keys.iter().map(|&k| k >> shift).collect();
+    }
+    keys.iter().map(|&k| k / d).collect()
+}
+
+/// Converts any matrix source to order-2 CSF along a mode order (`[0, 1]`
+/// is DCSR). The `counting_order` by outer then inner mode is the stable
+/// lexicographic order [`to_csf_ordered`] sorts into: its entries are the
+/// inner level and the values, the outer keys' non-empty counts the outer
+/// level.
+///
+/// # Errors
+///
+/// Returns [`ConvertError::Structure`] if CSF validation fails (it does not).
+///
+/// # Panics
+///
+/// Panics if `mode_order` is not a permutation of `0..2`.
+pub fn matrix_to_csf<S: SourceMatrix>(
+    src: &S,
+    mode_order: &[usize],
+) -> Result<CsfTensor, ConvertError> {
+    assert_mode_order(mode_order, 2);
+    let columns = src.columns(true);
+    let modes = [(&*columns.0, src.rows()), (&*columns.1, src.cols())];
+    let [(outer_crd, outer_dim), (inner_crd, inner_dim)] = [0, 1].map(|d| modes[mode_order[d]]);
+    let outer = Dense::new(outer_crd, outer_dim);
+    let inner = Dense::new(inner_crd, inner_dim);
+    let entry = |p: usize| (inner_crd[p], 0, columns.2[p]);
+    let (counts, inner_level, values) = counting_order(&outer, &inner, None, 0, entry)?;
+    // The outer key each (possibly ranked) outer index stands for.
+    let mut outer_key = vec![0; outer.extent];
+    for (&k, &key) in outer.idx.iter().zip(outer_crd) {
+        outer_key[k] = key;
+    }
+    let (mut outer_level, mut pos) = (vec![], vec![0]);
+    for (k, group) in counts.windows(2).enumerate().filter(|(_, g)| g[1] > g[0]) {
+        outer_level.push(outer_key[k]);
+        pos.push(group[1]);
+    }
+    let shape = sparse_tensor::Shape::matrix(outer_dim, inner_dim);
+    let levels = vec![outer_level, inner_level];
+    Ok(CsfTensor::from_parts(shape, levels, vec![pos], values)?)
+}
+
+/// The one ordering behind BCSR and order-2 CSF from a matrix: two stable
+/// counting passes over [`Dense`] key indices. `engine.by_inner` orders each
+/// nonzero's `entry(p)` (inner key, slot offset, value) by inner key;
+/// `engine.by_outer` counts per outer index the entries they open (each
+/// nonzero, or with `block` slots the first of each (outer, inner) pair) and
+/// lays them out in the stable `(outer, inner)` order a comparison sort
+/// gives. `dims` bounds the padding ([`padded_slots`]).
+fn counting_order(
+    outer: &Dense,
+    inner: &Dense,
+    block: Option<usize>,
+    dims: usize,
+    entry: impl Fn(usize) -> (usize, usize, Value),
+) -> Result<Compressed, ConvertError> {
+    let (outer_idx, inner_idx): (&[usize], &[usize]) = (&outer.idx, &inner.idx);
+    let (nnz, extent) = (outer_idx.len(), outer.extent);
+    let by_inner = Span::enter("engine.by_inner");
+    by_inner.add_items(nnz as u64);
+    let mut cursor = zeroed(inner.extent + 1)?;
+    inner_idx.iter().for_each(|&c| cursor[c + 1] += 1);
+    (1..=inner.extent).for_each(|c| cursor[c] += cursor[c - 1]);
+    // One record per nonzero: outer index, inner key, offset, value.
+    let mut staged = vec![(0, 0, 0, 0.0); nnz];
+    for (p, &c) in inner_idx.iter().enumerate() {
+        let (key, offset, v) = entry(p);
+        staged[cursor[c]] = (outer_idx[p], key, offset, v);
+        cursor[c] += 1;
+    }
+    drop(by_inner);
+    let by_outer = Span::enter("engine.by_outer");
+    by_outer.add_items(nnz as u64);
+    // A nonzero opens an entry unless its outer key's open block has the
+    // same inner key (`last` remembers it).
+    let (width, merges) = (block.unwrap_or(1), block.is_some());
+    let opens = |last: &mut [usize], k: usize, key: usize| {
+        !merges || std::mem::replace(&mut last[k], key) != key
+    };
+    let mut pos = zeroed(extent + 1)?;
+    let mut last = vec![usize::MAX; if merges { extent } else { 0 }];
+    for &(k, key, ..) in &staged {
+        pos[k + 1] += usize::from(opens(&mut last, k, key));
+    }
+    (1..=extent).for_each(|k| pos[k] += pos[k - 1]);
+    let mut cursor = pos.clone();
+    let mut crd = vec![0usize; pos[extent]];
+    let mut values = vec![0.0; padded_slots(pos[extent], width, nnz, dims)?];
+    last.fill(usize::MAX);
+    for &(k, key, offset, v) in &staged {
+        if opens(&mut last, k, key) {
+            crd[cursor[k]] = key;
+            cursor[k] += 1;
+        }
+        values[(cursor[k] - 1) * width + offset] = v;
+    }
+    Ok((pos, crd, values))
 }
 
 /// Converts any (square) source's lower triangle to the skyline format.
@@ -840,10 +860,79 @@ mod tests {
     fn csf_from_order2_source_is_dcsr() {
         let t = example();
         let csr = CsrMatrix::from_triples(&t);
-        let csf = to_csf(&crate::source::MatrixAsTensor::new(&csr));
+        let csf = matrix_to_csf(&csr, &[0, 1]).unwrap();
         assert_eq!(csf.order(), 2);
         assert_eq!(csf, CsfTensor::from_triples(&t));
         assert!(csf.to_triples().same_values(&t));
+        // Columns outermost, from any source: the rank-N routine's tree.
+        let by_column = to_csf_ordered(&CooTensor::from_triples(&t), &[1, 0]);
+        assert_eq!(
+            matrix_to_csf(&CscMatrix::from_triples(&t), &[1, 0]).unwrap(),
+            by_column
+        );
+        assert_eq!(matrix_to_csf(&csr, &[1, 0]).unwrap(), by_column);
+    }
+
+    #[test]
+    fn extents_no_allocation_holds_are_typed_errors() {
+        // 2^60 rows (or columns) cannot be counted into: `pos` alone would
+        // need 2^63 bytes, so the reservation fails whatever the machine.
+        let huge = 1usize << 60;
+        let tall =
+            CooMatrix::from_parts(huge, 4, vec![3, huge - 1], vec![1, 2], vec![1.0, 2.0]).unwrap();
+        let wide =
+            CooMatrix::from_parts(4, huge, vec![1, 2], vec![3, huge - 1], vec![1.0, 2.0]).unwrap();
+        let refused =
+            |err: ConvertError| assert!(matches!(err, ConvertError::Allocation { .. }), "{err}");
+        refused(to_csr(&tall, 1).unwrap_err());
+        refused(to_csr(&tall, 2).unwrap_err());
+        refused(to_bcsr(&tall, 4, 4).unwrap_err());
+        refused(to_csc(&wide, 1).unwrap_err());
+        assert!(to_csc(&wide, 2)
+            .unwrap_err()
+            .to_string()
+            .contains("1152921504606846977 entries"));
+        // Compressed outer levels hold only what is there, so DCSR and the
+        // column-major fiber tree convert the same inputs.
+        let dcsr = matrix_to_csf(&tall, &[0, 1]).unwrap();
+        assert_eq!(
+            (dcsr.crd(0), dcsr.pos(0), dcsr.crd(1)),
+            (&[3, huge - 1][..], &[0, 1, 2][..], &[1, 2][..])
+        );
+        let by_column = matrix_to_csf(&tall, &[1, 0]).unwrap();
+        assert_eq!(
+            (by_column.crd(0), by_column.crd(1)),
+            (&[1, 2][..], &[3, huge - 1][..])
+        );
+        assert_eq!(by_column.values(), &[1.0, 2.0]);
+        let wide_dcsr = matrix_to_csf(&wide, &[0, 1]).unwrap();
+        assert_eq!(
+            (wide_dcsr.crd(0), wide_dcsr.crd(1)),
+            (&[1, 2][..], &[3, huge - 1][..])
+        );
+        let wide_by_column = matrix_to_csf(&wide, &[1, 0]).unwrap();
+        assert_eq!(
+            (wide_by_column.crd(0), wide_by_column.crd(1)),
+            (&[3, huge - 1][..], &[1, 2][..])
+        );
+        // Block columns past 16 × nnz are ranked, not allocated.
+        let side = 1usize << 40;
+        let wide = CooMatrix::from_parts(
+            4,
+            side,
+            vec![3, 0, 1],
+            vec![side - 1, 5, 6],
+            vec![1.0, 2.0, 3.0],
+        )
+        .unwrap();
+        let bcsr = to_bcsr(&wide, 4, 4).unwrap();
+        assert_eq!(
+            (bcsr.pos(), bcsr.crd()),
+            (&[0, 2][..], &[1, side / 4 - 1][..])
+        );
+        let mut values = vec![0.0; 32];
+        (values[1], values[6], values[31]) = (2.0, 3.0, 1.0);
+        assert_eq!(bcsr.values(), &values[..]);
     }
 
     #[test]
@@ -855,6 +944,7 @@ mod tests {
         assert_eq!(to_ell(&coo).unwrap().slices(), 0);
         assert_eq!(to_jad(&coo).num_jagged_diagonals(), 0);
         assert_eq!(to_bcsr(&coo, 2, 2).unwrap().num_blocks(), 0);
+        assert_eq!(matrix_to_csf(&coo, &[0, 1]).unwrap().nnz(), 0);
     }
 
     #[test]

@@ -52,6 +52,11 @@ pub enum ConvertError {
         /// The most slots the input admits.
         limit: usize,
     },
+    /// An array sized by a level's extent (2^60 rows, say) was refused.
+    Allocation {
+        /// The entries the array needed.
+        len: usize,
+    },
     /// A worker thread panicked while running its share of a phase. The
     /// conversion is abandoned; the caller, its service and every other
     /// worker carry on.
@@ -91,6 +96,7 @@ impl fmt::Display for ConvertError {
                     "the padded output needs {slots} slots, over the limit of {limit}"
                 )
             }
+            ConvertError::Allocation { len } => write!(f, "allocation of {len} entries refused"),
             ConvertError::WorkerPanicked { phase } => {
                 write!(f, "a worker thread panicked during {phase}")
             }

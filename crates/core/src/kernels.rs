@@ -14,13 +14,11 @@
 //!   re-partitioned by *root fibers* and each span is radix-sorted in place
 //!   and packed straight from its keys on its own ([`fork_join`]), which no
 //!   per-nonzero assembly expresses.
-//! * **CSR→BCSR** ([`csr_to_bcsr`]) — a CSR source hands each block row's
-//!   column indices over as slices, so block discovery sorts one reused
-//!   scratch buffer per block row. Written over `SourceMatrix::for_each_in`
-//!   instead (one generic `engine::to_bcsr` taking threads) it measured
-//!   1.4–1.5× slower at two chunks, on `convert_large`
-//!   `service.convert_s.coo_bcsr4x4` too, so it stays the CSR-specialised
-//!   instance of [`two_phase`].
+//! * **CSR→BCSR at several threads** ([`csr_to_bcsr`]) — a CSR hands each
+//!   block row over as slices, so block discovery sorts one reused scratch
+//!   buffer per block row. The `csr-bcsr` row runs it at `threads > 1`: on a
+//!   512 k-nonzero blocked CSR the counting order of [`engine::to_bcsr`]
+//!   (every BCSR at one thread) measured 1.5–1.7× its one-thread time.
 //!
 //! Because per-chunk cursors and spans encode exactly the positions one
 //! sequential pass would use and every sort is stable, the outputs are
@@ -29,15 +27,16 @@
 //! of the [kernel table](crate::kernel_table).
 
 use obs::Span;
-use sparse_formats::radix::{KeyLayout, PackedKey};
-use sparse_formats::{BcsrMatrix, CooTensor, CsfTensor, CsrMatrix};
+use sparse_formats::csf::lex_cmp_at;
+use sparse_formats::radix::{self, KeyLayout, PackedKey};
+use sparse_formats::{BcsrMatrix, CooTensor, CsfBuilder, CsfTensor, CsrMatrix};
 use sparse_tensor::{Shape, Value};
 
 use crate::engine;
 use crate::error::ConvertError;
 use crate::partition::{
     balanced_chunks_by_pos, even_chunks, fork_join, merge_histograms_tree, split_spans, two_phase,
-    SharedSlice,
+    zeroed, SharedSlice,
 };
 
 /// COO→CSF, partitioned by *root fibers* (distinct outer coordinates): the
@@ -57,8 +56,8 @@ pub fn coo_to_csf(coo: &CooTensor, threads: usize) -> Result<CsfTensor, ConvertE
 /// mode `mode_order[d]`), partitioned by the *storage* root:
 ///
 /// 1. *layout* — the per-level maxima fix the packed key ([`KeyLayout`]):
-///    `u64` up to 64 bits, `u128` up to 128, the engine's comparison sort
-///    past that,
+///    `u64` up to 64 bits, `u128` up to 128, a stable comparison sort past
+///    that,
 /// 2. *keys* — one `(key, value bits)` pair per nonzero, in source order at
 ///    one chunk; at several, a stable bucket scatter by root (canonical mode
 ///    `mode_order[0]`) off merged per-chunk root histograms,
@@ -70,8 +69,8 @@ pub fn coo_to_csf(coo: &CooTensor, threads: usize) -> Result<CsfTensor, ConvertE
 ///
 /// A stable bucket sort by the storage root followed by a stable sort of
 /// each bucket span is the same order as one global stable lexicographic
-/// sort of the permuted tuples, so the output is **bit-identical** to
-/// [`engine::to_csf_ordered`] at any thread count.
+/// sort of the permuted tuples, so the output is **bit-identical** at any
+/// thread count (and [`engine::to_csf_ordered`] runs this at one chunk).
 ///
 /// # Errors
 ///
@@ -85,12 +84,7 @@ pub fn coo_to_csf_ordered(
     mode_order: &[usize],
     threads: usize,
 ) -> Result<CsfTensor, ConvertError> {
-    let nnz = coo.nnz();
-    let order = coo.order();
-    if nnz == 0 || order < 2 {
-        // Nothing to partition by: no nonzeros, or no level below the root.
-        return Ok(engine::to_csf_ordered(coo, mode_order));
-    }
+    let (nnz, order) = (coo.nnz(), coo.order());
     engine::assert_mode_order(mode_order, order);
     let columns: Vec<&[usize]> = mode_order.iter().map(|&m| coo.crd(m)).collect();
     let maxima: Vec<usize> = {
@@ -100,16 +94,24 @@ pub fn coo_to_csf_ordered(
         columns.iter().map(max).collect()
     };
     let layout = KeyLayout::new(&maxima);
+    let shape = Shape::new(mode_order.iter().map(|&m| coo.shape().dim(m)).collect());
+    if layout.bits() > u128::BITS {
+        // Keys no word holds: a stable comparison sort.
+        let mut perm: Vec<usize> = (0..nnz).collect();
+        perm.sort_by(|&a, &b| lex_cmp_at(&columns, a, b));
+        let mut builder = CsfBuilder::new(shape, nnz);
+        perm.into_iter()
+            .for_each(|p| builder.push(|d| columns[d][p], coo.values()[p]));
+        return Ok(builder.finish());
+    }
     // Root histograms wider than the tensor has nonzeros would cost more
-    // than the sort they split.
-    let roots = maxima[0] + 1;
-    let threads = if roots > nnz { 1 } else { threads.max(1) };
+    // than the sort they split, and one mode has no level below the root.
+    let (roots, single) = (maxima[0] + 1, maxima[0] >= nnz || order < 2);
+    let threads = if single { 1 } else { threads.max(1) };
     if layout.bits() <= u64::BITS {
-        sort_pack_chunks::<u64>(coo, mode_order, &columns, &layout, roots, threads)
-    } else if layout.bits() <= u128::BITS {
-        sort_pack_chunks::<u128>(coo, mode_order, &columns, &layout, roots, threads)
+        sort_pack_chunks::<u64>(coo, shape, &columns, &layout, roots, threads)
     } else {
-        Ok(engine::to_csf_ordered(coo, mode_order))
+        sort_pack_chunks::<u128>(coo, shape, &columns, &layout, roots, threads)
     }
 }
 
@@ -117,14 +119,13 @@ pub fn coo_to_csf_ordered(
 /// coordinates lie in `0..roots`, and the stitch.
 fn sort_pack_chunks<K: PackedKey>(
     coo: &CooTensor,
-    mode_order: &[usize],
+    packed_shape: Shape,
     columns: &[&[usize]],
     layout: &KeyLayout,
     roots: usize,
     threads: usize,
 ) -> Result<CsfTensor, ConvertError> {
     let (nnz, order) = (coo.nnz(), coo.order());
-    let packed_shape = Shape::new(mode_order.iter().map(|&m| coo.shape().dim(m)).collect());
     let vals = coo.values();
     let pair = |p: usize| (layout.key::<K>(|d| columns[d][p]), vals[p].to_bits());
 
@@ -156,10 +157,19 @@ fn sort_pack_chunks<K: PackedKey>(
         "kernel.sort_pack",
         "chunk_sort_pack",
         spans,
-        |span, worker| {
-            worker.add_items(span.len() as u64);
-            let names = ["kernel.radix_sort", "kernel.pack"];
-            engine::sort_pack(packed_shape.clone(), layout, span, names)
+        |pairs, worker| {
+            let n = pairs.len() as u64;
+            worker.add_items(n);
+            {
+                // The in-place sort's scratch is freed before the pack.
+                let sort = Span::enter("kernel.radix_sort");
+                sort.add_items(n);
+                let mut scratch = vec![(K::default(), 0); pairs.len()];
+                radix::sort_pairs(pairs, &mut scratch, 0, layout.bits());
+            }
+            let pack = Span::enter("kernel.pack");
+            pack.add_items(n);
+            radix::pack_keys(packed_shape.clone(), layout, pairs)
         },
     )?;
     if partials.len() == 1 {
@@ -318,7 +328,7 @@ fn bucket_by_root<T: Send>(
             }
             hist
         },
-        |hists| merge_histograms_tree(hists, roots),
+        |hists| merge_histograms_tree(hists, zeroed(roots + 1)?),
         |_, chunk, mut cursor: Vec<usize>, span| {
             span.add_items(chunk.len() as u64);
             for p in chunk {

@@ -96,7 +96,7 @@ pub use error::ConvertError;
 pub use format::{Format, FormatBuilder, FormatRegistry, ParseFormatError};
 pub use plan::ConversionPlan;
 pub use select::{auto_select, TensorProfile};
-pub use source::{MatrixAsTensor, SourceMatrix, SourceTensor};
+pub use source::{SourceMatrix, SourceTensor};
 pub use spec::FormatSpec;
 
 /// One-stop import of the spec-first public surface.

@@ -100,45 +100,47 @@ pub fn parse_csf_ordered_name(s: &str) -> Option<Vec<usize>> {
 pub fn custom_from_csf(
     spec: &FormatSpec,
     mode_order: &[usize],
-    csf: &CsfTensor,
+    csf: CsfTensor,
 ) -> Result<CustomTensor, ConvertError> {
-    let order = csf.order();
+    let (order, nnz) = (csf.order(), csf.nnz());
     assert_eq!(mode_order.len(), order, "one mode per storage dimension");
-    if order >= 2 {
-        let pos = csf.pos(order - 2);
-        let crd = csf.crd(order - 1);
-        for fiber in pos.windows(2) {
-            if (fiber[0] + 1..fiber[1]).any(|p| crd[p] == crd[p - 1]) {
-                return Err(ConvertError::duplicate_coordinates(&spec.name));
-            }
+    let roots = csf.num_fibers(0);
+    let (packed, crd, pos, vals) = csf.into_parts();
+    // Two equal neighbours in the leaf level are a duplicate unless a fiber
+    // starts between them.
+    if let (Some(fibers), Some(leaves)) = (pos.last(), crd.last()) {
+        let mut equal = leaves.windows(2).enumerate().filter(|(_, w)| w[0] == w[1]);
+        if equal.any(|(p, _)| fibers.binary_search(&(p + 1)).is_err()) {
+            return Err(ConvertError::duplicate_coordinates(&spec.name));
         }
     }
     // Recover the canonical (source) shape: storage dimension `d` has the
     // extent of canonical mode `mode_order[d]`.
     let mut dims = vec![0usize; order];
     for (d, &m) in mode_order.iter().enumerate() {
-        dims[m] = csf.shape().dim(d);
+        dims[m] = packed.dim(d);
     }
     let shape = sparse_tensor::Shape::new(dims);
-    let env = BoundsEnv::for_remapping(&spec.remapping, shape.dims()).with_nnz(csf.nnz());
+    let env = BoundsEnv::for_remapping(&spec.remapping, shape.dims()).with_nnz(nnz);
     let bounds = crate::remap::infer_bounds(&spec.remapping, &env)?;
-    let mut levels = Vec::with_capacity(order);
-    for l in 0..order {
-        let pos = if l == 0 {
-            vec![0, csf.num_fibers(0)]
-        } else {
-            csf.pos(l - 1).to_vec()
-        };
-        let crd = csf.crd(l).iter().map(|&c| c as i64).collect();
-        levels.push(LevelOutput::Compressed { pos, crd });
-    }
+    // The root level's one fiber, then each level's own `pos`; coordinates
+    // widen in place.
+    let level_pos = std::iter::once(vec![0, roots]).chain(pos);
+    let levels = crd
+        .into_iter()
+        .zip(level_pos)
+        .map(|(crd, pos)| LevelOutput::Compressed {
+            pos,
+            crd: crd.into_iter().map(|c| c as i64).collect(),
+        })
+        .collect();
     Ok(CustomTensor {
         spec: spec.clone(),
         levels,
-        vals: csf.values().to_vec(),
+        vals,
         source_shape: shape,
         bounds,
-        nnz: csf.nnz(),
+        nnz,
     })
 }
 

@@ -202,6 +202,16 @@ pub(crate) fn split_spans<T>(
     spans.collect()
 }
 
+/// `len` zeroed counters (sized by a level's extent), or
+/// [`ConvertError::Allocation`] if they cannot be had.
+pub(crate) fn zeroed(len: usize) -> Result<Vec<usize>, ConvertError> {
+    let mut counters = Vec::new();
+    let refused = |_| ConvertError::Allocation { len };
+    counters.try_reserve_exact(len).map_err(refused)?;
+    counters.resize(len, 0);
+    Ok(counters)
+}
+
 /// Merges per-chunk histograms over the outer level into the global
 /// prefix-sum `pos` array, and turns every histogram, in place, into its
 /// chunk's scatter cursors: chunk `c`'s cursor for parent `i` starts after
@@ -211,10 +221,10 @@ pub(crate) fn split_spans<T>(
 /// histogram becomes a copy of `pos`, which is the sequential routine's
 /// analysis.
 ///
-/// `parents` is the extent of the outer level; every histogram must have
-/// that length.
-pub fn merge_histograms(hists: &mut [Vec<usize>], parents: usize) -> Vec<usize> {
-    let mut pos = vec![0usize; parents + 1];
+/// `pos` holds `parents + 1` zeros, `parents` being the extent of the outer
+/// level; every histogram must have that length.
+pub fn merge_histograms(hists: &mut [Vec<usize>], pos: &mut [usize]) {
+    let parents = pos.len() - 1;
     for i in 0..parents {
         let mut running = pos[i];
         for hist in hists.iter_mut() {
@@ -224,7 +234,6 @@ pub fn merge_histograms(hists: &mut [Vec<usize>], parents: usize) -> Vec<usize> 
         }
         pos[i + 1] = running;
     }
-    pos
 }
 
 /// Shared cursor columns for the parallel cursor construction: workers write
@@ -237,12 +246,12 @@ struct SharedCursorColumns(Vec<*mut usize>);
 unsafe impl Sync for SharedCursorColumns {}
 
 /// [`merge_histograms`] as the `merge` step of [`two_phase`]: consumes the
-/// histograms and returns the global `pos` array plus each chunk's scatter
-/// cursors. When the work covers the thread spawns (`TREE_MERGE_MIN_WORK`)
-/// the reduction itself is chunked: per-chunk totals are combined by a
-/// pairwise *tree* reduction (log-depth instead of one serial sweep per
-/// chunk) and the cursors are filled over disjoint parent ranges, one worker
-/// per histogram.
+/// histograms, fills `pos` (`parents + 1` zeros) and returns it plus each
+/// chunk's scatter cursors. When the work covers the thread spawns
+/// (`TREE_MERGE_MIN_WORK`) the reduction itself is chunked: per-chunk totals
+/// are combined by a pairwise *tree* reduction (log-depth instead of one
+/// serial sweep per chunk) and the cursors are filled over disjoint parent
+/// ranges, one worker per histogram.
 ///
 /// Bit-identical to [`merge_histograms`]: integer addition is associative,
 /// so the tree-reduced totals, the prefix-summed `pos`, and the cursors all
@@ -250,22 +259,25 @@ unsafe impl Sync for SharedCursorColumns {}
 ///
 /// # Errors
 ///
-/// Returns [`ConvertError::WorkerPanicked`] when a merge worker panicked.
+/// Returns [`ConvertError::WorkerPanicked`] when a merge worker panicked,
+/// [`ConvertError::Allocation`] when cursor arrays cannot be allocated.
 pub fn merge_histograms_tree(
     mut hists: Vec<Vec<usize>>,
-    parents: usize,
+    mut pos: Vec<usize>,
 ) -> Result<(Vec<usize>, Vec<Vec<usize>>), ConvertError> {
+    let parents = pos.len() - 1;
     if hists.len() < 2 || hists.len().saturating_mul(parents) < TREE_MERGE_MIN_WORK {
-        let pos = merge_histograms(&mut hists, parents);
+        merge_histograms(&mut hists, &mut pos);
         return Ok((pos, hists));
     }
-    tree_merge(&hists, parents)
+    tree_merge(&hists, pos)
 }
 
 fn tree_merge(
     hists: &[Vec<usize>],
-    parents: usize,
+    mut pos: Vec<usize>,
 ) -> Result<(Vec<usize>, Vec<Vec<usize>>), ConvertError> {
+    let parents = pos.len() - 1;
     // Phase 1: pairwise tree reduction to the global totals. Every level
     // halves the histogram count; pairs reduce concurrently.
     let reduce_level = |level: &[Vec<usize>]| {
@@ -281,7 +293,6 @@ fn tree_merge(
         level = reduce_level(&level)?;
     }
     let totals = level.pop().expect("reduction leaves one histogram");
-    let mut pos = vec![0usize; parents + 1];
     for i in 0..parents {
         pos[i + 1] = pos[i] + totals[i];
     }
@@ -289,7 +300,9 @@ fn tree_merge(
     // of parents and fills that range of *every* chunk's cursor array — the
     // same running sums the serial merge computes, restarted from `pos` at
     // each parent.
-    let mut cursors: Vec<Vec<usize>> = (0..hists.len()).map(|_| vec![0usize; parents]).collect();
+    let mut cursors: Vec<Vec<usize>> = (0..hists.len())
+        .map(|_| zeroed(parents))
+        .collect::<Result<_, _>>()?;
     let columns = SharedCursorColumns(cursors.iter_mut().map(|c| c.as_mut_ptr()).collect());
     let columns = &columns;
     let ranges = even_chunks(parents, hists.len());
@@ -455,14 +468,19 @@ mod tests {
         // Two chunks over three parents: chunk 0 saw [2, 0, 1], chunk 1 saw
         // [1, 2, 0]; the merged pos is the total histogram's prefix sum and
         // chunk 1's cursors start where chunk 0's entries end.
+        let merged = |hists: &mut [Vec<usize>]| {
+            let mut pos = vec![0; 4];
+            merge_histograms(hists, &mut pos);
+            pos
+        };
         let mut hists = vec![vec![2, 0, 1], vec![1, 2, 0]];
-        assert_eq!(merge_histograms(&mut hists, 3), vec![0, 3, 5, 6]);
+        assert_eq!(merged(&mut hists), vec![0, 3, 5, 6]);
         assert_eq!(hists, vec![vec![0, 3, 5], vec![2, 3, 6]]);
         // One histogram: pos and a copy of it. None: an all-zero pos.
         let mut one = vec![vec![2, 0, 1]];
-        assert_eq!(merge_histograms(&mut one, 3), vec![0, 2, 2, 3]);
+        assert_eq!(merged(&mut one), vec![0, 2, 2, 3]);
         assert_eq!(one, vec![vec![0, 2, 2]]);
-        assert_eq!(merge_histograms(&mut [], 3), vec![0; 4]);
+        assert_eq!(merged(&mut []), vec![0; 4]);
     }
 
     #[test]
@@ -483,10 +501,12 @@ mod tests {
                 .map(|_| (0..parents).map(|_| next()).collect())
                 .collect();
             let mut cursors = hists.clone();
-            let pos = merge_histograms(&mut cursors, parents);
+            let mut pos = vec![0; parents + 1];
+            merge_histograms(&mut cursors, &mut pos);
             let serial = (pos, cursors);
-            assert_eq!(tree_merge(&hists, parents).unwrap(), serial);
-            assert_eq!(merge_histograms_tree(hists, parents).unwrap(), serial);
+            let zeros = || vec![0; parents + 1];
+            assert_eq!(tree_merge(&hists, zeros()).unwrap(), serial);
+            assert_eq!(merge_histograms_tree(hists, zeros()).unwrap(), serial);
         }
     }
 

@@ -64,45 +64,40 @@ impl CounterState {
     }
 }
 
-/// Applies binary operators with the same semantics the generated C code
-/// would have (truncating division, 64-bit shifts).
-pub(crate) fn apply_binop(op: BinOp, lhs: i64, rhs: i64) -> Result<i64, RemapError> {
-    match op {
-        BinOp::Add => Ok(lhs.wrapping_add(rhs)),
-        BinOp::Sub => Ok(lhs.wrapping_sub(rhs)),
-        BinOp::Mul => Ok(lhs.wrapping_mul(rhs)),
-        BinOp::Div => {
-            if rhs == 0 {
-                Err(RemapError::DivisionByZero)
-            } else {
-                Ok(lhs / rhs)
-            }
-        }
-        BinOp::Rem => {
-            if rhs == 0 {
-                Err(RemapError::DivisionByZero)
-            } else {
-                Ok(lhs % rhs)
-            }
-        }
-        BinOp::Shl => {
-            if !(0..64).contains(&rhs) {
-                Err(RemapError::InvalidShift(rhs))
-            } else {
-                Ok(lhs << rhs)
-            }
-        }
-        BinOp::Shr => {
-            if !(0..64).contains(&rhs) {
-                Err(RemapError::InvalidShift(rhs))
-            } else {
-                Ok(lhs >> rhs)
-            }
-        }
-        BinOp::And => Ok(lhs & rhs),
-        BinOp::Or => Ok(lhs | rhs),
-        BinOp::Xor => Ok(lhs ^ rhs),
+/// Checks `rhs` as the right operand of `op` (a zero divisor, a shift
+/// outside `0..64`) and returns the operator with the semantics the
+/// generated C code has (wrapping arithmetic, truncating division, 64-bit
+/// shifts); a division or remainder by a power of two is a shift.
+pub(crate) fn binop(op: BinOp, rhs: i64) -> Result<fn(i64, i64) -> i64, RemapError> {
+    // Truncating division by `2^k`: a negative dividend rounds up by adding
+    // `2^k - 1` before the arithmetic shift.
+    fn quotient(a: i64, b: i64) -> i64 {
+        (a + ((a >> 63) & (b - 1))) >> b.trailing_zeros()
     }
+    let pow2 = rhs > 0 && rhs.count_ones() == 1;
+    Ok(match op {
+        BinOp::Div | BinOp::Rem if rhs == 0 => return Err(RemapError::DivisionByZero),
+        BinOp::Shl | BinOp::Shr if !(0..64).contains(&rhs) => {
+            return Err(RemapError::InvalidShift(rhs))
+        }
+        BinOp::Div if pow2 => quotient,
+        BinOp::Rem if pow2 => |a, b| a - (quotient(a, b) << b.trailing_zeros()),
+        BinOp::Add => i64::wrapping_add,
+        BinOp::Sub => i64::wrapping_sub,
+        BinOp::Mul => i64::wrapping_mul,
+        BinOp::Div => |a, b| a / b,
+        BinOp::Rem => |a, b| a % b,
+        BinOp::Shl => |a, b| a << b,
+        BinOp::Shr => |a, b| a >> b,
+        BinOp::And => |a, b| a & b,
+        BinOp::Or => |a, b| a | b,
+        BinOp::Xor => |a, b| a ^ b,
+    })
+}
+
+/// `lhs op rhs` (see [`binop`]).
+pub(crate) fn apply_binop(op: BinOp, lhs: i64, rhs: i64) -> Result<i64, RemapError> {
+    binop(op, rhs).map(|f| f(lhs, rhs))
 }
 
 /// Evaluation context for one remapping: parameter bindings plus counter
@@ -305,12 +300,23 @@ impl<'a> EvalContext<'a> {
             }
             IndexExpr::Binary(op, l, r) => {
                 let (mut vals, l_err) = self.eval_column(l, n, src, lets, ctr);
-                let (rhs, r_err) = self.eval_column(r, n, src, lets, ctr);
+                // A constant or parameter right operand is one scalar for
+                // every nonzero, and its error every nonzero's (the first at
+                // nonzero 0): the operator is chosen once.
+                let scalar = matches!(**r, IndexExpr::Const(_) | IndexExpr::Param(_));
+                let width = if scalar { n.min(1) } else { n };
+                let (rhs, r_err) = self.eval_column(r, width, src, lets, ctr);
                 let mut err = None;
-                for (p, (a, &b)) in vals.iter_mut().zip(&rhs).enumerate() {
-                    match apply_binop(*op, *a, b) {
-                        Ok(v) => *a = v,
-                        Err(e) => err = err.or(Some((p, e))),
+                match rhs.first().filter(|_| scalar).map(|&b| (binop(*op, b), b)) {
+                    Some((Ok(f), b)) => vals.iter_mut().for_each(|a| *a = f(*a, b)),
+                    Some((Err(e), _)) => err = Some((0, e)),
+                    None => {
+                        for (p, (a, &b)) in vals.iter_mut().zip(&rhs).enumerate() {
+                            match apply_binop(*op, *a, b) {
+                                Ok(v) => *a = v,
+                                Err(e) => err = err.or(Some((p, e))),
+                            }
+                        }
                     }
                 }
                 (vals, earliest([l_err, r_err, err]))

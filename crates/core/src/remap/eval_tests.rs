@@ -111,6 +111,80 @@ mod tests {
     }
 
     #[test]
+    fn operators_keep_the_generated_code_semantics() {
+        use BinOp::*;
+        // The operators as the generated C code has them, checked one pair
+        // at a time.
+        let reference = |op, a: i64, b: i64| match op {
+            Div | Rem if b == 0 => Err(RemapError::DivisionByZero),
+            Shl | Shr if !(0..64).contains(&b) => Err(RemapError::InvalidShift(b)),
+            Add => Ok(a.wrapping_add(b)),
+            Sub => Ok(a.wrapping_sub(b)),
+            Mul => Ok(a.wrapping_mul(b)),
+            Div => Ok(a / b),
+            Rem => Ok(a % b),
+            Shl => Ok(a << b),
+            Shr => Ok(a >> b),
+            And => Ok(a & b),
+            Or => Ok(a | b),
+            Xor => Ok(a ^ b),
+        };
+        let lhs = [
+            i64::MIN,
+            i64::MIN + 1,
+            -17,
+            -8,
+            -5,
+            -4,
+            -1,
+            0,
+            1,
+            3,
+            4,
+            7,
+            8,
+            17,
+            i64::MAX,
+        ];
+        for op in [Add, Sub, Mul, Div, Rem, Shl, Shr, And, Or, Xor] {
+            for rhs in [-8, -4, -3, -1, 0, 1, 2, 3, 4, 8, 16, 63, 64, 1 << 40] {
+                for a in lhs {
+                    if matches!(op, Div | Rem) && rhs == -1 && a == i64::MIN {
+                        continue; // overflows in both
+                    }
+                    assert_eq!(
+                        apply_binop(op, a, rhs),
+                        reference(op, a, rhs),
+                        "{a} {op:?} {rhs}"
+                    );
+                }
+            }
+        }
+        // A zero divisor still fails at the first nonzero, a constant or a
+        // parameter alike, and a missing parameter is reported as such.
+        let remap = parse_remapping("(i,j) -> (i/B,j%0)").unwrap();
+        let ctx = EvalContext::new(&remap).with_param("B", 0);
+        let (i, j) = ([5usize, 6], [1usize, 2]);
+        let err = ctx.remap_columns(&[&i, &j]).unwrap_err();
+        assert_eq!(err, RemapError::DivisionByZero);
+        let missing = EvalContext::new(&remap).remap_columns(&[&i, &j]);
+        assert_eq!(missing, Err(RemapError::MissingParameter("B".into())));
+        let quarters = parse_remapping("(i,j) -> (i/4,i%4,j/B,j%B)").unwrap();
+        let ctx = EvalContext::new(&quarters).with_param("B", 4);
+        let (i, j) = ([0usize, 3, 4, 9], [7usize, 8, 1, 12]);
+        let cols = ctx.remap_columns(&[&i, &j]).unwrap();
+        assert_eq!(
+            cols,
+            vec![
+                vec![0, 0, 1, 2],
+                vec![0, 3, 0, 1],
+                vec![1, 2, 0, 3],
+                vec![3, 0, 1, 0]
+            ]
+        );
+    }
+
+    #[test]
     fn counters_reset_between_passes() {
         let remap = parse_remapping("(i,j) -> (#i,i,j)").unwrap();
         let mut ctx = EvalContext::new(&remap);

@@ -10,6 +10,7 @@
 //! in row order? can per-row counts be read off the structure without
 //! touching nonzeros?).
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use sparse_formats::{
@@ -57,6 +58,23 @@ pub trait SourceMatrix {
         self.for_each(f);
     }
 
+    /// The nonzeros as `(row, column, value)` columns in storage order, the
+    /// values only when `with_values` is set (COO and CSR lend theirs
+    /// anyway), gathered through [`SourceMatrix::for_each`] by default.
+    fn columns(&self, with_values: bool) -> MatrixColumns<'_> {
+        let nnz = self.nnz();
+        let (mut row, mut col) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        let mut vals = Vec::with_capacity(if with_values { nnz } else { 0 });
+        self.for_each(|i, j, v| {
+            row.push(i);
+            col.push(j);
+            if with_values {
+                vals.push(v);
+            }
+        });
+        (row.into(), col.into(), vals.into())
+    }
+
     /// True when nonzeros are grouped by row and rows are visited in
     /// ascending order (lets the planner use scalar counters and sequenced
     /// edge insertion).
@@ -80,6 +98,9 @@ pub trait SourceMatrix {
         counts
     }
 }
+
+/// A matrix's row, column and value columns ([`SourceMatrix::columns`]).
+pub type MatrixColumns<'a> = (Cow<'a, [usize]>, Cow<'a, [usize]>, Cow<'a, [Value]>);
 
 /// An order-`N` tensor the conversion engine can read — the rank-generic
 /// counterpart of [`SourceMatrix`].
@@ -137,38 +158,6 @@ impl SourceTensor for CsfTensor {
     }
 }
 
-/// Adapts any [`SourceMatrix`] into an order-2 [`SourceTensor`], so the
-/// rank-generic kernels (e.g. COO→CSF, which yields DCSR at order 2) accept
-/// matrix sources without duplicating iteration code.
-pub struct MatrixAsTensor<'a, M: SourceMatrix> {
-    shape: Shape,
-    inner: &'a M,
-}
-
-impl<'a, M: SourceMatrix> MatrixAsTensor<'a, M> {
-    /// Wraps a matrix source.
-    pub fn new(inner: &'a M) -> Self {
-        MatrixAsTensor {
-            shape: Shape::matrix(inner.rows(), inner.cols()),
-            inner,
-        }
-    }
-}
-
-impl<M: SourceMatrix> SourceTensor for MatrixAsTensor<'_, M> {
-    fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    fn nnz(&self) -> usize {
-        self.inner.nnz()
-    }
-
-    fn for_each_coord<F: FnMut(&[i64], Value)>(&self, mut f: F) {
-        self.inner.for_each(|i, j, v| f(&[i as i64, j as i64], v));
-    }
-}
-
 impl SourceMatrix for CooMatrix {
     fn rows(&self) -> usize {
         CooMatrix::rows(self)
@@ -189,6 +178,11 @@ impl SourceMatrix for CooMatrix {
     /// Even ranges of nonzero positions.
     fn chunks(&self, parts: usize) -> Vec<Range<usize>> {
         even_chunks(CooMatrix::nnz(self), parts)
+    }
+
+    fn columns(&self, _: bool) -> MatrixColumns<'_> {
+        let (row, col) = (self.row_indices(), self.col_indices());
+        (row.into(), col.into(), self.values().into())
     }
 
     fn for_each_in<F: FnMut(usize, usize, Value)>(&self, chunk: Range<usize>, mut f: F) {
@@ -233,6 +227,14 @@ impl SourceMatrix for CsrMatrix {
                 f(i, crd[p], vals[p]);
             }
         }
+    }
+
+    fn columns(&self, _: bool) -> MatrixColumns<'_> {
+        let mut row = Vec::with_capacity(CsrMatrix::nnz(self));
+        for (i, &end) in self.pos()[1..].iter().enumerate() {
+            row.resize(end, i);
+        }
+        (row.into(), self.crd().into(), self.values().into())
     }
 
     fn rows_in_order(&self) -> bool {
@@ -523,18 +525,37 @@ mod tests {
     }
 
     #[test]
-    fn matrix_as_tensor_adapts_order_2_sources() {
+    fn lent_columns_match_the_gathered_ones() {
         let t = figure1_matrix();
-        let csr = CsrMatrix::from_triples(&t);
-        let adapted = MatrixAsTensor::new(&csr);
-        assert_eq!(
-            SourceTensor::shape(&adapted),
-            &sparse_tensor::Shape::matrix(4, 6)
-        );
-        assert_eq!(SourceTensor::nnz(&adapted), 9);
-        let mut seen = SparseTriples::new(sparse_tensor::Shape::matrix(4, 6));
-        adapted.for_each_coord(|c, v| seen.push(c.to_vec(), v).unwrap());
-        assert!(seen.same_values(&t));
+        let (coo, csr) = (CooMatrix::from_triples(&t), CsrMatrix::from_triples(&t));
+        fn gathered<S: SourceMatrix>(s: &S) -> (Vec<usize>, Vec<usize>, Vec<Value>) {
+            let mut cols = (Vec::new(), Vec::new(), Vec::new());
+            s.for_each(|i, j, v| {
+                cols.0.push(i);
+                cols.1.push(j);
+                cols.2.push(v);
+            });
+            cols
+        }
+        for (lent, want) in [
+            (coo.columns(true), gathered(&coo)),
+            (csr.columns(true), gathered(&csr)),
+        ] {
+            assert!(
+                matches!(lent.1, Cow::Borrowed(_)),
+                "column indices are lent"
+            );
+            assert_eq!(
+                (&*lent.0, &*lent.1, &*lent.2),
+                (&want.0[..], &want.1[..], &want.2[..])
+            );
+        }
+        let csc = CscMatrix::from_triples(&t);
+        let (row, col, vals) = csc.columns(true);
+        assert_eq!((row.len(), col.len(), vals.len()), (9, 9, 9));
+        // Without values the gather reads none.
+        let (row, col, vals) = csc.columns(false);
+        assert_eq!((row.len(), col.len(), vals.len()), (9, 9, 0));
     }
 
     #[test]

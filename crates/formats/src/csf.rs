@@ -48,6 +48,9 @@ pub fn lex_sort_perm(columns: &[Vec<usize>]) -> Vec<usize> {
     perm
 }
 
+/// A CSF tensor's shape, per-level `crd` and `pos` arrays, and values.
+pub type CsfParts = (Shape, Vec<Vec<usize>>, Vec<Vec<usize>>, Vec<Value>);
+
 impl CsfTensor {
     /// Creates a CSF tensor from its level arrays.
     ///
@@ -243,6 +246,12 @@ impl CsfTensor {
     /// Value array (aligned with the innermost coordinate array).
     pub fn values(&self) -> &[Value] {
         &self.vals
+    }
+
+    /// Takes the tensor apart into its shape, per-level `crd` and `pos`
+    /// arrays and values (the inverse of [`CsfTensor::from_parts`]).
+    pub fn into_parts(self) -> CsfParts {
+        (self.shape, self.crd, self.pos, self.vals)
     }
 }
 

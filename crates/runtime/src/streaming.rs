@@ -136,7 +136,7 @@ impl StreamTarget {
                     return Ok((AnyTensor::Csf(csf), stats));
                 }
                 let spec = target.spec().expect("registry formats carry a spec");
-                let wrapped = sparse_conv::mode::custom_from_csf(spec, &mode_order, &csf)?;
+                let wrapped = sparse_conv::mode::custom_from_csf(spec, &mode_order, csf)?;
                 Ok((AnyTensor::Custom(Box::new(wrapped)), stats))
             }
         }

@@ -1,15 +1,15 @@
 //! Bounded coordinate blocks — the unit a [`crate::TensorStream`] yields.
 
 use sparse_conv::ConvertError;
-use sparse_tensor::{Shape, Value};
+use sparse_formats::CooTensor;
+use sparse_tensor::{Shape, TensorError, Value};
 
 /// A bounded chunk of COO nonzeros: one coordinate column per dimension plus
-/// values, tagged with the tensor's full rank-`N` [`Shape`].
+/// values, tagged with the tensor's full rank-`N` [`Shape`] — a COO tensor
+/// whose coordinates were checked on the way in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoordBlock {
-    shape: Shape,
-    crd: Vec<Vec<usize>>,
-    vals: Vec<Value>,
+    tensor: CooTensor,
 }
 
 impl CoordBlock {
@@ -20,12 +20,8 @@ impl CoordBlock {
 
     /// An empty block with room for `cap` nonzeros.
     pub fn with_capacity(shape: Shape, cap: usize) -> Self {
-        let order = shape.order();
-        CoordBlock {
-            shape,
-            crd: vec![Vec::with_capacity(cap); order],
-            vals: Vec::with_capacity(cap),
-        }
+        let crd = vec![Vec::with_capacity(cap); shape.order()];
+        Self::from_columns(shape, crd, Vec::with_capacity(cap)).expect("empty columns fit")
     }
 
     /// A block from its columns: `crd[d]` holds dimension `d`'s
@@ -41,26 +37,8 @@ impl CoordBlock {
         crd: Vec<Vec<usize>>,
         vals: Vec<Value>,
     ) -> Result<Self, ConvertError> {
-        let invalid = |message: String| {
-            ConvertError::Structure(sparse_tensor::TensorError::InvalidStructure(message))
-        };
-        if crd.len() != shape.order() || crd.iter().any(|c| c.len() != vals.len()) {
-            return Err(invalid(format!(
-                "{} columns of lengths {:?} for an order-{} block of {} values",
-                crd.len(),
-                crd.iter().map(Vec::len).collect::<Vec<_>>(),
-                shape.order(),
-                vals.len()
-            )));
-        }
-        for (d, column) in crd.iter().enumerate() {
-            if let Some(c) = column.iter().find(|&&c| c >= shape.dim(d)) {
-                return Err(invalid(format!(
-                    "coordinate {c} out of bounds for dimension {d} of {shape}"
-                )));
-            }
-        }
-        Ok(CoordBlock { shape, crd, vals })
+        let tensor = CooTensor::from_parts(shape, crd, vals)?;
+        Ok(CoordBlock { tensor })
     }
 
     /// Appends a nonzero.
@@ -70,55 +48,43 @@ impl CoordBlock {
     /// Returns [`ConvertError::Structure`] when the coordinate's arity or a
     /// component is out of bounds.
     pub fn push(&mut self, coord: &[usize], value: Value) -> Result<(), ConvertError> {
-        if coord.len() != self.order() {
-            return Err(ConvertError::Structure(
-                sparse_tensor::TensorError::InvalidStructure(format!(
-                    "coordinate arity {} for an order-{} block",
-                    coord.len(),
-                    self.order()
-                )),
-            ));
+        let dims = self.shape().dims();
+        if coord.len() != dims.len() || coord.iter().zip(dims).any(|(&c, &n)| c >= n) {
+            let message = format!("coordinate {coord:?} outside {}", self.shape());
+            return Err(TensorError::InvalidStructure(message).into());
         }
-        for (d, &c) in coord.iter().enumerate() {
-            if c >= self.shape.dim(d) {
-                return Err(ConvertError::Structure(
-                    sparse_tensor::TensorError::InvalidStructure(format!(
-                        "coordinate {c} out of bounds for dimension {d} of {}",
-                        self.shape
-                    )),
-                ));
-            }
-        }
-        for (d, &c) in coord.iter().enumerate() {
-            self.crd[d].push(c);
-        }
-        self.vals.push(value);
+        self.tensor.push(coord, value);
         Ok(())
     }
 
     /// The tensor's shape (shared by every block of one stream).
     pub fn shape(&self) -> &Shape {
-        &self.shape
+        self.tensor.shape()
     }
 
     /// The tensor's order.
     pub fn order(&self) -> usize {
-        self.shape.order()
+        self.tensor.order()
     }
 
     /// Number of nonzeros in this block.
     pub fn nnz(&self) -> usize {
-        self.vals.len()
+        self.tensor.nnz()
     }
 
     /// The coordinate column of dimension `d`.
     pub fn crd(&self, d: usize) -> &[usize] {
-        &self.crd[d]
+        self.tensor.crd(d)
     }
 
     /// Value column.
     pub fn values(&self) -> &[Value] {
-        &self.vals
+        self.tensor.values()
+    }
+
+    /// The block's nonzeros as a COO tensor, columns moved, not copied.
+    pub fn into_tensor(self) -> CooTensor {
+        self.tensor
     }
 }
 

@@ -133,13 +133,17 @@ impl TensorSink for CooSink {
         self.tensor.shape()
     }
 
-    /// Appends the block's columns in bulk; a block of another shape is a
-    /// [`ConvertError::Structure`] error.
+    /// Adopts the first block's columns and appends later ones in bulk; a
+    /// block of another shape is a [`ConvertError::Structure`] error.
     fn push_block(&mut self, block: CoordBlock) -> Result<(), ConvertError> {
         let (shape, expected) = (block.shape(), self.tensor.shape());
         if shape != expected {
             let message = format!("a block of shape {shape} for a sink of shape {expected}");
             return Err(TensorError::InvalidStructure(message).into());
+        }
+        if self.tensor.nnz() == 0 {
+            self.tensor = block.into_tensor();
+            return Ok(());
         }
         let crd: Vec<&[usize]> = (0..block.order()).map(|d| block.crd(d)).collect();
         Ok(self.tensor.append_columns(&crd, block.values())?)
@@ -240,6 +244,32 @@ mod tests {
             assert_eq!(blocks, 7usize.div_ceil(block_nnz));
             assert_eq!(sink.into_tensor(), t, "round-trip preserves order");
         }
+    }
+
+    #[test]
+    fn the_sink_adopts_its_first_block_and_appends_the_rest() {
+        let t = sample();
+        let block = |range: std::ops::Range<usize>| {
+            let crd = (0..3).map(|d| t.crd(d)[range.clone()].to_vec()).collect();
+            CoordBlock::from_columns(t.shape().clone(), crd, t.values()[range].to_vec()).unwrap()
+        };
+        // One block: its columns become the tensor's, allocation and all.
+        let mut sink = CooSink::new(t.shape().clone());
+        let whole = block(0..7);
+        let first = whole.crd(0).as_ptr();
+        sink.push_block(whole).unwrap();
+        let one = sink.into_tensor();
+        assert_eq!((one.crd(0).as_ptr(), &one), (first, &t));
+        // Many blocks, an empty one first: adopted, then appended in order.
+        let mut sink = CooSink::new(t.shape().clone());
+        for range in [0..0, 0..2, 2..3, 3..7] {
+            sink.push_block(block(range)).unwrap();
+        }
+        assert_eq!(sink.into_tensor(), t);
+        // A block of another shape is refused, empty sink or not.
+        let mut sink = CooSink::new(Shape::tensor3(3, 3, 4));
+        assert!(sink.push_block(block(0..2)).is_err());
+        assert_eq!(sink.into_tensor().nnz(), 0);
     }
 
     #[test]
