@@ -13,9 +13,8 @@
 //! emitted JSON. Deeper levels may overlap (per-thread worker spans), so
 //! the invariant is only asserted at the top level.
 //!
-//! Exports: [`ConversionReport::to_json`] (one object, schema documented in
-//! `docs/ARCHITECTURE.md`), and [`ConversionReport::to_prometheus`] (text
-//! exposition of the scalar fields and per-phase durations).
+//! Export: [`ConversionReport::to_json`] (one object, schema documented in
+//! `docs/ARCHITECTURE.md`).
 
 use crate::span::SpanRecord;
 use std::collections::BTreeMap;
@@ -61,9 +60,10 @@ impl PhaseReport {
 
 /// What one conversion did and where its time went.
 ///
-/// Produced by `ConversionService::convert_traced` (and retained for
-/// `last_report`). Identification and routing fields are filled by the
-/// service; the phase tree comes from the span trace.
+/// Produced by `ConversionService::convert_traced` and
+/// `ConversionService::convert_stream`, and built only for them.
+/// Identification and routing fields are filled by the service; the phase
+/// tree comes from the span trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConversionReport {
     /// Source format name (e.g. `"COO"`).
@@ -264,66 +264,6 @@ impl ConversionReport {
                 .join(","),
         )
     }
-
-    /// Renders the report's scalar fields and per-phase durations in
-    /// Prometheus text exposition format, labelled with the conversion pair.
-    pub fn to_prometheus(&self) -> String {
-        let pair = format!(
-            "source=\"{}\",target=\"{}\"",
-            self.source.replace('"', ""),
-            self.target.replace('"', "")
-        );
-        let mut out = String::new();
-        out.push_str("# TYPE conversion_total_ns gauge\n");
-        out.push_str(&format!(
-            "conversion_total_ns{{{pair}}} {}\n",
-            self.total_ns
-        ));
-        out.push_str("# TYPE conversion_bytes_moved gauge\n");
-        out.push_str(&format!(
-            "conversion_bytes_moved{{{pair}}} {}\n",
-            self.bytes_moved
-        ));
-        out.push_str("# TYPE conversion_threads gauge\n");
-        out.push_str(&format!("conversion_threads{{{pair}}} {}\n", self.threads));
-        out.push_str("# TYPE conversion_hops gauge\n");
-        out.push_str(&format!(
-            "conversion_hops{{{pair}}} {}\n",
-            self.path.len().saturating_sub(1).max(1)
-        ));
-        out.push_str("# TYPE conversion_plan_cache_hit gauge\n");
-        out.push_str(&format!(
-            "conversion_plan_cache_hit{{{pair}}} {}\n",
-            u64::from(self.plan_cache_hit)
-        ));
-        out.push_str("# TYPE conversion_spilled_runs gauge\n");
-        out.push_str(&format!(
-            "conversion_spilled_runs{{{pair}}} {}\n",
-            self.spilled_runs
-        ));
-        out.push_str("# TYPE conversion_spilled_bytes gauge\n");
-        out.push_str(&format!(
-            "conversion_spilled_bytes{{{pair}}} {}\n",
-            self.spilled_bytes
-        ));
-        out.push_str("# TYPE conversion_phase_ns gauge\n");
-        fn phase_lines(out: &mut String, pair: &str, prefix: &str, phases: &[PhaseReport]) {
-            for p in phases {
-                let path = if prefix.is_empty() {
-                    p.name.clone()
-                } else {
-                    format!("{prefix}/{}", p.name)
-                };
-                out.push_str(&format!(
-                    "conversion_phase_ns{{{pair},phase=\"{path}\"}} {}\n",
-                    p.duration_ns
-                ));
-                phase_lines(out, pair, &path, &p.children);
-            }
-        }
-        phase_lines(&mut out, &pair, "", &self.phases);
-        out
-    }
 }
 
 /// Validates a JSON report string against the documented schema without a
@@ -475,16 +415,6 @@ mod tests {
         assert!(validate_json(&json).is_err());
         let missing = json.replace("\"route\":\"direct\",", "");
         assert!(validate_json(&missing).unwrap_err().contains("\"route\""));
-    }
-
-    #[test]
-    fn prometheus_export_nests_phase_paths() {
-        let prom = sample_report().to_prometheus();
-        assert!(prom.contains(
-            "conversion_phase_ns{source=\"COO\",target=\"CSR\",phase=\"analysis/histogram\"} 280"
-        ));
-        assert!(prom.contains("conversion_total_ns{source=\"COO\",target=\"CSR\"} 1000"));
-        assert!(prom.contains("conversion_plan_cache_hit{source=\"COO\",target=\"CSR\"} 1"));
     }
 
     #[cfg(feature = "collector")]

@@ -11,8 +11,10 @@
 //! every descendant (on any thread, via handles); a root opened with the
 //! plain [`Span::enter`] records nothing, so instrumented library code costs
 //! two `Instant::now` calls and a thread-local push when nobody is tracing.
-//! [`Collector::take_trace`] extracts exactly one trace's records by root id,
-//! so concurrent conversions never see each other's spans.
+//! [`Span::enter_traced`] always opens a root of its own, even inside another
+//! span, and [`Collector::take_trace`] extracts exactly one trace's records
+//! by root id, so neither concurrent conversions nor nested traced calls
+//! see each other's spans.
 //!
 //! With the `collector` feature disabled, every type in this module is an
 //! inline zero-sized no-op: the instrumented code compiles away entirely.
@@ -159,9 +161,12 @@ mod enabled {
         /// including spans parented under its [`SpanHandle`] on other
         /// threads — are recorded, and can be extracted afterwards with
         /// [`Collector::take_trace`] keyed on [`SpanHandle::trace_id`].
+        ///
+        /// The root is always a trace of its own, even when a span is
+        /// already open on this thread: its spans stay out of an enclosing
+        /// trace, and taking it leaves the enclosing trace's records alone.
         pub fn enter_traced(name: &'static str) -> Span {
-            let parent = STACK.with(|s| s.borrow().last().map(|e| (e.id, e.root, e.recording)));
-            Span::open(name, parent, true)
+            Span::open(name, None, true)
         }
 
         /// Enters a phase as a child of `parent`, regardless of this thread's
@@ -278,11 +283,6 @@ mod enabled {
             taken
         }
 
-        /// Removes and returns every buffered record.
-        pub fn drain(&self) -> Vec<SpanRecord> {
-            std::mem::take(&mut *self.records.lock().unwrap())
-        }
-
         /// Buffered (not yet taken) records.
         pub fn len(&self) -> usize {
             self.records.lock().unwrap().len()
@@ -296,12 +296,6 @@ mod enabled {
         /// Records discarded because the buffer was at capacity.
         pub fn dropped(&self) -> u64 {
             self.dropped.load(Ordering::Relaxed)
-        }
-
-        /// Discards every buffered record and clears the overflow counter.
-        pub fn reset(&self) {
-            self.records.lock().unwrap().clear();
-            self.dropped.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -422,12 +416,6 @@ mod disabled {
             Vec::new()
         }
 
-        /// Always empty.
-        #[inline(always)]
-        pub fn drain(&self) -> Vec<SpanRecord> {
-            Vec::new()
-        }
-
         /// Always 0.
         #[inline(always)]
         pub fn len(&self) -> usize {
@@ -445,10 +433,6 @@ mod disabled {
         pub fn dropped(&self) -> u64 {
             0
         }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn reset(&self) {}
     }
 }
 
@@ -531,6 +515,47 @@ mod tests {
         }
     }
 
+    fn names(records: &[SpanRecord]) -> Vec<&'static str> {
+        let mut names: Vec<_> = records.iter().map(|r| r.name).collect();
+        names.sort_unstable();
+        names
+    }
+
+    #[test]
+    fn a_traced_root_inside_a_recording_span_is_its_own_trace() {
+        let outer = Span::enter_traced("outer");
+        let outer_trace = outer.handle().trace_id();
+        drop(Span::enter("outer.child"));
+        let inner = Span::enter_traced("inner");
+        let inner_trace = inner.handle().trace_id();
+        assert_ne!(inner_trace, outer_trace);
+        drop(Span::enter("inner.child"));
+        drop(inner);
+        let taken = Collector::global().take_trace(inner_trace);
+        assert_eq!(names(&taken), ["inner", "inner.child"]);
+        let root = taken.iter().find(|r| r.name == "inner").unwrap();
+        assert_eq!(root.parent, None);
+        drop(outer);
+        // Taking the inner trace left the caller's records in place.
+        let taken = Collector::global().take_trace(outer_trace);
+        assert_eq!(names(&taken), ["outer", "outer.child"]);
+    }
+
+    #[test]
+    fn a_traced_root_inside_a_plain_span_records() {
+        let plain = Span::enter("plain");
+        let inner = Span::enter_traced("inner");
+        let trace = inner.handle().trace_id();
+        drop(Span::enter("inner.child"));
+        drop(inner);
+        let taken = Collector::global().take_trace(trace);
+        assert_eq!(names(&taken), ["inner", "inner.child"]);
+        // Spans opened after the traced root closed nest under the plain
+        // span again.
+        let after = Span::enter("after");
+        assert_eq!(after.handle().trace_id(), plain.handle().trace_id());
+    }
+
     #[test]
     fn concurrent_traces_do_not_mix() {
         let traces: Vec<u64> = std::thread::scope(|s| {
@@ -566,6 +591,7 @@ mod noop_tests {
         // has no collector dependency to pay for.
         assert_eq!(std::mem::size_of::<Span>(), 0);
         assert_eq!(std::mem::size_of::<SpanHandle>(), 0);
+        assert_eq!(std::mem::size_of::<Collector>(), 0);
         assert!(!Collector::is_enabled());
         let root = Span::enter_traced("root");
         root.add_bytes(1);

@@ -26,12 +26,11 @@
 //! never oversubscribes the machine.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use conv_stream::sorter::record_bits;
 use conv_stream::{StreamStats, TensorStream};
-use obs::{Collector, ConversionReport, Registry, Span};
+use obs::{Collector, ConversionReport, Span, SpanRecord};
 use sparse_conv::convert::AnyTensor;
 use sparse_conv::kernel_table::{self, Padding};
 use sparse_conv::planner::{FormatGraph, PlannerConfig, TensorAttrs};
@@ -153,7 +152,31 @@ struct ExecTrace {
     parallel_kernel: bool,
     /// Format path the conversion followed (empty for plain direct routes,
     /// filled in for via-COO and multi-hop).
-    path: Vec<String>,
+    path: Vec<Format>,
+}
+
+impl ExecTrace {
+    /// The report of one trace's `records`: its phase tree, plus the
+    /// identification and routing facts this call captured. Names are
+    /// rendered here, for the caller who asked for a report, and nowhere
+    /// else.
+    fn report(&self, records: &[SpanRecord], source: String, target: &Format) -> ConversionReport {
+        let target = target.to_string();
+        let path = if self.path.is_empty() {
+            vec![source.clone(), target.clone()]
+        } else {
+            self.path.iter().map(Format::to_string).collect()
+        };
+        ConversionReport {
+            source,
+            target,
+            route: self.route.to_string(),
+            path,
+            plan_cache_hit: self.plan_cache_hit,
+            parallel_kernel: self.parallel_kernel,
+            ..ConversionReport::from_trace(records)
+        }
+    }
 }
 
 /// A point-in-time copy of a service's counters (plus its plan-cache
@@ -204,7 +227,6 @@ pub struct ConversionService {
     cache: PlanCache,
     graph: FormatGraph,
     counters: ServiceCounters,
-    last_report: Mutex<Option<ConversionReport>>,
 }
 
 impl Default for ConversionService {
@@ -222,7 +244,6 @@ impl ConversionService {
             cache: PlanCache::new(),
             graph: FormatGraph::new(),
             counters: ServiceCounters::default(),
-            last_report: Mutex::new(None),
         }
     }
 
@@ -267,14 +288,14 @@ impl ConversionService {
     /// # Errors
     ///
     /// Returns an error when the target cannot represent the input or has no
-    /// coordinate-hierarchy specification (DOK).
+    /// coordinate-hierarchy specification (DOK). No report is built: a
+    /// caller who wants one asks [`ConversionService::convert_traced`].
     pub fn convert<F: Into<Format>>(
         &self,
         src: &AnyTensor,
         target: F,
     ) -> Result<AnyTensor, ConvertError> {
-        self.count_panic(self.convert_reported(src, &target.into(), true))
-            .map(|(tensor, _)| tensor)
+        self.count_panic(self.convert_untraced(src, &target.into(), true))
     }
 
     /// Like [`ConversionService::convert`], additionally returning the
@@ -294,15 +315,26 @@ impl ConversionService {
         src: &AnyTensor,
         target: F,
     ) -> Result<(AnyTensor, ConversionReport), ConvertError> {
-        self.count_panic(self.convert_reported(src, &target.into(), true))
-    }
-
-    /// The report of the most recently *completed* conversion on this
-    /// service, if any. Under concurrency (batches, racing callers) "most
-    /// recent" means last-to-finish; use [`ConversionService::convert_traced`]
-    /// to pair a report with its own call.
-    pub fn last_report(&self) -> Option<ConversionReport> {
-        self.last_report.lock().unwrap().clone()
+        let target = target.into();
+        let root = Span::enter_traced("convert");
+        let trace_id = root.handle().trace_id();
+        let mut info = ExecTrace::default();
+        let result = self.convert_inner(src, &target, true, &mut info);
+        drop(root);
+        // Take the trace even on error so failed conversions don't leave
+        // records behind in the collector.
+        let records = Collector::global().take_trace(trace_id);
+        let tensor = self.count_panic(result)?;
+        let report = ConversionReport {
+            threads: if info.parallel_kernel {
+                self.config.threads
+            } else {
+                1
+            },
+            in_memory: true,
+            ..info.report(&records, src.format().to_string(), &target)
+        };
+        Ok((tensor, report))
     }
 
     /// The route [`ConversionService::convert`] would take for this source
@@ -340,8 +372,7 @@ impl ConversionService {
         }
         let results = self.pool.run(jobs.len(), |i| {
             let (src, target) = &jobs[i];
-            self.convert_reported(src, &target.clone().into(), false)
-                .map(|(tensor, _)| tensor)
+            self.convert_untraced(src, &target.clone().into(), false)
         });
         // A job whose worker died reports that; the rest report themselves.
         results
@@ -394,35 +425,28 @@ impl ConversionService {
         self.counters.streams.fetch_add(1, Ordering::Relaxed);
         let root = Span::enter_traced("convert_stream");
         let trace_id = root.handle().trace_id();
-        let mut info = ExecTrace::default();
+        // The streamed path never enters the in-memory router.
+        let mut info = ExecTrace {
+            route: "stream",
+            ..ExecTrace::default()
+        };
         let result = self.count_panic(self.stream_exec(&mut stream, &target, opts, &mut info));
         drop(root);
         let records = Collector::global().take_trace(trace_id);
-        let conv = result?;
-        let mut report = ConversionReport::from_trace(&records);
-        report.source = "stream".to_string();
-        report.target = target.to_string();
-        report.route = if info.route.is_empty() {
-            // The streamed path never enters the in-memory router.
-            "stream"
-        } else {
-            info.route
-        }
-        .to_string();
-        report.path = if info.path.is_empty() {
-            vec![report.source.clone(), report.target.clone()]
-        } else {
-            std::mem::take(&mut info.path)
+        let (tensor, stats) = result?;
+        let report = ConversionReport {
+            threads: self.config.threads,
+            streamed: true,
+            in_memory: stats.in_memory,
+            spilled_runs: stats.spilled_runs,
+            spilled_bytes: stats.spilled_bytes,
+            ..info.report(&records, "stream".to_string(), &target)
         };
-        report.plan_cache_hit = info.plan_cache_hit;
-        report.parallel_kernel = info.parallel_kernel;
-        report.threads = self.config.threads;
-        report.streamed = true;
-        report.in_memory = conv.stats.in_memory;
-        report.spilled_runs = conv.stats.spilled_runs;
-        report.spilled_bytes = conv.stats.spilled_bytes;
-        *self.last_report.lock().unwrap() = Some(report);
-        Ok(conv)
+        Ok(StreamConversion {
+            tensor,
+            stats,
+            report,
+        })
     }
 
     /// The body of [`ConversionService::convert_stream`], running inside the
@@ -433,7 +457,7 @@ impl ConversionService {
         target: &Format,
         opts: &StreamOptions,
         info: &mut ExecTrace,
-    ) -> Result<StreamConversion, ConvertError> {
+    ) -> Result<(AnyTensor, StreamStats), ConvertError> {
         let shape = stream.shape().clone();
         let Some(plan) = streaming::classify(target, &shape) else {
             self.counters.materialized.fetch_add(1, Ordering::Relaxed);
@@ -445,7 +469,7 @@ impl ConversionService {
             // `convert_inner` counts the conversion and applies
             // routing/kernels; its spans nest under this stream's trace.
             let tensor = self.convert_inner(&src, target, true, info)?;
-            return Ok(StreamConversion { tensor, stats });
+            return Ok((tensor, stats));
         };
         self.counters.conversions.fetch_add(1, Ordering::Relaxed);
         // One key word per conversion: the narrowest the records fit.
@@ -464,7 +488,7 @@ impl ConversionService {
         self.counters
             .stream_peak_bytes
             .fetch_max(stats.peak_tracked_bytes, Ordering::Relaxed);
-        Ok(StreamConversion { tensor, stats })
+        Ok((tensor, stats))
     }
 
     /// A snapshot of the service's execution and plan-cache statistics.
@@ -510,51 +534,16 @@ impl ConversionService {
         self.cache.reset_counters();
     }
 
-    /// Runs one conversion under a traced root span and assembles its
-    /// [`ConversionReport`], which is also stored for
-    /// [`ConversionService::last_report`].
-    fn convert_reported(
+    /// Runs one conversion under a plain span: it nests in a caller's
+    /// trace when there is one, and builds no report.
+    fn convert_untraced(
         &self,
         src: &AnyTensor,
         target: &Format,
         allow_parallel: bool,
-    ) -> Result<(AnyTensor, ConversionReport), ConvertError> {
-        let root = Span::enter_traced("convert");
-        let trace_id = root.handle().trace_id();
-        let mut info = ExecTrace::default();
-        let result = self.convert_inner(src, target, allow_parallel, &mut info);
-        drop(root);
-        // Take the trace even on error so failed conversions don't leave
-        // records behind in the collector.
-        let records = Collector::global().take_trace(trace_id);
-        let tensor = result?;
-        let mut report = ConversionReport::from_trace(&records);
-        report.source = src.format().to_string();
-        report.target = target.to_string();
-        report.route = info.route.to_string();
-        report.path = if info.path.is_empty() {
-            vec![report.source.clone(), report.target.clone()]
-        } else {
-            std::mem::take(&mut info.path)
-        };
-        report.plan_cache_hit = info.plan_cache_hit;
-        report.parallel_kernel = info.parallel_kernel;
-        report.threads = if info.parallel_kernel {
-            self.config.threads
-        } else {
-            1
-        };
-        report.in_memory = true;
-        let registry = Registry::global();
-        registry.counter("service.conversions").inc();
-        if info.plan_cache_hit {
-            registry.counter("service.plan_hits").inc();
-        }
-        registry
-            .histogram("service.convert_ns")
-            .observe(report.total_ns);
-        *self.last_report.lock().unwrap() = Some(report.clone());
-        Ok((tensor, report))
+    ) -> Result<AnyTensor, ConvertError> {
+        let _root = Span::enter("convert");
+        self.convert_inner(src, target, allow_parallel, &mut ExecTrace::default())
     }
 
     fn convert_inner(
@@ -592,11 +581,11 @@ impl ConversionService {
                 path
             }
         };
-        info.path = path.iter().map(|f| f.to_string()).collect();
         let mut current = self.run_hop(src, &path[1], parallel, info)?;
         for hop_target in &path[2..] {
             current = self.run_hop(&current, hop_target, parallel, info)?;
         }
+        info.path = path;
         Ok(current)
     }
 

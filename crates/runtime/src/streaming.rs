@@ -31,7 +31,7 @@ use conv_stream::{
     entry_bytes, CooSink, ExternalSorter, MemTracker, MemoryBudget, ParseJob, SorterConfig,
     StreamStats, TensorSink, TensorStream,
 };
-use obs::{Span, SpanHandle};
+use obs::{ConversionReport, Span, SpanHandle};
 use sparse_conv::convert::AnyTensor;
 use sparse_conv::kernel_table::{self, StreamKey};
 use sparse_conv::{ConvertError, Format};
@@ -64,14 +64,19 @@ impl StreamOptions {
     }
 }
 
-/// A streamed conversion's result: the packed tensor plus the streaming
-/// statistics (spill counts, working-set high-water mark).
+/// A streamed conversion's result: the packed tensor, the streaming
+/// statistics (spill counts, working-set high-water mark) and the
+/// conversion's report.
 #[derive(Debug)]
 pub struct StreamConversion {
     /// The conversion result, byte-identical to the in-memory path.
     pub tensor: AnyTensor,
     /// What the pipeline did to produce it.
     pub stats: StreamStats,
+    /// Where the time went: the streamed phase tree, the spill counts and
+    /// the route (`"stream"`, or the in-memory route of a materialised
+    /// fallback).
+    pub report: ConversionReport,
 }
 
 /// How a target is packed from a sorted stream.

@@ -23,7 +23,7 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::mem::size_of;
 use std::path::PathBuf;
 
-use obs::{Registry, Span};
+use obs::Span;
 use sparse_conv::ConvertError;
 use sparse_formats::radix::{self, KeyLayout, PackedKey};
 use sparse_tensor::Shape;
@@ -281,12 +281,6 @@ impl<K: PackedKey> ExternalSorter<K> {
         span.add_bytes(run.bytes());
         self.stats.spilled_runs += 1;
         self.stats.spilled_bytes += run.bytes();
-        let registry = Registry::global();
-        registry.counter("stream.spilled_runs").inc();
-        registry.counter("stream.spilled_bytes").add(run.bytes());
-        registry
-            .histogram("stream.spill_run_bytes")
-            .observe(run.bytes());
         self.spills.push(run);
         Ok(())
     }
@@ -330,14 +324,6 @@ impl<K: PackedKey> ExternalSorter<K> {
             result?;
         }
         self.stats.peak_tracked_bytes = self.tracker.peak();
-        // Mirror the final per-conversion stats into the process-wide
-        // metrics registry (the same numbers StreamStats reports locally).
-        let registry = Registry::global();
-        registry.counter("stream.blocks").add(self.stats.blocks);
-        registry.counter("stream.entries").add(self.stats.entries);
-        registry
-            .counter("stream.merged_entries")
-            .add(self.stats.merged_entries);
         Ok(self.stats)
     }
 }

@@ -68,16 +68,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(result.stats.peak_tracked_bytes < budget.bytes);
     // The observability layer recorded where the time went.
-    if let Some(report) = service.last_report() {
-        println!(
-            "  report: route {}, {} thread(s), total {:.1} µs, {} spill runs",
-            report.route,
-            report.threads,
-            report.total_ns as f64 / 1e3,
-            report.spilled_runs
-        );
-        print_phases(&report.phases, 1);
-    }
+    let report = &result.report;
+    println!(
+        "  report: route {}, {} thread(s), total {:.1} µs, {} spill runs",
+        report.route,
+        report.threads,
+        report.total_ns as f64 / 1e3,
+        report.spilled_runs
+    );
+    print_phases(&report.phases, 1);
     // The streamed result is byte-identical to the in-memory conversion.
     let in_memory = service.convert(&AnyTensor::Coo(matrix), Format::csr())?;
     assert_eq!(result.tensor, in_memory);

@@ -11,7 +11,7 @@ use taco_conversion_repro::conv::{
     codegen, convert_with, AnyTensor, ConvertError, Format, TensorProfile,
 };
 use taco_conversion_repro::formats::{CooMatrix, CooTensor};
-use taco_conversion_repro::obs::{validate_json, Collector, PhaseReport, Registry, Span};
+use taco_conversion_repro::obs::{validate_json, Collector, PhaseReport, Span};
 use taco_conversion_repro::runtime::{ConversionService, ServiceConfig, StreamOptions};
 use taco_conversion_repro::stream::run::record_bytes;
 use taco_conversion_repro::stream::{
@@ -60,11 +60,73 @@ fn traced_conversions_report_route_cache_and_phases() {
         !execute.children.is_empty(),
         "the engine recorded sub-phases under the dispatch"
     );
-    // The report the service stored last is the report it returned last.
-    assert_eq!(svc.last_report().unwrap(), second);
     // The JSON export satisfies its own documented schema.
     validate_json(&second.to_json()).expect("schema-valid JSON");
-    assert!(second.to_prometheus().contains("conversion_total_ns"));
+}
+
+/// A plain `convert` inside a caller's traced root opens no root of its
+/// own: its `convert` span and the `service.*` phases under it land in the
+/// caller's trace, beside the caller's own records.
+#[test]
+fn untraced_conversions_nest_in_the_callers_trace() {
+    let svc = service(1);
+    let src = matrix_source();
+    let root = Span::enter_traced("test.caller");
+    let trace = root.handle().trace_id();
+    drop(Span::enter("test.before"));
+    svc.convert(&src, Format::csr()).unwrap();
+    drop(root);
+    let records = Collector::global().take_trace(trace);
+    let find = |name: &str| {
+        records
+            .iter()
+            .find(|r| r.name == name)
+            .unwrap_or_else(|| panic!("{name} in the caller's trace"))
+    };
+    let caller = find("test.caller");
+    assert_eq!(find("test.before").parent, Some(caller.id));
+    let convert = find("convert");
+    assert_eq!(convert.parent, Some(caller.id));
+    for phase in ["service.plan", "service.route", "service.execute"] {
+        assert_eq!(find(phase).parent, Some(convert.id), "{phase}");
+    }
+    assert!(records.iter().all(|r| r.root == trace));
+}
+
+/// `convert_traced` and `convert_stream` open a traced root of their own
+/// wherever they are called: under a caller's plain span each still returns
+/// its full phase tree, and under a caller's traced root it also leaves the
+/// caller's records in the caller's trace.
+#[test]
+fn traced_requests_inside_a_callers_span_report_their_own_tree() {
+    let svc = service(1);
+    let src = matrix_source();
+    let AnyTensor::Coo(m) = &src else {
+        unreachable!("the matrix source is COO")
+    };
+    let opts = StreamOptions::with_budget(MemoryBudget::kib(1024));
+    let requests = || {
+        let (_, report) = svc.convert_traced(&src, Format::csr()).unwrap();
+        assert!(report.phase("service.execute").is_some());
+        let stream = CooBlockStream::from_matrix(m, 1024);
+        let streamed = svc.convert_stream(stream, Format::csr(), &opts).unwrap();
+        assert!(streamed.report.phase("stream.assemble").is_some());
+    };
+    let plain = Span::enter("test.plain");
+    requests();
+    drop(plain);
+    let caller = Span::enter_traced("test.caller");
+    let trace = caller.handle().trace_id();
+    drop(Span::enter("test.before"));
+    requests();
+    drop(caller);
+    let mut names: Vec<_> = Collector::global()
+        .take_trace(trace)
+        .iter()
+        .map(|r| r.name)
+        .collect();
+    names.sort_unstable();
+    assert_eq!(names, ["test.before", "test.caller"]);
 }
 
 /// Sums the span widths of every phase named `name` in the tree.
@@ -164,7 +226,7 @@ fn coo3_to_csf_attributes_sort_and_pack_per_chunk() {
 }
 
 #[test]
-fn streamed_conversions_report_spills_and_mirror_the_registry() {
+fn streamed_conversions_report_spills() {
     let t = tensor3_uniform([48, 48, 48], 6_000, 11).expect("valid generator parameters");
     let svc = service(2);
     let dir = std::env::temp_dir().join(format!("obs-stream-{}", std::process::id()));
@@ -178,7 +240,7 @@ fn streamed_conversions_report_spills_and_mirror_the_registry() {
     let result = svc.convert_stream(stream, Format::csf(), &opts).unwrap();
     assert!(result.stats.spilled_runs > 0, "the budget forces spills");
 
-    let report = svc.last_report().expect("stream stored a report");
+    let report = &result.report;
     assert_eq!(report.route, "stream");
     assert!(report.streamed);
     assert!(!report.in_memory);
@@ -190,11 +252,6 @@ fn streamed_conversions_report_spills_and_mirror_the_registry() {
     assert!(report.phase("stream.pump").is_some());
     assert!(report.phase("stream.assemble").is_some());
     validate_json(&report.to_json()).expect("schema-valid JSON");
-
-    // The sorter mirrored its stats into the global metrics registry.
-    let snapshot = Registry::global().snapshot();
-    assert!(snapshot.counters["stream.spilled_runs"] >= result.stats.spilled_runs);
-    assert!(snapshot.counters["stream.spilled_bytes"] >= result.stats.spilled_bytes);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -212,13 +269,10 @@ fn streamed_span_tree_attributes_presort_spills_and_merge() {
     let svc = service(2);
     let opts = StreamOptions::with_budget(MemoryBudget::kib(16));
     let stream = CooBlockStream::new(CooTensor::from_triples(&t), 64);
-    let stats = svc
-        .convert_stream(stream, Format::csf(), &opts)
-        .unwrap()
-        .stats;
+    let result = svc.convert_stream(stream, Format::csf(), &opts).unwrap();
+    let (stats, report) = (result.stats, result.report);
     let runs = stats.spilled_runs;
     assert!(runs > 1, "the budget forces spills mid-stream");
-    let report = svc.last_report().expect("stream stored a report");
     let mut rows = Vec::new();
     tree(&report.phases, 0, &mut rows);
     rows.retain(|r| r.1 != "stream.budget_wait");
@@ -304,8 +358,8 @@ fn budget_waits_are_the_producers_under_the_pump() {
         )
         .unwrap();
     assert_eq!(got.stats.entries, 640);
-    let report = svc.last_report().expect("stream stored a report");
-    let wait = report
+    let wait = got
+        .report
         .phase("stream.pump")
         .and_then(|p| p.child("stream.budget_wait"))
         .expect("the producer waited under the pump");
